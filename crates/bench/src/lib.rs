@@ -996,8 +996,10 @@ pub mod experiments {
         )
         .unwrap();
         db.execute("CREATE TABLE t (k INT NOT NULL, v INT NOT NULL)").unwrap();
-        // The writer's point updates go through the index: an OLTP
-        // writer, not a scan competing with the readers for CPU.
+        // The writer's `UPDATE … WHERE k = …` picks its target through
+        // the planner's access paths, like a SELECT: an index probe on
+        // t_k plus a residual re-check, so it is an OLTP writer rather
+        // than a full scan competing with the readers for CPU.
         db.execute("CREATE INDEX t_k ON t (k)").unwrap();
         for chunk in (0..rows as i64).collect::<Vec<_>>().chunks(200) {
             let values: Vec<String> = chunk.iter().map(|k| format!("({k}, {})", k + 1)).collect();

@@ -185,10 +185,10 @@ pub enum Statement {
         /// Table name.
         table: String,
     },
-    /// `EXPLAIN SELECT ...` — show the chosen plan (with row/cost
-    /// estimates and the planner's selection decisions) instead of
-    /// executing the query.
-    Explain(Box<Select>),
+    /// `EXPLAIN SELECT|UPDATE|DELETE ...` — show the chosen plan (for
+    /// DML: the target access path) with row/cost estimates and the
+    /// planner's selection decisions, instead of executing it.
+    Explain(Box<Statement>),
 }
 
 // ── SQL rendering ─────────────────────────────────────────────────────

@@ -179,19 +179,7 @@ impl Catalog {
     /// only plan-cache entries (not schema snapshots) are invalidated.
     pub fn update_stats(&self, name: &str, stats: TableStats) -> Result<()> {
         let name = name.to_lowercase();
-        let mut meta = self.table(&name)?;
-        meta.stats = Some(stats);
-
-        let tables = self.tables.lock();
-        let (rid, _) = tables
-            .get(&name)
-            .ok_or_else(|| ServiceError::InvalidInput(format!("no such table `{name}`")))?;
-        let old_rid = *rid;
-        drop(tables);
-
-        self.heap.delete(old_rid)?;
-        let new_rid = self.persist(&CatalogRecord::Table(meta.clone()))?;
-        self.tables.lock().insert(name.clone(), (new_rid, meta));
+        self.replace_table(&name, |meta| meta.stats = Some(stats))?;
         *self.writes.lock().entry(name).or_default() = TableWrites::default();
         self.bump_stats_version();
         Ok(())
@@ -309,17 +297,25 @@ impl Catalog {
     /// Rewrite a table's metadata (e.g. after adding an index).
     pub fn update_table(&self, meta: TableMeta) -> Result<()> {
         let name = meta.name.clone();
-        let tables = self.tables.lock();
-        let (rid, _) = tables
-            .get(&name)
-            .ok_or_else(|| ServiceError::InvalidInput(format!("no such table `{name}`")))?;
-        let old_rid = *rid;
-        drop(tables);
-
-        self.heap.delete(old_rid)?;
-        let new_rid = self.persist(&CatalogRecord::Table(meta.clone()))?;
-        self.tables.lock().insert(name, (new_rid, meta));
+        self.replace_table(&name, |current| *current = meta)?;
         self.bump_version();
+        Ok(())
+    }
+
+    /// Rewrite one table's catalog record: edit its cached metadata,
+    /// delete the old record and persist the new one, all under the
+    /// `tables` lock, so concurrent rewrites of one table (two sessions'
+    /// `ANALYZE`s) serialize instead of deleting the same record twice.
+    fn replace_table(&self, name: &str, edit: impl FnOnce(&mut TableMeta)) -> Result<()> {
+        let mut tables = self.tables.lock();
+        let (rid, meta) = tables
+            .get_mut(name)
+            .ok_or_else(|| ServiceError::InvalidInput(format!("no such table `{name}`")))?;
+        let mut edited = meta.clone();
+        edit(&mut edited);
+        self.heap.delete(*rid)?;
+        *rid = self.persist(&CatalogRecord::Table(edited.clone()))?;
+        *meta = edited;
         Ok(())
     }
 

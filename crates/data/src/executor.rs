@@ -27,7 +27,8 @@ use crate::cost::Estimator;
 use crate::parser::parse;
 use crate::plan_cache::{PlanCache, PlanCacheStats};
 use crate::planner::{
-    compile_expr, plan_select, BindEnv, CatalogView, IndexDesc, Plan, PlannedQuery, PlannerKnobs,
+    compile_expr, plan_dml_target, plan_select, BindEnv, CatalogView, IndexDesc, Plan,
+    PlannedQuery, PlannerKnobs,
 };
 use crate::schema::Schema;
 use crate::session::{
@@ -815,43 +816,69 @@ impl Database {
             Statement::Insert { table, columns, rows } => {
                 self.run_insert(&table, columns, rows, mode)
             }
-            Statement::Update { table, set, filter } => self.run_update(&table, set, filter, mode),
-            Statement::Delete { table, filter } => self.run_delete(&table, filter, mode),
+            Statement::Update { table, set, filter } => {
+                self.run_write(&table, Some(set), filter, mode)
+            }
+            Statement::Delete { table, filter } => self.run_write(&table, None, filter, mode),
             Statement::Select(select) => self.run_select_with(&select, mode),
             Statement::Analyze { table } => {
                 self.analyze(&table)?;
                 Ok(QueryResult::affected(0))
             }
-            Statement::Explain(select) => self.run_explain(&select, mode),
+            Statement::Explain(stmt) => self.run_explain(&stmt, mode),
         }
     }
 
-    /// Plan a SELECT and return its annotated plan (one row per line)
-    /// instead of executing it. Each node line carries the estimated
-    /// rows and cost; the planner's selection decisions follow as
-    /// `-- ...` comment lines.
-    fn run_explain(&self, select: &Select, mode: &RunMode) -> Result<QueryResult> {
-        let mut planned = plan_select(select, self)?;
-        if mode.degraded {
-            planned
-                .decisions
-                .push("engine: tuple (degraded: overload)".to_string());
-            if plan_has_hash_join(&planned.plan) {
-                planned
-                    .decisions
-                    .push(format!("join kernel: {}", EngineKind::Tuple.join_kernel()));
-            }
-        } else {
-            self.push_engine_decisions(&mut planned);
-        }
-        planned
-            .decisions
-            .push(format!("concurrency: {} (profile)", self.concurrency));
+    /// Plan a SELECT, or the target rows of an UPDATE/DELETE, and return
+    /// its annotated plan (one row per line) instead of executing it.
+    /// Each node line carries the estimated rows and cost; the planner's
+    /// selection decisions follow as `-- ...` comment lines. A DML plan
+    /// is its target access path under the residual WHERE.
+    fn run_explain(&self, stmt: &Statement, mode: &RunMode) -> Result<QueryResult> {
         let estimator = Estimator::new(self);
-        let mut lines = estimator.explain_annotated(&planned.plan);
-        for d in &planned.decisions {
-            lines.push(format!("-- {d}"));
-        }
+        let (mut lines, mut decisions) = match stmt {
+            Statement::Select(select) => {
+                let mut planned = plan_select(select, self)?;
+                if mode.degraded {
+                    planned
+                        .decisions
+                        .push("engine: tuple (degraded: overload)".to_string());
+                    if plan_has_hash_join(&planned.plan) {
+                        planned
+                            .decisions
+                            .push(format!("join kernel: {}", EngineKind::Tuple.join_kernel()));
+                    }
+                } else {
+                    self.push_engine_decisions(&mut planned);
+                }
+                (estimator.explain_annotated(&planned.plan), planned.decisions)
+            }
+            Statement::Update { table, filter, .. } | Statement::Delete { table, filter } => {
+                let t = self.table(table)?;
+                let mut env = BindEnv::default();
+                env.push_table(table, t.schema());
+                let predicate = filter.as_ref().map(|f| compile_expr(f, &env)).transpose()?;
+                let (leaf, decisions) = plan_dml_target(&t.meta().name, predicate.as_ref(), self)?;
+                let target = match predicate {
+                    Some(predicate) => Plan::Filter {
+                        input: Box::new(leaf),
+                        predicate,
+                    },
+                    None => leaf,
+                };
+                let verb = match stmt {
+                    Statement::Update { .. } => "Update",
+                    _ => "Delete",
+                };
+                let mut lines = vec![format!("{verb} {}", t.meta().name)];
+                let nodes = estimator.explain_annotated(&target);
+                lines.extend(nodes.into_iter().map(|l| format!("| {l}")));
+                (lines, decisions)
+            }
+            _ => return Err(err("EXPLAIN takes SELECT, UPDATE or DELETE")),
+        };
+        decisions.push(format!("concurrency: {} (profile)", self.concurrency));
+        lines.extend(decisions.iter().map(|d| format!("-- {d}")));
         Ok(QueryResult {
             columns: vec!["plan".into()],
             rows: lines.into_iter().map(|l| vec![Datum::Str(l)]).collect(),
@@ -1055,193 +1082,128 @@ impl Database {
         self.txns.commit_sync(barrier)
     }
 
-    /// Materialize the rows of `table` visible to `state` — its pinned
-    /// snapshot overlaid with its own uncommitted writes — or the
-    /// latest-committed state when no transaction is open. Runs under
-    /// the MVCC read latch so no commit applies mid-scan.
-    fn mvcc_visible_rows(
+    /// The rows a row-access leaf (`TableScan`, `IndexScan`, `IndexOr`,
+    /// `IndexAnd`) reaches, with their row keys: the one path by which
+    /// SELECT leaves and DML target lists both read a table, in either
+    /// CC mode. Candidates come from a heap scan or the leaf's B-tree
+    /// probes. Without an MVCC transaction (`state = None`) the
+    /// committed heap is the answer and the probes are exact against
+    /// it. With one, visibility resolves here, under the read latch:
+    /// this transaction's own write wins, then the snapshot overlay;
+    /// keys whose visible version lives only in the version chains come
+    /// next, then own writes the probes could not reach (own inserts,
+    /// rewrites to a new key — the B-tree indexes committed state
+    /// only). Every image that is not the current heap occupant is
+    /// re-checked against the leaf's key bounds. Cancellation is checked
+    /// every [`exec::CANCEL_QUANTUM`] candidates.
+    fn access_rows(
         &self,
         t: &Table,
-        table: &str,
+        leaf: &Plan,
         state: Option<&MvccTxnState>,
+        mode: &RunMode,
     ) -> Result<Vec<(RowKey, Tuple)>> {
-        let mvcc = self.mvcc.as_ref().expect("mvcc profile");
-        let _latch = mvcc.read_latch();
-        let heap = t.scan()?;
-        let Some(state) = state else {
-            // Autocommit read: the latest committed state is the heap.
-            return Ok(heap
-                .into_iter()
-                .map(|(rid, row)| (RowKey::Heap(rid), row))
-                .collect());
+        let _latch = self.mvcc.as_ref().map(|m| m.read_latch());
+        let candidates: Vec<(Rid, Option<Tuple>)> = match leaf {
+            Plan::TableScan { .. } => {
+                t.scan()?.into_iter().map(|(r, row)| (r, Some(row))).collect()
+            }
+            _ => index_rids(t, leaf)?.into_iter().map(|r| (r, None)).collect(),
         };
+        let fetch = |rid: Rid, row: Option<Tuple>| row.map_or_else(|| t.get(rid), Ok);
+        let mut out = Vec::with_capacity(candidates.len());
+        let (Some(mvcc), Some(state)) = (&self.mvcc, state) else {
+            for (i, (rid, row)) in candidates.into_iter().enumerate() {
+                if i % exec::CANCEL_QUANTUM == 0 {
+                    mode.ctx.check()?;
+                }
+                out.push((RowKey::Heap(rid), fetch(rid, row)?));
+            }
+            return Ok(out);
+        };
+        let table = t.meta().name.as_str();
+        let admits = key_bounds(t, leaf)?;
         let own = state.overlay.get(table);
         let ov = mvcc.scan_overlay(table, state.txn.snapshot);
-        let mut out = Vec::with_capacity(heap.len());
-        let mut seen: BTreeSet<u64> = BTreeSet::new();
-        for (rid, row) in heap {
-            let key = rid_key(rid);
-            seen.insert(key);
-            if let Some(w) = own.and_then(|m| m.get(&RowKey::Heap(rid))) {
-                // Own writes win over the snapshot (we hold the lock, so
-                // the heap occupant cannot change underneath them).
-                if let Some(img) = own_image(w) {
-                    out.push((RowKey::Heap(rid), img.clone()));
-                }
-                continue;
-            }
-            match ov.visibility(key) {
-                Visibility::Current => out.push((RowKey::Heap(rid), row)),
-                Visibility::Replaced(bytes) => {
-                    out.push((RowKey::Heap(rid), decode_tuple(&bytes)?))
-                }
-                Visibility::Hidden => {}
-            }
-        }
-        // Keys whose visible version lives only in the chains: rows a
-        // later commit deleted, still visible to this snapshot.
-        let mut chain: Vec<u64> = ov.chain_keys().filter(|k| !seen.contains(k)).collect();
-        chain.sort_unstable();
-        for key in chain {
-            let rid = key_rid(key);
-            if let Some(w) = own.and_then(|m| m.get(&RowKey::Heap(rid))) {
-                if let Some(img) = own_image(w) {
-                    out.push((RowKey::Heap(rid), img.clone()));
-                }
-                continue;
-            }
-            if let Visibility::Replaced(bytes) = ov.visibility(key) {
-                out.push((RowKey::Heap(rid), decode_tuple(&bytes)?));
-            }
-        }
-        // This transaction's own pending inserts.
-        if let Some(own) = own {
-            for (k, w) in own {
-                if let (RowKey::Local(_), OwnWrite::Local(img)) = (k, w) {
-                    out.push((*k, img.clone()));
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// An index probe with snapshot semantics. The B-tree indexes only
-    /// committed heap state, so the probed rid set is a superset/subset
-    /// of the truth in three ways, each patched here: probed rids may be
-    /// invisible (resolve through the overlay), chain keys the probe
-    /// missed may hold a visible older image that matches, and this
-    /// transaction's own buffered writes are not indexed at all.
-    /// `probe` runs under the read latch and yields candidate rids from
-    /// the index; `matches` re-checks a row *image* (replaced version or
-    /// buffered write) against the probe's key constraints, mirroring
-    /// B-tree semantics exactly (`Datum::order` comparisons, not SQL
-    /// equality — a NULL key component matches a NULL constraint).
-    fn mvcc_index_probe(
-        &self,
-        t: &Table,
-        table: &str,
-        probe: &dyn Fn() -> Result<Vec<Rid>>,
-        matches: &dyn Fn(&Tuple) -> bool,
-        mode: &RunMode,
-    ) -> Result<Vec<Tuple>> {
-        let mvcc = self.mvcc.as_ref().expect("mvcc profile");
-        let table_lc = table.to_lowercase();
-        let core = self.run_session(mode).clone();
-        let guard = core.txn.lock();
-        let state = match &*guard {
-            Some(ActiveTxn::Mvcc(state)) => Some(state),
-            _ => None,
-        };
-        let _latch = mvcc.read_latch();
-        let probed = probe()?;
-        let Some(state) = state else {
-            // Autocommit read: the probe is exact against the heap.
-            return probed.into_iter().map(|rid| t.get(rid)).collect();
-        };
-        let own = state.overlay.get(&table_lc);
-        let ov = mvcc.scan_overlay(&table_lc, state.txn.snapshot);
-        let mut out = Vec::new();
         let mut seen: BTreeSet<RowKey> = BTreeSet::new();
-        for rid in probed {
+        for (i, (rid, row)) in candidates.into_iter().enumerate() {
+            if i % exec::CANCEL_QUANTUM == 0 {
+                mode.ctx.check()?;
+            }
             let key = RowKey::Heap(rid);
             if !seen.insert(key) {
                 continue;
             }
             if let Some(w) = own.and_then(|m| m.get(&key)) {
-                if let Some(img) = own_image(w) {
-                    if matches(img) {
-                        out.push(img.clone());
-                    }
+                // We hold the write lock, so the heap occupant cannot
+                // change underneath the own image.
+                if let Some(img) = own_image(w).filter(|img| admits(img)) {
+                    out.push((key, img.clone()));
                 }
                 continue;
             }
             match ov.visibility(rid_key(rid)) {
-                Visibility::Current => out.push(t.get(rid)?),
+                Visibility::Current => out.push((key, fetch(rid, row)?)),
                 Visibility::Replaced(bytes) => {
                     let img = decode_tuple(&bytes)?;
-                    if matches(&img) {
-                        out.push(img);
+                    if admits(&img) {
+                        out.push((key, img));
                     }
                 }
                 Visibility::Hidden => {}
             }
         }
-        let mut chain: Vec<u64> = ov.chain_keys().collect();
+        // Keys whose visible version lives only in the chains: rows a
+        // later commit moved or deleted, still visible to this snapshot.
+        let mut chain: Vec<u64> = ov
+            .chain_keys()
+            .filter(|&k| !seen.contains(&RowKey::Heap(key_rid(k))))
+            .collect();
         chain.sort_unstable();
         for k in chain {
             let key = RowKey::Heap(key_rid(k));
-            if !seen.insert(key) || own.is_some_and(|m| m.contains_key(&key)) {
+            if own.is_some_and(|m| m.contains_key(&key)) {
                 continue;
             }
             if let Visibility::Replaced(bytes) = ov.visibility(k) {
                 let img = decode_tuple(&bytes)?;
-                if matches(&img) {
-                    out.push(img);
+                if admits(&img) {
+                    out.push((key, img));
                 }
             }
         }
-        if let Some(own) = own {
-            for (key, w) in own {
-                if seen.contains(key) {
-                    continue;
-                }
-                if let Some(img) = own_image(w) {
-                    if matches(img) {
-                        out.push(img.clone());
-                    }
-                }
+        for (key, w) in own.into_iter().flatten() {
+            if seen.contains(key) {
+                continue;
+            }
+            if let Some(img) = own_image(w).filter(|img| admits(img)) {
+                out.push((*key, img.clone()));
             }
         }
         Ok(out)
     }
 
-    /// Visible rows of `table` matching `predicate`, with row keys — the
-    /// MVCC counterpart of [`Database::matching_rids`].
-    fn mvcc_matching(
+    /// The rows an UPDATE or DELETE targets: the planner's access path
+    /// over the WHERE conjuncts, with the whole WHERE re-applied as the
+    /// residual. Every cancellation check happens here, before any
+    /// mutation: a cancelled autocommit statement touches zero rows, and
+    /// an explicit transaction unwinds through its rollback. Targets come
+    /// in row-key order whichever path found them.
+    fn dml_targets(
         &self,
         t: &Table,
-        table: &str,
-        state: &MvccTxnState,
-        predicate: &Option<exec::Expr>,
+        predicate: Option<&exec::Expr>,
+        state: Option<&MvccTxnState>,
         mode: &RunMode,
     ) -> Result<Vec<(RowKey, Tuple)>> {
+        let (leaf, _) = plan_dml_target(&t.meta().name, predicate, self)?;
         let mut out = Vec::new();
-        for (i, (key, tuple)) in self
-            .mvcc_visible_rows(t, table, Some(state))?
-            .into_iter()
-            .enumerate()
-        {
-            if i % exec::CANCEL_QUANTUM == 0 {
-                mode.ctx.check()?;
-            }
-            let keep = match predicate {
-                None => true,
-                Some(p) => p.eval(&tuple)?.is_true(),
-            };
-            if keep {
-                out.push((key, tuple));
+        for (key, row) in self.access_rows(t, &leaf, state, mode)? {
+            if predicate.map_or(Ok(true), |p| p.eval(&row).map(|d| d.is_true()))? {
+                out.push((key, row));
             }
         }
+        out.sort_by_key(|(key, _)| *key);
         Ok(out)
     }
 
@@ -1320,46 +1282,63 @@ impl Database {
         Ok(QueryResult::affected(inserted))
     }
 
-    fn run_update(
+    /// UPDATE (`set = Some(..)`) or DELETE (`set = None`). Targets come
+    /// from [`Database::dml_targets`] and every new image is evaluated
+    /// before the first write, so an evaluation error leaves the
+    /// statement a no-op. Applying the writes is CC-specific: MVCC takes
+    /// every write lock, then buffers the images in the transaction's
+    /// overlay; single-writer writes the heap in place, undo-logged
+    /// inside an explicit transaction.
+    fn run_write(
         &self,
         table: &str,
-        set: Vec<(String, AstExpr)>,
+        set: Option<Vec<(String, AstExpr)>>,
         filter: Option<AstExpr>,
         mode: &RunMode,
     ) -> Result<QueryResult> {
         let t = self.table(table)?;
         let schema = t.schema().clone();
         let mut env = BindEnv::default();
-        env_push(&mut env, table, &schema);
-
-        let assignments: Vec<(usize, exec::Expr)> = set
-            .iter()
-            .map(|(col, e)| {
-                let pos = schema
-                    .index_of(col)
-                    .ok_or_else(|| err(format!("no column `{col}` in `{table}`")))?;
-                Ok((pos, compile_expr(e, &env)?))
+        env.push_table(table, &schema);
+        let assignments: Option<Vec<(usize, exec::Expr)>> = set
+            .map(|set| {
+                set.iter()
+                    .map(|(col, e)| {
+                        let pos = schema
+                            .index_of(col)
+                            .ok_or_else(|| err(format!("no column `{col}` in `{table}`")))?;
+                        Ok((pos, compile_expr(e, &env)?))
+                    })
+                    .collect::<Result<_>>()
             })
-            .collect::<Result<_>>()?;
+            .transpose()?;
         let predicate = filter.map(|f| compile_expr(&f, &env)).transpose()?;
-
-        if self.mvcc.is_some() {
-            let table_lc = table.to_lowercase();
-            return self.with_mvcc_txn(mode, |state| {
-                let matches = self.mvcc_matching(&t, &table_lc, state, &predicate, mode)?;
-                // Evaluate every new image first (fallible), then take
-                // every write lock (fallible), then mutate the overlay
-                // (infallible): a conflict or eval error leaves the
-                // statement a no-op and the transaction open.
-                let mut staged = Vec::with_capacity(matches.len());
-                for (key, old) in matches {
+        // The new image of one target (`None` deletes it). It is the
+        // validated image, which may differ from the evaluated one (int
+        // -> float column widening): that is what the heap stores.
+        let stage = |targets: Vec<(RowKey, Tuple)>| -> Result<Vec<(RowKey, Tuple, Option<Tuple>)>> {
+            targets
+                .into_iter()
+                .map(|(key, old)| {
+                    let Some(assignments) = &assignments else {
+                        return Ok((key, old, None));
+                    };
                     let mut new = old.clone();
-                    for (pos, expr) in &assignments {
+                    for (pos, expr) in assignments {
                         new[*pos] = expr.eval(&old)?;
                     }
-                    staged.push((key, old, schema.validate(new)?));
-                }
-                let mvcc = self.mvcc.as_ref().expect("mvcc profile");
+                    let stored = schema.validate(new)?;
+                    Ok((key, old, Some(stored)))
+                })
+                .collect()
+        };
+
+        if let Some(mvcc) = &self.mvcc {
+            let table_lc = table.to_lowercase();
+            return self.with_mvcc_txn(mode, |state| {
+                let staged = stage(self.dml_targets(&t, predicate.as_ref(), Some(state), mode)?)?;
+                // Every lock before any overlay change: a conflict leaves
+                // the statement a no-op and the transaction open.
                 for (key, _, _) in &staged {
                     if let RowKey::Heap(rid) = key {
                         mvcc.lock_write(&state.txn, &table_lc, rid_key(*rid))?;
@@ -1367,98 +1346,32 @@ impl Database {
                 }
                 let affected = staged.len();
                 let entry = state.overlay.entry(table_lc.clone()).or_default();
-                for (key, old, stored) in staged {
-                    apply_own_write(entry, key, old, Some(stored));
+                for (key, old, new) in staged {
+                    apply_own_write(entry, key, old, new);
                 }
                 Ok(QueryResult::affected(affected))
             });
         }
 
-        let matches = self.matching_rids(&t, &predicate, mode)?;
+        let staged = stage(self.dml_targets(&t, predicate.as_ref(), None, mode)?)?;
         let txn = self.open_single_txn(mode);
-        let mut affected = 0;
-        for (rid, old) in matches {
-            let mut new = old.clone();
-            for (pos, expr) in &assignments {
-                new[*pos] = expr.eval(&old)?;
-            }
-            // The stored image may differ from `new` (int -> float column
-            // widening), so log what validation actually stores.
-            let stored = schema.validate(new)?;
-            t.update(rid, stored.clone())?;
-            self.log_if_txn(txn, || UndoOp::update(table, &old, &stored))?;
-            affected += 1;
-        }
-        self.catalog.note_writes(table, affected as u64);
-        Ok(QueryResult::affected(affected))
-    }
-
-    fn run_delete(
-        &self,
-        table: &str,
-        filter: Option<AstExpr>,
-        mode: &RunMode,
-    ) -> Result<QueryResult> {
-        let t = self.table(table)?;
-        let schema = t.schema().clone();
-        let mut env = BindEnv::default();
-        env_push(&mut env, table, &schema);
-        let predicate = filter.map(|f| compile_expr(&f, &env)).transpose()?;
-
-        if self.mvcc.is_some() {
-            let table_lc = table.to_lowercase();
-            return self.with_mvcc_txn(mode, |state| {
-                let matches = self.mvcc_matching(&t, &table_lc, state, &predicate, mode)?;
-                let mvcc = self.mvcc.as_ref().expect("mvcc profile");
-                for (key, _) in &matches {
-                    if let RowKey::Heap(rid) = key {
-                        mvcc.lock_write(&state.txn, &table_lc, rid_key(*rid))?;
-                    }
-                }
-                let affected = matches.len();
-                let entry = state.overlay.entry(table_lc.clone()).or_default();
-                for (key, old) in matches {
-                    apply_own_write(entry, key, old, None);
-                }
-                Ok(QueryResult::affected(affected))
-            });
-        }
-
-        let matches = self.matching_rids(&t, &predicate, mode)?;
-        let txn = self.open_single_txn(mode);
-        let mut affected = 0;
-        for (rid, old) in matches {
-            t.delete(rid)?;
-            self.log_if_txn(txn, || UndoOp::delete(table, &old))?;
-            affected += 1;
-        }
-        self.catalog.note_writes(table, affected as u64);
-        Ok(QueryResult::affected(affected))
-    }
-
-    /// Scan for DML targets. All cancellation checks happen here, before
-    /// any mutation: a cancelled auto-commit UPDATE/DELETE aborts with
-    /// zero rows touched, and an explicit transaction unwinds via undo.
-    fn matching_rids(
-        &self,
-        t: &Table,
-        predicate: &Option<exec::Expr>,
-        mode: &RunMode,
-    ) -> Result<Vec<(Rid, Tuple)>> {
-        let mut out = Vec::new();
-        for (i, (rid, tuple)) in t.scan()?.into_iter().enumerate() {
-            if i % exec::CANCEL_QUANTUM == 0 {
-                mode.ctx.check()?;
-            }
-            let keep = match predicate {
-                None => true,
-                Some(p) => p.eval(&tuple)?.is_true(),
+        for (key, old, new) in &staged {
+            let RowKey::Heap(rid) = *key else {
+                return Err(ServiceError::Internal("single-writer target without a rid".into()));
             };
-            if keep {
-                out.push((rid, tuple));
+            match new {
+                Some(stored) => {
+                    t.update(rid, stored.clone())?;
+                    self.log_if_txn(txn, || UndoOp::update(table, old, stored))?;
+                }
+                None => {
+                    t.delete(rid)?;
+                    self.log_if_txn(txn, || UndoOp::delete(table, old))?;
+                }
             }
         }
-        Ok(out)
+        self.catalog.note_writes(table, staged.len() as u64);
+        Ok(QueryResult::affected(staged.len()))
     }
 
     /// Evaluate a physical plan into a tuple stream on the tuple
@@ -1484,185 +1397,64 @@ impl Database {
         mode: &RunMode,
     ) -> Result<E::Stream> {
         match plan {
-            // MVCC scans materialize eagerly under the read latch: the
-            // result is a consistent snapshot no concurrent commit can
-            // tear, and no latch outlives this arm (streams stay lazy
-            // only over the materialized rows).
-            Plan::TableScan { table } if self.mvcc.is_some() => {
+            Plan::TableScan { table }
+            | Plan::IndexScan { table, .. }
+            | Plan::IndexOr { table, .. }
+            | Plan::IndexAnd { table, .. } => {
                 let t = self.table(table)?;
-                let table_lc = table.to_lowercase();
+                // Without MVCC, full scans stream (or run in parallel)
+                // and covering scans never touch the heap.
+                if self.mvcc.is_none() {
+                    match plan {
+                        Plan::TableScan { .. } if self.parallelism > 1 => {
+                            let rows: Vec<Tuple> = t
+                                .scan_parallel(self.parallelism)?
+                                .into_iter()
+                                .map(|(_, row)| row)
+                                .collect();
+                            return Ok(engine.values(rows));
+                        }
+                        Plan::TableScan { .. } => return engine.seq_scan(t.heap()),
+                        Plan::IndexScan { covering: true, key_columns, .. } => {
+                            // The B-tree entries already carry the key
+                            // columns; the vectorized engine receives
+                            // them columnar.
+                            let probed = index_range(&t, plan)?;
+                            let nrows = probed.len();
+                            let mut columns: Vec<Vec<Datum>> =
+                                vec![Vec::with_capacity(nrows); key_columns.len()];
+                            for (key, _) in probed {
+                                for (c, d) in key.into_iter().enumerate() {
+                                    columns[c].push(d);
+                                }
+                            }
+                            return Ok(engine.values_columnar(columns, nrows));
+                        }
+                        _ => {}
+                    }
+                }
+                // Every other leaf materializes through the shared access
+                // path (under MVCC: a consistent snapshot no concurrent
+                // commit can tear, with no latch outliving this arm).
                 let core = self.run_session(mode).clone();
                 let guard = core.txn.lock();
                 let state = match &*guard {
                     Some(ActiveTxn::Mvcc(state)) => Some(state),
                     _ => None,
                 };
-                let rows: Vec<Tuple> = self
-                    .mvcc_visible_rows(&t, &table_lc, state)?
-                    .into_iter()
-                    .map(|(_, row)| row)
-                    .collect();
+                let rows = self.access_rows(&t, plan, state, mode)?;
                 drop(guard);
-                Ok(engine.values(rows))
-            }
-            Plan::TableScan { table } => {
-                let t = self.table(table)?;
-                if self.parallelism > 1 {
-                    let rows: Vec<Tuple> = t
-                        .scan_parallel(self.parallelism)?
-                        .into_iter()
-                        .map(|(_, row)| row)
-                        .collect();
-                    Ok(engine.values(rows))
-                } else {
-                    engine.seq_scan(t.heap())
-                }
-            }
-            Plan::IndexScan {
-                table,
-                index,
-                key_columns,
-                eq,
-                lo,
-                hi,
-                hi_inclusive,
-                covering,
-            } => {
-                let t = self.table(table)?;
-                let lo_key = index_bound(eq, lo);
-                let hi_key = index_bound(eq, hi);
-                // A bare equality prefix is an inclusive prefix bound on
-                // both ends; an explicit range keeps its own hi flag.
-                let hi_flag = if hi.is_some() { *hi_inclusive } else { true };
-                if self.mvcc.is_some() {
-                    let positions = key_positions(&t, key_columns)?;
-                    let probe = || -> Result<Vec<Rid>> {
-                        let tree = index_tree(&t, index)?;
-                        Ok(tree
-                            .range(lo_key.as_deref(), hi_key.as_deref(), true, hi_flag)?
-                            .into_iter()
-                            .map(|(_, rid)| rid)
-                            .collect())
-                    };
-                    let matches = |img: &Tuple| {
-                        for (d, &p) in eq.iter().zip(&positions) {
-                            if img[p].order(d) != std::cmp::Ordering::Equal {
-                                return false;
-                            }
-                        }
-                        match positions.get(eq.len()) {
-                            Some(&p) if lo.is_some() || hi.is_some() => {
-                                datum_in_range(&img[p], lo.as_ref(), hi.as_ref(), *hi_inclusive)
-                            }
-                            _ => true,
-                        }
-                    };
-                    let rows = self.mvcc_index_probe(&t, table, &probe, &matches, mode)?;
-                    if *covering {
-                        // Index-only output under MVCC still resolves
-                        // visibility through the heap/overlay; project
-                        // the visible rows down to the key columns.
-                        let rows: Vec<Tuple> = rows
-                            .into_iter()
-                            .map(|r| positions.iter().map(|&p| r[p].clone()).collect())
-                            .collect();
-                        return Ok(engine.values(rows));
+                let rows = rows.into_iter().map(|(_, row)| row);
+                let rows: Vec<Tuple> = match plan {
+                    // Index-only output under MVCC still resolves
+                    // visibility through the heap and overlay; project
+                    // the visible rows down to the key columns.
+                    Plan::IndexScan { covering: true, key_columns, .. } => {
+                        let positions = key_positions(&t, key_columns)?;
+                        rows.map(|r| positions.iter().map(|&p| r[p].clone()).collect())
+                            .collect()
                     }
-                    return Ok(engine.values(rows));
-                }
-                let tree = index_tree(&t, index)?;
-                let probed = tree.range(lo_key.as_deref(), hi_key.as_deref(), true, hi_flag)?;
-                if *covering {
-                    // The B-tree entries already carry the key columns:
-                    // emit them without ever touching the heap. The
-                    // vectorized engine receives them columnar.
-                    let nrows = probed.len();
-                    let mut columns: Vec<Vec<Datum>> =
-                        vec![Vec::with_capacity(nrows); key_columns.len()];
-                    for (key, _) in probed {
-                        for (c, d) in key.into_iter().enumerate() {
-                            columns[c].push(d);
-                        }
-                    }
-                    return Ok(engine.values_columnar(columns, nrows));
-                }
-                let rows: Vec<Tuple> = probed
-                    .into_iter()
-                    .map(|(_, rid)| t.get(rid))
-                    .collect::<Result<_>>()?;
-                Ok(engine.values(rows))
-            }
-            Plan::IndexOr {
-                table,
-                index,
-                key_columns,
-                keys,
-            } => {
-                let t = self.table(table)?;
-                // Union of probes, deduplicated: each rid is fetched
-                // once, in heap (rid) order.
-                let probe = || -> Result<Vec<Rid>> {
-                    let tree = index_tree(&t, index)?;
-                    let mut rids: BTreeSet<Rid> = BTreeSet::new();
-                    for key in keys {
-                        rids.extend(tree.search(key)?);
-                    }
-                    Ok(rids.into_iter().collect())
-                };
-                let rows: Vec<Tuple> = if self.mvcc.is_some() {
-                    let positions = key_positions(&t, key_columns)?;
-                    let matches = |img: &Tuple| {
-                        keys.iter().any(|key| {
-                            key.iter()
-                                .zip(&positions)
-                                .all(|(d, &p)| img[p].order(d) == std::cmp::Ordering::Equal)
-                        })
-                    };
-                    self.mvcc_index_probe(&t, table, &probe, &matches, mode)?
-                } else {
-                    probe()?
-                        .into_iter()
-                        .map(|rid| t.get(rid))
-                        .collect::<Result<_>>()?
-                };
-                Ok(engine.values(rows))
-            }
-            Plan::IndexAnd { table, probes } => {
-                let t = self.table(table)?;
-                // Sorted-rid intersection: each probe yields its rid
-                // list; only rids present in every list touch the heap.
-                let probe = || -> Result<Vec<Rid>> {
-                    let mut acc: Option<Vec<Rid>> = None;
-                    for p in probes {
-                        let tree = index_tree(&t, &p.index)?;
-                        let mut rids = tree.search(&p.eq)?;
-                        rids.sort_unstable();
-                        rids.dedup();
-                        acc = Some(match acc {
-                            None => rids,
-                            Some(prev) => intersect_sorted(prev, rids),
-                        });
-                    }
-                    Ok(acc.unwrap_or_default())
-                };
-                let rows: Vec<Tuple> = if self.mvcc.is_some() {
-                    let positions: Vec<Vec<usize>> = probes
-                        .iter()
-                        .map(|p| key_positions(&t, &p.key_columns))
-                        .collect::<Result<_>>()?;
-                    let matches = |img: &Tuple| {
-                        probes.iter().zip(&positions).all(|(p, pos)| {
-                            p.eq.iter()
-                                .zip(pos)
-                                .all(|(d, &c)| img[c].order(d) == std::cmp::Ordering::Equal)
-                        })
-                    };
-                    self.mvcc_index_probe(&t, table, &probe, &matches, mode)?
-                } else {
-                    probe()?
-                        .into_iter()
-                        .map(|rid| t.get(rid))
-                        .collect::<Result<_>>()?
+                    _ => rows.collect(),
                 };
                 Ok(engine.values(rows))
             }
@@ -1729,10 +1521,6 @@ impl Database {
     }
 }
 
-fn env_push(env: &mut BindEnv, table: &str, schema: &Schema) {
-    env.push_table(table, schema);
-}
-
 /// The pending image an own-write presents to its transaction (`None`
 /// once deleted).
 fn own_image(w: &OwnWrite) -> Option<&Tuple> {
@@ -1784,6 +1572,88 @@ fn index_bound(eq: &[Datum], end: &Option<Datum>) -> Option<Vec<Datum>> {
         key.push(d.clone());
     }
     Some(key)
+}
+
+/// The B-tree entries a [`Plan::IndexScan`] reaches. A bare equality
+/// prefix is an inclusive prefix bound on both ends; an explicit range
+/// keeps its own upper-bound flag.
+fn index_range(t: &Table, leaf: &Plan) -> Result<Vec<(Vec<Datum>, Rid)>> {
+    let Plan::IndexScan { index, eq, lo, hi, hi_inclusive, .. } = leaf else {
+        return Err(ServiceError::Internal("not an index scan".into()));
+    };
+    let hi_flag = if hi.is_some() { *hi_inclusive } else { true };
+    let (lo_key, hi_key) = (index_bound(eq, lo), index_bound(eq, hi));
+    index_tree(t, index)?.range(lo_key.as_deref(), hi_key.as_deref(), true, hi_flag)
+}
+
+/// Candidate rids of an index leaf, in the leaf's output order: key
+/// order for a range scan; rid order, deduplicated, for a probe union
+/// or a sorted-rid intersection (each rid is fetched once).
+fn index_rids(t: &Table, leaf: &Plan) -> Result<Vec<Rid>> {
+    match leaf {
+        Plan::IndexScan { .. } => Ok(index_range(t, leaf)?.into_iter().map(|(_, r)| r).collect()),
+        Plan::IndexOr { index, keys, .. } => {
+            let tree = index_tree(t, index)?;
+            let mut rids: BTreeSet<Rid> = BTreeSet::new();
+            for key in keys {
+                rids.extend(tree.search(key)?);
+            }
+            Ok(rids.into_iter().collect())
+        }
+        Plan::IndexAnd { probes, .. } => {
+            let mut acc: Option<Vec<Rid>> = None;
+            for p in probes {
+                let mut rids = index_tree(t, &p.index)?.search(&p.eq)?;
+                rids.sort_unstable();
+                rids.dedup();
+                acc = Some(match acc {
+                    None => rids,
+                    Some(prev) => intersect_sorted(prev, rids),
+                });
+            }
+            Ok(acc.unwrap_or_default())
+        }
+        _ => Err(ServiceError::Internal(format!("not an index leaf: {}", leaf.node_label()))),
+    }
+}
+
+/// A predicate over one row image.
+type RowTest<'p> = Box<dyn Fn(&Tuple) -> bool + 'p>;
+
+/// A leaf's key bounds as a row test, with B-tree semantics
+/// (`Datum::order` comparisons, not SQL equality: a NULL key component
+/// matches a NULL constraint). A table scan admits every row.
+fn key_bounds<'p>(t: &Table, leaf: &'p Plan) -> Result<RowTest<'p>> {
+    fn eq_at(img: &Tuple, eq: &[Datum], positions: &[usize]) -> bool {
+        eq.iter()
+            .zip(positions)
+            .all(|(d, &p)| img[p].order(d) == std::cmp::Ordering::Equal)
+    }
+    Ok(match leaf {
+        Plan::IndexScan { key_columns, eq, lo, hi, hi_inclusive, .. } => {
+            let positions = key_positions(t, key_columns)?;
+            Box::new(move |img| {
+                eq_at(img, eq, &positions)
+                    && positions.get(eq.len()).is_none_or(|&p| {
+                        datum_in_range(&img[p], lo.as_ref(), hi.as_ref(), *hi_inclusive)
+                    })
+            })
+        }
+        Plan::IndexOr { key_columns, keys, .. } => {
+            let positions = key_positions(t, key_columns)?;
+            Box::new(move |img| keys.iter().any(|key| eq_at(img, key, &positions)))
+        }
+        Plan::IndexAnd { probes, .. } => {
+            let positions: Vec<Vec<usize>> = probes
+                .iter()
+                .map(|p| key_positions(t, &p.key_columns))
+                .collect::<Result<_>>()?;
+            Box::new(move |img| {
+                probes.iter().zip(&positions).all(|(p, pos)| eq_at(img, &p.eq, pos))
+            })
+        }
+        _ => Box::new(|_| true),
+    })
 }
 
 /// The B-tree of a named index on an open table.

@@ -311,8 +311,14 @@ impl<'a> Parser<'a> {
             return Ok(Statement::Analyze { table: self.ident()? });
         }
         if self.eat_kw("explain") {
-            let select = self.select()?;
-            return Ok(Statement::Explain(Box::new(select)));
+            let target = if self.peek_kw("update") {
+                self.update()?
+            } else if self.peek_kw("delete") {
+                self.delete()?
+            } else {
+                Statement::Select(Box::new(self.select()?))
+            };
+            return Ok(Statement::Explain(Box::new(target)));
         }
         Err(err(format!("unexpected statement start {:?}", self.peek())))
     }

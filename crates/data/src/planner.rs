@@ -538,6 +538,26 @@ pub fn plan_select(select: &Select, catalog: &dyn CatalogView) -> Result<Planned
     plan_select_depth(select, catalog, 0)
 }
 
+/// Plan the target rows of an UPDATE or DELETE: the access path a
+/// SELECT leaf over `table` filtered by `predicate` takes — the same
+/// candidates, knobs and stored statistics (stale ones are not
+/// refreshed) — plus its `access` decision lines. The caller re-applies
+/// the whole predicate to every candidate as the residual.
+pub fn plan_dml_target(
+    table: &str,
+    predicate: Option<&Expr>,
+    catalog: &dyn CatalogView,
+) -> Result<(Plan, Vec<String>)> {
+    let mut preds = Vec::new();
+    if let Some(p) = predicate {
+        flatten_and(p.clone(), &mut preds);
+    }
+    let mut decisions = Vec::new();
+    let est = Estimator::new(catalog);
+    let leaf = choose_access_path(table, &preds, catalog, &catalog.knobs(), &est, &mut decisions)?;
+    Ok((leaf, decisions))
+}
+
 fn plan_select_depth(
     select: &Select,
     catalog: &dyn CatalogView,

@@ -91,3 +91,37 @@ fn wide_table_and_long_names() {
     assert_eq!(r.rows[0][0], Datum::Int(39));
     assert_eq!(r.rows[0][1], Datum::Int(0));
 }
+
+/// Two sessions re-`ANALYZE` one table at once: each rewrite of the
+/// table's catalog record (delete the old record, persist the new one)
+/// is atomic, so every call succeeds and the last statistics stick.
+#[test]
+fn concurrent_analyze_of_one_table_succeeds() {
+    let dir = std::env::temp_dir()
+        .join("sbdms-catalog-stress")
+        .join(format!("analyze-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let db = Database::open(&dir).unwrap();
+    db.execute("CREATE TABLE acct (k INT NOT NULL, v INT NOT NULL)").unwrap();
+    db.execute("CREATE INDEX acct_k ON acct (k)").unwrap();
+    let rows: Vec<String> = (0..200).map(|i| format!("({i}, {})", i * 10)).collect();
+    db.execute(&format!("INSERT INTO acct VALUES {}", rows.join(","))).unwrap();
+    let workers: Vec<_> = (0..2)
+        .map(|_| {
+            let session = db.session();
+            std::thread::spawn(move || {
+                for i in 0..300 {
+                    if let Err(e) = session.execute("ANALYZE acct") {
+                        panic!("ANALYZE #{i} failed: {e}");
+                    }
+                }
+            })
+        })
+        .collect();
+    for w in workers {
+        w.join().unwrap();
+    }
+    assert_eq!(db.catalog().stats("acct").unwrap().row_count, 200);
+    let r = db.execute("SELECT v FROM acct WHERE k = 7").unwrap();
+    assert_eq!(r.rows[0][0], Datum::Int(70));
+}

@@ -8,6 +8,7 @@
 use proptest::prelude::*;
 use sbdms_access::exec::join::JoinAlgorithm;
 use sbdms_data::executor::{Database, DbOptions};
+use sbdms_data::ConcurrencyControl;
 use sbdms_storage::{SimBackend, SimConfig};
 
 fn open_db(seed: u64) -> std::sync::Arc<Database> {
@@ -152,9 +153,9 @@ fn explain_text(db: &Database, sql: &str) -> String {
 /// column (NULL keys live in the B-tree but `= NULL` is never true in
 /// SQL: the residual filter must drop what the probe admits) and the
 /// IN list carries a duplicate literal (plan-time key dedup).
-#[test]
-fn new_access_paths_chosen_and_differentially_correct() {
-    let db = open_db(21);
+/// The `ev` table: 900 rows over a composite (tenant, ts) index and a
+/// single-column kind index with 10 NULL keys, analyzed.
+fn load_ev(db: &Database) {
     db.execute(
         "CREATE TABLE ev (tenant INT NOT NULL, ts INT NOT NULL, kind INT, payload TEXT)",
     )
@@ -177,6 +178,12 @@ fn new_access_paths_chosen_and_differentially_correct() {
             .unwrap();
     }
     db.execute("ANALYZE ev").unwrap();
+}
+
+#[test]
+fn new_access_paths_chosen_and_differentially_correct() {
+    let db = open_db(21);
+    load_ev(&db);
 
     // (query, marker the chosen plan must carry)
     let cases: &[(&str, &str)] = &[
@@ -239,6 +246,173 @@ fn new_access_paths_chosen_and_differentially_correct() {
         explain.contains("TableScan ev") && !explain.contains("IndexScan"),
         "weak prefix (non-leading column) must not probe:\n{explain}"
     );
+}
+
+/// DML picks its targets through the same access paths as SELECT. Each
+/// shape runs as an UPDATE and as a DELETE on twin databases, one with
+/// index selection on and one forced to sequential targets, in both CC
+/// modes, in autocommit and inside an explicit transaction whose own
+/// earlier writes (an insert and a key-moving update) match the shape.
+/// Under MVCC those own writes are not in the B-tree yet. The affected
+/// counts and the final table contents must be identical.
+#[test]
+fn indexed_dml_matches_sequential_dml() {
+    // (WHERE, SET for the UPDATE, the indexed twin's plan marker, the
+    // writes an explicit transaction makes first)
+    let shapes: &[(&str, &str, &str, [&str; 2])] = &[
+        (
+            "tenant = 4 AND ts = 400",
+            "payload = 'u'",
+            "eq=[Int(4), Int(400)]",
+            [
+                "INSERT INTO ev VALUES (4, 400, 1, 'own')",
+                "UPDATE ev SET ts = 400 WHERE tenant = 4 AND ts = 13",
+            ],
+        ),
+        (
+            "tenant = 4 AND ts >= 100 AND ts <= 140",
+            "payload = 'u'",
+            "eq=[Int(4)] lo=Some(Int(100)) hi=Some(Int(140))",
+            [
+                "INSERT INTO ev VALUES (4, 120, 2, 'own')",
+                "UPDATE ev SET ts = 130 WHERE tenant = 4 AND ts = 301",
+            ],
+        ),
+        (
+            "kind IN (3, 8)",
+            "payload = 'u'",
+            "IndexOr ev.ev_kind (2 keys)",
+            [
+                "INSERT INTO ev VALUES (1, 1000, 3, 'own')",
+                "UPDATE ev SET kind = 8 WHERE tenant = 2 AND ts = 11",
+            ],
+        ),
+        (
+            "tenant = 7 AND kind = 7",
+            "payload = 'u'",
+            "IndexAnd ev [ev_tenant_ts ∩ ev_kind]",
+            [
+                "INSERT INTO ev VALUES (7, 1001, 7, 'own')",
+                "UPDATE ev SET kind = 7 WHERE tenant = 7 AND ts = 16",
+            ],
+        ),
+        // The probe admits the NULL keys; SQL `=` never matches them.
+        (
+            "kind = NULL",
+            "payload = 'u'",
+            "IndexScan ev.ev_kind",
+            [
+                "INSERT INTO ev VALUES (1, 1002, NULL, 'own')",
+                "UPDATE ev SET kind = NULL WHERE tenant = 3 AND ts = 12",
+            ],
+        ),
+        // The UPDATE moves rows forward inside the range it scans.
+        (
+            "tenant = 5 AND ts >= 200 AND ts <= 260",
+            "ts = ts + 1",
+            "eq=[Int(5)] lo=Some(Int(200)) hi=Some(Int(260))",
+            [
+                "INSERT INTO ev VALUES (5, 210, 1, 'own')",
+                "UPDATE ev SET ts = 250 WHERE tenant = 5 AND ts = 5",
+            ],
+        ),
+    ];
+    for concurrency in [ConcurrencyControl::SingleWriter, ConcurrencyControl::Mvcc] {
+        for delete in [false, true] {
+            for explicit in [false, true] {
+                let open = || {
+                    let sim = SimBackend::new(SimConfig::seeded(31));
+                    let opts = DbOptions { concurrency, ..DbOptions::default() };
+                    let db = Database::open_at(&*sim, opts).unwrap();
+                    load_ev(&db);
+                    db
+                };
+                let (indexed, seq) = (open(), open());
+                seq.set_index_selection(false);
+                for (filter, set, marker, own) in shapes {
+                    let sql = if delete {
+                        format!("DELETE FROM ev WHERE {filter}")
+                    } else {
+                        format!("UPDATE ev SET {set} WHERE {filter}")
+                    };
+                    let ctx = format!("{concurrency} explicit={explicit}: `{sql}`");
+                    let explain = explain_text(&indexed, &sql);
+                    assert!(explain.contains(marker), "{ctx} should plan {marker}:\n{explain}");
+                    let explain = explain_text(&seq, &sql);
+                    assert!(explain.contains("TableScan ev"), "{ctx} forced seq:\n{explain}");
+                    let run = |db: &Database| {
+                        if explicit {
+                            db.begin().unwrap();
+                            for w in own {
+                                db.execute(w).unwrap();
+                            }
+                        }
+                        let affected = db.execute(&sql).unwrap().affected;
+                        if explicit {
+                            db.commit().unwrap();
+                        }
+                        (affected, sorted_rows(db, "SELECT * FROM ev"))
+                    };
+                    let ((affected, got), (want_affected, want)) = (run(&indexed), run(&seq));
+                    assert_eq!(affected, want_affected, "{ctx}: affected counts differ");
+                    let only = |a: &[String], b: &[String]| -> Vec<String> {
+                        a.iter().filter(|r| !b.contains(r)).cloned().collect()
+                    };
+                    assert!(
+                        got == want,
+                        "{ctx}: final tables differ: indexed only {:?}, sequential only {:?}",
+                        only(&got.1, &want.1),
+                        only(&want.1, &got.1)
+                    );
+                    if !filter.contains("NULL") {
+                        assert!(affected > 0, "{ctx} should affect rows");
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Buffer-pool page fetches (hits + misses) one statement costs.
+fn page_fetches(db: &Database, sql: &str) -> u64 {
+    let fetches = |s: sbdms_storage::buffer::BufferStats| s.hits + s.misses;
+    let before = fetches(db.storage().buffer.stats());
+    assert_eq!(db.execute(sql).unwrap().affected, 1, "`{sql}`");
+    fetches(db.storage().buffer.stats()) - before
+}
+
+/// A point UPDATE or DELETE on an indexed key probes the index instead
+/// of scanning the heap: from 1k to 16k rows its page fetches grow only
+/// with the B+tree's height, in both CC modes. Each descent reads one
+/// more page per extra level; an UPDATE of a non-key column descends
+/// once (the probe), a DELETE twice (the probe, then removing the
+/// posting). Counted, not timed, so it is deterministic.
+#[test]
+fn point_dml_cost_is_flat_in_table_size() {
+    for concurrency in [ConcurrencyControl::SingleWriter, ConcurrencyControl::Mvcc] {
+        let mut costs = Vec::new();
+        for rows in [1_000i64, 16_000] {
+            let sim = SimBackend::new(SimConfig::seeded(41));
+            let opts = DbOptions { concurrency, ..DbOptions::default() };
+            let db = Database::open_at(&*sim, opts).unwrap();
+            db.execute("CREATE TABLE t (k INT NOT NULL, v INT NOT NULL)").unwrap();
+            db.execute("CREATE INDEX t_k ON t (k)").unwrap();
+            for chunk in (0..rows).collect::<Vec<_>>().chunks(1_000) {
+                let vals: Vec<String> = chunk.iter().map(|i| format!("({i}, {i})")).collect();
+                db.execute(&format!("INSERT INTO t VALUES {}", vals.join(", "))).unwrap();
+            }
+            let height = db.table("t").unwrap().index_named("t_k").unwrap().1.height().unwrap();
+            let update = page_fetches(&db, "UPDATE t SET v = 0 WHERE k = 417");
+            let delete = page_fetches(&db, "DELETE FROM t WHERE k = 418");
+            costs.push((height as u64, update, delete));
+        }
+        let [(h_small, u_small, d_small), (h_big, u_big, d_big)] = costs[..] else {
+            unreachable!()
+        };
+        let growth = h_big - h_small;
+        assert!(u_big <= u_small + growth, "{concurrency}: UPDATE {u_small} -> {u_big}");
+        assert!(d_big <= d_small + 2 * growth, "{concurrency}: DELETE {d_small} -> {d_big}");
+    }
 }
 
 proptest! {
