@@ -1,15 +1,15 @@
-//! Grouped aggregation.
+//! Grouped aggregation: the aggregate functions and their running
+//! state.
 //!
-//! Hash aggregation over group-by columns with the classical aggregate
-//! functions. NULLs are ignored by all aggregates except `CountAll`
-//! (SQL semantics); an empty input with no grouping yields one row of
-//! aggregate identities.
+//! NULLs are ignored by all aggregates except `CountAll` (SQL
+//! semantics); an empty input with no grouping yields one row of
+//! aggregate identities. The hash-aggregation kernel that drives these
+//! states lives in `exec::batch`.
 
 use sbdms_kernel::error::{Result, ServiceError};
 
 use super::expr::Expr;
-use super::{approx_tuple_bytes, ExecContext, TupleStream, CANCEL_QUANTUM};
-use crate::record::{Datum, Tuple};
+use crate::record::Datum;
 
 /// Aggregate functions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,8 +44,9 @@ impl AggSpec {
     }
 }
 
-/// Running state of one aggregate. Shared with the vectorized engine
-/// (`exec::batch`), which feeds it whole columns via [`AggState::update_slice`].
+/// Running state of one aggregate. The batch kernel (`exec::batch`)
+/// feeds it whole columns via [`AggState::update_slice`], or one value
+/// at a time via [`AggState::update`] when grouping.
 #[derive(Debug, Clone)]
 pub(super) enum AggState {
     Count(i64),
@@ -142,8 +143,7 @@ impl AggState {
     }
 
     /// Fold a whole column into the state with one tight loop per
-    /// aggregate kind — the vectorized engine's replacement for a
-    /// per-row `update` dispatch.
+    /// aggregate kind, instead of one `update` dispatch per row.
     pub(super) fn update_slice(&mut self, values: &[Datum]) -> Result<()> {
         match self {
             AggState::Count(n) => {
@@ -239,89 +239,11 @@ impl AggState {
     }
 }
 
-/// Hash-aggregate `input` grouped by `group_by` expressions; output tuples
-/// are `group values ++ aggregate values`, grouped rows in first-seen
-/// order.
-pub fn hash_aggregate(
-    input: TupleStream,
-    group_by: Vec<Expr>,
-    aggs: Vec<AggSpec>,
-) -> Result<TupleStream> {
-    hash_aggregate_ctx(input, group_by, aggs, ExecContext::default())
-}
-
-/// [`hash_aggregate`] under a governor context: the group table is the
-/// memory footprint (proportional to distinct groups, not input rows),
-/// so each new group is charged against the query's account, and every
-/// [`CANCEL_QUANTUM`] input rows is a cancellation point.
-pub fn hash_aggregate_ctx(
-    input: TupleStream,
-    group_by: Vec<Expr>,
-    aggs: Vec<AggSpec>,
-    ctx: ExecContext,
-) -> Result<TupleStream> {
-    // Group key = encoded group datums (Datum has no Eq/Hash; its binary
-    // encoding is canonical enough for grouping — NULL groups together,
-    // which matches SQL GROUP BY).
-    let mut order: Vec<Vec<u8>> = Vec::new();
-    let mut groups: std::collections::HashMap<Vec<u8>, (Tuple, Vec<AggState>)> =
-        std::collections::HashMap::new();
-
-    for (i, row) in input.enumerate() {
-        if i % CANCEL_QUANTUM == 0 {
-            ctx.check()?;
-        }
-        let tuple = row?;
-        let key_vals: Tuple = group_by
-            .iter()
-            .map(|e| e.eval(&tuple))
-            .collect::<Result<_>>()?;
-        let key: Vec<u8> = key_vals.iter().flat_map(|d| d.encode()).collect();
-        if !groups.contains_key(&key) {
-            // Key bytes (stored twice: map + order list), the group
-            // tuple, and one aggregate state per column.
-            ctx.charge(2 * key.len() as u64 + approx_tuple_bytes(&key_vals) + 48 * aggs.len() as u64)?;
-        }
-        let entry = groups.entry(key.clone()).or_insert_with(|| {
-            order.push(key);
-            (
-                key_vals,
-                aggs.iter().map(|a| AggState::new(a.func)).collect(),
-            )
-        });
-        for (state, spec) in entry.1.iter_mut().zip(&aggs) {
-            let v = if spec.func == AggFunc::CountAll {
-                Datum::Null
-            } else {
-                spec.arg.eval(&tuple)?
-            };
-            state.update(spec.func, v)?;
-        }
-    }
-
-    // Global aggregate over empty input: one identity row.
-    if groups.is_empty() && group_by.is_empty() {
-        let row: Tuple = aggs
-            .iter()
-            .map(|a| AggState::new(a.func).finish())
-            .collect();
-        return Ok(Box::new(std::iter::once(Ok(row))));
-    }
-
-    let mut out = Vec::with_capacity(order.len());
-    for key in order {
-        let (group_vals, states) = groups.remove(&key).expect("group vanished");
-        let mut row = group_vals;
-        row.extend(states.into_iter().map(AggState::finish));
-        out.push(Ok(row));
-    }
-    Ok(Box::new(out.into_iter()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::ops::values_scan;
+    use crate::exec::VectorEngine;
+    use crate::record::Tuple;
 
     fn sales() -> Vec<Tuple> {
         // (region, amount)
@@ -334,11 +256,19 @@ mod tests {
         ]
     }
 
+    /// Aggregate `input` on an engine with two-row batches, so every
+    /// group spans batch boundaries.
+    fn aggregate(input: Vec<Tuple>, group_by: Vec<Expr>, aggs: Vec<AggSpec>) -> Result<Vec<Tuple>> {
+        let e = VectorEngine {
+            batch_rows: 2,
+            ..Default::default()
+        };
+        e.hash_aggregate(e.values(input), group_by, aggs)
+            .and_then(|s| e.collect(s))
+    }
+
     fn run(group_by: Vec<Expr>, aggs: Vec<AggSpec>) -> Vec<Tuple> {
-        hash_aggregate(values_scan(sales()), group_by, aggs)
-            .unwrap()
-            .collect::<Result<Vec<_>>>()
-            .unwrap()
+        aggregate(sales(), group_by, aggs).unwrap()
     }
 
     #[test]
@@ -382,8 +312,8 @@ mod tests {
 
     #[test]
     fn empty_input_global_aggregate() {
-        let rows = hash_aggregate(
-            values_scan(vec![]),
+        let rows = aggregate(
+            vec![],
             vec![],
             vec![
                 AggSpec::new(AggFunc::CountAll, Expr::int(0)),
@@ -391,8 +321,6 @@ mod tests {
                 AggSpec::new(AggFunc::Min, Expr::col(0)),
             ],
         )
-        .unwrap()
-        .collect::<Result<Vec<_>>>()
         .unwrap();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0][0], Datum::Int(0));
@@ -402,53 +330,55 @@ mod tests {
 
     #[test]
     fn empty_input_grouped_yields_nothing() {
-        let rows = hash_aggregate(
-            values_scan(vec![]),
+        let rows = aggregate(
+            vec![],
             vec![Expr::col(0)],
             vec![AggSpec::new(AggFunc::CountAll, Expr::int(0))],
         )
-        .unwrap()
-        .count();
-        assert_eq!(rows, 0);
+        .unwrap();
+        assert!(rows.is_empty());
     }
 
     #[test]
     fn float_sum_promotes() {
-        let input = values_scan(vec![
-            vec![Datum::Int(1)],
-            vec![Datum::Float(0.5)],
-        ]);
-        let rows = hash_aggregate(input, vec![], vec![AggSpec::new(AggFunc::Sum, Expr::col(0))])
-            .unwrap()
-            .collect::<Result<Vec<_>>>()
+        let input = vec![vec![Datum::Int(1)], vec![Datum::Float(0.5)]];
+        for group_by in [vec![], vec![Expr::int(0)]] {
+            let rows = aggregate(
+                input.clone(),
+                group_by,
+                vec![AggSpec::new(AggFunc::Sum, Expr::col(0))],
+            )
             .unwrap();
-        assert_eq!(rows[0][0], Datum::Float(1.5));
+            assert_eq!(rows[0].last(), Some(&Datum::Float(1.5)));
+        }
     }
 
     #[test]
     fn sum_of_strings_errors() {
-        let input = values_scan(vec![vec![Datum::Str("x".into())]]);
-        let result: Result<Vec<Tuple>> =
-            hash_aggregate(input, vec![], vec![AggSpec::new(AggFunc::Sum, Expr::col(0))])
-                .and_then(|s| s.collect());
-        assert!(result.is_err());
+        let input = vec![vec![Datum::Str("x".into())]];
+        for group_by in [vec![], vec![Expr::int(0)]] {
+            let result = aggregate(
+                input.clone(),
+                group_by,
+                vec![AggSpec::new(AggFunc::Sum, Expr::col(0))],
+            );
+            assert!(result.is_err());
+        }
     }
 
     #[test]
     fn null_group_key_groups_together() {
-        let input = values_scan(vec![
+        let input = vec![
             vec![Datum::Null, Datum::Int(1)],
             vec![Datum::Null, Datum::Int(2)],
-        ]);
-        let rows = hash_aggregate(
+            vec![Datum::Null, Datum::Int(3)],
+        ];
+        let rows = aggregate(
             input,
             vec![Expr::col(0)],
             vec![AggSpec::new(AggFunc::CountAll, Expr::int(0))],
         )
-        .unwrap()
-        .collect::<Result<Vec<_>>>()
         .unwrap();
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0][1], Datum::Int(2));
+        assert_eq!(rows, vec![vec![Datum::Null, Datum::Int(3)]]);
     }
 }

@@ -1,15 +1,14 @@
 //! Vectorized batch execution: operators over fixed-capacity columnar
 //! chunks instead of single tuples.
 //!
-//! The paper's *flexibility by selection* (Fig. 6) lets several services
-//! provide the same task; this module is the second provider of the
-//! execution task. A [`Batch`] holds up to [`BATCH_ROWS`] rows
-//! column-major, so expression evaluation ([`Expr::eval_batch`]) and
-//! aggregation loop tight over one column at a time instead of
-//! re-dispatching through the operator tree per row. Every operator here
-//! mirrors its tuple twin in `ops`/`join`/`aggregate` exactly — same
-//! output rows, same order, same errors — which the differential suite
-//! in the data layer enforces byte-for-byte.
+//! A [`Batch`] holds up to `batch_rows` rows column-major (the engine's
+//! rows-per-batch parameter, [`BATCH_ROWS`] by default), so expression
+//! evaluation ([`Expr::eval_batch`]) and aggregation loop tight over one
+//! column at a time instead of re-dispatching through the operator tree
+//! per row. Every operator emits batches of at most `batch_rows` rows,
+//! and its output rows, their order, its errors and its memory charges
+//! do not depend on the batch size — which the differential suite in
+//! the data layer enforces byte-for-byte at batch 1, 64 and 1024.
 
 use std::collections::{HashMap, HashSet};
 use std::time::{Duration, Instant};
@@ -18,7 +17,7 @@ use sbdms_kernel::error::{Result, ServiceError};
 
 use super::aggregate::{AggFunc, AggSpec, AggState};
 use super::expr::Expr;
-use super::join::{merge_join_rows, BuildSide, JoinAlgorithm};
+use super::join::{merge_join_rows, BuildSide};
 use super::vhash;
 use super::ExecContext;
 use crate::heap::HeapFile;
@@ -341,19 +340,9 @@ pub fn columnar_batches(columns: Vec<Vec<Datum>>, rows: usize, batch_rows: usize
 }
 
 /// Sequential scan of a heap file into batches. Streams page-at-a-time:
-/// memory is bounded by one batch plus one page of decoded rows.
-pub fn scan_batches(heap: &HeapFile, batch_rows: usize) -> Result<BatchStream> {
-    scan_batches_ctx(heap, batch_rows, ExecContext::default())
-}
-
-/// [`scan_batches`] under a governor context: every page boundary is one
-/// cooperative cancellation point, matching the tuple engine's
-/// `seq_scan_ctx` cadence.
-pub fn scan_batches_ctx(
-    heap: &HeapFile,
-    batch_rows: usize,
-    ctx: ExecContext,
-) -> Result<BatchStream> {
+/// memory is bounded by one batch plus one page of decoded rows, and
+/// every page boundary is one cooperative cancellation point.
+pub fn scan_batches(heap: &HeapFile, batch_rows: usize, ctx: ExecContext) -> Result<BatchStream> {
     let buffer = heap.buffer().clone();
     let mut pages = heap.data_pages()?.into_iter();
     let mut pending: Vec<Tuple> = Vec::new();
@@ -431,25 +420,14 @@ pub fn project_batches(input: BatchStream, exprs: Vec<Expr>) -> BatchStream {
     }))
 }
 
-/// Sort the input (materialising). Runs the same [`ExternalSorter`] as
-/// the tuple engine — identical output, including tie order and spills.
+/// Sort the input (materialising) with the [`ExternalSorter`], which
+/// checks for cancellation and accounts (or spills) buffered runs.
 pub fn sort_batches(
     input: BatchStream,
     keys: Vec<SortKey>,
     memory_budget: usize,
     workers: usize,
-) -> Result<BatchStream> {
-    sort_batches_ctx(input, keys, memory_budget, workers, ExecContext::default())
-}
-
-/// [`sort_batches`] under a governor context: the shared
-/// [`ExternalSorter`] checks for cancellation and accounts (or spills)
-/// buffered runs, exactly as in the tuple engine.
-pub fn sort_batches_ctx(
-    input: BatchStream,
-    keys: Vec<SortKey>,
-    memory_budget: usize,
-    workers: usize,
+    batch_rows: usize,
     ctx: ExecContext,
 ) -> Result<BatchStream> {
     let rows = collect_rows(input)?;
@@ -459,7 +437,7 @@ pub fn sort_batches_ctx(
     } else {
         sorter.sort(rows, &keys)?
     };
-    Ok(values_batches(out.tuples, BATCH_ROWS))
+    Ok(values_batches(out.tuples, batch_rows))
 }
 
 /// Pass at most `n` rows after skipping `offset`, slicing batches at the
@@ -496,16 +474,10 @@ pub fn limit_batches(input: BatchStream, n: usize, offset: usize) -> BatchStream
     }))
 }
 
-/// Remove duplicate rows, streaming in first-occurrence order. Keys on
-/// the same canonical encoding as the tuple engine's `distinct`.
-pub fn distinct_batches(input: BatchStream) -> BatchStream {
-    distinct_batches_ctx(input, ExecContext::default())
-}
-
-/// [`distinct_batches`] under a governor context: every batch is a
-/// cancellation point and each retained key is charged against the
-/// query's memory account, mirroring the tuple engine's `distinct_ctx`.
-pub fn distinct_batches_ctx(input: BatchStream, ctx: ExecContext) -> BatchStream {
+/// Remove duplicate rows, streaming in first-occurrence order, keyed on
+/// the canonical row encoding. Every batch is a cancellation point and
+/// each retained key is charged against the query's memory account.
+pub fn distinct_batches(input: BatchStream, ctx: ExecContext) -> BatchStream {
     let mut seen: HashSet<Vec<u8>> = HashSet::new();
     Box::new(input.filter_map(move |batch| {
         let batch = match batch {
@@ -522,8 +494,7 @@ pub fn distinct_batches_ctx(input: BatchStream, ctx: ExecContext) -> BatchStream
                 mask.push(false);
                 continue;
             }
-            // Key bytes plus fixed hash-set entry overhead, the same
-            // formula the tuple engine charges.
+            // Key bytes plus fixed hash-set entry overhead.
             if let Err(e) = ctx.charge(enc.len() as u64 + 48) {
                 return Some(Err(e));
             }
@@ -540,24 +511,16 @@ pub fn distinct_batches_ctx(input: BatchStream, ctx: ExecContext) -> BatchStream
 }
 
 /// Nested-loop join with an arbitrary predicate over the concatenated
-/// row (left columns first). Candidate pairs are generated in the same
-/// left-outer/right-inner order as the tuple engine, batched, and
-/// filtered with one vectorized predicate evaluation per batch.
+/// row (left columns first). Candidate pairs are generated in
+/// left-outer/right-inner order, `batch_rows` at a time, and filtered
+/// with one vectorized predicate evaluation per candidate batch. Every
+/// candidate batch is one cooperative cancellation point, so even a
+/// cross-product aborts within one batch of its deadline.
 pub fn nested_loop_join_batches(
     left: BatchStream,
     right: BatchStream,
     predicate: Expr,
-) -> Result<BatchStream> {
-    nested_loop_join_batches_ctx(left, right, predicate, ExecContext::default())
-}
-
-/// [`nested_loop_join_batches`] under a governor context: every
-/// candidate batch is one cooperative cancellation point, so even a
-/// cross-product aborts within one batch of its deadline.
-pub fn nested_loop_join_batches_ctx(
-    left: BatchStream,
-    right: BatchStream,
-    predicate: Expr,
+    batch_rows: usize,
     ctx: ExecContext,
 ) -> Result<BatchStream> {
     let left_rows = collect_rows(left)?;
@@ -577,7 +540,7 @@ pub fn nested_loop_join_batches_ctx(
                 return Some(Err(e));
             }
             let mut candidates = Batch::new(width);
-            while candidates.rows() < BATCH_ROWS && li < left_rows.len() {
+            while candidates.rows() < batch_rows && li < left_rows.len() {
                 let mut row = Vec::with_capacity(width);
                 row.extend_from_slice(&left_rows[li]);
                 row.extend_from_slice(&right_rows[ri]);
@@ -600,36 +563,34 @@ pub fn nested_loop_join_batches_ctx(
     })))
 }
 
-/// Hash equi-join over batches. Same contract as the tuple engine's
-/// `hash_join`: NULL keys never match, output columns are always
-/// left-then-right, output order follows the probe input, and `Auto`
-/// builds from the smaller materialised side.
+/// Hash equi-join over batches: NULL keys never match, output columns
+/// are always left-then-right, output order follows the probe input,
+/// and `Auto` builds from the smaller materialised side. The build side
+/// is charged against the query's memory account and every build/probe
+/// batch is a cancellation point.
 pub fn hash_join_batches(
     left: BatchStream,
     right: BatchStream,
     left_col: usize,
     right_col: usize,
     build: BuildSide,
-) -> Result<BatchStream> {
-    hash_join_batches_ctx(left, right, left_col, right_col, build, ExecContext::default())
-}
-
-/// [`hash_join_batches`] under a governor context: the build side is
-/// charged against the query's memory account and every build/probe
-/// batch is a cancellation point.
-pub fn hash_join_batches_ctx(
-    left: BatchStream,
-    right: BatchStream,
-    left_col: usize,
-    right_col: usize,
-    build: BuildSide,
+    batch_rows: usize,
     ctx: ExecContext,
 ) -> Result<BatchStream> {
+    let directed = |build, build_col, probe, probe_col, build_is_left| {
+        hash_join_directed(
+            build,
+            build_col,
+            probe,
+            probe_col,
+            build_is_left,
+            batch_rows,
+            ctx,
+        )
+    };
     match build {
-        BuildSide::Left => hash_join_batches_directed(left, left_col, right, right_col, true, ctx),
-        BuildSide::Right => {
-            hash_join_batches_directed(right, right_col, left, left_col, false, ctx)
-        }
+        BuildSide::Left => directed(left, left_col, right, right_col, true),
+        BuildSide::Right => directed(right, right_col, left, left_col, false),
         BuildSide::Auto => {
             // Materialise both sides as batches (no row transposition)
             // just to count rows; the smaller side builds.
@@ -641,20 +602,18 @@ pub fn hash_join_batches_ctx(
             let l: BatchStream = Box::new(l.into_iter().map(Ok));
             let r: BatchStream = Box::new(r.into_iter().map(Ok));
             if build_left {
-                hash_join_batches_directed(l, left_col, r, right_col, true, ctx)
+                directed(l, left_col, r, right_col, true)
             } else {
-                hash_join_batches_directed(r, right_col, l, left_col, false, ctx)
+                directed(r, right_col, l, left_col, false)
             }
         }
     }
 }
 
 /// Memory charge for one build batch: only rows the table will actually
-/// store — non-NULL key, i.e. exactly the tuples the tuple engine's
-/// `hash_join_directed` inserts and charges — with its per-tuple formula
-/// (`approx_tuple_bytes` = 24 header + 16 per datum + string payload,
-/// plus the 32-byte table-entry overhead). An out-of-range key column
-/// stores nothing and charges nothing, again matching the tuple engine.
+/// store (non-NULL key), each at 24 bytes of row header + 16 per datum +
+/// string payload, plus a 32-byte table entry. An out-of-range key
+/// column stores nothing and charges nothing.
 fn batch_build_bytes(batch: &Batch, key_col: usize) -> u64 {
     let Some(keys) = batch.column(key_col) else {
         return 0;
@@ -681,21 +640,23 @@ fn batch_build_bytes(batch: &Batch, key_col: usize) -> u64 {
 }
 
 /// Hash-join core: build a columnar open-addressing table
-/// ([`vhash::JoinTable`]) from one input, probe batch-at-a-time. One
-/// output batch per probe batch (possibly larger on duplicate-heavy
-/// keys); `build_is_left` keeps output columns `left ++ right`.
+/// ([`vhash::JoinTable`]) from one input, probe batch-at-a-time. Each
+/// probe batch's matches leave in batches of at most `batch_rows` rows
+/// (duplicate-heavy keys fan one probe batch out into several);
+/// `build_is_left` keeps output columns `left ++ right`.
 ///
 /// Late materialisation: the probe pass produces only
 /// `(probe_row, build_row)` index pairs — it touches nothing but the
 /// key columns — and every payload column is gathered afterwards in one
 /// tight loop per column. Selection vectors on probe batches feed the
 /// probe kernel directly; no compaction happens anywhere.
-fn hash_join_batches_directed(
+fn hash_join_directed(
     build: BatchStream,
     build_col: usize,
     probe: BatchStream,
     probe_col: usize,
     build_is_left: bool,
+    batch_rows: usize,
     ctx: ExecContext,
 ) -> Result<BatchStream> {
     // Materialise the build side columnar: batches concatenate
@@ -715,13 +676,35 @@ fn hash_join_batches_directed(
         }
     }
     let build_width = build_cols.len();
-    // Out-of-range build column: the tuple engine's `tuple.get` silently
-    // stores nothing; no table, no matches.
+    // Out-of-range build column: nothing is stored; no table, no matches.
     let table = build_cols.get(build_col).map(|keys| vhash::JoinTable::build(keys));
     let mut scratch = vhash::ProbeScratch::default();
     let mut pairs: Vec<(u32, u32)> = Vec::new();
+    // Matches of the current probe batch not yet emitted: the batch and
+    // the offset of its next pair.
+    let mut pending: Option<(Batch, usize)> = None;
     let mut probe = probe;
     Ok(Box::new(std::iter::from_fn(move || loop {
+        if let Some((batch, start)) = pending.take() {
+            let end = (start + batch_rows).min(pairs.len());
+            let chunk = &pairs[start..end];
+            // Late materialisation: gather payload columns only now, one
+            // tight loop per output column.
+            let mut columns: Vec<Vec<Datum>> = Vec::with_capacity(build_width + batch.width());
+            let probe_cols =
+                (0..batch.width()).map(|c| vhash::gather_probe(batch.column(c).unwrap(), chunk));
+            if build_is_left {
+                columns.extend(build_cols.iter().map(|c| vhash::gather_build(c, chunk)));
+                columns.extend(probe_cols);
+            } else {
+                columns.extend(probe_cols);
+                columns.extend(build_cols.iter().map(|c| vhash::gather_build(c, chunk)));
+            }
+            if end < pairs.len() {
+                pending = Some((batch, end));
+            }
+            return Some(Ok(Batch::from_columns(columns, chunk.len())));
+        }
         let batch = match probe.next()? {
             Ok(b) => b,
             Err(e) => return Some(Err(e)),
@@ -732,40 +715,22 @@ fn hash_join_batches_directed(
         let Some(table) = &table else {
             continue;
         };
-        let keys = match batch.column(probe_col) {
-            Some(col) => col,
-            // Out-of-range probe column: the tuple engine's `tuple.get`
-            // silently matches nothing; mirror that.
-            None => continue,
+        // Out-of-range probe column: matches nothing.
+        let Some(keys) = batch.column(probe_col) else {
+            continue;
         };
-        // Match pairs in probe order, build-insertion order per key —
-        // the tuple engine's output order exactly.
+        // Match pairs in probe order, build-insertion order per key.
         pairs.clear();
         table.probe_pairs(&build_cols[build_col], keys, batch.sel(), &mut scratch, &mut pairs);
-        if pairs.is_empty() {
-            continue;
+        if !pairs.is_empty() {
+            pending = Some((batch, 0));
         }
-        // Late materialisation: gather payload columns only now, one
-        // tight loop per output column.
-        let mut columns: Vec<Vec<Datum>> = Vec::with_capacity(build_width + batch.width());
-        if build_is_left {
-            columns.extend(build_cols.iter().map(|c| vhash::gather_build(c, &pairs)));
-            columns.extend(
-                (0..batch.width()).map(|c| vhash::gather_probe(batch.column(c).unwrap(), &pairs)),
-            );
-        } else {
-            columns.extend(
-                (0..batch.width()).map(|c| vhash::gather_probe(batch.column(c).unwrap(), &pairs)),
-            );
-            columns.extend(build_cols.iter().map(|c| vhash::gather_build(c, &pairs)));
-        }
-        let rows = pairs.len();
-        return Some(Ok(Batch::from_columns(columns, rows)));
     })))
 }
 
 /// Bench instrumentation: run the columnar hash join once over
-/// pre-materialised inputs, timing its three phases separately. Returns
+/// pre-materialised inputs, probing `batch_rows` rows at a time and
+/// timing its three phases separately. Returns
 /// `(build, probe, gather, output_rows)`. The row/column transposition
 /// at the edges is deliberately untimed — it is shared scaffolding, not
 /// part of the join.
@@ -774,6 +739,7 @@ pub fn hash_join_phases(
     probe_rows: &[Tuple],
     build_col: usize,
     probe_col: usize,
+    batch_rows: usize,
 ) -> (Duration, Duration, Duration, usize) {
     let (build_cols, _) = Batch::from_rows(build_rows.to_vec()).into_dense_columns();
     let (probe_cols, probe_len) = Batch::from_rows(probe_rows.to_vec()).into_dense_columns();
@@ -786,7 +752,7 @@ pub fn hash_join_phases(
     let mut out_rows = 0usize;
     let mut start = 0;
     while start < probe_len {
-        let end = (start + BATCH_ROWS).min(probe_len);
+        let end = (start + batch_rows.max(1)).min(probe_len);
         pairs.clear();
         let t = Instant::now();
         table.probe_pairs(
@@ -813,25 +779,15 @@ pub fn hash_join_phases(
     (build_time, probe_time, gather_time, out_rows)
 }
 
-/// Sort-merge equi-join over batches; delegates to the shared
-/// [`merge_join_rows`] core, so output is identical to the tuple engine.
+/// Sort-merge equi-join over batches. The [`merge_join_rows`] core
+/// sorts with accounting/spilling and checks for cancellation during
+/// the merge.
 pub fn merge_join_batches(
     left: BatchStream,
     right: BatchStream,
     left_col: usize,
     right_col: usize,
-) -> Result<BatchStream> {
-    merge_join_batches_ctx(left, right, left_col, right_col, ExecContext::default())
-}
-
-/// [`merge_join_batches`] under a governor context: the shared
-/// [`merge_join_rows`] core sorts with accounting/spilling and checks
-/// for cancellation during the merge.
-pub fn merge_join_batches_ctx(
-    left: BatchStream,
-    right: BatchStream,
-    left_col: usize,
-    right_col: usize,
+    batch_rows: usize,
     ctx: ExecContext,
 ) -> Result<BatchStream> {
     let out = merge_join_rows(
@@ -841,82 +797,48 @@ pub fn merge_join_batches_ctx(
         right_col,
         ctx,
     )?;
-    Ok(values_batches(out, BATCH_ROWS))
+    Ok(values_batches(out, batch_rows))
 }
 
-/// Run an equi-join with the chosen algorithm (batch counterpart of
-/// `equi_join`). `build` only applies to hash joins.
-pub fn equi_join_batches(
-    algorithm: JoinAlgorithm,
-    left: BatchStream,
-    right: BatchStream,
-    left_col: usize,
-    right_col: usize,
-    right_offset_for_nl: usize,
-    build: BuildSide,
-) -> Result<BatchStream> {
-    equi_join_batches_ctx(
-        algorithm,
-        left,
-        right,
-        left_col,
-        right_col,
-        right_offset_for_nl,
-        build,
-        ExecContext::default(),
-    )
-}
-
-/// [`equi_join_batches`] under a governor context (batch counterpart of
-/// `equi_join_ctx`).
-#[allow(clippy::too_many_arguments)]
-pub fn equi_join_batches_ctx(
-    algorithm: JoinAlgorithm,
-    left: BatchStream,
-    right: BatchStream,
-    left_col: usize,
-    right_col: usize,
-    right_offset_for_nl: usize,
-    build: BuildSide,
-    ctx: ExecContext,
-) -> Result<BatchStream> {
-    match algorithm {
-        JoinAlgorithm::Hash => hash_join_batches_ctx(left, right, left_col, right_col, build, ctx),
-        JoinAlgorithm::Merge => merge_join_batches_ctx(left, right, left_col, right_col, ctx),
-        JoinAlgorithm::NestedLoop => {
-            let predicate = Expr::col(left_col).eq(Expr::col(right_offset_for_nl + right_col));
-            nested_loop_join_batches_ctx(left, right, predicate, ctx)
-        }
-    }
+/// Memory charge for one new group: its key bytes (stored twice, in the
+/// map and the order list), the group tuple (24 bytes of header + 16
+/// per datum + string payload), and 48 bytes per aggregate state.
+fn group_bytes<'a>(key_len: usize, group: impl Iterator<Item = &'a Datum>, aggs: usize) -> u64 {
+    let tuple: u64 = 24
+        + group
+            .map(|d| {
+                16 + match d {
+                    Datum::Str(s) => s.len() as u64,
+                    _ => 0,
+                }
+            })
+            .sum::<u64>();
+    2 * key_len as u64 + tuple + 48 * aggs as u64
 }
 
 /// Hash-aggregate batches grouped by `group_by` expressions; output rows
-/// are `group values ++ aggregate values` in first-seen group order —
-/// identical to the tuple engine's `hash_aggregate`. The global
-/// (ungrouped) case folds whole columns into each [`AggState`] with one
-/// tight loop per batch.
+/// are `group values ++ aggregate values` in first-seen group order. The
+/// global (ungrouped) case folds whole columns into each [`AggState`]
+/// with one tight loop per batch. Every input batch is a cancellation
+/// point and each new group — the global one included, once input
+/// arrives — is charged with [`group_bytes`].
 pub fn aggregate_batches(
     input: BatchStream,
     group_by: Vec<Expr>,
     aggs: Vec<AggSpec>,
-) -> Result<BatchStream> {
-    aggregate_batches_ctx(input, group_by, aggs, ExecContext::default())
-}
-
-/// [`aggregate_batches`] under a governor context: every input batch is
-/// a cancellation point and each new group is charged with the same
-/// formula as the tuple engine's `hash_aggregate_ctx`.
-pub fn aggregate_batches_ctx(
-    input: BatchStream,
-    group_by: Vec<Expr>,
-    aggs: Vec<AggSpec>,
+    batch_rows: usize,
     ctx: ExecContext,
 ) -> Result<BatchStream> {
     if group_by.is_empty() {
         let mut states: Vec<AggState> = aggs.iter().map(|a| AggState::new(a.func)).collect();
+        let mut charged = false;
         for batch in input {
             ctx.check()?;
             let batch = batch?;
+            if !charged && !batch.is_empty() {
+                ctx.charge(group_bytes(0, std::iter::empty(), aggs.len()))?;
+                charged = true;
+            }
             for (state, spec) in states.iter_mut().zip(&aggs) {
                 if spec.func == AggFunc::CountAll {
                     state.add_count(batch.rows() as i64);
@@ -927,7 +849,7 @@ pub fn aggregate_batches_ctx(
             }
         }
         let row: Tuple = states.into_iter().map(AggState::finish).collect();
-        return Ok(values_batches(vec![row], BATCH_ROWS));
+        return Ok(values_batches(vec![row], batch_rows));
     }
 
     let mut order: Vec<Vec<u8>> = Vec::new();
@@ -955,19 +877,8 @@ pub fn aggregate_batches_ctx(
                 col[r].encode_into(&mut key);
             }
             if !groups.contains_key(&key) {
-                // Same formula as the tuple engine: key bytes stored
-                // twice, the group tuple, one state per aggregate.
-                let group_bytes: u64 = 24
-                    + group_cols
-                        .iter()
-                        .map(|col| {
-                            16 + match &col[r] {
-                                Datum::Str(s) => s.len() as u64,
-                                _ => 0,
-                            }
-                        })
-                        .sum::<u64>();
-                ctx.charge(2 * key.len() as u64 + group_bytes + 48 * aggs.len() as u64)?;
+                let group = group_cols.iter().map(|col| &col[r]);
+                ctx.charge(group_bytes(key.len(), group, aggs.len()))?;
             }
             let entry = groups.entry(key.clone()).or_insert_with(|| {
                 order.push(key);
@@ -993,13 +904,14 @@ pub fn aggregate_batches_ctx(
         row.extend(states.into_iter().map(AggState::finish));
         out.push(row);
     }
-    Ok(values_batches(out, BATCH_ROWS))
+    Ok(values_batches(out, batch_rows))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::exec::expr::BinOp;
+    use crate::exec::join::JoinAlgorithm;
 
     fn rows(vals: &[(i64, &str)]) -> Vec<Tuple> {
         vals.iter()
@@ -1110,8 +1022,16 @@ mod tests {
                 Expr::col(1).ge(Expr::int(2)),
             );
             let out = collect(
-                hash_join_batches(values_batches(users.clone(), 2), filtered, 0, 1, build)
-                    .unwrap(),
+                hash_join_batches(
+                    values_batches(users.clone(), 2),
+                    filtered,
+                    0,
+                    1,
+                    build,
+                    BATCH_ROWS,
+                    ExecContext::default(),
+                )
+                .unwrap(),
             );
             // Output follows probe order: with build=Left the filtered
             // orders are probed (order 11, 12, 13); with build=Right the
@@ -1166,8 +1086,10 @@ mod tests {
     fn hash_join_phases_counts_output() {
         let build: Vec<Tuple> = (0..100).map(|i| vec![Datum::Int(i % 10)]).collect();
         let probe: Vec<Tuple> = (0..50).map(|i| vec![Datum::Int(i % 10)]).collect();
-        let (_, _, _, out_rows) = hash_join_phases(&build, &probe, 0, 0);
-        assert_eq!(out_rows, 500);
+        for batch_rows in [1, 7, BATCH_ROWS] {
+            let (_, _, _, out_rows) = hash_join_phases(&build, &probe, 0, 0, batch_rows);
+            assert_eq!(out_rows, 500);
+        }
     }
 
     #[test]
@@ -1197,15 +1119,14 @@ mod tests {
     #[test]
     fn distinct_first_seen_order_across_batches() {
         let input = values_batches(rows(&[(1, "a"), (2, "b"), (1, "a"), (1, "c")]), 2);
-        let out = collect(distinct_batches(input));
+        let out = collect(distinct_batches(input, ExecContext::default()));
         assert_eq!(out.len(), 3);
         assert_eq!(out[0][0], Datum::Int(1));
         assert_eq!(out[1][0], Datum::Int(2));
     }
 
     #[test]
-    fn joins_match_tuple_engine() {
-        use crate::exec::ops::values_scan;
+    fn joins_match_naive_reference() {
         let users: Vec<Tuple> = vec![
             vec![Datum::Int(1), Datum::Str("alice".into())],
             vec![Datum::Int(2), Datum::Str("bob".into())],
@@ -1217,43 +1138,47 @@ mod tests {
             vec![Datum::Int(12), Datum::Null],
             vec![Datum::Int(13), Datum::Int(2)],
         ];
+        // Reference: a plain nested loop over the rows, SQL equality
+        // (NULL never matches), left columns first.
+        let mut expected: Vec<Tuple> = Vec::new();
+        for u in &users {
+            for o in &orders {
+                if u[0].sql_eq(&o[1]) {
+                    expected.push(u.iter().chain(o).cloned().collect());
+                }
+            }
+        }
+        expected.sort_by(|a, b| crate::sort::compare_tuples(a, b, &[SortKey::asc(2)]));
+        assert_eq!(expected.len(), 3);
+        let engine = super::super::VectorEngine::default();
         for algo in [
             JoinAlgorithm::Hash,
             JoinAlgorithm::Merge,
             JoinAlgorithm::NestedLoop,
         ] {
-            let tuple_out: Vec<Tuple> = super::super::join::equi_join(
-                algo,
-                values_scan(users.clone()),
-                values_scan(orders.clone()),
-                0,
-                1,
-                2,
-                BuildSide::Auto,
-            )
-            .unwrap()
-            .collect::<Result<_>>()
-            .unwrap();
-            let batch_out = collect(
-                equi_join_batches(
-                    algo,
-                    values_batches(users.clone(), 2),
-                    values_batches(orders.clone(), 3),
-                    0,
-                    1,
-                    2,
-                    BuildSide::Auto,
-                )
-                .unwrap(),
+            let mut out = collect(
+                engine
+                    .equi_join(
+                        algo,
+                        values_batches(users.clone(), 2),
+                        values_batches(orders.clone(), 3),
+                        0,
+                        1,
+                        2,
+                        BuildSide::Auto,
+                    )
+                    .unwrap(),
             );
-            assert_eq!(batch_out, tuple_out, "{algo:?} must match tuple engine");
+            out.sort_by(|a, b| crate::sort::compare_tuples(a, b, &[SortKey::asc(2)]));
+            assert_eq!(
+                out, expected,
+                "{algo:?} must match the nested-loop reference"
+            );
         }
     }
 
     #[test]
-    fn aggregate_matches_tuple_engine() {
-        use crate::exec::aggregate::hash_aggregate;
-        use crate::exec::ops::values_scan;
+    fn aggregate_matches_naive_reference() {
         let sales: Vec<Tuple> = vec![
             vec![Datum::Str("eu".into()), Datum::Int(10)],
             vec![Datum::Str("us".into()), Datum::Int(20)],
@@ -1270,17 +1195,104 @@ mod tests {
                 AggSpec::new(AggFunc::Max, Expr::col(1)),
             ]
         };
-        for group_by in [vec![], vec![Expr::col(0)]] {
-            let tuple_out: Vec<Tuple> =
-                hash_aggregate(values_scan(sales.clone()), group_by.clone(), aggs())
-                    .unwrap()
-                    .collect::<Result<_>>()
-                    .unwrap();
-            let batch_out = collect(
-                aggregate_batches(values_batches(sales.clone(), 2), group_by, aggs()).unwrap(),
-            );
-            assert_eq!(batch_out, tuple_out);
+        // Reference: group with a BTreeMap (by display text, first-seen
+        // order kept separately) and fold each group by hand.
+        let reference = |grouped: bool| -> Vec<Tuple> {
+            let mut order: Vec<String> = Vec::new();
+            let mut groups: std::collections::BTreeMap<String, Vec<&Tuple>> =
+                std::collections::BTreeMap::new();
+            for row in &sales {
+                let key = if grouped {
+                    row[0].to_string()
+                } else {
+                    String::new()
+                };
+                if !groups.contains_key(&key) {
+                    order.push(key.clone());
+                }
+                groups.entry(key).or_default().push(row);
+            }
+            order
+                .iter()
+                .map(|key| {
+                    let rows = &groups[key];
+                    let vals: Vec<f64> = rows
+                        .iter()
+                        .filter_map(|r| match r[1] {
+                            Datum::Int(i) => Some(i as f64),
+                            Datum::Float(x) => Some(x),
+                            _ => None,
+                        })
+                        .collect();
+                    let all_int = rows.iter().all(|r| !matches!(r[1], Datum::Float(_)));
+                    let sum = vals.iter().sum::<f64>();
+                    let pick = |want_min: bool| {
+                        let mut best: Option<Datum> = None;
+                        for r in rows.iter().filter(|r| !r[1].is_null()) {
+                            let better = best.as_ref().is_none_or(|b| {
+                                let c = r[1].order(b);
+                                if want_min {
+                                    c.is_lt()
+                                } else {
+                                    c.is_gt()
+                                }
+                            });
+                            if better {
+                                best = Some(r[1].clone());
+                            }
+                        }
+                        best.unwrap_or(Datum::Null)
+                    };
+                    let mut out = if grouped {
+                        vec![rows[0][0].clone()]
+                    } else {
+                        vec![]
+                    };
+                    out.extend([
+                        Datum::Int(rows.len() as i64),
+                        Datum::Int(vals.len() as i64),
+                        if all_int {
+                            Datum::Int(sum as i64)
+                        } else {
+                            Datum::Float(sum)
+                        },
+                        Datum::Float(sum / vals.len() as f64),
+                        pick(true),
+                        pick(false),
+                    ]);
+                    out
+                })
+                .collect()
+        };
+        for (group_by, grouped) in [(vec![], false), (vec![Expr::col(0)], true)] {
+            for batch_rows in [1, 2, BATCH_ROWS] {
+                let out = collect(
+                    aggregate_batches(
+                        values_batches(sales.clone(), batch_rows),
+                        group_by.clone(),
+                        aggs(),
+                        batch_rows,
+                        ExecContext::default(),
+                    )
+                    .unwrap(),
+                );
+                assert_eq!(out, reference(grouped), "batch {batch_rows}");
+            }
         }
+        // The literal answer for the EU group, as a spot check of the
+        // reference itself.
+        assert_eq!(
+            reference(true)[0],
+            vec![
+                Datum::Str("eu".into()),
+                Datum::Int(3),
+                Datum::Int(2),
+                Datum::Float(10.5),
+                Datum::Float(5.25),
+                Datum::Float(0.5),
+                Datum::Int(10),
+            ]
+        );
     }
 
     #[test]
@@ -1293,6 +1305,8 @@ mod tests {
                     AggSpec::new(AggFunc::CountAll, Expr::int(0)),
                     AggSpec::new(AggFunc::Sum, Expr::col(0)),
                 ],
+                BATCH_ROWS,
+                ExecContext::default(),
             )
             .unwrap(),
         );

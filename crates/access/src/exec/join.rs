@@ -1,87 +1,22 @@
-//! Join operators: nested-loop, hash, and sort-merge.
+//! Join building blocks shared by the batch join kernels: the build-side
+//! choice, the algorithm selector, and the sort-merge core.
 //!
 //! Paper §3.1: the access layer "is also responsible for higher level
 //! operations, such as joins". All three classical algorithms are
 //! provided so the data layer's planner (and the E1/E3 workloads) can
-//! choose per-query.
-
-use std::collections::HashMap;
+//! choose per-query; the kernels themselves live in `exec::batch`.
 
 use sbdms_kernel::error::Result;
 
-use super::expr::Expr;
-use super::{approx_tuple_bytes, ExecContext, TupleStream, CANCEL_QUANTUM};
-use crate::record::{Datum, Tuple};
-use crate::sort::{compare_tuples, ExternalSorter, SortKey};
-
-/// Hash key for equi-joins: a datum rendered into a hashable form.
-/// (f64 is hashed by bits; NULL never matches so it gets no entry.)
-///
-/// The vectorized join does not use this type — its columnar table in
-/// `exec::vhash` normalises keys to raw `(tag, u64)` pairs — but the
-/// two must define the same equivalence classes: any change here must
-/// be mirrored in `vhash::norm_datum`, or the engines' join outputs
-/// diverge and the differential suite fails.
-pub(super) fn hash_key(d: &Datum) -> Option<HashKey> {
-    match d {
-        Datum::Null => None,
-        Datum::Bool(b) => Some(HashKey::Bool(*b)),
-        Datum::Int(i) => Some(HashKey::Num((*i as f64).to_bits())),
-        Datum::Float(x) => Some(HashKey::Num(x.to_bits())),
-        Datum::Str(s) => Some(HashKey::Str(s.clone())),
-    }
-}
-
-#[derive(Hash, PartialEq, Eq)]
-pub(super) enum HashKey {
-    Bool(bool),
-    Num(u64),
-    Str(String),
-}
+use super::{ExecContext, CANCEL_QUANTUM};
+use crate::record::Tuple;
+use crate::sort::{ExternalSorter, SortKey};
 
 fn concat(left: &Tuple, right: &Tuple) -> Tuple {
     let mut out = Vec::with_capacity(left.len() + right.len());
     out.extend_from_slice(left);
     out.extend_from_slice(right);
     out
-}
-
-/// Nested-loop join with an arbitrary predicate over the concatenated
-/// tuple (left columns first). The general (and slowest) join.
-pub fn nested_loop_join(
-    left: TupleStream,
-    right: TupleStream,
-    predicate: Expr,
-) -> Result<TupleStream> {
-    nested_loop_join_ctx(left, right, predicate, ExecContext::default())
-}
-
-/// [`nested_loop_join`] under a governor context: the quadratic
-/// candidate loop is the runaway-query case, so every
-/// [`CANCEL_QUANTUM`] candidate pairs is a cancellation point.
-pub fn nested_loop_join_ctx(
-    left: TupleStream,
-    right: TupleStream,
-    predicate: Expr,
-    ctx: ExecContext,
-) -> Result<TupleStream> {
-    let left_rows: Vec<Tuple> = left.collect::<Result<_>>()?;
-    let right_rows: Vec<Tuple> = right.collect::<Result<_>>()?;
-    let mut out = Vec::new();
-    let mut candidates = 0usize;
-    for l in &left_rows {
-        for r in &right_rows {
-            candidates += 1;
-            if candidates.is_multiple_of(CANCEL_QUANTUM) {
-                ctx.check()?;
-            }
-            let joined = concat(l, r);
-            if predicate.eval(&joined)?.is_true() {
-                out.push(joined);
-            }
-        }
-    }
-    Ok(Box::new(out.into_iter().map(Ok)))
 }
 
 /// Which input a hash join builds its table from. The build side should
@@ -99,118 +34,9 @@ pub enum BuildSide {
     Auto,
 }
 
-/// Hash equi-join on `left[left_col] == right[right_col]`. NULL keys never
-/// match (SQL semantics). `build` picks the hash-table side: the planner
-/// directs it when statistics are available, `Auto` falls back to
-/// sniffing the materialised input sizes. Output columns are always
-/// left-then-right regardless of the build side.
-pub fn hash_join(
-    left: TupleStream,
-    right: TupleStream,
-    left_col: usize,
-    right_col: usize,
-    build: BuildSide,
-) -> Result<TupleStream> {
-    hash_join_ctx(left, right, left_col, right_col, build, ExecContext::default())
-}
-
-/// [`hash_join`] under a governor context: the build-side hash table is
-/// the memory footprint, charged per retained tuple, and both the build
-/// and probe loops are cancellation points.
-pub fn hash_join_ctx(
-    left: TupleStream,
-    right: TupleStream,
-    left_col: usize,
-    right_col: usize,
-    build: BuildSide,
-    ctx: ExecContext,
-) -> Result<TupleStream> {
-    match build {
-        BuildSide::Left => hash_join_directed(left, left_col, right, right_col, true, ctx),
-        BuildSide::Right => hash_join_directed(right, right_col, left, left_col, false, ctx),
-        BuildSide::Auto => {
-            let l: Vec<Tuple> = left.collect::<Result<_>>()?;
-            let r: Vec<Tuple> = right.collect::<Result<_>>()?;
-            let build_left = l.len() <= r.len();
-            let l: TupleStream = Box::new(l.into_iter().map(Ok));
-            let r: TupleStream = Box::new(r.into_iter().map(Ok));
-            if build_left {
-                hash_join_directed(l, left_col, r, right_col, true, ctx)
-            } else {
-                hash_join_directed(r, right_col, l, left_col, false, ctx)
-            }
-        }
-    }
-}
-
-/// Hash-join core: build from one input, stream-probe the other.
-/// `build_is_left` records which logical side the build input is, so the
-/// output tuple is always `left ++ right`.
-fn hash_join_directed(
-    build: TupleStream,
-    build_col: usize,
-    probe: TupleStream,
-    probe_col: usize,
-    build_is_left: bool,
-    ctx: ExecContext,
-) -> Result<TupleStream> {
-    let mut table: HashMap<HashKey, Vec<Tuple>> = HashMap::new();
-    for (i, row) in build.enumerate() {
-        if i % CANCEL_QUANTUM == 0 {
-            ctx.check()?;
-        }
-        let tuple = row?;
-        if let Some(key) = tuple.get(build_col).and_then(hash_key) {
-            ctx.charge(approx_tuple_bytes(&tuple) + 32)?;
-            table.entry(key).or_default().push(tuple);
-        }
-    }
-    let mut out = Vec::new();
-    for (i, row) in probe.enumerate() {
-        if i % CANCEL_QUANTUM == 0 {
-            ctx.check()?;
-        }
-        let tuple = row?;
-        if let Some(key) = tuple.get(probe_col).and_then(hash_key) {
-            if let Some(matches) = table.get(&key) {
-                for b in matches {
-                    // Hash collisions across numeric types are resolved by
-                    // a real comparison.
-                    if tuple[probe_col].sql_eq(&b[build_col]) {
-                        out.push(if build_is_left {
-                            concat(b, &tuple)
-                        } else {
-                            concat(&tuple, b)
-                        });
-                    }
-                }
-            }
-        }
-    }
-    Ok(Box::new(out.into_iter().map(Ok)))
-}
-
-/// Sort-merge equi-join on one column per side.
-pub fn merge_join(
-    left: TupleStream,
-    right: TupleStream,
-    left_col: usize,
-    right_col: usize,
-) -> Result<TupleStream> {
-    let out = merge_join_rows(
-        left.collect::<Result<_>>()?,
-        right.collect::<Result<_>>()?,
-        left_col,
-        right_col,
-        ExecContext::default(),
-    )?;
-    Ok(Box::new(out.into_iter().map(Ok)))
-}
-
-/// Sort-merge core over materialised rows; both engines run this exact
-/// code so their output (including tie order) is byte-identical. The
-/// context reaches the two input sorts (cancellation + spill-on-charge)
-/// and the merge loop.
+/// Sort-merge core over materialised rows (tie order included, the
+/// output is deterministic). The context reaches the two input sorts
+/// (cancellation + spill-on-charge) and the merge loop.
 pub(super) fn merge_join_rows(
     left: Vec<Tuple>,
     right: Vec<Tuple>,
@@ -266,76 +92,13 @@ pub enum JoinAlgorithm {
     Merge,
 }
 
-/// Run an equi-join with the chosen algorithm. `build` only applies to
-/// hash joins (ignored by merge and nested-loop).
-pub fn equi_join(
-    algorithm: JoinAlgorithm,
-    left: TupleStream,
-    right: TupleStream,
-    left_col: usize,
-    right_col: usize,
-    right_offset_for_nl: usize,
-    build: BuildSide,
-) -> Result<TupleStream> {
-    equi_join_ctx(
-        algorithm,
-        left,
-        right,
-        left_col,
-        right_col,
-        right_offset_for_nl,
-        build,
-        ExecContext::default(),
-    )
-}
-
-/// [`equi_join`] under a governor context (see the per-algorithm `_ctx`
-/// variants for what the context buys).
-#[allow(clippy::too_many_arguments)]
-pub fn equi_join_ctx(
-    algorithm: JoinAlgorithm,
-    left: TupleStream,
-    right: TupleStream,
-    left_col: usize,
-    right_col: usize,
-    right_offset_for_nl: usize,
-    build: BuildSide,
-    ctx: ExecContext,
-) -> Result<TupleStream> {
-    match algorithm {
-        JoinAlgorithm::Hash => hash_join_ctx(left, right, left_col, right_col, build, ctx),
-        JoinAlgorithm::Merge => {
-            let out = merge_join_rows(
-                left.collect::<Result<_>>()?,
-                right.collect::<Result<_>>()?,
-                left_col,
-                right_col,
-                ctx,
-            )?;
-            Ok(Box::new(out.into_iter().map(Ok)))
-        }
-        JoinAlgorithm::NestedLoop => {
-            let predicate =
-                Expr::col(left_col).eq(Expr::col(right_offset_for_nl + right_col));
-            nested_loop_join_ctx(left, right, predicate, ctx)
-        }
-    }
-}
-
-/// Sort joined output for deterministic comparisons in tests/benches.
-pub fn sorted_rows(stream: TupleStream) -> Result<Vec<Tuple>> {
-    let mut rows: Vec<Tuple> = stream.collect::<Result<_>>()?;
-    let keys: Vec<SortKey> = (0..rows.first().map(|r| r.len()).unwrap_or(0))
-        .map(SortKey::asc)
-        .collect();
-    rows.sort_by(|a, b| compare_tuples(a, b, &keys));
-    Ok(rows)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::ops::values_scan;
+    use crate::exec::expr::Expr;
+    use crate::exec::VectorEngine;
+    use crate::record::Datum;
+    use crate::sort::compare_tuples;
 
     fn users() -> Vec<Tuple> {
         vec![
@@ -356,18 +119,48 @@ mod tests {
         ]
     }
 
+    /// A two-row batch size forces chunk boundaries into every join.
+    fn engine() -> VectorEngine {
+        VectorEngine {
+            batch_rows: 2,
+            ..Default::default()
+        }
+    }
+
+    fn join(
+        left: Vec<Tuple>,
+        right: Vec<Tuple>,
+        algo: JoinAlgorithm,
+        build: BuildSide,
+    ) -> Vec<Tuple> {
+        let e = engine();
+        let right_offset = left.first().map_or(0, Vec::len);
+        let out = e
+            .equi_join(
+                algo,
+                e.values(left),
+                e.values(right),
+                0,
+                1,
+                right_offset,
+                build,
+            )
+            .unwrap();
+        e.collect(out).unwrap()
+    }
+
+    /// Join output sorted on every column, for order-free comparisons.
+    fn sorted(mut rows: Vec<Tuple>) -> Vec<Tuple> {
+        let keys: Vec<SortKey> = (0..rows.first().map_or(0, Vec::len))
+            .map(SortKey::asc)
+            .collect();
+        rows.sort_by(|a, b| compare_tuples(a, b, &keys));
+        rows
+    }
+
     fn run(algo: JoinAlgorithm) -> Vec<Tuple> {
-        let out = equi_join(
-            algo,
-            values_scan(users()),
-            values_scan(orders()),
-            0, // users.id
-            1, // orders.user_id
-            2, // user tuple width for the NL predicate
-            BuildSide::Auto,
-        )
-        .unwrap();
-        sorted_rows(out).unwrap()
+        // users.id = orders.user_id
+        sorted(join(users(), orders(), algo, BuildSide::Auto))
     }
 
     #[test]
@@ -382,7 +175,11 @@ mod tests {
 
     #[test]
     fn null_keys_never_match() {
-        for algo in [JoinAlgorithm::NestedLoop, JoinAlgorithm::Hash, JoinAlgorithm::Merge] {
+        for algo in [
+            JoinAlgorithm::NestedLoop,
+            JoinAlgorithm::Hash,
+            JoinAlgorithm::Merge,
+        ] {
             let rows = run(algo);
             assert!(rows.iter().all(|r| !r[0].is_null() && !r[3].is_null()));
         }
@@ -399,26 +196,30 @@ mod tests {
 
     #[test]
     fn cross_type_numeric_equality() {
-        let left = values_scan(vec![vec![Datum::Int(2)]]);
-        let right = values_scan(vec![vec![Datum::Float(2.0)], vec![Datum::Float(2.5)]]);
-        let out = hash_join(left, right, 0, 0, BuildSide::Auto).unwrap();
-        let rows: Vec<Tuple> = out.collect::<Result<_>>().unwrap();
-        assert_eq!(rows.len(), 1);
+        let left = vec![vec![Datum::Int(2), Datum::Int(2)]];
+        let right = vec![
+            vec![Datum::Null, Datum::Float(2.0)],
+            vec![Datum::Null, Datum::Float(2.5)],
+        ];
+        for algo in [
+            JoinAlgorithm::NestedLoop,
+            JoinAlgorithm::Hash,
+            JoinAlgorithm::Merge,
+        ] {
+            assert_eq!(
+                join(left.clone(), right.clone(), algo, BuildSide::Auto).len(),
+                1,
+                "{algo:?}"
+            );
+        }
     }
 
     #[test]
     fn build_side_never_changes_results() {
         let reference = run(JoinAlgorithm::Hash);
         for build in [BuildSide::Left, BuildSide::Right, BuildSide::Auto] {
-            let out = hash_join(
-                values_scan(users()),
-                values_scan(orders()),
-                0,
-                1,
-                build,
-            )
-            .unwrap();
-            assert_eq!(sorted_rows(out).unwrap(), reference, "{build:?}");
+            let out = join(users(), orders(), JoinAlgorithm::Hash, build);
+            assert_eq!(sorted(out), reference, "{build:?}");
         }
     }
 
@@ -426,15 +227,7 @@ mod tests {
     fn probe_order_preserved_for_directed_build() {
         // Build on the smaller left; output order follows the right
         // (probe) stream, but columns stay left-then-right.
-        let out = hash_join(
-            values_scan(users()),
-            values_scan(orders()),
-            0,
-            1,
-            BuildSide::Left,
-        )
-        .unwrap();
-        let rows: Vec<Tuple> = out.collect::<Result<_>>().unwrap();
+        let rows = join(users(), orders(), JoinAlgorithm::Hash, BuildSide::Left);
         let order_ids: Vec<&Datum> = rows.iter().map(|r| &r[2]).collect();
         assert_eq!(
             order_ids,
@@ -446,47 +239,45 @@ mod tests {
     #[test]
     fn nested_loop_supports_non_equi() {
         // users.id < orders.user_id
+        let e = engine();
         let predicate = Expr::col(0).lt(Expr::col(3));
-        let out = nested_loop_join(values_scan(users()), values_scan(orders()), predicate).unwrap();
-        let rows: Vec<Tuple> = out.collect::<Result<_>>().unwrap();
+        let out = e
+            .nested_loop_join(e.values(users()), e.values(orders()), predicate)
+            .unwrap();
         // pairs where id < user_id (NULLs never true):
         // alice(1)<3, alice(1)<9, bob(2)<3, bob(2)<9, carol(3)<9 => 5
-        assert_eq!(rows.len(), 5);
+        assert_eq!(e.collect(out).unwrap().len(), 5);
     }
 
     #[test]
     fn empty_inputs() {
-        for algo in [JoinAlgorithm::NestedLoop, JoinAlgorithm::Hash, JoinAlgorithm::Merge] {
-            let out = equi_join(
-                algo,
-                values_scan(vec![]),
-                values_scan(orders()),
-                0,
-                1,
-                0,
-                BuildSide::Auto,
-            )
-            .unwrap();
-            assert_eq!(out.count(), 0);
+        for algo in [
+            JoinAlgorithm::NestedLoop,
+            JoinAlgorithm::Hash,
+            JoinAlgorithm::Merge,
+        ] {
+            assert!(
+                join(vec![], orders(), algo, BuildSide::Auto).is_empty(),
+                "{algo:?}"
+            );
         }
     }
 
     #[test]
     fn duplicate_heavy_join() {
-        let left: Vec<Tuple> = (0..20).map(|_| vec![Datum::Int(7)]).collect();
-        let right: Vec<Tuple> = (0..30).map(|_| vec![Datum::Int(7)]).collect();
-        for algo in [JoinAlgorithm::Hash, JoinAlgorithm::Merge, JoinAlgorithm::NestedLoop] {
-            let out = equi_join(
-                algo,
-                values_scan(left.clone()),
-                values_scan(right.clone()),
-                0,
-                0,
-                1,
-                BuildSide::Auto,
-            )
-            .unwrap();
-            assert_eq!(out.count(), 600, "{algo:?} cross product of equals");
+        let left: Vec<Tuple> = (0..20)
+            .map(|_| vec![Datum::Int(7), Datum::Int(7)])
+            .collect();
+        let right: Vec<Tuple> = (0..30)
+            .map(|_| vec![Datum::Int(7), Datum::Int(7)])
+            .collect();
+        for algo in [
+            JoinAlgorithm::Hash,
+            JoinAlgorithm::Merge,
+            JoinAlgorithm::NestedLoop,
+        ] {
+            let out = join(left.clone(), right.clone(), algo, BuildSide::Auto);
+            assert_eq!(out.len(), 600, "{algo:?} cross product of equals");
         }
     }
 }

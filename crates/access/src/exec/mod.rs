@@ -1,48 +1,28 @@
-//! Execution operators over tuple streams.
+//! Execution operators over columnar batch streams.
 //!
 //! Paper §3.1: the access layer is "responsible for higher level
 //! operations, such as joins, selections, and sorting of record sets".
-//! Everything here is a pull-based iterator over [`TupleStream`].
+//! One engine, [`VectorEngine`], builds every operator as a pull-based
+//! iterator over [`BatchStream`]; its rows-per-batch parameter is what
+//! the profiles select.
 
 pub mod aggregate;
 pub mod batch;
 pub mod engine;
 pub mod expr;
 pub mod join;
-pub mod ops;
 mod vhash;
-
-use sbdms_kernel::error::Result;
-
-use crate::record::{Datum, Tuple};
-
-/// A stream of tuples, the execution currency of the tuple engine.
-pub type TupleStream = Box<dyn Iterator<Item = Result<Tuple>> + Send>;
 
 /// How many rows an operator processes between cooperative
 /// cancellation checks — one "scheduling quantum" of the governor.
 pub const CANCEL_QUANTUM: usize = 256;
 
-/// Rough in-memory footprint of one materialised tuple, used by the
-/// memory-accounting operators (hash-join build, hash aggregate,
-/// DISTINCT). Deliberately simple and deterministic: a vector header
-/// plus a fixed cost per datum plus string payloads.
-pub fn approx_tuple_bytes(t: &Tuple) -> u64 {
-    24 + t
-        .iter()
-        .map(|d| {
-            16 + match d {
-                Datum::Str(s) => s.len() as u64,
-                _ => 0,
-            }
-        })
-        .sum::<u64>()
-}
-
-pub use aggregate::{hash_aggregate, AggFunc, AggSpec};
+pub use aggregate::{AggFunc, AggSpec};
 pub use batch::{hash_join_phases, Batch, BatchStream, BATCH_ROWS};
-pub use engine::{Engine, EngineKind, TupleEngine, VectorEngine};
+pub use engine::VectorEngine;
+/// The name `perfbench/src/replay.rs` imports the engine under; that
+/// file is the only reason this alias exists.
+pub use engine::VectorEngine as Engine;
 pub use expr::{BinOp, Expr, UnaryOp};
-pub use join::{equi_join, hash_join, merge_join, nested_loop_join, BuildSide, JoinAlgorithm};
-pub use ops::{distinct, filter, limit, project, seq_scan, sort, sort_parallel, values_scan};
+pub use join::{BuildSide, JoinAlgorithm};
 pub use sbdms_kernel::governor::ExecContext;

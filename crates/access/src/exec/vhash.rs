@@ -1,6 +1,6 @@
 //! Columnar open-addressing hash table for the vectorized hash join.
 //!
-//! The tuple engine's `HashMap<HashKey, Vec<Tuple>>` pays SipHash, a
+//! A row hash map (`HashMap<Key, Vec<Tuple>>`) pays SipHash, a
 //! heap-allocated key, and a `Vec` per distinct key. This table is the
 //! columnar alternative: keys are normalised to a raw fixed-width
 //! `(tag, u64)` pair in one batched pass, slots are computed with a
@@ -10,15 +10,13 @@
 //! array indexed by build row. Probing walks a power-of-two slot
 //! directory with linear probing and compares raw `u64`s; only the
 //! final verification (needed because normalisation collapses e.g.
-//! large `i64`s onto shared `f64` bit patterns, exactly as the tuple
-//! engine's `HashKey::Num` does) touches a `Datum`.
+//! large `i64`s onto shared `f64` bit patterns) touches a `Datum`.
 //!
-//! Equivalence classes are identical to `join::hash_key`: NULL never
-//! enters the table, `Int` and `Float` normalise through `f64` bits so
-//! `2 = 2.0` matches, strings hash their bytes. Chains preserve build
-//! insertion order (rows are inserted in reverse, each at its chain
-//! head), so probe output is byte-identical to the tuple engine's
-//! per-key `Vec` walk.
+//! Equivalence classes are SQL equality's: NULL never enters the table,
+//! `Int` and `Float` normalise through `f64` bits so `2 = 2.0` matches,
+//! strings hash their bytes. Chains preserve build insertion order
+//! (rows are inserted in reverse, each at its chain head), so probe
+//! output lists a key's matches in build order.
 
 use crate::record::Datum;
 
@@ -43,8 +41,8 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Normalise one datum to `(tag, raw fixed-width key)` — the same
-/// equivalence classes as [`super::join::hash_key`].
+/// Normalise one datum to `(tag, raw fixed-width key)`: equal keys
+/// under `sql_eq` share a normal form.
 #[inline]
 fn norm_datum(d: &Datum) -> (u8, u64) {
     match d {
@@ -173,8 +171,7 @@ impl JoinTable {
             ints_exact,
         };
         // Insert in reverse, each row at its chain head: the finished
-        // chains read in forward build-insertion order, matching the
-        // tuple engine's per-key Vec push order.
+        // chains read in forward build-insertion order.
         for row in (0..n).rev() {
             let tag = tags[row];
             if tag == TAG_NULL {

@@ -5,8 +5,8 @@
 //!
 //! `--only <name>` runs a single experiment (`e1` … `e16`, `a1`);
 //! `--smoke` shrinks the workloads for a fast CI sanity pass;
-//! `--gate-join <min>` exits nonzero if E12's base join speedup falls
-//! below `min`, `--gate-mvcc <max>` if E14's MVCC reader latency
+//! `--gate-join <min>` exits nonzero if E12's base join speedup (full
+//! batches over one row per batch) falls below `min`, `--gate-mvcc <max>` if E14's MVCC reader latency
 //! under a concurrent writer exceeds `max` times the read-only
 //! baseline, and `--gate-index <min>` if fewer than two of E15's
 //! headline access-path shapes reach a `min`-fold speedup over the
@@ -151,7 +151,7 @@ fn main() {
         if let Some(min) = gate_join {
             if join_speedup < min {
                 eprintln!(
-                    "E12 join gate FAILED: vectorized speedup {join_speedup:.2}x < required {min:.2}x"
+                    "E12 join gate FAILED: full-batch speedup {join_speedup:.2}x < required {min:.2}x"
                 );
                 std::process::exit(1);
             }
@@ -617,16 +617,18 @@ fn best<F: FnMut()>(n: u32, mut f: F) -> Duration {
         .unwrap_or_default()
 }
 
-/// Returns the base-join speedup (tuple / vectorized) for `--gate-join`.
+/// Returns the base-join speedup (one row per batch / full batch) for
+/// `--gate-join`.
 fn e12(smoke: bool) -> f64 {
-    use sbdms::access::exec::engine::{TupleEngine, VectorEngine};
+    use sbdms::access::exec::engine::VectorEngine;
+    use sbdms::access::exec::BATCH_ROWS;
     use sbdms::access::exec::hash_join_phases;
     use sbdms_bench::experiments::{
         e12_dim, e12_dim_dup, e12_dim_highndv, e12_fact, e12_join, e12_join_highndv,
         e12_join_rows, e12_scan_filter_aggregate,
     };
 
-    println!("\nE12 — vectorized batch execution vs tuple-at-a-time iterators");
+    println!("\nE12 — vectorized execution: full batches vs one row per batch");
     let (rows, iters) = if smoke { (20_000usize, 5u32) } else { (200_000, 10) };
     const GROUPS: usize = 64;
     const DUPS: usize = 8;
@@ -635,10 +637,15 @@ fn e12(smoke: bool) -> f64 {
     let dup = e12_dim_dup(GROUPS, DUPS);
     let hi = e12_dim_highndv(rows);
     let threshold = (rows / 2) as i64;
-    let tuple = TupleEngine::default();
-    let vector = VectorEngine::default();
+    // The baseline is the same engine at one row per batch: what is
+    // measured is what batching buys.
+    let row = VectorEngine {
+        batch_rows: 1,
+        ..VectorEngine::default()
+    };
+    let full = VectorEngine::default();
 
-    // Each timed closure clones its input (the engines consume rows);
+    // Each timed closure clones its input (the engine consumes rows);
     // measure that scaffolding once and subtract it, so the reported
     // numbers are execution alone — the clone is identical either way.
     let clone_one = best(iters, || {
@@ -655,63 +662,63 @@ fn e12(smoke: bool) -> f64 {
     });
     let net = |d: Duration, scaffold: Duration| d.saturating_sub(scaffold);
 
-    let sfa_tuple = net(
+    let sfa_row = net(
         best(iters, || {
-            std::hint::black_box(e12_scan_filter_aggregate(&tuple, fact.clone(), threshold));
+            std::hint::black_box(e12_scan_filter_aggregate(&row, fact.clone(), threshold));
         }),
         clone_one,
     );
-    let sfa_vector = net(
+    let sfa_full = net(
         best(iters, || {
-            std::hint::black_box(e12_scan_filter_aggregate(&vector, fact.clone(), threshold));
+            std::hint::black_box(e12_scan_filter_aggregate(&full, fact.clone(), threshold));
         }),
         clone_one,
     );
-    let join_tuple = net(
+    let join_row = net(
         best(iters, || {
-            std::hint::black_box(e12_join(&tuple, fact.clone(), dim.clone()));
+            std::hint::black_box(e12_join(&row, fact.clone(), dim.clone()));
         }),
         clone_two,
     );
-    let join_vector = net(
+    let join_full = net(
         best(iters, || {
-            std::hint::black_box(e12_join(&vector, fact.clone(), dim.clone()));
+            std::hint::black_box(e12_join(&full, fact.clone(), dim.clone()));
         }),
         clone_two,
     );
-    let dup_tuple = net(
+    let dup_row = net(
         best(iters, || {
-            std::hint::black_box(e12_join(&tuple, fact.clone(), dup.clone()));
+            std::hint::black_box(e12_join(&row, fact.clone(), dup.clone()));
         }),
         clone_dup,
     );
-    let dup_vector = net(
+    let dup_full = net(
         best(iters, || {
-            std::hint::black_box(e12_join(&vector, fact.clone(), dup.clone()));
+            std::hint::black_box(e12_join(&full, fact.clone(), dup.clone()));
         }),
         clone_dup,
     );
-    let hi_tuple = net(
+    let hi_row = net(
         best(iters, || {
-            std::hint::black_box(e12_join_highndv(&tuple, fact.clone(), hi.clone()));
+            std::hint::black_box(e12_join_highndv(&row, fact.clone(), hi.clone()));
         }),
         clone_hi,
     );
-    let hi_vector = net(
+    let hi_full = net(
         best(iters, || {
-            std::hint::black_box(e12_join_highndv(&vector, fact.clone(), hi.clone()));
+            std::hint::black_box(e12_join_highndv(&full, fact.clone(), hi.clone()));
         }),
         clone_hi,
     );
-    let rows_tuple = net(
+    let rows_row = net(
         best(iters, || {
-            std::hint::black_box(e12_join_rows(&tuple, fact.clone(), dim.clone()));
+            std::hint::black_box(e12_join_rows(&row, fact.clone(), dim.clone()));
         }),
         clone_two,
     );
-    let rows_vector = net(
+    let rows_full = net(
         best(iters, || {
-            std::hint::black_box(e12_join_rows(&vector, fact.clone(), dim.clone()));
+            std::hint::black_box(e12_join_rows(&full, fact.clone(), dim.clone()));
         }),
         clone_two,
     );
@@ -721,11 +728,11 @@ fn e12(smoke: bool) -> f64 {
     println!(
         "  {:<30} {:>12} {:>12} {:>9}",
         format!("pipeline ({rows} rows, min of {iters})"),
-        "tuple",
-        "vectorized",
+        "batch 1",
+        format!("batch {BATCH_ROWS}"),
         "speedup"
     );
-    let row = |label: &str, t: Duration, v: Duration| {
+    let print_row = |label: &str, t: Duration, v: Duration| {
         println!(
             "  {:<30} {:>10.2}ms {:>10.2}ms {:>8.1}x",
             label,
@@ -734,24 +741,24 @@ fn e12(smoke: bool) -> f64 {
             speedup(t, v)
         );
     };
-    row("scan->filter->aggregate", sfa_tuple, sfa_vector);
-    row(
+    print_row("scan->filter->aggregate", sfa_row, sfa_full);
+    print_row(
         &format!("join->aggregate (x{GROUPS} dim)"),
-        join_tuple,
-        join_vector,
+        join_row,
+        join_full,
     );
-    row(
+    print_row(
         &format!("join->aggregate (dup x{DUPS})"),
-        dup_tuple,
-        dup_vector,
+        dup_row,
+        dup_full,
     );
-    row("join->aggregate (high NDV)", hi_tuple, hi_vector);
-    row("join, materialise all rows", rows_tuple, rows_vector);
+    print_row("join->aggregate (high NDV)", hi_row, hi_full);
+    print_row("join, materialise all rows", rows_row, rows_full);
 
-    // Columnar join phase breakdown (vectorized engine internals):
+    // Columnar join phase breakdown (engine internals, full batches):
     // where the join's own time goes, without the values adapters.
-    let (b1, p1, g1, out1) = hash_join_phases(&dim, &fact, 0, 1);
-    let (b2, p2, g2, out2) = hash_join_phases(&hi, &fact, 0, 0);
+    let (b1, p1, g1, out1) = hash_join_phases(&dim, &fact, 0, 1, BATCH_ROWS);
+    let (b2, p2, g2, out2) = hash_join_phases(&hi, &fact, 0, 0, BATCH_ROWS);
     println!("  columnar join phases (build/probe/gather):");
     println!(
         "    base:     {:>8.2}ms / {:>8.2}ms / {:>8.2}ms  ({out1} pairs)",
@@ -766,7 +773,7 @@ fn e12(smoke: bool) -> f64 {
         ms(g2)
     );
 
-    let join_x = speedup(join_tuple, join_vector);
+    let join_x = speedup(join_row, join_full);
     // Machine-parsable for the CI gate (see --gate-join).
     println!("  E12-GATE join_speedup={join_x:.2}");
 
@@ -778,7 +785,7 @@ fn e12(smoke: bool) -> f64 {
     let json = format!(
         r#"{{
   "experiment": "E12",
-  "title": "Vectorized batch execution vs tuple-at-a-time iterators",
+  "title": "Vectorized execution: full batches vs one row per batch",
   "date": "{date}",
   "build": "cargo run --release -p sbdms-bench --bin report -- --only e12",
   "workload": {{
@@ -798,32 +805,33 @@ fn e12(smoke: bool) -> f64 {
         "materialise_rows": "same join, all joined rows transposed back to tuples (no aggregate)"
       }}
     }},
-    "note": "pre-materialised rows; min-of-{iters} timing; per-iteration input clone measured separately and subtracted (identical for both engines)"
+    "baseline": "the same engine at batch_rows = 1; until 2026-10 the baseline was the deleted tuple-at-a-time engine",
+    "note": "pre-materialised rows; min-of-{iters} timing; per-iteration input clone measured separately and subtracted (identical for both batch sizes)"
   }},
   "results": {{
     "scan_filter_aggregate_ms": {{
-      "tuple": {sfa_t:.2},
-      "vectorized": {sfa_v:.2},
+      "batch_1": {sfa_t:.2},
+      "batch_{BATCH_ROWS}": {sfa_v:.2},
       "speedup": {sfa_x:.1}
     }},
     "join_ms": {{
-      "tuple": {join_t:.2},
-      "vectorized": {join_v:.2},
+      "batch_1": {join_t:.2},
+      "batch_{BATCH_ROWS}": {join_v:.2},
       "speedup": {join_x:.1}
     }},
     "join_dup_ms": {{
-      "tuple": {dup_t:.2},
-      "vectorized": {dup_v:.2},
+      "batch_1": {dup_t:.2},
+      "batch_{BATCH_ROWS}": {dup_v:.2},
       "speedup": {dup_x:.1}
     }},
     "join_high_ndv_ms": {{
-      "tuple": {hi_t:.2},
-      "vectorized": {hi_v:.2},
+      "batch_1": {hi_t:.2},
+      "batch_{BATCH_ROWS}": {hi_v:.2},
       "speedup": {hi_x:.1}
     }},
     "join_materialise_rows_ms": {{
-      "tuple": {rows_t:.2},
-      "vectorized": {rows_v:.2},
+      "batch_1": {rows_t:.2},
+      "batch_{BATCH_ROWS}": {rows_v:.2},
       "speedup": {rows_x:.1}
     }},
     "join_phases_ms": {{
@@ -832,33 +840,33 @@ fn e12(smoke: bool) -> f64 {
     }}
   }},
   "acceptance": {{
-    "vectorized_2x_on_scan_filter_aggregate": {accept_sfa},
-    "vectorized_3x_on_join": {accept_join}
+    "full_batch_2x_on_scan_filter_aggregate": {accept_sfa},
+    "full_batch_3x_on_join": {accept_join}
   }}
 }}
 "#,
         date = today_utc(),
-        sfa_t = ms(sfa_tuple),
-        sfa_v = ms(sfa_vector),
-        sfa_x = speedup(sfa_tuple, sfa_vector),
-        join_t = ms(join_tuple),
-        join_v = ms(join_vector),
-        dup_t = ms(dup_tuple),
-        dup_v = ms(dup_vector),
-        dup_x = speedup(dup_tuple, dup_vector),
-        hi_t = ms(hi_tuple),
-        hi_v = ms(hi_vector),
-        hi_x = speedup(hi_tuple, hi_vector),
-        rows_t = ms(rows_tuple),
-        rows_v = ms(rows_vector),
-        rows_x = speedup(rows_tuple, rows_vector),
+        sfa_t = ms(sfa_row),
+        sfa_v = ms(sfa_full),
+        sfa_x = speedup(sfa_row, sfa_full),
+        join_t = ms(join_row),
+        join_v = ms(join_full),
+        dup_t = ms(dup_row),
+        dup_v = ms(dup_full),
+        dup_x = speedup(dup_row, dup_full),
+        hi_t = ms(hi_row),
+        hi_v = ms(hi_full),
+        hi_x = speedup(hi_row, hi_full),
+        rows_t = ms(rows_row),
+        rows_v = ms(rows_full),
+        rows_x = speedup(rows_row, rows_full),
         b1 = ms(b1),
         p1 = ms(p1),
         g1 = ms(g1),
         b2 = ms(b2),
         p2 = ms(p2),
         g2 = ms(g2),
-        accept_sfa = speedup(sfa_tuple, sfa_vector) >= 2.0,
+        accept_sfa = speedup(sfa_row, sfa_full) >= 2.0,
         accept_join = join_x >= 3.0,
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_e12.json");
@@ -878,8 +886,8 @@ fn e13(smoke: bool) {
 
     // Three configurations: no governor (every session queues on raw
     // locks), governor with strict admission (excess load sheds), and
-    // governor with the degraded contract (excess load admits on the
-    // cheaper plan).
+    // governor with the degraded contract (excess load admits with the
+    // sort budget clamped to the governor's degraded budget).
     let configs: [(&str, bool, bool); 3] = [
         ("governor off", false, false),
         ("governor on", true, false),

@@ -694,18 +694,18 @@ pub mod experiments {
         n
     }
 
-    // --- E12: vectorized vs tuple-at-a-time execution -------------------
+    // --- E12: full batches vs row-at-a-time batches ----------------------
 
     use sbdms::access::exec::aggregate::{AggFunc, AggSpec};
-    use sbdms::access::exec::engine::Engine;
+    use sbdms::access::exec::engine::VectorEngine;
     use sbdms::access::exec::expr::Expr;
     use sbdms::access::exec::join::BuildSide;
     use sbdms::access::record::{Datum, Tuple};
 
     /// E12 fact rows `(id, grp, val)`: grp fans into 64 groups, val is a
     /// 7919-step permutation-ish spread over `0..n`. Pre-materialised so
-    /// the engines are measured on pure execution, not page decoding
-    /// (which both engines share byte-for-byte).
+    /// the batch sizes are measured on pure execution, not page decoding
+    /// (which every batch size shares byte-for-byte).
     pub fn e12_fact(n: usize) -> Vec<Tuple> {
         (0..n as i64)
             .map(|i| {
@@ -745,11 +745,11 @@ pub mod experiments {
             .collect()
     }
 
-    /// E12 scan→filter→aggregate, generic over the engine:
+    /// E12 scan→filter→aggregate:
     /// `SELECT grp, COUNT(*), SUM(val), MIN(val) WHERE val < threshold
     /// GROUP BY grp`. Returns the number of groups.
-    pub fn e12_scan_filter_aggregate<E: Engine>(
-        engine: &E,
+    pub fn e12_scan_filter_aggregate(
+        engine: &VectorEngine,
         rows: Vec<Tuple>,
         threshold: i64,
     ) -> usize {
@@ -775,8 +775,8 @@ pub mod experiments {
     /// the join's output feeds an aggregate instead of being shipped
     /// back to the client row by row. Returns the joined row count
     /// (the COUNT(*) value).
-    fn e12_join_on<E: Engine>(
-        engine: &E,
+    fn e12_join_on(
+        engine: &VectorEngine,
         fact: Vec<Tuple>,
         dim: Vec<Tuple>,
         fact_col: usize,
@@ -814,20 +814,20 @@ pub mod experiments {
 
     /// E12 join throughput: fact ⋈ dim on grp, feeding a global
     /// `COUNT(*), SUM(weight)` aggregate. Returns the joined row count.
-    pub fn e12_join<E: Engine>(engine: &E, fact: Vec<Tuple>, dim: Vec<Tuple>) -> usize {
+    pub fn e12_join(engine: &VectorEngine, fact: Vec<Tuple>, dim: Vec<Tuple>) -> usize {
         e12_join_on(engine, fact, dim, 1)
     }
 
     /// E12 high-NDV join: fact ⋈ dim on the unique id column, so the
     /// build side has one chain per fact row.
-    pub fn e12_join_highndv<E: Engine>(engine: &E, fact: Vec<Tuple>, dim: Vec<Tuple>) -> usize {
+    pub fn e12_join_highndv(engine: &VectorEngine, fact: Vec<Tuple>, dim: Vec<Tuple>) -> usize {
         e12_join_on(engine, fact, dim, 0)
     }
 
     /// E12 join with full row materialisation: the same fact ⋈ dim join
     /// but collecting every joined row back to row-major tuples —
     /// isolates the transpose-out cost the aggregate pipeline avoids.
-    pub fn e12_join_rows<E: Engine>(engine: &E, fact: Vec<Tuple>, dim: Vec<Tuple>) -> usize {
+    pub fn e12_join_rows(engine: &VectorEngine, fact: Vec<Tuple>, dim: Vec<Tuple>) -> usize {
         let joined = engine
             .equi_join(
                 JoinAlgorithm::Hash,
@@ -899,7 +899,8 @@ pub mod experiments {
         pub completed: u64,
         /// Queries shed with the typed `Overloaded` error.
         pub shed: u64,
-        /// Queries admitted under the degraded contract (cheaper plan).
+        /// Queries admitted under the degraded contract (clamped sort
+        /// budget).
         pub degraded: u64,
         /// Median latency of completed queries, milliseconds.
         pub p50_ms: f64,
@@ -1617,34 +1618,38 @@ mod tests {
 
     #[test]
     fn e12_harness_runs_and_engines_agree() {
-        use sbdms::access::exec::engine::{TupleEngine, VectorEngine};
+        use sbdms::access::exec::engine::VectorEngine;
+        // The E12 baseline (one row per batch) against the default batch.
+        let row = VectorEngine {
+            batch_rows: 1,
+            ..VectorEngine::default()
+        };
+        let full = VectorEngine::default();
         let fact = e12_fact(2_000);
         let dim = e12_dim(64);
-        let tuple_groups =
-            e12_scan_filter_aggregate(&TupleEngine::default(), fact.clone(), 1_000);
-        let vector_groups =
-            e12_scan_filter_aggregate(&VectorEngine::default(), fact.clone(), 1_000);
-        assert_eq!(tuple_groups, vector_groups);
-        assert_eq!(tuple_groups, 64, "every group survives a 50% filter");
-        let tuple_rows = e12_join(&TupleEngine::default(), fact.clone(), dim.clone());
-        let vector_rows = e12_join(&VectorEngine::default(), fact.clone(), dim.clone());
-        assert_eq!(tuple_rows, vector_rows);
-        assert_eq!(tuple_rows, 2_000, "every fact row has its dimension");
+        let row_groups = e12_scan_filter_aggregate(&row, fact.clone(), 1_000);
+        let full_groups = e12_scan_filter_aggregate(&full, fact.clone(), 1_000);
+        assert_eq!(row_groups, full_groups);
+        assert_eq!(row_groups, 64, "every group survives a 50% filter");
+        let row_joined = e12_join(&row, fact.clone(), dim.clone());
+        let full_joined = e12_join(&full, fact.clone(), dim.clone());
+        assert_eq!(row_joined, full_joined);
+        assert_eq!(row_joined, 2_000, "every fact row has its dimension");
         assert_eq!(
-            e12_join_rows(&VectorEngine::default(), fact.clone(), dim),
+            e12_join_rows(&full, fact.clone(), dim),
             2_000,
             "materialised join yields the same row count"
         );
         let dup = e12_dim_dup(64, 4);
         assert_eq!(
-            e12_join(&TupleEngine::default(), fact.clone(), dup.clone()),
-            e12_join(&VectorEngine::default(), fact.clone(), dup),
+            e12_join(&row, fact.clone(), dup.clone()),
+            e12_join(&full, fact.clone(), dup),
         );
         let hi = e12_dim_highndv(2_000);
-        let tuple_hi = e12_join_highndv(&TupleEngine::default(), fact.clone(), hi.clone());
-        let vector_hi = e12_join_highndv(&VectorEngine::default(), fact, hi);
-        assert_eq!(tuple_hi, vector_hi);
-        assert_eq!(tuple_hi, 2_000, "unique ids join one-to-one");
+        let row_hi = e12_join_highndv(&row, fact.clone(), hi.clone());
+        let full_hi = e12_join_highndv(&full, fact, hi);
+        assert_eq!(row_hi, full_hi);
+        assert_eq!(row_hi, 2_000, "unique ids join one-to-one");
     }
 
     #[test]
@@ -1659,8 +1664,8 @@ mod tests {
         // makes the shed path deterministic even on one core.
         let blocker = db.governor().admit(false).unwrap();
         let strict = e13_drive(&db, E13_MAX_CONCURRENT * 4, 1, false);
-        // Under the degraded contract the same pressure is absorbed on
-        // the cheaper plan instead. Saturate every slot first so each
+        // Under the degraded contract the same pressure is absorbed with
+        // a clamped sort budget instead. Saturate every slot first so each
         // arrival finds the governor at capacity — degraded admission
         // is then deterministic, not a race against query latency.
         let full: Vec<_> = (1..E13_MAX_CONCURRENT)

@@ -10,7 +10,7 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
-use sbdms_access::exec::engine::EngineKind;
+use sbdms_access::exec::BATCH_ROWS;
 use sbdms_data::ConcurrencyControl;
 use sbdms_kernel::binding::BindingKind;
 use sbdms_kernel::governor::GovernorConfig;
@@ -187,11 +187,12 @@ pub struct ArchitectureConfig {
     /// (0 keeps row counts/min/max/NDV but skips histograms — the
     /// embedded profile's cheaper setting).
     pub histogram_buckets: usize,
-    /// Which execution engine runs statements: the cache-friendly
-    /// vectorized batch engine or the lean tuple-at-a-time engine.
-    /// Flexibility by selection (paper Fig. 6): two services provide the
-    /// execution task and the profile picks by quality/resources.
-    pub execution_engine: EngineKind,
+    /// Rows per batch of the execution engine. Flexibility by selection
+    /// (paper Fig. 6) reduced to the one parameter where the profiles
+    /// really differ: large batches amortise per-batch dispatch on a
+    /// server, small ones keep operator buffers small on a device.
+    /// Results do not depend on it.
+    pub execution_engine: usize,
     /// Which concurrency-control service arbitrates transactions: the
     /// embedded profile keeps the cheap single-writer WAL-undo path
     /// (other sessions fail busy while one transaction is open); the
@@ -238,9 +239,9 @@ impl ArchitectureConfig {
                 parallelism: 4,
                 plan_cache: 64,
                 histogram_buckets: 32,
-                // Throughput-oriented: batch execution amortises the
-                // operator dispatch and keeps columns cache-resident.
-                execution_engine: EngineKind::Vectorized,
+                // Throughput-oriented: full batches amortise the
+                // operator dispatch and keep columns cache-resident.
+                execution_engine: BATCH_ROWS,
                 // Concurrent sessions are the point of a server profile:
                 // snapshot isolation keeps readers off writers' backs,
                 // and a small group-commit window amortises fsyncs
@@ -291,9 +292,9 @@ impl ArchitectureConfig {
                 // few words per column); histograms are the part whose
                 // memory scales with bucket count, so they stay off.
                 histogram_buckets: 0,
-                // Tuple-at-a-time: lazy, no batch buffers — the smaller
-                // footprint wins on a constrained device.
-                execution_engine: EngineKind::Tuple,
+                // Small batches: per-operator batch buffers stay a
+                // sixteenth of the server's on a constrained device.
+                execution_engine: 64,
                 // One caller at a time: version chains and snapshot
                 // bookkeeping buy nothing, so transactions stay on the
                 // single-writer undo path and commits sync immediately.
@@ -365,9 +366,10 @@ impl ArchitectureConfig {
         self
     }
 
-    /// Builder: override the execution engine.
-    pub fn with_execution_engine(mut self, engine: EngineKind) -> ArchitectureConfig {
-        self.execution_engine = engine;
+    /// Builder: override the execution engine's rows per batch
+    /// (clamped to at least 1).
+    pub fn with_execution_engine(mut self, batch_rows: usize) -> ArchitectureConfig {
+        self.execution_engine = batch_rows.max(1);
         self
     }
 
@@ -423,10 +425,10 @@ mod tests {
         // Full deployments afford histograms; embedded keeps only the
         // cheap scalar statistics.
         assert!(full.histogram_buckets > 0 && embedded.histogram_buckets == 0);
-        // Flexibility by selection: the execution task binds to the
-        // vectorized provider on the server, the tuple provider embedded.
-        assert_eq!(full.execution_engine, EngineKind::Vectorized);
-        assert_eq!(embedded.execution_engine, EngineKind::Tuple);
+        // Flexibility by selection: the one execution engine runs full
+        // batches on the server and small ones embedded.
+        assert_eq!(full.execution_engine, BATCH_ROWS);
+        assert_eq!(embedded.execution_engine, 64);
         // Concurrency control is a profile-selected kernel service:
         // snapshot isolation (plus a group-commit window) on the server,
         // the cheap single-writer path embedded.
@@ -486,9 +488,9 @@ mod tests {
             .with_parallelism(0)
             .with_sort_budget(0)
             .with_plan_cache(7)
-            .with_execution_engine(EngineKind::Tuple);
+            .with_execution_engine(0);
         assert_eq!(c.binding, BindingKind::Channel);
-        assert_eq!(c.execution_engine, EngineKind::Tuple);
+        assert_eq!(c.execution_engine, 1);
         assert_eq!(c.buffer_frames, 8);
         assert_eq!(c.buffer_shards, Some(2));
         // Degenerate values clamp to the serial minimum.

@@ -126,8 +126,9 @@ impl Sbdms {
         };
         let bus = ServiceBus::new();
         // Planner decisions surface on the kernel bus: every freshly
-        // planned query publishes a `plan.selected` event explaining the
-        // chosen join order/algorithm and access paths.
+        // planned query that made a choice publishes a `plan.selected`
+        // event explaining the chosen join order/algorithm and access
+        // paths.
         db.set_event_bus(bus.events().clone());
         bus.set_enforce_policies(config.enforce_policies);
         bus.resilience().set_enabled(config.resilience.enabled);

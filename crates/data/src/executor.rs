@@ -9,9 +9,10 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use sbdms_access::exec::engine::{Engine, EngineKind, TupleEngine, VectorEngine};
+use sbdms_access::exec::batch::{BatchStream, BATCH_ROWS};
+use sbdms_access::exec::engine::VectorEngine;
 use sbdms_access::exec::join::JoinAlgorithm;
-use sbdms_access::exec::{self, TupleStream};
+use sbdms_access::exec;
 use sbdms_access::heap::Rid;
 use sbdms_access::record::{decode_tuple, encode_tuple, Datum, Tuple};
 use sbdms_kernel::error::{Result, ServiceError};
@@ -84,11 +85,10 @@ pub struct DbOptions {
     /// (0 keeps row counts/min/max/NDV but disables histograms — the
     /// embedded profile's cheaper setting).
     pub histogram_buckets: usize,
-    /// The profile's execution-engine choice (full-fledged →
-    /// vectorized, embedded → tuple). `None` falls through to the
-    /// built-in default (vectorized);
-    /// [`Database::force_execution_engine`] overrides per session.
-    pub execution_engine: Option<EngineKind>,
+    /// Rows per batch of the execution engine, the profile's selection
+    /// parameter (full-fledged → 1024, embedded → 64). `None` uses
+    /// [`BATCH_ROWS`]. Results do not depend on it.
+    pub execution_engine: Option<usize>,
     /// Resource-governor configuration: admission control, load
     /// shedding, and memory budgets. Disabled by default (the embedded
     /// profile's setting); the full-fledged profile enables it.
@@ -122,7 +122,7 @@ impl Default for DbOptions {
 }
 
 /// How one admitted statement runs: its cancellation/memory context,
-/// whether the governor degraded it to the cheaper execution path, and
+/// whether the governor degraded it (clamping its sort budget), and
 /// which session issued it (`None` = the default session).
 #[derive(Clone, Default)]
 struct RunMode {
@@ -152,6 +152,8 @@ pub struct Database {
     tables: Mutex<HashMap<String, Arc<Table>>>,
     knobs: Mutex<PlannerKnobs>,
     plan_cache: PlanCache,
+    /// Rows per batch of the execution engine (fixed at open).
+    batch_rows: usize,
     sort_budget: usize,
     parallelism: usize,
     histogram_buckets: usize,
@@ -239,11 +241,9 @@ impl Database {
             next_session: AtomicU64::new(1),
             single_owner: Mutex::new(None),
             tables: Mutex::new(HashMap::new()),
-            knobs: Mutex::new(PlannerKnobs {
-                profile_engine: opts.execution_engine,
-                ..PlannerKnobs::default()
-            }),
+            knobs: Mutex::new(PlannerKnobs::default()),
             plan_cache: PlanCache::new(opts.plan_cache_capacity),
+            batch_rows: opts.execution_engine.unwrap_or(BATCH_ROWS),
             sort_budget: opts.sort_budget.max(1),
             parallelism: opts.parallelism.max(1),
             histogram_buckets: opts.histogram_buckets,
@@ -318,45 +318,10 @@ impl Database {
         self.knobs.lock().use_stats = on;
     }
 
-    /// Force the execution engine for subsequent statements (`None`
-    /// hands control back to the profile knob / built-in default). The
-    /// strongest tier of the engine override order:
-    /// hint > profile knob > default.
-    pub fn force_execution_engine(&self, engine: Option<EngineKind>) {
-        self.knobs.lock().forced_engine = engine;
-    }
-
-    /// The engine that will execute the next statement, after resolving
-    /// the override order.
-    pub fn execution_engine(&self) -> EngineKind {
-        self.knobs.lock().resolve_engine().0
-    }
-
-    /// The engine decision recorded on planned queries: surfaces in
-    /// `EXPLAIN` output and `plan.selected` events.
-    fn engine_decision(&self) -> String {
-        let (engine, why) = self.knobs.lock().resolve_engine();
-        format!("engine: {engine} ({why})")
-    }
-
-    /// Push the engine decision, plus — when the plan contains a hash
-    /// equi-join — the join-kernel decision: which hash-table
-    /// implementation the resolved engine's join will use (the tuple
-    /// engine's row-at-a-time `HashMap`, or the vectorized engine's
-    /// columnar open-addressing table).
-    fn push_engine_decisions(&self, planned: &mut PlannedQuery) {
-        planned.decisions.push(self.engine_decision());
-        if plan_has_hash_join(&planned.plan) {
-            let kind = self.execution_engine();
-            planned
-                .decisions
-                .push(format!("join kernel: {}", kind.join_kernel()));
-        }
-    }
-
-    /// Attach a kernel event bus: each freshly planned query publishes a
-    /// `plan.selected` event describing why its plan was chosen, and the
-    /// governor publishes `governor.shed` / `governor.degraded` events.
+    /// Attach a kernel event bus: each freshly planned query that made a
+    /// choice (and each degraded run) publishes a `plan.selected` event
+    /// describing it, and the governor publishes `governor.shed` /
+    /// `governor.degraded` events.
     pub fn set_event_bus(&self, bus: EventBus) {
         self.governor.set_event_bus(bus.clone());
         *self.event_bus.lock() = Some(bus);
@@ -386,8 +351,8 @@ impl Database {
 
     /// Declare whether the default session's contract accepts degraded
     /// quality under overload: instead of shedding, the governor may
-    /// admit the query on the cheaper tuple engine with a reduced sort
-    /// budget.
+    /// admit the query with its sort budget clamped to the governor's
+    /// `degraded_sort_budget`.
     pub fn set_allow_degraded(&self, on: bool) {
         self.default_session
             .allow_degraded
@@ -480,9 +445,7 @@ impl Database {
             return Ok(Vec::new());
         };
         self.refresh_stale_stats(&select)?;
-        let mut planned = plan_select(&select, self)?;
-        self.push_engine_decisions(&mut planned);
-        let planned = Arc::new(planned);
+        let planned = Arc::new(plan_select(&select, self)?);
         self.plan_cache.insert(sql, self.plan_epoch(), planned.clone());
         self.note_plan_selected(sql, &planned.decisions);
         Ok(planned.columns.clone())
@@ -615,15 +578,7 @@ impl Database {
         }
         let k = self.knobs.lock();
         let forced = k.forced_join.map_or(0, |j| join_code(j) + 1);
-        // Only the runtime-mutable engine hint needs epoch bits; the
-        // profile engine is fixed at open.
-        let engine = match k.forced_engine {
-            None => 0u64,
-            Some(EngineKind::Tuple) => 1,
-            Some(EngineKind::Vectorized) => 2,
-        };
-        let knob_bits = (engine << 7)
-            | (forced << 5)
+        let knob_bits = (forced << 5)
             | (join_code(k.fallback_join) << 3)
             | ((k.join_reordering as u64) << 2)
             | ((k.index_selection as u64) << 1)
@@ -665,7 +620,7 @@ impl Database {
     /// Every statement passes the resource governor first: over the
     /// high-watermark the governor queues, sheds (typed `Overloaded`
     /// error), or — when the session contract allows degraded quality —
-    /// admits on the cheaper execution path. A statement cancelled
+    /// admits with a clamped sort budget. A statement cancelled
     /// mid-transaction (deadline or injected token) rolls the open
     /// transaction back, leaving the same invariants as a crash.
     pub fn execute(&self, sql: &str) -> Result<QueryResult> {
@@ -720,9 +675,7 @@ impl Database {
         let stmt = parse(sql)?;
         if let Statement::Select(select) = stmt {
             self.refresh_stale_stats(&select)?;
-            let mut planned = plan_select(&select, self)?;
-            self.push_engine_decisions(&mut planned);
-            let planned = Arc::new(planned);
+            let planned = Arc::new(plan_select(&select, self)?);
             // Re-read the epoch: a stale-stats refresh above bumps it.
             self.plan_cache.insert(sql, self.plan_epoch(), planned.clone());
             self.note_plan_selected(sql, &planned.decisions);
@@ -742,9 +695,19 @@ impl Database {
         if let Some(bus) = self.event_bus.lock().as_ref() {
             bus.publish(Event::Custom {
                 topic: "plan.selected".into(),
-                detail: format!("{sql} :: engine: tuple (degraded: overload)"),
+                detail: format!("{sql} :: {}", self.degraded_decision()),
             });
         }
+    }
+
+    /// The sort budget a degraded admission runs with.
+    fn degraded_sort_budget(&self) -> usize {
+        self.governor.config().degraded_sort_budget.max(1)
+    }
+
+    /// The decision line that announces a degraded admission.
+    fn degraded_decision(&self) -> String {
+        format!("degraded: overload (sort budget {})", self.degraded_sort_budget())
     }
 
     /// Execute a pre-parsed statement.
@@ -840,16 +803,7 @@ impl Database {
             Statement::Select(select) => {
                 let mut planned = plan_select(select, self)?;
                 if mode.degraded {
-                    planned
-                        .decisions
-                        .push("engine: tuple (degraded: overload)".to_string());
-                    if plan_has_hash_join(&planned.plan) {
-                        planned
-                            .decisions
-                            .push(format!("join kernel: {}", EngineKind::Tuple.join_kernel()));
-                    }
-                } else {
-                    self.push_engine_decisions(&mut planned);
+                    planned.decisions.push(self.degraded_decision());
                 }
                 (estimator.explain_annotated(&planned.plan), planned.decisions)
             }
@@ -893,38 +847,24 @@ impl Database {
 
     /// [`Database::run_select`] under one run mode.
     fn run_select_with(&self, select: &Select, mode: &RunMode) -> Result<QueryResult> {
-        let mut planned = plan_select(select, self)?;
-        self.push_engine_decisions(&mut planned);
-        self.run_planned_with(&planned, mode)
+        self.run_planned_with(&plan_select(select, self)?, mode)
     }
 
-    /// Run a planned query on whichever engine the knobs select. The
-    /// engine is resolved at run time, which is cache-consistent: the
-    /// only runtime-mutable input (the forced-engine hint) is folded
-    /// into the plan epoch. A degraded admission overrides both knobs
-    /// and profile: the tuple engine (lean, lazy, minimal footprint)
-    /// with the governor's reduced sort budget.
+    /// Run a planned query on the engine at the profile's batch size. A
+    /// degraded admission runs the same engine with its sort budget
+    /// clamped to the governor's `degraded_sort_budget`.
     fn run_planned_with(&self, planned: &PlannedQuery, mode: &RunMode) -> Result<QueryResult> {
-        let (kind, sort_budget) = if mode.degraded {
-            (
-                EngineKind::Tuple,
-                self.governor.config().degraded_sort_budget.max(1),
-            )
+        let sort_budget = if mode.degraded {
+            self.degraded_sort_budget()
         } else {
-            (self.execution_engine(), self.sort_budget)
+            self.sort_budget
         };
-        let rows = match kind {
-            EngineKind::Tuple => {
-                let engine = TupleEngine::with_context(mode.ctx.clone());
-                let stream = self.run_plan_budgeted(&engine, &planned.plan, sort_budget, mode)?;
-                engine.collect(stream)?
-            }
-            EngineKind::Vectorized => {
-                let engine = VectorEngine::with_context(mode.ctx.clone());
-                let stream = self.run_plan_budgeted(&engine, &planned.plan, sort_budget, mode)?;
-                engine.collect(stream)?
-            }
+        let engine = VectorEngine {
+            batch_rows: self.batch_rows,
+            ctx: mode.ctx.clone(),
         };
+        let stream = self.run_plan_budgeted(&engine, &planned.plan, sort_budget, mode)?;
+        let rows = engine.collect(stream)?;
         Ok(QueryResult {
             columns: planned.columns.clone(),
             rows,
@@ -1374,28 +1314,21 @@ impl Database {
         Ok(QueryResult::affected(staged.len()))
     }
 
-    /// Evaluate a physical plan into a tuple stream on the tuple
-    /// engine — the stable entry point for callers that want rows.
-    pub fn run_plan(&self, plan: &Plan) -> Result<TupleStream> {
-        self.run_plan_with(&TupleEngine::default(), plan)
-    }
-
-    /// Evaluate a physical plan on an explicit engine. Written once,
-    /// generically: the interpreter monomorphises per engine, so both
-    /// providers of the execution task share one plan walk.
-    pub fn run_plan_with<E: Engine>(&self, engine: &E, plan: &Plan) -> Result<E::Stream> {
+    /// Evaluate a physical plan on an explicit engine (its batch size
+    /// and context), outside any session or admission.
+    pub fn run_plan_with(&self, engine: &VectorEngine, plan: &Plan) -> Result<BatchStream> {
         self.run_plan_budgeted(engine, plan, self.sort_budget, &RunMode::default())
     }
 
     /// [`Database::run_plan_with`] with an explicit sort budget — the
     /// hook a degraded admission uses to shrink operator memory.
-    fn run_plan_budgeted<E: Engine>(
+    fn run_plan_budgeted(
         &self,
-        engine: &E,
+        engine: &VectorEngine,
         plan: &Plan,
         sort_budget: usize,
         mode: &RunMode,
-    ) -> Result<E::Stream> {
+    ) -> Result<BatchStream> {
         match plan {
             Plan::TableScan { table }
             | Plan::IndexScan { table, .. }
@@ -1417,8 +1350,8 @@ impl Database {
                         Plan::TableScan { .. } => return engine.seq_scan(t.heap()),
                         Plan::IndexScan { covering: true, key_columns, .. } => {
                             // The B-tree entries already carry the key
-                            // columns; the vectorized engine receives
-                            // them columnar.
+                            // columns; the engine receives them
+                            // columnar.
                             let probed = index_range(&t, plan)?;
                             let nrows = probed.len();
                             let mut columns: Vec<Vec<Datum>> =
@@ -1710,18 +1643,6 @@ fn datum_in_range(d: &Datum, lo: Option<&Datum>, hi: Option<&Datum>, hi_inclusiv
         }
     }
     true
-}
-
-/// Whether the plan contains a hash equi-join anywhere — the one plan
-/// shape whose per-engine kernel choice is surfaced in EXPLAIN.
-fn plan_has_hash_join(plan: &Plan) -> bool {
-    matches!(
-        plan,
-        Plan::EquiJoin {
-            algorithm: JoinAlgorithm::Hash,
-            ..
-        }
-    ) || plan.children().into_iter().any(plan_has_hash_join)
 }
 
 impl CatalogView for Database {

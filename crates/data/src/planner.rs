@@ -20,7 +20,6 @@
 use std::collections::BTreeSet;
 
 use sbdms_access::exec::aggregate::AggSpec;
-use sbdms_access::exec::engine::EngineKind;
 use sbdms_access::exec::expr::{BinOp, Expr};
 use sbdms_access::exec::join::{BuildSide, JoinAlgorithm};
 use sbdms_access::record::{Datum, Tuple};
@@ -54,13 +53,6 @@ pub struct PlannerKnobs {
     /// Consult ANALYZE statistics at all. Off reproduces the pre-stats
     /// syntactic planner.
     pub use_stats: bool,
-    /// Per-session execution-engine hint; overrides everything
-    /// (`forced > profile > built-in default`).
-    pub forced_engine: Option<EngineKind>,
-    /// The profile's engine choice from `DbOptions::execution_engine`
-    /// (full-fledged → vectorized, embedded → tuple); `None` falls
-    /// through to the built-in default.
-    pub profile_engine: Option<EngineKind>,
 }
 
 impl Default for PlannerKnobs {
@@ -71,22 +63,6 @@ impl Default for PlannerKnobs {
             join_reordering: true,
             index_selection: true,
             use_stats: true,
-            forced_engine: None,
-            profile_engine: None,
-        }
-    }
-}
-
-impl PlannerKnobs {
-    /// Resolve which engine executes statements under these knobs, and
-    /// why: `(engine, "forced" | "profile knob" | "default")`.
-    pub fn resolve_engine(&self) -> (EngineKind, &'static str) {
-        if let Some(engine) = self.forced_engine {
-            (engine, "forced")
-        } else if let Some(engine) = self.profile_engine {
-            (engine, "profile knob")
-        } else {
-            (EngineKind::default(), "default")
         }
     }
 }

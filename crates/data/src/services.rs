@@ -4,7 +4,6 @@
 
 use std::sync::Arc;
 
-use sbdms_access::exec::engine::EngineKind;
 use sbdms_kernel::contract::{Contract, Quality};
 use sbdms_kernel::error::Result;
 use sbdms_kernel::interface::{Interface, Operation, Param};
@@ -73,29 +72,17 @@ pub struct QueryService {
 }
 
 impl QueryService {
-    /// Wrap a database. The contract publishes which execution engine
-    /// the database resolved (flexibility by selection: the engine is a
-    /// quality property selectors can match on), with quality numbers
-    /// reflecting the trade — the vectorized engine trades a larger
-    /// working set for lower expected latency.
+    /// Wrap a database. The contract publishes the query task, the
+    /// profile's concurrency-control service, and the engine's quality.
     pub fn new(name: &str, db: Arc<Database>) -> QueryService {
-        let engine = db.execution_engine();
-        let quality = match engine {
-            EngineKind::Vectorized => Quality {
-                expected_latency_ns: 20_000,
-                footprint_bytes: 512 * 1024,
-                ..Quality::default()
-            },
-            EngineKind::Tuple => Quality {
-                expected_latency_ns: 50_000,
-                footprint_bytes: 256 * 1024,
-                ..Quality::default()
-            },
+        let quality = Quality {
+            expected_latency_ns: 20_000,
+            footprint_bytes: 512 * 1024,
+            ..Quality::default()
         };
         let contract = Contract::for_interface(query_interface())
             .describe("SQL over tables and views", "data")
             .capability("task:query")
-            .capability(&format!("engine:{engine}"))
             .capability(&format!("cc:{}", db.concurrency()))
             .depends_on(sbdms_storage::services::BUFFER_INTERFACE)
             .quality(quality);

@@ -6,7 +6,6 @@
 
 use std::time::Duration;
 
-use sbdms_access::exec::engine::EngineKind;
 use sbdms_access::record::Datum;
 use sbdms_data::executor::{Database, DbOptions};
 use sbdms_kernel::error::ServiceError;
@@ -55,25 +54,39 @@ fn tiny_governor(queue_depth: usize) -> GovernorConfig {
     }
 }
 
+/// A database opened at `batch_rows` rows per batch.
+fn db_batch(name: &str, batch_rows: usize) -> std::sync::Arc<Database> {
+    db_opts(
+        &format!("{name}-{batch_rows}"),
+        DbOptions {
+            execution_engine: Some(batch_rows),
+            ..DbOptions::default()
+        },
+    )
+}
+
+/// The two ends of the engine's batch-size range: row at a time, and
+/// the default full batch.
+const BATCH_ENDS: [usize; 2] = [1, 1024];
+
 #[test]
 fn deadline_expired_query_aborts_midscan_on_both_engines() {
-    let db = db("deadline-engines");
-    seed(&db, 800);
-    for kind in [EngineKind::Tuple, EngineKind::Vectorized] {
-        db.force_execution_engine(Some(kind));
+    for batch in BATCH_ENDS {
+        let db = db_batch("deadline-engines", batch);
+        seed(&db, 800);
         // An already-expired deadline: the first cooperative check (one
         // page into the scan) aborts the statement.
         db.set_statement_deadline_ms(Some(0));
         std::thread::sleep(Duration::from_millis(2));
         let err = db.execute("SELECT * FROM t").unwrap_err();
-        assert_eq!(err.code(), "cancelled", "{kind}: {err}");
-        assert!(err.to_string().contains("deadline"), "{kind}: {err}");
+        assert_eq!(err.code(), "cancelled", "batch {batch}: {err}");
+        assert!(err.to_string().contains("deadline"), "batch {batch}: {err}");
         assert!(!err.is_recoverable(), "cancellation must not invite retry");
         // The session survives: clearing the deadline, the same
         // statement runs to completion.
         db.set_statement_deadline_ms(None);
         let rows = db.execute("SELECT * FROM t").unwrap().rows;
-        assert_eq!(rows.len(), 800, "{kind}");
+        assert_eq!(rows.len(), 800, "batch {batch}");
     }
 }
 
@@ -148,14 +161,17 @@ fn overload_sheds_with_typed_error_and_session_survives() {
 }
 
 #[test]
-fn degraded_admission_uses_tuple_engine_and_announces_itself() {
+fn degraded_admission_clamps_sort_budget_and_announces_itself() {
     let db = db_opts(
         "degraded",
         DbOptions {
-            execution_engine: Some(EngineKind::Vectorized),
             governor: tiny_governor(2),
             ..DbOptions::default()
         },
+    );
+    let decision = format!(
+        "degraded: overload (sort budget {})",
+        db.governor().config().degraded_sort_budget
     );
     seed(&db, 50);
     let bus = EventBus::new();
@@ -168,9 +184,7 @@ fn degraded_admission_uses_tuple_engine_and_announces_itself() {
     let explain = db.execute("EXPLAIN SELECT grp FROM t ORDER BY grp").unwrap();
     let plan_text: Vec<String> = explain.rows.iter().map(|r| r[0].to_string()).collect();
     assert!(
-        plan_text
-            .iter()
-            .any(|l| l.contains("engine: tuple (degraded: overload)")),
+        plan_text.iter().any(|l| l == &format!("-- {decision}")),
         "EXPLAIN must show the degradation decision: {plan_text:?}"
     );
     let rows = db
@@ -185,12 +199,12 @@ fn degraded_admission_uses_tuple_engine_and_announces_itself() {
     assert_eq!(snap.shed, 0);
 
     // The degradation surfaced on the event bus too: a plan.selected
-    // event names the cheaper engine, and governor.degraded fired.
+    // event names the clamped budget, and governor.degraded fired.
     let mut saw_plan = false;
     let mut saw_governor = false;
     while let Ok(ev) = events.try_recv() {
         if let Event::Custom { topic, detail } = ev {
-            if topic == "plan.selected" && detail.contains("engine: tuple (degraded: overload)") {
+            if topic == "plan.selected" && detail.ends_with(&decision) {
                 saw_plan = true;
             }
             if topic == "governor.degraded" {
@@ -198,16 +212,16 @@ fn degraded_admission_uses_tuple_engine_and_announces_itself() {
             }
         }
     }
-    assert!(saw_plan, "plan.selected must announce the degraded engine");
+    assert!(saw_plan, "plan.selected must announce the degraded run");
     assert!(saw_governor, "governor.degraded event must fire");
 
-    // Off the overload, the profile engine is back in charge.
+    // Off the overload, statements run undegraded again.
     db.set_allow_degraded(false);
     let explain = db.execute("EXPLAIN SELECT grp FROM t").unwrap();
-    assert!(explain
+    assert!(!explain
         .rows
         .iter()
-        .any(|r| r[0].to_string().contains("engine: vectorized")));
+        .any(|r| r[0].to_string().contains("degraded")));
 }
 
 #[test]
@@ -231,30 +245,32 @@ fn statement_memory_limit_fails_recoverably_and_clears() {
 
 #[test]
 fn memory_limited_hash_join_fails_recoverably_on_both_engines() {
-    let db = db("memlimit-join");
-    seed(&db, 400);
-    db.execute("CREATE TABLE g (grp INT NOT NULL, name TEXT NOT NULL)")
-        .unwrap();
-    let vals: Vec<String> = (0..7).map(|g| format!("({g}, 'g{g}')")).collect();
-    db.execute(&format!("INSERT INTO g VALUES {}", vals.join(", ")))
-        .unwrap();
     let join = "SELECT t.id, g.name FROM t JOIN g ON t.grp = g.grp";
-    for kind in [EngineKind::Tuple, EngineKind::Vectorized] {
-        db.force_execution_engine(Some(kind));
-        // The build side cannot fit in 64 bytes: both engines charge
-        // the hash build identically (valid-key rows only), so both
-        // fail with the typed, recoverable resource error.
+    for batch in BATCH_ENDS {
+        let db = db_batch("memlimit-join", batch);
+        seed(&db, 400);
+        db.execute("CREATE TABLE g (grp INT NOT NULL, name TEXT NOT NULL)")
+            .unwrap();
+        let vals: Vec<String> = (0..7).map(|g| format!("({g}, 'g{g}')")).collect();
+        db.execute(&format!("INSERT INTO g VALUES {}", vals.join(", ")))
+            .unwrap();
+        // The build side cannot fit in 64 bytes: the hash build is
+        // charged the same at every batch size (valid-key rows only),
+        // so both fail with the typed, recoverable resource error.
         db.set_statement_memory_limit(Some(64));
         let err = db.execute(join).unwrap_err();
-        assert_eq!(err.code(), "resources", "{kind}: {err}");
-        assert!(err.is_recoverable(), "{kind}: memory limits invite retry");
+        assert_eq!(err.code(), "resources", "batch {batch}: {err}");
+        assert!(
+            err.is_recoverable(),
+            "batch {batch}: memory limits invite retry"
+        );
         // Clearing the limit, the same session joins normally.
         db.set_statement_memory_limit(None);
         let rows = db.execute(join).unwrap().rows;
-        assert_eq!(rows.len(), 400, "{kind}");
+        assert_eq!(rows.len(), 400, "batch {batch}");
+        let snap = db.governor().snapshot();
+        assert_eq!(snap.mem_used, 0, "batch {batch}: join memory released");
     }
-    let snap = db.governor().snapshot();
-    assert_eq!(snap.mem_used, 0, "join memory released on both paths");
 }
 
 #[test]

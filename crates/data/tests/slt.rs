@@ -41,7 +41,6 @@ use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Arc;
 
-use sbdms_access::exec::engine::EngineKind;
 use sbdms_data::executor::{Database, DbOptions};
 use sbdms_data::txn::Durability;
 use sbdms_data::Session;
@@ -319,17 +318,10 @@ fn run_script(path: &Path) {
     let directives = parse_script(&text, path);
     let concurrency = script_concurrency(&directives);
     let sim: Arc<SimBackend> = SimBackend::new(SimConfig::seeded(script_seed(path)));
-    // CI runs the suite once per engine: `SBDMS_ENGINE=tuple` (or
-    // `vectorized`) forces the executor, overriding the default.
-    let forced_engine = std::env::var("SBDMS_ENGINE").ok().map(|v| {
-        EngineKind::parse(&v)
-            .unwrap_or_else(|| panic!("SBDMS_ENGINE=`{v}` is not `tuple` or `vectorized`"))
-    });
     let open = |sim: &SimBackend| {
         let db = Database::open_at(sim, DbOptions { concurrency, ..DbOptions::default() })
             .unwrap_or_else(|e| panic!("{}: open failed: {e}", path.display()));
         db.set_durability(Durability::Full);
-        db.force_execution_engine(forced_engine);
         db
     };
     if uses_sessions(&directives) {
@@ -397,21 +389,7 @@ fn run_script(path: &Path) {
                     .execute(&sql)
                     .unwrap_or_else(|e| panic!("{ctx}: query failed: {e}"));
                 let mut rows = format_rows(&result);
-                // Golden EXPLAIN output is written for the default
-                // engine; a forced engine changes the decision lines
-                // (and with them the hash-join kernel choice).
-                let mut expected: Vec<String> = expected
-                    .into_iter()
-                    .map(|l| match forced_engine {
-                        Some(kind) if l.starts_with("-- engine:") => {
-                            format!("-- engine: {kind} (forced)")
-                        }
-                        Some(kind) if l.starts_with("-- join kernel:") => {
-                            format!("-- join kernel: {}", kind.join_kernel())
-                        }
-                        _ => l,
-                    })
-                    .collect();
+                let mut expected = expected;
                 if rowsort {
                     rows.sort();
                     expected.sort();

@@ -441,7 +441,7 @@ pub enum AdmissionKind {
     /// Below the watermark: full-quality plan.
     Normal,
     /// Over the watermark but the session's contract allows degraded
-    /// quality: admitted immediately with the cheaper plan.
+    /// quality: admitted immediately with a clamped sort budget.
     Degraded,
 }
 
