@@ -20,9 +20,9 @@ use super::expr::Expr;
 use super::join::{merge_join_rows, BuildSide};
 use super::vhash;
 use super::ExecContext;
-use crate::heap::HeapFile;
-use crate::record::{decode_tuple, Datum, Tuple};
+use crate::record::{Datum, Tuple};
 use crate::sort::{ExternalSorter, SortKey};
+use sbdms_storage::page::PageId;
 
 /// Default batch capacity: large enough to amortise per-batch overhead,
 /// small enough that a batch of wide tuples stays cache-resident.
@@ -339,39 +339,137 @@ pub fn columnar_batches(columns: Vec<Vec<Datum>>, rows: usize, batch_rows: usize
     }))
 }
 
-/// Sequential scan of a heap file into batches. Streams page-at-a-time:
-/// memory is bounded by one batch plus one page of decoded rows, and
-/// every page boundary is one cooperative cancellation point.
-pub fn scan_batches(heap: &HeapFile, batch_rows: usize, ctx: ExecContext) -> Result<BatchStream> {
-    let buffer = heap.buffer().clone();
-    let mut pages = heap.data_pages()?.into_iter();
-    let mut pending: Vec<Tuple> = Vec::new();
-    Ok(Box::new(std::iter::from_fn(move || {
-        while pending.len() < batch_rows {
-            let Some(page) = pages.next() else { break };
-            if let Err(e) = ctx.check() {
+/// Where a heap scan's rows come from, one data page at a time. The
+/// scan owns the page order and the batching; the source decides which
+/// rows of a page a reader sees (the data layer's table read: the
+/// committed heap, or a snapshot resolved page by page) and decodes
+/// them with [`HeapFile::walk_page`](crate::heap::HeapFile::walk_page) and
+/// [`decode_tuple_into`](crate::record::decode_tuple_into).
+pub trait PageSource: Send + 'static {
+    /// Append the rows `page` contributes, field `i` to `columns[i]`,
+    /// and return how many.
+    fn page(&mut self, page: PageId, columns: &mut [Vec<Datum>]) -> Result<usize>;
+
+    /// Append the rows that follow the last page and return how many.
+    fn tail(&mut self, _columns: &mut [Vec<Datum>]) -> Result<usize> {
+        Ok(0)
+    }
+}
+
+/// Sequential scan of `pages` into batches of `width` columns. Records
+/// decode from the page frame straight into column vectors (no tuple per
+/// row, no transpose); every batch but the last holds exactly
+/// `batch_rows` rows. Memory is bounded by one batch plus one page, and
+/// every page boundary is one cooperative cancellation point. The
+/// source is dropped as soon as it has no more rows (or fails), which
+/// releases whatever it holds before the last batches drain.
+pub fn scan_batches(
+    pages: Vec<PageId>,
+    width: usize,
+    source: impl PageSource,
+    batch_rows: usize,
+    ctx: ExecContext,
+) -> BatchStream {
+    Box::new(HeapScan {
+        pages: pages.into_iter(),
+        source: Some(source),
+        pending: vec![Vec::new(); width],
+        rows: 0,
+        head: 0,
+        batch_rows: batch_rows.max(1),
+        ctx,
+    })
+}
+
+/// The state of one [`scan_batches`] stream.
+struct HeapScan<S> {
+    pages: std::vec::IntoIter<PageId>,
+    /// `None` once the last page and the tail are read.
+    source: Option<S>,
+    /// Decoded rows not yet emitted start at `head`; `rows` is the
+    /// physical length of every pending column.
+    pending: Vec<Vec<Datum>>,
+    rows: usize,
+    head: usize,
+    batch_rows: usize,
+    ctx: ExecContext,
+}
+
+impl<S: PageSource> HeapScan<S> {
+    /// Read the next page (or, past the last, the tail) into `pending`,
+    /// first dropping the rows already emitted so `pending` never holds
+    /// more than one batch plus one page.
+    fn fill(&mut self) -> Result<()> {
+        let Some(source) = self.source.as_mut() else {
+            return Ok(());
+        };
+        if self.head > 0 {
+            for col in &mut self.pending {
+                col.drain(..self.head);
+            }
+            self.rows -= self.head;
+            self.head = 0;
+        }
+        let read = match self.pages.next() {
+            Some(page) => self
+                .ctx
+                .check()
+                .and_then(|()| source.page(page, &mut self.pending)),
+            None => {
+                let tail = source.tail(&mut self.pending);
+                self.source = None;
+                tail
+            }
+        };
+        match read {
+            Ok(n) => {
+                self.rows += n;
+                Ok(())
+            }
+            Err(e) => {
+                self.source = None;
+                self.pending.iter_mut().for_each(Vec::clear);
+                (self.rows, self.head) = (0, 0);
+                Err(e)
+            }
+        }
+    }
+
+    /// Move the next `n` pending rows out into a batch.
+    fn cut(&mut self, n: usize) -> Batch {
+        let columns = if self.head == 0 && n == self.rows {
+            // Everything pending: hand the vectors over whole.
+            self.rows = 0;
+            self.pending.iter_mut().map(std::mem::take).collect()
+        } else {
+            let window = self.head..self.head + n;
+            self.head += n;
+            self.pending
+                .iter_mut()
+                .map(|col| {
+                    col[window.clone()]
+                        .iter_mut()
+                        .map(|d| std::mem::replace(d, Datum::Null))
+                        .collect()
+                })
+                .collect()
+        };
+        Batch::from_columns(columns, n)
+    }
+}
+
+impl<S: PageSource> Iterator for HeapScan<S> {
+    type Item = Result<Batch>;
+
+    fn next(&mut self) -> Option<Result<Batch>> {
+        while self.rows - self.head < self.batch_rows && self.source.is_some() {
+            if let Err(e) = self.fill() {
                 return Some(Err(e));
             }
-            match HeapFile::page_records(&buffer, page) {
-                Ok(records) => {
-                    for (_, bytes) in records {
-                        match decode_tuple(&bytes) {
-                            Ok(tuple) => pending.push(tuple),
-                            Err(e) => return Some(Err(e)),
-                        }
-                    }
-                }
-                Err(e) => return Some(Err(e)),
-            }
         }
-        if pending.is_empty() {
-            return None;
-        }
-        let take = pending.len().min(batch_rows);
-        let rest = pending.split_off(take);
-        let rows = std::mem::replace(&mut pending, rest);
-        Some(Ok(Batch::from_rows(rows)))
-    })))
+        let n = (self.rows - self.head).min(self.batch_rows);
+        (n > 0).then(|| Ok(self.cut(n)))
+    }
 }
 
 /// Keep rows for which `predicate` evaluates to TRUE (NULL drops).
@@ -921,6 +1019,116 @@ mod tests {
 
     fn collect(s: BatchStream) -> Vec<Tuple> {
         collect_rows(s).unwrap()
+    }
+
+    #[test]
+    fn scan_cuts_exact_batches_across_uneven_pages() {
+        /// Page `p` holds `sizes[p]` rows numbered on from the last.
+        struct Counted {
+            sizes: Vec<usize>,
+            next: i64,
+        }
+        impl PageSource for Counted {
+            fn page(&mut self, page: PageId, columns: &mut [Vec<Datum>]) -> Result<usize> {
+                let n = self.sizes[page as usize];
+                for _ in 0..n {
+                    columns[0].push(Datum::Int(self.next));
+                    self.next += 1;
+                }
+                Ok(n)
+            }
+            fn tail(&mut self, columns: &mut [Vec<Datum>]) -> Result<usize> {
+                columns[0].push(Datum::Int(-1));
+                Ok(1)
+            }
+        }
+        let sizes = vec![1, 3, 2, 0, 5, 1, 1, 4];
+        let total: usize = sizes.iter().sum();
+        let mut want: Vec<Tuple> = (0..total as i64).map(|i| vec![Datum::Int(i)]).collect();
+        want.push(vec![Datum::Int(-1)]);
+        for batch_rows in 1..=total + 2 {
+            let source = Counted { sizes: sizes.clone(), next: 0 };
+            let pages = (0..sizes.len() as PageId).collect();
+            let batches: Vec<Batch> =
+                scan_batches(pages, 1, source, batch_rows, ExecContext::default())
+                    .collect::<Result<_>>()
+                    .unwrap();
+            let (last, full) = batches.split_last().unwrap();
+            assert!(full.iter().all(|b| b.rows() == batch_rows), "batch {batch_rows}");
+            assert!(last.rows() <= batch_rows);
+            let got: Vec<Tuple> = batches.into_iter().flat_map(Batch::into_rows).collect();
+            assert_eq!(got, want, "batch {batch_rows}");
+        }
+    }
+
+    #[test]
+    fn heap_scan_cuts_exact_batches_in_storage_order() {
+        use crate::heap::HeapFile;
+        use crate::record::{decode_tuple, decode_tuple_into, encode_tuple};
+        use sbdms_storage::buffer::BufferPool;
+        use sbdms_storage::replacement::PolicyKind;
+        use sbdms_storage::services::StorageEngine;
+        use std::sync::Arc;
+
+        /// Every live record of each page, as the heap holds it.
+        struct HeapPages(Arc<BufferPool>);
+        impl PageSource for HeapPages {
+            fn page(&mut self, page: PageId, columns: &mut [Vec<Datum>]) -> Result<usize> {
+                let mut rows = 0;
+                HeapFile::walk_page(&self.0, page, |_, record| {
+                    rows += 1;
+                    decode_tuple_into(record, columns, None)
+                })?;
+                Ok(rows)
+            }
+        }
+
+        let dir = std::env::temp_dir()
+            .join("sbdms-batch-tests")
+            .join(format!("scan-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let engine = StorageEngine::open(&dir, 8, PolicyKind::Lru).unwrap();
+        let heap = HeapFile::create(engine.buffer.clone()).unwrap();
+        let mut rids = Vec::new();
+        for i in 0..300i64 {
+            // Every 50th row spills to an overflow chain.
+            let pad = if i % 50 == 7 { 9000 } else { 40 };
+            let row = vec![Datum::Int(i), Datum::Str("p".repeat(pad))];
+            rids.push(heap.insert(&encode_tuple(&row)).unwrap());
+        }
+        for rid in rids.iter().step_by(9) {
+            heap.delete(*rid).unwrap();
+        }
+        let want: Vec<Tuple> = heap
+            .scan()
+            .unwrap()
+            .into_iter()
+            .map(|(_, bytes)| decode_tuple(&bytes).unwrap())
+            .collect();
+        assert!(heap.data_pages().unwrap().len() > 3);
+        let pages = heap.data_pages().unwrap();
+        for batch_rows in [1usize, 7, 64, 1024] {
+            let mut scan = HeapScan {
+                pages: pages.clone().into_iter(),
+                source: Some(HeapPages(engine.buffer.clone())),
+                pending: vec![Vec::new(); 2],
+                rows: 0,
+                head: 0,
+                batch_rows,
+                ctx: ExecContext::default(),
+            };
+            let mut batches = Vec::new();
+            while let Some(batch) = scan.next() {
+                batches.push(batch.unwrap());
+                // Memory stays bounded by one batch plus one page.
+                assert!(scan.rows <= batch_rows + 100, "batch {batch_rows}: {}", scan.rows);
+            }
+            let (last, full) = batches.split_last().unwrap();
+            assert!(full.iter().all(|b| b.rows() == batch_rows), "batch {batch_rows}");
+            assert!(last.rows() >= 1 && last.rows() <= batch_rows);
+            let got: Vec<Tuple> = batches.into_iter().flat_map(Batch::into_rows).collect();
+            assert_eq!(got, want, "batch {batch_rows}");
+        }
     }
 
     #[test]

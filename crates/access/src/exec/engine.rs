@@ -13,13 +13,13 @@
 use sbdms_kernel::error::Result;
 
 use super::aggregate::AggSpec;
-use super::batch::{self, BatchStream, BATCH_ROWS};
+use super::batch::{self, BatchStream, PageSource, BATCH_ROWS};
 use super::expr::Expr;
 use super::join::{BuildSide, JoinAlgorithm};
 use super::ExecContext;
-use crate::heap::HeapFile;
 use crate::record::{Datum, Tuple};
 use crate::sort::SortKey;
+use sbdms_storage::page::PageId;
 
 /// The vectorized engine: columnar batches of at most `batch_rows` rows.
 #[derive(Debug, Clone)]
@@ -56,9 +56,11 @@ impl VectorEngine {
         self.batch_rows.max(1)
     }
 
-    /// Sequential scan of a heap file (page-at-a-time, memory bounded).
-    pub fn seq_scan(&self, heap: &HeapFile) -> Result<BatchStream> {
-        batch::scan_batches(heap, self.rows(), self.ctx.clone())
+    /// Sequential scan of heap `pages` decoded straight into `width`
+    /// columns (page-at-a-time, memory bounded); `source` decides which
+    /// rows each page contributes.
+    pub fn scan(&self, pages: Vec<PageId>, width: usize, source: impl PageSource) -> BatchStream {
+        batch::scan_batches(pages, width, source, self.rows(), self.ctx.clone())
     }
 
     /// Stream of pre-materialised tuples (index scans, VALUES, tests).

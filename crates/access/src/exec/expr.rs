@@ -202,6 +202,21 @@ impl Expr {
         }
     }
 
+    /// Add every column index the expression reads to `out`.
+    pub fn columns_into(&self, out: &mut std::collections::BTreeSet<usize>) {
+        match self {
+            Expr::Col(i) => {
+                out.insert(*i);
+            }
+            Expr::Lit(_) => {}
+            Expr::Unary(_, e) => e.columns_into(out),
+            Expr::Binary(_, l, r) => {
+                l.columns_into(out);
+                r.columns_into(out);
+            }
+        }
+    }
+
     /// Greatest column index referenced, if any; used by planners to
     /// validate expressions against schemas.
     pub fn max_column(&self) -> Option<usize> {

@@ -11,7 +11,6 @@
 //! byte prefix (`TAG_INLINE`/`TAG_OVERFLOW`) is internal — callers always
 //! see their original bytes.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -45,11 +44,6 @@ impl Rid {
         Rid { page, slot }
     }
 }
-
-/// Decoded rows tagged with the morsel index they came from, so a
-/// parallel scan can reassemble storage order after out-of-order
-/// completion.
-type MorselRows = Vec<(usize, Vec<(Rid, Vec<u8>)>)>;
 
 /// An unordered collection of variable-length records.
 pub struct HeapFile {
@@ -243,81 +237,56 @@ impl HeapFile {
         Ok(self.len()? == 0)
     }
 
-    /// All live records of one data page, decoded, in slot order. The
-    /// building block for page-at-a-time scans: streaming callers hold at
-    /// most one page of records in memory. An associated function (not a
-    /// method) so `'static` iterators can capture only the `Arc`'d buffer
+    /// Visit the live records of one data page in slot order, each
+    /// passed to `visit` as the caller's original bytes. Inline records
+    /// are borrowed straight from the page frame, inside the page
+    /// access, so a caller that decodes them copies nothing. An overflow
+    /// record ends the access: its chain is reassembled outside it
+    /// (chains must not nest inside a page access), visited, and the
+    /// walk resumes at the next slot. An associated function (not a
+    /// method) so `'static` scans can capture only the `Arc`'d buffer
     /// pool and a page list, not a heap handle.
-    pub fn page_records(buffer: &Arc<BufferPool>, page: PageId) -> Result<Vec<(Rid, Vec<u8>)>> {
-        // Collect stored forms first: decoding may follow overflow
-        // chains, which must not nest inside the page access.
-        let mut raw = Vec::new();
-        buffer.with_page(page, |p| {
-            for (slot, record) in p.iter() {
-                raw.push((Rid::new(page, slot), record.to_vec()));
-            }
-        })?;
-        raw.into_iter()
-            .map(|(rid, stored)| Ok((rid, Self::decode_stored(buffer, &stored)?)))
-            .collect()
+    pub fn walk_page(
+        buffer: &Arc<BufferPool>,
+        page: PageId,
+        mut visit: impl FnMut(Rid, &[u8]) -> Result<()>,
+    ) -> Result<()> {
+        let mut from: SlotId = 0;
+        loop {
+            let spilled = buffer.with_page(page, |p| -> Result<Option<(SlotId, Vec<u8>)>> {
+                for (slot, stored) in p.iter().filter(|(slot, _)| *slot >= from) {
+                    match stored.split_first() {
+                        Some((&TAG_INLINE, record)) => visit(Rid::new(page, slot), record)?,
+                        _ => return Ok(Some((slot, stored.to_vec()))),
+                    }
+                }
+                Ok(None)
+            })??;
+            let Some((slot, stored)) = spilled else {
+                return Ok(());
+            };
+            visit(Rid::new(page, slot), &Self::decode_stored(buffer, &stored)?)?;
+            from = slot + 1;
+        }
     }
 
-    /// Materialised scan of all live records in storage order.
+    /// [`HeapFile::walk_page`] over every data page, in storage order.
+    pub fn walk(&self, mut visit: impl FnMut(Rid, &[u8]) -> Result<()>) -> Result<()> {
+        for page in self.data_pages()? {
+            Self::walk_page(&self.buffer, page, &mut visit)?;
+        }
+        Ok(())
+    }
+
+    /// Materialised scan of all live records in storage order (one copy
+    /// of each record).
     pub fn scan(&self) -> Result<Vec<(Rid, Vec<u8>)>> {
         let mut out = Vec::new();
-        for page in self.data_pages()? {
-            out.extend(Self::page_records(&self.buffer, page)?);
-        }
-        Ok(out)
-    }
-
-    /// Morsel-driven parallel scan: `workers` threads pull fixed-size
-    /// runs of pages ("morsels") off a shared counter, read and decode
-    /// them concurrently, and the results are reassembled in storage
-    /// order — the output is identical to [`HeapFile::scan`]. Small files
-    /// and `workers <= 1` fall back to the serial scan.
-    pub fn scan_parallel(&self, workers: usize) -> Result<Vec<(Rid, Vec<u8>)>> {
-        /// Pages per morsel: large enough to amortise the shared counter,
-        /// small enough to balance uneven page fill.
-        const MORSEL_PAGES: usize = 8;
-        let pages = self.data_pages()?;
-        if workers <= 1 || pages.len() <= MORSEL_PAGES {
-            return self.scan();
-        }
-        let morsels: Vec<&[PageId]> = pages.chunks(MORSEL_PAGES).collect();
-        let workers = workers.min(morsels.len());
-        let next = AtomicUsize::new(0);
-
-        let mut collected: MorselRows = Vec::with_capacity(morsels.len());
-        std::thread::scope(|scope| -> Result<()> {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| -> Result<MorselRows> {
-                        let mut local: MorselRows = Vec::new();
-                        loop {
-                            let m = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(&morsel) = morsels.get(m) else {
-                                return Ok(local);
-                            };
-                            let mut out = Vec::new();
-                            for &page in morsel {
-                                out.extend(Self::page_records(&self.buffer, page)?);
-                            }
-                            local.push((m, out));
-                        }
-                    })
-                })
-                .collect();
-            for handle in handles {
-                let local = handle
-                    .join()
-                    .map_err(|_| ServiceError::Internal("scan worker panicked".into()))??;
-                collected.extend(local);
-            }
+        self.walk(|rid, record| {
+            out.push((rid, record.to_vec()));
             Ok(())
         })?;
-        collected.sort_unstable_by_key(|(m, _)| *m);
-        Ok(collected.into_iter().flat_map(|(_, v)| v).collect())
+        Ok(out)
     }
 
     /// All data page ids in directory order.
@@ -476,23 +445,33 @@ mod tests {
     }
 
     #[test]
-    fn parallel_scan_matches_serial_scan() {
-        let h = heap("pscan", 32);
-        for i in 0..800 {
-            h.insert(format!("row-{i:04}-{}", "z".repeat(40)).as_bytes()).unwrap();
-        }
-        // An overflow record must reassemble identically in both paths.
+    fn walk_visits_slots_in_order_around_overflow_records() {
+        let h = heap("walk", 16);
         let big: Vec<u8> = (0..9000).map(|i| (i % 249) as u8).collect();
-        h.insert(&big).unwrap();
-
-        let serial = h.scan().unwrap();
-        for workers in [2usize, 4, 8] {
-            let parallel = h.scan_parallel(workers).unwrap();
-            assert_eq!(serial, parallel, "workers={workers}");
+        let mut want = Vec::new();
+        for i in 0..40u32 {
+            let record = if i % 13 == 5 {
+                big.clone()
+            } else {
+                format!("row-{i}").into_bytes()
+            };
+            want.push((h.insert(&record).unwrap(), record));
         }
-        // Degenerate worker counts fall back to the serial path.
-        assert_eq!(h.scan_parallel(0).unwrap(), serial);
-        assert_eq!(h.scan_parallel(1).unwrap(), serial);
+        // Deleted slots are skipped, inline and overflow alike.
+        for i in [0usize, 5, 17, 39] {
+            h.delete(want[i].0).unwrap();
+        }
+        for i in [39usize, 17, 5, 0] {
+            want.remove(i);
+        }
+        let mut walked = Vec::new();
+        h.walk(|rid, record| {
+            walked.push((rid, record.to_vec()));
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(walked, want);
+        assert_eq!(h.scan().unwrap(), want);
     }
 
     #[test]

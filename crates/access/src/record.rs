@@ -141,6 +141,28 @@ impl Datum {
         }
     }
 
+    /// Step over one encoded datum at `data[*pos..]` without building
+    /// it (no allocation, no UTF-8 check), advancing `pos`.
+    fn skip_from(data: &[u8], pos: &mut usize) -> Result<()> {
+        let corrupt = || ServiceError::Storage("corrupt record encoding".into());
+        let len = match *data.get(*pos).ok_or_else(corrupt)? {
+            0 => 0,
+            1 => 1,
+            2 | 3 => 8,
+            4 => {
+                let len_bytes = data.get(*pos + 1..*pos + 5).ok_or_else(corrupt)?;
+                4 + u32::from_le_bytes(len_bytes.try_into().unwrap()) as usize
+            }
+            _ => return Err(corrupt()),
+        };
+        let end = *pos + 1 + len;
+        if end > data.len() {
+            return Err(corrupt());
+        }
+        *pos = end;
+        Ok(())
+    }
+
     /// Decode a single datum occupying the whole buffer.
     pub fn decode(data: &[u8]) -> Result<Datum> {
         let mut pos = 0;
@@ -223,6 +245,42 @@ pub fn decode_tuple(data: &[u8]) -> Result<Tuple> {
     Ok(tuple)
 }
 
+/// Decode a tuple produced by [`encode_tuple`] straight into column
+/// vectors: field `i` is appended to `columns[i]`, with no intermediate
+/// [`Tuple`]. A field `keep` marks false is stepped over without being
+/// built and appended as NULL, for callers that never read it. The
+/// tuple must have exactly `columns.len()` fields; on an error the
+/// columns may hold a partial row.
+pub fn decode_tuple_into(
+    data: &[u8],
+    columns: &mut [Vec<Datum>],
+    keep: Option<&[bool]>,
+) -> Result<()> {
+    if data.len() < 2 {
+        return Err(ServiceError::Storage("corrupt tuple encoding".into()));
+    }
+    let n = u16::from_le_bytes(data[0..2].try_into().unwrap()) as usize;
+    if n != columns.len() {
+        return Err(ServiceError::Storage(format!(
+            "tuple has {n} fields, expected {}",
+            columns.len()
+        )));
+    }
+    let mut pos = 2;
+    for (i, column) in columns.iter_mut().enumerate() {
+        if keep.is_none_or(|keep| keep[i]) {
+            column.push(Datum::decode_from(data, &mut pos)?);
+        } else {
+            Datum::skip_from(data, &mut pos)?;
+            column.push(Datum::Null);
+        }
+    }
+    if pos != data.len() {
+        return Err(ServiceError::Storage("trailing bytes after tuple".into()));
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -255,6 +313,35 @@ mod tests {
         ];
         assert_eq!(decode_tuple(&encode_tuple(&t)).unwrap(), t);
         assert_eq!(decode_tuple(&encode_tuple(&[])).unwrap(), Vec::<Datum>::new());
+    }
+
+    #[test]
+    fn decode_into_columns_matches_decode_tuple() {
+        let rows = [
+            vec![Datum::Int(1), Datum::Str("a".into()), Datum::Null],
+            vec![Datum::Int(2), Datum::Str(String::new()), Datum::Float(0.5)],
+        ];
+        let mut columns = vec![Vec::new(); 3];
+        for row in &rows {
+            decode_tuple_into(&encode_tuple(row), &mut columns, None).unwrap();
+        }
+        for (i, row) in rows.iter().enumerate() {
+            let got: Tuple = columns.iter().map(|c| c[i].clone()).collect();
+            assert_eq!(&got, row);
+        }
+        // Skipped fields come back NULL; the kept ones still decode.
+        let mut pruned = vec![Vec::new(); 3];
+        for row in &rows {
+            decode_tuple_into(&encode_tuple(row), &mut pruned, Some(&[false, true, false]))
+                .unwrap();
+        }
+        assert_eq!(pruned[0], vec![Datum::Null, Datum::Null]);
+        assert_eq!(pruned[1], columns[1]);
+        assert_eq!(pruned[2], vec![Datum::Null, Datum::Null]);
+        // A field-count mismatch is corruption, not a short row.
+        assert!(decode_tuple_into(&encode_tuple(&rows[0][..2]), &mut columns, None).is_err());
+        let truncated = &encode_tuple(&rows[0])[..8];
+        assert!(decode_tuple_into(truncated, &mut pruned, Some(&[false, false, false])).is_err());
     }
 
     #[test]

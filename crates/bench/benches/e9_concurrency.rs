@@ -4,8 +4,7 @@
 //! * point reads — does cached-read throughput scale with threads when
 //!   the buffer pool is sharded, and stay flat under a single stripe
 //!   (the seed's global-mutex shape)?
-//! * scans — do concurrent full-scan sessions benefit from sharding,
-//!   and does one scan get faster with morsel workers?
+//! * scans — do concurrent full-scan sessions benefit from sharding?
 //! * statements — does the plan cache drop repeated-statement latency?
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -35,18 +34,12 @@ fn bench_scans(c: &mut Criterion) {
     let mut group = c.benchmark_group("e9_scans");
     group.sample_size(10);
     for shards in [1usize, 8] {
-        let db = e9_db(ROWS, shards, 1, true);
+        let db = e9_db(ROWS, shards, true);
         for threads in [1usize, 4] {
             group.bench_function(format!("{shards}-shard/{threads}-session"), |b| {
                 b.iter(|| std::hint::black_box(e9_scan_throughput(&db, threads, 2)))
             });
         }
-    }
-    for workers in [1usize, 4] {
-        let db = e9_db(ROWS, 8, workers, true);
-        group.bench_function(format!("morsel/{workers}-worker"), |b| {
-            b.iter(|| std::hint::black_box(e9_scan_throughput(&db, 1, 2)))
-        });
     }
     group.finish();
 }
@@ -54,7 +47,7 @@ fn bench_scans(c: &mut Criterion) {
 fn bench_statements(c: &mut Criterion) {
     let mut group = c.benchmark_group("e9_statements");
     for (label, cached) in [("plan-cache-on", true), ("plan-cache-off", false)] {
-        let db = e9_db(ROWS, 8, 1, cached);
+        let db = e9_db(ROWS, 8, cached);
         let mut round = 0u64;
         group.bench_function(label, |b| {
             b.iter(|| {

@@ -377,7 +377,7 @@ fn e7() {
 }
 
 fn e9() {
-    println!("\nE9 — data-plane concurrency (sharded buffer pool, parallel scans, plan cache)");
+    println!("\nE9 — data-plane concurrency (sharded buffer pool, concurrent scans, plan cache)");
 
     // Cached point reads: throughput vs threads, single stripe vs 8.
     println!(
@@ -412,7 +412,7 @@ fn e9() {
         "pool", "1 session", "2 sessions", "4 sessions", "8 sessions", "8S/1S"
     );
     for shards in [1usize, 8] {
-        let db = e9_db(ROWS, shards, 1, true);
+        let db = e9_db(ROWS, shards, true);
         e9_scan_throughput(&db, 1, 2);
         let mut per_threads = Vec::new();
         for threads in [1usize, 2, 4, 8] {
@@ -429,22 +429,10 @@ fn e9() {
         );
     }
 
-    // Morsel-parallel scan of one session.
-    print!("\n  single-session scan with morsel workers: ");
-    for workers in [1usize, 2, 4] {
-        let db = e9_db(ROWS, 8, workers, true);
-        let d = time(20, || {
-            let n = db.execute("SELECT id, label FROM events").unwrap().rows.len();
-            assert_eq!(n, ROWS);
-        });
-        print!("{workers}w={:.2}ms  ", d.as_nanos() as f64 / 1e6);
-    }
-    println!();
-
     // Repeated-statement latency with and without the plan cache.
     print!("  repeated point statement:                ");
     for (name, cached) in [("cache-on", true), ("cache-off", false)] {
-        let db = e9_db(ROWS, 8, 1, cached);
+        let db = e9_db(ROWS, 8, cached);
         let mut round = 0u64;
         let d = time(400, || {
             round += 1;
@@ -453,7 +441,7 @@ fn e9() {
         print!("{name}={:.1}µs  ", d.as_nanos() as f64 / 1e3);
     }
     println!();
-    let db = e9_db(ROWS, 8, 1, true);
+    let db = e9_db(ROWS, 8, true);
     for round in 0..64 {
         e9_statement(&db, round);
     }

@@ -426,15 +426,14 @@ pub mod experiments {
     }
 
     /// E9: a database for scan and plan-cache experiments — `rows` rows
-    /// in one table, pool striped into `shards`, morsel `parallelism`
-    /// for scans/sorts, and the plan cache on or off.
-    pub fn e9_db(rows: usize, shards: usize, parallelism: usize, plan_cache: bool) -> Arc<Database> {
+    /// in one table, pool striped into `shards`, and the plan cache on
+    /// or off.
+    pub fn e9_db(rows: usize, shards: usize, plan_cache: bool) -> Arc<Database> {
         let db = Database::open_opts(
-            bench_dir(&format!("e9-db-{shards}-{parallelism}-{plan_cache}")),
+            bench_dir(&format!("e9-db-{shards}-{plan_cache}")),
             DbOptions {
                 buffer_frames: 512,
                 buffer_shards: Some(shards),
-                parallelism,
                 plan_cache_capacity: if plan_cache { 64 } else { 0 },
                 ..DbOptions::default()
             },
@@ -1529,7 +1528,7 @@ mod tests {
 
     #[test]
     fn e9_db_harness_runs() {
-        let db = e9_db(300, 4, 2, true);
+        let db = e9_db(300, 4, true);
         let scans = e9_scan_throughput(&db, 2, 3);
         assert!(scans > 0.0);
         for round in 0..32 {
@@ -1538,7 +1537,7 @@ mod tests {
         let stats = db.plan_cache_stats();
         assert!(stats.hits >= 16, "second pass over 16 texts must hit: {stats:?}");
 
-        let uncached = e9_db(100, 1, 1, false);
+        let uncached = e9_db(100, 1, false);
         for round in 0..8 {
             e9_statement(&uncached, round);
         }

@@ -179,7 +179,7 @@ pub struct ArchitectureConfig {
     pub buffer_shards: Option<usize>,
     /// Sort memory budget in bytes before spilling to disk.
     pub sort_budget: usize,
-    /// Worker threads for parallel scans and sorts (1 = serial).
+    /// Worker threads for parallel sorts (1 = serial).
     pub parallelism: usize,
     /// Plan cache entries (0 disables plan caching).
     pub plan_cache: usize,

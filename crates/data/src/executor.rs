@@ -2,23 +2,25 @@
 //! transactions. This is the object both the monolithic baseline and the
 //! data-layer services wrap.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
 
-use sbdms_access::exec::batch::{BatchStream, BATCH_ROWS};
+use sbdms_access::exec::batch::{BatchStream, PageSource, BATCH_ROWS};
 use sbdms_access::exec::engine::VectorEngine;
 use sbdms_access::exec::join::JoinAlgorithm;
 use sbdms_access::exec;
-use sbdms_access::heap::Rid;
-use sbdms_access::record::{decode_tuple, encode_tuple, Datum, Tuple};
+use sbdms_access::heap::{HeapFile, Rid};
+use sbdms_access::record::{decode_tuple, decode_tuple_into, encode_tuple, Datum, Tuple};
 use sbdms_kernel::error::{Result, ServiceError};
 use sbdms_kernel::events::{Event, EventBus};
 use sbdms_kernel::governor::{CancelToken, ExecContext, Governor, GovernorConfig};
-use sbdms_kernel::mvcc::{Mvcc, Visibility};
+use sbdms_kernel::mvcc::{Mvcc, ReadSnapshot, Ts, Visibility};
+use sbdms_storage::buffer::BufferPool;
+use sbdms_storage::page::{PageId, SlotId};
 use sbdms_storage::replacement::PolicyKind;
 use sbdms_storage::services::StorageEngine;
 
@@ -33,8 +35,8 @@ use crate::planner::{
 };
 use crate::schema::Schema;
 use crate::session::{
-    key_rid, rid_key, ActiveTxn, ConcurrencyControl, MvccTxnState, OwnWrite, RowKey, Session,
-    SessionCore,
+    key_rid, rid_key, ActiveTxn, ConcurrencyControl, MvccTxnState, OwnWrite, OwnWrites, RowKey,
+    Session, SessionCore,
 };
 use crate::stats::TableStats;
 use crate::table::Table;
@@ -77,7 +79,7 @@ pub struct DbOptions {
     pub buffer_shards: Option<usize>,
     /// Sort memory budget in bytes before spilling to disk.
     pub sort_budget: usize,
-    /// Worker threads for parallel scans and sorts (1 = serial).
+    /// Worker threads for parallel sorts (1 = serial).
     pub parallelism: usize,
     /// Plan cache entries (0 disables plan caching).
     pub plan_cache_capacity: usize,
@@ -122,13 +124,16 @@ impl Default for DbOptions {
 }
 
 /// How one admitted statement runs: its cancellation/memory context,
-/// whether the governor degraded it (clamping its sort budget), and
-/// which session issued it (`None` = the default session).
+/// whether the governor degraded it (clamping its sort budget), which
+/// session issued it (`None` = the default session), and, under MVCC
+/// outside a transaction, the read snapshot its table scans share
+/// (pinned by the first one).
 #[derive(Clone, Default)]
 struct RunMode {
     ctx: ExecContext,
     degraded: bool,
     session: Option<Arc<SessionCore>>,
+    read: OnceLock<Arc<ReadSnapshot>>,
 }
 
 /// An embedded SBDMS database engine.
@@ -393,7 +398,11 @@ impl Database {
     pub fn analyze(&self, table: &str) -> Result<()> {
         let t = self.table(table)?;
         let schema = t.schema().clone();
-        let rows: Vec<Tuple> = t.scan()?.into_iter().map(|(_, row)| row).collect();
+        let mut rows = Vec::new();
+        t.heap().walk(|_, record| {
+            rows.push(decode_tuple(record)?);
+            Ok(())
+        })?;
         let stats = TableStats::collect(&rows, &schema, self.histogram_buckets);
         self.catalog.update_stats(&table.to_lowercase(), stats)
     }
@@ -641,6 +650,7 @@ impl Database {
             ctx: self.exec_context(core),
             degraded: admission.is_degraded(),
             session: Some(core.clone()),
+            read: OnceLock::new(),
         };
         let out = self.execute_with(sql, &mode);
         if matches!(out, Err(ServiceError::Cancelled { .. })) {
@@ -863,7 +873,7 @@ impl Database {
             batch_rows: self.batch_rows,
             ctx: mode.ctx.clone(),
         };
-        let stream = self.run_plan_budgeted(&engine, &planned.plan, sort_budget, mode)?;
+        let stream = self.run_plan_budgeted(&engine, &planned.plan, None, sort_budget, mode)?;
         let rows = engine.collect(stream)?;
         Ok(QueryResult {
             columns: planned.columns.clone(),
@@ -1024,18 +1034,16 @@ impl Database {
 
     /// The rows a row-access leaf (`TableScan`, `IndexScan`, `IndexOr`,
     /// `IndexAnd`) reaches, with their row keys: the one path by which
-    /// SELECT leaves and DML target lists both read a table, in either
-    /// CC mode. Candidates come from a heap scan or the leaf's B-tree
-    /// probes. Without an MVCC transaction (`state = None`) the
-    /// committed heap is the answer and the probes are exact against
-    /// it. With one, visibility resolves here, under the read latch:
-    /// this transaction's own write wins, then the snapshot overlay;
-    /// keys whose visible version lives only in the version chains come
-    /// next, then own writes the probes could not reach (own inserts,
-    /// rewrites to a new key — the B-tree indexes committed state
-    /// only). Every image that is not the current heap occupant is
-    /// re-checked against the leaf's key bounds. Cancellation is checked
-    /// every [`exec::CANCEL_QUANTUM`] candidates.
+    /// DML target lists and index leaves read a table, in either CC
+    /// mode. A table scan is a [`TableRead`] walked page by page. An
+    /// index leaf collects its B-tree probes' rids under the read latch;
+    /// without an MVCC transaction (`state = None`) the committed heap
+    /// is the answer and the probes are exact against it. With one, each
+    /// candidate resolves through [`resolve`], and the rows the snapshot
+    /// sees that no probe reached follow ([`unreached`]). Every image
+    /// that is not the current heap occupant is re-checked against the
+    /// leaf's key bounds. Cancellation is checked every page, or every
+    /// [`exec::CANCEL_QUANTUM`] candidates.
     fn access_rows(
         &self,
         t: &Table,
@@ -1043,84 +1051,97 @@ impl Database {
         state: Option<&MvccTxnState>,
         mode: &RunMode,
     ) -> Result<Vec<(RowKey, Tuple)>> {
+        if let Plan::TableScan { .. } = leaf {
+            let read = self.table_read(t, state, mode, None);
+            return read.rows(t.heap().data_pages()?, t.schema().len(), &mode.ctx);
+        }
         let _latch = self.mvcc.as_ref().map(|m| m.read_latch());
-        let candidates: Vec<(Rid, Option<Tuple>)> = match leaf {
-            Plan::TableScan { .. } => {
-                t.scan()?.into_iter().map(|(r, row)| (r, Some(row))).collect()
-            }
-            _ => index_rids(t, leaf)?.into_iter().map(|r| (r, None)).collect(),
-        };
-        let fetch = |rid: Rid, row: Option<Tuple>| row.map_or_else(|| t.get(rid), Ok);
-        let mut out = Vec::with_capacity(candidates.len());
+        let rids = index_rids(t, leaf)?;
+        let mut out = Vec::with_capacity(rids.len());
         let (Some(mvcc), Some(state)) = (&self.mvcc, state) else {
-            for (i, (rid, row)) in candidates.into_iter().enumerate() {
+            for (i, rid) in rids.into_iter().enumerate() {
                 if i % exec::CANCEL_QUANTUM == 0 {
                     mode.ctx.check()?;
                 }
-                out.push((RowKey::Heap(rid), fetch(rid, row)?));
+                out.push((RowKey::Heap(rid), t.get(rid)?));
             }
             return Ok(out);
         };
         let table = t.meta().name.as_str();
+        let snapshot = state.txn.snapshot;
         let admits = key_bounds(t, leaf)?;
         let own = state.overlay.get(table);
-        let ov = mvcc.scan_overlay(table, state.txn.snapshot);
-        let mut seen: BTreeSet<RowKey> = BTreeSet::new();
-        for (i, (rid, row)) in candidates.into_iter().enumerate() {
+        let mut reached: BTreeSet<RowKey> = BTreeSet::new();
+        for (i, rid) in rids.into_iter().enumerate() {
             if i % exec::CANCEL_QUANTUM == 0 {
                 mode.ctx.check()?;
             }
             let key = RowKey::Heap(rid);
-            if !seen.insert(key) {
+            if !reached.insert(key) {
                 continue;
             }
-            if let Some(w) = own.and_then(|m| m.get(&key)) {
-                // We hold the write lock, so the heap occupant cannot
-                // change underneath the own image.
-                if let Some(img) = own_image(w).filter(|img| admits(img)) {
-                    out.push((key, img.clone()));
-                }
-                continue;
-            }
-            match ov.visibility(rid_key(rid)) {
-                Visibility::Current => out.push((key, fetch(rid, row)?)),
-                Visibility::Replaced(bytes) => {
-                    let img = decode_tuple(&bytes)?;
+            match resolve(own, key, || mvcc.visibility(table, rid_key(rid), snapshot)) {
+                Seen::Heap => out.push((key, t.get(rid)?)),
+                Seen::Image(img) => {
+                    let img = img.into_tuple()?;
                     if admits(&img) {
                         out.push((key, img));
                     }
                 }
-                Visibility::Hidden => {}
+                Seen::Nothing => {}
             }
         }
-        // Keys whose visible version lives only in the chains: rows a
-        // later commit moved or deleted, still visible to this snapshot.
-        let mut chain: Vec<u64> = ov
-            .chain_keys()
-            .filter(|&k| !seen.contains(&RowKey::Heap(key_rid(k))))
-            .collect();
-        chain.sort_unstable();
-        for k in chain {
-            let key = RowKey::Heap(key_rid(k));
-            if own.is_some_and(|m| m.contains_key(&key)) {
-                continue;
-            }
-            if let Visibility::Replaced(bytes) = ov.visibility(k) {
-                let img = decode_tuple(&bytes)?;
-                if admits(&img) {
-                    out.push((key, img));
-                }
-            }
-        }
-        for (key, w) in own.into_iter().flatten() {
-            if seen.contains(key) {
-                continue;
-            }
-            if let Some(img) = own_image(w).filter(|img| admits(img)) {
-                out.push((*key, img.clone()));
+        let chain = mvcc.chain_rows(table, snapshot);
+        for (key, img) in unreached(chain, own, |key| reached.contains(&key)) {
+            let img = img.into_tuple()?;
+            if admits(&img) {
+                out.push((key, img));
             }
         }
         Ok(out)
+    }
+
+    /// A page-by-page read of `t`. Under MVCC it resolves against the
+    /// open transaction's snapshot and own writes or, outside a
+    /// transaction, against the statement's read snapshot (pinned by the
+    /// first read and shared by every table the statement reads). Take
+    /// the heap's page list after this call, so it covers every page the
+    /// snapshot can see. Columns `keep` marks false are left NULL.
+    fn table_read(
+        &self,
+        t: &Table,
+        state: Option<&MvccTxnState>,
+        mode: &RunMode,
+        keep: Option<Vec<bool>>,
+    ) -> TableRead {
+        let snapshot = self.mvcc.as_ref().map(|mvcc| {
+            let table = t.meta().name.clone();
+            let (ts, own, pin) = match state {
+                Some(state) => (
+                    state.txn.snapshot,
+                    state.overlay.get(&table).cloned().unwrap_or_default(),
+                    None,
+                ),
+                None => {
+                    let pin = mode.read.get_or_init(|| Arc::new(mvcc.read_snapshot())).clone();
+                    (pin.ts(), OwnWrites::new(), Some(pin))
+                }
+            };
+            SnapshotRead {
+                mvcc: mvcc.clone(),
+                table,
+                ts,
+                own,
+                walked: HashMap::new(),
+                _pin: pin,
+            }
+        });
+        TableRead {
+            buffer: t.heap().buffer().clone(),
+            snapshot,
+            keep,
+            keys: Vec::new(),
+        }
     }
 
     /// The rows an UPDATE or DELETE targets: the planner's access path
@@ -1317,66 +1338,68 @@ impl Database {
     /// Evaluate a physical plan on an explicit engine (its batch size
     /// and context), outside any session or admission.
     pub fn run_plan_with(&self, engine: &VectorEngine, plan: &Plan) -> Result<BatchStream> {
-        self.run_plan_budgeted(engine, plan, self.sort_budget, &RunMode::default())
+        self.run_plan_budgeted(engine, plan, None, self.sort_budget, &RunMode::default())
     }
 
     /// [`Database::run_plan_with`] with an explicit sort budget — the
-    /// hook a degraded admission uses to shrink operator memory.
+    /// hook a degraded admission uses to shrink operator memory. `reads`
+    /// names the output columns of `plan` its consumers read (`None`:
+    /// all of them); a table scan decodes only those and leaves the
+    /// others NULL. Filters, projections, aggregates and limits narrow
+    /// it; sorts, DISTINCT and joins read every column of their inputs,
+    /// so the memory they account never depends on it.
     fn run_plan_budgeted(
         &self,
         engine: &VectorEngine,
         plan: &Plan,
+        reads: Option<&BTreeSet<usize>>,
         sort_budget: usize,
         mode: &RunMode,
     ) -> Result<BatchStream> {
+        let input = |plan: &Plan, reads: Option<&BTreeSet<usize>>| {
+            self.run_plan_budgeted(engine, plan, reads, sort_budget, mode)
+        };
         match plan {
-            Plan::TableScan { table }
-            | Plan::IndexScan { table, .. }
+            Plan::TableScan { table } => {
+                let t = self.table(table)?;
+                let width = t.schema().len();
+                let keep = reads
+                    .map(|cols| (0..width).map(|c| cols.contains(&c)).collect::<Vec<bool>>())
+                    .filter(|keep| keep.contains(&false));
+                let read = {
+                    let guard = self.run_session(mode).txn.lock();
+                    self.table_read(&t, mvcc_state(&guard), mode, keep)
+                };
+                Ok(engine.scan(t.heap().data_pages()?, width, read))
+            }
+            Plan::IndexScan { table, .. }
             | Plan::IndexOr { table, .. }
             | Plan::IndexAnd { table, .. } => {
                 let t = self.table(table)?;
-                // Without MVCC, full scans stream (or run in parallel)
-                // and covering scans never touch the heap.
-                if self.mvcc.is_none() {
-                    match plan {
-                        Plan::TableScan { .. } if self.parallelism > 1 => {
-                            let rows: Vec<Tuple> = t
-                                .scan_parallel(self.parallelism)?
-                                .into_iter()
-                                .map(|(_, row)| row)
-                                .collect();
-                            return Ok(engine.values(rows));
+                // Without MVCC a covering scan never touches the heap:
+                // the B-tree entries already carry the key columns, and
+                // the engine receives them columnar.
+                if let (None, Plan::IndexScan { covering: true, key_columns, .. }) = (&self.mvcc, plan)
+                {
+                    let probed = index_range(&t, plan)?;
+                    let nrows = probed.len();
+                    let mut columns: Vec<Vec<Datum>> =
+                        vec![Vec::with_capacity(nrows); key_columns.len()];
+                    for (key, _) in probed {
+                        for (c, d) in key.into_iter().enumerate() {
+                            columns[c].push(d);
                         }
-                        Plan::TableScan { .. } => return engine.seq_scan(t.heap()),
-                        Plan::IndexScan { covering: true, key_columns, .. } => {
-                            // The B-tree entries already carry the key
-                            // columns; the engine receives them
-                            // columnar.
-                            let probed = index_range(&t, plan)?;
-                            let nrows = probed.len();
-                            let mut columns: Vec<Vec<Datum>> =
-                                vec![Vec::with_capacity(nrows); key_columns.len()];
-                            for (key, _) in probed {
-                                for (c, d) in key.into_iter().enumerate() {
-                                    columns[c].push(d);
-                                }
-                            }
-                            return Ok(engine.values_columnar(columns, nrows));
-                        }
-                        _ => {}
                     }
+                    return Ok(engine.values_columnar(columns, nrows));
                 }
-                // Every other leaf materializes through the shared access
-                // path (under MVCC: a consistent snapshot no concurrent
-                // commit can tear, with no latch outliving this arm).
-                let core = self.run_session(mode).clone();
-                let guard = core.txn.lock();
-                let state = match &*guard {
-                    Some(ActiveTxn::Mvcc(state)) => Some(state),
-                    _ => None,
+                // Every other index leaf materializes through the shared
+                // access path (under MVCC: a consistent snapshot no
+                // concurrent commit can tear, with no latch outliving
+                // this arm).
+                let rows = {
+                    let guard = self.run_session(mode).txn.lock();
+                    self.access_rows(&t, plan, mvcc_state(&guard), mode)?
                 };
-                let rows = self.access_rows(&t, plan, state, mode)?;
-                drop(guard);
                 let rows = rows.into_iter().map(|(_, row)| row);
                 let rows: Vec<Tuple> = match plan {
                     // Index-only output under MVCC still resolves
@@ -1392,10 +1415,16 @@ impl Database {
                 Ok(engine.values(rows))
             }
             Plan::Values { rows } => Ok(engine.values(rows.clone())),
-            Plan::Filter { input, predicate } => Ok(engine.filter(
-                self.run_plan_budgeted(engine, input, sort_budget, mode)?,
-                predicate.clone(),
-            )),
+            Plan::Filter {
+                input: child,
+                predicate,
+            } => {
+                let mut cols = reads.cloned();
+                if let Some(cols) = &mut cols {
+                    predicate.columns_into(cols);
+                }
+                Ok(engine.filter(input(child, cols.as_ref())?, predicate.clone()))
+            }
             Plan::EquiJoin {
                 left,
                 right,
@@ -1406,8 +1435,8 @@ impl Database {
                 build,
             } => engine.equi_join(
                 *algorithm,
-                self.run_plan_budgeted(engine, left, sort_budget, mode)?,
-                self.run_plan_budgeted(engine, right, sort_budget, mode)?,
+                input(left, None)?,
+                input(right, None)?,
                 *left_col,
                 *right_col,
                 *left_width,
@@ -1418,38 +1447,40 @@ impl Database {
                 right,
                 predicate,
                 left_width: _,
-            } => engine.nested_loop_join(
-                self.run_plan_budgeted(engine, left, sort_budget, mode)?,
-                self.run_plan_budgeted(engine, right, sort_budget, mode)?,
-                predicate.clone(),
-            ),
+            } => engine.nested_loop_join(input(left, None)?, input(right, None)?, predicate.clone()),
             Plan::Aggregate {
-                input,
+                input: child,
                 group_by,
                 aggs,
-            } => engine.hash_aggregate(
-                self.run_plan_budgeted(engine, input, sort_budget, mode)?,
-                group_by.clone(),
-                aggs.clone(),
-            ),
-            Plan::Project { input, exprs } => Ok(engine.project(
-                self.run_plan_budgeted(engine, input, sort_budget, mode)?,
-                exprs.clone(),
-            )),
-            Plan::Distinct { input } => {
-                Ok(engine.distinct(self.run_plan_budgeted(engine, input, sort_budget, mode)?))
+            } => {
+                let mut cols = BTreeSet::new();
+                for e in group_by.iter().chain(aggs.iter().map(|a| &a.arg)) {
+                    e.columns_into(&mut cols);
+                }
+                engine.hash_aggregate(input(child, Some(&cols))?, group_by.clone(), aggs.clone())
             }
-            Plan::Sort { input, keys } => engine.sort(
-                self.run_plan_budgeted(engine, input, sort_budget, mode)?,
+            Plan::Project {
+                input: child,
+                exprs,
+            } => {
+                let mut cols = BTreeSet::new();
+                for e in exprs {
+                    e.columns_into(&mut cols);
+                }
+                Ok(engine.project(input(child, Some(&cols))?, exprs.clone()))
+            }
+            Plan::Distinct { input: child } => Ok(engine.distinct(input(child, None)?)),
+            Plan::Sort { input: child, keys } => engine.sort(
+                input(child, None)?,
                 keys.clone(),
                 sort_budget,
                 self.parallelism,
             ),
-            Plan::Limit { input, n, offset } => Ok(engine.limit(
-                self.run_plan_budgeted(engine, input, sort_budget, mode)?,
-                *n,
-                *offset,
-            )),
+            Plan::Limit {
+                input: child,
+                n,
+                offset,
+            } => Ok(engine.limit(input(child, reads)?, *n, *offset)),
         }
     }
 }
@@ -1463,12 +1494,249 @@ fn own_image(w: &OwnWrite) -> Option<&Tuple> {
     }
 }
 
+/// The session's open MVCC transaction, if that is what it holds.
+fn mvcc_state(txn: &Option<ActiveTxn>) -> Option<&MvccTxnState> {
+    match txn {
+        Some(ActiveTxn::Mvcc(state)) => Some(state),
+        _ => None,
+    }
+}
+
+/// What a snapshot sees at one row key.
+enum Seen<'o> {
+    /// The heap's current occupant.
+    Heap,
+    /// Another image: an own write or an older committed version.
+    Image(Img<'o>),
+    /// Nothing.
+    Nothing,
+}
+
+/// A row image other than the heap's current occupant.
+enum Img<'o> {
+    /// The transaction's own pending image.
+    Own(&'o Tuple),
+    /// A committed version from the chains, encoded.
+    Old(Vec<u8>),
+}
+
+impl Img<'_> {
+    fn into_tuple(self) -> Result<Tuple> {
+        match self {
+            Img::Own(row) => Ok(row.clone()),
+            Img::Old(bytes) => decode_tuple(&bytes),
+        }
+    }
+
+    /// Append the image as one row of `columns`, NULL where `keep` is
+    /// false.
+    fn push_into(self, columns: &mut [Vec<Datum>], keep: Option<&[bool]>) -> Result<()> {
+        match self {
+            Img::Own(row) => {
+                for (i, (col, d)) in columns.iter_mut().zip(row).enumerate() {
+                    col.push(if keep.is_none_or(|keep| keep[i]) { d.clone() } else { Datum::Null });
+                }
+                Ok(())
+            }
+            Img::Old(bytes) => decode_tuple_into(&bytes, columns, keep),
+        }
+    }
+}
+
+/// The one MVCC visibility decision, for a heap key whose current
+/// occupant a read reached: the transaction's own write wins, then the
+/// snapshot's [`Visibility`] of the occupant (asked only when needed).
+fn resolve<'o>(
+    own: Option<&'o OwnWrites>,
+    key: RowKey,
+    visibility: impl FnOnce() -> Visibility,
+) -> Seen<'o> {
+    if let Some(w) = own.and_then(|m| m.get(&key)) {
+        return own_image(w).map_or(Seen::Nothing, |img| Seen::Image(Img::Own(img)));
+    }
+    match visibility() {
+        Visibility::Current => Seen::Heap,
+        Visibility::Replaced(bytes) => Seen::Image(Img::Old(bytes)),
+        Visibility::Hidden => Seen::Nothing,
+    }
+}
+
+/// The rows a snapshot sees that a read's heap candidates did not
+/// reach, in order: versions that live only in the chains (`chain`, from
+/// [`Mvcc::chain_rows`]: rows a later commit deleted, or whose slot it
+/// reused), then the transaction's own writes (own inserts, and
+/// rewrites an index probe could not find: the B-trees index committed
+/// state only). `reached` names the heap keys already resolved.
+fn unreached<'o>(
+    chain: Vec<(u64, Vec<u8>)>,
+    own: Option<&'o OwnWrites>,
+    reached: impl Fn(RowKey) -> bool,
+) -> Vec<(RowKey, Img<'o>)> {
+    let mut out = Vec::new();
+    for (k, bytes) in chain {
+        let key = RowKey::Heap(key_rid(k));
+        if !reached(key) && !own.is_some_and(|m| m.contains_key(&key)) {
+            out.push((key, Img::Old(bytes)));
+        }
+    }
+    for (key, w) in own.into_iter().flatten() {
+        if let (false, Some(img)) = (reached(*key), own_image(w)) {
+            out.push((*key, Img::Own(img)));
+        }
+    }
+    out
+}
+
+/// One table read in storage order, page by page: the heap walk behind
+/// every `TableScan` leaf (streamed into column batches) and every
+/// sequential DML target list. Without a snapshot the committed heap is
+/// the answer. With one (MVCC), each page's records and their
+/// visibility resolve together under one hold of the apply read latch,
+/// so a commit waits for at most one page; the rows only the version
+/// chains hold and the transaction's own inserts follow the last page.
+struct TableRead {
+    buffer: Arc<BufferPool>,
+    snapshot: Option<SnapshotRead>,
+    /// The columns to decode (`None`: all); the rest are left NULL.
+    keep: Option<Vec<bool>>,
+    /// Row keys of the rows the last `page` or `tail` call appended.
+    keys: Vec<RowKey>,
+}
+
+/// What one MVCC table read resolves against.
+struct SnapshotRead {
+    mvcc: Arc<Mvcc>,
+    table: String,
+    ts: Ts,
+    /// The transaction's own writes to the table (none in autocommit).
+    own: OwnWrites,
+    /// The live slots of every page walked so far: what the snapshot
+    /// sees at those keys was resolved in place.
+    walked: HashMap<PageId, Vec<SlotId>>,
+    /// Holds a statement's read snapshot until the read ends.
+    _pin: Option<Arc<ReadSnapshot>>,
+}
+
+impl TableRead {
+    /// Every row the read sees, with its row key (DML target lists).
+    fn rows(
+        mut self,
+        pages: Vec<PageId>,
+        width: usize,
+        ctx: &ExecContext,
+    ) -> Result<Vec<(RowKey, Tuple)>> {
+        let mut out = Vec::new();
+        let mut columns = vec![Vec::new(); width];
+        for page in pages {
+            ctx.check()?;
+            self.page(page, &mut columns)?;
+            self.drain_rows(&mut columns, &mut out);
+        }
+        self.tail(&mut columns)?;
+        self.drain_rows(&mut columns, &mut out);
+        Ok(out)
+    }
+
+    /// Move the rows of the last call out of `columns`, keyed.
+    fn drain_rows(&mut self, columns: &mut [Vec<Datum>], out: &mut Vec<(RowKey, Tuple)>) {
+        let mut cols: Vec<_> = columns.iter_mut().map(|c| c.drain(..)).collect();
+        for key in self.keys.drain(..) {
+            out.push((key, cols.iter_mut().map(|c| c.next().expect("one datum per key")).collect()));
+        }
+    }
+}
+
+impl PageSource for TableRead {
+    fn page(&mut self, page: PageId, columns: &mut [Vec<Datum>]) -> Result<usize> {
+        let TableRead { buffer, snapshot, keep, keys } = self;
+        let keep = keep.as_deref();
+        keys.clear();
+        let Some(snap) = snapshot else {
+            HeapFile::walk_page(buffer, page, |rid, record| {
+                keys.push(RowKey::Heap(rid));
+                decode_tuple_into(record, columns, keep)
+            })?;
+            return Ok(keys.len());
+        };
+        let _latch = snap.mvcc.read_latch();
+        let base = columns.first().map_or(0, Vec::len);
+        let mut slots = Vec::new();
+        HeapFile::walk_page(buffer, page, |rid, record| {
+            slots.push(rid.slot);
+            decode_tuple_into(record, columns, keep)
+        })?;
+        let (first, next) = (Rid::new(page, 0), Rid::new(page + 1, 0));
+        let replaced = snap
+            .mvcc
+            .replaced_in(&snap.table, snap.ts, rid_key(first)..rid_key(next));
+        let own_here = snap.own.range(RowKey::Heap(first)..RowKey::Heap(next)).next();
+        if replaced.is_empty() && own_here.is_none() {
+            keys.extend(slots.iter().map(|&slot| RowKey::Heap(Rid::new(page, slot))));
+        } else {
+            // Re-emit the page row by row: the occupant where the
+            // snapshot sees it, another image or nothing elsewhere.
+            let mut heap: Vec<_> = columns
+                .iter_mut()
+                .map(|c| c.split_off(base).into_iter())
+                .collect();
+            for &slot in &slots {
+                let rid = Rid::new(page, slot);
+                let key = RowKey::Heap(rid);
+                let visibility = || {
+                    replaced
+                        .binary_search_by_key(&rid_key(rid), |(k, _)| *k)
+                        .map_or(Visibility::Current, |i| replaced[i].1.clone())
+                };
+                let occupant = heap.iter_mut().map(|c| c.next().expect("one datum per slot"));
+                match resolve(Some(&snap.own), key, visibility) {
+                    Seen::Heap => columns.iter_mut().zip(occupant).for_each(|(c, d)| c.push(d)),
+                    Seen::Image(img) => {
+                        occupant.for_each(drop);
+                        img.push_into(columns, keep)?;
+                    }
+                    Seen::Nothing => {
+                        occupant.for_each(drop);
+                        continue;
+                    }
+                }
+                keys.push(key);
+            }
+        }
+        snap.walked.insert(page, slots);
+        Ok(keys.len())
+    }
+
+    fn tail(&mut self, columns: &mut [Vec<Datum>]) -> Result<usize> {
+        self.keys.clear();
+        // Taken: the snapshot (and any pin) is released with this call.
+        let Some(snap) = self.snapshot.take() else {
+            return Ok(0);
+        };
+        let chain = {
+            let _latch = snap.mvcc.read_latch();
+            snap.mvcc.chain_rows(&snap.table, snap.ts)
+        };
+        let walked = |key: RowKey| match key {
+            RowKey::Heap(rid) => snap
+                .walked
+                .get(&rid.page)
+                .is_some_and(|slots| slots.binary_search(&rid.slot).is_ok()),
+            RowKey::Local(_) => false,
+        };
+        for (key, img) in unreached(chain, Some(&snap.own), walked) {
+            img.push_into(columns, self.keep.as_deref())?;
+            self.keys.push(key);
+        }
+        Ok(self.keys.len())
+    }
+}
+
 /// Fold one statement's write into a table's overlay. `new = None` is a
 /// delete. Rewrites of an existing own write keep the original committed
 /// `old` image (the one the lock was taken against); deleting an own
 /// insert removes it from the write set entirely.
 fn apply_own_write(
-    entry: &mut BTreeMap<RowKey, OwnWrite>,
+    entry: &mut OwnWrites,
     key: RowKey,
     old: Tuple,
     new: Option<Tuple>,

@@ -78,6 +78,9 @@ pub(crate) enum OwnWrite {
     Local(Tuple),
 }
 
+/// One transaction's pending writes to one table, in row-key order.
+pub(crate) type OwnWrites = BTreeMap<RowKey, OwnWrite>;
+
 /// Buffered state of one open MVCC transaction.
 pub(crate) struct MvccTxnState {
     /// The kernel-side transaction: token + pinned snapshot.
@@ -85,7 +88,7 @@ pub(crate) struct MvccTxnState {
     /// Next local row number for fresh inserts.
     pub next_local: u64,
     /// The write set, per table, in deterministic order.
-    pub overlay: BTreeMap<String, BTreeMap<RowKey, OwnWrite>>,
+    pub overlay: BTreeMap<String, OwnWrites>,
 }
 
 impl MvccTxnState {

@@ -144,23 +144,15 @@ impl Table {
         Ok(old)
     }
 
-    /// Materialised scan of all rows.
+    /// Materialised scan of all rows, each decoded straight from its
+    /// page frame.
     pub fn scan(&self) -> Result<Vec<(Rid, Tuple)>> {
-        self.heap
-            .scan()?
-            .into_iter()
-            .map(|(rid, bytes)| Ok((rid, decode_tuple(&bytes)?)))
-            .collect()
-    }
-
-    /// Like [`scan`](Table::scan) but reading page morsels on `workers`
-    /// threads. Row order matches the serial scan.
-    pub fn scan_parallel(&self, workers: usize) -> Result<Vec<(Rid, Tuple)>> {
-        self.heap
-            .scan_parallel(workers)?
-            .into_iter()
-            .map(|(rid, bytes)| Ok((rid, decode_tuple(&bytes)?)))
-            .collect()
+        let mut rows = Vec::new();
+        self.heap.walk(|rid, record| {
+            rows.push((rid, decode_tuple(record)?));
+            Ok(())
+        })?;
+        Ok(rows)
     }
 
     /// Row count.

@@ -14,7 +14,12 @@
 //!    database per batch size, compared in exact order;
 //! 3. a proptest over random filters, joins, sorts, and aggregates,
 //!    compared in exact order across batch sizes and, as a multiset,
-//!    against every equi-join forced onto the nested-loop algorithm.
+//!    against every equi-join forced onto the nested-loop algorithm;
+//! 4. the columnar heap scan itself, against `Table::scan` transposed,
+//!    over deleted slots, emptied pages and overflow records, in both
+//!    CC modes, in autocommit and inside a transaction with own writes,
+//!    and against rows a later commit changed that only the version
+//!    chains still hold.
 
 mod slt_common;
 
@@ -23,8 +28,13 @@ use std::sync::Arc;
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
+use sbdms_access::exec::batch::{Batch, BatchStream};
+use sbdms_access::exec::engine::VectorEngine;
 use sbdms_access::exec::join::JoinAlgorithm;
+use sbdms_access::heap::{HeapFile, Rid};
+use sbdms_access::record::{encode_tuple, Datum, Tuple};
 use sbdms_data::executor::{Database, DbOptions};
+use sbdms_data::Plan;
 use sbdms_data::txn::Durability;
 use sbdms_data::{ConcurrencyControl, Session};
 use sbdms_storage::{SimBackend, SimConfig};
@@ -434,3 +444,261 @@ proptest! {
         }
     }
 }
+
+/// `t(k, v, pad)`: 400 rows, ~13 to a page, every 17th with a pad
+/// longer than a page (an overflow record); then every 5th row and a
+/// run of whole pages deleted.
+fn load_scan_table(db: &Database) {
+    db.execute("CREATE TABLE t (k INT NOT NULL, v INT NOT NULL, pad TEXT NOT NULL)")
+        .unwrap();
+    for chunk in (0..400i64).collect::<Vec<_>>().chunks(50) {
+        let vals: Vec<String> = chunk
+            .iter()
+            .map(|k| {
+                let len = if k % 17 == 3 { 6000 } else { 200 + (k % 7) as usize * 30 };
+                format!("({k}, {}, '{k}-{}')", k * 10, "x".repeat(len))
+            })
+            .collect();
+        db.execute(&format!("INSERT INTO t VALUES {}", vals.join(", ")))
+            .unwrap();
+    }
+    db.execute("DELETE FROM t WHERE k % 5 = 0 OR (k >= 100 AND k < 160)")
+        .unwrap();
+    let t = db.table("t").unwrap();
+    let buffer = t.heap().buffer().clone();
+    let empty_pages = t
+        .heap()
+        .data_pages()
+        .unwrap()
+        .into_iter()
+        .filter(|&page| {
+            let mut live = 0;
+            HeapFile::walk_page(&buffer, page, |_, _| {
+                live += 1;
+                Ok(())
+            })
+            .unwrap();
+            live == 0
+        })
+        .count();
+    assert!(empty_pages >= 2, "the load must leave whole pages empty");
+}
+
+/// The committed heap, `Table::scan`, in storage order.
+fn heap_rows(db: &Database) -> Vec<(Rid, Tuple)> {
+    db.table("t").unwrap().scan().unwrap()
+}
+
+/// A `TableScan` of `t` through the engine at `batch_rows`.
+fn scan_stream(db: &Database, batch_rows: usize) -> BatchStream {
+    let engine = VectorEngine {
+        batch_rows,
+        ..VectorEngine::default()
+    };
+    db.run_plan_with(&engine, &Plan::TableScan { table: "t".into() })
+        .unwrap()
+}
+
+/// Drain a scan, checking that every batch but the last is full, into
+/// the encoded bytes of each row.
+fn drain_scan(stream: BatchStream, batch_rows: usize) -> Vec<Vec<u8>> {
+    let batches: Vec<Batch> = stream.collect::<Result<_, _>>().unwrap();
+    if let Some((last, full)) = batches.split_last() {
+        assert!(full.iter().all(|b| b.rows() == batch_rows), "batch {batch_rows}: short batch");
+        assert!((1..=batch_rows).contains(&last.rows()), "batch {batch_rows}: bad last batch");
+    }
+    batches
+        .iter()
+        .flat_map(|b| (0..b.rows()).map(|r| b.encode_row(r)))
+        .collect()
+}
+
+fn encoded<'a>(rows: impl IntoIterator<Item = &'a Tuple>) -> Vec<Vec<u8>> {
+    rows.into_iter().map(|row| encode_tuple(row)).collect()
+}
+
+/// Queries whose scans decode only some columns of `t` (the rest are
+/// left NULL) must answer as `rows` — what the scan reader sees — does.
+fn check_pruned_scans(db: &Database, rows: &[Tuple], ctx: &str) {
+    let int = |d: &Datum| match d {
+        Datum::Int(i) => *i,
+        other => panic!("not an int: {other:?}"),
+    };
+    let (ks, vs): (Vec<i64>, Vec<i64>) = rows.iter().map(|r| (int(&r[0]), int(&r[1]))).unzip();
+    let got = db.execute("SELECT COUNT(*), SUM(v), MIN(k) FROM t").unwrap();
+    let want = vec![
+        Datum::Int(rows.len() as i64),
+        Datum::Int(vs.iter().sum()),
+        Datum::Int(*ks.iter().min().unwrap()),
+    ];
+    assert_eq!(got.rows, vec![want], "{ctx}: pruned aggregate");
+    let got = db.execute("SELECT k FROM t WHERE v % 2 = 0").unwrap();
+    let want: Vec<Tuple> = ks
+        .iter()
+        .zip(&vs)
+        .filter(|(_, v)| *v % 2 == 0)
+        .map(|(k, _)| vec![Datum::Int(*k)])
+        .collect();
+    assert_eq!(got.rows, want, "{ctx}: pruned projection");
+}
+
+/// What a snapshot taken at heap state `before` sees once later commits
+/// left the heap at `after`: the `before` rows in storage order where
+/// their slot is still walked, then those a later commit deleted (only
+/// the version chains hold them) in rid order. `view` applies the
+/// reader's own writes to each row (`None` = deleted by the reader).
+fn snapshot_rows(
+    before: &[(Rid, Tuple)],
+    after: &[(Rid, Tuple)],
+    view: impl Fn(&Tuple) -> Option<Tuple>,
+) -> Vec<Tuple> {
+    let at_snapshot: BTreeMap<Rid, &Tuple> = before.iter().map(|(rid, row)| (*rid, row)).collect();
+    let walked: std::collections::BTreeSet<Rid> = after.iter().map(|(rid, _)| *rid).collect();
+    let in_place = after.iter().filter_map(|(rid, _)| at_snapshot.get(rid).copied());
+    let chain_only = at_snapshot
+        .iter()
+        .filter(|(rid, _)| !walked.contains(rid))
+        .map(|(_, row)| *row);
+    in_place.chain(chain_only).filter_map(view).collect()
+}
+
+/// The reader's own writes inside a transaction: rows with `k < 200`
+/// only, so they never conflict with the concurrent writer's.
+const OWN_WRITES: [&str; 3] = [
+    "UPDATE t SET v = v + 1000000 WHERE k < 200 AND k % 3 = 1",
+    "DELETE FROM t WHERE k < 200 AND k % 7 = 2",
+    "INSERT INTO t VALUES (1000, 1, 'own-a'), (1001, 2, 'own-b')",
+];
+
+/// [`OWN_WRITES`] applied to one committed row.
+fn own_view(row: &Tuple) -> Option<Tuple> {
+    let Datum::Int(k) = row[0] else { unreachable!() };
+    let Datum::Int(v) = row[1] else { unreachable!() };
+    if k < 200 && k % 7 == 2 {
+        return None;
+    }
+    let mut row = row.clone();
+    if k < 200 && k % 3 == 1 {
+        row[1] = Datum::Int(v + 1_000_000);
+    }
+    Some(row)
+}
+
+fn own_inserts() -> Vec<Tuple> {
+    vec![
+        vec![Datum::Int(1000), Datum::Int(1), Datum::Str("own-a".into())],
+        vec![Datum::Int(1001), Datum::Int(2), Datum::Str("own-b".into())],
+    ]
+}
+
+/// A commit by another session: updates and deletes among `k >= 200`
+/// (`round` varies which), and inserts that may reuse freed slots.
+fn concurrent_commit(db: &Arc<Database>, round: i64) {
+    let other = db.session();
+    other.begin().unwrap();
+    other
+        .execute(&format!("UPDATE t SET v = v + 7 WHERE k >= 200 AND k % 3 = {}", round % 3))
+        .unwrap();
+    other
+        .execute(&format!("DELETE FROM t WHERE k >= 200 AND k % 11 = {}", round % 11))
+        .unwrap();
+    other
+        .execute(&format!(
+            "INSERT INTO t VALUES ({}, 0, 'late'), ({}, 0, '{}')",
+            2000 + round * 2,
+            2001 + round * 2,
+            "y".repeat(6000)
+        ))
+        .unwrap();
+    other.commit().unwrap();
+}
+
+#[test]
+fn columnar_scan_equals_table_scan() {
+    for cc in [ConcurrencyControl::SingleWriter, ConcurrencyControl::Mvcc] {
+        let sim = SimBackend::new(SimConfig::seeded(0x5ca2));
+        let db = Database::open_at(&*sim, opts(BATCH_ROWS_DB, cc)).unwrap();
+        load_scan_table(&db);
+
+        // Autocommit: the committed heap, byte for byte.
+        let committed: Vec<Tuple> = heap_rows(&db).into_iter().map(|(_, row)| row).collect();
+        let want = encoded(&committed);
+        for b in BATCH_SIZES {
+            assert_eq!(drain_scan(scan_stream(&db, b), b), want, "{cc} autocommit, batch {b}");
+        }
+        check_pruned_scans(&db, &committed, &format!("{cc} autocommit"));
+
+        // Inside a transaction with own inserts, updates and deletes.
+        let before = heap_rows(&db);
+        db.begin().unwrap();
+        for sql in OWN_WRITES {
+            db.execute(sql).unwrap();
+        }
+        let seen: Vec<Tuple> = match cc {
+            // Written in place: the heap is the transaction's view.
+            ConcurrencyControl::SingleWriter => {
+                heap_rows(&db).into_iter().map(|(_, row)| row).collect()
+            }
+            // Buffered: own images in place, own inserts last.
+            ConcurrencyControl::Mvcc => {
+                let mut rows = snapshot_rows(&before, &heap_rows(&db), own_view);
+                rows.extend(own_inserts());
+                rows
+            }
+        };
+        let want = encoded(&seen);
+        for b in BATCH_SIZES {
+            assert_eq!(drain_scan(scan_stream(&db, b), b), want, "{cc} in a transaction, batch {b}");
+        }
+        check_pruned_scans(&db, &seen, &format!("{cc} in a transaction"));
+        db.rollback().unwrap();
+        // Undo may put a row back in another slot: compare contents.
+        let sorted = |rows: Vec<(Rid, Tuple)>| {
+            let mut rows = encoded(rows.iter().map(|(_, row)| row));
+            rows.sort();
+            rows
+        };
+        assert_eq!(sorted(heap_rows(&db)), sorted(before), "{cc}: rollback restores the rows");
+    }
+}
+
+#[test]
+fn mvcc_scan_serves_rows_only_the_chains_hold() {
+    let sim = SimBackend::new(SimConfig::seeded(0xc4a1));
+    let db = Database::open_at(&*sim, opts(BATCH_ROWS_DB, ConcurrencyControl::Mvcc)).unwrap();
+    load_scan_table(&db);
+
+    // Autocommit: the stream pins its snapshot when built; a commit
+    // lands before the first batch is pulled.
+    for (round, b) in BATCH_SIZES.into_iter().enumerate() {
+        let before = heap_rows(&db);
+        let stream = scan_stream(&db, b);
+        concurrent_commit(&db, round as i64);
+        let after = heap_rows(&db);
+        assert_ne!(before, after, "round {round}: the commit changed the heap");
+        let want = encoded(&snapshot_rows(&before, &after, |row| Some(row.clone())));
+        assert_eq!(drain_scan(stream, b), want, "autocommit, batch {b}");
+    }
+
+    // Inside a transaction with own writes, after a concurrent commit.
+    let before = heap_rows(&db);
+    db.begin().unwrap();
+    for sql in OWN_WRITES {
+        db.execute(sql).unwrap();
+    }
+    concurrent_commit(&db, 7);
+    let after = heap_rows(&db);
+    let mut rows = snapshot_rows(&before, &after, own_view);
+    rows.extend(own_inserts());
+    let want = encoded(&rows);
+    for b in BATCH_SIZES {
+        assert_eq!(drain_scan(scan_stream(&db, b), b), want, "in a transaction, batch {b}");
+    }
+    check_pruned_scans(&db, &rows, "in a transaction beside a later commit");
+    db.rollback().unwrap();
+    let stats = db.mvcc().unwrap().stats();
+    assert_eq!(stats.snapshots_active, 0, "every scan released its snapshot");
+}
+
+/// The database's own batch size; the scans above pick theirs per call.
+const BATCH_ROWS_DB: usize = 1024;

@@ -49,13 +49,22 @@
 //! ## The apply latch
 //!
 //! Commits install versions and mutate the heap under the write side of
-//! one `RwLock`; snapshot acquisition and scan materialization take the
-//! read side. Readers never block readers, and writers block readers
-//! only for the duration of a commit's heap apply — not for the lifetime
-//! of the transaction, which is the whole point versus the single-writer
-//! path.
+//! one `RwLock`; snapshot acquisition and the resolution of each heap
+//! page a scan reads take the read side. Readers never block readers,
+//! and a commit waits for at most one page of a running scan — not for
+//! the scan, nor for the lifetime of a transaction, which is the whole
+//! point versus the single-writer path.
+//!
+//! ## Resolving a scan page by page
+//!
+//! A scan resolves visibility next to the page it reads:
+//! [`Mvcc::replaced_in`] names the keys of one page the snapshot must
+//! not take from the heap, and [`Mvcc::chain_rows`] the rows it sees
+//! only in the chains (rows a later commit deleted). A statement outside
+//! any transaction pins its snapshot with [`Mvcc::read_snapshot`].
 
 use std::collections::{BTreeMap, HashMap};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -99,8 +108,9 @@ pub enum Visibility {
 
 #[derive(Default)]
 struct TableCc {
-    /// Commit ts of the last committed write per key (absent = 0).
-    write_ts: HashMap<u64, Ts>,
+    /// Commit ts of the last committed write per key (absent = 0),
+    /// ordered so one heap page's keys are one range.
+    write_ts: BTreeMap<u64, Ts>,
     /// Superseded committed versions per key, oldest first.
     chains: HashMap<u64, Vec<Version>>,
     /// Per-key write locks: which in-flight txn owns the key.
@@ -118,6 +128,15 @@ struct MvccState {
 }
 
 impl MvccState {
+    fn unpin(&mut self, snapshot: Ts) {
+        if let Some(n) = self.snapshots.get_mut(&snapshot) {
+            *n -= 1;
+            if *n == 0 {
+                self.snapshots.remove(&snapshot);
+            }
+        }
+    }
+
     fn min_active_snapshot(&self, clock: Ts) -> Ts {
         self.snapshots.keys().next().copied().unwrap_or(clock)
     }
@@ -261,8 +280,8 @@ impl Mvcc {
     }
 
     /// Visibility of the current heap occupant of `key` at `snapshot`.
-    /// Callers materializing a scan should hold a [`Mvcc::read_latch`]
-    /// so no commit applies mid-scan.
+    /// Callers resolving rows should hold a [`Mvcc::read_latch`] across
+    /// the heap read so no commit applies in between.
     pub fn visibility(&self, table: &str, key: u64, snapshot: Ts) -> Visibility {
         let state = self.state.lock();
         let Some(cc) = state.tables.get(table) else {
@@ -271,22 +290,67 @@ impl Mvcc {
         visibility_in(cc, key, snapshot)
     }
 
-    /// A point-in-time copy of one table's visibility metadata, for
-    /// resolving a whole scan under a single lock acquisition.
-    pub fn scan_overlay(&self, table: &str, snapshot: Ts) -> ScanOverlay {
+    /// The keys in `keys` whose current heap occupant `snapshot` must
+    /// not see (a commit after the snapshot wrote them), in key order,
+    /// each with what the snapshot sees instead. Every other key in the
+    /// range is [`Visibility::Current`]. A scan asks once per heap page,
+    /// under a [`Mvcc::read_latch`] held across the page read.
+    pub fn replaced_in(
+        &self,
+        table: &str,
+        snapshot: Ts,
+        keys: Range<u64>,
+    ) -> Vec<(u64, Visibility)> {
         let state = self.state.lock();
-        let (write_ts, chains) = match state.tables.get(table) {
-            Some(cc) => (cc.write_ts.clone(), cc.chains.clone()),
-            None => (HashMap::new(), HashMap::new()),
+        let Some(cc) = state.tables.get(table) else {
+            return Vec::new();
         };
-        ScanOverlay {
+        cc.write_ts
+            .range(keys)
+            .filter(|(_, &ts)| ts > snapshot)
+            .map(|(&key, _)| (key, visibility_in(cc, key, snapshot)))
+            .collect()
+    }
+
+    /// Every superseded version visible at `snapshot`, by key: the row
+    /// a key held at the snapshot when a later commit replaced or
+    /// deleted it. A read emits those at keys it did not reach in the
+    /// heap (for a scan: rows a later commit deleted).
+    pub fn chain_rows(&self, table: &str, snapshot: Ts) -> Vec<(u64, Vec<u8>)> {
+        let state = self.state.lock();
+        let Some(cc) = state.tables.get(table) else {
+            return Vec::new();
+        };
+        let mut rows: Vec<(u64, Vec<u8>)> = cc
+            .chains
+            .iter()
+            .filter_map(|(&key, versions)| {
+                versions
+                    .iter()
+                    .find(|v| v.begin <= snapshot && snapshot < v.end)
+                    .map(|v| (key, v.row.clone()))
+            })
+            .collect();
+        rows.sort_unstable_by_key(|(key, _)| *key);
+        rows
+    }
+
+    /// Pin a read-only snapshot at the current watermark for a statement
+    /// that runs outside any transaction. It holds back garbage
+    /// collection like a transaction's snapshot and is released when the
+    /// handle drops, counting neither a begin, a commit nor an abort.
+    pub fn read_snapshot(self: &Arc<Self>) -> ReadSnapshot {
+        let _latch = self.apply.read();
+        let snapshot = self.clock.load(Ordering::SeqCst);
+        *self.state.lock().snapshots.entry(snapshot).or_insert(0) += 1;
+        ReadSnapshot {
+            mvcc: Arc::clone(self),
             snapshot,
-            write_ts,
-            chains,
         }
     }
 
-    /// Hold off commit application while materializing a scan.
+    /// Hold off commit application while reading a consistent view:
+    /// one heap page of a scan, or one index probe's rows.
     pub fn read_latch(&self) -> RwLockReadGuard<'_, ()> {
         self.apply.read()
     }
@@ -366,12 +430,7 @@ impl Mvcc {
                 }
             }
         }
-        if let Some(n) = state.snapshots.get_mut(&txn.snapshot) {
-            *n -= 1;
-            if *n == 0 {
-                state.snapshots.remove(&txn.snapshot);
-            }
-        }
+        state.unpin(txn.snapshot);
         state.gc(clock, &self.pruned);
     }
 }
@@ -390,45 +449,26 @@ fn visibility_in(cc: &TableCc, key: u64, snapshot: Ts) -> Visibility {
     }
 }
 
-/// A point-in-time copy of one table's visibility metadata (see
-/// [`Mvcc::scan_overlay`]).
-pub struct ScanOverlay {
+/// A read-only snapshot pinned by [`Mvcc::read_snapshot`]; dropping it
+/// releases the pin.
+pub struct ReadSnapshot {
+    mvcc: Arc<Mvcc>,
     snapshot: Ts,
-    write_ts: HashMap<u64, Ts>,
-    chains: HashMap<u64, Vec<Version>>,
 }
 
-impl ScanOverlay {
-    /// True when the overlay holds no metadata at all — every heap row
-    /// is visible as-is and scans can skip per-row resolution.
-    pub fn is_empty(&self) -> bool {
-        self.write_ts.is_empty() && self.chains.is_empty()
+impl ReadSnapshot {
+    /// The snapshot watermark: commits with `ts <= ts()` are visible.
+    pub fn ts(&self) -> Ts {
+        self.snapshot
     }
+}
 
-    /// Visibility of the current heap occupant of `key`.
-    pub fn visibility(&self, key: u64) -> Visibility {
-        if self.write_ts.get(&key).copied().unwrap_or(0) <= self.snapshot {
-            return Visibility::Current;
-        }
-        match self
-            .chains
-            .get(&key)
-            .and_then(|versions| {
-                versions
-                    .iter()
-                    .find(|v| v.begin <= self.snapshot && self.snapshot < v.end)
-            }) {
-            Some(v) => Visibility::Replaced(v.row.clone()),
-            None => Visibility::Hidden,
-        }
-    }
-
-    /// Keys that have superseded versions. An index scan must consider
-    /// these beyond what the index probe returned: the visible version
-    /// of such a key may satisfy the predicate even when the current
-    /// one does not (or the key is no longer in the heap at all).
-    pub fn chain_keys(&self) -> impl Iterator<Item = u64> + '_ {
-        self.chains.keys().copied()
+impl Drop for ReadSnapshot {
+    fn drop(&mut self) {
+        let clock = self.mvcc.clock.load(Ordering::SeqCst);
+        let mut state = self.mvcc.state.lock();
+        state.unpin(self.snapshot);
+        state.gc(clock, &self.mvcc.pruned);
     }
 }
 
@@ -715,25 +755,76 @@ mod tests {
     }
 
     #[test]
-    fn scan_overlay_matches_point_queries() {
+    fn page_resolution_matches_point_queries() {
         let mvcc = Mvcc::new();
+        let w1 = mvcc.begin();
+        for key in [1, 2, 3] {
+            mvcc.lock_write(&w1, "t", key).unwrap();
+        }
+        let guard = mvcc.commit_begin(&w1);
+        for key in [1, 2, 3] {
+            guard.record_install("t", key);
+        }
+        guard.finish();
+        let reader = mvcc.begin();
+        // After the snapshot: key 1 updated, key 2 deleted, key 9
+        // inserted.
+        let w2 = mvcc.begin();
+        for key in [1, 2, 9] {
+            mvcc.lock_write(&w2, "t", key).unwrap();
+        }
+        let guard = mvcc.commit_begin(&w2);
+        guard.record_supersede("t", 1, b"one".to_vec());
+        guard.record_supersede("t", 2, b"two".to_vec());
+        guard.record_install("t", 9);
+        guard.finish();
+
+        let replaced = mvcc.replaced_in("t", reader.snapshot, 0..u64::MAX);
+        assert_eq!(
+            replaced.iter().map(|(k, _)| *k).collect::<Vec<_>>(),
+            vec![1, 2, 9]
+        );
+        for (key, vis) in &replaced {
+            assert_eq!(*vis, mvcc.visibility("t", *key, reader.snapshot));
+        }
+        assert!(mvcc.replaced_in("t", reader.snapshot, 3..9).is_empty());
+        assert_eq!(
+            mvcc.chain_rows("t", reader.snapshot),
+            vec![(1, b"one".to_vec()), (2, b"two".to_vec())]
+        );
+        // A fresh snapshot sees the heap everywhere.
+        let fresh = mvcc.begin();
+        assert!(mvcc.replaced_in("t", fresh.snapshot, 0..u64::MAX).is_empty());
+        assert!(mvcc.chain_rows("t", fresh.snapshot).is_empty());
+        assert!(mvcc.replaced_in("other", reader.snapshot, 0..u64::MAX).is_empty());
+        mvcc.rollback(&reader);
+        mvcc.rollback(&fresh);
+    }
+
+    #[test]
+    fn read_snapshot_pins_versions_without_counting_a_transaction() {
+        let mvcc = Arc::new(Mvcc::new());
         let w1 = mvcc.begin();
         mvcc.lock_write(&w1, "t", 1).unwrap();
         commit_install(&mvcc, &w1, "t", 1);
-        let reader = mvcc.begin();
+        let read = mvcc.read_snapshot();
         let w2 = mvcc.begin();
         mvcc.lock_write(&w2, "t", 1).unwrap();
         let guard = mvcc.commit_begin(&w2);
         guard.record_supersede("t", 1, b"old".to_vec());
         guard.finish();
-
-        let overlay = mvcc.scan_overlay("t", reader.snapshot);
-        assert!(!overlay.is_empty());
-        assert_eq!(overlay.visibility(1), mvcc.visibility("t", 1, reader.snapshot));
-        assert_eq!(overlay.chain_keys().collect::<Vec<_>>(), vec![1]);
-        // A table with no CC state yields an empty overlay.
-        assert!(mvcc.scan_overlay("other", reader.snapshot).is_empty());
-        mvcc.rollback(&reader);
+        assert_eq!(mvcc.chain_rows("t", read.ts()), vec![(1, b"old".to_vec())]);
+        let before = mvcc.stats();
+        assert_eq!(before.snapshots_active, 1);
+        assert_eq!(before.versions_live, 1);
+        drop(read);
+        let after = mvcc.stats();
+        assert_eq!(after.snapshots_active, 0);
+        assert_eq!(after.versions_live, 0, "the pin was the last reader");
+        assert_eq!(
+            (after.begins, after.commits, after.aborts),
+            (before.begins, before.commits, before.aborts)
+        );
     }
 
     #[test]
