@@ -8,11 +8,21 @@
 //! Keys are *composite*: an ordered tuple of datums, one per indexed
 //! column, compared lexicographically component-by-component with
 //! [`Datum::order`]. The on-page encoding is the record codec's tuple
-//! format (count-prefixed, each datum length-delimited), which is
-//! order-preserving under that comparator by construction — the tree
-//! never compares raw bytes, it decodes and compares datums, so numeric
-//! cross-type order (`2 = 2.0`) and NULL-sorts-first survive composition.
-//! A single-column index is simply a composite key of arity one.
+//! format (count-prefixed, each datum length-delimited). The tree never
+//! compares raw bytes: probes ([`BTree::search`], [`BTree::range`],
+//! [`BTree::scan_range`]) walk the node bytes in place on the buffer
+//! pool's frame and compare each encoded key against the bound through
+//! the borrowed [`DatumRef::order`](crate::record::DatumRef::order), the
+//! one comparator behind `Datum::order`, so numeric cross-type order
+//! (`2 = 2.0`) and NULL-sorts-first survive composition and nothing is
+//! copied or allocated per entry. Only keys a caller keeps (covering
+//! scans) are decoded; only insert and delete, which rewrite a node, and
+//! the structural [`BTree::validate`] build an owned copy of one.
+//! Reading in place keeps the validation contract: every key of every
+//! node a probe visits is checked as `decode_tuple` would check it
+//! (field count, tags, lengths, UTF-8, no trailing bytes), so a corrupt
+//! node is a storage error, never a wrong rid list. A single-column
+//! index is simply a composite key of arity one.
 //!
 //! Entries are `(key, rid)` composites ordered by key then rid, which
 //! makes duplicate keys unambiguous: separators in internal nodes carry
@@ -34,7 +44,7 @@ use sbdms_storage::buffer::BufferPool;
 use sbdms_storage::page::PageId;
 
 use crate::heap::Rid;
-use crate::record::{decode_tuple, encode_tuple, Datum};
+use crate::record::{decode_tuple, encode_tuple, for_each_field, Datum};
 
 /// Serialised nodes above this size split. Leaves headroom under the
 /// single-record page capacity (~4084 bytes).
@@ -52,22 +62,32 @@ pub fn key_order(a: &[Datum], b: &[Datum]) -> Ordering {
     a.len().cmp(&b.len())
 }
 
-/// Compare a full key against a (possibly shorter) *bound*: only the
-/// bound's components participate, so `Equal` means "the key starts with
-/// the bound". This is what makes a bound of `[5]` select every
-/// `(5, _, ...)` key in a multi-column index.
-fn prefix_order(key: &[Datum], bound: &[Datum]) -> Ordering {
-    for (x, y) in key.iter().zip(bound.iter()) {
-        match x.order(y) {
-            Ordering::Equal => continue,
-            other => return other,
+/// Order of an *encoded* key (the [`encode_tuple`] bytes on the node)
+/// against each of `bounds`, compared in place. One pass over the key
+/// validates every field exactly as [`decode_tuple`] would and compares
+/// the leading components through
+/// [`DatumRef::order`](crate::record::DatumRef::order). Only a bound's
+/// own components participate, so `Equal` means "the key starts with
+/// the bound": this is what makes a bound of `[5]` select every
+/// `(5, _, ...)` key in a multi-column index, and an empty bound match
+/// every key.
+fn prefix_orders<const N: usize>(key: &[u8], bounds: [&[Datum]; N]) -> Result<[Ordering; N]> {
+    let mut ords = [Ordering::Equal; N];
+    let fields = for_each_field(key, |i, d| {
+        for (ord, bound) in ords.iter_mut().zip(bounds) {
+            if *ord == Ordering::Equal {
+                if let Some(b) = bound.get(i) {
+                    *ord = d.order(&b.as_ref());
+                }
+            }
+        }
+    })?;
+    for (ord, bound) in ords.iter_mut().zip(bounds) {
+        if *ord == Ordering::Equal && fields < bound.len() {
+            *ord = Ordering::Less;
         }
     }
-    if key.len() < bound.len() {
-        Ordering::Less
-    } else {
-        Ordering::Equal
-    }
+    Ok(ords)
 }
 
 /// One index entry: composite key plus the rid it points at.
@@ -113,32 +133,24 @@ impl Node {
         out
     }
 
+    /// Build the owned node a rewrite edits (insert, delete, validate).
     fn decode(data: &[u8]) -> Result<Node> {
-        let corrupt = || ServiceError::Storage("corrupt btree node".into());
-        let tag = *data.first().ok_or_else(corrupt)?;
-        let mut pos = 1usize;
-        match tag {
-            1 => {
-                let next = read_u64(data, &mut pos)?;
-                let count = read_u16(data, &mut pos)? as usize;
-                let mut entries = Vec::with_capacity(count);
-                for _ in 0..count {
-                    entries.push(decode_entry(data, &mut pos)?);
-                }
-                Ok(Node::Leaf { entries, next })
-            }
-            0 => {
-                let count = read_u16(data, &mut pos)? as usize;
-                let mut children = Vec::with_capacity(count + 1);
-                children.push(read_u64(data, &mut pos)?);
-                let mut seps = Vec::with_capacity(count);
-                for _ in 0..count {
-                    seps.push(decode_entry(data, &mut pos)?);
-                    children.push(read_u64(data, &mut pos)?);
+        let (head, entries) = parse_node(data)?;
+        match head {
+            NodeHead::Leaf { next } => Ok(Node::Leaf {
+                entries: entries.map(|e| e?.decode()).collect::<Result<_>>()?,
+                next,
+            }),
+            NodeHead::Internal { child0 } => {
+                let mut children = vec![child0];
+                let mut seps = Vec::new();
+                for e in entries {
+                    let e = e?;
+                    children.push(e.right);
+                    seps.push(e.decode()?);
                 }
                 Ok(Node::Internal { seps, children })
             }
-            _ => Err(corrupt()),
         }
     }
 }
@@ -151,18 +163,125 @@ fn encode_entry(out: &mut Vec<u8>, e: &Entry) {
     out.extend_from_slice(&e.rid.slot.to_le_bytes());
 }
 
-fn decode_entry(data: &[u8], pos: &mut usize) -> Result<Entry> {
-    let klen = read_u16(data, pos)? as usize;
-    let corrupt = || ServiceError::Storage("corrupt btree entry".into());
-    let kbytes = data.get(*pos..*pos + klen).ok_or_else(corrupt)?;
-    *pos += klen;
-    let key = decode_tuple(kbytes)?;
-    let page = read_u64(data, pos)?;
-    let slot = read_u16(data, pos)?;
-    Ok(Entry {
-        key,
-        rid: Rid::new(page, slot),
-    })
+/// A serialized node's header, read in place.
+enum NodeHead {
+    Leaf { next: PageId },
+    Internal { child0: PageId },
+}
+
+/// One entry of a serialized node, read in place on the page frame:
+/// the encoded key (validated by whoever compares or decodes it), the
+/// rid, and for an internal node the child right of this separator.
+struct RawEntry<'a> {
+    key: &'a [u8],
+    rid: Rid,
+    right: PageId,
+}
+
+impl RawEntry<'_> {
+    fn decode(&self) -> Result<Entry> {
+        Ok(Entry {
+            key: decode_tuple(self.key)?,
+            rid: self.rid,
+        })
+    }
+}
+
+/// The entries of a serialized node in order (separators, for an
+/// internal node), framed in place: one parser behind both the in-place
+/// probes and [`Node::decode`].
+struct RawEntries<'a> {
+    data: &'a [u8],
+    pos: usize,
+    left: usize,
+    internal: bool,
+}
+
+impl<'a> RawEntries<'a> {
+    fn read(&mut self) -> Result<RawEntry<'a>> {
+        let klen = read_u16(self.data, &mut self.pos)? as usize;
+        let key = self
+            .data
+            .get(self.pos..self.pos + klen)
+            .ok_or_else(|| ServiceError::Storage("corrupt btree entry".into()))?;
+        self.pos += klen;
+        let page = read_u64(self.data, &mut self.pos)?;
+        let slot = read_u16(self.data, &mut self.pos)?;
+        let right = if self.internal {
+            read_u64(self.data, &mut self.pos)?
+        } else {
+            0
+        };
+        Ok(RawEntry {
+            key,
+            rid: Rid::new(page, slot),
+            right,
+        })
+    }
+}
+
+impl<'a> Iterator for RawEntries<'a> {
+    type Item = Result<RawEntry<'a>>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        let entry = self.read();
+        if entry.is_err() {
+            self.left = 0;
+        }
+        Some(entry)
+    }
+}
+
+fn parse_node(data: &[u8]) -> Result<(NodeHead, RawEntries<'_>)> {
+    let corrupt = || ServiceError::Storage("corrupt btree node".into());
+    let mut pos = 1usize;
+    let (head, count) = match *data.first().ok_or_else(corrupt)? {
+        1 => {
+            let next = read_u64(data, &mut pos)?;
+            (NodeHead::Leaf { next }, read_u16(data, &mut pos)?)
+        }
+        0 => {
+            let count = read_u16(data, &mut pos)?;
+            let child0 = read_u64(data, &mut pos)?;
+            (NodeHead::Internal { child0 }, count)
+        }
+        _ => return Err(corrupt()),
+    };
+    let internal = matches!(head, NodeHead::Internal { .. });
+    Ok((
+        head,
+        RawEntries {
+            data,
+            pos,
+            left: count as usize,
+            internal,
+        },
+    ))
+}
+
+/// The child of an internal node to descend into for `bound`: left of
+/// the first separator whose key is `>=` the bound (prefix compare), so
+/// leftmost duplicates are not skipped. Every separator key is
+/// validated, including those after the chosen child.
+fn route(child0: PageId, entries: RawEntries<'_>, bound: &[Datum]) -> Result<PageId> {
+    let mut child = child0;
+    let mut routed = false;
+    for e in entries {
+        let e = e?;
+        let [ord] = prefix_orders(e.key, [bound])?;
+        if !routed {
+            if ord == Ordering::Less {
+                child = e.right;
+            } else {
+                routed = true;
+            }
+        }
+    }
+    Ok(child)
 }
 
 fn read_u64(data: &[u8], pos: &mut usize) -> Result<u64> {
@@ -267,28 +386,10 @@ impl BTree {
     /// whose first component equals `a`.
     pub fn search(&self, key: &[Datum]) -> Result<Vec<Rid>> {
         let mut out = Vec::new();
-        let mut page = self.find_leaf(key)?;
-        loop {
-            let node = self.read_node(page)?;
-            let Node::Leaf { entries, next } = node else {
-                return Err(ServiceError::Storage("expected leaf".into()));
-            };
-            let mut past_key = false;
-            for e in &entries {
-                match prefix_order(&e.key, key) {
-                    Ordering::Less => {}
-                    Ordering::Equal => out.push(e.rid),
-                    Ordering::Greater => {
-                        past_key = true;
-                        break;
-                    }
-                }
-            }
-            if past_key || next == 0 {
-                break;
-            }
-            page = next;
-        }
+        self.scan_range(Some(key), Some(key), true, true, |_, rid| {
+            out.push(rid);
+            Ok(())
+        })?;
         Ok(out)
     }
 
@@ -306,34 +407,57 @@ impl BTree {
         hi_inclusive: bool,
     ) -> Result<Vec<(Vec<Datum>, Rid)>> {
         let mut out = Vec::new();
-        let mut page = match lo {
-            Some(k) => self.find_leaf(k)?,
-            None => self.leftmost_leaf()?,
-        };
+        self.scan_range(lo, hi, lo_inclusive, hi_inclusive, |key, rid| {
+            out.push((decode_tuple(key)?, rid));
+            Ok(())
+        })?;
+        Ok(out)
+    }
+
+    /// The entries of [`BTree::range`] in key order, handed to `visit`
+    /// as `(encoded key, rid)` straight from the page frame: keys are
+    /// compared in place and decoded only by a visitor that keeps them.
+    /// Every key of every node visited is validated as [`decode_tuple`]
+    /// would, so a corrupt node is a storage error, never a wrong
+    /// answer. `visit` runs under the leaf's frame latch and must not
+    /// touch the buffer pool.
+    pub fn scan_range(
+        &self,
+        lo: Option<&[Datum]>,
+        hi: Option<&[Datum]>,
+        lo_inclusive: bool,
+        hi_inclusive: bool,
+        mut visit: impl FnMut(&[u8], Rid) -> Result<()>,
+    ) -> Result<()> {
+        let (mut page, _) = self.descend(lo.unwrap_or(&[]))?;
+        let bounds = [lo.unwrap_or(&[]), hi.unwrap_or(&[])];
         loop {
-            let node = self.read_node(page)?;
-            let Node::Leaf { entries, next } = node else {
-                return Err(ServiceError::Storage("expected leaf".into()));
-            };
-            for e in entries {
-                if let Some(lo) = lo {
-                    let c = prefix_order(&e.key, lo);
-                    if c == Ordering::Less || (c == Ordering::Equal && !lo_inclusive) {
-                        continue;
+            let next = self.buffer.with_page(page, |p| -> Result<Option<PageId>> {
+                let (NodeHead::Leaf { next }, entries) = parse_node(p.get(0)?)? else {
+                    return Err(ServiceError::Storage("expected leaf".into()));
+                };
+                let mut past_hi = false;
+                for e in entries {
+                    let e = e?;
+                    let [lo_ord, hi_ord] = prefix_orders(e.key, bounds)?;
+                    if past_hi {
+                        continue; // still validated
+                    }
+                    let below_lo = lo.is_some()
+                        && (lo_ord == Ordering::Less || (lo_ord == Ordering::Equal && !lo_inclusive));
+                    past_hi = hi.is_some()
+                        && (hi_ord == Ordering::Greater
+                            || (hi_ord == Ordering::Equal && !hi_inclusive));
+                    if !below_lo && !past_hi {
+                        visit(e.key, e.rid)?;
                     }
                 }
-                if let Some(hi) = hi {
-                    let c = prefix_order(&e.key, hi);
-                    if c == Ordering::Greater || (c == Ordering::Equal && !hi_inclusive) {
-                        return Ok(out);
-                    }
-                }
-                out.push((e.key, e.rid));
+                Ok((!past_hi && next != 0).then_some(next))
+            })??;
+            match next {
+                Some(next) => page = next,
+                None => return Ok(()),
             }
-            if next == 0 {
-                return Ok(out);
-            }
-            page = next;
         }
     }
 
@@ -344,7 +468,7 @@ impl BTree {
             key: key.to_vec(),
             rid,
         };
-        let mut page = self.find_leaf(key)?;
+        let (mut page, _) = self.descend(key)?;
         loop {
             let node = self.read_node(page)?;
             let Node::Leaf { mut entries, next } = node else {
@@ -370,17 +494,11 @@ impl BTree {
     /// Total number of entries (full leaf walk).
     pub fn len(&self) -> Result<usize> {
         let mut n = 0;
-        let mut page = self.leftmost_leaf()?;
-        loop {
-            let Node::Leaf { entries, next } = self.read_node(page)? else {
-                return Err(ServiceError::Storage("expected leaf".into()));
-            };
-            n += entries.len();
-            if next == 0 {
-                return Ok(n);
-            }
-            page = next;
-        }
+        self.scan_range(None, None, true, true, |_, _| {
+            n += 1;
+            Ok(())
+        })?;
+        Ok(n)
     }
 
     /// Whether the index is empty.
@@ -390,17 +508,7 @@ impl BTree {
 
     /// Tree height (1 = just a leaf). Useful for experiments and tests.
     pub fn height(&self) -> Result<usize> {
-        let mut page = *self.root.lock();
-        let mut h = 1;
-        loop {
-            match self.read_node(page)? {
-                Node::Leaf { .. } => return Ok(h),
-                Node::Internal { children, .. } => {
-                    page = children[0];
-                    h += 1;
-                }
-            }
-        }
+        Ok(self.descend(&[])?.1)
     }
 
     /// Structural validation, for crash-recovery checks: every node
@@ -570,39 +678,34 @@ impl BTree {
         }
     }
 
-    /// Leaf that may contain the *leftmost* occurrence of `key` (which
-    /// may be a prefix of the stored keys).
-    fn find_leaf(&self, key: &[Datum]) -> Result<PageId> {
+    /// Walk from the root to the leaf that may contain the *leftmost*
+    /// key starting with `bound` (the leftmost leaf for an empty bound),
+    /// reading each internal node in place. Returns the leaf and the
+    /// number of levels walked (the tree height).
+    fn descend(&self, bound: &[Datum]) -> Result<(PageId, usize)> {
         let mut page = *self.root.lock();
+        let mut height = 1;
         loop {
-            match self.read_node(page)? {
-                Node::Leaf { .. } => return Ok(page),
-                Node::Internal { seps, children } => {
-                    // Descend left of any separator whose key >= key so
-                    // leftmost duplicates are not skipped.
-                    let idx =
-                        seps.partition_point(|s| prefix_order(&s.key, key) == Ordering::Less);
-                    page = children[idx];
+            let child = self.buffer.with_page(page, |p| -> Result<Option<PageId>> {
+                match parse_node(p.get(0)?)? {
+                    (NodeHead::Leaf { .. }, _) => Ok(None),
+                    (NodeHead::Internal { child0 }, seps) => route(child0, seps, bound).map(Some),
                 }
+            })??;
+            match child {
+                Some(child) => {
+                    page = child;
+                    height += 1;
+                }
+                None => return Ok((page, height)),
             }
         }
     }
 
-    fn leftmost_leaf(&self) -> Result<PageId> {
-        let mut page = *self.root.lock();
-        loop {
-            match self.read_node(page)? {
-                Node::Leaf { .. } => return Ok(page),
-                Node::Internal { children, .. } => page = children[0],
-            }
-        }
-    }
-
+    /// The owned node at `page`, for the paths that rewrite a node
+    /// (insert, delete) and for structural validation.
     fn read_node(&self, page: PageId) -> Result<Node> {
-        let bytes = self
-            .buffer
-            .with_page(page, |p| p.get(0).map(|r| r.to_vec()))??;
-        Node::decode(&bytes)
+        self.buffer.with_page(page, |p| Node::decode(p.get(0)?))?
     }
 
     fn write_node(buffer: &BufferPool, page: PageId, node: &Node, fresh: bool) -> Result<()> {
@@ -942,6 +1045,143 @@ mod tests {
         assert_eq!(t.search(&[Datum::Str(key)]).unwrap(), vec![rid(150)]);
     }
 
+    /// The owned-datum comparator the in-place [`prefix_orders`] must
+    /// agree with: component-by-component [`Datum::order`] over the
+    /// bound's own components, a key shorter than the bound sorting
+    /// first.
+    fn prefix_order(key: &[Datum], bound: &[Datum]) -> Ordering {
+        for (x, y) in key.iter().zip(bound.iter()) {
+            match x.order(y) {
+                Ordering::Equal => continue,
+                other => return other,
+            }
+        }
+        if key.len() < bound.len() {
+            Ordering::Less
+        } else {
+            Ordering::Equal
+        }
+    }
+
+    /// Datums biased toward the comparator's edges: NULL, equal Int and
+    /// Float values, both zeros, and multibyte UTF-8.
+    fn edge_datum() -> impl Strategy<Value = Datum> {
+        prop_oneof![
+            Just(Datum::Null),
+            any::<bool>().prop_map(Datum::Bool),
+            (-3i64..3).prop_map(Datum::Int),
+            (-3i64..3).prop_map(|i| Datum::Float(i as f64)),
+            Just(Datum::Float(0.0)),
+            Just(Datum::Float(-0.0)),
+            (-1e3f64..1e3).prop_map(Datum::Float),
+            any::<i64>().prop_map(Datum::Int),
+            (0usize..8).prop_map(|i| {
+                let s = ["", "a", "ab", "é", "日本", "日本語", "\u{1F600}", "z"][i];
+                Datum::Str(s.to_string())
+            }),
+        ]
+    }
+
+    /// The rid lists a probe may return once a node on its path is
+    /// damaged: none. Every key of every visited node is validated.
+    #[test]
+    fn damaged_keys_on_the_probe_path_are_storage_errors() {
+        let dir = std::env::temp_dir()
+            .join("sbdms-btree-tests")
+            .join(format!("damaged-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let engine = StorageEngine::open(&dir, 256, PolicyKind::Lru).unwrap();
+        let t = BTree::create(engine.buffer.clone()).unwrap();
+        let key = |i: i64| vec![Datum::Int(i), Datum::Str(format!("name-{i:05}-{}", "x".repeat(40)))];
+        for i in 0..6000i64 {
+            t.insert(&key(i), rid(i as u64)).unwrap();
+        }
+        assert!(t.height().unwrap() >= 3, "the probe must cross internal levels");
+        let probe = [Datum::Int(4321)];
+        let want = t.search(&probe).unwrap();
+        assert_eq!(want, vec![rid(4321)]);
+
+        // The pages the probe visits, root to leaf.
+        let mut path = Vec::new();
+        let mut page = *t.root.lock();
+        loop {
+            path.push(page);
+            match t.read_node(page).unwrap() {
+                Node::Leaf { .. } => break,
+                Node::Internal { seps, children } => {
+                    let idx = seps.partition_point(|s| prefix_order(&s.key, &probe) == Ordering::Less);
+                    page = children[idx];
+                }
+            }
+        }
+        // Each way of damaging one key's bytes, as (node bytes, key
+        // offset, key length) -> damaged node bytes.
+        type Damage = fn(&[u8], usize, usize) -> Vec<u8>;
+        let damages: [(&str, Damage); 5] = [
+            ("bad tag", |n, at, _| {
+                let mut n = n.to_vec();
+                n[at + 2] = 0xEE; // first field's tag
+                n
+            }),
+            ("field count too high", |n, at, _| {
+                let mut n = n.to_vec();
+                n[at] += 1;
+                n
+            }),
+            ("truncated key", |n, at, klen| {
+                let mut out = n[..at - 2].to_vec();
+                out.extend_from_slice(&((klen - 1) as u16).to_le_bytes());
+                out.extend_from_slice(&n[at..at + klen - 1]);
+                out.extend_from_slice(&n[at + klen..]);
+                out
+            }),
+            ("trailing byte", |n, at, klen| {
+                let mut out = n[..at - 2].to_vec();
+                out.extend_from_slice(&((klen + 1) as u16).to_le_bytes());
+                out.extend_from_slice(&n[at..at + klen]);
+                out.push(0);
+                out.extend_from_slice(&n[at + klen..]);
+                out
+            }),
+            ("invalid UTF-8", |n, at, klen| {
+                let mut n = n.to_vec();
+                n[at + klen - 1] = 0xFF; // last byte of the string field
+                n
+            }),
+        ];
+        for &page in &path {
+            let pristine = engine.buffer.with_page(page, |p| p.get(0).unwrap().to_vec()).unwrap();
+            let (_, entries) = parse_node(&pristine).unwrap();
+            let offsets: Vec<(usize, usize)> = entries
+                .map(|e| {
+                    let e = e.unwrap();
+                    (e.key.as_ptr() as usize - pristine.as_ptr() as usize, e.key.len())
+                })
+                .collect();
+            let picks = [0, offsets.len() / 2, offsets.len() - 1];
+            for &i in &picks {
+                let (at, klen) = offsets[i];
+                for (what, damage) in &damages {
+                    let damaged = damage(&pristine, at, klen);
+                    engine
+                        .buffer
+                        .try_with_page_mut(page, |p| p.update(0, &damaged))
+                        .unwrap();
+                    match t.search(&probe) {
+                        Err(ServiceError::Storage(_)) => {}
+                        other => panic!("{what} on key {i} of page {page}: got {other:?}"),
+                    }
+                    assert!(t.range(Some(&probe), Some(&probe), true, true).is_err());
+                }
+                engine
+                    .buffer
+                    .try_with_page_mut(page, |p| p.update(0, &pristine))
+                    .unwrap();
+            }
+        }
+        assert_eq!(t.search(&probe).unwrap(), want, "restored tree answers again");
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(16))]
         #[test]
@@ -995,6 +1235,22 @@ mod tests {
             let all = t.range(None, None, true, true).unwrap();
             prop_assert_eq!(all.len(), model.len());
             let _ = std::fs::remove_dir_all(&dir);
+        }
+
+        #[test]
+        fn prop_in_place_prefix_order_matches_datums(
+            key in proptest::collection::vec(edge_datum(), 0..5),
+            bound in proptest::collection::vec(edge_datum(), 0..5),
+            lo_len in 0usize..5,
+        ) {
+            let encoded = encode_tuple(&key);
+            // An arbitrary bound, and a prefix of the key itself (the
+            // common equality-probe shape).
+            let prefix = &key[..lo_len.min(key.len())];
+            let [a, b] = prefix_orders(&encoded, [&bound, prefix]).unwrap();
+            prop_assert_eq!(a, prefix_order(&key, &bound));
+            prop_assert_eq!(b, prefix_order(&key, prefix));
+            prop_assert_eq!(b, Ordering::Equal);
         }
 
         #[test]

@@ -29,31 +29,21 @@ pub enum Datum {
 pub type Tuple = Vec<Datum>;
 
 impl Datum {
-    /// Total order used by sorting, indexes and comparisons. NULL sorts
-    /// first; numeric types compare cross-type; distinct non-comparable
-    /// types order by a fixed type rank.
+    /// Total order used by sorting, indexes and comparisons: the
+    /// borrowed [`DatumRef::order`], so owned datums and encoded keys
+    /// compared in place share one comparator.
     pub fn order(&self, other: &Datum) -> Ordering {
-        use Datum::*;
-        match (self, other) {
-            (Null, Null) => Ordering::Equal,
-            (Null, _) => Ordering::Less,
-            (_, Null) => Ordering::Greater,
-            (Bool(a), Bool(b)) => a.cmp(b),
-            (Int(a), Int(b)) => a.cmp(b),
-            (Float(a), Float(b)) => a.total_cmp(b),
-            (Int(a), Float(b)) => (*a as f64).total_cmp(b),
-            (Float(a), Int(b)) => a.total_cmp(&(*b as f64)),
-            (Str(a), Str(b)) => a.cmp(b),
-            (a, b) => a.type_rank().cmp(&b.type_rank()),
-        }
+        self.as_ref().order(&other.as_ref())
     }
 
-    fn type_rank(&self) -> u8 {
+    /// A borrowed view of this datum.
+    pub fn as_ref(&self) -> DatumRef<'_> {
         match self {
-            Datum::Null => 0,
-            Datum::Bool(_) => 1,
-            Datum::Int(_) | Datum::Float(_) => 2,
-            Datum::Str(_) => 3,
+            Datum::Null => DatumRef::Null,
+            Datum::Bool(b) => DatumRef::Bool(*b),
+            Datum::Int(i) => DatumRef::Int(*i),
+            Datum::Float(x) => DatumRef::Float(*x),
+            Datum::Str(s) => DatumRef::Str(s),
         }
     }
 
@@ -108,37 +98,7 @@ impl Datum {
 
     /// Decode one datum from `data[*pos..]`, advancing `pos`.
     pub fn decode_from(data: &[u8], pos: &mut usize) -> Result<Datum> {
-        let corrupt = || ServiceError::Storage("corrupt record encoding".into());
-        let tag = *data.get(*pos).ok_or_else(corrupt)?;
-        *pos += 1;
-        match tag {
-            0 => Ok(Datum::Null),
-            1 => {
-                let b = *data.get(*pos).ok_or_else(corrupt)?;
-                *pos += 1;
-                Ok(Datum::Bool(b != 0))
-            }
-            2 => {
-                let bytes = data.get(*pos..*pos + 8).ok_or_else(corrupt)?;
-                *pos += 8;
-                Ok(Datum::Int(i64::from_le_bytes(bytes.try_into().unwrap())))
-            }
-            3 => {
-                let bytes = data.get(*pos..*pos + 8).ok_or_else(corrupt)?;
-                *pos += 8;
-                Ok(Datum::Float(f64::from_le_bytes(bytes.try_into().unwrap())))
-            }
-            4 => {
-                let len_bytes = data.get(*pos..*pos + 4).ok_or_else(corrupt)?;
-                let len = u32::from_le_bytes(len_bytes.try_into().unwrap()) as usize;
-                *pos += 4;
-                let bytes = data.get(*pos..*pos + len).ok_or_else(corrupt)?;
-                *pos += len;
-                let s = std::str::from_utf8(bytes).map_err(|_| corrupt())?;
-                Ok(Datum::Str(s.to_string()))
-            }
-            _ => Err(corrupt()),
-        }
+        DatumRef::decode_from(data, pos).map(|d| d.to_owned())
     }
 
     /// Step over one encoded datum at `data[*pos..]` without building
@@ -200,6 +160,100 @@ impl Datum {
     }
 }
 
+/// A borrowed datum: a view of an owned [`Datum`], or of an encoded
+/// field in place (a string borrows its UTF-8 from the buffer), so
+/// encoded keys compare without building owned datums.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum DatumRef<'a> {
+    /// SQL NULL.
+    Null,
+    /// Boolean.
+    Bool(bool),
+    /// 64-bit integer.
+    Int(i64),
+    /// 64-bit float.
+    Float(f64),
+    /// UTF-8 string.
+    Str(&'a str),
+}
+
+impl<'a> DatumRef<'a> {
+    /// The total order behind [`Datum::order`]. NULL sorts first;
+    /// numeric types compare cross-type; distinct non-comparable types
+    /// order by a fixed type rank.
+    pub fn order(&self, other: &DatumRef<'_>) -> Ordering {
+        use DatumRef::*;
+        match (*self, *other) {
+            (Null, Null) => Ordering::Equal,
+            (Null, _) => Ordering::Less,
+            (_, Null) => Ordering::Greater,
+            (Bool(a), Bool(b)) => a.cmp(&b),
+            (Int(a), Int(b)) => a.cmp(&b),
+            (Float(a), Float(b)) => a.total_cmp(&b),
+            (Int(a), Float(b)) => (a as f64).total_cmp(&b),
+            (Float(a), Int(b)) => a.total_cmp(&(b as f64)),
+            (Str(a), Str(b)) => a.cmp(b),
+            (a, b) => a.type_rank().cmp(&b.type_rank()),
+        }
+    }
+
+    fn type_rank(&self) -> u8 {
+        match self {
+            DatumRef::Null => 0,
+            DatumRef::Bool(_) => 1,
+            DatumRef::Int(_) | DatumRef::Float(_) => 2,
+            DatumRef::Str(_) => 3,
+        }
+    }
+
+    /// An owned copy.
+    pub fn to_owned(&self) -> Datum {
+        match *self {
+            DatumRef::Null => Datum::Null,
+            DatumRef::Bool(b) => Datum::Bool(b),
+            DatumRef::Int(i) => Datum::Int(i),
+            DatumRef::Float(x) => Datum::Float(x),
+            DatumRef::Str(s) => Datum::Str(s.to_string()),
+        }
+    }
+
+    /// Decode one datum from `data[*pos..]` in place, advancing `pos`.
+    /// Checks the tag, the length and (for strings) UTF-8; allocates
+    /// nothing.
+    pub fn decode_from(data: &'a [u8], pos: &mut usize) -> Result<DatumRef<'a>> {
+        let corrupt = || ServiceError::Storage("corrupt record encoding".into());
+        let tag = *data.get(*pos).ok_or_else(corrupt)?;
+        *pos += 1;
+        match tag {
+            0 => Ok(DatumRef::Null),
+            1 => {
+                let b = *data.get(*pos).ok_or_else(corrupt)?;
+                *pos += 1;
+                Ok(DatumRef::Bool(b != 0))
+            }
+            2 => {
+                let bytes = data.get(*pos..*pos + 8).ok_or_else(corrupt)?;
+                *pos += 8;
+                Ok(DatumRef::Int(i64::from_le_bytes(bytes.try_into().unwrap())))
+            }
+            3 => {
+                let bytes = data.get(*pos..*pos + 8).ok_or_else(corrupt)?;
+                *pos += 8;
+                Ok(DatumRef::Float(f64::from_le_bytes(bytes.try_into().unwrap())))
+            }
+            4 => {
+                let len_bytes = data.get(*pos..*pos + 4).ok_or_else(corrupt)?;
+                let len = u32::from_le_bytes(len_bytes.try_into().unwrap()) as usize;
+                *pos += 4;
+                let bytes = data.get(*pos..*pos + len).ok_or_else(corrupt)?;
+                *pos += len;
+                Ok(DatumRef::Str(std::str::from_utf8(bytes).map_err(|_| corrupt())?))
+            }
+            _ => Err(corrupt()),
+        }
+    }
+}
+
 impl fmt::Display for Datum {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -230,19 +284,37 @@ pub fn encode_tuple_into(tuple: &[Datum], out: &mut Vec<u8>) {
 
 /// Decode a tuple produced by [`encode_tuple`].
 pub fn decode_tuple(data: &[u8]) -> Result<Tuple> {
-    if data.len() < 2 {
-        return Err(ServiceError::Storage("corrupt tuple encoding".into()));
-    }
-    let n = u16::from_le_bytes(data[0..2].try_into().unwrap()) as usize;
+    let mut tuple = Vec::with_capacity(field_count(data)?);
+    for_each_field(data, |_, d| tuple.push(d.to_owned()))?;
+    Ok(tuple)
+}
+
+/// The field count in an encoded tuple's header.
+fn field_count(data: &[u8]) -> Result<usize> {
+    let header = data
+        .get(0..2)
+        .ok_or_else(|| ServiceError::Storage("corrupt tuple encoding".into()))?;
+    Ok(u16::from_le_bytes(header.try_into().unwrap()) as usize)
+}
+
+/// Walk a tuple produced by [`encode_tuple`] in place, handing field
+/// `i` to `field(i, datum)`, and return the field count. The encoding
+/// is validated exactly as [`decode_tuple`] validates it (field count,
+/// tags, lengths, UTF-8, no trailing bytes) with nothing allocated; on
+/// an error `field` may have seen a prefix of the fields.
+pub fn for_each_field<'a>(
+    data: &'a [u8],
+    mut field: impl FnMut(usize, DatumRef<'a>),
+) -> Result<usize> {
+    let n = field_count(data)?;
     let mut pos = 2;
-    let mut tuple = Vec::with_capacity(n);
-    for _ in 0..n {
-        tuple.push(Datum::decode_from(data, &mut pos)?);
+    for i in 0..n {
+        field(i, DatumRef::decode_from(data, &mut pos)?);
     }
     if pos != data.len() {
         return Err(ServiceError::Storage("trailing bytes after tuple".into()));
     }
-    Ok(tuple)
+    Ok(n)
 }
 
 /// Decode a tuple produced by [`encode_tuple`] straight into column

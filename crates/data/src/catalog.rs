@@ -4,6 +4,12 @@
 //! file whose directory page is — by convention — the first page ever
 //! allocated in the database file (page 1), so a reopened database finds
 //! its catalog without external state.
+//!
+//! Table metadata is handed out as shared snapshots (`Arc<TableMeta>`):
+//! a lookup clones a pointer, not the schema, index list and statistics
+//! (histogram bounds included), so planning a statement copies none of
+//! them. A DDL change or `ANALYZE` replaces a table's snapshot; holders
+//! of the old one keep a consistent, if stale, view.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -84,7 +90,7 @@ enum CatalogRecord {
 pub struct Catalog {
     buffer: Arc<BufferPool>,
     heap: HeapFile,
-    tables: Mutex<HashMap<String, (Rid, TableMeta)>>,
+    tables: Mutex<HashMap<String, (Rid, Arc<TableMeta>)>>,
     views: Mutex<HashMap<String, (Rid, ViewMeta)>>,
     /// Monotonic schema version, bumped on every DDL mutation. Cached
     /// query plans embed the version they were built against and are
@@ -185,14 +191,6 @@ impl Catalog {
         Ok(())
     }
 
-    /// Fetch a table's stats, if it has been analyzed.
-    pub fn stats(&self, name: &str) -> Option<TableStats> {
-        self.tables
-            .lock()
-            .get(&name.to_lowercase())
-            .and_then(|(_, m)| m.stats.clone())
-    }
-
     /// Record `n` row writes (insert/delete/update) against a table.
     /// Crossing the staleness threshold bumps `stats_version` once so
     /// cached plans built on the now-stale stats stop matching.
@@ -251,7 +249,7 @@ impl Catalog {
                 .map_err(|e| ServiceError::Storage(format!("corrupt catalog record: {e}")))?;
             match record {
                 CatalogRecord::Table(meta) => {
-                    tables.insert(meta.name.clone(), (rid, meta));
+                    tables.insert(meta.name.clone(), (rid, Arc::new(meta)));
                 }
                 CatalogRecord::View(meta) => {
                     views.insert(meta.name.clone(), (rid, meta));
@@ -273,13 +271,13 @@ impl Catalog {
             )));
         }
         let rid = self.persist(&CatalogRecord::Table(meta.clone()))?;
-        self.tables.lock().insert(name, (rid, meta));
+        self.tables.lock().insert(name, (rid, Arc::new(meta)));
         self.bump_version();
         Ok(())
     }
 
-    /// Fetch a table's metadata.
-    pub fn table(&self, name: &str) -> Result<TableMeta> {
+    /// A shared snapshot of a table's metadata.
+    pub fn table(&self, name: &str) -> Result<Arc<TableMeta>> {
         self.tables
             .lock()
             .get(&name.to_lowercase())
@@ -311,16 +309,16 @@ impl Catalog {
         let (rid, meta) = tables
             .get_mut(name)
             .ok_or_else(|| ServiceError::InvalidInput(format!("no such table `{name}`")))?;
-        let mut edited = meta.clone();
+        let mut edited = TableMeta::clone(meta);
         edit(&mut edited);
         self.heap.delete(*rid)?;
         *rid = self.persist(&CatalogRecord::Table(edited.clone()))?;
-        *meta = edited;
+        *meta = Arc::new(edited);
         Ok(())
     }
 
     /// Remove a table's metadata; the caller destroys its storage.
-    pub fn drop_table(&self, name: &str) -> Result<TableMeta> {
+    pub fn drop_table(&self, name: &str) -> Result<Arc<TableMeta>> {
         let name = name.to_lowercase();
         let (rid, meta) = self
             .tables
@@ -458,7 +456,7 @@ mod tests {
         let (buffer, _) = fresh("update");
         let catalog = Catalog::open(buffer).unwrap();
         catalog.create_table(users_meta(1)).unwrap();
-        let mut meta = catalog.table("users").unwrap();
+        let mut meta = TableMeta::clone(&catalog.table("users").unwrap());
         meta.indexes.push(IndexMeta {
             name: "users_id".into(),
             columns: vec!["id".into(), "name".into()],
@@ -506,7 +504,7 @@ mod tests {
 
         catalog.create_table(users_meta(1)).unwrap();
         expect_bump(&catalog, "create_table");
-        let mut meta = catalog.table("users").unwrap();
+        let mut meta = TableMeta::clone(&catalog.table("users").unwrap());
         meta.indexes.push(IndexMeta {
             name: "i".into(),
             columns: vec!["id".into()],

@@ -10,12 +10,15 @@
 //! annotates `EXPLAIN` output, so the numbers shown are the numbers the
 //! choice was made from.
 
+use std::sync::Arc;
+
 use sbdms_access::exec::expr::{BinOp, Expr, UnaryOp};
 use sbdms_access::exec::join::{BuildSide, JoinAlgorithm};
 use sbdms_access::record::Datum;
 
+use crate::catalog::TableMeta;
 use crate::planner::{CatalogView, Plan};
-use crate::stats::TableStats;
+use crate::stats::{ColumnStats, TableStats};
 
 /// Assumed row count for tables that have never been ANALYZEd.
 pub const DEFAULT_TABLE_ROWS: f64 = 1000.0;
@@ -73,6 +76,18 @@ struct NodeEst {
     sorted_on: Option<usize>,
 }
 
+/// An analyzed table's statistics, borrowed from the catalog's shared
+/// snapshot rather than copied out of it.
+struct SharedStats(Arc<TableMeta>);
+
+impl std::ops::Deref for SharedStats {
+    type Target = TableStats;
+
+    fn deref(&self) -> &TableStats {
+        self.0.stats.as_ref().expect("built only for analyzed tables")
+    }
+}
+
 /// Cardinality and cost estimator over a [`CatalogView`].
 pub struct Estimator<'a> {
     catalog: &'a dyn CatalogView,
@@ -127,8 +142,9 @@ impl<'a> Estimator<'a> {
         }
     }
 
-    fn stats_of(&self, table: &str) -> Option<TableStats> {
-        self.catalog.table_stats(table)
+    fn stats_of(&self, table: &str) -> Option<SharedStats> {
+        let meta = self.catalog.table(table).ok()?;
+        meta.stats.is_some().then_some(SharedStats(meta))
     }
 
     fn table_rows(&self, table: &str) -> f64 {
@@ -398,8 +414,9 @@ impl<'a> Estimator<'a> {
     }
 
     fn table_cols(&self, table: &str) -> Vec<ColRef> {
-        match self.catalog.table_schema(table) {
-            Ok(schema) => schema
+        match self.catalog.table(table) {
+            Ok(meta) => meta
+                .schema
                 .columns
                 .iter()
                 .map(|c| Some((table.to_lowercase(), c.name.to_lowercase())))
@@ -421,7 +438,7 @@ impl<'a> Estimator<'a> {
             .map(|(k, d)| {
                 key_columns
                     .get(k)
-                    .and_then(|c| stats.as_ref().and_then(|s| s.column(c).cloned()))
+                    .and_then(|c| stats.as_ref().and_then(|s| s.column(c)))
                     .map(|cs| cs.selectivity_eq(rows, d))
                     .unwrap_or(DEFAULT_EQ_SEL)
             })
@@ -465,16 +482,23 @@ impl<'a> Estimator<'a> {
     /// known provenance and stats.
     fn expr_ndv(&self, e: &Expr, cols: &[ColRef]) -> Option<f64> {
         let Expr::Col(i) = e else { return None };
-        let (table, column) = cols.get(*i)?.as_ref()?.clone();
-        let stats = self.stats_of(&table)?;
-        Some(stats.column(&column)?.distinct.max(1) as f64)
+        let (table, column) = cols.get(*i)?.as_ref()?;
+        let stats = self.stats_of(table)?;
+        Some(stats.column(column)?.distinct.max(1) as f64)
     }
 
-    fn col_stats(&self, cols: &[ColRef], i: usize) -> Option<(f64, crate::stats::ColumnStats)> {
-        let (table, column) = cols.get(i)?.as_ref()?.clone();
-        let stats = self.stats_of(&table)?;
-        let col = stats.column(&column)?.clone();
-        Some((stats.row_count as f64, col))
+    /// `f(table rows, column stats)` for output column `i`, when it is a
+    /// base column of an analyzed table; the stats are borrowed from the
+    /// shared catalog snapshot.
+    fn col_stats<R>(
+        &self,
+        cols: &[ColRef],
+        i: usize,
+        f: impl FnOnce(f64, &ColumnStats) -> R,
+    ) -> Option<R> {
+        let (table, column) = cols.get(i)?.as_ref()?;
+        let stats = self.stats_of(table)?;
+        Some(f(stats.row_count as f64, stats.column(column)?))
     }
 
     /// Estimated join output: `|L|·|R| / max(ndv(l), ndv(r))`, with each
@@ -482,12 +506,10 @@ impl<'a> Estimator<'a> {
     /// foreign-key assumption).
     fn equi_join_rows(&self, l: &NodeEst, r: &NodeEst, left_col: usize, right_col: usize) -> f64 {
         let ndv_l = self
-            .col_stats(&l.cols, left_col)
-            .map(|(_, c)| c.distinct.max(1) as f64)
+            .col_stats(&l.cols, left_col, |_, c| c.distinct.max(1) as f64)
             .unwrap_or_else(|| l.rows.max(1.0));
         let ndv_r = self
-            .col_stats(&r.cols, right_col)
-            .map(|(_, c)| c.distinct.max(1) as f64)
+            .col_stats(&r.cols, right_col, |_, c| c.distinct.max(1) as f64)
             .unwrap_or_else(|| r.rows.max(1.0));
         l.rows * r.rows / ndv_l.max(ndv_r).max(1.0)
     }
@@ -505,17 +527,19 @@ impl<'a> Estimator<'a> {
                 1.0 - self.predicate_selectivity(inner, cols)
             }
             Expr::Unary(UnaryOp::IsNull, inner) => match inner.as_ref() {
-                Expr::Col(i) => match self.col_stats(cols, *i) {
-                    Some((rows, c)) if rows > 0.0 => c.null_count as f64 / rows,
-                    _ => DEFAULT_EQ_SEL,
-                },
+                Expr::Col(i) => self
+                    .col_stats(cols, *i, |rows, c| (rows > 0.0).then(|| c.null_count as f64 / rows))
+                    .flatten()
+                    .unwrap_or(DEFAULT_EQ_SEL),
                 _ => DEFAULT_EQ_SEL,
             },
             Expr::Unary(UnaryOp::IsNotNull, inner) => match inner.as_ref() {
-                Expr::Col(i) => match self.col_stats(cols, *i) {
-                    Some((rows, c)) if rows > 0.0 => 1.0 - c.null_count as f64 / rows,
-                    _ => 1.0 - DEFAULT_EQ_SEL,
-                },
+                Expr::Col(i) => self
+                    .col_stats(cols, *i, |rows, c| {
+                        (rows > 0.0).then(|| 1.0 - c.null_count as f64 / rows)
+                    })
+                    .flatten()
+                    .unwrap_or(1.0 - DEFAULT_EQ_SEL),
                 _ => 1.0 - DEFAULT_EQ_SEL,
             },
             Expr::Unary(_, _) => DEFAULT_SEL,
@@ -538,8 +562,8 @@ impl<'a> Estimator<'a> {
             (Expr::Lit(d), Expr::Col(i)) => (Some(*i), Some(d), flip_cmp(op)),
             (Expr::Col(a), Expr::Col(b)) => {
                 if op == BinOp::Eq {
-                    let ndv_a = self.col_stats(cols, *a).map(|(_, c)| c.distinct.max(1) as f64);
-                    let ndv_b = self.col_stats(cols, *b).map(|(_, c)| c.distinct.max(1) as f64);
+                    let ndv_a = self.col_stats(cols, *a, |_, c| c.distinct.max(1) as f64);
+                    let ndv_b = self.col_stats(cols, *b, |_, c| c.distinct.max(1) as f64);
                     if let (Some(a), Some(b)) = (ndv_a, ndv_b) {
                         return (1.0 / a.max(b)).clamp(0.0, 1.0);
                     }
@@ -551,10 +575,7 @@ impl<'a> Estimator<'a> {
         let (Some(i), Some(lit)) = (col, lit) else {
             return default_cmp_sel(op);
         };
-        let Some((rows, stats)) = self.col_stats(cols, i) else {
-            return default_cmp_sel(op);
-        };
-        match op {
+        self.col_stats(cols, i, |rows, stats| match op {
             BinOp::Eq => stats.selectivity_eq(rows, lit),
             BinOp::Ne => (1.0 - stats.selectivity_eq(rows, lit)).clamp(0.0, 1.0),
             BinOp::Lt => stats.selectivity_range(rows, None, Some((lit, false))),
@@ -562,7 +583,8 @@ impl<'a> Estimator<'a> {
             BinOp::Gt => stats.selectivity_range(rows, Some((lit, false)), None),
             BinOp::Ge => stats.selectivity_range(rows, Some((lit, true)), None),
             _ => default_cmp_sel(op),
-        }
+        })
+        .unwrap_or_else(|| default_cmp_sel(op))
     }
 }
 

@@ -25,12 +25,12 @@ use sbdms_storage::replacement::PolicyKind;
 use sbdms_storage::services::StorageEngine;
 
 use crate::ast::{AstExpr, Select, Statement};
-use crate::catalog::{Catalog, ViewMeta};
+use crate::catalog::{Catalog, TableMeta, ViewMeta};
 use crate::cost::Estimator;
 use crate::parser::parse;
 use crate::plan_cache::{PlanCache, PlanCacheStats};
 use crate::planner::{
-    compile_expr, plan_dml_target, plan_select, BindEnv, CatalogView, IndexDesc, Plan,
+    compile_expr, plan_dml_target, plan_select, BindEnv, CatalogView, Plan,
     PlannedQuery, PlannerKnobs,
 };
 use crate::schema::Schema;
@@ -1381,15 +1381,12 @@ impl Database {
                 // the engine receives them columnar.
                 if let (None, Plan::IndexScan { covering: true, key_columns, .. }) = (&self.mvcc, plan)
                 {
-                    let probed = index_range(&t, plan)?;
-                    let nrows = probed.len();
-                    let mut columns: Vec<Vec<Datum>> =
-                        vec![Vec::with_capacity(nrows); key_columns.len()];
-                    for (key, _) in probed {
-                        for (c, d) in key.into_iter().enumerate() {
-                            columns[c].push(d);
-                        }
-                    }
+                    let mut columns: Vec<Vec<Datum>> = vec![Vec::new(); key_columns.len()];
+                    let mut nrows = 0;
+                    scan_index(&t, plan, |key, _| {
+                        nrows += 1;
+                        decode_tuple_into(key, &mut columns, None)
+                    })?;
                     return Ok(engine.values_columnar(columns, nrows));
                 }
                 // Every other index leaf materializes through the shared
@@ -1775,16 +1772,19 @@ fn index_bound(eq: &[Datum], end: &Option<Datum>) -> Option<Vec<Datum>> {
     Some(key)
 }
 
-/// The B-tree entries a [`Plan::IndexScan`] reaches. A bare equality
-/// prefix is an inclusive prefix bound on both ends; an explicit range
-/// keeps its own upper-bound flag.
-fn index_range(t: &Table, leaf: &Plan) -> Result<Vec<(Vec<Datum>, Rid)>> {
+/// Visit the B-tree entries a [`Plan::IndexScan`] reaches, as
+/// `(encoded key, rid)` read in place ([`BTree::scan_range`]). A bare
+/// equality prefix is an inclusive prefix bound on both ends; an
+/// explicit range keeps its own upper-bound flag.
+///
+/// [`BTree::scan_range`]: sbdms_access::btree::BTree::scan_range
+fn scan_index(t: &Table, leaf: &Plan, visit: impl FnMut(&[u8], Rid) -> Result<()>) -> Result<()> {
     let Plan::IndexScan { index, eq, lo, hi, hi_inclusive, .. } = leaf else {
         return Err(ServiceError::Internal("not an index scan".into()));
     };
     let hi_flag = if hi.is_some() { *hi_inclusive } else { true };
     let (lo_key, hi_key) = (index_bound(eq, lo), index_bound(eq, hi));
-    index_tree(t, index)?.range(lo_key.as_deref(), hi_key.as_deref(), true, hi_flag)
+    index_tree(t, index)?.scan_range(lo_key.as_deref(), hi_key.as_deref(), true, hi_flag, visit)
 }
 
 /// Candidate rids of an index leaf, in the leaf's output order: key
@@ -1792,7 +1792,14 @@ fn index_range(t: &Table, leaf: &Plan) -> Result<Vec<(Vec<Datum>, Rid)>> {
 /// or a sorted-rid intersection (each rid is fetched once).
 fn index_rids(t: &Table, leaf: &Plan) -> Result<Vec<Rid>> {
     match leaf {
-        Plan::IndexScan { .. } => Ok(index_range(t, leaf)?.into_iter().map(|(_, r)| r).collect()),
+        Plan::IndexScan { .. } => {
+            let mut rids = Vec::new();
+            scan_index(t, leaf, |_, rid| {
+                rids.push(rid);
+                Ok(())
+            })?;
+            Ok(rids)
+        }
         Plan::IndexOr { index, keys, .. } => {
             let tree = index_tree(t, index)?;
             let mut rids: BTreeSet<Rid> = BTreeSet::new();
@@ -1914,27 +1921,12 @@ fn datum_in_range(d: &Datum, lo: Option<&Datum>, hi: Option<&Datum>, hi_inclusiv
 }
 
 impl CatalogView for Database {
-    fn table_schema(&self, name: &str) -> Result<Schema> {
-        Ok(self.catalog.table(name)?.schema)
+    fn table(&self, name: &str) -> Result<Arc<TableMeta>> {
+        self.catalog.table(name)
     }
 
     fn view_query(&self, name: &str) -> Option<String> {
         self.catalog.view(name).map(|v| v.query)
-    }
-
-    fn indexes(&self, table: &str) -> Vec<IndexDesc> {
-        self.catalog
-            .table(table)
-            .map(|m| {
-                m.indexes
-                    .iter()
-                    .map(|i| IndexDesc {
-                        name: i.name.clone(),
-                        columns: i.columns.clone(),
-                    })
-                    .collect()
-            })
-            .unwrap_or_default()
     }
 
     fn mvcc_scan_multiplier(&self, table: &str) -> f64 {
@@ -1945,8 +1937,9 @@ impl CatalogView for Database {
         }
         let rows = self
             .catalog
-            .stats(table)
-            .map(|s| s.row_count as f64)
+            .table(table)
+            .ok()
+            .and_then(|m| m.stats.as_ref().map(|s| s.row_count as f64))
             .unwrap_or(crate::cost::DEFAULT_TABLE_ROWS)
             .max(1.0);
         // Each live chained version is an extra image the scan resolves
@@ -1957,10 +1950,6 @@ impl CatalogView for Database {
 
     fn preferred_equi_join(&self) -> JoinAlgorithm {
         self.knobs.lock().fallback_join
-    }
-
-    fn table_stats(&self, name: &str) -> Option<TableStats> {
-        self.catalog.stats(name)
     }
 
     fn knobs(&self) -> PlannerKnobs {

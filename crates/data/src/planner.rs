@@ -18,6 +18,7 @@
 //! [`CatalogView::preferred_equi_join`]).
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use sbdms_access::exec::aggregate::AggSpec;
 use sbdms_access::exec::expr::{BinOp, Expr};
@@ -27,12 +28,17 @@ use sbdms_access::sort::SortKey;
 use sbdms_kernel::error::{Result, ServiceError};
 
 use crate::ast::{AstExpr, OrderKey, Select, SelectItem};
+use crate::catalog::{IndexMeta, TableMeta};
 use crate::cost::Estimator;
 use crate::schema::Schema;
-use crate::stats::TableStats;
 
 fn err(msg: impl Into<String>) -> ServiceError {
     ServiceError::InvalidInput(format!("plan: {}", msg.into()))
+}
+
+/// Whether `table` exists and has ANALYZE statistics.
+fn analyzed(catalog: &dyn CatalogView, table: &str) -> bool {
+    catalog.table(table).is_ok_and(|m| m.stats.is_some())
 }
 
 /// Session-level planner configuration. The override order is
@@ -67,36 +73,22 @@ impl Default for PlannerKnobs {
     }
 }
 
-/// One secondary index as the planner sees it: the name and the ordered
-/// key columns (leading column first, lower-cased). The physical side
-/// (meta page, B-tree handle) stays in the catalog/table layer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IndexDesc {
-    /// Index name.
-    pub name: String,
-    /// Key columns in key order.
-    pub columns: Vec<String>,
-}
-
 /// What the planner needs to know about the database.
 pub trait CatalogView {
-    /// Schema of a table (error if absent).
-    fn table_schema(&self, name: &str) -> Result<Schema>;
+    /// A shared snapshot of a table's metadata: schema, secondary
+    /// indexes in creation order, and ANALYZE statistics when collected
+    /// (error if the table is absent). Lookups share the snapshot rather
+    /// than copy it, so planning clones no schema, index list or
+    /// histogram.
+    fn table(&self, name: &str) -> Result<Arc<TableMeta>>;
     /// Stored query text of a view, if `name` is a view.
     fn view_query(&self, name: &str) -> Option<String>;
-    /// Descriptors of every secondary index on `table`, in creation
-    /// order (empty when the table has none or does not exist).
-    fn indexes(&self, table: &str) -> Vec<IndexDesc>;
     /// Multiplier on sequential-scan row cost for `table` under MVCC:
     /// retained version chains make every scan patch visibility, so a
     /// dense table scans slower than its row count suggests. `1.0`
     /// (the default) means no retained versions / not under MVCC.
     fn mvcc_scan_multiplier(&self, _table: &str) -> f64 {
         1.0
-    }
-    /// ANALYZE statistics for a table, if collected.
-    fn table_stats(&self, _name: &str) -> Option<TableStats> {
-        None
     }
     /// The equi-join algorithm used when statistics are absent and no
     /// hint forces one. Demoted from "the" join choice to the
@@ -900,8 +892,7 @@ fn plan_join_tree(
         && rels.iter().all(|r| {
             r.table
                 .as_deref()
-                .map(|t| catalog.table_stats(t).is_some())
-                .unwrap_or(false)
+                .is_some_and(|t| analyzed(catalog, t))
         });
 
     let mut remaining: BTreeSet<usize> = (0..rels.len()).collect();
@@ -1175,8 +1166,7 @@ fn choose_join_algorithm(
                 rels[i]
                     .table
                     .as_deref()
-                    .map(|t| catalog.table_stats(t).is_some())
-                    .unwrap_or(false)
+                    .is_some_and(|t| analyzed(catalog, t))
             });
     if !all_analyzed {
         decisions.push(format!(
@@ -1441,8 +1431,8 @@ fn plan_relation(
         let planned = plan_select_depth(&select, catalog, depth + 1)?;
         return Ok((planned.plan, planned.columns));
     }
-    let schema = catalog.table_schema(name)?;
-    let labels = schema.columns.iter().map(|c| c.name.clone()).collect();
+    let meta = catalog.table(name)?;
+    let labels = meta.schema.columns.iter().map(|c| c.name.clone()).collect();
     Ok((
         Plan::TableScan {
             table: name.to_lowercase(),
@@ -1674,17 +1664,17 @@ fn choose_access_path(
     if !knobs.index_selection {
         return Ok(seq);
     }
-    let indexes = catalog.indexes(table);
-    if indexes.is_empty() {
-        return Ok(seq);
-    }
-    let schema = catalog.table_schema(table)?;
-    let cons = PredConstraints::extract(preds, &schema);
+    let meta = match catalog.table(table) {
+        Ok(meta) if !meta.indexes.is_empty() => meta,
+        _ => return Ok(seq),
+    };
+    let indexes = &meta.indexes;
+    let cons = PredConstraints::extract(preds, &meta.schema);
 
     let mut cands: Vec<PathCand> = Vec::new();
     // Per-index scan candidates: longest equality prefix, then a range
     // on the next key column when one is bounded.
-    for idx in &indexes {
+    for idx in indexes {
         let mut eq: Vec<Datum> = Vec::new();
         for col in &idx.columns {
             match cons.eq_of(col) {
@@ -1754,12 +1744,12 @@ fn choose_access_path(
             },
         });
     }
-    let with_stats = knobs.use_stats && catalog.table_stats(table).is_some();
+    let with_stats = knobs.use_stats && meta.stats.is_some();
     // IndexAnd: pairs of equality probes on indexes with different
     // leading columns. Only costed selection can justify the double
     // probe + intersection, so the candidates exist only with stats.
     if with_stats {
-        let probes: Vec<(&IndexDesc, Vec<Datum>)> = indexes
+        let probes: Vec<(&IndexMeta, Vec<Datum>)> = indexes
             .iter()
             .filter_map(|idx| {
                 let mut eq = Vec::new();
@@ -1993,11 +1983,11 @@ fn cover(
                 covering,
             };
             let Some(set) = needed else { return scan(false) };
-            let Ok(schema) = catalog.table_schema(&table) else {
+            let Ok(meta) = catalog.table(&table) else {
                 return scan(false);
             };
             let covered = set.iter().all(|&i| {
-                schema
+                meta.schema
                     .columns
                     .get(i)
                     .is_some_and(|c| key_columns.iter().any(|k| k.eq_ignore_ascii_case(&c.name)))
@@ -2005,7 +1995,8 @@ fn cover(
             if !covered {
                 return scan(false);
             }
-            let exprs: Vec<Expr> = schema
+            let exprs: Vec<Expr> = meta
+                .schema
                 .columns
                 .iter()
                 .map(|c| {
@@ -2060,11 +2051,33 @@ mod tests {
     use super::*;
     use crate::parser::parse;
     use crate::schema::{Column, ColumnType};
+    use crate::stats::TableStats;
 
     struct FakeCatalog;
 
-    impl CatalogView for FakeCatalog {
-        fn table_schema(&self, name: &str) -> Result<Schema> {
+    /// Index descriptors as `(name, key columns)`.
+    type Indexes = &'static [(&'static str, &'static [&'static str])];
+
+    /// A catalog snapshot for the fake catalogs.
+    fn meta(name: &str, schema: Schema, indexes: Indexes, stats: Option<TableStats>) -> Arc<TableMeta> {
+        Arc::new(TableMeta {
+            name: name.to_string(),
+            schema,
+            heap_dir_page: 0,
+            indexes: indexes
+                .iter()
+                .map(|(name, columns)| IndexMeta {
+                    name: name.to_string(),
+                    columns: columns.iter().map(|c| c.to_string()).collect(),
+                    meta_page: 0,
+                })
+                .collect(),
+            stats,
+        })
+    }
+
+    impl FakeCatalog {
+        fn schema(name: &str) -> Result<Schema> {
             match name {
                 "users" => Schema::new(vec![
                     Column::not_null("id", ColumnType::Int),
@@ -2079,21 +2092,17 @@ mod tests {
                 other => Err(err(format!("no such table `{other}`"))),
             }
         }
+    }
+
+    impl CatalogView for FakeCatalog {
+        fn table(&self, name: &str) -> Result<Arc<TableMeta>> {
+            let indexes: Indexes = if name == "users" { &[("users_id", &["id"])] } else { &[] };
+            Ok(meta(name, FakeCatalog::schema(name)?, indexes, None))
+        }
 
         fn view_query(&self, name: &str) -> Option<String> {
             (name == "big_spenders")
                 .then(|| "SELECT user_id, amount FROM orders WHERE amount > 100".to_string())
-        }
-
-        fn indexes(&self, table: &str) -> Vec<IndexDesc> {
-            if table == "users" {
-                vec![IndexDesc {
-                    name: "users_id".into(),
-                    columns: vec!["id".into()],
-                }]
-            } else {
-                Vec::new()
-            }
         }
     }
 
@@ -2296,46 +2305,34 @@ mod tests {
     }
 
     impl CatalogView for StatsCatalog {
-        fn table_schema(&self, name: &str) -> Result<Schema> {
-            FakeCatalog.table_schema(name)
+        fn table(&self, name: &str) -> Result<Arc<TableMeta>> {
+            let schema = FakeCatalog::schema(name)?;
+            let (rows, indexes): (Vec<Vec<Datum>>, Indexes) = match name {
+                "users" => (
+                    (0..5)
+                        .map(|i| {
+                            vec![
+                                Datum::Int(i),
+                                Datum::Str(format!("u{i}")),
+                                Datum::Float(i as f64),
+                            ]
+                        })
+                        .collect(),
+                    &[("users_id", &["id"])],
+                ),
+                _ => (
+                    (0..1000)
+                        .map(|i| vec![Datum::Int(i), Datum::Int(i % 5), Datum::Int(i % 100)])
+                        .collect(),
+                    &[("orders_amount", &["amount"])],
+                ),
+            };
+            let stats = TableStats::collect(&rows, &schema, 16);
+            Ok(meta(name, schema, indexes, Some(stats)))
         }
 
         fn view_query(&self, _name: &str) -> Option<String> {
             None
-        }
-
-        fn indexes(&self, table: &str) -> Vec<IndexDesc> {
-            match table {
-                "users" => vec![IndexDesc {
-                    name: "users_id".into(),
-                    columns: vec!["id".into()],
-                }],
-                "orders" => vec![IndexDesc {
-                    name: "orders_amount".into(),
-                    columns: vec!["amount".into()],
-                }],
-                _ => Vec::new(),
-            }
-        }
-
-        fn table_stats(&self, name: &str) -> Option<TableStats> {
-            let schema = self.table_schema(name).ok()?;
-            let rows: Vec<Vec<Datum>> = match name {
-                "users" => (0..5)
-                    .map(|i| {
-                        vec![
-                            Datum::Int(i),
-                            Datum::Str(format!("u{i}")),
-                            Datum::Float(i as f64),
-                        ]
-                    })
-                    .collect(),
-                "orders" => (0..1000)
-                    .map(|i| vec![Datum::Int(i), Datum::Int(i % 5), Datum::Int(i % 100)])
-                    .collect(),
-                _ => return None,
-            };
-            Some(TableStats::collect(&rows, &schema, 16))
         }
 
         fn knobs(&self) -> PlannerKnobs {
@@ -2467,54 +2464,35 @@ mod tests {
     }
 
     impl CatalogView for CompositeCatalog {
-        fn table_schema(&self, name: &str) -> Result<Schema> {
+        fn table(&self, name: &str) -> Result<Arc<TableMeta>> {
             if name != "events" {
                 return Err(err(format!("no such table `{name}`")));
             }
-            Schema::new(vec![
+            let schema = Schema::new(vec![
                 Column::not_null("tenant", ColumnType::Int),
                 Column::not_null("ts", ColumnType::Int),
                 Column::not_null("kind", ColumnType::Int),
                 Column::not_null("payload", ColumnType::Text),
-            ])
+            ])?;
+            let stats = self.with_stats.then(|| {
+                let rows: Vec<Vec<Datum>> = (0..1000)
+                    .map(|i| {
+                        vec![
+                            Datum::Int(i % 10),
+                            Datum::Int(i),
+                            Datum::Int(i % 50),
+                            Datum::Str(format!("p{i}")),
+                        ]
+                    })
+                    .collect();
+                TableStats::collect(&rows, &schema, 16)
+            });
+            let indexes: Indexes = &[("ev_tenant_ts", &["tenant", "ts"]), ("ev_kind", &["kind"])];
+            Ok(meta(name, schema, indexes, stats))
         }
 
         fn view_query(&self, _name: &str) -> Option<String> {
             None
-        }
-
-        fn indexes(&self, table: &str) -> Vec<IndexDesc> {
-            if table != "events" {
-                return Vec::new();
-            }
-            vec![
-                IndexDesc {
-                    name: "ev_tenant_ts".into(),
-                    columns: vec!["tenant".into(), "ts".into()],
-                },
-                IndexDesc {
-                    name: "ev_kind".into(),
-                    columns: vec!["kind".into()],
-                },
-            ]
-        }
-
-        fn table_stats(&self, name: &str) -> Option<TableStats> {
-            if !self.with_stats || name != "events" {
-                return None;
-            }
-            let schema = self.table_schema(name).ok()?;
-            let rows: Vec<Vec<Datum>> = (0..1000)
-                .map(|i| {
-                    vec![
-                        Datum::Int(i % 10),
-                        Datum::Int(i),
-                        Datum::Int(i % 50),
-                        Datum::Str(format!("p{i}")),
-                    ]
-                })
-                .collect();
-            Some(TableStats::collect(&rows, &schema, 16))
         }
     }
 
@@ -2666,17 +2644,11 @@ mod tests {
     }
 
     impl CatalogView for DenseMvccCatalog {
-        fn table_schema(&self, name: &str) -> Result<Schema> {
-            self.inner.table_schema(name)
+        fn table(&self, name: &str) -> Result<Arc<TableMeta>> {
+            self.inner.table(name)
         }
         fn view_query(&self, name: &str) -> Option<String> {
             self.inner.view_query(name)
-        }
-        fn indexes(&self, table: &str) -> Vec<IndexDesc> {
-            self.inner.indexes(table)
-        }
-        fn table_stats(&self, name: &str) -> Option<TableStats> {
-            self.inner.table_stats(name)
         }
         fn mvcc_scan_multiplier(&self, _table: &str) -> f64 {
             self.multiplier

@@ -13,7 +13,7 @@ use crate::schema::Schema;
 
 /// A live handle to one table: heap file + open indexes + schema.
 pub struct Table {
-    meta: TableMeta,
+    meta: Arc<TableMeta>,
     heap: HeapFile,
     indexes: Vec<(IndexMeta, BTree)>,
     buffer: Arc<BufferPool>,
@@ -33,7 +33,7 @@ impl Table {
         };
         catalog.create_table(meta.clone())?;
         Ok(Table {
-            meta,
+            meta: Arc::new(meta),
             heap,
             indexes: vec![],
             buffer,
@@ -205,8 +205,8 @@ impl Table {
             columns,
             meta_page: tree.meta_page(),
         };
-        self.meta.indexes.push(im.clone());
-        catalog.update_table(self.meta.clone())?;
+        Arc::make_mut(&mut self.meta).indexes.push(im.clone());
+        catalog.update_table(TableMeta::clone(&self.meta))?;
         self.indexes.push((im, tree));
         Ok(())
     }
@@ -228,8 +228,8 @@ impl Table {
                 ))
             })?;
         let (im, _) = self.indexes.remove(pos);
-        self.meta.indexes.retain(|m| m.name != name);
-        catalog.update_table(self.meta.clone())?;
+        Arc::make_mut(&mut self.meta).indexes.retain(|m| m.name != name);
+        catalog.update_table(TableMeta::clone(&self.meta))?;
         let _ = self.buffer.free_page(im.meta_page);
         Ok(())
     }
@@ -305,8 +305,8 @@ impl Table {
             im.meta_page = tree.meta_page();
             rebuilt.push((im, tree));
         }
-        self.meta.indexes = rebuilt.iter().map(|(im, _)| im.clone()).collect();
-        catalog.update_table(self.meta.clone())?;
+        Arc::make_mut(&mut self.meta).indexes = rebuilt.iter().map(|(im, _)| im.clone()).collect();
+        catalog.update_table(TableMeta::clone(&self.meta))?;
         self.indexes = rebuilt;
         Ok(())
     }

@@ -227,27 +227,31 @@ impl TransactionManager {
     /// but no commit/abort, and undo them in reverse order. Returns the
     /// ids of the rolled-back transactions. Call once at open, before any
     /// new transaction starts.
+    ///
+    /// The log streams through one chunk-sized buffer
+    /// ([`Wal::for_each_record`]), so recovery holds only the undo ops
+    /// of transactions still open at the current point of the scan,
+    /// never the whole log.
     pub fn recover(&self, resolver: &dyn TableResolver) -> Result<Vec<TxnId>> {
-        let records = self.wal.records()?;
         let mut pending: HashMap<TxnId, Vec<UndoOp>> = HashMap::new();
         let mut max_txn = 0;
-        for r in &records {
-            match r.kind {
+        self.wal.for_each_record(|_, kind, payload| {
+            match kind {
                 KIND_DATA => {
-                    let payload: LogPayload = serde_json::from_slice(&r.payload)
+                    let payload: LogPayload = serde_json::from_slice(payload)
                         .map_err(|e| ServiceError::Storage(format!("corrupt log: {e}")))?;
                     max_txn = max_txn.max(payload.txn);
                     pending.entry(payload.txn).or_default().push(payload.op);
                 }
-                KIND_COMMIT | KIND_ABORT
-                    if r.payload.len() == 8 => {
-                        let txn = u64::from_le_bytes(r.payload[..8].try_into().unwrap());
-                        max_txn = max_txn.max(txn);
-                        pending.remove(&txn);
-                    }
+                KIND_COMMIT | KIND_ABORT if payload.len() == 8 => {
+                    let txn = u64::from_le_bytes(payload.try_into().unwrap());
+                    max_txn = max_txn.max(txn);
+                    pending.remove(&txn);
+                }
                 _ => {}
             }
-        }
+            Ok(())
+        })?;
         let mut rolled_back: Vec<TxnId> = pending.keys().copied().collect();
         rolled_back.sort_unstable();
         // Undo in reverse txn order, each txn's ops in reverse. Lenient:

@@ -121,7 +121,7 @@ fn concurrent_analyze_of_one_table_succeeds() {
     for w in workers {
         w.join().unwrap();
     }
-    assert_eq!(db.catalog().stats("acct").unwrap().row_count, 200);
+    assert_eq!(db.catalog().table("acct").unwrap().stats.as_ref().unwrap().row_count, 200);
     let r = db.execute("SELECT v FROM acct WHERE k = 7").unwrap();
     assert_eq!(r.rows[0][0], Datum::Int(70));
 }

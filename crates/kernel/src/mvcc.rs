@@ -113,6 +113,9 @@ struct TableCc {
     write_ts: BTreeMap<u64, Ts>,
     /// Superseded committed versions per key, oldest first.
     chains: HashMap<u64, Vec<Version>>,
+    /// Versions held in `chains`, kept as chains grow and GC trims
+    /// them, so scan costing reads it without walking every chain.
+    versions_live: u64,
     /// Per-key write locks: which in-flight txn owns the key.
     locks: HashMap<u64, TxnToken>,
 }
@@ -147,12 +150,15 @@ impl MvccState {
         let min = self.min_active_snapshot(clock);
         let mut removed = 0u64;
         for cc in self.tables.values_mut() {
+            let mut trimmed = 0u64;
             cc.chains.retain(|_, versions| {
                 let before = versions.len();
                 versions.retain(|v| v.end > min);
-                removed += (before - versions.len()) as u64;
+                trimmed += (before - versions.len()) as u64;
                 !versions.is_empty()
             });
+            cc.versions_live -= trimmed;
+            removed += trimmed;
             cc.write_ts.retain(|_, ts| *ts > min);
         }
         self.tables
@@ -387,11 +393,7 @@ impl Mvcc {
     /// Current counters.
     pub fn stats(&self) -> MvccStats {
         let state = self.state.lock();
-        let versions_live = state
-            .tables
-            .values()
-            .map(|cc| cc.chains.values().map(Vec::len).sum::<usize>() as u64)
-            .sum();
+        let versions_live = state.tables.values().map(|cc| cc.versions_live).sum();
         let snapshots_active = state.snapshots.values().map(|n| *n as u64).sum();
         MvccStats {
             begins: self.begins.load(Ordering::Relaxed),
@@ -407,14 +409,23 @@ impl Mvcc {
     /// Live superseded versions retained in `table`'s chains — the
     /// version-chain density input to MVCC-aware scan costing: every
     /// retained version is extra visibility-patching work a scan of that
-    /// table must do.
+    /// table must do. A counter read, O(1) under the state lock.
     pub fn table_versions_live(&self, table: &str) -> u64 {
         self.state
             .lock()
             .tables
             .get(table)
-            .map(|cc| cc.chains.values().map(Vec::len).sum::<usize>() as u64)
-            .unwrap_or(0)
+            .map_or(0, |cc| cc.versions_live)
+    }
+
+    /// [`Mvcc::table_versions_live`] recomputed by summing every chain
+    /// of `table`: the audit the maintained counter must always equal.
+    pub fn table_versions_recount(&self, table: &str) -> u64 {
+        self.state
+            .lock()
+            .tables
+            .get(table)
+            .map_or(0, |cc| cc.chains.values().map(Vec::len).sum::<usize>() as u64)
     }
 
     /// Release locks and the pinned snapshot, then garbage-collect.
@@ -499,6 +510,7 @@ impl CommitGuard<'_> {
             end: self.ts,
             row: old_row,
         });
+        cc.versions_live += 1;
         cc.write_ts.insert(key, self.ts);
     }
 

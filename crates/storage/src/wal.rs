@@ -124,9 +124,7 @@ impl Wal {
     }
 
     fn open_backend_at(file: Arc<dyn BackendFile>, path: PathBuf) -> Result<Wal> {
-        let data = read_all(file.as_ref())?;
-        let records = scan_bytes(&data);
-        let valid_len = records.last().map(frame_end).unwrap_or(0);
+        let valid_len = scan_file(file.as_ref(), SCAN_CHUNK, |_, _, _| Ok(()))?;
         file.set_len(valid_len)?;
         Ok(Wal {
             inner: Mutex::new(WalInner {
@@ -251,11 +249,29 @@ impl Wal {
     /// Read every valid record from the start of the log. Scanning stops
     /// silently at the first torn or corrupt frame.
     pub fn records(&self) -> Result<Vec<WalRecord>> {
+        let mut records = Vec::new();
+        self.for_each_record(|lsn, kind, payload| {
+            records.push(WalRecord {
+                lsn,
+                kind,
+                payload: payload.to_vec(),
+            });
+            Ok(())
+        })?;
+        Ok(records)
+    }
+
+    /// Stream every valid record from the start of the log to
+    /// `visit(lsn, kind, payload)`, reading the file a chunk at a time:
+    /// memory stays at one chunk (or the largest frame) however long the
+    /// log is, and no payload is copied out. Stops silently at the first
+    /// torn or corrupt frame, as [`Wal::records`] does; an error from
+    /// `visit` ends the scan and is returned.
+    pub fn for_each_record(&self, visit: impl FnMut(Lsn, u8, &[u8]) -> Result<()>) -> Result<()> {
         let mut inner = self.inner.lock();
         self.flush_pending(&mut inner)?;
         drop(inner);
-        let data = read_all(self.file.as_ref())?;
-        Ok(scan_bytes(&data))
+        scan_file(self.file.as_ref(), SCAN_CHUNK, visit).map(|_| ())
     }
 
     /// Truncate the log (checkpoint): all records are discarded and the
@@ -277,15 +293,88 @@ impl Wal {
     }
 }
 
-fn frame_end(record: &WalRecord) -> u64 {
-    record.lsn + (FRAME_HEADER + record.payload.len() + FRAME_TRAILER) as u64
+/// Bytes the log scan reads per backend call: frames that fit are
+/// parsed out of one chunk, a longer frame is read whole.
+const SCAN_CHUNK: usize = 64 * 1024;
+
+/// What [`parse_frame`] found at the start of a byte window.
+enum Frame {
+    /// A valid frame of `len` bytes; its payload is
+    /// `window[FRAME_HEADER..len - FRAME_TRAILER]`.
+    Valid { kind: u8, len: usize },
+    /// The frame may be valid but needs `need` bytes of window.
+    Short { need: usize },
+    /// The log ends here: LSN disagrees with the offset, or CRC fails.
+    End,
 }
 
-fn read_all(file: &dyn BackendFile) -> Result<Vec<u8>> {
-    let len = file.len()?;
-    let mut data = vec![0u8; len as usize];
-    file.read_at(0, &mut data)?;
-    Ok(data)
+/// The one frame parser behind [`scan_bytes`] and the chunked file
+/// scan: inspect the frame starting at log offset `lsn`, the first byte
+/// of `window`.
+fn parse_frame(window: &[u8], lsn: Lsn) -> Frame {
+    if window.len() < FRAME_HEADER + FRAME_TRAILER {
+        return Frame::Short {
+            need: FRAME_HEADER + FRAME_TRAILER,
+        };
+    }
+    let stored_lsn = u64::from_le_bytes(window[0..8].try_into().unwrap());
+    let kind = window[8];
+    let payload = u32::from_le_bytes(window[9..13].try_into().unwrap()) as usize;
+    if stored_lsn != lsn {
+        return Frame::End;
+    }
+    let Some(len) = payload.checked_add(FRAME_HEADER + FRAME_TRAILER) else {
+        return Frame::End;
+    };
+    if window.len() < len {
+        return Frame::Short { need: len };
+    }
+    let crc_stored = u32::from_le_bytes(window[len - FRAME_TRAILER..len].try_into().unwrap());
+    if crc32(&window[..len - FRAME_TRAILER]) != crc_stored {
+        return Frame::End; // corrupt record
+    }
+    Frame::Valid { kind, len }
+}
+
+/// Stream the valid frame prefix of `file` to `visit(lsn, kind,
+/// payload)`, reading `chunk` bytes at a time (a frame longer than a
+/// chunk is read whole), and return the valid length. A frame that would
+/// run past the end of the file is the torn tail: the scan stops there
+/// without reading it, so a hostile length field costs nothing.
+fn scan_file(
+    file: &dyn BackendFile,
+    chunk: usize,
+    mut visit: impl FnMut(Lsn, u8, &[u8]) -> Result<()>,
+) -> Result<u64> {
+    let file_len = file.len()?;
+    // `buf` holds the file bytes from offset `base`; `start` is the
+    // next frame's position in it.
+    let mut buf: Vec<u8> = Vec::new();
+    let mut base: u64 = 0;
+    let mut start = 0usize;
+    loop {
+        let lsn = base + start as u64;
+        match parse_frame(&buf[start..], lsn) {
+            Frame::Valid { kind, len } => {
+                visit(lsn, kind, &buf[start + FRAME_HEADER..start + len - FRAME_TRAILER])?;
+                start += len;
+            }
+            Frame::End => return Ok(lsn),
+            Frame::Short { need } => {
+                let need = need as u64;
+                if lsn + need > file_len {
+                    return Ok(lsn); // torn tail, or the clean end
+                }
+                let want = need.max(chunk as u64).min(file_len - lsn) as usize;
+                buf.drain(..start);
+                base = lsn;
+                start = 0;
+                let have = buf.len();
+                buf.resize(want, 0);
+                file.read_at(base + have as u64, &mut buf[have..])?;
+            }
+        }
+    }
 }
 
 /// Parse a raw log image into its valid record prefix. Stops at the
@@ -295,33 +384,13 @@ fn read_all(file: &dyn BackendFile) -> Result<Vec<u8>> {
 pub fn scan_bytes(data: &[u8]) -> Vec<WalRecord> {
     let mut records = Vec::new();
     let mut pos = 0usize;
-    while pos + FRAME_HEADER + FRAME_TRAILER <= data.len() {
-        let lsn = u64::from_le_bytes(data[pos..pos + 8].try_into().unwrap());
-        let kind = data[pos + 8];
-        let len = u32::from_le_bytes(data[pos + 9..pos + 13].try_into().unwrap()) as usize;
-        let Some(frame_len) = FRAME_HEADER
-            .checked_add(len)
-            .and_then(|n| n.checked_add(FRAME_TRAILER))
-        else {
-            break;
-        };
-        if lsn != pos as u64 || pos + frame_len > data.len() {
-            break; // torn tail or corrupt length
-        }
-        let crc_stored = u32::from_le_bytes(
-            data[pos + FRAME_HEADER + len..pos + frame_len]
-                .try_into()
-                .unwrap(),
-        );
-        if crc32(&data[pos..pos + FRAME_HEADER + len]) != crc_stored {
-            break; // corrupt record
-        }
+    while let Frame::Valid { kind, len } = parse_frame(&data[pos..], pos as Lsn) {
         records.push(WalRecord {
-            lsn,
+            lsn: pos as Lsn,
             kind,
-            payload: data[pos + FRAME_HEADER..pos + FRAME_HEADER + len].to_vec(),
+            payload: data[pos + FRAME_HEADER..pos + len - FRAME_TRAILER].to_vec(),
         });
-        pos += frame_len;
+        pos += len;
     }
     records
 }
@@ -450,6 +519,71 @@ mod tests {
         let records = scan_bytes(&data);
         assert_eq!(records.len(), 1);
         assert_eq!(records[0].payload, b"ok");
+    }
+
+    fn frame_end(record: &WalRecord) -> u64 {
+        record.lsn + (FRAME_HEADER + record.payload.len() + FRAME_TRAILER) as u64
+    }
+
+    /// The chunked file scan over `image` with the given chunk size:
+    /// the records it streams and the valid length it reports.
+    fn scan_chunked(image: &[u8], chunk: usize) -> (Vec<WalRecord>, u64) {
+        let sim = SimBackend::new(SimConfig::seeded(4));
+        let file = sim.open("wal.log").unwrap();
+        file.write_at(0, image).unwrap();
+        let mut records = Vec::new();
+        let valid = scan_file(file.as_ref(), chunk, |lsn, kind, payload| {
+            records.push(WalRecord { lsn, kind, payload: payload.to_vec() });
+            Ok(())
+        })
+        .unwrap();
+        (records, valid)
+    }
+
+    /// The chunked scan must agree with [`scan_bytes`] on `image` at
+    /// every chunk size: the same records and the valid length their
+    /// frames end at.
+    fn assert_chunked_matches(image: &[u8], what: &str) {
+        let want = scan_bytes(image);
+        let want_len = want.last().map(frame_end).unwrap_or(0);
+        for chunk in [1, 2, 7, 16, 17, 31, 64, 4096, SCAN_CHUNK] {
+            let (got, valid) = scan_chunked(image, chunk);
+            assert_eq!(got, want, "{what}, chunk {chunk}");
+            assert_eq!(valid, want_len, "{what}, chunk {chunk}");
+        }
+    }
+
+    #[test]
+    fn chunked_scan_matches_scan_bytes_across_chunk_boundaries() {
+        // Frames of every size from empty to several chunks long, so
+        // frames straddle every small chunk size and some exceed it.
+        let sim = SimBackend::new(SimConfig::seeded(6));
+        let wal = Wal::open_backend(sim.open("wal.log").unwrap()).unwrap();
+        for i in 0..40usize {
+            let payload: Vec<u8> = (0..i * i * 3).map(|b| (b * 31 + i) as u8).collect();
+            wal.append((i % 7) as u8, &payload).unwrap();
+        }
+        wal.sync().unwrap();
+        let image = sim.durable_bytes("wal.log").unwrap();
+        assert_chunked_matches(&image, "full log");
+        assert_eq!(scan_bytes(&image).len(), 40);
+        // Every torn cut and every single-byte mangle of the reference
+        // images, as in the scan_bytes tests below.
+        let (full, _) = reference_log();
+        for cut in 0..=full.len() {
+            assert_chunked_matches(&full[..cut], &format!("cut at {cut}"));
+        }
+        for pos in 0..full.len() {
+            let mut mangled = full.clone();
+            mangled[pos] ^= 0xFF;
+            assert_chunked_matches(&mangled, &format!("mangled byte {pos}"));
+        }
+        // A hostile length field stops the scan without a read past
+        // the file.
+        let mut hostile = vec![0u8; 32];
+        hostile[8] = 1;
+        hostile[9..13].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_chunked_matches(&hostile, "hostile length");
     }
 
     /// Build a reference log image with three records and return
