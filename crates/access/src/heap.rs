@@ -129,6 +129,14 @@ impl HeapFile {
         Self::delete_record(&self.buffer, rid)
     }
 
+    /// Put a record back under `rid`, whose slot a delete left dead —
+    /// the inverse of [`HeapFile::delete`], so the rid survives.
+    pub fn restore(&self, rid: Rid, record: &[u8]) -> Result<()> {
+        let stored = Self::encode_stored(&self.buffer, record)?;
+        self.buffer
+            .try_with_page_mut(rid.page, |p| p.restore(rid.slot, &stored))
+    }
+
     /// Read a record by rid without a heap handle (rids are
     /// heap-agnostic: overflow resolution only needs the buffer pool).
     pub fn read_record(buffer: &Arc<BufferPool>, rid: Rid) -> Result<Vec<u8>> {

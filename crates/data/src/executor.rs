@@ -35,8 +35,8 @@ use crate::planner::{
 };
 use crate::schema::Schema;
 use crate::session::{
-    key_rid, rid_key, ActiveTxn, ConcurrencyControl, MvccTxnState, OwnWrite, OwnWrites, RowKey,
-    Session, SessionCore,
+    key_rid, rid_key, ConcurrencyControl, OwnWrite, OwnWrites, RowKey, Session, SessionCore,
+    TxnState,
 };
 use crate::stats::TableStats;
 use crate::table::Table;
@@ -44,6 +44,14 @@ use crate::txn::{Durability, TableResolver, TransactionManager, TxnId, UndoOp};
 
 fn err(msg: impl Into<String>) -> ServiceError {
     ServiceError::InvalidInput(msg.into())
+}
+
+/// The recoverable conflict a statement gets while another session
+/// holds the single-writer slot.
+fn writer_busy() -> ServiceError {
+    ServiceError::SerializationConflict {
+        reason: "single-writer: database is locked by another session".into(),
+    }
 }
 
 /// The result of executing one statement.
@@ -95,9 +103,9 @@ pub struct DbOptions {
     /// shedding, and memory budgets. Disabled by default (the embedded
     /// profile's setting); the full-fledged profile enables it.
     pub governor: GovernorConfig,
-    /// The profile's concurrency-control service: single-writer WAL-undo
-    /// (embedded default) or kernel MVCC snapshot isolation
-    /// (full-fledged).
+    /// The profile's concurrency-control service, a policy over the one
+    /// buffered write path: single-writer locking (embedded default) or
+    /// kernel MVCC snapshot isolation (full-fledged).
     pub concurrency: ConcurrencyControl,
     /// Group-commit window in microseconds: how long a commit leader
     /// holds the WAL sync barrier open for other committers to share the
@@ -150,10 +158,11 @@ pub struct Database {
     default_session: Arc<SessionCore>,
     /// Id allocator for [`Database::session`].
     next_session: AtomicU64,
-    /// Under single-writer: the session currently holding the one open
-    /// transaction. Statements from any other session fail busy with a
-    /// recoverable `SerializationConflict` while it is set.
-    single_owner: Mutex<Option<u64>>,
+    /// Under single-writer: the session holding the one writer slot and
+    /// how many holds it has (its explicit transaction and any autocommit
+    /// statements in flight). Statements from any other session fail
+    /// busy with a recoverable `SerializationConflict` while it is set.
+    single_owner: Mutex<Option<(u64, usize)>>,
     tables: Mutex<HashMap<String, Arc<Table>>>,
     knobs: Mutex<PlannerKnobs>,
     plan_cache: PlanCache,
@@ -479,82 +488,102 @@ impl Database {
     }
 
     /// The busy check of the single-writer service: while another
-    /// session holds the open transaction, every statement from this one
+    /// session holds the writer slot, every statement from this one
     /// fails immediately with a recoverable conflict (no blocking, no
     /// deadlocks — the caller retries). A no-op under MVCC.
     fn check_single_writer_busy(&self, core: &SessionCore) -> Result<()> {
-        if self.concurrency != ConcurrencyControl::SingleWriter {
+        if self.mvcc.is_some() {
             return Ok(());
         }
         match *self.single_owner.lock() {
-            Some(owner) if owner != core.id => Err(ServiceError::SerializationConflict {
-                reason: "single-writer: database is locked by another session".into(),
-            }),
+            Some((owner, _)) if owner != core.id => Err(writer_busy()),
             _ => Ok(()),
         }
     }
 
-    /// Begin an explicit transaction on one session.
+    /// The single-writer lock policy: take a hold on the writer slot
+    /// for `core`'s session, or fail busy if another session has it —
+    /// the check and the claim are one step under the slot's lock. A
+    /// no-op under MVCC. Every hold ends in [`Database::release_writer`].
+    fn claim_writer(&self, core: &SessionCore) -> Result<()> {
+        if self.mvcc.is_some() {
+            return Ok(());
+        }
+        let mut owner = self.single_owner.lock();
+        match &mut *owner {
+            None => *owner = Some((core.id, 1)),
+            Some((id, holds)) if *id == core.id => *holds += 1,
+            Some(_) => return Err(writer_busy()),
+        }
+        Ok(())
+    }
+
+    /// Drop one hold on the writer slot (a no-op under MVCC).
+    fn release_writer(&self) {
+        if self.mvcc.is_some() {
+            return;
+        }
+        let mut owner = self.single_owner.lock();
+        if let Some((_, holds)) = &mut *owner {
+            *holds -= 1;
+            if *holds == 0 {
+                *owner = None;
+            }
+        }
+    }
+
+    /// A fresh transaction: its WAL id and, under MVCC, a snapshot.
+    fn txn_state(&self) -> TxnState {
+        TxnState::new(
+            self.txns.begin(),
+            self.mvcc.as_ref().map(|mvcc| mvcc.begin()),
+        )
+    }
+
+    /// Begin an explicit transaction on one session. Returns the id its
+    /// commit record will carry.
     pub(crate) fn begin_on(&self, core: &Arc<SessionCore>) -> Result<TxnId> {
         let mut current = core.txn.lock();
         if current.is_some() {
             return Err(ServiceError::Transaction("transaction already open".into()));
         }
-        match self.concurrency {
-            ConcurrencyControl::SingleWriter => {
-                self.check_single_writer_busy(core)?;
-                let txn = self.txns.begin();
-                *self.single_owner.lock() = Some(core.id);
-                *current = Some(ActiveTxn::Single(txn));
-                Ok(txn)
-            }
-            ConcurrencyControl::Mvcc => {
-                let mvcc = self.mvcc.as_ref().expect("mvcc profile");
-                let txn = mvcc.begin();
-                let token = txn.token;
-                *current = Some(ActiveTxn::Mvcc(MvccTxnState::new(txn)));
-                Ok(token)
-            }
-        }
+        self.claim_writer(core)?;
+        let state = self.txn_state();
+        let id = state.id;
+        *current = Some(state);
+        Ok(id)
     }
 
-    /// Commit one session's open transaction. Under MVCC this is where
-    /// the buffered write set reaches the heap and the WAL.
+    /// Commit one session's open transaction: its buffered write set
+    /// reaches the heap and the WAL.
     pub(crate) fn commit_on(&self, core: &Arc<SessionCore>) -> Result<()> {
-        let active = core
+        let state = core
             .txn
             .lock()
             .take()
             .ok_or_else(|| ServiceError::Transaction("no open transaction".into()))?;
-        match active {
-            ActiveTxn::Single(txn) => {
-                let out = self.txns.commit(txn);
-                *self.single_owner.lock() = None;
-                out
-            }
-            ActiveTxn::Mvcc(state) => self.commit_mvcc(state),
-        }
+        let out = self.commit_txn(state);
+        self.release_writer();
+        out
     }
 
     /// Roll back one session's open transaction.
     pub(crate) fn rollback_on(&self, core: &Arc<SessionCore>) -> Result<()> {
-        let active = core
+        let state = core
             .txn
             .lock()
             .take()
             .ok_or_else(|| ServiceError::Transaction("no open transaction".into()))?;
-        match active {
-            ActiveTxn::Single(txn) => {
-                let out = self.txns.rollback(txn, &DbResolver { db: self });
-                *self.single_owner.lock() = None;
-                out
-            }
-            ActiveTxn::Mvcc(state) => {
-                // Buffered writes never touched the heap: discarding the
-                // overlay and releasing locks/snapshot is the whole undo.
-                self.mvcc.as_ref().expect("mvcc profile").rollback(&state.txn);
-                Ok(())
-            }
+        self.discard(state);
+        self.release_writer();
+        Ok(())
+    }
+
+    /// Drop a transaction that never reached the heap: the write set is
+    /// discarded, and under MVCC its locks and snapshot are released.
+    fn discard(&self, state: TxnState) {
+        if let (Some(mvcc), Some(txn)) = (&self.mvcc, &state.mvcc) {
+            mvcc.rollback(txn);
         }
     }
 
@@ -898,138 +927,138 @@ impl Database {
         mode.session.as_ref().unwrap_or(&self.default_session)
     }
 
-    /// The open single-writer transaction of the statement's session.
-    fn open_single_txn(&self, mode: &RunMode) -> Option<TxnId> {
-        match &*self.run_session(mode).txn.lock() {
-            Some(ActiveTxn::Single(txn)) => Some(*txn),
-            _ => None,
+    /// Run `f` against the session's open transaction — or, in
+    /// autocommit, against a fresh implicit one that commits (or is
+    /// discarded) around it, holding the writer slot meanwhile.
+    fn with_txn<R>(&self, mode: &RunMode, f: impl FnOnce(&mut TxnState) -> Result<R>) -> Result<R> {
+        let core = self.run_session(mode).clone();
+        if let Some(state) = core.txn.lock().as_mut() {
+            return f(state);
         }
+        self.claim_writer(&core)?;
+        let mut state = self.txn_state();
+        let out = match f(&mut state) {
+            Ok(out) => self.commit_txn(state).map(|()| out),
+            Err(e) => {
+                self.discard(state);
+                Err(e)
+            }
+        };
+        self.release_writer();
+        out
     }
 
-    fn log_if_txn(&self, txn: Option<TxnId>, op: impl FnOnce() -> UndoOp) -> Result<()> {
-        if let Some(txn) = txn {
-            self.txns.record(txn, op())?;
+    /// Apply a buffered write set: the one way a write reaches the heap.
+    /// Under MVCC it first takes the commit window (apply latch + commit
+    /// timestamp). Each row change is undo-logged to the WAL as it is
+    /// applied; the commit record follows, version bookkeeping is
+    /// installed (MVCC only) and the latch released — and only then does
+    /// the commit wait on the (group) fsync, so the durability stall
+    /// never blocks snapshot readers. Version ops are replayed onto the
+    /// guard only after the whole apply succeeded. A failed apply is
+    /// reverted ([`Database::revert`]) and, under MVCC, aborts with its
+    /// chains untouched.
+    fn commit_txn(&self, state: TxnState) -> Result<()> {
+        let guard = self
+            .mvcc
+            .as_ref()
+            .zip(state.mvcc.as_ref())
+            .map(|(mvcc, txn)| mvcc.commit_begin(txn));
+        if state.buffered_rows() == 0 {
+            if let Some(guard) = guard {
+                guard.finish();
+            }
+            return Ok(());
+        }
+        let mut applied = Vec::with_capacity(state.buffered_rows());
+        let barrier = match self
+            .apply(&state, &mut applied)
+            .and_then(|()| self.txns.commit_publish(state.id))
+        {
+            Ok(barrier) => barrier,
+            Err(e) => {
+                self.revert(state.id, &applied);
+                return Err(e); // dropping the guard aborts the MVCC transaction
+            }
+        };
+        for (table, rows) in &state.overlay {
+            self.catalog.note_writes(table, rows.len() as u64);
+        }
+        if let Some(guard) = guard {
+            for a in &applied {
+                match a.write {
+                    OwnWrite::Heap { old, .. } => {
+                        guard.record_supersede(a.table, rid_key(a.rid), encode_tuple(old))
+                    }
+                    OwnWrite::Local(_) => guard.record_install(a.table, rid_key(a.rid)),
+                }
+            }
+            guard.finish();
+        }
+        self.txns.commit_sync(barrier)
+    }
+
+    /// Put the write set into the heap, in write-set order, undo-logging
+    /// each row. `applied` collects every change that took effect.
+    fn apply<'s>(&self, state: &'s TxnState, applied: &mut Vec<Applied<'s>>) -> Result<()> {
+        for (table, rows) in &state.overlay {
+            let t = self.table(table)?;
+            for (key, write) in rows {
+                let (rid, undo) = match (key, write) {
+                    (
+                        RowKey::Heap(rid),
+                        OwnWrite::Heap {
+                            old,
+                            new: Some(img),
+                        },
+                    ) => {
+                        t.update(*rid, img.clone())?;
+                        (*rid, UndoOp::update(table, old, img))
+                    }
+                    (RowKey::Heap(rid), OwnWrite::Heap { old, new: None }) => {
+                        t.delete(*rid)?;
+                        (*rid, UndoOp::delete(table, old))
+                    }
+                    (RowKey::Local(_), OwnWrite::Local(img)) => {
+                        (t.insert(img.clone())?, UndoOp::insert(table, img))
+                    }
+                    _ => return Err(ServiceError::Internal("mismatched write-set entry".into())),
+                };
+                applied.push(Applied { table, rid, write });
+                self.txns.record(state.id, undo)?;
+            }
         }
         Ok(())
     }
 
-    /// Run `f` against the session's open MVCC transaction — or, in
-    /// autocommit, against a fresh implicit one that commits (or rolls
-    /// back) around it.
-    fn with_mvcc_txn<R>(
-        &self,
-        mode: &RunMode,
-        f: impl FnOnce(&mut MvccTxnState) -> Result<R>,
-    ) -> Result<R> {
-        let core = self.run_session(mode).clone();
-        {
-            let mut guard = core.txn.lock();
-            if let Some(active) = guard.as_mut() {
-                return match active {
-                    ActiveTxn::Mvcc(state) => f(state),
-                    ActiveTxn::Single(_) => Err(ServiceError::Internal(
-                        "single-writer transaction open under mvcc".into(),
-                    )),
-                };
-            }
-        }
-        let mvcc = self.mvcc.as_ref().expect("mvcc profile").clone();
-        let mut state = MvccTxnState::new(mvcc.begin());
-        match f(&mut state) {
-            Ok(out) => {
-                self.commit_mvcc(state)?;
-                Ok(out)
-            }
-            Err(e) => {
-                mvcc.rollback(&state.txn);
-                Err(e)
-            }
-        }
-    }
-
-    /// Apply a buffered MVCC write set: take the commit window (apply
-    /// latch + commit timestamp), write the heap under a WAL-undo
-    /// transaction, install the version bookkeeping, release the latch —
-    /// and only then wait on the (group) fsync, so the durability stall
-    /// never blocks snapshot readers. Version ops are staged in a plain
-    /// vec and replayed onto the guard only after the whole heap apply
-    /// succeeded: a failed apply rolls back the heap and aborts the MVCC
-    /// transaction with its chains untouched.
-    fn commit_mvcc(&self, state: MvccTxnState) -> Result<()> {
-        enum VersionOp {
-            Supersede(String, u64, Vec<u8>),
-            Install(String, u64),
-        }
-        let mvcc = self.mvcc.as_ref().expect("mvcc profile");
-        let guard = mvcc.commit_begin(&state.txn);
-        if state.buffered_rows() == 0 {
-            guard.finish();
-            return Ok(());
-        }
-        let data_txn = self.txns.begin();
-        let mut pending: Vec<VersionOp> = Vec::new();
-        let mut apply = || -> Result<()> {
-            for (table, rows) in &state.overlay {
-                let t = self.table(table)?;
-                let mut writes = 0u64;
-                for (key, w) in rows {
-                    match (key, w) {
-                        (RowKey::Heap(rid), OwnWrite::Heap { old, new: Some(img) }) => {
-                            t.update(*rid, img.clone())?;
-                            self.txns.record(data_txn, UndoOp::update(table, old, img))?;
-                            pending.push(VersionOp::Supersede(
-                                table.clone(),
-                                rid_key(*rid),
-                                encode_tuple(old),
-                            ));
-                        }
-                        (RowKey::Heap(rid), OwnWrite::Heap { old, new: None }) => {
-                            t.delete(*rid)?;
-                            self.txns.record(data_txn, UndoOp::delete(table, old))?;
-                            pending.push(VersionOp::Supersede(
-                                table.clone(),
-                                rid_key(*rid),
-                                encode_tuple(old),
-                            ));
-                        }
-                        (RowKey::Local(_), OwnWrite::Local(img)) => {
-                            let rid = t.insert(img.clone())?;
-                            self.txns.record(data_txn, UndoOp::insert(table, img))?;
-                            pending.push(VersionOp::Install(table.clone(), rid_key(rid)));
-                        }
-                        _ => {
-                            return Err(ServiceError::Internal(
-                                "mismatched mvcc write-set entry".into(),
-                            ))
-                        }
+    /// Undo the applied prefix of a failed commit apply from the
+    /// in-memory write set: newest first, by rid, slot for slot, with no
+    /// log read and no table scan, then close the WAL transaction with
+    /// an abort record. The reverted pages are written back first, so
+    /// the abort is not durable while a stolen page still shows the
+    /// applied change (unless that write-back fails too). If the revert
+    /// itself fails, the transaction stays open in the log and crash
+    /// recovery undoes it at the next open.
+    fn revert(&self, txn: TxnId, applied: &[Applied]) {
+        let undo = || -> Result<()> {
+            for a in applied.iter().rev() {
+                let t = self.table(a.table)?;
+                match a.write {
+                    OwnWrite::Heap { old, new: Some(_) } => {
+                        t.update(a.rid, old.clone()).map(drop)?
                     }
-                    writes += 1;
+                    OwnWrite::Heap { old, new: None } => t.restore(a.rid, old.clone())?,
+                    OwnWrite::Local(_) => t.delete(a.rid).map(drop)?,
                 }
-                self.catalog.note_writes(table, writes);
             }
             Ok(())
         };
-        if let Err(e) = apply() {
-            let _ = self.txns.rollback(data_txn, &DbResolver { db: self });
-            drop(guard); // abort: locks and snapshot released, no versions installed
-            return Err(e);
+        if undo().is_ok() {
+            // Best effort: under a persistent I/O fault the pages stay
+            // dirty in the pool and reach disk with the next flush.
+            let _ = self.engine.buffer.flush_all();
+            let _ = self.txns.abort(txn);
         }
-        let barrier = match self.txns.commit_publish(data_txn) {
-            Ok(barrier) => barrier,
-            Err(e) => {
-                let _ = self.txns.rollback(data_txn, &DbResolver { db: self });
-                drop(guard);
-                return Err(e);
-            }
-        };
-        for op in pending {
-            match op {
-                VersionOp::Supersede(table, key, old) => guard.record_supersede(&table, key, old),
-                VersionOp::Install(table, key) => guard.record_install(&table, key),
-            }
-        }
-        guard.finish();
-        self.txns.commit_sync(barrier)
     }
 
     /// The rows a row-access leaf (`TableScan`, `IndexScan`, `IndexOr`,
@@ -1037,18 +1066,19 @@ impl Database {
     /// DML target lists and index leaves read a table, in either CC
     /// mode. A table scan is a [`TableRead`] walked page by page. An
     /// index leaf collects its B-tree probes' rids under the read latch;
-    /// without an MVCC transaction (`state = None`) the committed heap
-    /// is the answer and the probes are exact against it. With one, each
-    /// candidate resolves through [`resolve`], and the rows the snapshot
-    /// sees that no probe reached follow ([`unreached`]). Every image
-    /// that is not the current heap occupant is re-checked against the
-    /// leaf's key bounds. Cancellation is checked every page, or every
+    /// with neither an MVCC snapshot nor own writes to the table, the
+    /// committed heap is the answer and the probes are exact against
+    /// it. Otherwise each candidate resolves through [`resolve`], and
+    /// the rows the transaction sees that no probe reached follow
+    /// ([`unreached`]). Every image that is not the current heap
+    /// occupant is re-checked against the leaf's key bounds.
+    /// Cancellation is checked every page, or every
     /// [`exec::CANCEL_QUANTUM`] candidates.
     fn access_rows(
         &self,
         t: &Table,
         leaf: &Plan,
-        state: Option<&MvccTxnState>,
+        state: Option<&TxnState>,
         mode: &RunMode,
     ) -> Result<Vec<(RowKey, Tuple)>> {
         if let Plan::TableScan { .. } = leaf {
@@ -1058,7 +1088,10 @@ impl Database {
         let _latch = self.mvcc.as_ref().map(|m| m.read_latch());
         let rids = index_rids(t, leaf)?;
         let mut out = Vec::with_capacity(rids.len());
-        let (Some(mvcc), Some(state)) = (&self.mvcc, state) else {
+        let table = t.meta().name.as_str();
+        let own = state.and_then(|s| s.overlay.get(table));
+        let snapshot = self.mvcc.as_ref().zip(state.and_then(|s| s.mvcc.as_ref()));
+        if own.is_none() && snapshot.is_none() {
             for (i, rid) in rids.into_iter().enumerate() {
                 if i % exec::CANCEL_QUANTUM == 0 {
                     mode.ctx.check()?;
@@ -1066,11 +1099,8 @@ impl Database {
                 out.push((RowKey::Heap(rid), t.get(rid)?));
             }
             return Ok(out);
-        };
-        let table = t.meta().name.as_str();
-        let snapshot = state.txn.snapshot;
+        }
         let admits = key_bounds(t, leaf)?;
-        let own = state.overlay.get(table);
         let mut reached: BTreeSet<RowKey> = BTreeSet::new();
         for (i, rid) in rids.into_iter().enumerate() {
             if i % exec::CANCEL_QUANTUM == 0 {
@@ -1080,7 +1110,12 @@ impl Database {
             if !reached.insert(key) {
                 continue;
             }
-            match resolve(own, key, || mvcc.visibility(table, rid_key(rid), snapshot)) {
+            let visibility = || {
+                snapshot.map_or(Visibility::Current, |(mvcc, txn)| {
+                    mvcc.visibility(table, rid_key(rid), txn.snapshot)
+                })
+            };
+            match resolve(own, key, visibility) {
                 Seen::Heap => out.push((key, t.get(rid)?)),
                 Seen::Image(img) => {
                     let img = img.into_tuple()?;
@@ -1091,8 +1126,13 @@ impl Database {
                 Seen::Nothing => {}
             }
         }
-        let chain = mvcc.chain_rows(table, snapshot);
-        for (key, img) in unreached(chain, own, |key| reached.contains(&key)) {
+        let chain =
+            snapshot.map_or_else(Vec::new, |(mvcc, txn)| mvcc.chain_rows(table, txn.snapshot));
+        let rest = unreached(chain, own, |key| reached.contains(&key));
+        for (i, (key, img)) in rest.into_iter().enumerate() {
+            if i % exec::CANCEL_QUANTUM == 0 {
+                mode.ctx.check()?;
+            }
             let img = img.into_tuple()?;
             if admits(&img) {
                 out.push((key, img));
@@ -1101,40 +1141,35 @@ impl Database {
         Ok(out)
     }
 
-    /// A page-by-page read of `t`. Under MVCC it resolves against the
-    /// open transaction's snapshot and own writes or, outside a
-    /// transaction, against the statement's read snapshot (pinned by the
-    /// first read and shared by every table the statement reads). Take
-    /// the heap's page list after this call, so it covers every page the
-    /// snapshot can see. Columns `keep` marks false are left NULL.
+    /// A page-by-page read of `t`. It merges the open transaction's own
+    /// writes into the committed heap and, under MVCC, resolves against
+    /// the transaction's snapshot or, outside a transaction, against the
+    /// statement's read snapshot (pinned by the first read and shared by
+    /// every table the statement reads). Take the heap's page list after
+    /// this call, so it covers every page the snapshot can see. Columns
+    /// `keep` marks false are left NULL.
     fn table_read(
         &self,
         t: &Table,
-        state: Option<&MvccTxnState>,
+        state: Option<&TxnState>,
         mode: &RunMode,
         keep: Option<Vec<bool>>,
     ) -> TableRead {
-        let snapshot = self.mvcc.as_ref().map(|mvcc| {
-            let table = t.meta().name.clone();
-            let (ts, own, pin) = match state {
-                Some(state) => (
-                    state.txn.snapshot,
-                    state.overlay.get(&table).cloned().unwrap_or_default(),
-                    None,
-                ),
-                None => {
-                    let pin = mode.read.get_or_init(|| Arc::new(mvcc.read_snapshot())).clone();
-                    (pin.ts(), OwnWrites::new(), Some(pin))
-                }
-            };
-            SnapshotRead {
-                mvcc: mvcc.clone(),
-                table,
-                ts,
-                own,
-                walked: HashMap::new(),
-                _pin: pin,
+        let table = &t.meta().name;
+        let own = state.and_then(|s| s.overlay.get(table));
+        let versions = match (&self.mvcc, state.and_then(|s| s.mvcc.as_ref())) {
+            (None, _) => None,
+            (Some(mvcc), Some(txn)) => Some((mvcc.clone(), txn.snapshot, None)),
+            (Some(mvcc), None) => {
+                let pin = mode.read.get_or_init(|| Arc::new(mvcc.read_snapshot()));
+                Some((mvcc.clone(), pin.ts(), Some(pin.clone())))
             }
+        };
+        let snapshot = (versions.is_some() || own.is_some()).then(|| SnapshotRead {
+            versions,
+            table: table.clone(),
+            own: own.cloned().unwrap_or_default(),
+            walked: HashMap::new(),
         });
         TableRead {
             buffer: t.heap().buffer().clone(),
@@ -1154,7 +1189,7 @@ impl Database {
         &self,
         t: &Table,
         predicate: Option<&exec::Expr>,
-        state: Option<&MvccTxnState>,
+        state: Option<&TxnState>,
         mode: &RunMode,
     ) -> Result<Vec<(RowKey, Tuple)>> {
         let (leaf, _) = plan_dml_target(&t.meta().name, predicate, self)?;
@@ -1175,9 +1210,6 @@ impl Database {
         rows: Vec<Vec<AstExpr>>,
         mode: &RunMode,
     ) -> Result<QueryResult> {
-        // Check cancellation before any row mutates: an auto-commit
-        // INSERT either runs or aborts cleanly, never half-applies
-        // without undo coverage.
         mode.ctx.check()?;
         let t = self.table(table)?;
         let schema = t.schema().clone();
@@ -1211,45 +1243,30 @@ impl Database {
             }
             tuples.push(tuple);
         }
-        if self.mvcc.is_some() {
-            // Buffer into the write set; the heap is untouched until
-            // commit. Validate now so the overlay holds stored images.
-            let stored: Vec<Tuple> = tuples
-                .into_iter()
-                .map(|tuple| schema.validate(tuple))
-                .collect::<Result<_>>()?;
-            let n = stored.len();
-            let table_lc = table.to_lowercase();
-            self.with_mvcc_txn(mode, |state| {
-                let entry = state.overlay.entry(table_lc.clone()).or_default();
-                for img in stored {
-                    let k = RowKey::Local(state.next_local);
-                    state.next_local += 1;
-                    entry.insert(k, OwnWrite::Local(img));
-                }
-                Ok(())
-            })?;
-            return Ok(QueryResult::affected(n));
-        }
-        let txn = self.open_single_txn(mode);
-        let mut inserted = 0;
-        for tuple in tuples {
-            let row_for_log = tuple.clone();
-            t.insert(tuple)?;
-            self.log_if_txn(txn, || UndoOp::insert(table, &row_for_log))?;
-            inserted += 1;
-        }
-        self.catalog.note_writes(table, inserted as u64);
-        Ok(QueryResult::affected(inserted))
+        // Buffer into the write set; the heap is untouched until commit.
+        // Validate now so the overlay holds stored images.
+        let stored: Vec<Tuple> = tuples
+            .into_iter()
+            .map(|tuple| schema.validate(tuple))
+            .collect::<Result<_>>()?;
+        let n = stored.len();
+        self.with_txn(mode, |state| {
+            let entry = state.overlay.entry(t.meta().name.clone()).or_default();
+            for img in stored {
+                let k = RowKey::Local(state.next_local);
+                state.next_local += 1;
+                entry.insert(k, OwnWrite::Local(img));
+            }
+            Ok(())
+        })?;
+        Ok(QueryResult::affected(n))
     }
 
     /// UPDATE (`set = Some(..)`) or DELETE (`set = None`). Targets come
     /// from [`Database::dml_targets`] and every new image is evaluated
     /// before the first write, so an evaluation error leaves the
-    /// statement a no-op. Applying the writes is CC-specific: MVCC takes
-    /// every write lock, then buffers the images in the transaction's
-    /// overlay; single-writer writes the heap in place, undo-logged
-    /// inside an explicit transaction.
+    /// statement a no-op. The images are buffered in the transaction's
+    /// overlay; under MVCC only after every write lock is taken.
     fn run_write(
         &self,
         table: &str,
@@ -1294,45 +1311,25 @@ impl Database {
                 .collect()
         };
 
-        if let Some(mvcc) = &self.mvcc {
-            let table_lc = table.to_lowercase();
-            return self.with_mvcc_txn(mode, |state| {
-                let staged = stage(self.dml_targets(&t, predicate.as_ref(), Some(state), mode)?)?;
-                // Every lock before any overlay change: a conflict leaves
-                // the statement a no-op and the transaction open.
+        let name = &t.meta().name;
+        self.with_txn(mode, |state| {
+            let staged = stage(self.dml_targets(&t, predicate.as_ref(), Some(state), mode)?)?;
+            // Every lock before any overlay change: a conflict leaves the
+            // statement a no-op and the transaction open.
+            if let (Some(mvcc), Some(txn)) = (&self.mvcc, &state.mvcc) {
                 for (key, _, _) in &staged {
                     if let RowKey::Heap(rid) = key {
-                        mvcc.lock_write(&state.txn, &table_lc, rid_key(*rid))?;
+                        mvcc.lock_write(txn, name, rid_key(*rid))?;
                     }
                 }
-                let affected = staged.len();
-                let entry = state.overlay.entry(table_lc.clone()).or_default();
-                for (key, old, new) in staged {
-                    apply_own_write(entry, key, old, new);
-                }
-                Ok(QueryResult::affected(affected))
-            });
-        }
-
-        let staged = stage(self.dml_targets(&t, predicate.as_ref(), None, mode)?)?;
-        let txn = self.open_single_txn(mode);
-        for (key, old, new) in &staged {
-            let RowKey::Heap(rid) = *key else {
-                return Err(ServiceError::Internal("single-writer target without a rid".into()));
-            };
-            match new {
-                Some(stored) => {
-                    t.update(rid, stored.clone())?;
-                    self.log_if_txn(txn, || UndoOp::update(table, old, stored))?;
-                }
-                None => {
-                    t.delete(rid)?;
-                    self.log_if_txn(txn, || UndoOp::delete(table, old))?;
-                }
             }
-        }
-        self.catalog.note_writes(table, staged.len() as u64);
-        Ok(QueryResult::affected(staged.len()))
+            let affected = staged.len();
+            let entry = state.overlay.entry(name.clone()).or_default();
+            for (key, old, new) in staged {
+                apply_own_write(entry, key, old, new);
+            }
+            Ok(QueryResult::affected(affected))
+        })
     }
 
     /// Evaluate a physical plan on an explicit engine (its batch size
@@ -1368,7 +1365,7 @@ impl Database {
                     .filter(|keep| keep.contains(&false));
                 let read = {
                     let guard = self.run_session(mode).txn.lock();
-                    self.table_read(&t, mvcc_state(&guard), mode, keep)
+                    self.table_read(&t, guard.as_ref(), mode, keep)
                 };
                 Ok(engine.scan(t.heap().data_pages()?, width, read))
             }
@@ -1376,11 +1373,23 @@ impl Database {
             | Plan::IndexOr { table, .. }
             | Plan::IndexAnd { table, .. } => {
                 let t = self.table(table)?;
-                // Without MVCC a covering scan never touches the heap:
-                // the B-tree entries already carry the key columns, and
-                // the engine receives them columnar.
-                if let (None, Plan::IndexScan { covering: true, key_columns, .. }) = (&self.mvcc, plan)
-                {
+                let guard = self.run_session(mode).txn.lock();
+                let own_writes = guard.as_ref().map(|s| &s.overlay);
+                let heap_free = self.mvcc.is_none()
+                    && !own_writes.is_some_and(|o| o.contains_key(&t.meta().name));
+                // Without MVCC or own writes to the table a covering scan
+                // never touches the heap: the B-tree entries already
+                // carry the key columns, and the engine receives them
+                // columnar.
+                let covering = match plan {
+                    Plan::IndexScan {
+                        covering: true,
+                        key_columns,
+                        ..
+                    } if heap_free => Some(key_columns),
+                    _ => None,
+                };
+                if let Some(key_columns) = covering {
                     let mut columns: Vec<Vec<Datum>> = vec![Vec::new(); key_columns.len()];
                     let mut nrows = 0;
                     scan_index(&t, plan, |key, _| {
@@ -1393,15 +1402,13 @@ impl Database {
                 // access path (under MVCC: a consistent snapshot no
                 // concurrent commit can tear, with no latch outliving
                 // this arm).
-                let rows = {
-                    let guard = self.run_session(mode).txn.lock();
-                    self.access_rows(&t, plan, mvcc_state(&guard), mode)?
-                };
+                let rows = self.access_rows(&t, plan, guard.as_ref(), mode)?;
+                drop(guard);
                 let rows = rows.into_iter().map(|(_, row)| row);
                 let rows: Vec<Tuple> = match plan {
-                    // Index-only output under MVCC still resolves
-                    // visibility through the heap and overlay; project
-                    // the visible rows down to the key columns.
+                    // Index-only output under MVCC or beside own writes
+                    // still resolves through the heap and overlay;
+                    // project the visible rows down to the key columns.
                     Plan::IndexScan { covering: true, key_columns, .. } => {
                         let positions = key_positions(&t, key_columns)?;
                         rows.map(|r| positions.iter().map(|&p| r[p].clone()).collect())
@@ -1482,20 +1489,20 @@ impl Database {
     }
 }
 
+/// One write-set entry the commit apply put into the heap: its table,
+/// the rid it occupies (or, for a delete, occupied), and the entry.
+struct Applied<'s> {
+    table: &'s str,
+    rid: Rid,
+    write: &'s OwnWrite,
+}
+
 /// The pending image an own-write presents to its transaction (`None`
 /// once deleted).
 fn own_image(w: &OwnWrite) -> Option<&Tuple> {
     match w {
         OwnWrite::Heap { new, .. } => new.as_ref(),
         OwnWrite::Local(img) => Some(img),
-    }
-}
-
-/// The session's open MVCC transaction, if that is what it holds.
-fn mvcc_state(txn: &Option<ActiveTxn>) -> Option<&MvccTxnState> {
-    match txn {
-        Some(ActiveTxn::Mvcc(state)) => Some(state),
-        _ => None,
     }
 }
 
@@ -1586,11 +1593,12 @@ fn unreached<'o>(
 
 /// One table read in storage order, page by page: the heap walk behind
 /// every `TableScan` leaf (streamed into column batches) and every
-/// sequential DML target list. Without a snapshot the committed heap is
-/// the answer. With one (MVCC), each page's records and their
-/// visibility resolve together under one hold of the apply read latch,
-/// so a commit waits for at most one page; the rows only the version
-/// chains hold and the transaction's own inserts follow the last page.
+/// sequential DML target list. With neither a snapshot nor own writes
+/// the committed heap is the answer. Otherwise each page's records
+/// resolve against the own writes and (MVCC) the snapshot together,
+/// under one hold of the apply read latch, so a commit waits for at
+/// most one page; the rows only the version chains hold and the
+/// transaction's own inserts follow the last page.
 struct TableRead {
     buffer: Arc<BufferPool>,
     snapshot: Option<SnapshotRead>,
@@ -1600,18 +1608,19 @@ struct TableRead {
     keys: Vec<RowKey>,
 }
 
-/// What one MVCC table read resolves against.
+/// What one table read resolves against besides the heap.
 struct SnapshotRead {
-    mvcc: Arc<Mvcc>,
+    /// Under MVCC: the version store, the snapshot timestamp, and the
+    /// statement's read snapshot pin (outside a transaction), held until
+    /// the read ends. `None` under single-writer: the committed heap is
+    /// current.
+    versions: Option<(Arc<Mvcc>, Ts, Option<Arc<ReadSnapshot>>)>,
     table: String,
-    ts: Ts,
     /// The transaction's own writes to the table (none in autocommit).
     own: OwnWrites,
-    /// The live slots of every page walked so far: what the snapshot
-    /// sees at those keys was resolved in place.
+    /// The live slots of every page walked so far: what the read sees
+    /// at those keys was resolved in place.
     walked: HashMap<PageId, Vec<SlotId>>,
-    /// Holds a statement's read snapshot until the read ends.
-    _pin: Option<Arc<ReadSnapshot>>,
 }
 
 impl TableRead {
@@ -1655,7 +1664,7 @@ impl PageSource for TableRead {
             })?;
             return Ok(keys.len());
         };
-        let _latch = snap.mvcc.read_latch();
+        let _latch = snap.versions.as_ref().map(|(mvcc, _, _)| mvcc.read_latch());
         let base = columns.first().map_or(0, Vec::len);
         let mut slots = Vec::new();
         HeapFile::walk_page(buffer, page, |rid, record| {
@@ -1663,9 +1672,11 @@ impl PageSource for TableRead {
             decode_tuple_into(record, columns, keep)
         })?;
         let (first, next) = (Rid::new(page, 0), Rid::new(page + 1, 0));
-        let replaced = snap
-            .mvcc
-            .replaced_in(&snap.table, snap.ts, rid_key(first)..rid_key(next));
+        let page_keys = rid_key(first)..rid_key(next);
+        let replaced = match &snap.versions {
+            Some((mvcc, ts, _)) => mvcc.replaced_in(&snap.table, *ts, page_keys),
+            None => Vec::new(),
+        };
         let own_here = snap.own.range(RowKey::Heap(first)..RowKey::Heap(next)).next();
         if replaced.is_empty() && own_here.is_none() {
             keys.extend(slots.iter().map(|&slot| RowKey::Heap(Rid::new(page, slot))));
@@ -1709,9 +1720,12 @@ impl PageSource for TableRead {
         let Some(snap) = self.snapshot.take() else {
             return Ok(0);
         };
-        let chain = {
-            let _latch = snap.mvcc.read_latch();
-            snap.mvcc.chain_rows(&snap.table, snap.ts)
+        let chain = match &snap.versions {
+            Some((mvcc, ts, _)) => {
+                let _latch = mvcc.read_latch();
+                mvcc.chain_rows(&snap.table, *ts)
+            }
+            None => Vec::new(),
         };
         let walked = |key: RowKey| match key {
             RowKey::Heap(rid) => snap

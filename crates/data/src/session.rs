@@ -2,26 +2,28 @@
 //!
 //! A [`Session`] is one logical client of a [`Database`]: it owns at
 //! most one open transaction and routes statements through the shared
-//! engine. The profile's concurrency-control choice decides what an
-//! open transaction *is*:
+//! engine. Every transaction, explicit or autocommit, is the same
+//! [`TxnState`]: a write set buffered here, in the session, that reaches
+//! the heap only through the commit apply and is simply dropped on
+//! rollback. The profile's concurrency-control choice is a policy over
+//! that one write path:
 //!
-//! * **single-writer** (embedded profile): the transaction is the
-//!   WAL-undo transaction of [`crate::txn`], applied to the heap as it
-//!   goes. While any session holds one open, every statement from any
-//!   other session fails immediately with a recoverable
-//!   `SerializationConflict` ("busy", in SQLite terms) — writers block
-//!   readers, which is exactly the cheapness/concurrency trade the
-//!   embedded profile makes.
-//! * **MVCC** (full-fledged profile): the transaction pins a snapshot
-//!   from the kernel's [`sbdms_kernel::mvcc::Mvcc`] service and buffers
-//!   its writes here, in the session, never touching the heap until
-//!   commit. Readers run against their snapshot concurrently with open
-//!   writers; write-write conflicts surface eagerly as
-//!   `SerializationConflict`.
+//! * **single-writer** (embedded profile): a lock. An explicit
+//!   transaction, and the read-then-apply span of an autocommit
+//!   statement, hold the database's one writer slot; while another
+//!   session holds it, every statement fails immediately with a
+//!   recoverable `SerializationConflict` ("busy", in SQLite terms) —
+//!   writers block readers, which is exactly the cheapness/concurrency
+//!   trade the embedded profile makes. Reads see the committed heap with
+//!   the transaction's own writes merged in.
+//! * **MVCC** (full-fledged profile): the transaction also pins a
+//!   snapshot from the kernel's [`sbdms_kernel::mvcc::Mvcc`] service.
+//!   Readers run against their snapshot concurrently with open writers;
+//!   write-write conflicts surface eagerly as `SerializationConflict`.
 //!
-//! The buffered MVCC write set is deterministic by construction
-//! (`BTreeMap` keyed by [`RowKey`]), so the concurrent torture suite can
-//! replay identical commit schedules crash after crash.
+//! The buffered write set is deterministic by construction (`BTreeMap`
+//! keyed by [`RowKey`]), so the torture suites can replay identical
+//! commit schedules crash after crash.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -39,8 +41,9 @@ use crate::txn::TxnId;
 /// The profile's concurrency-control service choice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ConcurrencyControl {
-    /// One writer at a time, WAL-undo, applied in place. Cheapest; any
-    /// other session is locked out while a transaction is open.
+    /// One writer at a time: a lock over the shared buffered write
+    /// path, no version bookkeeping. Cheapest; any other session is
+    /// locked out while a transaction is open.
     #[default]
     SingleWriter,
     /// Snapshot isolation through the kernel MVCC service: concurrent
@@ -57,7 +60,7 @@ impl std::fmt::Display for ConcurrencyControl {
     }
 }
 
-/// Identity of one row inside an MVCC write set.
+/// Identity of one row inside a write set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum RowKey {
     /// An existing heap row.
@@ -67,7 +70,7 @@ pub(crate) enum RowKey {
     Local(u64),
 }
 
-/// One row's pending state inside an MVCC transaction.
+/// One row's pending state inside a transaction.
 #[derive(Debug, Clone)]
 pub(crate) enum OwnWrite {
     /// An existing heap row this transaction rewrote. `old` is the
@@ -81,37 +84,33 @@ pub(crate) enum OwnWrite {
 /// One transaction's pending writes to one table, in row-key order.
 pub(crate) type OwnWrites = BTreeMap<RowKey, OwnWrite>;
 
-/// Buffered state of one open MVCC transaction.
-pub(crate) struct MvccTxnState {
-    /// The kernel-side transaction: token + pinned snapshot.
-    pub txn: MvccTxn,
+/// Buffered state of one open transaction, in either CC mode.
+pub(crate) struct TxnState {
+    /// The WAL transaction id its commit record carries.
+    pub id: TxnId,
+    /// The kernel-side MVCC transaction: token + pinned snapshot.
+    /// `None` under single-writer, where the committed heap is current.
+    pub mvcc: Option<MvccTxn>,
     /// Next local row number for fresh inserts.
     pub next_local: u64,
     /// The write set, per table, in deterministic order.
     pub overlay: BTreeMap<String, OwnWrites>,
 }
 
-impl MvccTxnState {
-    pub fn new(txn: MvccTxn) -> MvccTxnState {
-        MvccTxnState {
-            txn,
+impl TxnState {
+    pub fn new(id: TxnId, mvcc: Option<MvccTxn>) -> TxnState {
+        TxnState {
+            id,
+            mvcc,
             next_local: 0,
             overlay: BTreeMap::new(),
         }
     }
 
-    /// Rows buffered across all tables (for governor accounting tests).
+    /// Rows buffered across all tables.
     pub fn buffered_rows(&self) -> usize {
         self.overlay.values().map(BTreeMap::len).sum()
     }
-}
-
-/// The session's open transaction, if any.
-pub(crate) enum ActiveTxn {
-    /// A WAL-undo transaction applied in place (single-writer mode).
-    Single(TxnId),
-    /// A buffered snapshot transaction (MVCC mode).
-    Mvcc(MvccTxnState),
 }
 
 /// Shared per-session state: the open transaction plus the session's
@@ -123,7 +122,7 @@ pub(crate) struct SessionCore {
     /// Session id, for the single-writer ownership check.
     pub id: u64,
     /// The open transaction.
-    pub txn: Mutex<Option<ActiveTxn>>,
+    pub txn: Mutex<Option<TxnState>>,
     /// Deadline applied to each statement, in milliseconds.
     pub deadline_ms: Mutex<Option<u64>>,
     /// Per-statement operator memory limit, in bytes.
@@ -176,13 +175,13 @@ impl Session {
         self.db.begin_on(&self.core)
     }
 
-    /// Commit the open transaction. Under MVCC this is where buffered
-    /// writes reach the heap (and the WAL, via group commit).
+    /// Commit the open transaction: this is where its buffered writes
+    /// reach the heap (and the WAL, via group commit).
     pub fn commit(&self) -> Result<()> {
         self.db.commit_on(&self.core)
     }
 
-    /// Roll back the open transaction.
+    /// Roll back the open transaction: drop its buffered writes.
     pub fn rollback(&self) -> Result<()> {
         self.db.rollback_on(&self.core)
     }

@@ -127,6 +127,16 @@ impl Table {
         Ok(old)
     }
 
+    /// Put a deleted row back under its old rid, maintaining indexes
+    /// (the inverse of [`Table::delete`]).
+    pub fn restore(&self, rid: Rid, row: Tuple) -> Result<()> {
+        self.heap.restore(rid, &encode_tuple(&row))?;
+        for (im, tree) in &self.indexes {
+            tree.insert(&self.index_key(im, &row)?, rid)?;
+        }
+        Ok(())
+    }
+
     /// Replace a row in place (rid stable), maintaining indexes. Returns
     /// the old row.
     pub fn update(&self, rid: Rid, row: Tuple) -> Result<Tuple> {

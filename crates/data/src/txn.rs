@@ -1,9 +1,14 @@
-//! Transactions: WAL-logged atomicity with undo-based rollback/recovery.
+//! Transactions: WAL-logged atomicity for the one commit apply, with
+//! crash recovery as the only undo.
 //!
-//! The protocol is steal/undo: dirty pages may reach disk before commit,
-//! so every change logs its undo information to the WAL first; rollback
-//! (and crash recovery) applies undo records of unfinished transactions
-//! in reverse order. Durability is configurable:
+//! Every write reaches the heap through one place: a session's
+//! buffered write set applied at commit (`Database::commit_txn`). The
+//! apply is steal/undo: dirty pages may reach disk before the commit
+//! record, so each row change logs its undo information to the WAL first
+//! ([`TransactionManager::record`]). A live rollback never needs the
+//! log — the write set never touched the heap, so discarding it is the
+//! whole undo. Crash recovery undoes the one apply a power loss can
+//! interrupt, from its logged records. Durability is configurable:
 //!
 //! * [`Durability::Full`] — commit syncs the WAL and force-flushes pages
 //!   (no redo needed, committed data survives a crash).
@@ -11,7 +16,7 @@
 //!   atomicity is preserved but a crash may lose recent commits (the
 //!   classic `synchronous=off` trade).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -86,7 +91,7 @@ struct LogPayload {
     op: UndoOp,
 }
 
-/// Resolves table names to live handles during rollback/recovery.
+/// Resolves table names to live handles during crash recovery.
 pub trait TableResolver {
     /// Open a table by name.
     fn resolve(&self, name: &str) -> Result<Table>;
@@ -97,7 +102,9 @@ pub struct TransactionManager {
     wal: Arc<Wal>,
     buffer: Arc<BufferPool>,
     next_txn: AtomicU64,
-    active: Mutex<HashMap<TxnId, Vec<UndoOp>>>,
+    /// Transactions with logged changes and no commit or abort record
+    /// yet: what crash recovery would undo.
+    active: Mutex<HashSet<TxnId>>,
     durability: Mutex<Durability>,
     /// Group-commit window: how long a commit leader holds the WAL
     /// barrier open for concurrent committers to pile on. Zero keeps
@@ -113,7 +120,7 @@ impl TransactionManager {
             wal,
             buffer,
             next_txn: AtomicU64::new(1),
-            active: Mutex::new(HashMap::new()),
+            active: Mutex::new(HashSet::new()),
             durability: Mutex::new(Durability::Relaxed),
             commit_window: Mutex::new(std::time::Duration::ZERO),
         }
@@ -134,16 +141,10 @@ impl TransactionManager {
         *self.commit_window.lock() = window;
     }
 
-    /// Begin a transaction.
+    /// Begin a transaction: allocate its id. It becomes active with its
+    /// first logged change.
     pub fn begin(&self) -> TxnId {
-        let txn = self.next_txn.fetch_add(1, Ordering::SeqCst);
-        self.active.lock().insert(txn, Vec::new());
-        txn
-    }
-
-    /// Whether a transaction is active.
-    pub fn is_active(&self, txn: TxnId) -> bool {
-        self.active.lock().contains_key(&txn)
+        self.next_txn.fetch_add(1, Ordering::SeqCst)
     }
 
     /// Record a change made by `txn`: logs the undo information to the
@@ -153,14 +154,10 @@ impl TransactionManager {
     /// guarantees because flushes happen under commit or eviction after
     /// this append).
     pub fn record(&self, txn: TxnId, op: UndoOp) -> Result<()> {
-        let payload = serde_json::to_vec(&LogPayload { txn, op: op.clone() })
+        let payload = serde_json::to_vec(&LogPayload { txn, op })
             .map_err(|e| ServiceError::Internal(format!("log encode: {e}")))?;
         self.wal.append(KIND_DATA, &payload)?;
-        let mut active = self.active.lock();
-        let undo = active
-            .get_mut(&txn)
-            .ok_or_else(|| ServiceError::Transaction(format!("txn {txn} is not active")))?;
-        undo.push(op);
+        self.active.lock().insert(txn);
         Ok(())
     }
 
@@ -173,7 +170,7 @@ impl TransactionManager {
     /// sync is the single durability point: a crash anywhere before it
     /// leaves no commit record, and recovery rolls the transaction back
     /// from its durable undo records. On error the transaction stays
-    /// active, so the caller may still roll back.
+    /// active, so the caller may still abort it.
     pub fn commit(&self, txn: TxnId) -> Result<()> {
         let barrier = self.commit_publish(txn)?;
         self.commit_sync(barrier)
@@ -182,13 +179,10 @@ impl TransactionManager {
     /// First half of a commit: flush data pages (force-then-commit) and
     /// append the commit record, returning the durability barrier the
     /// second half must reach (`None` under relaxed durability). Split
-    /// from [`TransactionManager::commit_sync`] so the MVCC commit path
-    /// can publish visibility before waiting on the (group) fsync —
+    /// from [`TransactionManager::commit_sync`] so the commit apply can
+    /// publish MVCC visibility before waiting on the (group) fsync —
     /// keeping the apply latch out of the sync window.
     pub(crate) fn commit_publish(&self, txn: TxnId) -> Result<Option<Lsn>> {
-        if !self.active.lock().contains_key(&txn) {
-            return Err(ServiceError::Transaction(format!("txn {txn} is not active")));
-        }
         let barrier = if self.durability() == Durability::Full {
             self.buffer.flush_all()?;
             self.wal.append(KIND_COMMIT, &txn.to_le_bytes())?;
@@ -211,15 +205,12 @@ impl TransactionManager {
         }
     }
 
-    /// Roll back: apply the undo log in reverse, then mark aborted.
-    pub fn rollback(&self, txn: TxnId, resolver: &dyn TableResolver) -> Result<()> {
-        let undo = self
-            .active
-            .lock()
-            .remove(&txn)
-            .ok_or_else(|| ServiceError::Transaction(format!("txn {txn} is not active")))?;
-        apply_undo(&undo, resolver, UndoStrictness::Strict)?;
+    /// Close `txn` without committing: append its abort record, so
+    /// recovery leaves its logged changes alone. The caller has already
+    /// put the heap back.
+    pub(crate) fn abort(&self, txn: TxnId) -> Result<()> {
         self.wal.append(KIND_ABORT, &txn.to_le_bytes())?;
+        self.active.lock().remove(&txn);
         Ok(())
     }
 
@@ -254,12 +245,11 @@ impl TransactionManager {
         })?;
         let mut rolled_back: Vec<TxnId> = pending.keys().copied().collect();
         rolled_back.sort_unstable();
-        // Undo in reverse txn order, each txn's ops in reverse. Lenient:
-        // after a crash, any suffix of the logged page effects may be
-        // missing from disk, so each undo applies only where its effect
-        // actually persisted.
+        // Undo in reverse txn order. After a crash any suffix of the
+        // logged page effects may be missing from disk, so each row's
+        // undo applies only where its effect actually persisted.
         for txn in rolled_back.iter().rev() {
-            apply_undo(&pending[txn], resolver, UndoStrictness::Lenient)?;
+            apply_undo_recovery(&pending[txn], resolver)?;
         }
         self.next_txn.store(max_txn + 1, Ordering::SeqCst);
         // Checkpoint: recovered state is the new baseline.
@@ -280,77 +270,6 @@ impl TransactionManager {
         self.wal.sync()?;
         self.wal.reset()
     }
-}
-
-/// Find one row equal to `target` and return its rid.
-fn find_equal(t: &Table, target: &Tuple) -> Result<Option<Rid>> {
-    for (rid, row) in t.scan()? {
-        if row == *target {
-            return Ok(Some(rid));
-        }
-    }
-    Ok(None)
-}
-
-/// How [`apply_undo`] treats a logged effect whose on-disk trace is
-/// absent.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum UndoStrictness {
-    /// Live rollback: every logged effect is in the buffer pool, so a
-    /// missing row is a logic error.
-    Strict,
-    /// Crash recovery: a logged effect may never have reached disk
-    /// (steal writes are best-effort until commit), so undo restores
-    /// from whatever actually persisted. Sound for workloads whose
-    /// rows are distinct (see DESIGN.md §4e on the multiset caveat).
-    Lenient,
-}
-
-fn apply_undo(undo: &[UndoOp], resolver: &dyn TableResolver, strictness: UndoStrictness) -> Result<()> {
-    match strictness {
-        UndoStrictness::Strict => apply_undo_strict(undo, resolver),
-        UndoStrictness::Lenient => apply_undo_recovery(undo, resolver),
-    }
-}
-
-/// Live rollback: every effect is present in the buffer pool, so each
-/// op is reverted exactly, in reverse order.
-fn apply_undo_strict(undo: &[UndoOp], resolver: &dyn TableResolver) -> Result<()> {
-    for op in undo.iter().rev() {
-        match op {
-            UndoOp::Insert { table, row } => {
-                let t = resolver.resolve(table)?;
-                let tuple: Tuple = sbdms_access::record::decode_tuple(row)?;
-                match find_equal(&t, &tuple)? {
-                    Some(rid) => t.delete(rid).map(|_| ())?,
-                    None => {
-                        return Err(ServiceError::Transaction(format!(
-                            "undo insert: row missing from `{table}`"
-                        )))
-                    }
-                }
-            }
-            UndoOp::Delete { table, old } => {
-                let t = resolver.resolve(table)?;
-                let tuple: Tuple = sbdms_access::record::decode_tuple(old)?;
-                t.insert(tuple)?;
-            }
-            UndoOp::Update { table, old, new } => {
-                let t = resolver.resolve(table)?;
-                let old_tuple: Tuple = sbdms_access::record::decode_tuple(old)?;
-                let new_tuple: Tuple = sbdms_access::record::decode_tuple(new)?;
-                match find_equal(&t, &new_tuple)? {
-                    Some(rid) => t.update(rid, old_tuple).map(|_| ())?,
-                    None => {
-                        return Err(ServiceError::Transaction(format!(
-                            "undo update: row missing from `{table}`"
-                        )))
-                    }
-                }
-            }
-        }
-    }
-    Ok(())
 }
 
 /// One logical row's history inside a single transaction: the image

@@ -7,6 +7,7 @@
 
 use proptest::prelude::*;
 use sbdms_access::exec::join::JoinAlgorithm;
+use sbdms_access::record::Datum;
 use sbdms_data::executor::{Database, DbOptions};
 use sbdms_data::ConcurrencyControl;
 use sbdms_storage::{SimBackend, SimConfig};
@@ -386,7 +387,9 @@ fn page_fetches(db: &Database, sql: &str) -> u64 {
 /// with the B+tree's height, in both CC modes. Each descent reads one
 /// more page per extra level; an UPDATE of a non-key column descends
 /// once (the probe), a DELETE twice (the probe, then removing the
-/// posting). Counted, not timed, so it is deterministic.
+/// posting). Rolling back a transaction's point UPDATE fetches no page
+/// at all: the write set never reached the heap, so discarding it is
+/// the whole undo. Counted, not timed, so it is deterministic.
 #[test]
 fn point_dml_cost_is_flat_in_table_size() {
     for concurrency in [ConcurrencyControl::SingleWriter, ConcurrencyControl::Mvcc] {
@@ -404,6 +407,23 @@ fn point_dml_cost_is_flat_in_table_size() {
             let height = db.table("t").unwrap().index_named("t_k").unwrap().1.height().unwrap();
             let update = page_fetches(&db, "UPDATE t SET v = 0 WHERE k = 417");
             let delete = page_fetches(&db, "DELETE FROM t WHERE k = 418");
+            db.begin().unwrap();
+            assert_eq!(
+                db.execute("UPDATE t SET v = 0 WHERE k = 419")
+                    .unwrap()
+                    .affected,
+                1
+            );
+            let fetches = |s: sbdms_storage::buffer::BufferStats| s.hits + s.misses;
+            let before = fetches(db.storage().buffer.stats());
+            db.rollback().unwrap();
+            let rollback = fetches(db.storage().buffer.stats()) - before;
+            assert_eq!(
+                rollback, 0,
+                "{concurrency} at {rows} rows: ROLLBACK fetched pages"
+            );
+            let v = db.execute("SELECT v FROM t WHERE k = 419").unwrap().rows;
+            assert_eq!(v, vec![vec![Datum::Int(419)]], "{concurrency}: rolled back");
             costs.push((height as u64, update, delete));
         }
         let [(h_small, u_small, d_small), (h_big, u_big, d_big)] = costs[..] else {

@@ -634,31 +634,26 @@ fn columnar_scan_equals_table_scan() {
         for sql in OWN_WRITES {
             db.execute(sql).unwrap();
         }
-        let seen: Vec<Tuple> = match cc {
-            // Written in place: the heap is the transaction's view.
-            ConcurrencyControl::SingleWriter => {
-                heap_rows(&db).into_iter().map(|(_, row)| row).collect()
-            }
-            // Buffered: own images in place, own inserts last.
-            ConcurrencyControl::Mvcc => {
-                let mut rows = snapshot_rows(&before, &heap_rows(&db), own_view);
-                rows.extend(own_inserts());
-                rows
-            }
-        };
+        // Buffered in both modes: the heap is untouched, own images
+        // replace their rows in place, own inserts come last.
+        assert_eq!(
+            heap_rows(&db),
+            before,
+            "{cc}: own writes stay out of the heap"
+        );
+        let mut seen: Vec<Tuple> = before.iter().filter_map(|(_, row)| own_view(row)).collect();
+        seen.extend(own_inserts());
         let want = encoded(&seen);
         for b in BATCH_SIZES {
             assert_eq!(drain_scan(scan_stream(&db, b), b), want, "{cc} in a transaction, batch {b}");
         }
         check_pruned_scans(&db, &seen, &format!("{cc} in a transaction"));
         db.rollback().unwrap();
-        // Undo may put a row back in another slot: compare contents.
-        let sorted = |rows: Vec<(Rid, Tuple)>| {
-            let mut rows = encoded(rows.iter().map(|(_, row)| row));
-            rows.sort();
-            rows
-        };
-        assert_eq!(sorted(heap_rows(&db)), sorted(before), "{cc}: rollback restores the rows");
+        assert_eq!(
+            heap_rows(&db),
+            before,
+            "{cc}: rollback leaves the heap as it was"
+        );
     }
 }
 

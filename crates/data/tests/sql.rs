@@ -296,6 +296,69 @@ fn transaction_misuse_errors() {
     db.checkpoint().unwrap();
 }
 
+/// Under single-writer, BEGIN's busy check and its claim of the writer
+/// slot are one step: two sessions released together into BEGIN, round
+/// after round, never both open a transaction — and one always does.
+/// The threads meet at a polling barrier and then stagger their BEGINs
+/// by a varying few spins, so some rounds start both at the same time.
+#[test]
+fn single_writer_begin_race_has_one_winner() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    const ROUNDS: usize = 20_000;
+    let db = db("begin-race");
+    db.execute("CREATE TABLE t (k INT NOT NULL)").unwrap();
+    let winners = AtomicUsize::new(0);
+    let bad_rounds = AtomicUsize::new(0);
+    let arrived = AtomicUsize::new(0);
+    // Barrier `n` releases once both threads have arrived `n` times.
+    // Yielding keeps it live on a host with fewer free cores than threads.
+    let meet = |n: usize| {
+        arrived.fetch_add(1, Ordering::SeqCst);
+        while arrived.load(Ordering::SeqCst) < 2 * n {
+            std::thread::yield_now();
+        }
+    };
+    std::thread::scope(|scope| {
+        for thread in 0..2 {
+            let (db, winners, bad_rounds, meet) = (&db, &winners, &bad_rounds, &meet);
+            scope.spawn(move || {
+                let session = db.session();
+                for round in 0..ROUNDS {
+                    meet(3 * round + 1);
+                    // Sweep the two starts across each other: whichever
+                    // thread the barrier releases first, some rounds
+                    // line both BEGINs up on the same instant.
+                    for _ in 0..(round * (thread + 1)) % 61 {
+                        std::hint::spin_loop();
+                    }
+                    let won = session.begin().is_ok();
+                    if won {
+                        winners.fetch_add(1, Ordering::SeqCst);
+                    }
+                    meet(3 * round + 2);
+                    if thread == 0 && winners.load(Ordering::SeqCst) != 1 {
+                        bad_rounds.fetch_add(1, Ordering::SeqCst);
+                    }
+                    if won {
+                        session.rollback().unwrap();
+                    }
+                    meet(3 * round + 3);
+                    if thread == 0 {
+                        winners.store(0, Ordering::SeqCst);
+                    }
+                }
+            });
+        }
+    });
+    let bad = bad_rounds.load(Ordering::SeqCst);
+    assert_eq!(
+        bad, 0,
+        "{bad} of {ROUNDS} rounds did not have exactly one writer"
+    );
+    // Every hold was released: a third session writes freely.
+    db.session().execute("INSERT INTO t VALUES (1)").unwrap();
+}
+
 #[test]
 fn crash_recovery_undoes_uncommitted() {
     let dir = std::env::temp_dir()

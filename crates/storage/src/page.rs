@@ -232,6 +232,28 @@ impl Page {
         }
     }
 
+    /// Put a record back in the dead slot `slot` — the inverse of
+    /// [`Page::delete`], so a reverted delete keeps its slot id.
+    /// Compacts when fragmented space would satisfy the request.
+    pub fn restore(&mut self, slot: SlotId, record: &[u8]) -> Result<()> {
+        match self.slot(slot) {
+            Some((0, _)) => {}
+            Some(_) => return Err(ServiceError::Storage(format!("slot {slot} is live"))),
+            None => return Err(ServiceError::Storage(format!("slot {slot} out of range"))),
+        }
+        if self.contiguous_free() < record.len() {
+            if self.recoverable_free() < record.len() {
+                return Err(ServiceError::Storage("page full".into()));
+            }
+            self.compact();
+        }
+        let new_end = self.free_end() as usize - record.len();
+        self.data[new_end..new_end + record.len()].copy_from_slice(record);
+        self.set_free_end(new_end as u16);
+        self.set_slot(slot, new_end as u16, record.len() as u16);
+        Ok(())
+    }
+
     /// Update a record in place when it fits, otherwise delete + reinsert
     /// into the same slot (payload moves, slot id is stable).
     pub fn update(&mut self, slot: SlotId, record: &[u8]) -> Result<()> {
@@ -342,6 +364,25 @@ mod tests {
         let c = p.insert(b"third").unwrap();
         assert_eq!(c, a);
         assert_eq!(p.get(c).unwrap(), b"third");
+    }
+
+    #[test]
+    fn restore_refills_the_dead_slot_only() {
+        let mut p = Page::new();
+        let a = p.insert(&[7u8; 1500]).unwrap();
+        let b = p.insert(&[8u8; 1500]).unwrap();
+        assert!(p.restore(b, b"x").is_err(), "live slot");
+        assert!(p.restore(9, b"x").is_err(), "out of range");
+        p.delete(a).unwrap();
+        // Another record passes through the slot, so the free bytes are
+        // fragmented: restore has to compact.
+        assert_eq!(p.insert(&[9u8; 1000]).unwrap(), a);
+        p.delete(a).unwrap();
+        assert!(p.contiguous_free() < 1500);
+        p.restore(a, &[7u8; 1500]).unwrap();
+        assert_eq!(p.get(a).unwrap(), &[7u8; 1500][..]);
+        assert_eq!(p.get(b).unwrap(), &[8u8; 1500][..]);
+        assert!(p.restore(a, b"x").is_err(), "slot is live again");
     }
 
     #[test]

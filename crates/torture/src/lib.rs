@@ -245,9 +245,10 @@ pub struct TortureConfig {
     /// Buffer pool frames — small, so steal evictions (dirty
     /// write-back before commit) happen under torture.
     pub buffer_frames: usize,
-    /// Concurrency-control service the database deploys. Single-writer
-    /// keeps the historical torture behaviour; MVCC is exercised by the
-    /// concurrent-interleaving mode.
+    /// Concurrency-control service the database deploys. Both modes
+    /// share the one buffered write path and commit apply; the serial
+    /// and autocommit suites run single-writer, the
+    /// concurrent-interleaving suite MVCC.
     pub concurrency: ConcurrencyControl,
 }
 
@@ -784,7 +785,7 @@ pub fn run_concurrent_until_crash(
     run
 }
 
-/// What one concurrent-torture run covered.
+/// What one concurrent- or autocommit-torture run covered.
 #[derive(Debug, Clone, Copy)]
 pub struct ConcurrentReport {
     /// The seed everything derived from.
@@ -843,15 +844,38 @@ fn durable_commit_count(sim: &SimBackend) -> u64 {
 pub fn concurrent_torture(seed: u64, config: TortureConfig) -> ConcurrentReport {
     let config = TortureConfig { concurrency: ConcurrencyControl::Mvcc, ..config };
     let workload = ConcurrentWorkload::generate(seed, config.txns);
+    crash_every_event(
+        seed,
+        &config,
+        "concurrent",
+        |sim| setup_concurrent(sim, &config),
+        |db, initial| run_concurrent_until_crash(db, &workload, initial),
+    )
+}
+
+/// Crash a workload at *every* durability event it performs, reopen
+/// through ordinary recovery each time, and check the recovered state.
+/// `setup` builds the checkpointed starting state and `drive` runs the
+/// workload until its first error. An in-flight commit is settled by
+/// counting the durable commit records: every effectful commit that
+/// returned `Ok` synced exactly one. Shared by the concurrent and the
+/// autocommit suites (`suite` names the one in panic messages).
+fn crash_every_event(
+    seed: u64,
+    config: &TortureConfig,
+    suite: &str,
+    setup: impl Fn(&SimBackend) -> (Arc<Database>, BTreeMap<i64, i64>),
+    drive: impl Fn(&Arc<Database>, &BTreeMap<i64, i64>) -> ConcurrentCrashRun,
+) -> ConcurrentReport {
     // Fault-free profiling run: the durability-event span of the
     // workload (= the crash-point count) and the conflict pattern.
     let sim = SimBackend::new(SimConfig::seeded(seed));
-    let (db, initial) = setup_concurrent(&sim, &config);
+    let (db, initial) = setup(&sim);
     let base = sim.io_events();
-    let profile_run = run_concurrent_until_crash(&db, &workload, &initial);
+    let profile_run = drive(&db, &initial);
     assert!(
         profile_run.error.is_none(),
-        "seed={seed:#x}: fault-free concurrent profiling run failed: {:?}",
+        "seed={seed:#x}: fault-free {suite} profiling run failed: {:?}",
         profile_run.error
     );
     let span = sim.io_events() - base;
@@ -866,12 +890,12 @@ pub fn concurrent_torture(seed: u64, config: TortureConfig) -> ConcurrentReport 
         stats: SimStats::default(),
     };
     for point in 1..=span {
-        let ctx = format!("seed={seed:#x} crash_point={point} (concurrent)");
+        let ctx = format!("seed={seed:#x} crash_point={point} ({suite})");
         let sim = SimBackend::new(SimConfig::seeded(seed));
-        let (db, initial) = setup_concurrent(&sim, &config);
+        let (db, initial) = setup(&sim);
         assert_eq!(sim.io_events(), base, "{ctx}: nondeterministic setup phase");
         sim.crash_after_events(base + point - 1);
-        let run = run_concurrent_until_crash(&db, &workload, &initial);
+        let run = drive(&db, &initial);
         let error = run
             .error
             .clone()
@@ -900,7 +924,7 @@ pub fn concurrent_torture(seed: u64, config: TortureConfig) -> ConcurrentReport 
                 }
             }
         };
-        let db = Database::open_at(&*sim, opts(&config))
+        let db = Database::open_at(&*sim, opts(config))
             .unwrap_or_else(|e| panic!("{ctx}: recovery failed to open: {e}"));
         check_recovered(&db, &expected, &ctx);
         let s = sim.stats();
@@ -915,9 +939,113 @@ pub fn concurrent_torture(seed: u64, config: TortureConfig) -> ConcurrentReport 
     report
 }
 
+/// Rows the autocommit suite seeds: `kv` spans several heap pages, so
+/// one statement's apply writes back more than one page and a power
+/// loss can land between them.
+const AUTO_ROWS: i64 = 600;
+
+/// One statement of the autocommit suite: a multi-row
+/// `UPDATE kv SET v = … WHERE k < bound`, run outside any transaction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AutocommitUpdate {
+    /// Exclusive key bound (at least 2, so at least two rows match).
+    pub bound: i64,
+    /// New value, unique per statement.
+    pub v: i64,
+}
+
+impl AutocommitUpdate {
+    /// Generate `n` seeded statements.
+    pub fn generate(seed: u64, n: usize) -> Vec<AutocommitUpdate> {
+        // A fourth stream, independent of the other generators.
+        let mut rng = Rng(seed ^ 0x2545_f491_4f6c_dd1d);
+        (0..n)
+            .map(|i| AutocommitUpdate {
+                bound: 2 + rng.below(AUTO_ROWS as u64 - 1) as i64,
+                v: 2_000_000 + i as i64,
+            })
+            .collect()
+    }
+
+    /// The SQL statement.
+    pub fn sql(&self) -> String {
+        format!("UPDATE kv SET v = {} WHERE k < {}", self.v, self.bound)
+    }
+
+    /// The state after the whole statement.
+    fn applied(&self, state: &BTreeMap<i64, i64>) -> BTreeMap<i64, i64> {
+        let mut next = state.clone();
+        for (_, v) in next.range_mut(..self.bound) {
+            *v = self.v;
+        }
+        next
+    }
+}
+
+/// Drive the statements against `db` until the first error. Every
+/// statement matches rows, so each one that returned `Ok` synced exactly
+/// one commit record; the one that failed is in flight.
+fn run_autocommit_until_crash(
+    db: &Database,
+    stmts: &[AutocommitUpdate],
+    initial: &BTreeMap<i64, i64>,
+) -> ConcurrentCrashRun {
+    let mut run = ConcurrentCrashRun {
+        committed: initial.clone(),
+        durable_commits: 0,
+        ambiguous: None,
+        conflicts: 0,
+        error: None,
+    };
+    for stmt in stmts {
+        let post = stmt.applied(&run.committed);
+        match db.execute(&stmt.sql()) {
+            Ok(_) => {
+                run.committed = post;
+                run.durable_commits += 1;
+            }
+            Err(e) => {
+                run.ambiguous = Some(post);
+                run.error = Some(e.to_string());
+                return run;
+            }
+        }
+    }
+    run
+}
+
+/// The autocommit-atomicity suite: multi-row autocommit UPDATEs under
+/// single-writer at [`Durability::Full`], a power loss at *every*
+/// durability event, and each recovered state must show every statement
+/// whole or not at all — the one in flight settled, like a commit call,
+/// against the durable commit records. Panics (printing `seed` and
+/// `crash_point`) on the first violation.
+pub fn autocommit_torture(seed: u64, config: TortureConfig) -> ConcurrentReport {
+    let config = TortureConfig {
+        concurrency: ConcurrencyControl::SingleWriter,
+        ..config
+    };
+    let stmts = AutocommitUpdate::generate(seed, config.txns);
+    let setup = |sim: &SimBackend| {
+        let db = setup(sim, &config);
+        let initial: BTreeMap<i64, i64> = (0..AUTO_ROWS).map(|k| (k, k)).collect();
+        let rows: Vec<String> = initial.iter().map(|(k, v)| format!("({k}, {v})")).collect();
+        for chunk in rows.chunks(300) {
+            db.execute(&format!("INSERT INTO kv VALUES {}", chunk.join(", ")))
+                .expect("setup seed rows");
+        }
+        db.checkpoint().expect("setup checkpoint");
+        (db, initial)
+    };
+    crash_every_event(seed, &config, "autocommit", setup, |db, initial| {
+        run_autocommit_until_crash(db, &stmts, initial)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sbdms_access::record::Datum;
     use sbdms_kernel::faults::FaultMode;
 
     #[test]
@@ -963,25 +1091,116 @@ mod tests {
         // The kernel fault taxonomy drives the device: after the fault
         // budget is exhausted every call fails; clearing the mode
         // restores service and the database is still consistent.
-        let config = TortureConfig::default();
-        let sim = SimBackend::new(SimConfig::seeded(5));
-        let db = setup(&sim, &config);
-        let wl = Workload::generate(5, config.txns);
-        sim.set_fault_mode(FaultMode::FailAfter(40));
-        let run = run_until_crash(&db, &wl);
-        let err = run.error.expect("fault budget must eventually trip");
-        assert!(err.contains("sim disk fault"), "{err}");
-        sim.set_fault_mode(FaultMode::None);
-        drop(db);
-        // No power loss happened: volatile state is intact, reopen
-        // recovers the interrupted transaction. A fault inside a
-        // commit call leaves either outcome valid (never a blend).
-        let db = Database::open_at(&*sim, opts(&config)).unwrap();
-        let observed = observed_state(&db, "fault-clear");
-        match &run.ambiguous {
-            None => assert_eq!(observed, run.committed),
-            Some((_, alt)) => assert!(observed == run.committed || observed == *alt),
+        for concurrency in [ConcurrencyControl::SingleWriter, ConcurrencyControl::Mvcc] {
+            let ctx = format!("{concurrency}");
+            let config = TortureConfig {
+                concurrency,
+                ..TortureConfig::default()
+            };
+            let sim = SimBackend::new(SimConfig::seeded(5));
+            let db = setup(&sim, &config);
+            let wl = Workload::generate(5, config.txns);
+            sim.set_fault_mode(FaultMode::FailAfter(40));
+            let run = run_until_crash(&db, &wl);
+            let err = run.error.expect("fault budget must eventually trip");
+            assert!(err.contains("sim disk fault"), "{ctx}: {err}");
+            sim.set_fault_mode(FaultMode::None);
+            drop(db);
+            // No power loss happened: volatile state is intact, reopen
+            // recovers the interrupted transaction. A fault inside a
+            // commit call leaves either outcome valid (never a blend).
+            let db = Database::open_at(&*sim, opts(&config)).unwrap();
+            let observed = observed_state(&db, &ctx);
+            match &run.ambiguous {
+                None => assert_eq!(observed, run.committed, "{ctx}"),
+                Some((_, alt)) => {
+                    assert!(observed == run.committed || observed == *alt, "{ctx}")
+                }
+            }
+            Table::open(db.catalog(), "kv").unwrap().validate().unwrap();
+            drop(db);
+            fault_mid_apply(&config);
         }
+    }
+
+    /// Every `kv` row as `(k, v)`, sorted: the table's multiset.
+    fn kv_multiset(db: &Database) -> Vec<(i64, i64)> {
+        let mut rows: Vec<(i64, i64)> = db
+            .execute("SELECT k, v FROM kv")
+            .unwrap()
+            .rows
+            .iter()
+            .map(|row| match (&row[0], &row[1]) {
+                (Datum::Int(k), Datum::Int(v)) => (*k, *v),
+                other => panic!("non-integer row {other:?}"),
+            })
+            .collect();
+        rows.sort_unstable();
+        rows
+    }
+
+    /// A commit apply that fails part-way is reverted from the write
+    /// set. One transaction turns `(0, 7)` into a byte-identical copy of
+    /// `(0, 0)` — on a hot page, applied first — and rewrites a row on a
+    /// page the pool has evicted. The device fails every call from the
+    /// commit on, so the apply trips on the second row's page fetch.
+    /// Afterwards the table's multiset and its index equal the
+    /// pre-commit state, and the session keeps working.
+    fn fault_mid_apply(config: &TortureConfig) {
+        let ctx = format!("{} fault mid-apply", config.concurrency);
+        let sim = SimBackend::new(SimConfig::seeded(6));
+        let db = setup(&sim, config);
+        db.execute("INSERT INTO kv VALUES (0, 7)").unwrap();
+        let rows: Vec<String> = (0..3_000).map(|k| format!("({k}, {k})")).collect();
+        for chunk in rows.chunks(500) {
+            db.execute(&format!("INSERT INTO kv VALUES {}", chunk.join(", ")))
+                .unwrap();
+        }
+        db.checkpoint().unwrap();
+        let before = kv_multiset(&db);
+        db.begin().unwrap();
+        // The far row first; a full scan then moves the pool past its
+        // page, and the near row's probe evicts it.
+        db.execute("UPDATE kv SET v = -1 WHERE k = 1500").unwrap();
+        db.execute("SELECT COUNT(*) FROM kv").unwrap();
+        db.execute("UPDATE kv SET v = 0 WHERE k = 0 AND v = 7")
+            .unwrap();
+        sim.set_fault_mode(FaultMode::FailAlways("disk gone".into()));
+        let err = db
+            .commit()
+            .expect_err("the apply must trip on the cold page");
+        assert!(err.to_string().contains("sim disk fault"), "{ctx}: {err}");
+        sim.set_fault_mode(FaultMode::None);
+        assert!(
+            db.rollback().is_err(),
+            "{ctx}: a failed commit closes the transaction"
+        );
+        assert_eq!(
+            kv_multiset(&db),
+            before,
+            "{ctx}: the revert restores the multiset"
+        );
+        Table::open(db.catalog(), "kv").unwrap().validate().unwrap();
+        let zeros = db
+            .execute("SELECT v FROM kv WHERE k = 0 ORDER BY v")
+            .unwrap()
+            .rows;
+        assert_eq!(
+            zeros,
+            vec![vec![Datum::Int(0)], vec![Datum::Int(7)]],
+            "{ctx}: index probe"
+        );
+        // The session is usable: the same transaction now commits.
+        db.begin().unwrap();
+        db.execute("UPDATE kv SET v = 0 WHERE k = 0 AND v = 7")
+            .unwrap();
+        db.commit().unwrap();
+        let zeros = db.execute("SELECT v FROM kv WHERE k = 0").unwrap().rows;
+        assert_eq!(
+            zeros,
+            vec![vec![Datum::Int(0)]; 2],
+            "{ctx}: committed after the fault"
+        );
         Table::open(db.catalog(), "kv").unwrap().validate().unwrap();
     }
 
@@ -1045,6 +1264,19 @@ mod tests {
             },
         );
         assert!(report.crash_points > 20, "{report:?}");
+        assert_eq!(report.stats.power_cycles, report.crash_points);
+    }
+
+    #[test]
+    fn a_short_autocommit_torture_run_passes() {
+        let report = autocommit_torture(
+            0xA7C0,
+            TortureConfig {
+                txns: 3,
+                ..TortureConfig::default()
+            },
+        );
+        assert!(report.crash_points > 10, "{report:?}");
         assert_eq!(report.stats.power_cycles, report.crash_points);
     }
 

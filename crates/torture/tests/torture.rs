@@ -7,7 +7,9 @@
 //! seeds from the clock (the CI fuzz job). Any failure panics with the
 //! `seed=… crash_point=…` pair that reproduces it.
 
-use sbdms_torture::{cancel_torture, concurrent_torture, torture, TortureConfig};
+use sbdms_torture::{
+    autocommit_torture, cancel_torture, concurrent_torture, torture, TortureConfig,
+};
 
 /// The pinned regression seeds run on every CI build.
 const PINNED: [u64; 3] = [0xC0FFEE, 0xBADF00D, 42];
@@ -121,6 +123,38 @@ fn every_crash_point_recovers_to_a_consistent_state() {
             report.stats.writes_dropped,
             report.stats.writes_torn,
             report.stats.bits_flipped,
+        );
+    }
+}
+
+#[test]
+fn every_autocommit_crash_point_is_all_or_nothing() {
+    // Autocommit atomicity: multi-row UPDATEs outside any transaction,
+    // under single-writer at Full durability, crashed at every
+    // durability event. Each statement commits through the same undo-
+    // logged apply as a transaction, so every recovered state shows the
+    // in-flight statement whole or not at all.
+    for seed in seeds() {
+        let report = autocommit_torture(
+            seed,
+            TortureConfig {
+                txns: 12,
+                ..TortureConfig::default()
+            },
+        );
+        assert!(
+            report.crash_points >= 60,
+            "seed={seed:#x}: only {} autocommit crash points simulated",
+            report.crash_points
+        );
+        assert_eq!(report.stats.power_cycles, report.crash_points);
+        println!(
+            "seed={seed:#x}: {} autocommit crash points, {} statements kept in flight, \
+             {} writes dropped, {} torn",
+            report.crash_points,
+            report.ambiguous_kept,
+            report.stats.writes_dropped,
+            report.stats.writes_torn,
         );
     }
 }
