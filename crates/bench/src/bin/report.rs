@@ -432,18 +432,19 @@ fn e9() {
     // Repeated-statement latency with and without the plan cache.
     print!("  repeated point statement:                ");
     for (name, cached) in [("cache-on", true), ("cache-off", false)] {
-        let db = e9_db(ROWS, 8, cached);
+        let session = e9_db(ROWS, 8, cached).session();
         let mut round = 0u64;
         let d = time(400, || {
             round += 1;
-            e9_statement(&db, round);
+            e9_statement(&session, round);
         });
         print!("{name}={:.1}µs  ", d.as_nanos() as f64 / 1e3);
     }
     println!();
     let db = e9_db(ROWS, 8, true);
+    let session = db.session();
     for round in 0..64 {
-        e9_statement(&db, round);
+        e9_statement(&session, round);
     }
     let stats = db.plan_cache_stats();
     println!(
@@ -521,13 +522,14 @@ fn e11(smoke: bool) {
         "  skewed-join-order: {} ({big}-row big tables)",
         E11_JOIN_Q.replace("SELECT COUNT(*) FROM ", "")
     );
+    let session = db.session();
     let mut cost_based = Duration::ZERO;
     let mut reference = None;
     for config in configs {
         e11_apply(&db, config);
         let mut n = 0;
         let d = time(iters, || {
-            n = e11_count(&db, E11_JOIN_Q);
+            n = e11_count(&session, E11_JOIN_Q);
         });
         // Every configuration must agree on the answer.
         match reference {
@@ -553,10 +555,10 @@ fn e11(smoke: bool) {
     for config in [E11Config::CostBased, E11Config::NoIndex, E11Config::StatsOff] {
         e11_apply(&db, config);
         let sel = time(iters * 4, || {
-            e11_count(&db, E11_IDX_SEL_Q);
+            e11_count(&session, E11_IDX_SEL_Q);
         });
         let nonsel = time(iters, || {
-            e11_count(&db, E11_IDX_NONSEL_Q);
+            e11_count(&session, E11_IDX_NONSEL_Q);
         });
         println!(
             "    {:<18} {:>12.1}µs {:>12.2}ms",
@@ -1142,18 +1144,19 @@ fn e15(smoke: bool) -> f64 {
     );
     let mut gated: Vec<f64> = Vec::new();
     let mut measured: Vec<(String, f64, f64, f64, String, String)> = Vec::new();
+    let (on_previous, on_current) = (previous.session(), current.session());
     for (name, sql, prev_knob, gate) in shapes {
         e11_apply(&previous, prev_knob);
-        let prev_path = e15_path(&previous, sql);
+        let prev_path = e15_path(&on_previous, sql);
         let mut n_prev = 0;
         let d_prev = time(iters, || {
-            n_prev = e11_count(&previous, sql);
+            n_prev = e11_count(&on_previous, sql);
         });
         e11_apply(&current, E11Config::CostBased);
-        let new_path = e15_path(&current, sql);
+        let new_path = e15_path(&on_current, sql);
         let mut n_new = 0;
         let d_new = time(iters, || {
-            n_new = e11_count(&current, sql);
+            n_new = e11_count(&on_current, sql);
         });
         assert_eq!(n_prev, n_new, "{name}: access paths changed the answer");
         let speedup = d_prev.as_nanos() as f64 / d_new.as_nanos().max(1) as f64;
@@ -1426,14 +1429,15 @@ fn a1() {
     print!("  txn commit (1 insert):        ");
     for (name, durability) in [("relaxed", Durability::Relaxed), ("full", Durability::Full)] {
         let db = Database::open(bench_dir("rep-a1-dur")).unwrap();
-        db.execute("CREATE TABLE t (x INT)").unwrap();
+        let s = db.session();
+        s.execute("CREATE TABLE t (x INT)").unwrap();
         db.set_durability(durability);
         let mut i = 0i64;
         let d = time(100, || {
             i += 1;
-            db.begin().unwrap();
-            db.execute(&format!("INSERT INTO t VALUES ({i})")).unwrap();
-            db.commit().unwrap();
+            s.begin().unwrap();
+            s.execute(&format!("INSERT INTO t VALUES ({i})")).unwrap();
+            s.commit().unwrap();
         });
         print!("{name}={:.1}µs  ", d.as_nanos() as f64 / 1e3);
     }
@@ -1441,13 +1445,14 @@ fn a1() {
 
     // Join algorithms on a 200x1000 equi-join.
     let db = Database::open(bench_dir("rep-a1-join")).unwrap();
-    db.execute("CREATE TABLE dim (id INT NOT NULL, label TEXT NOT NULL)").unwrap();
-    db.execute("CREATE TABLE fact (fid INT NOT NULL, dim_id INT NOT NULL)").unwrap();
+    let s = db.session();
+    s.execute("CREATE TABLE dim (id INT NOT NULL, label TEXT NOT NULL)").unwrap();
+    s.execute("CREATE TABLE fact (fid INT NOT NULL, dim_id INT NOT NULL)").unwrap();
     let dims: Vec<String> = (0..200).map(|i| format!("({i}, 'd{i}')")).collect();
-    db.execute(&format!("INSERT INTO dim VALUES {}", dims.join(","))).unwrap();
+    s.execute(&format!("INSERT INTO dim VALUES {}", dims.join(","))).unwrap();
     for chunk in (0..1000i64).collect::<Vec<_>>().chunks(250) {
         let rows: Vec<String> = chunk.iter().map(|i| format!("({i}, {})", i % 200)).collect();
-        db.execute(&format!("INSERT INTO fact VALUES {}", rows.join(","))).unwrap();
+        s.execute(&format!("INSERT INTO fact VALUES {}", rows.join(","))).unwrap();
     }
     let sql =
         "SELECT label, COUNT(*) AS n FROM dim d JOIN fact f ON d.id = f.dim_id GROUP BY label";
@@ -1459,7 +1464,7 @@ fn a1() {
     ] {
         db.set_join_algorithm(algo);
         let d = time(20, || {
-            db.execute(sql).unwrap();
+            s.execute(sql).unwrap();
         });
         print!("{name}={:.2}ms  ", d.as_nanos() as f64 / 1e6);
     }

@@ -1,9 +1,8 @@
 //! Shared workload helpers for the SBDMS experiment harness.
 //!
-//! One function per experiment lives in [`experiments`]; the Criterion
-//! benches wrap them for statistically careful timing, and the `report`
-//! binary runs them once with plain timers to print the
-//! paper-vs-measured tables recorded in EXPERIMENTS.md.
+//! One function per experiment lives in [`experiments`]; the `report`
+//! binary runs them with plain timers to print the paper-vs-measured
+//! tables recorded in EXPERIMENTS.md.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -37,8 +36,8 @@ pub fn payload(i: u64, len: usize) -> Vec<u8> {
 }
 
 pub mod experiments {
-    //! One self-contained runner per experiment, shared by the Criterion
-    //! benches and the report binary.
+    //! One self-contained runner per experiment, run by the report
+    //! binary.
 
     use std::sync::Arc;
     use std::time::{Duration, Instant};
@@ -373,6 +372,7 @@ pub mod experiments {
     // --- E9: data-plane concurrency -------------------------------------
 
     use sbdms::data::executor::{Database, DbOptions};
+    use sbdms::data::Session;
     use sbdms::storage::replacement::PolicyKind;
     use sbdms::storage::{BufferPool, DiskManager};
 
@@ -439,31 +439,37 @@ pub mod experiments {
             },
         )
         .unwrap();
-        db.execute("CREATE TABLE events (id INT NOT NULL, label TEXT NOT NULL)")
+        let s = db.session();
+        s.execute("CREATE TABLE events (id INT NOT NULL, label TEXT NOT NULL)")
             .unwrap();
         for chunk in (0..rows as i64).collect::<Vec<_>>().chunks(200) {
             let values: Vec<String> = chunk
                 .iter()
                 .map(|i| format!("({i}, 'event-{i}')"))
                 .collect();
-            db.execute(&format!("INSERT INTO events VALUES {}", values.join(", ")))
+            s.execute(&format!("INSERT INTO events VALUES {}", values.join(", ")))
                 .unwrap();
         }
         // Index-backed point statements: execution is cheap, so the
         // parse+plan cost the plan cache removes is visible.
-        db.execute("CREATE INDEX events_id ON events (id)").unwrap();
+        s.execute("CREATE INDEX events_id ON events (id)").unwrap();
         db
     }
 
     /// E9: full-table-scan queries from `threads` concurrent sessions;
     /// returns scans per second.
-    pub fn e9_scan_throughput(db: &Database, threads: usize, scans_per_thread: usize) -> f64 {
+    pub fn e9_scan_throughput(
+        db: &Arc<Database>,
+        threads: usize,
+        scans_per_thread: usize,
+    ) -> f64 {
         let start = Instant::now();
         std::thread::scope(|scope| {
             for _ in 0..threads {
                 scope.spawn(|| {
+                    let session = db.session();
                     for _ in 0..scans_per_thread {
-                        let n = db.execute("SELECT id, label FROM events").unwrap().rows.len();
+                        let n = session.execute("SELECT id, label FROM events").unwrap().rows.len();
                         assert!(n > 0);
                     }
                 });
@@ -475,9 +481,9 @@ pub mod experiments {
     /// E9: one hot point statement — a small set of 16 distinct texts
     /// cycled round-robin, the repeated-statement workload the plan
     /// cache accelerates.
-    pub fn e9_statement(db: &Database, round: u64) {
+    pub fn e9_statement(session: &Session, round: u64) {
         let id = (round % 16) * 3;
-        let out = db
+        let out = session
             .execute(&format!("SELECT label FROM events WHERE id = {id}"))
             .unwrap();
         assert_eq!(out.columns.len(), 1);
@@ -498,25 +504,26 @@ pub mod experiments {
         {
             let db = Database::open_at(&*sim, DbOptions::default()).unwrap();
             db.set_durability(Durability::Full);
-            db.execute("CREATE TABLE kv (k INT NOT NULL, v INT NOT NULL)")
+            let s = db.session();
+            s.execute("CREATE TABLE kv (k INT NOT NULL, v INT NOT NULL)")
                 .unwrap();
             db.checkpoint().unwrap();
             let mut next = 0i64;
             let mut txn = |rows: usize| {
                 for _ in 0..rows {
-                    db.execute(&format!("INSERT INTO kv VALUES ({next}, {next})"))
+                    s.execute(&format!("INSERT INTO kv VALUES ({next}, {next})"))
                         .unwrap();
                     next += 1;
                 }
             };
             for _ in 0..committed {
-                db.begin().unwrap();
+                s.begin().unwrap();
                 txn(ops_per_txn);
-                db.commit().unwrap();
+                s.commit().unwrap();
             }
             // The in-flight tail: flushed to the device (steal) but
             // never committed, so recovery has undo work to do.
-            db.begin().unwrap();
+            s.begin().unwrap();
             txn(ops_per_txn);
             db.storage().buffer.flush_all().unwrap();
             db.storage().wal.sync().unwrap();
@@ -533,7 +540,7 @@ pub mod experiments {
         let start = Instant::now();
         let db = Database::open_at(sim, DbOptions::default()).unwrap();
         let elapsed = start.elapsed();
-        let out = db.execute("SELECT COUNT(*) FROM kv").unwrap();
+        let out = db.session().execute("SELECT COUNT(*) FROM kv").unwrap();
         let sbdms::access::record::Datum::Int(rows) = out.rows[0][0] else {
             panic!("COUNT(*) did not return an integer");
         };
@@ -600,6 +607,7 @@ pub mod experiments {
     /// knob says otherwise.
     pub fn e11_db(big_rows: usize, item_rows: usize) -> Arc<Database> {
         let db = Database::open_opts(bench_dir("e11"), DbOptions::default()).unwrap();
+        let s = db.session();
         for ddl in [
             "CREATE TABLE big1 (id INT NOT NULL, x INT NOT NULL, y INT NOT NULL)",
             "CREATE TABLE big2 (id INT NOT NULL, x INT NOT NULL, y INT NOT NULL)",
@@ -607,7 +615,7 @@ pub mod experiments {
             "CREATE TABLE items (id INT NOT NULL, val INT NOT NULL)",
             "CREATE INDEX items_val ON items (val)",
         ] {
-            db.execute(ddl).unwrap();
+            s.execute(ddl).unwrap();
         }
         let xs = (big_rows / 30).max(1);
         for table in ["big1", "big2"] {
@@ -616,12 +624,12 @@ pub mod experiments {
                     .iter()
                     .map(|i| format!("({i}, {}, {})", i % xs as i64, i % 100))
                     .collect();
-                db.execute(&format!("INSERT INTO {table} VALUES {}", vals.join(", ")))
+                s.execute(&format!("INSERT INTO {table} VALUES {}", vals.join(", ")))
                     .unwrap();
             }
         }
         let vals: Vec<String> = (0..100i64).map(|i| format!("({i}, 't{i}')")).collect();
-        db.execute(&format!("INSERT INTO tiny VALUES {}", vals.join(", ")))
+        s.execute(&format!("INSERT INTO tiny VALUES {}", vals.join(", ")))
             .unwrap();
         // `val` is a permutation-ish spread so the histogram sees the
         // full domain and BETWEEN windows stay narrow.
@@ -630,11 +638,11 @@ pub mod experiments {
                 .iter()
                 .map(|i| format!("({i}, {})", (i * 7919) % item_rows as i64))
                 .collect();
-            db.execute(&format!("INSERT INTO items VALUES {}", vals.join(", ")))
+            s.execute(&format!("INSERT INTO items VALUES {}", vals.join(", ")))
                 .unwrap();
         }
         for table in ["big1", "big2", "tiny", "items"] {
-            db.execute(&format!("ANALYZE {table}")).unwrap();
+            s.execute(&format!("ANALYZE {table}")).unwrap();
         }
         db
     }
@@ -685,8 +693,8 @@ pub mod experiments {
     }
 
     /// E11: run one query and return its single COUNT(*) value.
-    pub fn e11_count(db: &Database, sql: &str) -> i64 {
-        let out = db.execute(sql).unwrap();
+    pub fn e11_count(session: &Session, sql: &str) -> i64 {
+        let out = session.execute(sql).unwrap();
         let sbdms::access::record::Datum::Int(n) = out.rows[0][0] else {
             panic!("E11 query did not return an integer count");
         };
@@ -878,14 +886,15 @@ pub mod experiments {
             },
         )
         .unwrap();
-        db.execute("CREATE TABLE t (id INT NOT NULL, grp INT NOT NULL, label TEXT NOT NULL)")
+        let s = db.session();
+        s.execute("CREATE TABLE t (id INT NOT NULL, grp INT NOT NULL, label TEXT NOT NULL)")
             .unwrap();
         for chunk in (0..rows as i64).collect::<Vec<_>>().chunks(200) {
             let values: Vec<String> = chunk
                 .iter()
                 .map(|i| format!("({i}, {}, 'row-{i}')", i % 64))
                 .collect();
-            db.execute(&format!("INSERT INTO t VALUES {}", values.join(", ")))
+            s.execute(&format!("INSERT INTO t VALUES {}", values.join(", ")))
                 .unwrap();
         }
         db
@@ -912,22 +921,23 @@ pub mod experiments {
     /// Shed queries are counted, not retried — the client-visible
     /// contract under overload.
     pub fn e13_drive(
-        db: &Database,
+        db: &Arc<Database>,
         sessions: usize,
         per_session: usize,
         allow_degraded: bool,
     ) -> E13Outcome {
-        db.set_allow_degraded(allow_degraded);
         let before = db.governor().snapshot();
         let per_thread: Vec<(Vec<f64>, u64)> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..sessions)
                 .map(|_| {
                     scope.spawn(|| {
+                        let session = db.session();
+                        session.set_allow_degraded(allow_degraded);
                         let mut lat = Vec::with_capacity(per_session);
                         let mut shed = 0u64;
                         for _ in 0..per_session {
                             let start = Instant::now();
-                            match db.execute(
+                            match session.execute(
                                 "SELECT grp, COUNT(*), MIN(label) FROM t GROUP BY grp ORDER BY grp",
                             ) {
                                 Ok(out) => {
@@ -944,7 +954,6 @@ pub mod experiments {
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
-        db.set_allow_degraded(false);
         let after = db.governor().snapshot();
         let mut latencies: Vec<f64> = Vec::new();
         let mut shed = 0u64;
@@ -995,15 +1004,16 @@ pub mod experiments {
             },
         )
         .unwrap();
-        db.execute("CREATE TABLE t (k INT NOT NULL, v INT NOT NULL)").unwrap();
+        let s = db.session();
+        s.execute("CREATE TABLE t (k INT NOT NULL, v INT NOT NULL)").unwrap();
         // The writer's `UPDATE … WHERE k = …` picks its target through
         // the planner's access paths, like a SELECT: an index probe on
         // t_k plus a residual re-check, so it is an OLTP writer rather
         // than a full scan competing with the readers for CPU.
-        db.execute("CREATE INDEX t_k ON t (k)").unwrap();
+        s.execute("CREATE INDEX t_k ON t (k)").unwrap();
         for chunk in (0..rows as i64).collect::<Vec<_>>().chunks(200) {
             let values: Vec<String> = chunk.iter().map(|k| format!("({k}, {})", k + 1)).collect();
-            db.execute(&format!("INSERT INTO t VALUES {}", values.join(", "))).unwrap();
+            s.execute(&format!("INSERT INTO t VALUES {}", values.join(", "))).unwrap();
         }
         db
     }
@@ -1139,9 +1149,10 @@ pub mod experiments {
         )
         .unwrap();
         db.set_durability(Durability::Full);
-        db.execute("CREATE TABLE g (k INT NOT NULL, v INT NOT NULL)").unwrap();
+        let s = db.session();
+        s.execute("CREATE TABLE g (k INT NOT NULL, v INT NOT NULL)").unwrap();
         let values: Vec<String> = (0..committers as i64).map(|k| format!("({k}, 0)")).collect();
-        db.execute(&format!("INSERT INTO g VALUES {}", values.join(", "))).unwrap();
+        s.execute(&format!("INSERT INTO g VALUES {}", values.join(", "))).unwrap();
         let before = sim.stats().syncs;
         let db = &db;
         std::thread::scope(|scope| {
@@ -1195,7 +1206,8 @@ pub mod experiments {
     /// previously available" baseline.
     pub fn e15_db(rows: usize, composite: bool) -> Arc<Database> {
         let db = Database::open_opts(bench_dir("e15"), DbOptions::default()).unwrap();
-        db.execute(
+        let s = db.session();
+        s.execute(
             "CREATE TABLE ev (tenant INT NOT NULL, ts INT NOT NULL, \
              kind INT NOT NULL, cat INT NOT NULL, pad TEXT NOT NULL)",
         )
@@ -1213,27 +1225,27 @@ pub mod experiments {
                     )
                 })
                 .collect();
-            db.execute(&format!("INSERT INTO ev VALUES {}", vals.join(", ")))
+            s.execute(&format!("INSERT INTO ev VALUES {}", vals.join(", ")))
                 .unwrap();
         }
         // The composite database *replaces* the single-column tenant
         // index (the natural migration); the baseline keeps what a
         // single-column-only planner could use.
         if composite {
-            db.execute("CREATE INDEX ev_tenant_ts ON ev (tenant, ts)").unwrap();
+            s.execute("CREATE INDEX ev_tenant_ts ON ev (tenant, ts)").unwrap();
         } else {
-            db.execute("CREATE INDEX ev_tenant ON ev (tenant)").unwrap();
+            s.execute("CREATE INDEX ev_tenant ON ev (tenant)").unwrap();
         }
-        db.execute("CREATE INDEX ev_kind ON ev (kind)").unwrap();
-        db.execute("CREATE INDEX ev_cat ON ev (cat)").unwrap();
-        db.execute("ANALYZE ev").unwrap();
+        s.execute("CREATE INDEX ev_kind ON ev (kind)").unwrap();
+        s.execute("CREATE INDEX ev_cat ON ev (cat)").unwrap();
+        s.execute("ANALYZE ev").unwrap();
         db
     }
 
     /// E15: the access-path label EXPLAIN reports for `sql` — the first
     /// IndexScan/IndexOr/IndexAnd/TableScan node in the plan.
-    pub fn e15_path(db: &Database, sql: &str) -> String {
-        let out = db.execute(&format!("EXPLAIN {sql}")).unwrap();
+    pub fn e15_path(session: &Session, sql: &str) -> String {
+        let out = session.execute(&format!("EXPLAIN {sql}")).unwrap();
         out.rows
             .iter()
             .map(|r| r[0].to_string())
@@ -1257,11 +1269,12 @@ pub mod experiments {
             },
         )
         .unwrap();
-        db.execute("CREATE TABLE t (k INT NOT NULL, v INT NOT NULL)").unwrap();
-        db.execute("CREATE INDEX t_k ON t (k)").unwrap();
+        let s = db.session();
+        s.execute("CREATE TABLE t (k INT NOT NULL, v INT NOT NULL)").unwrap();
+        s.execute("CREATE INDEX t_k ON t (k)").unwrap();
         for chunk in (0..rows as i64).collect::<Vec<_>>().chunks(200) {
             let values: Vec<String> = chunk.iter().map(|k| format!("({k}, {})", k + 1)).collect();
-            db.execute(&format!("INSERT INTO t VALUES {}", values.join(", "))).unwrap();
+            s.execute(&format!("INSERT INTO t VALUES {}", values.join(", "))).unwrap();
         }
         db
     }
@@ -1531,15 +1544,17 @@ mod tests {
         let db = e9_db(300, 4, true);
         let scans = e9_scan_throughput(&db, 2, 3);
         assert!(scans > 0.0);
+        let session = db.session();
         for round in 0..32 {
-            e9_statement(&db, round);
+            e9_statement(&session, round);
         }
         let stats = db.plan_cache_stats();
         assert!(stats.hits >= 16, "second pass over 16 texts must hit: {stats:?}");
 
         let uncached = e9_db(100, 1, false);
+        let session = uncached.session();
         for round in 0..8 {
-            e9_statement(&uncached, round);
+            e9_statement(&session, round);
         }
         assert_eq!(uncached.plan_cache_stats().hits, 0);
     }
@@ -1562,10 +1577,11 @@ mod tests {
     fn e11_harness_runs() {
         use sbdms::access::exec::join::JoinAlgorithm;
         let db = e11_db(120, 600);
+        let s = db.session();
         e11_apply(&db, E11Config::CostBased);
-        let join_ref = e11_count(&db, E11_JOIN_Q);
-        let sel_ref = e11_count(&db, E11_IDX_SEL_Q);
-        let nonsel_ref = e11_count(&db, E11_IDX_NONSEL_Q);
+        let join_ref = e11_count(&s, E11_JOIN_Q);
+        let sel_ref = e11_count(&s, E11_IDX_SEL_Q);
+        let nonsel_ref = e11_count(&s, E11_IDX_NONSEL_Q);
         assert!(join_ref > 0, "the skewed join must produce rows");
         assert_eq!(nonsel_ref, 600, "full range covers the table");
         // Every forced baseline must return the same answers.
@@ -1577,9 +1593,9 @@ mod tests {
             E11Config::Forced(JoinAlgorithm::Merge),
         ] {
             e11_apply(&db, config);
-            assert_eq!(e11_count(&db, E11_JOIN_Q), join_ref, "{config:?}");
-            assert_eq!(e11_count(&db, E11_IDX_SEL_Q), sel_ref, "{config:?}");
-            assert_eq!(e11_count(&db, E11_IDX_NONSEL_Q), nonsel_ref, "{config:?}");
+            assert_eq!(e11_count(&s, E11_JOIN_Q), join_ref, "{config:?}");
+            assert_eq!(e11_count(&s, E11_IDX_SEL_Q), sel_ref, "{config:?}");
+            assert_eq!(e11_count(&s, E11_IDX_NONSEL_Q), nonsel_ref, "{config:?}");
         }
     }
 
@@ -1587,6 +1603,7 @@ mod tests {
     fn e15_harness_picks_each_new_path_and_answers_agree() {
         let previous = e15_db(16_000, false);
         let current = e15_db(16_000, true);
+        let (on_previous, on_current) = (previous.session(), current.session());
         // The composite database must take each new access path.
         for (sql, marker) in [
             (E15_POINT_Q, "IndexScan ev.ev_tenant_ts(tenant,ts) eq=[Int(37), Int(1037)]"),
@@ -1596,7 +1613,7 @@ mod tests {
             (E15_COVER_Q, "covering"),
         ] {
             e11_apply(&current, E11Config::CostBased);
-            let path = e15_path(&current, sql);
+            let path = e15_path(&on_current, sql);
             assert!(path.contains(marker), "{sql}: got `{path}`");
         }
         // The per-shape baseline knobs must reproduce the same answers.
@@ -1609,9 +1626,9 @@ mod tests {
         ] {
             e11_apply(&previous, prev_knob);
             e11_apply(&current, E11Config::CostBased);
-            let want = e11_count(&previous, sql);
+            let want = e11_count(&on_previous, sql);
             assert!(want > 0, "{sql}: baseline found no rows");
-            assert_eq!(e11_count(&current, sql), want, "{sql}");
+            assert_eq!(e11_count(&on_current, sql), want, "{sql}");
         }
     }
 

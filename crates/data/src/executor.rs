@@ -132,19 +132,26 @@ impl Default for DbOptions {
 }
 
 /// How one admitted statement runs: its cancellation/memory context,
-/// whether the governor degraded it (clamping its sort budget), which
-/// session issued it (`None` = the default session), and, under MVCC
-/// outside a transaction, the read snapshot its table scans share
-/// (pinned by the first one).
-#[derive(Clone, Default)]
+/// whether the governor degraded it (clamping its sort budget), the
+/// session that issued it, and, under MVCC outside a transaction, the
+/// read snapshot its table scans share (pinned by the first one).
 struct RunMode {
     ctx: ExecContext,
     degraded: bool,
-    session: Option<Arc<SessionCore>>,
+    session: Arc<SessionCore>,
     read: OnceLock<Arc<ReadSnapshot>>,
 }
 
-/// An embedded SBDMS database engine.
+/// A statement parsed for execution: a SELECT arrives planned.
+enum Parsed {
+    Select(Arc<PlannedQuery>),
+    Other(Statement),
+}
+
+/// An embedded SBDMS database engine: the shared handle every
+/// [`Session`] runs its statements on. It keeps only database-wide
+/// state and settings; each statement's transaction and knobs live in
+/// the session that issued it.
 pub struct Database {
     engine: StorageEngine,
     catalog: Catalog,
@@ -153,10 +160,8 @@ pub struct Database {
     concurrency: ConcurrencyControl,
     /// The kernel MVCC service (`Some` iff `concurrency` is MVCC).
     mvcc: Option<Arc<Mvcc>>,
-    /// The session behind the session-free legacy API
-    /// ([`Database::execute`], [`Database::begin`], ...).
-    default_session: Arc<SessionCore>,
-    /// Id allocator for [`Database::session`].
+    /// Id allocator for [`Database::session`]; 0 is never handed out
+    /// (a checkpoint holds the single-writer slot under it).
     next_session: AtomicU64,
     /// Under single-writer: the session holding the one writer slot and
     /// how many holds it has (its explicit transaction and any autocommit
@@ -251,7 +256,6 @@ impl Database {
                 ConcurrencyControl::Mvcc => Some(Arc::new(Mvcc::new())),
                 ConcurrencyControl::SingleWriter => None,
             },
-            default_session: SessionCore::new(0),
             next_session: AtomicU64::new(1),
             single_owner: Mutex::new(None),
             tables: Mutex::new(HashMap::new()),
@@ -347,39 +351,6 @@ impl Database {
         &self.governor
     }
 
-    /// Apply a deadline to each subsequent *default-session* statement
-    /// (`None` clears). An expired deadline cancels the statement
-    /// cooperatively — it aborts within one scheduling quantum with a
-    /// `cancelled` error. Knobs are per-session: other sessions set
-    /// their own via [`Session::set_statement_deadline_ms`].
-    pub fn set_statement_deadline_ms(&self, ms: Option<u64>) {
-        *self.default_session.deadline_ms.lock() = ms;
-    }
-
-    /// Cap each subsequent default-session statement's operator memory
-    /// (`None` clears). Operators that can spill (sort) trade memory for
-    /// disk; the rest fail with a recoverable resource error.
-    pub fn set_statement_memory_limit(&self, bytes: Option<u64>) {
-        *self.default_session.memory_limit.lock() = bytes;
-    }
-
-    /// Declare whether the default session's contract accepts degraded
-    /// quality under overload: instead of shedding, the governor may
-    /// admit the query with its sort budget clamped to the governor's
-    /// `degraded_sort_budget`.
-    pub fn set_allow_degraded(&self, on: bool) {
-        self.default_session
-            .allow_degraded
-            .store(on, std::sync::atomic::Ordering::Relaxed);
-    }
-
-    /// Run every subsequent default-session statement under `token`
-    /// (`None` restores per-statement tokens). The deterministic
-    /// cancellation-injection hook the torture suite drives.
-    pub fn set_session_cancel_token(&self, token: Option<CancelToken>) {
-        *self.default_session.cancel.lock() = token;
-    }
-
     /// The cancellation/memory context for one statement of one session.
     fn exec_context(&self, core: &SessionCore) -> ExecContext {
         let cancel = if let Some(tok) = core.cancel.lock().clone() {
@@ -439,54 +410,6 @@ impl Database {
         }
     }
 
-    /// Parse and plan `sql` without executing it, returning the result
-    /// columns (empty for non-SELECT statements, which are validated
-    /// only). A planned SELECT lands in the shared per-database plan
-    /// cache, so the subsequent `execute` — from *any* session or
-    /// connection — is a cache hit: the server's prepared-statement
-    /// handles all resolve here.
-    pub fn prepare(&self, sql: &str) -> Result<Vec<String>> {
-        let is_select = sql
-            .trim_start()
-            .get(..6)
-            .is_some_and(|kw| kw.eq_ignore_ascii_case("select"));
-        if !is_select {
-            parse(sql)?;
-            return Ok(Vec::new());
-        }
-        let epoch = self.plan_epoch();
-        if let Some(planned) = self.plan_cache.get(sql, epoch) {
-            return Ok(planned.columns.clone());
-        }
-        let stmt = parse(sql)?;
-        let Statement::Select(select) = stmt else {
-            return Ok(Vec::new());
-        };
-        self.refresh_stale_stats(&select)?;
-        let planned = Arc::new(plan_select(&select, self)?);
-        self.plan_cache.insert(sql, self.plan_epoch(), planned.clone());
-        self.note_plan_selected(sql, &planned.decisions);
-        Ok(planned.columns.clone())
-    }
-
-    /// Begin an explicit transaction on the default session.
-    pub fn begin(&self) -> Result<TxnId> {
-        let core = self.default_session.clone();
-        self.begin_on(&core)
-    }
-
-    /// Commit the default session's open transaction.
-    pub fn commit(&self) -> Result<()> {
-        let core = self.default_session.clone();
-        self.commit_on(&core)
-    }
-
-    /// Roll back the default session's open transaction.
-    pub fn rollback(&self) -> Result<()> {
-        let core = self.default_session.clone();
-        self.rollback_on(&core)
-    }
-
     /// The busy check of the single-writer service: while another
     /// session holds the writer slot, every statement from this one
     /// fails immediately with a recoverable conflict (no blocking, no
@@ -502,17 +425,17 @@ impl Database {
     }
 
     /// The single-writer lock policy: take a hold on the writer slot
-    /// for `core`'s session, or fail busy if another session has it —
+    /// for session `session`, or fail busy if another session has it —
     /// the check and the claim are one step under the slot's lock. A
     /// no-op under MVCC. Every hold ends in [`Database::release_writer`].
-    fn claim_writer(&self, core: &SessionCore) -> Result<()> {
+    fn claim_writer(&self, session: u64) -> Result<()> {
         if self.mvcc.is_some() {
             return Ok(());
         }
         let mut owner = self.single_owner.lock();
         match &mut *owner {
-            None => *owner = Some((core.id, 1)),
-            Some((id, holds)) if *id == core.id => *holds += 1,
+            None => *owner = Some((session, 1)),
+            Some((id, holds)) if *id == session => *holds += 1,
             Some(_) => return Err(writer_busy()),
         }
         Ok(())
@@ -540,45 +463,6 @@ impl Database {
         )
     }
 
-    /// Begin an explicit transaction on one session. Returns the id its
-    /// commit record will carry.
-    pub(crate) fn begin_on(&self, core: &Arc<SessionCore>) -> Result<TxnId> {
-        let mut current = core.txn.lock();
-        if current.is_some() {
-            return Err(ServiceError::Transaction("transaction already open".into()));
-        }
-        self.claim_writer(core)?;
-        let state = self.txn_state();
-        let id = state.id;
-        *current = Some(state);
-        Ok(id)
-    }
-
-    /// Commit one session's open transaction: its buffered write set
-    /// reaches the heap and the WAL.
-    pub(crate) fn commit_on(&self, core: &Arc<SessionCore>) -> Result<()> {
-        let state = core
-            .txn
-            .lock()
-            .take()
-            .ok_or_else(|| ServiceError::Transaction("no open transaction".into()))?;
-        let out = self.commit_txn(state);
-        self.release_writer();
-        out
-    }
-
-    /// Roll back one session's open transaction.
-    pub(crate) fn rollback_on(&self, core: &Arc<SessionCore>) -> Result<()> {
-        let state = core
-            .txn
-            .lock()
-            .take()
-            .ok_or_else(|| ServiceError::Transaction("no open transaction".into()))?;
-        self.discard(state);
-        self.release_writer();
-        Ok(())
-    }
-
     /// Drop a transaction that never reached the heap: the write set is
     /// discarded, and under MVCC its locks and snapshot are released.
     fn discard(&self, state: TxnState) {
@@ -587,14 +471,20 @@ impl Database {
         }
     }
 
-    /// Flush everything and truncate the log.
+    /// Flush everything and truncate the log, excluded from every commit
+    /// apply so no half-applied write set becomes durable with its undo
+    /// truncated. Under MVCC it holds the apply latch shared across flush
+    /// and truncate (scans run on, commits wait); under single-writer it
+    /// holds the writer slot, so it refuses while any session has a
+    /// transaction open.
     pub fn checkpoint(&self) -> Result<()> {
-        if self.single_owner.lock().is_some() || self.default_session.txn.lock().is_some() {
-            return Err(ServiceError::Transaction(
-                "cannot checkpoint inside a transaction".into(),
-            ));
-        }
-        self.txns.checkpoint()
+        let _latch = self.mvcc.as_ref().map(|mvcc| mvcc.read_latch());
+        self.claim_writer(0).map_err(|_| {
+            ServiceError::Transaction("cannot checkpoint inside a transaction".into())
+        })?;
+        let out = self.txns.checkpoint();
+        self.release_writer();
+        out
     }
 
     /// Plan-cache hit/miss counters.
@@ -651,77 +541,42 @@ impl Database {
         }
     }
 
-    /// Parse and execute one SQL statement. SELECT plans are cached by
-    /// SQL text: a repeat of the same statement skips parsing and
-    /// planning unless the catalog changed underneath it.
-    ///
-    /// Every statement passes the resource governor first: over the
-    /// high-watermark the governor queues, sheds (typed `Overloaded`
-    /// error), or — when the session contract allows degraded quality —
-    /// admits with a clamped sort budget. A statement cancelled
-    /// mid-transaction (deadline or injected token) rolls the open
-    /// transaction back, leaving the same invariants as a crash.
-    pub fn execute(&self, sql: &str) -> Result<QueryResult> {
-        let core = self.default_session.clone();
-        self.execute_on(&core, sql)
-    }
-
-    /// [`Database::execute`] on one session.
-    pub(crate) fn execute_on(&self, core: &Arc<SessionCore>, sql: &str) -> Result<QueryResult> {
-        // The single-writer busy check comes before admission: a locked
-        // database is a concurrency outcome, not governor load.
-        self.check_single_writer_busy(core)?;
-        let admission = self.governor.admit(
-            core.allow_degraded
-                .load(std::sync::atomic::Ordering::Relaxed),
-        )?;
-        let mode = RunMode {
-            ctx: self.exec_context(core),
-            degraded: admission.is_degraded(),
-            session: Some(core.clone()),
-            read: OnceLock::new(),
-        };
-        let out = self.execute_with(sql, &mode);
-        if matches!(out, Err(ServiceError::Cancelled { .. })) {
-            self.governor.note_cancelled();
-            if core.txn.lock().is_some() {
-                // Unwind through the transaction rollback path: the
-                // session stays usable and committed data stays intact.
-                let _ = self.rollback_on(core);
-            }
-        }
-        drop(admission);
-        out
-    }
-
-    /// [`Database::execute`] past admission, under one run mode.
+    /// [`Session::execute`] past admission, under one run mode.
     fn execute_with(&self, sql: &str, mode: &RunMode) -> Result<QueryResult> {
-        // Only SELECTs are cacheable; the keyword peek keeps DML and DDL
-        // off the cache (and out of its hit/miss accounting) without
-        // parsing first.
+        match self.parse_and_plan(sql)? {
+            Parsed::Select(planned) => {
+                self.note_degraded_run(sql, mode);
+                self.run_planned_with(&planned, mode)
+            }
+            Parsed::Other(stmt) => self.run_statement(stmt, mode),
+        }
+    }
+
+    /// Parse `sql`; a SELECT comes back planned, through the plan
+    /// cache. Only SELECTs are cacheable: the keyword peek keeps DML and
+    /// DDL off the cache (and out of its hit/miss accounting) without
+    /// parsing first.
+    fn parse_and_plan(&self, sql: &str) -> Result<Parsed> {
         let is_select = sql
             .trim_start()
             .get(..6)
             .is_some_and(|kw| kw.eq_ignore_ascii_case("select"));
         if !is_select {
-            return self.execute_statement_with(parse(sql)?, mode);
+            return Ok(Parsed::Other(parse(sql)?));
         }
-        let epoch = self.plan_epoch();
-        if let Some(planned) = self.plan_cache.get(sql, epoch) {
-            self.note_degraded_run(sql, mode);
-            return self.run_planned_with(&planned, mode);
+        if let Some(planned) = self.plan_cache.get(sql, self.plan_epoch()) {
+            return Ok(Parsed::Select(planned));
         }
-        let stmt = parse(sql)?;
-        if let Statement::Select(select) = stmt {
-            self.refresh_stale_stats(&select)?;
-            let planned = Arc::new(plan_select(&select, self)?);
-            // Re-read the epoch: a stale-stats refresh above bumps it.
-            self.plan_cache.insert(sql, self.plan_epoch(), planned.clone());
-            self.note_plan_selected(sql, &planned.decisions);
-            self.note_degraded_run(sql, mode);
-            return self.run_planned_with(&planned, mode);
-        }
-        self.execute_statement_with(stmt, mode)
+        let select = match parse(sql)? {
+            Statement::Select(select) => select,
+            other => return Ok(Parsed::Other(other)),
+        };
+        self.refresh_stale_stats(&select)?;
+        let planned = Arc::new(plan_select(&select, self)?);
+        // Re-read the epoch: a stale-stats refresh above bumps it.
+        self.plan_cache.insert(sql, self.plan_epoch(), planned.clone());
+        self.note_plan_selected(sql, &planned.decisions);
+        Ok(Parsed::Select(planned))
     }
 
     /// Publish the degradation decision for this run. Cached plans keep
@@ -749,13 +604,8 @@ impl Database {
         format!("degraded: overload (sort budget {})", self.degraded_sort_budget())
     }
 
-    /// Execute a pre-parsed statement.
-    pub fn execute_statement(&self, stmt: Statement) -> Result<QueryResult> {
-        self.execute_statement_with(stmt, &RunMode::default())
-    }
-
-    /// [`Database::execute_statement`] under one run mode.
-    fn execute_statement_with(&self, stmt: Statement, mode: &RunMode) -> Result<QueryResult> {
+    /// Run one parsed statement under one run mode.
+    fn run_statement(&self, stmt: Statement, mode: &RunMode) -> Result<QueryResult> {
         // DDL versions neither the catalog nor the schema: inside an
         // open snapshot transaction it cannot be isolated or rolled
         // back, so MVCC rejects it there (autocommit DDL is fine).
@@ -768,7 +618,7 @@ impl Database {
                     | Statement::Select(_)
                     | Statement::Explain(_)
             )
-            && self.run_session(mode).txn.lock().is_some()
+            && mode.session.txn.lock().is_some()
         {
             return Err(ServiceError::Transaction(
                 "DDL is not allowed inside a transaction under mvcc".into(),
@@ -822,7 +672,7 @@ impl Database {
                 self.run_write(&table, Some(set), filter, mode)
             }
             Statement::Delete { table, filter } => self.run_write(&table, None, filter, mode),
-            Statement::Select(select) => self.run_select_with(&select, mode),
+            Statement::Select(select) => self.run_planned_with(&plan_select(&select, self)?, mode),
             Statement::Analyze { table } => {
                 self.analyze(&table)?;
                 Ok(QueryResult::affected(0))
@@ -879,16 +729,6 @@ impl Database {
         })
     }
 
-    /// Execute a SELECT and materialise the result.
-    pub fn run_select(&self, select: &Select) -> Result<QueryResult> {
-        self.run_select_with(select, &RunMode::default())
-    }
-
-    /// [`Database::run_select`] under one run mode.
-    fn run_select_with(&self, select: &Select, mode: &RunMode) -> Result<QueryResult> {
-        self.run_planned_with(&plan_select(select, self)?, mode)
-    }
-
     /// Run a planned query on the engine at the profile's batch size. A
     /// degraded admission runs the same engine with its sort budget
     /// clamped to the governor's `degraded_sort_budget`.
@@ -922,20 +762,15 @@ impl Database {
         Ok(t)
     }
 
-    /// The session a run mode belongs to (default session when unset).
-    fn run_session<'a>(&'a self, mode: &'a RunMode) -> &'a Arc<SessionCore> {
-        mode.session.as_ref().unwrap_or(&self.default_session)
-    }
-
     /// Run `f` against the session's open transaction — or, in
     /// autocommit, against a fresh implicit one that commits (or is
     /// discarded) around it, holding the writer slot meanwhile.
     fn with_txn<R>(&self, mode: &RunMode, f: impl FnOnce(&mut TxnState) -> Result<R>) -> Result<R> {
-        let core = self.run_session(mode).clone();
+        let core = &mode.session;
         if let Some(state) = core.txn.lock().as_mut() {
             return f(state);
         }
-        self.claim_writer(&core)?;
+        self.claim_writer(core.id)?;
         let mut state = self.txn_state();
         let out = match f(&mut state) {
             Ok(out) => self.commit_txn(state).map(|()| out),
@@ -1333,9 +1168,16 @@ impl Database {
     }
 
     /// Evaluate a physical plan on an explicit engine (its batch size
-    /// and context), outside any session or admission.
+    /// and context), outside admission, on a fresh session that has no
+    /// transaction.
     pub fn run_plan_with(&self, engine: &VectorEngine, plan: &Plan) -> Result<BatchStream> {
-        self.run_plan_budgeted(engine, plan, None, self.sort_budget, &RunMode::default())
+        let mode = RunMode {
+            ctx: ExecContext::default(),
+            degraded: false,
+            session: SessionCore::new(self.next_session.fetch_add(1, Ordering::Relaxed)),
+            read: OnceLock::new(),
+        };
+        self.run_plan_budgeted(engine, plan, None, self.sort_budget, &mode)
     }
 
     /// [`Database::run_plan_with`] with an explicit sort budget — the
@@ -1364,7 +1206,7 @@ impl Database {
                     .map(|cols| (0..width).map(|c| cols.contains(&c)).collect::<Vec<bool>>())
                     .filter(|keep| keep.contains(&false));
                 let read = {
-                    let guard = self.run_session(mode).txn.lock();
+                    let guard = mode.session.txn.lock();
                     self.table_read(&t, guard.as_ref(), mode, keep)
                 };
                 Ok(engine.scan(t.heap().data_pages()?, width, read))
@@ -1373,7 +1215,7 @@ impl Database {
             | Plan::IndexOr { table, .. }
             | Plan::IndexAnd { table, .. } => {
                 let t = self.table(table)?;
-                let guard = self.run_session(mode).txn.lock();
+                let guard = mode.session.txn.lock();
                 let own_writes = guard.as_ref().map(|s| &s.overlay);
                 let heap_free = self.mvcc.is_none()
                     && !own_writes.is_some_and(|o| o.contains_key(&t.meta().name));
@@ -1486,6 +1328,95 @@ impl Database {
                 offset,
             } => Ok(engine.limit(input(child, reads)?, *n, *offset)),
         }
+    }
+}
+
+impl Session {
+    /// Parse and execute one SQL statement. SELECT plans are cached by
+    /// SQL text: a repeat of the same statement skips parsing and
+    /// planning unless the catalog changed underneath it.
+    ///
+    /// Every statement passes the resource governor first: over the
+    /// high-watermark the governor queues, sheds (typed `Overloaded`
+    /// error), or — when the session contract allows degraded quality —
+    /// admits with a clamped sort budget. A statement cancelled
+    /// mid-transaction (deadline or injected token) rolls the open
+    /// transaction back, leaving the same invariants as a crash.
+    pub fn execute(&self, sql: &str) -> Result<QueryResult> {
+        let (db, core) = (&self.db, &self.core);
+        // The single-writer busy check comes before admission: a locked
+        // database is a concurrency outcome, not governor load.
+        db.check_single_writer_busy(core)?;
+        let admission = db.governor.admit(core.allow_degraded.load(Ordering::Relaxed))?;
+        let mode = RunMode {
+            ctx: db.exec_context(core),
+            degraded: admission.is_degraded(),
+            session: core.clone(),
+            read: OnceLock::new(),
+        };
+        let out = db.execute_with(sql, &mode);
+        if matches!(out, Err(ServiceError::Cancelled { .. })) {
+            db.governor.note_cancelled();
+            if self.in_txn() {
+                // Unwind through the transaction rollback path: the
+                // session stays usable and committed data stays intact.
+                let _ = self.rollback();
+            }
+        }
+        drop(admission);
+        out
+    }
+
+    /// Begin an explicit transaction (one per session). Returns the id
+    /// its commit record will carry.
+    pub fn begin(&self) -> Result<TxnId> {
+        let mut current = self.core.txn.lock();
+        if current.is_some() {
+            return Err(ServiceError::Transaction("transaction already open".into()));
+        }
+        self.db.claim_writer(self.core.id)?;
+        let state = self.db.txn_state();
+        let id = state.id;
+        *current = Some(state);
+        Ok(id)
+    }
+
+    /// Commit the open transaction: this is where its buffered writes
+    /// reach the heap and the WAL.
+    pub fn commit(&self) -> Result<()> {
+        let state = self.take_txn()?;
+        let out = self.db.commit_txn(state);
+        self.db.release_writer();
+        out
+    }
+
+    /// Roll back the open transaction: drop its buffered writes.
+    pub fn rollback(&self) -> Result<()> {
+        let state = self.take_txn()?;
+        self.db.discard(state);
+        self.db.release_writer();
+        Ok(())
+    }
+
+    fn take_txn(&self) -> Result<TxnState> {
+        self.core
+            .txn
+            .lock()
+            .take()
+            .ok_or_else(|| ServiceError::Transaction("no open transaction".into()))
+    }
+
+    /// Parse and plan `sql` without executing it, warming the shared
+    /// per-database plan cache, and return the statement's result
+    /// columns (empty for non-SELECT statements, which are validated
+    /// only) — the server side of a wire-protocol `prepare`. The
+    /// subsequent `execute` from *any* session or connection is a cache
+    /// hit.
+    pub fn prepare(&self, sql: &str) -> Result<Vec<String>> {
+        Ok(match self.db.parse_and_plan(sql)? {
+            Parsed::Select(planned) => planned.columns.clone(),
+            Parsed::Other(_) => Vec::new(),
+        })
     }
 }
 

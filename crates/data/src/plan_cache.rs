@@ -218,12 +218,13 @@ mod tests {
             .join(format!("index-ddl-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let db = Database::open(&dir).unwrap();
-        db.execute("CREATE TABLE t (k INT NOT NULL, v INT NOT NULL)")
+        let s = db.session();
+        s.execute("CREATE TABLE t (k INT NOT NULL, v INT NOT NULL)")
             .unwrap();
-        db.execute("INSERT INTO t VALUES (1, 10), (2, 20), (3, 30)")
+        s.execute("INSERT INTO t VALUES (1, 10), (2, 20), (3, 30)")
             .unwrap();
         let explain = |sql: &str| {
-            db.execute(&format!("EXPLAIN {sql}"))
+            s.execute(&format!("EXPLAIN {sql}"))
                 .unwrap()
                 .rows
                 .iter()
@@ -232,31 +233,31 @@ mod tests {
                 .join("\n")
         };
         let sql = "SELECT v FROM t WHERE k = 2";
-        db.execute(sql).unwrap();
+        s.execute(sql).unwrap();
         let hits0 = db.plan_cache_stats().hits;
-        db.execute(sql).unwrap();
+        s.execute(sql).unwrap();
         assert_eq!(db.plan_cache_stats().hits, hits0 + 1, "repeat should hit");
 
-        db.execute("CREATE INDEX t_k ON t (k)").unwrap();
+        s.execute("CREATE INDEX t_k ON t (k)").unwrap();
         assert!(explain(sql).contains("IndexScan"), "new index should be taken");
-        db.execute(sql).unwrap();
+        s.execute(sql).unwrap();
         assert_eq!(
             db.plan_cache_stats().hits,
             hits0 + 1,
             "CREATE INDEX must invalidate the cached plan"
         );
-        db.execute(sql).unwrap();
+        s.execute(sql).unwrap();
         assert_eq!(db.plan_cache_stats().hits, hits0 + 2, "fresh plan caches again");
 
-        db.execute("DROP INDEX t_k ON t").unwrap();
+        s.execute("DROP INDEX t_k ON t").unwrap();
         assert!(explain(sql).contains("TableScan"), "dropped index must not plan");
-        db.execute(sql).unwrap();
+        s.execute(sql).unwrap();
         assert_eq!(
             db.plan_cache_stats().hits,
             hits0 + 2,
             "DROP INDEX must invalidate the cached plan"
         );
-        db.execute(sql).unwrap();
+        s.execute(sql).unwrap();
         assert_eq!(db.plan_cache_stats().hits, hits0 + 3);
         let _ = std::fs::remove_dir_all(&dir);
     }

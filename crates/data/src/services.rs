@@ -11,6 +11,7 @@ use sbdms_kernel::service::{unknown_op, Descriptor, Service, ServiceRef};
 use sbdms_kernel::value::{TypeTag, Value};
 
 use crate::executor::{Database, QueryResult};
+use crate::session::Session;
 
 /// Interface name of the query service.
 pub const QUERY_INTERFACE: &str = "sbdms.data.Query";
@@ -65,10 +66,12 @@ pub fn result_to_value(result: &QueryResult) -> Value {
         .with("affected", result.affected)
 }
 
-/// The SQL engine published as a service.
+/// The SQL engine published as a service. It owns one session, so the
+/// `execute`, `begin`, `commit` and `rollback` operations of all its
+/// callers share one transaction.
 pub struct QueryService {
     descriptor: Descriptor,
-    db: Arc<Database>,
+    session: Session,
 }
 
 impl QueryService {
@@ -88,7 +91,7 @@ impl QueryService {
             .quality(quality);
         QueryService {
             descriptor: Descriptor::new(name, contract),
-            db,
+            session: db.session(),
         }
     }
 
@@ -99,7 +102,7 @@ impl QueryService {
 
     /// The wrapped database.
     pub fn database(&self) -> &Arc<Database> {
-        &self.db
+        self.session.database()
     }
 }
 
@@ -109,28 +112,28 @@ impl Service for QueryService {
     }
 
     fn invoke(&self, op: &str, input: Value) -> Result<Value> {
+        let db = self.database();
         match op {
             "execute" => {
                 let sql = input.require("sql")?.as_str()?;
-                let result = self.db.execute(sql)?;
+                let result = self.session.execute(sql)?;
                 Ok(result_to_value(&result))
             }
-            "begin" => Ok(Value::Int(self.db.begin()? as i64)),
+            "begin" => Ok(Value::Int(self.session.begin()? as i64)),
             "commit" => {
-                self.db.commit()?;
+                self.session.commit()?;
                 Ok(Value::Null)
             }
             "rollback" => {
-                self.db.rollback()?;
+                self.session.rollback()?;
                 Ok(Value::Null)
             }
             "checkpoint" => {
-                self.db.checkpoint()?;
+                db.checkpoint()?;
                 Ok(Value::Null)
             }
             "tables" => Ok(Value::List(
-                self.db
-                    .catalog()
+                db.catalog()
                     .table_names()
                     .into_iter()
                     .map(Value::Str)
@@ -138,14 +141,14 @@ impl Service for QueryService {
             )),
             "analyze" => {
                 let table = input.require("table")?.as_str()?;
-                self.db.analyze(table)?;
+                db.analyze(table)?;
                 Ok(Value::Null)
             }
             "explain" => {
                 // `sql` is the SELECT to explain; returns the annotated
                 // plan as a list of text lines.
                 let sql = input.require("sql")?.as_str()?;
-                let result = self.db.execute(&format!("EXPLAIN {sql}"))?;
+                let result = self.session.execute(&format!("EXPLAIN {sql}"))?;
                 Ok(Value::List(
                     result
                         .rows
@@ -160,6 +163,6 @@ impl Service for QueryService {
     }
 
     fn stop(&self) -> Result<()> {
-        self.db.checkpoint()
+        self.database().checkpoint()
     }
 }

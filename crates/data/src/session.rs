@@ -1,7 +1,8 @@
 //! Sessions and the per-session transaction state.
 //!
-//! A [`Session`] is one logical client of a [`Database`]: it owns at
-//! most one open transaction and routes statements through the shared
+//! A [`Session`] is one logical client of a [`Database`], and the only
+//! way to run a statement: it owns at most one open transaction and the
+//! per-statement knobs, and routes statements through the shared
 //! engine. Every transaction, explicit or autocommit, is the same
 //! [`TxnState`]: a write set buffered here, in the session, that reaches
 //! the heap only through the commit apply and is simply dropped on
@@ -32,10 +33,9 @@ use parking_lot::Mutex;
 
 use sbdms_access::heap::Rid;
 use sbdms_access::record::Tuple;
-use sbdms_kernel::error::Result;
 use sbdms_kernel::mvcc::MvccTxn;
 
-use crate::executor::{Database, QueryResult};
+use crate::executor::Database;
 use crate::txn::TxnId;
 
 /// The profile's concurrency-control service choice.
@@ -115,8 +115,7 @@ impl TxnState {
 
 /// Shared per-session state: the open transaction plus the session's
 /// statement knobs (deadline, memory cap, degraded-quality contract,
-/// cancel token). The `Database` holds one default session (serving its
-/// session-free legacy API) and hands out more via [`Database::session`];
+/// cancel token). [`Database::session`] hands one out per [`Session`];
 /// a network server holds one per connection.
 pub(crate) struct SessionCore {
     /// Session id, for the single-writer ownership check.
@@ -153,39 +152,29 @@ impl SessionCore {
 /// can hold thousands of sessions with independent lifetimes, park them
 /// on connection threads, and drop them in any order relative to each
 /// other. Cheap to create. Statements from different sessions interleave
-/// under the profile's concurrency-control service.
+/// under the profile's concurrency-control service. The statement
+/// methods (`execute`, `begin`, `commit`, `rollback`, `prepare`) live
+/// beside the engine they drive, in the executor.
 ///
-/// Dropping a session does *not* roll back an open transaction — the
-/// crash-torture suite depends on abandoned sessions leaving the same
-/// state as a power loss. Callers that own a connection lifecycle (the
-/// TCP server) roll back explicitly on teardown.
+/// Dropping a session rolls back its open transaction. The write set
+/// never reached the heap, so that is an in-memory discard with no I/O:
+/// an abandoned session still leaves the same durable state as a power
+/// loss, and it releases its single-writer slot, MVCC write locks and
+/// pinned snapshot.
 pub struct Session {
     pub(crate) db: Arc<Database>,
     pub(crate) core: Arc<SessionCore>,
 }
 
+impl Drop for Session {
+    fn drop(&mut self) {
+        if self.in_txn() {
+            let _ = self.rollback();
+        }
+    }
+}
+
 impl Session {
-    /// Execute one SQL statement in this session.
-    pub fn execute(&self, sql: &str) -> Result<QueryResult> {
-        self.db.execute_on(&self.core, sql)
-    }
-
-    /// Begin an explicit transaction (one per session).
-    pub fn begin(&self) -> Result<TxnId> {
-        self.db.begin_on(&self.core)
-    }
-
-    /// Commit the open transaction: this is where its buffered writes
-    /// reach the heap (and the WAL, via group commit).
-    pub fn commit(&self) -> Result<()> {
-        self.db.commit_on(&self.core)
-    }
-
-    /// Roll back the open transaction: drop its buffered writes.
-    pub fn rollback(&self) -> Result<()> {
-        self.db.rollback_on(&self.core)
-    }
-
     /// Whether this session has an open transaction.
     pub fn in_txn(&self) -> bool {
         self.core.txn.lock().is_some()
@@ -194,13 +183,6 @@ impl Session {
     /// The database this session belongs to.
     pub fn database(&self) -> &Arc<Database> {
         &self.db
-    }
-
-    /// Parse and plan `sql` without executing it, warming the shared
-    /// per-database plan cache, and return the statement's result
-    /// columns — the server side of a wire-protocol `prepare`.
-    pub fn prepare(&self, sql: &str) -> Result<Vec<String>> {
-        self.db.prepare(sql)
     }
 
     /// Apply a deadline to each subsequent statement (`None` clears).

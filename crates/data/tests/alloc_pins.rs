@@ -131,8 +131,9 @@ fn point_plan_allocations(buckets: usize) -> u64 {
         },
     )
     .unwrap();
-    db.execute("CREATE TABLE t (k INT NOT NULL, v INT, pad TEXT)").unwrap();
-    db.execute("CREATE INDEX t_k ON t (k)").unwrap();
+    let s = db.session();
+    s.execute("CREATE TABLE t (k INT NOT NULL, v INT, pad TEXT)").unwrap();
+    s.execute("CREATE INDEX t_k ON t (k)").unwrap();
     for chunk in 0..10 {
         let rows: Vec<String> = (0..100)
             .map(|i| {
@@ -140,9 +141,9 @@ fn point_plan_allocations(buckets: usize) -> u64 {
                 format!("({k}, {}, '{k:04}-{}')", k * 3, "p".repeat(40))
             })
             .collect();
-        db.execute(&format!("INSERT INTO t VALUES {}", rows.join(", "))).unwrap();
+        s.execute(&format!("INSERT INTO t VALUES {}", rows.join(", "))).unwrap();
     }
-    db.execute("ANALYZE t").unwrap();
+    s.execute("ANALYZE t").unwrap();
     let meta = db.catalog().table("t").unwrap();
     let stats = meta.stats.as_ref().unwrap();
     for column in ["k", "v", "pad"] {

@@ -12,18 +12,19 @@ fn fifty_tables_with_indexes_and_views() {
     let _ = std::fs::remove_dir_all(&dir);
     {
         let db = Database::open(&dir).unwrap();
+        let s = db.session();
         for t in 0..50 {
-            db.execute(&format!(
+            s.execute(&format!(
                 "CREATE TABLE t{t} (id INT NOT NULL, payload TEXT NOT NULL)"
             ))
             .unwrap();
             let rows: Vec<String> = (0..20).map(|i| format!("({i}, 'r{t}_{i}')")).collect();
-            db.execute(&format!("INSERT INTO t{t} VALUES {}", rows.join(","))).unwrap();
+            s.execute(&format!("INSERT INTO t{t} VALUES {}", rows.join(","))).unwrap();
             if t % 2 == 0 {
-                db.execute(&format!("CREATE INDEX t{t}_id ON t{t} (id)")).unwrap();
+                s.execute(&format!("CREATE INDEX t{t}_id ON t{t} (id)")).unwrap();
             }
             if t % 5 == 0 {
-                db.execute(&format!(
+                s.execute(&format!(
                     "CREATE VIEW v{t} AS SELECT id FROM t{t} WHERE id >= 10"
                 ))
                 .unwrap();
@@ -34,30 +35,31 @@ fn fifty_tables_with_indexes_and_views() {
     }
     // Reopen: everything is still there and queryable.
     let db = Database::open(&dir).unwrap();
+    let s = db.session();
     assert_eq!(db.catalog().table_names().len(), 50);
     for t in (0..50).step_by(7) {
-        let r = db.execute(&format!("SELECT COUNT(*) FROM t{t}")).unwrap();
+        let r = s.execute(&format!("SELECT COUNT(*) FROM t{t}")).unwrap();
         assert_eq!(r.rows[0][0], Datum::Int(20), "t{t}");
     }
     // Indexed point query on a reopened table.
-    let r = db.execute("SELECT payload FROM t10 WHERE id = 7").unwrap();
+    let r = s.execute("SELECT payload FROM t10 WHERE id = 7").unwrap();
     assert_eq!(r.rows[0][0], Datum::Str("r10_7".into()));
     // Views survive too.
-    let r = db.execute("SELECT COUNT(*) FROM v10").unwrap();
+    let r = s.execute("SELECT COUNT(*) FROM v10").unwrap();
     assert_eq!(r.rows[0][0], Datum::Int(10));
 
     // Drop a third of the tables; the rest are unharmed.
     for t in (0..50).step_by(3) {
         if t % 5 == 0 {
             // Views on dropped tables are dropped first.
-            let _ = db.execute(&format!("DROP VIEW v{t}"));
+            let _ = s.execute(&format!("DROP VIEW v{t}"));
         }
-        db.execute(&format!("DROP TABLE t{t}")).unwrap();
+        s.execute(&format!("DROP TABLE t{t}")).unwrap();
     }
     assert!(db.catalog().table_names().len() < 50);
-    let r = db.execute("SELECT COUNT(*) FROM t1").unwrap();
+    let r = s.execute("SELECT COUNT(*) FROM t1").unwrap();
     assert_eq!(r.rows[0][0], Datum::Int(20));
-    assert!(db.execute("SELECT * FROM t0").is_err());
+    assert!(s.execute("SELECT * FROM t0").is_err());
 }
 
 #[test]
@@ -67,22 +69,23 @@ fn wide_table_and_long_names() {
         .join(format!("wide-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let db = Database::open(&dir).unwrap();
+    let s = db.session();
     // 40 columns, long identifiers.
     let cols: Vec<String> = (0..40)
         .map(|i| format!("very_long_column_name_number_{i} INT"))
         .collect();
-    db.execute(&format!(
+    s.execute(&format!(
         "CREATE TABLE extremely_wide_measurement_table ({})",
         cols.join(", ")
     ))
     .unwrap();
     let vals: Vec<String> = (0..40).map(|i| i.to_string()).collect();
-    db.execute(&format!(
+    s.execute(&format!(
         "INSERT INTO extremely_wide_measurement_table VALUES ({})",
         vals.join(", ")
     ))
     .unwrap();
-    let r = db
+    let r = s
         .execute(
             "SELECT very_long_column_name_number_39, very_long_column_name_number_0 \
              FROM extremely_wide_measurement_table",
@@ -102,10 +105,11 @@ fn concurrent_analyze_of_one_table_succeeds() {
         .join(format!("analyze-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let db = Database::open(&dir).unwrap();
-    db.execute("CREATE TABLE acct (k INT NOT NULL, v INT NOT NULL)").unwrap();
-    db.execute("CREATE INDEX acct_k ON acct (k)").unwrap();
+    let s = db.session();
+    s.execute("CREATE TABLE acct (k INT NOT NULL, v INT NOT NULL)").unwrap();
+    s.execute("CREATE INDEX acct_k ON acct (k)").unwrap();
     let rows: Vec<String> = (0..200).map(|i| format!("({i}, {})", i * 10)).collect();
-    db.execute(&format!("INSERT INTO acct VALUES {}", rows.join(","))).unwrap();
+    s.execute(&format!("INSERT INTO acct VALUES {}", rows.join(","))).unwrap();
     let workers: Vec<_> = (0..2)
         .map(|_| {
             let session = db.session();
@@ -122,6 +126,6 @@ fn concurrent_analyze_of_one_table_succeeds() {
         w.join().unwrap();
     }
     assert_eq!(db.catalog().table("acct").unwrap().stats.as_ref().unwrap().row_count, 200);
-    let r = db.execute("SELECT v FROM acct WHERE k = 7").unwrap();
+    let r = s.execute("SELECT v FROM acct WHERE k = 7").unwrap();
     assert_eq!(r.rows[0][0], Datum::Int(70));
 }

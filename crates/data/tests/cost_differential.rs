@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use sbdms_access::exec::join::JoinAlgorithm;
 use sbdms_access::record::Datum;
 use sbdms_data::executor::{Database, DbOptions};
-use sbdms_data::ConcurrencyControl;
+use sbdms_data::{ConcurrencyControl, Session};
 use sbdms_storage::{SimBackend, SimConfig};
 
 fn open_db(seed: u64) -> std::sync::Arc<Database> {
@@ -20,28 +20,28 @@ fn open_db(seed: u64) -> std::sync::Arc<Database> {
 /// A star-ish schema with skewed sizes: a 600-row fact table, a 3-row
 /// dimension and a 120-row dimension, plus indexes the access-path
 /// selector can pick or reject.
-fn load_workload(db: &Database) {
-    db.execute("CREATE TABLE fact (id INT NOT NULL, d1 INT NOT NULL, d2 INT NOT NULL, val INT NOT NULL)")
+fn load_workload(s: &Session) {
+    s.execute("CREATE TABLE fact (id INT NOT NULL, d1 INT NOT NULL, d2 INT NOT NULL, val INT NOT NULL)")
         .unwrap();
-    db.execute("CREATE TABLE dim_small (id INT NOT NULL, name TEXT NOT NULL)")
+    s.execute("CREATE TABLE dim_small (id INT NOT NULL, name TEXT NOT NULL)")
         .unwrap();
-    db.execute("CREATE TABLE dim_big (id INT NOT NULL, label TEXT NOT NULL)")
+    s.execute("CREATE TABLE dim_big (id INT NOT NULL, label TEXT NOT NULL)")
         .unwrap();
-    db.execute("CREATE INDEX fact_val ON fact (val)").unwrap();
-    db.execute("CREATE INDEX dim_big_id ON dim_big (id)").unwrap();
+    s.execute("CREATE INDEX fact_val ON fact (val)").unwrap();
+    s.execute("CREATE INDEX dim_big_id ON dim_big (id)").unwrap();
     for chunk in (0..600i64).collect::<Vec<_>>().chunks(150) {
         let vals: Vec<String> = chunk
             .iter()
             .map(|i| format!("({i}, {}, {}, {})", i % 3, i % 120, (i * 7) % 600))
             .collect();
-        db.execute(&format!("INSERT INTO fact VALUES {}", vals.join(", ")))
+        s.execute(&format!("INSERT INTO fact VALUES {}", vals.join(", ")))
             .unwrap();
     }
     let vals: Vec<String> = (0..3i64).map(|i| format!("({i}, 'n{i}')")).collect();
-    db.execute(&format!("INSERT INTO dim_small VALUES {}", vals.join(", ")))
+    s.execute(&format!("INSERT INTO dim_small VALUES {}", vals.join(", ")))
         .unwrap();
     let vals: Vec<String> = (0..120i64).map(|i| format!("({i}, 'l{i}')")).collect();
-    db.execute(&format!("INSERT INTO dim_big VALUES {}", vals.join(", ")))
+    s.execute(&format!("INSERT INTO dim_big VALUES {}", vals.join(", ")))
         .unwrap();
 }
 
@@ -61,8 +61,8 @@ const QUERIES: &[&str] = &[
     "SELECT fact.id FROM fact JOIN dim_big ON fact.d2 = dim_big.id WHERE fact.val = 7",
 ];
 
-fn sorted_rows(db: &Database, sql: &str) -> (Vec<String>, Vec<String>) {
-    let result = db.execute(sql).unwrap();
+fn sorted_rows(s: &Session, sql: &str) -> (Vec<String>, Vec<String>) {
+    let result = s.execute(sql).unwrap();
     let mut rows: Vec<String> = result
         .rows
         .iter()
@@ -75,13 +75,14 @@ fn sorted_rows(db: &Database, sql: &str) -> (Vec<String>, Vec<String>) {
 #[test]
 fn cost_based_plans_match_every_forced_baseline() {
     let db = open_db(11);
-    load_workload(&db);
+    let s = db.session();
+    load_workload(&s);
     for table in ["fact", "dim_small", "dim_big"] {
-        db.execute(&format!("ANALYZE {table}")).unwrap();
+        s.execute(&format!("ANALYZE {table}")).unwrap();
     }
 
     // Reference answers under full cost-based selection.
-    let reference: Vec<_> = QUERIES.iter().map(|q| sorted_rows(&db, q)).collect();
+    let reference: Vec<_> = QUERIES.iter().map(|q| sorted_rows(&s, q)).collect();
 
     // Forced-join baselines: every equi-join runs the named algorithm.
     for forced in [
@@ -91,7 +92,7 @@ fn cost_based_plans_match_every_forced_baseline() {
     ] {
         db.force_join_algorithm(Some(forced));
         for (q, want) in QUERIES.iter().zip(&reference) {
-            let got = sorted_rows(&db, q);
+            let got = sorted_rows(&s, q);
             assert_eq!(&got, want, "forced {forced:?} diverged on `{q}`");
         }
         db.force_join_algorithm(None);
@@ -100,7 +101,7 @@ fn cost_based_plans_match_every_forced_baseline() {
     // Textual join order.
     db.set_join_reordering(false);
     for (q, want) in QUERIES.iter().zip(&reference) {
-        let got = sorted_rows(&db, q);
+        let got = sorted_rows(&s, q);
         assert_eq!(&got, want, "textual join order diverged on `{q}`");
     }
     db.set_join_reordering(true);
@@ -108,7 +109,7 @@ fn cost_based_plans_match_every_forced_baseline() {
     // Sequential scans only.
     db.set_index_selection(false);
     for (q, want) in QUERIES.iter().zip(&reference) {
-        let got = sorted_rows(&db, q);
+        let got = sorted_rows(&s, q);
         assert_eq!(&got, want, "seq-scan-only diverged on `{q}`");
     }
     db.set_index_selection(true);
@@ -116,7 +117,7 @@ fn cost_based_plans_match_every_forced_baseline() {
     // Statistics ignored entirely (the seed's syntactic planner).
     db.set_use_stats(false);
     for (q, want) in QUERIES.iter().zip(&reference) {
-        let got = sorted_rows(&db, q);
+        let got = sorted_rows(&s, q);
         assert_eq!(&got, want, "stats-off planning diverged on `{q}`");
     }
 }
@@ -124,20 +125,21 @@ fn cost_based_plans_match_every_forced_baseline() {
 #[test]
 fn knob_flips_invalidate_cached_plans() {
     let db = open_db(12);
-    load_workload(&db);
+    let s = db.session();
+    load_workload(&s);
     let sql = QUERIES[0];
-    db.execute(sql).unwrap();
+    s.execute(sql).unwrap();
     let hits_before = db.plan_cache_stats().hits;
-    db.execute(sql).unwrap();
+    s.execute(sql).unwrap();
     assert_eq!(db.plan_cache_stats().hits, hits_before + 1, "repeat should hit");
     // Any knob change moves the epoch: the cached plan no longer serves.
     db.force_join_algorithm(Some(JoinAlgorithm::Merge));
-    db.execute(sql).unwrap();
+    s.execute(sql).unwrap();
     assert_eq!(db.plan_cache_stats().hits, hits_before + 1, "knob flip must miss");
 }
 
-fn explain_text(db: &Database, sql: &str) -> String {
-    db.execute(&format!("EXPLAIN {sql}"))
+fn explain_text(s: &Session, sql: &str) -> String {
+    s.execute(&format!("EXPLAIN {sql}"))
         .unwrap()
         .rows
         .iter()
@@ -156,13 +158,13 @@ fn explain_text(db: &Database, sql: &str) -> String {
 /// IN list carries a duplicate literal (plan-time key dedup).
 /// The `ev` table: 900 rows over a composite (tenant, ts) index and a
 /// single-column kind index with 10 NULL keys, analyzed.
-fn load_ev(db: &Database) {
-    db.execute(
+fn load_ev(s: &Session) {
+    s.execute(
         "CREATE TABLE ev (tenant INT NOT NULL, ts INT NOT NULL, kind INT, payload TEXT)",
     )
     .unwrap();
-    db.execute("CREATE INDEX ev_tenant_ts ON ev (tenant, ts)").unwrap();
-    db.execute("CREATE INDEX ev_kind ON ev (kind)").unwrap();
+    s.execute("CREATE INDEX ev_tenant_ts ON ev (tenant, ts)").unwrap();
+    s.execute("CREATE INDEX ev_kind ON ev (kind)").unwrap();
     for chunk in (0..900i64).collect::<Vec<_>>().chunks(150) {
         let vals: Vec<String> = chunk
             .iter()
@@ -175,16 +177,17 @@ fn load_ev(db: &Database) {
                 format!("({}, {i}, {kind}, 'p{i}')", i % 9)
             })
             .collect();
-        db.execute(&format!("INSERT INTO ev VALUES {}", vals.join(", ")))
+        s.execute(&format!("INSERT INTO ev VALUES {}", vals.join(", ")))
             .unwrap();
     }
-    db.execute("ANALYZE ev").unwrap();
+    s.execute("ANALYZE ev").unwrap();
 }
 
 #[test]
 fn new_access_paths_chosen_and_differentially_correct() {
     let db = open_db(21);
-    load_ev(&db);
+    let s = db.session();
+    load_ev(&s);
 
     // (query, marker the chosen plan must carry)
     let cases: &[(&str, &str)] = &[
@@ -217,11 +220,11 @@ fn new_access_paths_chosen_and_differentially_correct() {
         ),
     ];
     for (sql, marker) in cases {
-        let explain = explain_text(&db, sql);
+        let explain = explain_text(&s, sql);
         assert!(explain.contains(marker), "`{sql}` should plan {marker}:\n{explain}");
-        let chosen = sorted_rows(&db, sql);
+        let chosen = sorted_rows(&s, sql);
         db.set_index_selection(false);
-        let baseline = sorted_rows(&db, sql);
+        let baseline = sorted_rows(&s, sql);
         db.set_index_selection(true);
         assert_eq!(chosen, baseline, "`{sql}` diverged from seq-scan baseline");
         assert!(!chosen.1.is_empty(), "`{sql}` should return rows");
@@ -230,19 +233,19 @@ fn new_access_paths_chosen_and_differentially_correct() {
     // NULL keys sit in ev_kind's B-tree, but SQL `=` never matches NULL:
     // the probes above must not leak the 10 NULL-kind rows, and IS NULL
     // (not index-eligible) still finds them.
-    let (_, nulls) = sorted_rows(&db, "SELECT payload FROM ev WHERE kind IS NULL");
+    let (_, nulls) = sorted_rows(&s, "SELECT payload FROM ev WHERE kind IS NULL");
     assert_eq!(nulls.len(), 10);
 
     // Adversarial shapes: the cost model must *decline* the new paths.
     // A 4-of-9-tenants OR covers ~44% of the table — random fetches
     // lose to one sequential pass.
-    let explain = explain_text(&db, "SELECT payload FROM ev WHERE tenant IN (1, 2, 3, 4)");
+    let explain = explain_text(&s, "SELECT payload FROM ev WHERE tenant IN (1, 2, 3, 4)");
     assert!(
         explain.contains("TableScan ev") && !explain.contains("IndexOr"),
         "non-selective OR must fall back to seq scan:\n{explain}"
     );
     // ts is not a leading key column anywhere: no candidate exists.
-    let explain = explain_text(&db, "SELECT payload FROM ev WHERE ts = 400");
+    let explain = explain_text(&s, "SELECT payload FROM ev WHERE ts = 400");
     assert!(
         explain.contains("TableScan ev") && !explain.contains("IndexScan"),
         "weak prefix (non-leading column) must not probe:\n{explain}"
@@ -324,12 +327,12 @@ fn indexed_dml_matches_sequential_dml() {
                 let open = || {
                     let sim = SimBackend::new(SimConfig::seeded(31));
                     let opts = DbOptions { concurrency, ..DbOptions::default() };
-                    let db = Database::open_at(&*sim, opts).unwrap();
-                    load_ev(&db);
-                    db
+                    let s = Database::open_at(&*sim, opts).unwrap().session();
+                    load_ev(&s);
+                    s
                 };
                 let (indexed, seq) = (open(), open());
-                seq.set_index_selection(false);
+                seq.database().set_index_selection(false);
                 for (filter, set, marker, own) in shapes {
                     let sql = if delete {
                         format!("DELETE FROM ev WHERE {filter}")
@@ -341,18 +344,18 @@ fn indexed_dml_matches_sequential_dml() {
                     assert!(explain.contains(marker), "{ctx} should plan {marker}:\n{explain}");
                     let explain = explain_text(&seq, &sql);
                     assert!(explain.contains("TableScan ev"), "{ctx} forced seq:\n{explain}");
-                    let run = |db: &Database| {
+                    let run = |s: &Session| {
                         if explicit {
-                            db.begin().unwrap();
+                            s.begin().unwrap();
                             for w in own {
-                                db.execute(w).unwrap();
+                                s.execute(w).unwrap();
                             }
                         }
-                        let affected = db.execute(&sql).unwrap().affected;
+                        let affected = s.execute(&sql).unwrap().affected;
                         if explicit {
-                            db.commit().unwrap();
+                            s.commit().unwrap();
                         }
-                        (affected, sorted_rows(db, "SELECT * FROM ev"))
+                        (affected, sorted_rows(s, "SELECT * FROM ev"))
                     };
                     let ((affected, got), (want_affected, want)) = (run(&indexed), run(&seq));
                     assert_eq!(affected, want_affected, "{ctx}: affected counts differ");
@@ -375,11 +378,12 @@ fn indexed_dml_matches_sequential_dml() {
 }
 
 /// Buffer-pool page fetches (hits + misses) one statement costs.
-fn page_fetches(db: &Database, sql: &str) -> u64 {
+fn page_fetches(s: &Session, sql: &str) -> u64 {
     let fetches = |s: sbdms_storage::buffer::BufferStats| s.hits + s.misses;
-    let before = fetches(db.storage().buffer.stats());
-    assert_eq!(db.execute(sql).unwrap().affected, 1, "`{sql}`");
-    fetches(db.storage().buffer.stats()) - before
+    let buffer = &s.database().storage().buffer;
+    let before = fetches(buffer.stats());
+    assert_eq!(s.execute(sql).unwrap().affected, 1, "`{sql}`");
+    fetches(buffer.stats()) - before
 }
 
 /// A point UPDATE or DELETE on an indexed key probes the index instead
@@ -398,31 +402,32 @@ fn point_dml_cost_is_flat_in_table_size() {
             let sim = SimBackend::new(SimConfig::seeded(41));
             let opts = DbOptions { concurrency, ..DbOptions::default() };
             let db = Database::open_at(&*sim, opts).unwrap();
-            db.execute("CREATE TABLE t (k INT NOT NULL, v INT NOT NULL)").unwrap();
-            db.execute("CREATE INDEX t_k ON t (k)").unwrap();
+            let s = db.session();
+            s.execute("CREATE TABLE t (k INT NOT NULL, v INT NOT NULL)").unwrap();
+            s.execute("CREATE INDEX t_k ON t (k)").unwrap();
             for chunk in (0..rows).collect::<Vec<_>>().chunks(1_000) {
                 let vals: Vec<String> = chunk.iter().map(|i| format!("({i}, {i})")).collect();
-                db.execute(&format!("INSERT INTO t VALUES {}", vals.join(", "))).unwrap();
+                s.execute(&format!("INSERT INTO t VALUES {}", vals.join(", "))).unwrap();
             }
             let height = db.table("t").unwrap().index_named("t_k").unwrap().1.height().unwrap();
-            let update = page_fetches(&db, "UPDATE t SET v = 0 WHERE k = 417");
-            let delete = page_fetches(&db, "DELETE FROM t WHERE k = 418");
-            db.begin().unwrap();
+            let update = page_fetches(&s, "UPDATE t SET v = 0 WHERE k = 417");
+            let delete = page_fetches(&s, "DELETE FROM t WHERE k = 418");
+            s.begin().unwrap();
             assert_eq!(
-                db.execute("UPDATE t SET v = 0 WHERE k = 419")
+                s.execute("UPDATE t SET v = 0 WHERE k = 419")
                     .unwrap()
                     .affected,
                 1
             );
             let fetches = |s: sbdms_storage::buffer::BufferStats| s.hits + s.misses;
             let before = fetches(db.storage().buffer.stats());
-            db.rollback().unwrap();
+            s.rollback().unwrap();
             let rollback = fetches(db.storage().buffer.stats()) - before;
             assert_eq!(
                 rollback, 0,
                 "{concurrency} at {rows} rows: ROLLBACK fetched pages"
             );
-            let v = db.execute("SELECT v FROM t WHERE k = 419").unwrap().rows;
+            let v = s.execute("SELECT v FROM t WHERE k = 419").unwrap().rows;
             assert_eq!(v, vec![vec![Datum::Int(419)]], "{concurrency}: rolled back");
             costs.push((height as u64, update, delete));
         }
@@ -449,36 +454,37 @@ proptest! {
         seed in 0u64..1_000,
     ) {
         let db = open_db(0x5eed ^ seed);
-        db.execute("CREATE TABLE t (k INT NOT NULL, v INT NOT NULL)").unwrap();
-        db.execute("CREATE INDEX t_k ON t (k)").unwrap();
+        let s = db.session();
+        s.execute("CREATE TABLE t (k INT NOT NULL, v INT NOT NULL)").unwrap();
+        s.execute("CREATE INDEX t_k ON t (k)").unwrap();
         for chunk in (0..rows).collect::<Vec<_>>().chunks(200) {
             let vals: Vec<String> = chunk
                 .iter()
                 .map(|i| format!("({i}, {})", (i * 13 + seed as i64) % 50))
                 .collect();
-            db.execute(&format!("INSERT INTO t VALUES {}", vals.join(", "))).unwrap();
+            s.execute(&format!("INSERT INTO t VALUES {}", vals.join(", "))).unwrap();
         }
         // k >= 0 matches every row: a seq scan is the right plan, but
         // only statistics can prove it.
         let sql = "SELECT v FROM t WHERE k >= 0";
-        let before = explain_text(&db, sql);
+        let before = explain_text(&s, sql);
         prop_assert!(before.contains("IndexScan"), "syntactic planner should take the index:\n{before}");
 
-        db.execute(sql).unwrap();
+        s.execute(sql).unwrap();
         let hits0 = db.plan_cache_stats().hits;
-        db.execute(sql).unwrap();
+        s.execute(sql).unwrap();
         prop_assert_eq!(db.plan_cache_stats().hits, hits0 + 1, "repeat before ANALYZE should hit");
 
-        db.execute("ANALYZE t").unwrap();
-        let after = explain_text(&db, sql);
+        s.execute("ANALYZE t").unwrap();
+        let after = explain_text(&s, sql);
         prop_assert!(after.contains("TableScan"), "cost model should reject the index:\n{after}");
         prop_assert_ne!(&before, &after, "ANALYZE must change the chosen plan");
 
         // The cached pre-ANALYZE plan must not serve the post-ANALYZE query.
-        db.execute(sql).unwrap();
+        s.execute(sql).unwrap();
         prop_assert_eq!(db.plan_cache_stats().hits, hits0 + 1, "ANALYZE must invalidate the cached plan");
         // And the refreshed plan caches normally again.
-        db.execute(sql).unwrap();
+        s.execute(sql).unwrap();
         prop_assert_eq!(db.plan_cache_stats().hits, hits0 + 2);
     }
 }

@@ -56,18 +56,18 @@ fn opts(batch_rows: usize, concurrency: ConcurrencyControl) -> DbOptions {
 }
 
 /// One batch size's replica of a script run: a seeded simulated device
-/// plus a database handle opened at that batch size.
+/// plus a session on a database opened at that batch size.
 struct Replica {
     batch_rows: usize,
     concurrency: ConcurrencyControl,
     sim: Arc<SimBackend>,
-    db: Option<Arc<Database>>,
+    session: Option<Session>,
 }
 
 impl Replica {
     fn new(batch_rows: usize, concurrency: ConcurrencyControl, seed: u64) -> Replica {
         let sim = SimBackend::new(SimConfig::seeded(seed));
-        let mut replica = Replica { batch_rows, concurrency, sim, db: None };
+        let mut replica = Replica { batch_rows, concurrency, sim, session: None };
         replica.open();
         replica
     }
@@ -76,16 +76,16 @@ impl Replica {
         let db = Database::open_at(&*self.sim, opts(self.batch_rows, self.concurrency))
             .unwrap_or_else(|e| panic!("batch {}: open failed: {e}", self.batch_rows));
         db.set_durability(Durability::Full);
-        self.db = Some(db);
+        self.session = Some(db.session());
     }
 
-    fn db(&self) -> &Arc<Database> {
-        self.db.as_ref().unwrap()
+    fn session(&self) -> &Session {
+        self.session.as_ref().unwrap()
     }
 
     /// Power loss: drop the handle, lose unsynced writes, recover.
     fn crash(&mut self) {
-        self.db = None;
+        self.session = None;
         self.sim.power_cycle();
         self.open();
     }
@@ -111,7 +111,7 @@ fn replay_script(path: &std::path::Path) {
             Directive::Statement { sql, expect_ok, error_contains, line } => {
                 let ctx = format!("{}:{line}", path.display());
                 for replica in &replicas {
-                    let handle = replica.db();
+                    let handle = replica.session();
                     let upper = sql.to_ascii_uppercase();
                     let result = match upper.as_str() {
                         "BEGIN" => handle.begin().map(|_| ()),
@@ -143,12 +143,12 @@ fn replay_script(path: &std::path::Path) {
             }
             Directive::Deadline { ms, .. } => {
                 for replica in &replicas {
-                    replica.db().set_statement_deadline_ms(ms);
+                    replica.session().set_statement_deadline_ms(ms);
                 }
             }
             Directive::MemLimit { bytes, .. } => {
                 for replica in &replicas {
-                    replica.db().set_statement_memory_limit(bytes);
+                    replica.session().set_statement_memory_limit(bytes);
                 }
             }
             Directive::Query { sql, line, .. } => {
@@ -156,7 +156,7 @@ fn replay_script(path: &std::path::Path) {
                 let answers: Vec<(Vec<String>, Vec<String>)> = replicas
                     .iter()
                     .map(|r| {
-                        let result = r.db().execute(&sql).unwrap_or_else(|e| {
+                        let result = r.session().execute(&sql).unwrap_or_else(|e| {
                             panic!("{ctx} [batch {}]: query failed: {e}", r.batch_rows)
                         });
                         (result.columns.clone(), format_rows(&result))
@@ -187,7 +187,7 @@ fn replay_script(path: &std::path::Path) {
 fn replay_session_script(path: &std::path::Path, directives: &[Directive], replicas: &[Replica]) {
     let mut sessions: Vec<(usize, &Arc<Database>, BTreeMap<String, Session>)> = replicas
         .iter()
-        .map(|r| (r.batch_rows, r.db(), BTreeMap::new()))
+        .map(|r| (r.batch_rows, r.session().database(), BTreeMap::new()))
         .collect();
     let mut current = "main".to_string();
     for directive in directives {
@@ -260,7 +260,7 @@ fn slt_scripts_agree_across_engines() {
 /// Mirrors the star workload in `cost_differential.rs`: a 600-row fact
 /// table, a 3-row and a 120-row dimension, indexes on `fact.val` and
 /// `dim_big.id`.
-fn load_star_workload(db: &Database) {
+fn load_star_workload(db: &Session) {
     db.execute("CREATE TABLE fact (id INT NOT NULL, d1 INT NOT NULL, d2 INT NOT NULL, val INT NOT NULL)")
         .unwrap();
     db.execute("CREATE TABLE dim_small (id INT NOT NULL, name TEXT NOT NULL)")
@@ -301,7 +301,7 @@ const STAR_QUERIES: &[&str] = &[
 ];
 
 /// Run `sql`; column headers and rows in exact order.
-fn rows_of(db: &Database, sql: &str) -> (Vec<String>, Vec<String>) {
+fn rows_of(db: &Session, sql: &str) -> (Vec<String>, Vec<String>) {
     let result = db
         .execute(sql)
         .unwrap_or_else(|e| panic!("`{sql}` failed: {e}"));
@@ -309,15 +309,17 @@ fn rows_of(db: &Database, sql: &str) -> (Vec<String>, Vec<String>) {
     (result.columns, rows)
 }
 
-/// One in-memory database per batch size, each prepared by `load`.
-fn databases(seed: u64, load: impl Fn(&Database)) -> Vec<(Arc<SimBackend>, Arc<Database>)> {
+/// One in-memory database per batch size, each prepared by `load`, and
+/// a session on it.
+fn databases(seed: u64, load: impl Fn(&Session)) -> Vec<(Arc<SimBackend>, Session)> {
     BATCH_SIZES
         .iter()
         .map(|&b| {
             let sim = SimBackend::new(SimConfig::seeded(seed));
             let db = Database::open_at(&*sim, opts(b, ConcurrencyControl::default())).unwrap();
-            load(&db);
-            (sim, db)
+            let session = db.session();
+            load(&session);
+            (sim, session)
         })
         .collect()
 }
@@ -371,7 +373,7 @@ fn comparison_op() -> impl Strategy<Value = &'static str> {
     ]
 }
 
-fn insert_rows(db: &Database, table: &str, rows: &[String]) {
+fn insert_rows(db: &Session, table: &str, rows: &[String]) {
     if rows.is_empty() {
         return;
     }
@@ -434,9 +436,9 @@ proptest! {
             // The nested-loop join emits its matches in another order;
             // as a multiset the answer must not change.
             let db = &dbs[0].1;
-            db.force_join_algorithm(Some(JoinAlgorithm::NestedLoop));
+            db.database().force_join_algorithm(Some(JoinAlgorithm::NestedLoop));
             let (columns, mut nl) = rows_of(db, sql);
-            db.force_join_algorithm(None);
+            db.database().force_join_algorithm(None);
             let (ref_columns, mut want) = reference;
             nl.sort();
             want.sort();
@@ -448,8 +450,9 @@ proptest! {
 /// `t(k, v, pad)`: 400 rows, ~13 to a page, every 17th with a pad
 /// longer than a page (an overflow record); then every 5th row and a
 /// run of whole pages deleted.
-fn load_scan_table(db: &Database) {
-    db.execute("CREATE TABLE t (k INT NOT NULL, v INT NOT NULL, pad TEXT NOT NULL)")
+fn load_scan_table(db: &Arc<Database>) {
+    let s = db.session();
+    s.execute("CREATE TABLE t (k INT NOT NULL, v INT NOT NULL, pad TEXT NOT NULL)")
         .unwrap();
     for chunk in (0..400i64).collect::<Vec<_>>().chunks(50) {
         let vals: Vec<String> = chunk
@@ -459,10 +462,10 @@ fn load_scan_table(db: &Database) {
                 format!("({k}, {}, '{k}-{}')", k * 10, "x".repeat(len))
             })
             .collect();
-        db.execute(&format!("INSERT INTO t VALUES {}", vals.join(", ")))
+        s.execute(&format!("INSERT INTO t VALUES {}", vals.join(", ")))
             .unwrap();
     }
-    db.execute("DELETE FROM t WHERE k % 5 = 0 OR (k >= 100 AND k < 160)")
+    s.execute("DELETE FROM t WHERE k % 5 = 0 OR (k >= 100 AND k < 160)")
         .unwrap();
     let t = db.table("t").unwrap();
     let buffer = t.heap().buffer().clone();
@@ -489,7 +492,21 @@ fn heap_rows(db: &Database) -> Vec<(Rid, Tuple)> {
     db.table("t").unwrap().scan().unwrap()
 }
 
-/// A `TableScan` of `t` through the engine at `batch_rows`.
+/// A database at `batch_rows` rows per batch on a fresh seeded device,
+/// loaded by [`load_scan_table`].
+fn scan_db(
+    seed: u64,
+    batch_rows: usize,
+    cc: ConcurrencyControl,
+) -> (Arc<SimBackend>, Arc<Database>) {
+    let sim = SimBackend::new(SimConfig::seeded(seed));
+    let db = Database::open_at(&*sim, opts(batch_rows, cc)).unwrap();
+    load_scan_table(&db);
+    (sim, db)
+}
+
+/// A `TableScan` of `t` through the engine at `batch_rows`, on a
+/// session with no transaction.
 fn scan_stream(db: &Database, batch_rows: usize) -> BatchStream {
     let engine = VectorEngine {
         batch_rows,
@@ -517,9 +534,14 @@ fn encoded<'a>(rows: impl IntoIterator<Item = &'a Tuple>) -> Vec<Vec<u8>> {
     rows.into_iter().map(|row| encode_tuple(row)).collect()
 }
 
+/// Every row of `t` a session's SELECT sees, encoded, in scan order.
+fn session_scan(s: &Session) -> Vec<Vec<u8>> {
+    encoded(&s.execute("SELECT * FROM t").unwrap().rows)
+}
+
 /// Queries whose scans decode only some columns of `t` (the rest are
 /// left NULL) must answer as `rows` — what the scan reader sees — does.
-fn check_pruned_scans(db: &Database, rows: &[Tuple], ctx: &str) {
+fn check_pruned_scans(db: &Session, rows: &[Tuple], ctx: &str) {
     let int = |d: &Datum| match d {
         Datum::Int(i) => *i,
         other => panic!("not an int: {other:?}"),
@@ -616,52 +638,42 @@ fn concurrent_commit(db: &Arc<Database>, round: i64) {
 #[test]
 fn columnar_scan_equals_table_scan() {
     for cc in [ConcurrencyControl::SingleWriter, ConcurrencyControl::Mvcc] {
-        let sim = SimBackend::new(SimConfig::seeded(0x5ca2));
-        let db = Database::open_at(&*sim, opts(BATCH_ROWS_DB, cc)).unwrap();
-        load_scan_table(&db);
-
         // Autocommit: the committed heap, byte for byte.
+        let (_sim, db) = scan_db(0x5ca2, BATCH_ROWS_DB, cc);
         let committed: Vec<Tuple> = heap_rows(&db).into_iter().map(|(_, row)| row).collect();
         let want = encoded(&committed);
         for b in BATCH_SIZES {
             assert_eq!(drain_scan(scan_stream(&db, b), b), want, "{cc} autocommit, batch {b}");
         }
-        check_pruned_scans(&db, &committed, &format!("{cc} autocommit"));
+        check_pruned_scans(&db.session(), &committed, &format!("{cc} autocommit"));
 
-        // Inside a transaction with own inserts, updates and deletes.
-        let before = heap_rows(&db);
-        db.begin().unwrap();
-        for sql in OWN_WRITES {
-            db.execute(sql).unwrap();
-        }
-        // Buffered in both modes: the heap is untouched, own images
-        // replace their rows in place, own inserts come last.
-        assert_eq!(
-            heap_rows(&db),
-            before,
-            "{cc}: own writes stay out of the heap"
-        );
-        let mut seen: Vec<Tuple> = before.iter().filter_map(|(_, row)| own_view(row)).collect();
-        seen.extend(own_inserts());
-        let want = encoded(&seen);
+        // Inside a transaction with own inserts, updates and deletes: a
+        // transaction lives in a session, so each batch size gets a
+        // database of its own.
         for b in BATCH_SIZES {
-            assert_eq!(drain_scan(scan_stream(&db, b), b), want, "{cc} in a transaction, batch {b}");
+            let (_sim, db) = scan_db(0x5ca2, b, cc);
+            let s = db.session();
+            let before = heap_rows(&db);
+            s.begin().unwrap();
+            for sql in OWN_WRITES {
+                s.execute(sql).unwrap();
+            }
+            // Buffered in both modes: the heap is untouched, own images
+            // replace their rows in place, own inserts come last.
+            assert_eq!(heap_rows(&db), before, "{cc}: own writes stay out of the heap");
+            let mut seen: Vec<Tuple> = before.iter().filter_map(|(_, row)| own_view(row)).collect();
+            seen.extend(own_inserts());
+            assert_eq!(session_scan(&s), encoded(&seen), "{cc} in a transaction, batch {b}");
+            check_pruned_scans(&s, &seen, &format!("{cc} in a transaction, batch {b}"));
+            s.rollback().unwrap();
+            assert_eq!(heap_rows(&db), before, "{cc}: rollback leaves the heap as it was");
         }
-        check_pruned_scans(&db, &seen, &format!("{cc} in a transaction"));
-        db.rollback().unwrap();
-        assert_eq!(
-            heap_rows(&db),
-            before,
-            "{cc}: rollback leaves the heap as it was"
-        );
     }
 }
 
 #[test]
 fn mvcc_scan_serves_rows_only_the_chains_hold() {
-    let sim = SimBackend::new(SimConfig::seeded(0xc4a1));
-    let db = Database::open_at(&*sim, opts(BATCH_ROWS_DB, ConcurrencyControl::Mvcc)).unwrap();
-    load_scan_table(&db);
+    let (_sim, db) = scan_db(0xc4a1, BATCH_ROWS_DB, ConcurrencyControl::Mvcc);
 
     // Autocommit: the stream pins its snapshot when built; a commit
     // lands before the first batch is pulled.
@@ -674,25 +686,29 @@ fn mvcc_scan_serves_rows_only_the_chains_hold() {
         let want = encoded(&snapshot_rows(&before, &after, |row| Some(row.clone())));
         assert_eq!(drain_scan(stream, b), want, "autocommit, batch {b}");
     }
-
-    // Inside a transaction with own writes, after a concurrent commit.
-    let before = heap_rows(&db);
-    db.begin().unwrap();
-    for sql in OWN_WRITES {
-        db.execute(sql).unwrap();
-    }
-    concurrent_commit(&db, 7);
-    let after = heap_rows(&db);
-    let mut rows = snapshot_rows(&before, &after, own_view);
-    rows.extend(own_inserts());
-    let want = encoded(&rows);
-    for b in BATCH_SIZES {
-        assert_eq!(drain_scan(scan_stream(&db, b), b), want, "in a transaction, batch {b}");
-    }
-    check_pruned_scans(&db, &rows, "in a transaction beside a later commit");
-    db.rollback().unwrap();
     let stats = db.mvcc().unwrap().stats();
     assert_eq!(stats.snapshots_active, 0, "every scan released its snapshot");
+
+    // Inside a transaction with own writes, after a concurrent commit,
+    // on a database per batch size.
+    for b in BATCH_SIZES {
+        let (_sim, db) = scan_db(0xc4a1, b, ConcurrencyControl::Mvcc);
+        let s = db.session();
+        let before = heap_rows(&db);
+        s.begin().unwrap();
+        for sql in OWN_WRITES {
+            s.execute(sql).unwrap();
+        }
+        concurrent_commit(&db, 7);
+        let after = heap_rows(&db);
+        let mut rows = snapshot_rows(&before, &after, own_view);
+        rows.extend(own_inserts());
+        assert_eq!(session_scan(&s), encoded(&rows), "in a transaction, batch {b}");
+        check_pruned_scans(&s, &rows, &format!("in a transaction beside a later commit, batch {b}"));
+        s.rollback().unwrap();
+        let stats = db.mvcc().unwrap().stats();
+        assert_eq!(stats.snapshots_active, 0, "batch {b}: every scan released its snapshot");
+    }
 }
 
 /// The database's own batch size; the scans above pick theirs per call.

@@ -8,6 +8,7 @@ use std::time::Duration;
 
 use sbdms_access::record::Datum;
 use sbdms_data::executor::{Database, DbOptions};
+use sbdms_data::Session;
 use sbdms_kernel::error::ServiceError;
 use sbdms_kernel::events::{Event, EventBus};
 use sbdms_kernel::governor::{CancelToken, GovernorConfig};
@@ -25,20 +26,20 @@ fn db_opts(name: &str, opts: DbOptions) -> std::sync::Arc<Database> {
     Database::open_opts(&dir, opts).unwrap()
 }
 
-fn seed(db: &Database, rows: i64) {
-    db.execute("CREATE TABLE t (id INT NOT NULL, grp INT NOT NULL, label TEXT NOT NULL)")
+fn seed(s: &Session, rows: i64) {
+    s.execute("CREATE TABLE t (id INT NOT NULL, grp INT NOT NULL, label TEXT NOT NULL)")
         .unwrap();
     let mut batch = Vec::new();
     for i in 0..rows {
         batch.push(format!("({i}, {}, 'row-{i}')", i % 7));
         if batch.len() == 200 {
-            db.execute(&format!("INSERT INTO t VALUES {}", batch.join(", ")))
+            s.execute(&format!("INSERT INTO t VALUES {}", batch.join(", ")))
                 .unwrap();
             batch.clear();
         }
     }
     if !batch.is_empty() {
-        db.execute(&format!("INSERT INTO t VALUES {}", batch.join(", ")))
+        s.execute(&format!("INSERT INTO t VALUES {}", batch.join(", ")))
             .unwrap();
     }
 }
@@ -73,19 +74,20 @@ const BATCH_ENDS: [usize; 2] = [1, 1024];
 fn deadline_expired_query_aborts_midscan_on_both_engines() {
     for batch in BATCH_ENDS {
         let db = db_batch("deadline-engines", batch);
-        seed(&db, 800);
+        let s = db.session();
+        seed(&s, 800);
         // An already-expired deadline: the first cooperative check (one
         // page into the scan) aborts the statement.
-        db.set_statement_deadline_ms(Some(0));
+        s.set_statement_deadline_ms(Some(0));
         std::thread::sleep(Duration::from_millis(2));
-        let err = db.execute("SELECT * FROM t").unwrap_err();
+        let err = s.execute("SELECT * FROM t").unwrap_err();
         assert_eq!(err.code(), "cancelled", "batch {batch}: {err}");
         assert!(err.to_string().contains("deadline"), "batch {batch}: {err}");
         assert!(!err.is_recoverable(), "cancellation must not invite retry");
         // The session survives: clearing the deadline, the same
         // statement runs to completion.
-        db.set_statement_deadline_ms(None);
-        let rows = db.execute("SELECT * FROM t").unwrap().rows;
+        s.set_statement_deadline_ms(None);
+        let rows = s.execute("SELECT * FROM t").unwrap().rows;
         assert_eq!(rows.len(), 800, "batch {batch}");
     }
 }
@@ -93,44 +95,46 @@ fn deadline_expired_query_aborts_midscan_on_both_engines() {
 #[test]
 fn cancel_mid_transaction_rolls_back_like_a_crash() {
     let db = db("cancel-txn");
-    seed(&db, 400);
-    db.execute("CREATE TABLE audit (id INT NOT NULL)").unwrap();
+    let s = db.session();
+    seed(&s, 400);
+    s.execute("CREATE TABLE audit (id INT NOT NULL)").unwrap();
 
-    db.begin().unwrap();
-    db.execute("INSERT INTO audit VALUES (1)").unwrap();
+    s.begin().unwrap();
+    s.execute("INSERT INTO audit VALUES (1)").unwrap();
     // Arm a token that fires during the next statement's scan.
     let token = CancelToken::new();
     token.cancel_after_checks(2);
-    db.set_session_cancel_token(Some(token));
-    let err = db.execute("SELECT * FROM t ORDER BY label").unwrap_err();
+    s.set_cancel_token(Some(token));
+    let err = s.execute("SELECT * FROM t ORDER BY label").unwrap_err();
     assert_eq!(err.code(), "cancelled");
-    db.set_session_cancel_token(None);
+    s.set_cancel_token(None);
 
     // The open transaction was rolled back by the cancellation: the
     // uncommitted insert is gone and the session has no open txn.
-    assert!(db.commit().is_err(), "txn must already be closed");
-    let rows = db.execute("SELECT * FROM audit").unwrap().rows;
+    assert!(s.commit().is_err(), "txn must already be closed");
+    let rows = s.execute("SELECT * FROM audit").unwrap().rows;
     assert!(rows.is_empty(), "uncommitted insert must be undone");
     // Committed data is intact and the session still works.
-    assert_eq!(db.execute("SELECT * FROM t").unwrap().rows.len(), 400);
+    assert_eq!(s.execute("SELECT * FROM t").unwrap().rows.len(), 400);
 }
 
 #[test]
 fn deadline_abort_on_sim_backend_preserves_invariants() {
     let sim = SimBackend::new(SimConfig::seeded(0x60f));
     let db = Database::open_at(&*sim, DbOptions::default()).unwrap();
-    seed(&db, 300);
-    db.begin().unwrap();
-    db.execute("INSERT INTO t VALUES (9999, 0, 'phantom')").unwrap();
+    let s = db.session();
+    seed(&s, 300);
+    s.begin().unwrap();
+    s.execute("INSERT INTO t VALUES (9999, 0, 'phantom')").unwrap();
     let token = CancelToken::new();
     token.cancel_after_checks(1);
-    db.set_session_cancel_token(Some(token));
-    let err = db.execute("SELECT * FROM t").unwrap_err();
+    s.set_cancel_token(Some(token));
+    let err = s.execute("SELECT * FROM t").unwrap_err();
     assert_eq!(err.code(), "cancelled");
-    db.set_session_cancel_token(None);
+    s.set_cancel_token(None);
     // Same invariants as a crash, without a reopen: committed rows
     // visible, the uncommitted insert absent.
-    let rows = db.execute("SELECT * FROM t").unwrap().rows;
+    let rows = s.execute("SELECT * FROM t").unwrap().rows;
     assert_eq!(rows.len(), 300);
     assert!(rows.iter().all(|r| r[0] != Datum::Int(9999)));
 }
@@ -144,17 +148,18 @@ fn overload_sheds_with_typed_error_and_session_survives() {
             ..DbOptions::default()
         },
     );
-    seed(&db, 50);
+    let s = db.session();
+    seed(&s, 50);
     // Pin the only slot: with queue depth 0 the next statement sheds
     // immediately with the typed, retryable Overloaded error.
     let blocker = db.governor().admit(false).unwrap();
-    let err = db.execute("SELECT * FROM t").unwrap_err();
+    let err = s.execute("SELECT * FROM t").unwrap_err();
     assert!(matches!(err, ServiceError::Overloaded { .. }), "{err}");
     assert_eq!(err.code(), "overloaded");
     assert!(err.is_recoverable(), "shed load invites retry with backoff");
     drop(blocker);
     // Slot freed: the same session executes normally.
-    assert_eq!(db.execute("SELECT * FROM t").unwrap().rows.len(), 50);
+    assert_eq!(s.execute("SELECT * FROM t").unwrap().rows.len(), 50);
     let snap = db.governor().snapshot();
     assert_eq!(snap.shed, 1);
     assert!(snap.admitted >= 1);
@@ -169,25 +174,26 @@ fn degraded_admission_clamps_sort_budget_and_announces_itself() {
             ..DbOptions::default()
         },
     );
+    let s = db.session();
     let decision = format!(
         "degraded: overload (sort budget {})",
         db.governor().config().degraded_sort_budget
     );
-    seed(&db, 50);
+    seed(&s, 50);
     let bus = EventBus::new();
     let events = bus.subscribe();
     db.set_event_bus(bus);
-    db.set_allow_degraded(true);
+    s.set_allow_degraded(true);
 
     // Saturate the governor, then run under the degraded contract.
     let blocker = db.governor().admit(false).unwrap();
-    let explain = db.execute("EXPLAIN SELECT grp FROM t ORDER BY grp").unwrap();
+    let explain = s.execute("EXPLAIN SELECT grp FROM t ORDER BY grp").unwrap();
     let plan_text: Vec<String> = explain.rows.iter().map(|r| r[0].to_string()).collect();
     assert!(
         plan_text.iter().any(|l| l == &format!("-- {decision}")),
         "EXPLAIN must show the degradation decision: {plan_text:?}"
     );
-    let rows = db
+    let rows = s
         .execute("SELECT grp FROM t ORDER BY grp")
         .unwrap()
         .rows;
@@ -216,8 +222,8 @@ fn degraded_admission_clamps_sort_budget_and_announces_itself() {
     assert!(saw_governor, "governor.degraded event must fire");
 
     // Off the overload, statements run undegraded again.
-    db.set_allow_degraded(false);
-    let explain = db.execute("EXPLAIN SELECT grp FROM t").unwrap();
+    s.set_allow_degraded(false);
+    let explain = s.execute("EXPLAIN SELECT grp FROM t").unwrap();
     assert!(!explain
         .rows
         .iter()
@@ -227,19 +233,20 @@ fn degraded_admission_clamps_sort_budget_and_announces_itself() {
 #[test]
 fn statement_memory_limit_fails_recoverably_and_clears() {
     let db = db("memlimit");
-    seed(&db, 300);
-    db.set_statement_memory_limit(Some(64));
-    let err = db.execute("SELECT DISTINCT label FROM t").unwrap_err();
+    let s = db.session();
+    seed(&s, 300);
+    s.set_statement_memory_limit(Some(64));
+    let err = s.execute("SELECT DISTINCT label FROM t").unwrap_err();
     assert_eq!(err.code(), "resources", "{err}");
     assert!(err.is_recoverable());
     // Sort spills instead of failing under the same limit.
-    let rows = db
+    let rows = s
         .execute("SELECT label FROM t ORDER BY label")
         .unwrap()
         .rows;
     assert_eq!(rows.len(), 300);
-    db.set_statement_memory_limit(None);
-    let rows = db.execute("SELECT DISTINCT label FROM t").unwrap().rows;
+    s.set_statement_memory_limit(None);
+    let rows = s.execute("SELECT DISTINCT label FROM t").unwrap().rows;
     assert_eq!(rows.len(), 300);
 }
 
@@ -248,25 +255,26 @@ fn memory_limited_hash_join_fails_recoverably_on_both_engines() {
     let join = "SELECT t.id, g.name FROM t JOIN g ON t.grp = g.grp";
     for batch in BATCH_ENDS {
         let db = db_batch("memlimit-join", batch);
-        seed(&db, 400);
-        db.execute("CREATE TABLE g (grp INT NOT NULL, name TEXT NOT NULL)")
+        let s = db.session();
+        seed(&s, 400);
+        s.execute("CREATE TABLE g (grp INT NOT NULL, name TEXT NOT NULL)")
             .unwrap();
         let vals: Vec<String> = (0..7).map(|g| format!("({g}, 'g{g}')")).collect();
-        db.execute(&format!("INSERT INTO g VALUES {}", vals.join(", ")))
+        s.execute(&format!("INSERT INTO g VALUES {}", vals.join(", ")))
             .unwrap();
         // The build side cannot fit in 64 bytes: the hash build is
         // charged the same at every batch size (valid-key rows only),
         // so both fail with the typed, recoverable resource error.
-        db.set_statement_memory_limit(Some(64));
-        let err = db.execute(join).unwrap_err();
+        s.set_statement_memory_limit(Some(64));
+        let err = s.execute(join).unwrap_err();
         assert_eq!(err.code(), "resources", "batch {batch}: {err}");
         assert!(
             err.is_recoverable(),
             "batch {batch}: memory limits invite retry"
         );
         // Clearing the limit, the same session joins normally.
-        db.set_statement_memory_limit(None);
-        let rows = db.execute(join).unwrap().rows;
+        s.set_statement_memory_limit(None);
+        let rows = s.execute(join).unwrap().rows;
         assert_eq!(rows.len(), 400, "batch {batch}");
         let snap = db.governor().snapshot();
         assert_eq!(snap.mem_used, 0, "batch {batch}: join memory released");
@@ -286,7 +294,8 @@ fn conflict_abort_releases_governor_tickets_and_memory() {
             ..DbOptions::default()
         },
     );
-    seed(&db, 50);
+    let s = db.session();
+    seed(&s, 50);
     let a = db.session();
     let b = db.session();
     a.begin().unwrap();
@@ -305,7 +314,7 @@ fn conflict_abort_releases_governor_tickets_and_memory() {
     b.rollback().unwrap();
     a.commit().unwrap();
     b.execute("UPDATE t SET grp = 200 WHERE id = 1").unwrap();
-    let rows = db.execute("SELECT grp FROM t WHERE id = 1").unwrap().rows;
+    let rows = s.execute("SELECT grp FROM t WHERE id = 1").unwrap().rows;
     assert_eq!(rows, vec![vec![Datum::Int(200)]]);
     let snap = db.governor().snapshot();
     assert_eq!(snap.in_flight, 0);
@@ -324,7 +333,8 @@ fn single_writer_busy_rejection_releases_governor_state() {
             ..DbOptions::default()
         },
     );
-    seed(&db, 20);
+    let s = db.session();
+    seed(&s, 20);
     let a = db.session();
     let b = db.session();
     a.begin().unwrap();
@@ -347,9 +357,10 @@ fn governor_counters_track_admissions() {
             ..DbOptions::default()
         },
     );
-    seed(&db, 20);
+    let s = db.session();
+    seed(&s, 20);
     for _ in 0..5 {
-        db.execute("SELECT * FROM t").unwrap();
+        s.execute("SELECT * FROM t").unwrap();
     }
     let snap = db.governor().snapshot();
     assert!(snap.enabled);

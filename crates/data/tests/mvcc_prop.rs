@@ -84,15 +84,16 @@ fn open_single(seed: u64) -> Arc<Database> {
     Database::open_at(&*sim, DbOptions::default()).unwrap()
 }
 
-fn seed_table(db: &Database) {
-    db.execute("CREATE TABLE kv (k INT NOT NULL, v INT NOT NULL)").unwrap();
+fn seed_table(db: &Arc<Database>) {
+    let s = db.session();
+    s.execute("CREATE TABLE kv (k INT NOT NULL, v INT NOT NULL)").unwrap();
     let vals: Vec<String> = (0..SHARED_KEYS).map(|k| format!("({k}, {})", k * 10)).collect();
-    db.execute(&format!("INSERT INTO kv VALUES {}", vals.join(", "))).unwrap();
+    s.execute(&format!("INSERT INTO kv VALUES {}", vals.join(", "))).unwrap();
 }
 
 /// Full table contents as a sorted multiset of `k v` lines.
-fn table_state(db: &Database) -> Vec<String> {
-    let result = db.execute("SELECT k, v FROM kv").unwrap();
+fn table_state(db: &Arc<Database>) -> Vec<String> {
+    let result = db.session().execute("SELECT k, v FROM kv").unwrap();
     let mut rows: Vec<String> = result
         .rows
         .iter()
@@ -206,12 +207,13 @@ proptest! {
 
         let oracle = open_single(0x5e41a1 ^ seed);
         seed_table(&oracle);
+        let serial = oracle.session();
         for &i in &commit_order {
-            oracle.begin().unwrap();
+            serial.begin().unwrap();
             for op in &programs[i] {
-                oracle.execute(&op.sql(i)).unwrap();
+                serial.execute(&op.sql(i)).unwrap();
             }
-            oracle.commit().unwrap();
+            serial.commit().unwrap();
         }
         prop_assert_eq!(table_state(&db), table_state(&oracle));
     }
@@ -229,6 +231,7 @@ proptest! {
         let db = open_mvcc(0x6c1e ^ seed);
         seed_table(&db);
         let readers: Vec<Session> = (0..3).map(|_| db.session()).collect();
+        let writer = db.session();
         let mut open = [false; 3];
         for (i, &(r, action, k)) in steps.iter().enumerate() {
             match action {
@@ -244,7 +247,7 @@ proptest! {
                     open[r] = false;
                 }
                 _ => {
-                    db.execute(&format!("UPDATE kv SET v = v + 1 WHERE k = {k}")).unwrap();
+                    writer.execute(&format!("UPDATE kv SET v = v + 1 WHERE k = {k}")).unwrap();
                 }
             }
             assert_version_count(&db, &format!("step {i}"));

@@ -12,6 +12,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use sbdms_access::record::Datum;
 use sbdms_data::executor::{Database, DbOptions};
+use sbdms_data::Session;
 use sbdms_data::txn::{Durability, KIND_COMMIT};
 use sbdms_storage::{SimBackend, SimConfig};
 
@@ -30,23 +31,23 @@ fn arb_op() -> impl Strategy<Value = Op> {
     ]
 }
 
-fn apply(db: &Database, op: &Op) {
+fn apply(s: &Session, op: &Op) {
     match op {
         Op::Insert(k, v) => {
-            db.execute(&format!("INSERT INTO kv VALUES ({k}, '{v}')")).unwrap();
+            s.execute(&format!("INSERT INTO kv VALUES ({k}, '{v}')")).unwrap();
         }
         Op::UpdateAll(delta) => {
-            db.execute(&format!("UPDATE kv SET k = k + {delta} WHERE k < 100"))
+            s.execute(&format!("UPDATE kv SET k = k + {delta} WHERE k < 100"))
                 .unwrap();
         }
         Op::DeleteBelow(bound) => {
-            db.execute(&format!("DELETE FROM kv WHERE k < {bound}")).unwrap();
+            s.execute(&format!("DELETE FROM kv WHERE k < {bound}")).unwrap();
         }
     }
 }
 
-fn state(db: &Database) -> Vec<(i64, String)> {
-    db.execute("SELECT k, v FROM kv ORDER BY k, v")
+fn state(s: &Session) -> Vec<(i64, String)> {
+    s.execute("SELECT k, v FROM kv ORDER BY k, v")
         .unwrap()
         .rows
         .into_iter()
@@ -76,21 +77,22 @@ proptest! {
 
         let committed_state = {
             let db = Database::open(&dir).unwrap();
+            let s = db.session();
             db.set_durability(Durability::Full);
-            db.execute("CREATE TABLE kv (k INT NOT NULL, v TEXT NOT NULL)").unwrap();
+            s.execute("CREATE TABLE kv (k INT NOT NULL, v TEXT NOT NULL)").unwrap();
             // Committed workload: each op inside its own committed txn.
             for op in &committed_ops {
-                db.begin().unwrap();
-                apply(&db, op);
-                db.commit().unwrap();
+                s.begin().unwrap();
+                apply(&s, op);
+                s.commit().unwrap();
             }
-            let snapshot = state(&db);
+            let snapshot = state(&s);
 
             // Uncommitted tail in one open transaction; flush everything
             // (steal) and crash.
-            db.begin().unwrap();
+            s.begin().unwrap();
             for op in &uncommitted_ops {
-                apply(&db, op);
+                apply(&s, op);
             }
             db.storage().buffer.flush_all().unwrap();
             db.storage().wal.sync().unwrap();
@@ -99,10 +101,11 @@ proptest! {
         };
 
         let db = Database::open(&dir).unwrap();
-        prop_assert_eq!(state(&db), committed_state);
+        let s = db.session();
+        prop_assert_eq!(state(&s), committed_state);
         // The recovered database is fully usable.
-        db.execute("INSERT INTO kv VALUES (9999, 'after')").unwrap();
-        prop_assert!(state(&db).iter().any(|(k, _)| *k == 9999));
+        s.execute("INSERT INTO kv VALUES (9999, 'after')").unwrap();
+        prop_assert!(state(&s).iter().any(|(k, _)| *k == 9999));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
@@ -140,13 +143,13 @@ enum Outcome {
 /// `next_v` keeps every row image globally unique so recovery's image
 /// matching is exact.
 fn run_workload(
-    db: &Database,
+    s: &Session,
     txns: &[(Vec<TxStep>, bool)],
     oracle: &mut BTreeMap<i64, i64>,
     next_v: &mut i64,
 ) -> Outcome {
     for (steps, commit) in txns {
-        let txn_id = match db.begin() {
+        let txn_id = match s.begin() {
             Ok(id) => id,
             Err(_) => return Outcome::Crashed { in_flight: None },
         };
@@ -170,25 +173,25 @@ fn run_workload(
                     format!("DELETE FROM kv WHERE k = {k}")
                 }
             };
-            if db.execute(&sql).is_err() {
+            if s.execute(&sql).is_err() {
                 return Outcome::Crashed { in_flight: None };
             }
         }
         if *commit {
-            match db.commit() {
+            match s.commit() {
                 Ok(()) => *oracle = staged,
                 Err(_) => return Outcome::Crashed { in_flight: Some((txn_id, staged)) },
             }
-        } else if db.rollback().is_err() {
+        } else if s.rollback().is_err() {
             return Outcome::Crashed { in_flight: None };
         }
     }
     Outcome::Completed
 }
 
-fn sim_state(db: &Database) -> BTreeMap<i64, i64> {
+fn sim_state(s: &Session) -> BTreeMap<i64, i64> {
     let mut out = BTreeMap::new();
-    for row in db.execute("SELECT k, v FROM kv ORDER BY k").unwrap().rows {
+    for row in s.execute("SELECT k, v FROM kv ORDER BY k").unwrap().rows {
         let (Datum::Int(k), Datum::Int(v)) = (&row[0], &row[1]) else {
             panic!("unexpected row shape: {row:?}");
         };
@@ -230,13 +233,14 @@ proptest! {
         let span;
         {
             let db = sim_open(&sim);
-            db.execute("CREATE TABLE kv (k INT NOT NULL, v INT NOT NULL)").unwrap();
+            let s = db.session();
+            s.execute("CREATE TABLE kv (k INT NOT NULL, v INT NOT NULL)").unwrap();
             db.checkpoint().unwrap();
             base = sim.io_events();
             let mut oracle = BTreeMap::new();
             let mut next_v = 0;
             prop_assert!(matches!(
-                run_workload(&db, &txns, &mut oracle, &mut next_v),
+                run_workload(&s, &txns, &mut oracle, &mut next_v),
                 Outcome::Completed
             ));
             span = sim.io_events() - base;
@@ -250,18 +254,19 @@ proptest! {
         // I/O up to the crash point, then the lights go out.
         let sim: Arc<SimBackend> = SimBackend::new(SimConfig::seeded(seed));
         let db = sim_open(&sim);
-        db.execute("CREATE TABLE kv (k INT NOT NULL, v INT NOT NULL)").unwrap();
+        let s = db.session();
+        s.execute("CREATE TABLE kv (k INT NOT NULL, v INT NOT NULL)").unwrap();
         db.checkpoint().unwrap();
         prop_assert_eq!(sim.io_events(), base);
         sim.crash_after_events(base + point - 1);
         let mut oracle = BTreeMap::new();
         let mut next_v = 0;
-        let outcome = run_workload(&db, &txns, &mut oracle, &mut next_v);
+        let outcome = run_workload(&s, &txns, &mut oracle, &mut next_v);
         let Outcome::Crashed { in_flight } = outcome else {
             panic!("seed={seed:#x} point={point}: workload outran its own event count");
         };
         prop_assert!(sim.halted());
-        drop(db);
+        drop((s, db));
         sim.power_cycle();
 
         // If the crash hit commit() itself, the durable WAL decides
@@ -272,14 +277,15 @@ proptest! {
         };
 
         let db = sim_open(&sim);
-        prop_assert_eq!(sim_state(&db), expected.clone());
+        let s = db.session();
+        prop_assert_eq!(sim_state(&s), expected.clone());
         // The WAL tail was cleanly truncated by recovery.
         prop_assert!(db.storage().wal.records().unwrap().is_empty());
         // The recovered database is fully usable.
-        db.begin().unwrap();
-        db.execute("INSERT INTO kv VALUES (9999, -1)").unwrap();
-        db.commit().unwrap();
-        prop_assert_eq!(sim_state(&db).get(&9999), Some(&-1));
+        s.begin().unwrap();
+        s.execute("INSERT INTO kv VALUES (9999, -1)").unwrap();
+        s.commit().unwrap();
+        prop_assert_eq!(sim_state(&s).get(&9999), Some(&-1));
         }
     }
 }
@@ -294,29 +300,118 @@ fn double_crash_recovery_is_stable() {
     let _ = std::fs::remove_dir_all(&dir);
     {
         let db = Database::open(&dir).unwrap();
+        let s = db.session();
         db.set_durability(Durability::Full);
-        db.execute("CREATE TABLE kv (k INT NOT NULL, v TEXT NOT NULL)").unwrap();
-        db.begin().unwrap();
-        db.execute("INSERT INTO kv VALUES (1, 'committed')").unwrap();
-        db.commit().unwrap();
-        db.begin().unwrap();
-        db.execute("INSERT INTO kv VALUES (2, 'lost-1')").unwrap();
+        s.execute("CREATE TABLE kv (k INT NOT NULL, v TEXT NOT NULL)").unwrap();
+        s.begin().unwrap();
+        s.execute("INSERT INTO kv VALUES (1, 'committed')").unwrap();
+        s.commit().unwrap();
+        s.begin().unwrap();
+        s.execute("INSERT INTO kv VALUES (2, 'lost-1')").unwrap();
         db.storage().buffer.flush_all().unwrap();
         db.storage().wal.sync().unwrap();
     }
     {
         let db = Database::open(&dir).unwrap();
+        let s = db.session();
         db.set_durability(Durability::Full);
-        assert_eq!(state(&db).len(), 1);
-        db.begin().unwrap();
-        db.execute("DELETE FROM kv").unwrap();
-        db.execute("INSERT INTO kv VALUES (3, 'lost-2')").unwrap();
+        assert_eq!(state(&s).len(), 1);
+        s.begin().unwrap();
+        s.execute("DELETE FROM kv").unwrap();
+        s.execute("INSERT INTO kv VALUES (3, 'lost-2')").unwrap();
         db.storage().buffer.flush_all().unwrap();
         db.storage().wal.sync().unwrap();
     }
     let db = Database::open(&dir).unwrap();
-    let final_state = state(&db);
+    let s = db.session();
+    let final_state = state(&s);
     assert_eq!(final_state.len(), 1);
     assert_eq!(final_state[0].0, 1);
     assert_eq!(final_state[0].1, "committed");
+}
+
+/// A checkpoint never runs inside another session's commit apply. The
+/// apply writes each row to the heap before logging its undo; a
+/// checkpoint in between would make the half-applied pages durable and
+/// truncate the undo already logged, so a power loss before the commit
+/// record left a partial transaction recovery cannot see. Here one
+/// multi-thousand-row MVCC transaction commits while a checkpoint loop
+/// runs, the power fails at a point inside the commit, and the reopened
+/// table must hold all of the transaction or none of it.
+#[test]
+fn checkpoint_beside_a_commit_keeps_it_all_or_nothing() {
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    const ROWS: i64 = 2_000;
+    const ROUNDS: u64 = 8;
+    let open = |sim: &SimBackend| {
+        let opts = DbOptions {
+            buffer_frames: 16,
+            concurrency: sbdms_data::ConcurrencyControl::Mvcc,
+            ..DbOptions::default()
+        };
+        let db = Database::open_at(sim, opts).expect("open on sim backend");
+        db.set_durability(Durability::Full);
+        db
+    };
+    // A fresh device with the table and an open transaction holding
+    // every row, buffered and not yet applied.
+    let prepare = |seed: u64| {
+        let sim = SimBackend::new(SimConfig::seeded(seed));
+        let db = open(&sim);
+        let s = db.session();
+        s.execute("CREATE TABLE kv (k INT NOT NULL, v INT NOT NULL)").unwrap();
+        db.checkpoint().unwrap();
+        s.begin().unwrap();
+        let keys: Vec<i64> = (0..ROWS).collect();
+        for chunk in keys.chunks(500) {
+            let rows: Vec<String> = chunk.iter().map(|k| format!("({k}, {k})")).collect();
+            s.execute(&format!("INSERT INTO kv VALUES {}", rows.join(", "))).unwrap();
+        }
+        (sim, db, s)
+    };
+    // Fault-free, without checkpoints: the commit's durability events.
+    let span = {
+        let (sim, _db, s) = prepare(0);
+        let base = sim.io_events();
+        s.commit().unwrap();
+        sim.io_events() - base
+    };
+    assert!(span > 20, "the commit must steal pages: {span} events");
+    let mut partial = Vec::new();
+    for round in 0..ROUNDS {
+        let (sim, db, s) = prepare(round);
+        let (checkpoints, done) = (AtomicU64::new(0), AtomicBool::new(false));
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                while !done.load(Ordering::SeqCst) {
+                    let _ = db.checkpoint();
+                    checkpoints.fetch_add(1, Ordering::SeqCst);
+                }
+            });
+            // Commit once the loop runs, so a checkpoint can start just
+            // before the apply does. The power fails in the second half
+            // of the commit's own durability events.
+            while checkpoints.load(Ordering::SeqCst) < 2 {
+                std::thread::yield_now();
+            }
+            let crash_at = span / 2 + round * span / (2 * ROUNDS);
+            sim.crash_after_events(sim.io_events() + crash_at);
+            let _ = s.commit();
+            done.store(true, Ordering::SeqCst);
+        });
+        drop((s, db));
+        sim.power_cycle();
+        let db = open(&sim);
+        let n = match db.session().execute("SELECT COUNT(*) FROM kv").unwrap().rows[0][0] {
+            Datum::Int(n) => n,
+            ref other => panic!("COUNT(*) returned {other:?}"),
+        };
+        if n != 0 && n != ROWS {
+            partial.push((round, n));
+        }
+    }
+    assert!(
+        partial.is_empty(),
+        "(round, rows) after a power loss beside checkpoints, of {ROWS}: {partial:?}"
+    );
 }

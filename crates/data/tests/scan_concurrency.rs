@@ -22,7 +22,7 @@ use sbdms_access::exec::batch::{Batch, BatchStream};
 use sbdms_access::exec::engine::VectorEngine;
 use sbdms_access::record::{encode_tuple, Datum, Tuple};
 use sbdms_data::executor::{Database, DbOptions};
-use sbdms_data::{ConcurrencyControl, Plan};
+use sbdms_data::{ConcurrencyControl, Plan, Session};
 use sbdms_kernel::error::ServiceError;
 use sbdms_kernel::governor::{CancelToken, ExecContext, QueryMemory};
 
@@ -47,18 +47,18 @@ fn open_mvcc(name: &str) -> Arc<Database> {
 
 /// `acct(k, v)`: `rows` accounts holding 100 each, spread over many
 /// heap pages by a pad column.
-fn load_accounts(db: &Database, rows: i64) {
-    db.execute("CREATE TABLE acct (k INT NOT NULL, v INT NOT NULL, pad TEXT NOT NULL)")
+fn load_accounts(s: &Session, rows: i64) {
+    s.execute("CREATE TABLE acct (k INT NOT NULL, v INT NOT NULL, pad TEXT NOT NULL)")
         .unwrap();
     for chunk in (0..rows).collect::<Vec<_>>().chunks(200) {
         let vals: Vec<String> = chunk
             .iter()
             .map(|k| format!("({k}, 100, '{}')", "p".repeat(60)))
             .collect();
-        db.execute(&format!("INSERT INTO acct VALUES {}", vals.join(", ")))
+        s.execute(&format!("INSERT INTO acct VALUES {}", vals.join(", ")))
             .unwrap();
     }
-    db.execute("CREATE INDEX acct_k ON acct (k)").unwrap();
+    s.execute("CREATE INDEX acct_k ON acct (k)").unwrap();
 }
 
 /// A `TableScan` of `acct` at `batch_rows` rows per batch, under `ctx`.
@@ -103,7 +103,8 @@ fn commit_everywhere(db: &Arc<Database>) {
 #[test]
 fn commit_proceeds_while_a_scan_is_open() {
     let db = open_mvcc("open-scan");
-    load_accounts(&db, 3000);
+    let s = db.session();
+    load_accounts(&s, 3000);
     let snapshot = db.table("acct").unwrap().scan().unwrap();
     let snapshot: Vec<Tuple> = snapshot.into_iter().map(|(_, row)| row).collect();
 
@@ -166,7 +167,8 @@ fn transfer(db: &Arc<Database>, from: i64, to: i64, amount: i64, reinsert: bool)
 fn sum_scans_never_see_a_torn_transfer() {
     const ACCOUNTS: i64 = 1500;
     let db = open_mvcc("transfers");
-    load_accounts(&db, ACCOUNTS);
+    let s = db.session();
+    load_accounts(&s, ACCOUNTS);
     let total = ACCOUNTS * 100;
     let done = Arc::new(AtomicBool::new(false));
 
@@ -190,7 +192,7 @@ fn sum_scans_never_see_a_torn_transfer() {
     };
     let mut scans = 0;
     while !done.load(Ordering::SeqCst) {
-        let sum = db.execute("SELECT SUM(v), COUNT(*) FROM acct").unwrap();
+        let sum = s.execute("SELECT SUM(v), COUNT(*) FROM acct").unwrap();
         assert_eq!(
             sum.rows[0],
             vec![Datum::Int(total), Datum::Int(ACCOUNTS)],
@@ -213,7 +215,8 @@ fn sum_scans_never_see_a_torn_transfer() {
 #[test]
 fn dropped_or_cancelled_scan_releases_latch_and_snapshot() {
     let db = open_mvcc("release");
-    load_accounts(&db, 2000);
+    let s = db.session();
+    load_accounts(&s, 2000);
     let active = |db: &Database| db.mvcc().unwrap().stats().snapshots_active;
 
     // Dropped after one batch.

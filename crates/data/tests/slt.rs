@@ -21,7 +21,7 @@
 //! `query rowsort` sorts the result rows before comparing, for queries
 //! without a total ORDER BY. `BEGIN` / `COMMIT` / `ROLLBACK` are
 //! intercepted by the runner (the SQL dialect has no transaction
-//! statements) and mapped onto `Database::begin/commit/rollback`. The
+//! statements) and mapped onto `Session::begin/commit/rollback`. The
 //! `crash` directive simulates a power loss: the database handle drops,
 //! the simulated device loses its unsynced writes, and the script
 //! continues on a freshly recovered handle.
@@ -299,7 +299,7 @@ fn oracle_apply(tables: &mut OracleTables, sql: &str) {
 
 /// Assert every oracle table matches the engine's view of it, as a
 /// sorted multiset of formatted rows.
-fn cross_check(db: &Database, tables: &OracleTables, ctx: &str) {
+fn cross_check(db: &Session, tables: &OracleTables, ctx: &str) {
     for (name, table) in tables {
         let result = db
             .execute(&format!("SELECT * FROM {name}"))
@@ -322,7 +322,7 @@ fn run_script(path: &Path) {
         let db = Database::open_at(sim, DbOptions { concurrency, ..DbOptions::default() })
             .unwrap_or_else(|e| panic!("{}: open failed: {e}", path.display()));
         db.set_durability(Durability::Full);
-        db
+        db.session()
     };
     if uses_sessions(&directives) {
         // Multi-session scripts exercise concurrency-control semantics
@@ -330,7 +330,7 @@ fn run_script(path: &Path) {
         // staged oracle models a single serial session, so they replay
         // on a dedicated runner checked by golden blocks only.
         let db = open(&sim);
-        run_session_script(path, &directives, &db);
+        run_session_script(path, &directives, db.database());
         return;
     }
     let mut db = Some(open(&sim));

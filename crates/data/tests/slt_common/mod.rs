@@ -35,7 +35,7 @@ pub enum Directive {
     Concurrency { mode: ConcurrencyControl, line: usize },
     /// `session <name>`: route following statements and queries through
     /// the named session (created on first use). Scripts without any
-    /// `session` directive run on the database's default session.
+    /// `session` directive run on one session the runner opens.
     Session { name: String, line: usize },
 }
 

@@ -2,6 +2,7 @@
 
 use sbdms_access::record::Datum;
 use sbdms_data::executor::Database;
+use sbdms_data::Session;
 use sbdms_data::txn::Durability;
 use sbdms_storage::replacement::PolicyKind;
 
@@ -13,25 +14,25 @@ fn db(name: &str) -> std::sync::Arc<Database> {
     Database::open(&dir).unwrap()
 }
 
-fn seed(db: &Database) {
-    db.execute("CREATE TABLE users (id INT NOT NULL, name TEXT NOT NULL, age INT)")
+fn seed(s: &Session) {
+    s.execute("CREATE TABLE users (id INT NOT NULL, name TEXT NOT NULL, age INT)")
         .unwrap();
-    db.execute(
+    s.execute(
         "INSERT INTO users VALUES \
          (1, 'alice', 30), (2, 'bob', 25), (3, 'carol', 35), (4, 'dave', NULL)",
     )
     .unwrap();
-    db.execute("CREATE TABLE orders (oid INT NOT NULL, user_id INT NOT NULL, amount INT NOT NULL)")
+    s.execute("CREATE TABLE orders (oid INT NOT NULL, user_id INT NOT NULL, amount INT NOT NULL)")
         .unwrap();
-    db.execute(
+    s.execute(
         "INSERT INTO orders VALUES \
          (100, 1, 50), (101, 1, 75), (102, 2, 20), (103, 3, 500), (104, 3, 1)",
     )
     .unwrap();
 }
 
-fn ints(db: &Database, sql: &str) -> Vec<i64> {
-    db.execute(sql)
+fn ints(s: &Session, sql: &str) -> Vec<i64> {
+    s.execute(sql)
         .unwrap()
         .rows
         .iter()
@@ -42,8 +43,8 @@ fn ints(db: &Database, sql: &str) -> Vec<i64> {
         .collect()
 }
 
-fn strs(db: &Database, sql: &str) -> Vec<String> {
-    db.execute(sql)
+fn strs(s: &Session, sql: &str) -> Vec<String> {
+    s.execute(sql)
         .unwrap()
         .rows
         .iter()
@@ -54,8 +55,9 @@ fn strs(db: &Database, sql: &str) -> Vec<String> {
 #[test]
 fn create_insert_select() {
     let db = db("basic");
-    seed(&db);
-    let r = db.execute("SELECT * FROM users ORDER BY id").unwrap();
+    let s = db.session();
+    seed(&s);
+    let r = s.execute("SELECT * FROM users ORDER BY id").unwrap();
     assert_eq!(r.columns, vec!["id", "name", "age"]);
     assert_eq!(r.rows.len(), 4);
     assert_eq!(r.rows[0][1], Datum::Str("alice".into()));
@@ -65,16 +67,17 @@ fn create_insert_select() {
 #[test]
 fn where_filters_and_null_semantics() {
     let db = db("where");
-    seed(&db);
-    assert_eq!(ints(&db, "SELECT id FROM users WHERE age > 26 ORDER BY id"), vec![1, 3]);
+    let s = db.session();
+    seed(&s);
+    assert_eq!(ints(&s, "SELECT id FROM users WHERE age > 26 ORDER BY id"), vec![1, 3]);
     // dave (NULL age) is dropped by any comparison.
     assert_eq!(
-        ints(&db, "SELECT id FROM users WHERE age > 0 OR age <= 0 ORDER BY id"),
+        ints(&s, "SELECT id FROM users WHERE age > 0 OR age <= 0 ORDER BY id"),
         vec![1, 2, 3]
     );
-    assert_eq!(ints(&db, "SELECT id FROM users WHERE age IS NULL"), vec![4]);
+    assert_eq!(ints(&s, "SELECT id FROM users WHERE age IS NULL"), vec![4]);
     assert_eq!(
-        ints(&db, "SELECT id FROM users WHERE age IS NOT NULL ORDER BY id"),
+        ints(&s, "SELECT id FROM users WHERE age IS NOT NULL ORDER BY id"),
         vec![1, 2, 3]
     );
 }
@@ -82,8 +85,9 @@ fn where_filters_and_null_semantics() {
 #[test]
 fn projection_expressions_and_aliases() {
     let db = db("project");
-    seed(&db);
-    let r = db
+    let s = db.session();
+    seed(&s);
+    let r = s
         .execute("SELECT name, age * 2 AS double_age FROM users WHERE id = 1")
         .unwrap();
     assert_eq!(r.columns, vec!["name", "double_age"]);
@@ -93,8 +97,9 @@ fn projection_expressions_and_aliases() {
 #[test]
 fn joins_two_and_three_way() {
     let db = db("joins");
-    seed(&db);
-    let r = db
+    let s = db.session();
+    seed(&s);
+    let r = s
         .execute(
             "SELECT name, amount FROM users u JOIN orders o ON u.id = o.user_id \
              ORDER BY amount DESC",
@@ -105,7 +110,7 @@ fn joins_two_and_three_way() {
     assert_eq!(r.rows[0][1], Datum::Int(500));
 
     // Self-join through qualifiers.
-    let r = db
+    let r = s
         .execute(
             "SELECT a.oid FROM orders a JOIN orders b ON a.user_id = b.user_id \
              WHERE a.oid <> b.oid ORDER BY a.oid",
@@ -118,8 +123,9 @@ fn joins_two_and_three_way() {
 #[test]
 fn aggregates_group_by_having() {
     let db = db("aggs");
-    seed(&db);
-    let r = db
+    let s = db.session();
+    seed(&s);
+    let r = s
         .execute(
             "SELECT user_id, COUNT(*) AS n, SUM(amount) AS total \
              FROM orders GROUP BY user_id ORDER BY user_id",
@@ -132,7 +138,7 @@ fn aggregates_group_by_having() {
 
     // HAVING may use aggregates that are not projected: a hidden agg
     // slot is appended and dropped by the final projection.
-    let r = db
+    let r = s
         .execute(
             "SELECT user_id FROM orders GROUP BY user_id HAVING COUNT(*) > 1 ORDER BY user_id",
         )
@@ -143,7 +149,7 @@ fn aggregates_group_by_having() {
     assert_eq!(r.rows[1], vec![Datum::Int(3)]);
 
     // And mixed forms: alias + hidden aggregate + group column.
-    let r = db
+    let r = s
         .execute(
             "SELECT user_id, COUNT(*) AS n FROM orders GROUP BY user_id \
              HAVING SUM(amount) > 100 AND user_id > 0 ORDER BY user_id",
@@ -151,7 +157,7 @@ fn aggregates_group_by_having() {
         .unwrap();
     assert_eq!(r.rows.len(), 2); // users 1 (125) and 3 (501)
 
-    let r = db
+    let r = s
         .execute(
             "SELECT user_id, COUNT(*) AS n FROM orders GROUP BY user_id \
              HAVING n > 1 ORDER BY user_id",
@@ -163,8 +169,9 @@ fn aggregates_group_by_having() {
 #[test]
 fn global_aggregates() {
     let db = db("global-aggs");
-    seed(&db);
-    let r = db
+    let s = db.session();
+    seed(&s);
+    let r = s
         .execute("SELECT COUNT(*), AVG(amount), MIN(amount), MAX(amount) FROM orders")
         .unwrap();
     assert_eq!(r.rows[0][0], Datum::Int(5));
@@ -172,24 +179,25 @@ fn global_aggregates() {
     assert_eq!(r.rows[0][2], Datum::Int(1));
     assert_eq!(r.rows[0][3], Datum::Int(500));
     // COUNT(age) skips NULLs.
-    let r = db.execute("SELECT COUNT(age) FROM users").unwrap();
+    let r = s.execute("SELECT COUNT(age) FROM users").unwrap();
     assert_eq!(r.rows[0][0], Datum::Int(3));
 }
 
 #[test]
 fn distinct_order_limit_offset() {
     let db = db("dlo");
-    seed(&db);
+    let s = db.session();
+    seed(&s);
     assert_eq!(
-        ints(&db, "SELECT DISTINCT user_id FROM orders ORDER BY user_id"),
+        ints(&s, "SELECT DISTINCT user_id FROM orders ORDER BY user_id"),
         vec![1, 2, 3]
     );
     assert_eq!(
-        ints(&db, "SELECT oid FROM orders ORDER BY amount DESC LIMIT 2"),
+        ints(&s, "SELECT oid FROM orders ORDER BY amount DESC LIMIT 2"),
         vec![103, 101]
     );
     assert_eq!(
-        ints(&db, "SELECT oid FROM orders ORDER BY amount DESC LIMIT 2 OFFSET 1"),
+        ints(&s, "SELECT oid FROM orders ORDER BY amount DESC LIMIT 2 OFFSET 1"),
         vec![101, 100]
     );
 }
@@ -197,58 +205,62 @@ fn distinct_order_limit_offset() {
 #[test]
 fn update_and_delete() {
     let db = db("dml");
-    seed(&db);
-    let r = db.execute("UPDATE users SET age = age + 1 WHERE age IS NOT NULL").unwrap();
+    let s = db.session();
+    seed(&s);
+    let r = s.execute("UPDATE users SET age = age + 1 WHERE age IS NOT NULL").unwrap();
     assert_eq!(r.affected, 3);
-    assert_eq!(ints(&db, "SELECT age FROM users WHERE id = 1"), vec![31]);
+    assert_eq!(ints(&s, "SELECT age FROM users WHERE id = 1"), vec![31]);
 
-    let r = db.execute("DELETE FROM orders WHERE amount < 50").unwrap();
+    let r = s.execute("DELETE FROM orders WHERE amount < 50").unwrap();
     assert_eq!(r.affected, 2);
-    assert_eq!(ints(&db, "SELECT COUNT(*) FROM orders"), vec![3]);
+    assert_eq!(ints(&s, "SELECT COUNT(*) FROM orders"), vec![3]);
 
-    let r = db.execute("DELETE FROM orders").unwrap();
+    let r = s.execute("DELETE FROM orders").unwrap();
     assert_eq!(r.affected, 3);
-    assert_eq!(ints(&db, "SELECT COUNT(*) FROM orders"), vec![0]);
+    assert_eq!(ints(&s, "SELECT COUNT(*) FROM orders"), vec![0]);
 }
 
 #[test]
 fn insert_with_column_list_fills_nulls() {
     let db = db("collist");
-    seed(&db);
-    db.execute("INSERT INTO users (name, id) VALUES ('eve', 9)").unwrap();
-    let r = db.execute("SELECT age, name FROM users WHERE id = 9").unwrap();
+    let s = db.session();
+    seed(&s);
+    s.execute("INSERT INTO users (name, id) VALUES ('eve', 9)").unwrap();
+    let r = s.execute("SELECT age, name FROM users WHERE id = 9").unwrap();
     assert_eq!(r.rows[0][0], Datum::Null);
     assert_eq!(r.rows[0][1], Datum::Str("eve".into()));
     // NOT NULL violation when omitted.
-    assert!(db.execute("INSERT INTO users (id) VALUES (10)").is_err());
+    assert!(s.execute("INSERT INTO users (id) VALUES (10)").is_err());
 }
 
 #[test]
 fn index_accelerated_queries_agree_with_scans() {
     let db = db("index");
-    seed(&db);
-    let before = strs(&db, "SELECT name FROM users WHERE id = 3");
-    db.execute("CREATE INDEX users_id ON users (id)").unwrap();
-    let after = strs(&db, "SELECT name FROM users WHERE id = 3");
+    let s = db.session();
+    seed(&s);
+    let before = strs(&s, "SELECT name FROM users WHERE id = 3");
+    s.execute("CREATE INDEX users_id ON users (id)").unwrap();
+    let after = strs(&s, "SELECT name FROM users WHERE id = 3");
     assert_eq!(before, after);
     // Range through the index.
     assert_eq!(
-        ints(&db, "SELECT id FROM users WHERE id >= 2 AND id < 4 ORDER BY id"),
+        ints(&s, "SELECT id FROM users WHERE id >= 2 AND id < 4 ORDER BY id"),
         vec![2, 3]
     );
     // DML keeps the index fresh.
-    db.execute("DELETE FROM users WHERE id = 3").unwrap();
-    assert!(strs(&db, "SELECT name FROM users WHERE id = 3").is_empty());
+    s.execute("DELETE FROM users WHERE id = 3").unwrap();
+    assert!(strs(&s, "SELECT name FROM users WHERE id = 3").is_empty());
 }
 
 #[test]
 fn views_select_and_join() {
     let db = db("views");
-    seed(&db);
-    db.execute("CREATE VIEW big_orders AS SELECT user_id, amount FROM orders WHERE amount >= 50")
+    let s = db.session();
+    seed(&s);
+    s.execute("CREATE VIEW big_orders AS SELECT user_id, amount FROM orders WHERE amount >= 50")
         .unwrap();
-    assert_eq!(ints(&db, "SELECT COUNT(*) FROM big_orders"), vec![3]);
-    let r = db
+    assert_eq!(ints(&s, "SELECT COUNT(*) FROM big_orders"), vec![3]);
+    let r = s
         .execute(
             "SELECT name FROM users u JOIN big_orders b ON u.id = b.user_id \
              ORDER BY name",
@@ -256,44 +268,102 @@ fn views_select_and_join() {
         .unwrap();
     let names: Vec<String> = r.rows.iter().map(|r| r[0].to_string()).collect();
     assert_eq!(names, vec!["alice", "alice", "carol"]);
-    db.execute("DROP VIEW big_orders").unwrap();
-    assert!(db.execute("SELECT * FROM big_orders").is_err());
+    s.execute("DROP VIEW big_orders").unwrap();
+    assert!(s.execute("SELECT * FROM big_orders").is_err());
 }
 
 #[test]
 fn transaction_commit_and_rollback() {
     let db = db("txn");
-    seed(&db);
-    db.begin().unwrap();
-    db.execute("INSERT INTO users VALUES (50, 'temp', 1)").unwrap();
-    db.execute("UPDATE users SET name = 'bobby' WHERE id = 2").unwrap();
-    db.execute("DELETE FROM users WHERE id = 1").unwrap();
-    assert_eq!(ints(&db, "SELECT COUNT(*) FROM users"), vec![4]);
-    db.rollback().unwrap();
+    let s = db.session();
+    seed(&s);
+    s.begin().unwrap();
+    s.execute("INSERT INTO users VALUES (50, 'temp', 1)").unwrap();
+    s.execute("UPDATE users SET name = 'bobby' WHERE id = 2").unwrap();
+    s.execute("DELETE FROM users WHERE id = 1").unwrap();
+    assert_eq!(ints(&s, "SELECT COUNT(*) FROM users"), vec![4]);
+    s.rollback().unwrap();
 
     // Everything restored.
-    assert_eq!(ints(&db, "SELECT COUNT(*) FROM users"), vec![4]);
-    assert_eq!(strs(&db, "SELECT name FROM users WHERE id = 2"), vec!["bob"]);
-    assert_eq!(strs(&db, "SELECT name FROM users WHERE id = 1"), vec!["alice"]);
-    assert!(strs(&db, "SELECT name FROM users WHERE id = 50").is_empty());
+    assert_eq!(ints(&s, "SELECT COUNT(*) FROM users"), vec![4]);
+    assert_eq!(strs(&s, "SELECT name FROM users WHERE id = 2"), vec!["bob"]);
+    assert_eq!(strs(&s, "SELECT name FROM users WHERE id = 1"), vec!["alice"]);
+    assert!(strs(&s, "SELECT name FROM users WHERE id = 50").is_empty());
 
     // Commit persists.
-    db.begin().unwrap();
-    db.execute("INSERT INTO users VALUES (60, 'kept', 2)").unwrap();
-    db.commit().unwrap();
-    assert_eq!(strs(&db, "SELECT name FROM users WHERE id = 60"), vec!["kept"]);
+    s.begin().unwrap();
+    s.execute("INSERT INTO users VALUES (60, 'kept', 2)").unwrap();
+    s.commit().unwrap();
+    assert_eq!(strs(&s, "SELECT name FROM users WHERE id = 60"), vec!["kept"]);
 }
 
 #[test]
 fn transaction_misuse_errors() {
     let db = db("txn-misuse");
-    assert!(db.commit().is_err());
-    assert!(db.rollback().is_err());
-    db.begin().unwrap();
-    assert!(db.begin().is_err(), "one txn per session");
+    let s = db.session();
+    assert!(s.commit().is_err());
+    assert!(s.rollback().is_err());
+    s.begin().unwrap();
+    assert!(s.begin().is_err(), "one txn per session");
     assert!(db.checkpoint().is_err(), "no checkpoint inside txn");
-    db.commit().unwrap();
+    s.commit().unwrap();
     db.checkpoint().unwrap();
+}
+
+/// Dropping a session rolls back its open transaction. Under
+/// single-writer that releases the writer slot: a session dropped
+/// mid-transaction no longer locks every other session out.
+#[test]
+fn dropped_single_writer_session_frees_the_writer_slot() {
+    let db = db("drop-single-writer");
+    let setup = db.session();
+    setup.execute("CREATE TABLE t (k INT NOT NULL)").unwrap();
+    setup.execute("INSERT INTO t VALUES (1)").unwrap();
+    let a = db.session();
+    a.begin().unwrap();
+    a.execute("INSERT INTO t VALUES (2)").unwrap();
+    drop(a);
+    let b = db.session();
+    b.begin().expect("the dropped session still holds the writer slot");
+    assert_eq!(ints(&b, "SELECT COUNT(*) FROM t"), vec![1], "A's insert was discarded");
+    b.execute("INSERT INTO t VALUES (3)").unwrap();
+    b.commit().unwrap();
+    assert_eq!(ints(&setup, "SELECT k FROM t ORDER BY k"), vec![1, 3]);
+}
+
+/// Under MVCC, a session dropped mid-transaction releases its write
+/// locks and its pinned snapshot: another session updates the same row
+/// and commits, and no snapshot stays pinned to hold back GC.
+#[test]
+fn dropped_mvcc_session_releases_locks_and_snapshot() {
+    use sbdms_data::executor::DbOptions;
+    use sbdms_data::ConcurrencyControl;
+    let dir = std::env::temp_dir()
+        .join("sbdms-sql-tests")
+        .join(format!("drop-mvcc-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let opts = DbOptions {
+        concurrency: ConcurrencyControl::Mvcc,
+        ..DbOptions::default()
+    };
+    let db = Database::open_opts(&dir, opts).unwrap();
+    let setup = db.session();
+    setup.execute("CREATE TABLE t (k INT NOT NULL, v INT NOT NULL)").unwrap();
+    setup.execute("INSERT INTO t VALUES (1, 0)").unwrap();
+    let mvcc = db.mvcc().unwrap();
+    let a = db.session();
+    a.begin().unwrap();
+    a.execute("UPDATE t SET v = 1 WHERE k = 1").unwrap();
+    assert_eq!(mvcc.stats().snapshots_active, 1);
+    drop(a);
+    assert_eq!(mvcc.stats().snapshots_active, 0, "the dropped session's snapshot is unpinned");
+    let b = db.session();
+    b.begin().unwrap();
+    b.execute("UPDATE t SET v = 2 WHERE k = 1")
+        .expect("the dropped session still holds the row's write lock");
+    b.commit().unwrap();
+    assert_eq!(ints(&setup, "SELECT v FROM t WHERE k = 1"), vec![2]);
+    assert_eq!(mvcc.stats().snapshots_active, 0);
 }
 
 /// Under single-writer, BEGIN's busy check and its claim of the writer
@@ -306,7 +376,8 @@ fn single_writer_begin_race_has_one_winner() {
     use std::sync::atomic::{AtomicUsize, Ordering};
     const ROUNDS: usize = 20_000;
     let db = db("begin-race");
-    db.execute("CREATE TABLE t (k INT NOT NULL)").unwrap();
+    let s = db.session();
+    s.execute("CREATE TABLE t (k INT NOT NULL)").unwrap();
     let winners = AtomicUsize::new(0);
     let bad_rounds = AtomicUsize::new(0);
     let arrived = AtomicUsize::new(0);
@@ -367,12 +438,13 @@ fn crash_recovery_undoes_uncommitted() {
     let _ = std::fs::remove_dir_all(&dir);
     {
         let db = Database::open(&dir).unwrap();
+        let s = db.session();
         db.set_durability(Durability::Full);
-        seed(&db);
+        seed(&s);
         db.checkpoint().unwrap();
-        db.begin().unwrap();
-        db.execute("DELETE FROM users WHERE id = 1").unwrap();
-        db.execute("INSERT INTO users VALUES (99, 'phantom', 1)").unwrap();
+        s.begin().unwrap();
+        s.execute("DELETE FROM users WHERE id = 1").unwrap();
+        s.execute("INSERT INTO users VALUES (99, 'phantom', 1)").unwrap();
         // Simulate a crash: flush dirty pages (steal) and the WAL, but
         // never commit.
         db.storage().buffer.flush_all().unwrap();
@@ -380,9 +452,10 @@ fn crash_recovery_undoes_uncommitted() {
         // Drop without commit = crash.
     }
     let db = Database::open(&dir).unwrap();
-    assert_eq!(strs(&db, "SELECT name FROM users WHERE id = 1"), vec!["alice"]);
-    assert!(strs(&db, "SELECT name FROM users WHERE id = 99").is_empty());
-    assert_eq!(ints(&db, "SELECT COUNT(*) FROM users"), vec![4]);
+    let s = db.session();
+    assert_eq!(strs(&s, "SELECT name FROM users WHERE id = 1"), vec!["alice"]);
+    assert!(strs(&s, "SELECT name FROM users WHERE id = 99").is_empty());
+    assert_eq!(ints(&s, "SELECT COUNT(*) FROM users"), vec![4]);
 }
 
 #[test]
@@ -393,13 +466,15 @@ fn reopen_preserves_committed_data() {
     let _ = std::fs::remove_dir_all(&dir);
     {
         let db = Database::open(&dir).unwrap();
-        seed(&db);
-        db.execute("CREATE INDEX users_id ON users (id)").unwrap();
+        let s = db.session();
+        seed(&s);
+        s.execute("CREATE INDEX users_id ON users (id)").unwrap();
         db.checkpoint().unwrap();
     }
     let db = Database::open_with(&dir, 32, PolicyKind::Clock).unwrap();
-    assert_eq!(ints(&db, "SELECT COUNT(*) FROM users"), vec![4]);
-    assert_eq!(strs(&db, "SELECT name FROM users WHERE id = 2"), vec!["bob"]);
+    let s = db.session();
+    assert_eq!(ints(&s, "SELECT COUNT(*) FROM users"), vec![4]);
+    assert_eq!(strs(&s, "SELECT name FROM users WHERE id = 2"), vec!["bob"]);
     assert_eq!(
         db.catalog().table_names(),
         vec!["orders".to_string(), "users".to_string()]
@@ -409,28 +484,31 @@ fn reopen_preserves_committed_data() {
 #[test]
 fn drop_table_frees_name() {
     let db = db("drop");
-    seed(&db);
-    db.execute("DROP TABLE orders").unwrap();
-    assert!(db.execute("SELECT * FROM orders").is_err());
-    db.execute("CREATE TABLE orders (x INT)").unwrap();
-    assert_eq!(ints(&db, "SELECT COUNT(*) FROM orders"), vec![0]);
+    let s = db.session();
+    seed(&s);
+    s.execute("DROP TABLE orders").unwrap();
+    assert!(s.execute("SELECT * FROM orders").is_err());
+    s.execute("CREATE TABLE orders (x INT)").unwrap();
+    assert_eq!(ints(&s, "SELECT COUNT(*) FROM orders"), vec![0]);
 }
 
 #[test]
 fn select_without_from_and_errors() {
     let db = db("misc");
-    let r = db.execute("SELECT 2 + 3 AS five, 'hi'").unwrap();
+    let s = db.session();
+    let r = s.execute("SELECT 2 + 3 AS five, 'hi'").unwrap();
     assert_eq!(r.rows[0], vec![Datum::Int(5), Datum::Str("hi".into())]);
-    assert!(db.execute("SELECT * FROM nothing").is_err());
-    assert!(db.execute("INSERT INTO nothing VALUES (1)").is_err());
-    assert!(db.execute("total nonsense").is_err());
-    assert!(db.execute("SELECT 1 / 0").is_err());
+    assert!(s.execute("SELECT * FROM nothing").is_err());
+    assert!(s.execute("INSERT INTO nothing VALUES (1)").is_err());
+    assert!(s.execute("total nonsense").is_err());
+    assert!(s.execute("SELECT 1 / 0").is_err());
 }
 
 #[test]
 fn larger_workload_spans_pages() {
     let db = db("volume");
-    db.execute("CREATE TABLE items (id INT NOT NULL, payload TEXT NOT NULL)")
+    let s = db.session();
+    s.execute("CREATE TABLE items (id INT NOT NULL, payload TEXT NOT NULL)")
         .unwrap();
     for batch in 0..20 {
         let values: Vec<String> = (0..50)
@@ -439,54 +517,57 @@ fn larger_workload_spans_pages() {
                 format!("({id}, 'payload-{id}-{}')", "x".repeat(60))
             })
             .collect();
-        db.execute(&format!("INSERT INTO items VALUES {}", values.join(",")))
+        s.execute(&format!("INSERT INTO items VALUES {}", values.join(",")))
             .unwrap();
     }
-    assert_eq!(ints(&db, "SELECT COUNT(*) FROM items"), vec![1000]);
+    assert_eq!(ints(&s, "SELECT COUNT(*) FROM items"), vec![1000]);
     assert_eq!(
-        ints(&db, "SELECT id FROM items WHERE id % 250 = 0 ORDER BY id"),
+        ints(&s, "SELECT id FROM items WHERE id % 250 = 0 ORDER BY id"),
         vec![0, 250, 500, 750]
     );
-    db.execute("CREATE INDEX items_id ON items (id)").unwrap();
-    assert_eq!(ints(&db, "SELECT id FROM items WHERE id = 777"), vec![777]);
+    s.execute("CREATE INDEX items_id ON items (id)").unwrap();
+    assert_eq!(ints(&s, "SELECT id FROM items WHERE id = 777"), vec![777]);
 }
 
 #[test]
 fn nested_views_expand_transitively() {
     let db = db("nested-views");
-    seed(&db);
-    db.execute("CREATE VIEW adults AS SELECT id, name, age FROM users WHERE age >= 30")
+    let s = db.session();
+    seed(&s);
+    s.execute("CREATE VIEW adults AS SELECT id, name, age FROM users WHERE age >= 30")
         .unwrap();
-    db.execute("CREATE VIEW adult_names AS SELECT name FROM adults ORDER BY name")
+    s.execute("CREATE VIEW adult_names AS SELECT name FROM adults ORDER BY name")
         .unwrap();
-    assert_eq!(strs(&db, "SELECT * FROM adult_names"), vec!["alice", "carol"]);
+    assert_eq!(strs(&s, "SELECT * FROM adult_names"), vec!["alice", "carol"]);
     // A view of a view of a view.
-    db.execute("CREATE VIEW first_adult AS SELECT name FROM adult_names LIMIT 1")
+    s.execute("CREATE VIEW first_adult AS SELECT name FROM adult_names LIMIT 1")
         .unwrap();
-    assert_eq!(strs(&db, "SELECT * FROM first_adult"), vec!["alice"]);
+    assert_eq!(strs(&s, "SELECT * FROM first_adult"), vec!["alice"]);
 }
 
 #[test]
 fn dropping_base_table_breaks_views_gracefully() {
     let db = db("view-dangles");
-    seed(&db);
-    db.execute("CREATE VIEW v AS SELECT id FROM users").unwrap();
-    db.execute("DROP TABLE users").unwrap();
+    let s = db.session();
+    seed(&s);
+    s.execute("CREATE VIEW v AS SELECT id FROM users").unwrap();
+    s.execute("DROP TABLE users").unwrap();
     // The view survives in the catalog but queries error cleanly.
-    assert!(db.execute("SELECT * FROM v").is_err());
-    db.execute("DROP VIEW v").unwrap();
+    assert!(s.execute("SELECT * FROM v").is_err());
+    s.execute("DROP VIEW v").unwrap();
 }
 
 #[test]
 fn qualified_star_semantics_and_multi_join() {
     let db = db("multi-join");
-    seed(&db);
-    db.execute("CREATE TABLE regions (uid INT NOT NULL, region TEXT NOT NULL)")
+    let s = db.session();
+    seed(&s);
+    s.execute("CREATE TABLE regions (uid INT NOT NULL, region TEXT NOT NULL)")
         .unwrap();
-    db.execute("INSERT INTO regions VALUES (1, 'eu'), (2, 'us'), (3, 'eu')")
+    s.execute("INSERT INTO regions VALUES (1, 'eu'), (2, 'us'), (3, 'eu')")
         .unwrap();
     // Three-way join: users -> orders -> regions.
-    let r = db
+    let r = s
         .execute(
             "SELECT region, SUM(amount) AS total \
              FROM users u JOIN orders o ON u.id = o.user_id \
@@ -503,11 +584,12 @@ fn qualified_star_semantics_and_multi_join() {
 #[test]
 fn update_with_expression_over_multiple_columns() {
     let db = db("update-expr");
-    seed(&db);
-    db.execute("UPDATE orders SET amount = amount * 2 + oid WHERE user_id = 1")
+    let s = db.session();
+    seed(&s);
+    s.execute("UPDATE orders SET amount = amount * 2 + oid WHERE user_id = 1")
         .unwrap();
     assert_eq!(
-        ints(&db, "SELECT amount FROM orders WHERE user_id = 1 ORDER BY oid"),
+        ints(&s, "SELECT amount FROM orders WHERE user_id = 1 ORDER BY oid"),
         vec![200, 251] // 50*2+100, 75*2+101
     );
 }
@@ -515,16 +597,17 @@ fn update_with_expression_over_multiple_columns() {
 #[test]
 fn boolean_columns_and_literals() {
     let db = db("bools");
-    db.execute("CREATE TABLE flags (name TEXT NOT NULL, active BOOL NOT NULL)")
+    let s = db.session();
+    s.execute("CREATE TABLE flags (name TEXT NOT NULL, active BOOL NOT NULL)")
         .unwrap();
-    db.execute("INSERT INTO flags VALUES ('a', true), ('b', false), ('c', true)")
+    s.execute("INSERT INTO flags VALUES ('a', true), ('b', false), ('c', true)")
         .unwrap();
     assert_eq!(
-        strs(&db, "SELECT name FROM flags WHERE active = true ORDER BY name"),
+        strs(&s, "SELECT name FROM flags WHERE active = true ORDER BY name"),
         vec!["a", "c"]
     );
     assert_eq!(
-        strs(&db, "SELECT name FROM flags WHERE NOT active"),
+        strs(&s, "SELECT name FROM flags WHERE NOT active"),
         vec!["b"]
     );
 }
@@ -532,15 +615,16 @@ fn boolean_columns_and_literals() {
 #[test]
 fn text_ordering_and_like_free_filters() {
     let db = db("text-order");
-    seed(&db);
+    let s = db.session();
+    seed(&s);
     // ORDER BY text column descending.
     assert_eq!(
-        strs(&db, "SELECT name FROM users ORDER BY name DESC LIMIT 2"),
+        strs(&s, "SELECT name FROM users ORDER BY name DESC LIMIT 2"),
         vec!["dave", "carol"]
     );
     // String comparison predicates.
     assert_eq!(
-        strs(&db, "SELECT name FROM users WHERE name >= 'c' ORDER BY name"),
+        strs(&s, "SELECT name FROM users WHERE name >= 'c' ORDER BY name"),
         vec!["carol", "dave"]
     );
 }
@@ -548,22 +632,24 @@ fn text_ordering_and_like_free_filters() {
 #[test]
 fn large_text_values_roundtrip_via_overflow() {
     let db = db("big-text");
-    db.execute("CREATE TABLE blobs (id INT NOT NULL, body TEXT NOT NULL)")
+    let s = db.session();
+    s.execute("CREATE TABLE blobs (id INT NOT NULL, body TEXT NOT NULL)")
         .unwrap();
     let big = "z".repeat(12_000);
-    db.execute(&format!("INSERT INTO blobs VALUES (1, '{big}')")).unwrap();
-    let r = db.execute("SELECT body FROM blobs WHERE id = 1").unwrap();
+    s.execute(&format!("INSERT INTO blobs VALUES (1, '{big}')")).unwrap();
+    let r = s.execute("SELECT body FROM blobs WHERE id = 1").unwrap();
     assert_eq!(r.rows[0][0], Datum::Str(big));
     // Update shrinks it back inline.
-    db.execute("UPDATE blobs SET body = 'small' WHERE id = 1").unwrap();
-    assert_eq!(strs(&db, "SELECT body FROM blobs"), vec!["small"]);
+    s.execute("UPDATE blobs SET body = 'small' WHERE id = 1").unwrap();
+    assert_eq!(strs(&s, "SELECT body FROM blobs"), vec!["small"]);
 }
 
 #[test]
 fn order_by_expression_via_alias() {
     let db = db("alias-order");
-    seed(&db);
-    let r = db
+    let s = db.session();
+    seed(&s);
+    let r = s
         .execute("SELECT oid, amount * 2 AS doubled FROM orders ORDER BY doubled DESC LIMIT 1")
         .unwrap();
     assert_eq!(r.rows[0][0], Datum::Int(103));
@@ -573,33 +659,34 @@ fn order_by_expression_via_alias() {
 #[test]
 fn like_in_between_end_to_end() {
     let db = db("like-in-between");
-    seed(&db);
+    let s = db.session();
+    seed(&s);
     assert_eq!(
-        strs(&db, "SELECT name FROM users WHERE name LIKE '%a%' ORDER BY name"),
+        strs(&s, "SELECT name FROM users WHERE name LIKE '%a%' ORDER BY name"),
         vec!["alice", "carol", "dave"]
     );
     assert_eq!(
-        strs(&db, "SELECT name FROM users WHERE name LIKE '_ob'"),
+        strs(&s, "SELECT name FROM users WHERE name LIKE '_ob'"),
         vec!["bob"]
     );
     assert_eq!(
-        ints(&db, "SELECT oid FROM orders WHERE amount BETWEEN 20 AND 75 ORDER BY oid"),
+        ints(&s, "SELECT oid FROM orders WHERE amount BETWEEN 20 AND 75 ORDER BY oid"),
         vec![100, 101, 102]
     );
     assert_eq!(
-        ints(&db, "SELECT id FROM users WHERE id IN (1, 3, 99) ORDER BY id"),
+        ints(&s, "SELECT id FROM users WHERE id IN (1, 3, 99) ORDER BY id"),
         vec![1, 3]
     );
     assert_eq!(
-        ints(&db, "SELECT id FROM users WHERE id NOT IN (1, 3) ORDER BY id"),
+        ints(&s, "SELECT id FROM users WHERE id NOT IN (1, 3) ORDER BY id"),
         vec![2, 4]
     );
     assert_eq!(
-        strs(&db, "SELECT name FROM users WHERE name NOT LIKE '%a%' ORDER BY name"),
+        strs(&s, "SELECT name FROM users WHERE name NOT LIKE '%a%' ORDER BY name"),
         vec!["bob"]
     );
     assert_eq!(
-        ints(&db, "SELECT oid FROM orders WHERE amount NOT BETWEEN 20 AND 500"),
+        ints(&s, "SELECT oid FROM orders WHERE amount NOT BETWEEN 20 AND 500"),
         vec![104]
     );
 }
@@ -608,26 +695,28 @@ fn like_in_between_end_to_end() {
 fn join_algorithms_agree_through_sql() {
     use sbdms_access::exec::join::JoinAlgorithm;
     let db = db("join-algos");
-    seed(&db);
+    let s = db.session();
+    seed(&s);
     let sql = "SELECT name, amount FROM users u JOIN orders o ON u.id = o.user_id \
                ORDER BY amount, name";
-    let reference = db.execute(sql).unwrap().rows;
+    let reference = s.execute(sql).unwrap().rows;
     assert_eq!(reference.len(), 5);
     for algo in [JoinAlgorithm::Merge, JoinAlgorithm::NestedLoop, JoinAlgorithm::Hash] {
         db.set_join_algorithm(algo);
-        assert_eq!(db.execute(sql).unwrap().rows, reference, "{algo:?}");
+        assert_eq!(s.execute(sql).unwrap().rows, reference, "{algo:?}");
     }
 }
 
 #[test]
 fn plan_cache_hits_on_repeated_select() {
     let db = db("plan-cache-hit");
-    seed(&db);
+    let s = db.session();
+    seed(&s);
     let sql = "SELECT name FROM users WHERE id = 2";
-    let first = db.execute(sql).unwrap();
+    let first = s.execute(sql).unwrap();
     let before = db.plan_cache_stats();
     for _ in 0..5 {
-        assert_eq!(db.execute(sql).unwrap(), first);
+        assert_eq!(s.execute(sql).unwrap(), first);
     }
     let after = db.plan_cache_stats();
     assert_eq!(after.hits - before.hits, 5, "repeats must hit the cache");
@@ -638,44 +727,46 @@ fn plan_cache_hits_on_repeated_select() {
 #[test]
 fn plan_cache_invalidated_by_ddl() {
     let db = db("plan-cache-ddl");
-    seed(&db);
+    let s = db.session();
+    seed(&s);
     let sql = "SELECT id FROM users ORDER BY id";
-    db.execute(sql).unwrap();
-    assert!(db.execute(sql).is_ok());
+    s.execute(sql).unwrap();
+    assert!(s.execute(sql).is_ok());
     let hits_before = db.plan_cache_stats().hits;
 
     // DDL bumps the catalog version: the cached plan must not be reused.
-    db.execute("CREATE TABLE extra (x INT)").unwrap();
-    db.execute(sql).unwrap();
+    s.execute("CREATE TABLE extra (x INT)").unwrap();
+    s.execute(sql).unwrap();
     let stats = db.plan_cache_stats();
     assert_eq!(stats.hits, hits_before, "post-DDL lookup must miss");
 
     // Dropping a table a cached plan depends on must not leave the
     // stale plan runnable.
     let scan_extra = "SELECT x FROM extra";
-    db.execute(scan_extra).unwrap();
-    db.execute("DROP TABLE extra").unwrap();
-    assert!(db.execute(scan_extra).is_err(), "dropped table must error");
+    s.execute(scan_extra).unwrap();
+    s.execute("DROP TABLE extra").unwrap();
+    assert!(s.execute(scan_extra).is_err(), "dropped table must error");
 }
 
 #[test]
 fn plan_cache_invalidated_by_join_algorithm_change() {
     use sbdms_access::exec::join::JoinAlgorithm;
     let db = db("plan-cache-join");
-    seed(&db);
+    let s = db.session();
+    seed(&s);
     let sql = "SELECT name, amount FROM users u JOIN orders o ON u.id = o.user_id \
                ORDER BY amount, name";
-    let reference = db.execute(sql).unwrap().rows;
+    let reference = s.execute(sql).unwrap().rows;
     let hits_before = db.plan_cache_stats().hits;
     db.set_join_algorithm(JoinAlgorithm::Merge);
-    assert_eq!(db.execute(sql).unwrap().rows, reference);
+    assert_eq!(s.execute(sql).unwrap().rows, reference);
     assert_eq!(
         db.plan_cache_stats().hits,
         hits_before,
         "join-algorithm change must invalidate cached plans"
     );
     // Same algorithm again: now it can hit.
-    assert_eq!(db.execute(sql).unwrap().rows, reference);
+    assert_eq!(s.execute(sql).unwrap().rows, reference);
     assert_eq!(db.plan_cache_stats().hits, hits_before + 1);
 }
 
@@ -697,16 +788,17 @@ fn parallel_execution_matches_serial() {
         },
     )
     .unwrap();
+    let (serial, parallel) = (serial.session(), parallel.session());
 
-    for db in [&serial, &parallel] {
-        db.execute("CREATE TABLE nums (n INT NOT NULL, label TEXT NOT NULL)")
+    for s in [&serial, &parallel] {
+        s.execute("CREATE TABLE nums (n INT NOT NULL, label TEXT NOT NULL)")
             .unwrap();
         for chunk in (0..2000).collect::<Vec<i64>>().chunks(100) {
             let values: Vec<String> = chunk
                 .iter()
                 .map(|i| format!("({}, 'row{}')", (i * 37) % 1000, i))
                 .collect();
-            db.execute(&format!("INSERT INTO nums VALUES {}", values.join(", ")))
+            s.execute(&format!("INSERT INTO nums VALUES {}", values.join(", ")))
                 .unwrap();
         }
     }
@@ -738,10 +830,11 @@ fn configured_sort_budget_still_sorts_correctly() {
         },
     )
     .unwrap();
-    db.execute("CREATE TABLE t (n INT NOT NULL)").unwrap();
+    let s = db.session();
+    s.execute("CREATE TABLE t (n INT NOT NULL)").unwrap();
     let values: Vec<String> = (0..500).rev().map(|i| format!("({i})")).collect();
-    db.execute(&format!("INSERT INTO t VALUES {}", values.join(", ")))
+    s.execute(&format!("INSERT INTO t VALUES {}", values.join(", ")))
         .unwrap();
-    let got = ints(&db, "SELECT n FROM t ORDER BY n");
+    let got = ints(&s, "SELECT n FROM t ORDER BY n");
     assert_eq!(got, (0..500).collect::<Vec<i64>>());
 }

@@ -107,19 +107,16 @@ impl ProcedureEngine {
                 args.len()
             )));
         }
-        self.db.begin()?;
+        // A session of its own per call: concurrent calls run as
+        // independent transactions under the profile's CC service, and
+        // an early return drops the session, rolling the call back.
+        let session = self.db.session();
+        session.begin()?;
         let mut last = QueryResult::default();
         for template in &procedure.statements {
-            let sql = substitute(template, args)?;
-            match self.db.execute(&sql) {
-                Ok(result) => last = result,
-                Err(e) => {
-                    self.db.rollback()?;
-                    return Err(e);
-                }
-            }
+            last = session.execute(&substitute(template, args)?)?;
         }
-        self.db.commit()?;
+        session.commit()?;
         Ok(last)
     }
 }
@@ -298,15 +295,66 @@ mod tests {
     use super::*;
 
     fn engine(name: &str) -> ProcedureEngine {
+        engine_with(name, sbdms_data::DbOptions::default())
+    }
+
+    fn engine_with(name: &str, opts: sbdms_data::DbOptions) -> ProcedureEngine {
         let dir = std::env::temp_dir()
             .join("sbdms-proc-tests")
             .join(format!("{name}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let db = Database::open(&dir).unwrap();
-        db.execute("CREATE TABLE accounts (id INT NOT NULL, balance INT NOT NULL)")
+        let db = Database::open_opts(&dir, opts).unwrap();
+        let s = db.session();
+        s.execute("CREATE TABLE accounts (id INT NOT NULL, balance INT NOT NULL)")
             .unwrap();
-        db.execute("INSERT INTO accounts VALUES (1, 100), (2, 50)").unwrap();
+        s.execute("INSERT INTO accounts VALUES (1, 100), (2, 50)").unwrap();
         ProcedureEngine::new(db)
+    }
+
+    /// Each call runs in a session of its own: under MVCC, calls that
+    /// overlap in time on distinct rows all commit.
+    #[test]
+    fn concurrent_calls_on_distinct_rows_all_succeed() {
+        const THREADS: i64 = 4;
+        const CALLS: i64 = 40;
+        let opts = sbdms_data::DbOptions {
+            concurrency: sbdms_data::ConcurrencyControl::Mvcc,
+            ..Default::default()
+        };
+        let e = engine_with("concurrent", opts);
+        let rows: Vec<String> = (10..10 + THREADS).map(|id| format!("({id}, 0)")).collect();
+        e.db.session()
+            .execute(&format!("INSERT INTO accounts VALUES {}", rows.join(", ")))
+            .unwrap();
+        e.register(
+            "bump",
+            vec![
+                "UPDATE accounts SET balance = balance + 1 WHERE id = $1".into(),
+                "SELECT COUNT(*) FROM accounts".into(),
+                "UPDATE accounts SET balance = balance + 1 WHERE id = $1".into(),
+            ],
+        )
+        .unwrap();
+        // Every round starts all calls together, so they overlap.
+        let round = std::sync::Barrier::new(THREADS as usize);
+        std::thread::scope(|scope| {
+            for id in 10..10 + THREADS {
+                let (e, round) = (&e, &round);
+                scope.spawn(move || {
+                    for call in 0..CALLS {
+                        round.wait();
+                        e.call("bump", &[Datum::Int(id)])
+                            .unwrap_or_else(|err| panic!("row {id}, call {call}: {err}"));
+                    }
+                });
+            }
+        });
+        let r = e
+            .db
+            .session()
+            .execute("SELECT balance FROM accounts WHERE id >= 10 ORDER BY id")
+            .unwrap();
+        assert_eq!(r.rows, vec![vec![Datum::Int(2 * CALLS)]; THREADS as usize]);
     }
 
     #[test]
@@ -341,7 +389,7 @@ mod tests {
         .unwrap();
         assert!(e.call("bad", &[]).is_err());
         // First statement's effect must be rolled back.
-        let check = e.db.execute("SELECT balance FROM accounts WHERE id = 1").unwrap();
+        let check = e.db.session().execute("SELECT balance FROM accounts WHERE id = 1").unwrap();
         assert_eq!(check.rows[0][0], Datum::Int(100));
     }
 
@@ -358,15 +406,15 @@ mod tests {
     #[test]
     fn string_arguments_are_quoted_safely() {
         let e = engine("quoting");
-        e.db.execute("CREATE TABLE notes (body TEXT)").unwrap();
+        e.db.session().execute("CREATE TABLE notes (body TEXT)").unwrap();
         e.register("add_note", vec!["INSERT INTO notes VALUES ($1)".into()])
             .unwrap();
         // A classic injection attempt becomes a plain string.
         let evil = "x'); DELETE FROM accounts; --";
         e.call("add_note", &[Datum::Str(evil.into())]).unwrap();
-        let r = e.db.execute("SELECT body FROM notes").unwrap();
+        let r = e.db.session().execute("SELECT body FROM notes").unwrap();
         assert_eq!(r.rows[0][0], Datum::Str(evil.into()));
-        let r = e.db.execute("SELECT COUNT(*) FROM accounts").unwrap();
+        let r = e.db.session().execute("SELECT COUNT(*) FROM accounts").unwrap();
         assert_eq!(r.rows[0][0], Datum::Int(2), "accounts untouched");
     }
 
@@ -385,11 +433,11 @@ mod tests {
     #[test]
     fn null_and_float_literals() {
         let e = engine("literals");
-        e.db.execute("CREATE TABLE vals (x FLOAT, note TEXT)").unwrap();
+        e.db.session().execute("CREATE TABLE vals (x FLOAT, note TEXT)").unwrap();
         e.register("put", vec!["INSERT INTO vals VALUES ($1, $2)".into()])
             .unwrap();
         e.call("put", &[Datum::Float(2.5), Datum::Null]).unwrap();
-        let r = e.db.execute("SELECT x, note FROM vals").unwrap();
+        let r = e.db.session().execute("SELECT x, note FROM vals").unwrap();
         assert_eq!(r.rows[0][0], Datum::Float(2.5));
         assert_eq!(r.rows[0][1], Datum::Null);
     }

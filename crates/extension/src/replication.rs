@@ -12,8 +12,8 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use parking_lot::RwLock;
 use sbdms_data::executor::{Database, QueryResult};
+use sbdms_data::session::Session;
 use sbdms_kernel::contract::{Contract, Quality};
 use sbdms_kernel::error::{Result, ServiceError};
 use sbdms_kernel::interface::{Interface, Operation, Param};
@@ -24,9 +24,10 @@ fn err(msg: impl Into<String>) -> ServiceError {
     ServiceError::Internal(format!("replication: {}", msg.into()))
 }
 
-/// A replicated database group: one primary, N replicas.
+/// A replicated database group: one primary, N replicas, each reached
+/// through one session.
 pub struct ReplicationGroup {
-    nodes: RwLock<Vec<Arc<Database>>>,
+    nodes: Vec<Session>,
     primary: AtomicUsize,
     /// Statements applied on the primary since creation.
     applied: AtomicU64,
@@ -41,7 +42,7 @@ impl ReplicationGroup {
             return Err(err("a replication group needs at least one node"));
         }
         Ok(ReplicationGroup {
-            nodes: RwLock::new(nodes),
+            nodes: nodes.iter().map(Database::session).collect(),
             primary: AtomicUsize::new(0),
             applied: AtomicU64::new(0),
             forward_failures: AtomicU64::new(0),
@@ -55,19 +56,18 @@ impl ReplicationGroup {
 
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
-        self.nodes.read().len()
+        self.nodes.len()
     }
 
     /// Execute a statement on the primary and forward it to replicas.
     /// SELECTs are not forwarded (they have no effects).
     pub fn execute(&self, sql: &str) -> Result<QueryResult> {
-        let nodes = self.nodes.read();
         let primary = self.primary_index();
-        let result = nodes[primary].execute(sql)?;
+        let result = self.nodes[primary].execute(sql)?;
         self.applied.fetch_add(1, Ordering::Relaxed);
         let is_select = sql.trim_start().to_ascii_lowercase().starts_with("select");
         if !is_select {
-            for (i, node) in nodes.iter().enumerate() {
+            for (i, node) in self.nodes.iter().enumerate() {
                 if i == primary {
                     continue;
                 }
@@ -82,15 +82,13 @@ impl ReplicationGroup {
     /// Serve a read from a replica (round-robin over non-primary nodes;
     /// falls back to the primary when there is no replica).
     pub fn read(&self, sql: &str) -> Result<QueryResult> {
-        let nodes = self.nodes.read();
         let primary = self.primary_index();
-        let replica = nodes
+        let replica = self
+            .nodes
             .iter()
             .enumerate()
             .find(|(i, _)| *i != primary)
-            .map(|(_, n)| n.clone())
-            .unwrap_or_else(|| nodes[primary].clone());
-        drop(nodes);
+            .map_or(&self.nodes[primary], |(_, n)| n);
         replica.execute(sql)
     }
 

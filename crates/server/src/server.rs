@@ -12,16 +12,15 @@
 //!   like the embedded slt runner: they are session verbs, not parsed
 //!   SQL.
 //! * **Prepared statements are connection-local handles over the shared
-//!   plan cache.** `prepare` plans through [`Database::prepare`], which
+//!   plan cache.** `prepare` plans through [`Session::prepare`], which
 //!   warms the same per-database cache `execute` reads, so statement
 //!   handles on different connections reuse each other's plans — the
 //!   differential test pins cache hits across connections.
 //! * **Teardown rolls back.** A client that disappears mid-transaction
 //!   (crash, kill -9, cable pull) must not wedge a single-writer
-//!   database or leak an MVCC overlay; the handler rolls back its
-//!   session before the thread exits. Sessions dropped *without* a
-//!   server (embedded use) still do nothing on drop — the crash-torture
-//!   suite depends on that — which is why rollback lives here.
+//!   database or leak an MVCC overlay; the handler drops its session
+//!   before the thread exits, and a dropped session rolls back its open
+//!   transaction. The server counts those rollbacks in [`ServerStats`].
 
 use std::io::Write as _;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -278,8 +277,8 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) {
 
     if session.in_txn() {
         shared.teardown_rollbacks.fetch_add(1, Ordering::Relaxed);
-        let _ = session.rollback();
     }
+    drop(session); // rolls back the open transaction, if any
 }
 
 /// Run one SQL text, intercepting transaction verbs like the embedded

@@ -96,7 +96,8 @@ fn replay(path: &Path) {
 
     for directive in &directives {
         // Resolve the current session pair lazily so `session`
-        // directives and the default session share one code path.
+        // directives and the script's unnamed first session share one
+        // code path.
         macro_rules! pair {
             () => {{
                 let local = local_sessions

@@ -182,11 +182,11 @@ pub struct CrashRun {
     pub error: Option<String>,
 }
 
-/// Drive `workload` against `db`, stopping at the first error.
+/// Drive `workload` on one session, stopping at the first error.
 ///
 /// The returned oracle advances only when `commit()` returns `Ok` —
 /// the same contract the application layer sees.
-pub fn run_until_crash(db: &Database, workload: &Workload) -> CrashRun {
+pub fn run_until_crash(db: &Session, workload: &Workload) -> CrashRun {
     let mut committed: BTreeMap<i64, i64> = BTreeMap::new();
     for txn in &workload.txns {
         let mut staged = committed.clone();
@@ -302,15 +302,16 @@ fn opts(config: &TortureConfig) -> DbOptions {
 fn setup(sim: &SimBackend, config: &TortureConfig) -> Arc<Database> {
     let db = Database::open_at(sim, opts(config)).expect("setup open");
     db.set_durability(Durability::Full);
-    db.execute("CREATE TABLE kv (k INT, v INT)").expect("setup ddl");
-    db.execute("CREATE INDEX kv_k ON kv (k)").expect("setup index");
+    let s = db.session();
+    s.execute("CREATE TABLE kv (k INT, v INT)").expect("setup ddl");
+    s.execute("CREATE INDEX kv_k ON kv (k)").expect("setup index");
     db.checkpoint().expect("setup checkpoint");
     db
 }
 
 /// Read the whole `kv` table into a map, panicking on duplicates
 /// (duplicate keys after recovery would themselves be a bug).
-fn observed_state(db: &Database, ctx: &str) -> BTreeMap<i64, i64> {
+fn observed_state(db: &Session, ctx: &str) -> BTreeMap<i64, i64> {
     let result = db
         .execute("SELECT k, v FROM kv")
         .unwrap_or_else(|e| panic!("{ctx}: post-recovery scan failed: {e}"));
@@ -339,8 +340,8 @@ fn commit_is_durable(sim: &SimBackend, txn: TxnId) -> bool {
 
 /// All invariants on a freshly recovered database, given the exact
 /// expected state (ambiguity already settled against the durable WAL).
-fn check_recovered(db: &Database, expected: &BTreeMap<i64, i64>, ctx: &str) {
-    let observed = observed_state(db, ctx);
+fn check_recovered(db: &Arc<Database>, expected: &BTreeMap<i64, i64>, ctx: &str) {
+    let observed = observed_state(&db.session(), ctx);
     assert_eq!(
         &observed, expected,
         "{ctx}: recovered state diverges from the oracle"
@@ -370,7 +371,7 @@ fn profile(seed: u64, config: &TortureConfig, workload: &Workload) -> (u64, u64)
     let sim = SimBackend::new(SimConfig::seeded(seed));
     let db = setup(&sim, config);
     let base = sim.io_events();
-    let run = run_until_crash(&db, workload);
+    let run = run_until_crash(&db.session(), workload);
     assert!(
         run.error.is_none(),
         "seed={seed:#x}: fault-free profiling run failed: {:?}",
@@ -405,7 +406,7 @@ pub fn torture(seed: u64, config: TortureConfig) -> TortureReport {
         // Durability event `base + point` (the point-th workload
         // event) fails, and the device stays dead until power-cycled.
         sim.crash_after_events(base + point - 1);
-        let run = run_until_crash(&db, &workload);
+        let run = run_until_crash(&db.session(), &workload);
         let error = run.error.clone().unwrap_or_else(|| {
             panic!("{ctx}: armed run finished without crashing")
         });
@@ -479,8 +480,9 @@ pub fn cancel_torture(seed: u64, config: TortureConfig) -> CancelReport {
     let sim = SimBackend::new(SimConfig::seeded(seed));
     let db = setup(&sim, &config);
     let probe = CancelToken::new();
-    db.set_session_cancel_token(Some(probe.clone()));
-    let run = run_until_crash(&db, &workload);
+    let session = db.session();
+    session.set_cancel_token(Some(probe.clone()));
+    let run = run_until_crash(&session, &workload);
     assert!(
         run.error.is_none(),
         "seed={seed:#x}: cancellation profiling run failed: {:?}",
@@ -488,7 +490,7 @@ pub fn cancel_torture(seed: u64, config: TortureConfig) -> CancelReport {
     );
     let span = probe.checks();
     assert!(span > 0, "seed={seed:#x}: workload passed no cancellation points");
-    drop(db);
+    drop((session, db));
 
     for point in 1..=span {
         let ctx = format!("seed={seed:#x} cancel_point={point}");
@@ -496,8 +498,9 @@ pub fn cancel_torture(seed: u64, config: TortureConfig) -> CancelReport {
         let db = setup(&sim, &config);
         let token = CancelToken::new();
         token.cancel_after_checks(point);
-        db.set_session_cancel_token(Some(token));
-        let run = run_until_crash(&db, &workload);
+        let session = db.session();
+        session.set_cancel_token(Some(token));
+        let run = run_until_crash(&session, &workload);
         let error = run
             .error
             .unwrap_or_else(|| panic!("{ctx}: armed run finished uncancelled"));
@@ -508,8 +511,8 @@ pub fn cancel_torture(seed: u64, config: TortureConfig) -> CancelReport {
         );
         // No reopen: the cancellation already unwound via transaction
         // rollback, so this very handle shows the committed state.
-        db.set_session_cancel_token(None);
-        let observed = observed_state(&db, &ctx);
+        session.set_cancel_token(None);
+        let observed = observed_state(&session, &ctx);
         assert_eq!(
             observed, run.committed,
             "{ctx}: state after cancellation diverges from the oracle"
@@ -521,13 +524,17 @@ pub fn cancel_torture(seed: u64, config: TortureConfig) -> CancelReport {
             .unwrap_or_else(|e| panic!("{ctx}: structural validation failed: {e}"));
         // The session keeps working: the transaction machinery is not
         // wedged by the unwound statement.
-        db.begin().unwrap_or_else(|e| panic!("{ctx}: begin after cancel: {e}"));
-        db.execute("DELETE FROM kv")
+        session
+            .begin()
+            .unwrap_or_else(|e| panic!("{ctx}: begin after cancel: {e}"));
+        session
+            .execute("DELETE FROM kv")
             .unwrap_or_else(|e| panic!("{ctx}: statement after cancel: {e}"));
-        db.rollback()
+        session
+            .rollback()
             .unwrap_or_else(|e| panic!("{ctx}: rollback after cancel: {e}"));
         assert_eq!(
-            observed_state(&db, &ctx),
+            observed_state(&session, &ctx),
             run.committed,
             "{ctx}: probe transaction leaked"
         );
@@ -816,7 +823,8 @@ fn setup_concurrent(sim: &SimBackend, config: &TortureConfig) -> (Arc<Database>,
             format!("({k}, {})", k + 1)
         })
         .collect();
-    db.execute(&format!("INSERT INTO kv VALUES {}", vals.join(", ")))
+    db.session()
+        .execute(&format!("INSERT INTO kv VALUES {}", vals.join(", ")))
         .expect("setup seed rows");
     db.checkpoint().expect("setup checkpoint");
     (db, initial)
@@ -982,11 +990,11 @@ impl AutocommitUpdate {
     }
 }
 
-/// Drive the statements against `db` until the first error. Every
-/// statement matches rows, so each one that returned `Ok` synced exactly
-/// one commit record; the one that failed is in flight.
+/// Drive the statements on one session of `db` until the first error.
+/// Every statement matches rows, so each one that returned `Ok` synced
+/// exactly one commit record; the one that failed is in flight.
 fn run_autocommit_until_crash(
-    db: &Database,
+    db: &Arc<Database>,
     stmts: &[AutocommitUpdate],
     initial: &BTreeMap<i64, i64>,
 ) -> ConcurrentCrashRun {
@@ -997,9 +1005,10 @@ fn run_autocommit_until_crash(
         conflicts: 0,
         error: None,
     };
+    let session = db.session();
     for stmt in stmts {
         let post = stmt.applied(&run.committed);
-        match db.execute(&stmt.sql()) {
+        match session.execute(&stmt.sql()) {
             Ok(_) => {
                 run.committed = post;
                 run.durable_commits += 1;
@@ -1030,8 +1039,9 @@ pub fn autocommit_torture(seed: u64, config: TortureConfig) -> ConcurrentReport 
         let db = setup(sim, &config);
         let initial: BTreeMap<i64, i64> = (0..AUTO_ROWS).map(|k| (k, k)).collect();
         let rows: Vec<String> = initial.iter().map(|(k, v)| format!("({k}, {v})")).collect();
+        let s = db.session();
         for chunk in rows.chunks(300) {
-            db.execute(&format!("INSERT INTO kv VALUES {}", chunk.join(", ")))
+            s.execute(&format!("INSERT INTO kv VALUES {}", chunk.join(", ")))
                 .expect("setup seed rows");
         }
         db.checkpoint().expect("setup checkpoint");
@@ -1080,9 +1090,10 @@ mod tests {
         let sim = SimBackend::new(SimConfig::seeded(11));
         let db = setup(&sim, &config);
         let wl = Workload::generate(11, config.txns);
-        let run = run_until_crash(&db, &wl);
+        let s = db.session();
+        let run = run_until_crash(&s, &wl);
         assert!(run.error.is_none());
-        assert_eq!(observed_state(&db, "fault-free"), run.committed);
+        assert_eq!(observed_state(&s, "fault-free"), run.committed);
         Table::open(db.catalog(), "kv").unwrap().validate().unwrap();
     }
 
@@ -1101,7 +1112,7 @@ mod tests {
             let db = setup(&sim, &config);
             let wl = Workload::generate(5, config.txns);
             sim.set_fault_mode(FaultMode::FailAfter(40));
-            let run = run_until_crash(&db, &wl);
+            let run = run_until_crash(&db.session(), &wl);
             let err = run.error.expect("fault budget must eventually trip");
             assert!(err.contains("sim disk fault"), "{ctx}: {err}");
             sim.set_fault_mode(FaultMode::None);
@@ -1110,7 +1121,7 @@ mod tests {
             // recovers the interrupted transaction. A fault inside a
             // commit call leaves either outcome valid (never a blend).
             let db = Database::open_at(&*sim, opts(&config)).unwrap();
-            let observed = observed_state(&db, &ctx);
+            let observed = observed_state(&db.session(), &ctx);
             match &run.ambiguous {
                 None => assert_eq!(observed, run.committed, "{ctx}"),
                 Some((_, alt)) => {
@@ -1124,7 +1135,7 @@ mod tests {
     }
 
     /// Every `kv` row as `(k, v)`, sorted: the table's multiset.
-    fn kv_multiset(db: &Database) -> Vec<(i64, i64)> {
+    fn kv_multiset(db: &Session) -> Vec<(i64, i64)> {
         let mut rows: Vec<(i64, i64)> = db
             .execute("SELECT k, v FROM kv")
             .unwrap()
@@ -1150,38 +1161,39 @@ mod tests {
         let ctx = format!("{} fault mid-apply", config.concurrency);
         let sim = SimBackend::new(SimConfig::seeded(6));
         let db = setup(&sim, config);
-        db.execute("INSERT INTO kv VALUES (0, 7)").unwrap();
+        let s = db.session();
+        s.execute("INSERT INTO kv VALUES (0, 7)").unwrap();
         let rows: Vec<String> = (0..3_000).map(|k| format!("({k}, {k})")).collect();
         for chunk in rows.chunks(500) {
-            db.execute(&format!("INSERT INTO kv VALUES {}", chunk.join(", ")))
+            s.execute(&format!("INSERT INTO kv VALUES {}", chunk.join(", ")))
                 .unwrap();
         }
         db.checkpoint().unwrap();
-        let before = kv_multiset(&db);
-        db.begin().unwrap();
+        let before = kv_multiset(&s);
+        s.begin().unwrap();
         // The far row first; a full scan then moves the pool past its
         // page, and the near row's probe evicts it.
-        db.execute("UPDATE kv SET v = -1 WHERE k = 1500").unwrap();
-        db.execute("SELECT COUNT(*) FROM kv").unwrap();
-        db.execute("UPDATE kv SET v = 0 WHERE k = 0 AND v = 7")
+        s.execute("UPDATE kv SET v = -1 WHERE k = 1500").unwrap();
+        s.execute("SELECT COUNT(*) FROM kv").unwrap();
+        s.execute("UPDATE kv SET v = 0 WHERE k = 0 AND v = 7")
             .unwrap();
         sim.set_fault_mode(FaultMode::FailAlways("disk gone".into()));
-        let err = db
+        let err = s
             .commit()
             .expect_err("the apply must trip on the cold page");
         assert!(err.to_string().contains("sim disk fault"), "{ctx}: {err}");
         sim.set_fault_mode(FaultMode::None);
         assert!(
-            db.rollback().is_err(),
+            s.rollback().is_err(),
             "{ctx}: a failed commit closes the transaction"
         );
         assert_eq!(
-            kv_multiset(&db),
+            kv_multiset(&s),
             before,
             "{ctx}: the revert restores the multiset"
         );
         Table::open(db.catalog(), "kv").unwrap().validate().unwrap();
-        let zeros = db
+        let zeros = s
             .execute("SELECT v FROM kv WHERE k = 0 ORDER BY v")
             .unwrap()
             .rows;
@@ -1191,11 +1203,11 @@ mod tests {
             "{ctx}: index probe"
         );
         // The session is usable: the same transaction now commits.
-        db.begin().unwrap();
-        db.execute("UPDATE kv SET v = 0 WHERE k = 0 AND v = 7")
+        s.begin().unwrap();
+        s.execute("UPDATE kv SET v = 0 WHERE k = 0 AND v = 7")
             .unwrap();
-        db.commit().unwrap();
-        let zeros = db.execute("SELECT v FROM kv WHERE k = 0").unwrap().rows;
+        s.commit().unwrap();
+        let zeros = s.execute("SELECT v FROM kv WHERE k = 0").unwrap().rows;
         assert_eq!(
             zeros,
             vec![vec![Datum::Int(0)]; 2],
@@ -1249,7 +1261,7 @@ mod tests {
         let wl = ConcurrentWorkload::generate(21, config.txns);
         let run = run_concurrent_until_crash(&db, &wl, &initial);
         assert!(run.error.is_none(), "{:?}", run.error);
-        assert_eq!(observed_state(&db, "concurrent fault-free"), run.committed);
+        assert_eq!(observed_state(&db.session(), "concurrent fault-free"), run.committed);
         Table::open(db.catalog(), "kv").unwrap().validate().unwrap();
     }
 

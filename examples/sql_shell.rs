@@ -11,6 +11,7 @@ use std::io::{BufRead, Write};
 
 use sbdms::data::parser::parse;
 use sbdms::data::planner::plan_select;
+use sbdms::data::services::QUERY_INTERFACE;
 use sbdms::kernel::value::Value;
 use sbdms::{Profile, Sbdms};
 
@@ -58,9 +59,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     }
                 }
             }
-            ".begin" => report(system.database().begin().map(|t| format!("txn {t} open"))),
-            ".commit" => report(system.database().commit().map(|_| "committed".to_string())),
-            ".rollback" => report(system.database().rollback().map(|_| "rolled back".to_string())),
+            // Transaction control goes through the query service, whose
+            // one session also runs the shell's SQL.
+            ".begin" | ".commit" | ".rollback" => {
+                let op = &line[1..];
+                let reply = system.bus().invoke_interface(QUERY_INTERFACE, op, Value::map());
+                report(reply.map(|txn| match op {
+                    "begin" => format!("txn {} open", txn.as_int().unwrap_or_default()),
+                    "commit" => "committed".to_string(),
+                    _ => "rolled back".to_string(),
+                }));
+            }
             _ if line.starts_with(".explain ") => {
                 let sql = &line[".explain ".len()..];
                 match parse(sql) {

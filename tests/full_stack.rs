@@ -114,9 +114,10 @@ fn transactional_workload_with_crash_recovery() {
         s.database().checkpoint().unwrap();
 
         // An uncommitted transaction with flushed pages = crash victim.
-        s.database().begin().unwrap();
-        s.database().execute("INSERT INTO ledger VALUES (999)").unwrap();
-        s.database().execute("DELETE FROM ledger WHERE entry = 1").unwrap();
+        let session = s.database().session();
+        session.begin().unwrap();
+        session.execute("INSERT INTO ledger VALUES (999)").unwrap();
+        session.execute("DELETE FROM ledger WHERE entry = 1").unwrap();
         s.database().storage().buffer.flush_all().unwrap();
         s.database().storage().wal.sync().unwrap();
         // Dropped without commit.

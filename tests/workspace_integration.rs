@@ -65,7 +65,7 @@ fn service_fabric_and_direct_api_agree() {
     // Through the bus.
     let via_bus = s.execute_sql("SELECT COUNT(*) FROM t").unwrap();
     // Direct co-located call.
-    let via_db = s.database().execute("SELECT COUNT(*) FROM t").unwrap();
+    let via_db = s.database().session().execute("SELECT COUNT(*) FROM t").unwrap();
 
     assert_eq!(rows(&via_bus)[0][0], Value::Int(3));
     assert_eq!(via_db.rows[0][0], sbdms::access::record::Datum::Int(3));
