@@ -50,6 +50,17 @@ use crate::record::{decode_tuple, encode_tuple, for_each_field, Datum};
 /// single-record page capacity (~4084 bytes).
 const MAX_NODE_BYTES: usize = 3500;
 
+/// How full [`BTree::build`] packs a node: half of [`MAX_NODE_BYTES`],
+/// what a split leaves in each half, so a built tree is as dense as one
+/// that sequential inserts grew. Denser nodes would save index pages
+/// but slow every probe, which validates each key of each node it
+/// visits (measured in DESIGN.md §4n).
+const BUILD_FILL_BYTES: usize = MAX_NODE_BYTES / 2;
+
+/// Serialised header of either node kind ([`leaf_head`],
+/// [`internal_head`]).
+const NODE_HEADER_BYTES: usize = 1 + 8 + 2;
+
 /// Lexicographic order of two composite keys: component-by-component
 /// [`Datum::order`], a shorter tuple sorting before any extension of it.
 pub fn key_order(a: &[Datum], b: &[Datum]) -> Ordering {
@@ -90,6 +101,9 @@ fn prefix_orders<const N: usize>(key: &[u8], bounds: [&[Datum]; N]) -> Result<[O
     Ok(ords)
 }
 
+/// An entry as [`BTree::build`] takes it: composite key and rid.
+pub type IndexEntry = (Vec<Datum>, Rid);
+
 /// One index entry: composite key plus the rid it points at.
 #[derive(Debug, Clone, PartialEq)]
 struct Entry {
@@ -113,17 +127,13 @@ impl Node {
         let mut out = Vec::with_capacity(256);
         match self {
             Node::Leaf { entries, next } => {
-                out.push(1);
-                out.extend_from_slice(&next.to_le_bytes());
-                out.extend_from_slice(&(entries.len() as u16).to_le_bytes());
+                leaf_head(&mut out, *next, entries.len());
                 for e in entries {
                     encode_entry(&mut out, e);
                 }
             }
             Node::Internal { seps, children } => {
-                out.push(0);
-                out.extend_from_slice(&(seps.len() as u16).to_le_bytes());
-                out.extend_from_slice(&children[0].to_le_bytes());
+                internal_head(&mut out, seps.len(), children[0]);
                 for (e, child) in seps.iter().zip(&children[1..]) {
                     encode_entry(&mut out, e);
                     out.extend_from_slice(&child.to_le_bytes());
@@ -155,12 +165,70 @@ impl Node {
     }
 }
 
+/// Start a serialised leaf: tag, next leaf, entry count
+/// ([`NODE_HEADER_BYTES`]).
+fn leaf_head(out: &mut Vec<u8>, next: PageId, entries: usize) {
+    out.push(1);
+    out.extend_from_slice(&next.to_le_bytes());
+    out.extend_from_slice(&(entries as u16).to_le_bytes());
+}
+
+/// Start a serialised internal node: tag, separator count, first child
+/// ([`NODE_HEADER_BYTES`]). Each separator follows with the child right
+/// of it.
+fn internal_head(out: &mut Vec<u8>, seps: usize, child0: PageId) {
+    out.push(0);
+    out.extend_from_slice(&(seps as u16).to_le_bytes());
+    out.extend_from_slice(&child0.to_le_bytes());
+}
+
 fn encode_entry(out: &mut Vec<u8>, e: &Entry) {
-    let kbytes = encode_tuple(&e.key);
-    out.extend_from_slice(&(kbytes.len() as u16).to_le_bytes());
-    out.extend_from_slice(&kbytes);
-    out.extend_from_slice(&e.rid.page.to_le_bytes());
-    out.extend_from_slice(&e.rid.slot.to_le_bytes());
+    encode_raw_entry(out, &encode_tuple(&e.key), e.rid);
+}
+
+/// An entry whose key is already encoded: `[klen][key][page][slot]`.
+fn encode_raw_entry(out: &mut Vec<u8>, key: &[u8], rid: Rid) {
+    out.extend_from_slice(&(key.len() as u16).to_le_bytes());
+    out.extend_from_slice(key);
+    out.extend_from_slice(&rid.page.to_le_bytes());
+    out.extend_from_slice(&rid.slot.to_le_bytes());
+}
+
+/// Serialised size of an entry with a `key_len`-byte encoded key.
+fn raw_entry_bytes(key_len: usize) -> usize {
+    2 + key_len + 8 + 2
+}
+
+/// Cut `sizes` (the bytes each item adds to a node) into consecutive
+/// groups of at most [`BUILD_FILL_BYTES`] including the header, each
+/// of at least `min` items. A last group left short of `min` takes
+/// items from its predecessor, or joins it when that one would drop
+/// below `min` too.
+fn pack(sizes: &[usize], min: usize) -> Vec<std::ops::Range<usize>> {
+    let mut groups = Vec::new();
+    let (mut start, mut bytes) = (0, NODE_HEADER_BYTES);
+    for (i, &size) in sizes.iter().enumerate() {
+        if i - start >= min && bytes + size > BUILD_FILL_BYTES {
+            groups.push(start..i);
+            start = i;
+            bytes = NODE_HEADER_BYTES;
+        }
+        bytes += size;
+    }
+    groups.push(start..sizes.len());
+    if let [.., prev, last] = &mut groups[..] {
+        if last.len() < min {
+            let want = min - last.len();
+            if prev.len() >= min + want {
+                prev.end -= want;
+                last.start -= want;
+            } else {
+                prev.end = last.end;
+                groups.pop();
+            }
+        }
+    }
+    groups
 }
 
 /// A serialized node's header, read in place.
@@ -323,6 +391,77 @@ impl BTree {
             },
             true,
         )?;
+        let meta_page = buffer.new_page()?;
+        buffer.try_with_page_mut(meta_page, |p| p.insert(&root.to_le_bytes()))?;
+        Ok(BTree {
+            buffer,
+            meta_page,
+            root: Mutex::new(root),
+        })
+    }
+
+    /// Build an index over `entries` bottom-up: sort them by (key, rid),
+    /// drop exact duplicates, pack leaves left to right to
+    /// [`BUILD_FILL_BYTES`], then build each internal level over the
+    /// one below, separating children by their first entries. Every
+    /// node is written once, where inserting the entries one by one
+    /// would rewrite each node on the path per entry. The result is a
+    /// tree like any other: later inserts and deletes work on it as
+    /// usual.
+    pub fn build(buffer: Arc<BufferPool>, mut entries: Vec<IndexEntry>) -> Result<BTree> {
+        entries.sort_by(|a, b| key_order(&a.0, &b.0).then(a.1.cmp(&b.1)));
+        entries.dedup_by(|a, b| a.1 == b.1 && key_order(&a.0, &b.0) == Ordering::Equal);
+        if entries.is_empty() {
+            return BTree::create(buffer);
+        }
+        let entries: Vec<(Vec<u8>, Rid)> = entries
+            .into_iter()
+            .map(|(key, rid)| (encode_tuple(&key), rid))
+            .collect();
+
+        // Leaves: each `(first entry index, page)` feeds the level above.
+        let sizes: Vec<usize> = entries.iter().map(|(k, _)| raw_entry_bytes(k.len())).collect();
+        let groups = pack(&sizes, 1);
+        let pages = (0..groups.len())
+            .map(|_| buffer.new_page())
+            .collect::<Result<Vec<PageId>>>()?;
+        let mut level: Vec<(usize, PageId)> = Vec::with_capacity(groups.len());
+        for (n, range) in groups.into_iter().enumerate() {
+            let next = pages.get(n + 1).copied().unwrap_or(0);
+            let mut out = Vec::with_capacity(BUILD_FILL_BYTES);
+            leaf_head(&mut out, next, range.len());
+            for i in range.clone() {
+                encode_raw_entry(&mut out, &entries[i].0, entries[i].1);
+            }
+            write_fresh(&buffer, pages[n], &out)?;
+            level.push((range.start, pages[n]));
+        }
+
+        // Internal levels until one node remains: each child past a
+        // node's first is separated by its first entry. (Sizing counts
+        // a node's first child as a separator too, so internal nodes
+        // stay a little under the fill.)
+        while level.len() > 1 {
+            let sizes: Vec<usize> = level
+                .iter()
+                .map(|&(first, _)| raw_entry_bytes(entries[first].0.len()) + 8)
+                .collect();
+            let mut above = Vec::new();
+            for range in pack(&sizes, 2) {
+                let children = &level[range];
+                let mut out = Vec::with_capacity(BUILD_FILL_BYTES);
+                internal_head(&mut out, children.len() - 1, children[0].1);
+                for &(first, child) in &children[1..] {
+                    encode_raw_entry(&mut out, &entries[first].0, entries[first].1);
+                    out.extend_from_slice(&child.to_le_bytes());
+                }
+                let page = buffer.new_page()?;
+                write_fresh(&buffer, page, &out)?;
+                above.push((children[0].0, page));
+            }
+            level = above;
+        }
+        let root = level[0].1;
         let meta_page = buffer.new_page()?;
         buffer.try_with_page_mut(meta_page, |p| p.insert(&root.to_le_bytes()))?;
         Ok(BTree {
@@ -710,14 +849,16 @@ impl BTree {
 
     fn write_node(buffer: &BufferPool, page: PageId, node: &Node, fresh: bool) -> Result<()> {
         let bytes = node.encode();
-        buffer.try_with_page_mut(page, |p| {
-            if fresh {
-                p.insert(&bytes).map(|_| ())
-            } else {
-                p.update(0, &bytes)
-            }
-        })
+        if fresh {
+            return write_fresh(buffer, page, &bytes);
+        }
+        buffer.try_with_page_mut(page, |p| p.update(0, &bytes))
     }
+}
+
+/// Write serialised node bytes as the single record of a new page.
+fn write_fresh(buffer: &BufferPool, page: PageId, bytes: &[u8]) -> Result<()> {
+    buffer.try_with_page_mut(page, |p| p.insert(bytes).map(|_| ()))
 }
 
 #[cfg(test)]
@@ -1287,6 +1428,152 @@ mod tests {
             ).unwrap();
             let want = model.iter().filter(|(a, _, _)| *a >= probe && *a <= probe + 3).count();
             prop_assert_eq!(r.len(), want);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn build_packs_levels_and_answers_like_inserts() {
+        let dir = std::env::temp_dir()
+            .join("sbdms-btree-tests")
+            .join(format!("build-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let engine = StorageEngine::open(&dir, 64, PolicyKind::Lru).unwrap();
+        let key = |i: i64| {
+            let name = format!("{i:05}-{}", "p".repeat(30));
+            vec![Datum::Int(i % 700), Datum::Str(name)]
+        };
+        // Reverse order with every entry twice: build sorts and dedups.
+        let entries: Vec<(Vec<Datum>, Rid)> = (0..6_000i64)
+            .rev()
+            .flat_map(|i| [(key(i), rid(i as u64)), (key(i), rid(i as u64))])
+            .collect();
+        let built = BTree::build(engine.buffer.clone(), entries).unwrap();
+        built.validate().unwrap();
+        assert!(built.height().unwrap() >= 3, "the build must stack internal levels");
+        assert_eq!(built.len().unwrap(), 6_000);
+        let inserted = BTree::create(engine.buffer.clone()).unwrap();
+        for i in 0..6_000i64 {
+            inserted.insert(&key(i), rid(i as u64)).unwrap();
+        }
+        for probe in [0i64, 1, 350, 699] {
+            assert_eq!(
+                built.search(&[Datum::Int(probe)]).unwrap(),
+                inserted.search(&[Datum::Int(probe)]).unwrap()
+            );
+        }
+        // Every leaf but the last is packed to the fill target.
+        let (mut page, mut sizes) = (built.descend(&[]).unwrap().0, Vec::new());
+        loop {
+            sizes.push(engine.buffer.with_page(page, |p| p.get(0).unwrap().len()).unwrap());
+            match built.read_node(page).unwrap() {
+                Node::Leaf { next, .. } if next != 0 => page = next,
+                _ => break,
+            }
+        }
+        sizes.pop();
+        let packed = |n: usize| n <= BUILD_FILL_BYTES && n + 100 > BUILD_FILL_BYTES;
+        assert!(sizes.iter().all(|&n| packed(n)), "{sizes:?}");
+
+        let empty = BTree::build(engine.buffer.clone(), Vec::new()).unwrap();
+        empty.validate().unwrap();
+        assert!(empty.is_empty().unwrap());
+        empty.insert(&k1(3), rid(3)).unwrap();
+        assert_eq!(empty.search(&k1(3)).unwrap(), vec![rid(3)]);
+    }
+
+    #[test]
+    fn pack_respects_fill_and_minimum_group_size() {
+        let room = BUILD_FILL_BYTES - NODE_HEADER_BYTES;
+        // A lone last child joins its predecessor, or takes one from it.
+        assert_eq!(pack(&[room / 2; 7], 2), vec![0..2, 2..4, 4..7]);
+        assert_eq!(pack(&[room / 3; 7], 2), vec![0..3, 3..5, 5..7]);
+        // A lone leaf entry stays; an oversized item gets its own node.
+        assert_eq!(pack(&[room / 3; 7], 1), vec![0..3, 3..6, 6..7]);
+        assert_eq!(pack(&[2 * room; 2], 1), vec![0..1, 1..2]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+        /// A bottom-up build answers every probe shape like a tree
+        /// built by inserting the same entries, stays structurally
+        /// valid, and keeps doing both under later inserts and deletes.
+        #[test]
+        fn prop_build_matches_insert_built_tree(
+            pairs in proptest::collection::vec((-30i64..30, -4i64..4, 0u64..500), 0..500),
+            composite in any::<bool>(),
+            pad in 0usize..160,
+            later in proptest::collection::vec(
+                (-35i64..35, -4i64..4, 0u64..500, any::<bool>()),
+                0..60,
+            ),
+            probe in -32i64..32,
+        ) {
+            let dir = std::env::temp_dir().join("sbdms-btree-tests").join(format!(
+                "prop-build-{}-{:x}",
+                std::process::id(),
+                std::time::SystemTime::now()
+                    .duration_since(std::time::UNIX_EPOCH)
+                    .unwrap()
+                    .as_nanos()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            let engine = StorageEngine::open(&dir, 64, PolicyKind::Clock).unwrap();
+            let key = |a: i64, b: i64| {
+                let mut key = vec![Datum::Int(a)];
+                if composite {
+                    key.push(Datum::Str(format!("{b:+}{}", "x".repeat(pad))));
+                }
+                key
+            };
+            let entries: Vec<(Vec<Datum>, Rid)> =
+                pairs.iter().map(|&(a, b, r)| (key(a, b), rid(r))).collect();
+            let built = BTree::build(engine.buffer.clone(), entries.clone()).unwrap();
+            let inserted = BTree::create(engine.buffer.clone()).unwrap();
+            for (k, r) in &entries {
+                inserted.insert(k, *r).unwrap();
+            }
+            let agree = |built: &BTree, inserted: &BTree| {
+                built.validate().unwrap();
+                prop_assert_eq!(
+                    built.range(None, None, true, true).unwrap(),
+                    inserted.range(None, None, true, true).unwrap()
+                );
+                let p = [Datum::Int(probe)];
+                prop_assert_eq!(built.search(&p).unwrap(), inserted.search(&p).unwrap());
+                let full = key(probe, 0);
+                prop_assert_eq!(built.search(&full).unwrap(), inserted.search(&full).unwrap());
+                let hi = [Datum::Int(probe + 6)];
+                for (lo_incl, hi_incl) in [(true, true), (false, false)] {
+                    prop_assert_eq!(
+                        built.range(Some(&p), Some(&hi), lo_incl, hi_incl).unwrap(),
+                        inserted.range(Some(&p), Some(&hi), lo_incl, hi_incl).unwrap()
+                    );
+                }
+                let scan = |t: &BTree| {
+                    let mut out = Vec::new();
+                    t.scan_range(Some(&full), None, false, true, |k, r| {
+                        out.push((k.to_vec(), r));
+                        Ok(())
+                    })
+                    .unwrap();
+                    out
+                };
+                prop_assert_eq!(scan(built), scan(inserted));
+            };
+            agree(&built, &inserted);
+            for &(a, b, r, insert) in &later {
+                if insert {
+                    built.insert(&key(a, b), rid(r)).unwrap();
+                    inserted.insert(&key(a, b), rid(r)).unwrap();
+                } else {
+                    prop_assert_eq!(
+                        built.delete(&key(a, b), rid(r)).unwrap(),
+                        inserted.delete(&key(a, b), rid(r)).unwrap()
+                    );
+                }
+            }
+            agree(&built, &inserted);
             let _ = std::fs::remove_dir_all(&dir);
         }
     }

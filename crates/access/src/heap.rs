@@ -11,12 +11,13 @@
 //! byte prefix (`TAG_INLINE`/`TAG_OVERFLOW`) is internal — callers always
 //! see their original bytes.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 use sbdms_kernel::error::{Result, ServiceError};
 use sbdms_storage::buffer::BufferPool;
-use sbdms_storage::page::{PageId, SlotId, HEADER_SIZE, PAGE_SIZE, SLOT_SIZE};
+use sbdms_storage::page::{Page, PageId, SlotId, HEADER_SIZE, PAGE_SIZE, SLOT_SIZE};
 
 /// Inline records above this spill to overflow pages (leave room for the
 /// tag byte and slot bookkeeping in a fresh page).
@@ -46,12 +47,137 @@ impl Rid {
 }
 
 /// An unordered collection of variable-length records.
+///
+/// Inserts find room through the handle's [`FreeSpaceMap`], built by one
+/// walk of the data pages the first time an insert needs it (a created
+/// heap starts with an empty one). The map lives in memory only: it is
+/// a hint over the pages, which stay the truth, so it needs no WAL
+/// records and a crash cannot leave it wrong. Writes through this
+/// handle keep it current; a second handle on the same heap keeps its
+/// own map and sees the other's changes only as failed tries (stale
+/// room) or unused room.
 pub struct HeapFile {
     buffer: Arc<BufferPool>,
     dir_page: PageId,
-    /// Cache of the data page most likely to have space, to avoid
-    /// rescanning the directory on every insert.
-    last_insert_page: Mutex<Option<PageId>>,
+    space: Mutex<Option<FreeSpaceMap>>,
+}
+
+/// Free space of a heap as its [`FreeSpaceMap`] bounds it, read without
+/// touching a page.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HeapSpace {
+    /// Data pages in the heap's directory.
+    pub data_pages: usize,
+    /// Sum over those pages of the longest record each still accepts
+    /// (an upper bound: exact after a build, stale-high after writes the
+    /// map did not see).
+    pub free_bytes: usize,
+}
+
+/// Per-heap free-space map: the data pages in directory order, each
+/// with an *upper bound* on the longest record [`Page::insert`] accepts
+/// there ([`Page::insert_room`]).
+///
+/// The invariant is one-sided. An insert through the map holds the
+/// map's lock across its page write and leaves that page's bound exact.
+/// Delete and update raise a bound to the room the page reports after
+/// the write and never lower it; restore only takes room and leaves the
+/// bound alone. So racing writers can leave a bound stale-high, never
+/// stale-low. A stale-high page costs one failed try, after which its
+/// bound is corrected. Hence the first page in directory order whose
+/// bound fits is exactly the first page a walk trying every page would
+/// find to accept the record.
+///
+/// First fit is a leftmost search in a max segment tree over the
+/// bounds: O(log pages) per insert, where the walk it replaces fetched
+/// every data page whenever the last insert page filled.
+///
+/// [`Page::insert`]: sbdms_storage::page::Page::insert
+/// [`Page::insert_room`]: sbdms_storage::page::Page::insert_room
+struct FreeSpaceMap {
+    pages: Vec<PageId>,
+    position: HashMap<PageId, usize>,
+    /// Max segment tree: leaf `i` of `pages` sits at `leaves + i`, node
+    /// `n` holds the max of nodes `2n` and `2n + 1`; node 0 is unused.
+    tree: Vec<u16>,
+    leaves: usize,
+    /// Last directory page, where [`HeapFile::extend`] appends.
+    tail_dir: PageId,
+}
+
+impl FreeSpaceMap {
+    fn new(pages: Vec<PageId>, rooms: &[usize], tail_dir: PageId) -> FreeSpaceMap {
+        // At least one spare leaf, so `push` can grow by rebuilding.
+        let leaves = (pages.len() + 1).next_power_of_two();
+        let mut tree = vec![0u16; 2 * leaves];
+        for (i, &room) in rooms.iter().enumerate() {
+            tree[leaves + i] = room as u16;
+        }
+        for n in (1..leaves).rev() {
+            tree[n] = tree[2 * n].max(tree[2 * n + 1]);
+        }
+        let position = pages.iter().enumerate().map(|(i, &p)| (p, i)).collect();
+        FreeSpaceMap {
+            pages,
+            position,
+            tree,
+            leaves,
+            tail_dir,
+        }
+    }
+
+    /// The first page (in directory order) whose bound admits `need`
+    /// bytes, as an index into `pages`.
+    fn first_fit(&self, need: usize) -> Option<usize> {
+        if (self.tree[1] as usize) < need {
+            return None;
+        }
+        let mut n = 1;
+        while n < self.leaves {
+            n = if self.tree[2 * n] as usize >= need { 2 * n } else { 2 * n + 1 };
+        }
+        Some(n - self.leaves)
+    }
+
+    fn room(&self, i: usize) -> usize {
+        self.tree[self.leaves + i] as usize
+    }
+
+    fn set(&mut self, i: usize, room: usize) {
+        let mut n = self.leaves + i;
+        self.tree[n] = room as u16;
+        while n > 1 {
+            n /= 2;
+            self.tree[n] = self.tree[2 * n].max(self.tree[2 * n + 1]);
+        }
+    }
+
+    /// Raise `page`'s bound to at least `room` (a write freed space).
+    fn raise(&mut self, page: PageId, room: usize) {
+        if let Some(&i) = self.position.get(&page) {
+            if room > self.room(i) {
+                self.set(i, room);
+            }
+        }
+    }
+
+    /// Append a freshly extended page.
+    fn push(&mut self, page: PageId, room: usize) {
+        if self.pages.len() == self.leaves {
+            let rooms: Vec<usize> = (0..self.pages.len()).map(|i| self.room(i)).collect();
+            *self = FreeSpaceMap::new(std::mem::take(&mut self.pages), &rooms, self.tail_dir);
+        }
+        self.position.insert(page, self.pages.len());
+        self.pages.push(page);
+        self.set(self.pages.len() - 1, room);
+    }
+
+    fn space(&self) -> HeapSpace {
+        HeapSpace {
+            data_pages: self.pages.len(),
+            free_bytes: (0..self.pages.len()).map(|i| self.room(i)).sum(),
+        }
+    }
 }
 
 impl HeapFile {
@@ -63,16 +189,17 @@ impl HeapFile {
         Ok(HeapFile {
             buffer,
             dir_page,
-            last_insert_page: Mutex::new(None),
+            space: Mutex::new(Some(FreeSpaceMap::new(Vec::new(), &[], dir_page))),
         })
     }
 
-    /// Open an existing heap file rooted at `dir_page`.
+    /// Open an existing heap file rooted at `dir_page`. Reads nothing:
+    /// the free-space map is built by the first insert.
     pub fn open(buffer: Arc<BufferPool>, dir_page: PageId) -> HeapFile {
         HeapFile {
             buffer,
             dir_page,
-            last_insert_page: Mutex::new(None),
+            space: Mutex::new(None),
         }
     }
 
@@ -86,6 +213,13 @@ impl HeapFile {
         &self.buffer
     }
 
+    /// Data pages and free bytes from the free-space map, or `None`
+    /// while no insert has built it since the heap was opened. Touches
+    /// no page.
+    pub fn space(&self) -> Option<HeapSpace> {
+        self.space.lock().as_ref().map(FreeSpaceMap::space)
+    }
+
     /// Insert a record, returning its rid. Records larger than a page
     /// transparently spill to an overflow chain.
     pub fn insert(&self, record: &[u8]) -> Result<Rid> {
@@ -93,24 +227,59 @@ impl HeapFile {
         self.insert_raw(&stored)
     }
 
+    /// Put `stored` on the first page in directory order that accepts
+    /// it, extending the heap when none does. The map's lock is held
+    /// across the page write, so inserts through this handle leave
+    /// exact bounds.
     fn insert_raw(&self, stored: &[u8]) -> Result<Rid> {
-        // Fast path: retry the last page that had space.
-        if let Some(page) = *self.last_insert_page.lock() {
-            if let Ok(slot) = self.buffer.try_with_page_mut(page, |p| p.insert(stored)) {
-                return Ok(Rid::new(page, slot));
+        let mut guard = self.space.lock();
+        if guard.is_none() {
+            *guard = Some(self.build_map()?);
+        }
+        let map = guard.as_mut().expect("built above");
+        while let Some(i) = map.first_fit(stored.len()) {
+            let page = map.pages[i];
+            let tried = self.buffer.try_with_page_mut(page, |p| {
+                let slot = p.insert(stored)?;
+                Ok((slot, p.insert_room()))
+            });
+            match tried {
+                Ok((slot, room)) => {
+                    map.set(i, room);
+                    return Ok(Rid::new(page, slot));
+                }
+                // A stale-high bound: correct it (below this record, so
+                // the search moves on) and look further on.
+                Err(_) => {
+                    let room = self.buffer.with_page(page, |p| p.insert_room())?;
+                    map.set(i, room.min(stored.len() - 1));
+                }
             }
         }
-        // Slow path: try every data page, then extend.
-        for page in self.data_pages()? {
-            if let Ok(slot) = self.buffer.try_with_page_mut(page, |p| p.insert(stored)) {
-                *self.last_insert_page.lock() = Some(page);
-                return Ok(Rid::new(page, slot));
-            }
-        }
-        let page = self.extend()?;
-        let slot = self.buffer.try_with_page_mut(page, |p| p.insert(stored))?;
-        *self.last_insert_page.lock() = Some(page);
+        let page = self.extend(&mut map.tail_dir)?;
+        let (slot, room) = self.buffer.try_with_page_mut(page, |p| {
+            let slot = p.insert(stored)?;
+            Ok((slot, p.insert_room()))
+        })?;
+        map.push(page, room);
         Ok(Rid::new(page, slot))
+    }
+
+    /// One walk of the directory and its data pages.
+    fn build_map(&self) -> Result<FreeSpaceMap> {
+        let (pages, tail_dir) = self.directory()?;
+        let rooms = pages
+            .iter()
+            .map(|&page| self.buffer.with_page(page, |p| p.insert_room()))
+            .collect::<Result<Vec<_>>>()?;
+        Ok(FreeSpaceMap::new(pages, &rooms, tail_dir))
+    }
+
+    /// Record that a write left `page` with `room` (raise only).
+    fn note_room(&self, page: PageId, room: usize) {
+        if let Some(map) = self.space.lock().as_mut() {
+            map.raise(page, room);
+        }
     }
 
     /// Read a record (following any overflow chain).
@@ -121,17 +290,32 @@ impl HeapFile {
     /// Update a record in place (the rid stays valid). Old overflow pages
     /// are freed; the payload may move between inline and overflow form.
     pub fn update(&self, rid: Rid, record: &[u8]) -> Result<()> {
-        Self::update_record(&self.buffer, rid, record)
+        let old = self.stored(rid)?;
+        let stored = Self::encode_stored(&self.buffer, record)?;
+        let room = self.buffer.try_with_page_mut(rid.page, |p| {
+            p.update(rid.slot, &stored)?;
+            Ok(p.insert_room())
+        })?;
+        self.note_room(rid.page, room);
+        Self::free_overflow(&self.buffer, &old)
     }
 
     /// Delete a record (freeing any overflow chain).
     pub fn delete(&self, rid: Rid) -> Result<()> {
-        Self::delete_record(&self.buffer, rid)
+        let old = self.stored(rid)?;
+        let room = self.buffer.try_with_page_mut(rid.page, |p| {
+            p.delete(rid.slot)?;
+            Ok(p.insert_room())
+        })?;
+        self.note_room(rid.page, room);
+        Self::free_overflow(&self.buffer, &old)
     }
 
     /// Put a record back under `rid`, whose slot a delete left dead —
     /// the inverse of [`HeapFile::delete`], so the rid survives.
     pub fn restore(&self, rid: Rid, record: &[u8]) -> Result<()> {
+        // Restoring only takes room, so the map's bound for the page
+        // stays an upper bound untouched.
         let stored = Self::encode_stored(&self.buffer, record)?;
         self.buffer
             .try_with_page_mut(rid.page, |p| p.restore(rid.slot, &stored))
@@ -144,21 +328,11 @@ impl HeapFile {
         Self::decode_stored(buffer, &stored)
     }
 
-    /// Update a record by rid without a heap handle.
-    pub fn update_record(buffer: &Arc<BufferPool>, rid: Rid, record: &[u8]) -> Result<()> {
-        let old = buffer.with_page(rid.page, |p| p.get(rid.slot).map(|r| r.to_vec()))??;
-        let stored = Self::encode_stored(buffer, record)?;
-        buffer.try_with_page_mut(rid.page, |p| p.update(rid.slot, &stored))?;
-        Self::free_overflow(buffer, &old)?;
-        Ok(())
-    }
-
-    /// Delete a record by rid without a heap handle.
-    pub fn delete_record(buffer: &Arc<BufferPool>, rid: Rid) -> Result<()> {
-        let old = buffer.with_page(rid.page, |p| p.get(rid.slot).map(|r| r.to_vec()))??;
-        buffer.try_with_page_mut(rid.page, |p| p.delete(rid.slot))?;
-        Self::free_overflow(buffer, &old)?;
-        Ok(())
+    /// The stored form of the record at `rid` (tag byte and inline
+    /// payload or overflow pointer).
+    fn stored(&self, rid: Rid) -> Result<Vec<u8>> {
+        self.buffer
+            .with_page(rid.page, |p| p.get(rid.slot).map(|r| r.to_vec()))?
     }
 
     /// Encode a user record into its stored form, building an overflow
@@ -299,29 +473,28 @@ impl HeapFile {
 
     /// All data page ids in directory order.
     pub fn data_pages(&self) -> Result<Vec<PageId>> {
+        Ok(self.directory()?.0)
+    }
+
+    /// Walk the directory chain: the data page ids in directory order
+    /// and the last directory page.
+    fn directory(&self) -> Result<(Vec<PageId>, PageId)> {
         let mut pages = Vec::new();
         let mut dir = self.dir_page;
         loop {
-            let (next, mut data): (u64, Vec<PageId>) = self.buffer.with_page(dir, |p| {
-                let next = p
-                    .get(0)
-                    .ok()
-                    .and_then(|b| b.try_into().ok().map(u64::from_le_bytes))
-                    .unwrap_or(0);
-                let data = p
-                    .iter()
-                    .filter(|(slot, _)| *slot != 0)
-                    .filter_map(|(_, rec)| rec.try_into().ok().map(u64::from_le_bytes))
-                    .collect();
-                (next, data)
+            let next = self.buffer.with_page(dir, |p| {
+                pages.extend(
+                    p.iter()
+                        .filter(|(slot, _)| *slot != 0)
+                        .filter_map(|(_, rec)| rec.try_into().ok().map(u64::from_le_bytes)),
+                );
+                next_dir(p)
             })?;
-            pages.append(&mut data);
             if next == 0 {
-                break;
+                return Ok((pages, dir));
             }
             dir = next;
         }
-        Ok(pages)
     }
 
     /// Drop the whole file, freeing every data, overflow, and directory
@@ -341,12 +514,7 @@ impl HeapFile {
         }
         let mut dir = self.dir_page;
         loop {
-            let next: u64 = self.buffer.with_page(dir, |p| {
-                p.get(0)
-                    .ok()
-                    .and_then(|b| b.try_into().ok().map(u64::from_le_bytes))
-                    .unwrap_or(0)
-            })?;
+            let next = self.buffer.with_page(dir, next_dir)?;
             self.buffer.free_page(dir)?;
             if next == 0 {
                 break;
@@ -356,52 +524,81 @@ impl HeapFile {
         Ok(())
     }
 
-    /// Allocate a data page and register it in the directory, chaining a
-    /// new directory page when the current one is full.
-    fn extend(&self) -> Result<PageId> {
+    /// Allocate a data page and register it in the last directory page,
+    /// `tail_dir`, chaining a new directory page (and moving `tail_dir`
+    /// to it) when that one is full. `tail_dir` first follows the chain,
+    /// in case another handle on the heap chained pages past it.
+    fn extend(&self, tail_dir: &mut PageId) -> Result<PageId> {
+        loop {
+            match self.buffer.with_page(*tail_dir, next_dir)? {
+                0 => break,
+                next => *tail_dir = next,
+            }
+        }
         let data_page = self.buffer.new_page()?;
         let entry = data_page.to_le_bytes();
-
-        // Find the tail directory page.
-        let mut dir = self.dir_page;
-        loop {
-            let next: u64 = self.buffer.with_page(dir, |p| {
-                p.get(0)
-                    .ok()
-                    .and_then(|b| b.try_into().ok().map(u64::from_le_bytes))
-                    .unwrap_or(0)
-            })?;
-            if next == 0 {
-                break;
-            }
-            dir = next;
-        }
-
         if self
             .buffer
-            .try_with_page_mut(dir, |p| p.insert(&entry))
+            .try_with_page_mut(*tail_dir, |p| p.insert(&entry))
             .is_ok()
         {
             return Ok(data_page);
         }
-
-        // Tail directory full: chain a new one.
         let new_dir = self.buffer.new_page()?;
         self.buffer.try_with_page_mut(new_dir, |p| {
             p.insert(&0u64.to_le_bytes())?;
             p.insert(&entry)
         })?;
         self.buffer
-            .try_with_page_mut(dir, |p| p.update(0, &new_dir.to_le_bytes()))?;
+            .try_with_page_mut(*tail_dir, |p| p.update(0, &new_dir.to_le_bytes()))?;
+        *tail_dir = new_dir;
         Ok(data_page)
     }
+}
+
+/// The next-directory pointer in slot 0 of a directory page (0 = none).
+fn next_dir(p: &Page) -> u64 {
+    p.get(0)
+        .ok()
+        .and_then(|b| b.try_into().ok().map(u64::from_le_bytes))
+        .unwrap_or(0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use sbdms_storage::replacement::PolicyKind;
     use sbdms_storage::services::StorageEngine;
+
+    impl HeapFile {
+        /// The placement rule the free-space map must reproduce: try
+        /// every data page in directory order, then extend.
+        fn insert_by_walk(&self, record: &[u8]) -> Result<Rid> {
+            let stored = Self::encode_stored(&self.buffer, record)?;
+            let (pages, mut tail_dir) = self.directory()?;
+            for page in pages {
+                if let Ok(slot) = self.buffer.try_with_page_mut(page, |p| p.insert(&stored)) {
+                    return Ok(Rid::new(page, slot));
+                }
+            }
+            let page = self.extend(&mut tail_dir)?;
+            let slot = self.buffer.try_with_page_mut(page, |p| p.insert(&stored))?;
+            Ok(Rid::new(page, slot))
+        }
+
+        /// Free bytes and data pages by a walk of every page.
+        fn walked_space(&self) -> HeapSpace {
+            let pages = self.data_pages().unwrap();
+            HeapSpace {
+                data_pages: pages.len(),
+                free_bytes: pages
+                    .iter()
+                    .map(|&page| self.buffer.with_page(page, |p| p.insert_room()).unwrap())
+                    .sum(),
+            }
+        }
+    }
 
     fn heap(name: &str, frames: usize) -> HeapFile {
         let dir = std::env::temp_dir()
@@ -530,6 +727,22 @@ mod tests {
     }
 
     #[test]
+    fn a_stale_tail_directory_page_is_followed_not_overwritten() {
+        let h = heap("chain-two-handles", 8);
+        let other = HeapFile::open(h.buffer().clone(), h.dir_page());
+        let big = vec![7u8; 3000];
+        other.insert(&big).unwrap(); // `other`'s map: tail = root
+        for _ in 0..450 {
+            h.insert(&big).unwrap(); // chains a second directory page
+        }
+        for _ in 0..10 {
+            other.insert(&big).unwrap();
+        }
+        assert_eq!(h.len().unwrap(), 461, "no data page was cut off the chain");
+        assert_eq!(h.data_pages().unwrap().len(), 461);
+    }
+
+    #[test]
     fn destroy_frees_pages_for_reuse() {
         let h = heap("destroy", 16);
         for i in 0..50 {
@@ -615,5 +828,161 @@ mod tests {
         // Everything is reusable.
         let p = buffer.new_page().unwrap();
         assert!(p < high_water);
+    }
+
+    #[test]
+    fn space_comes_from_the_map_and_matches_a_walk() {
+        let dir = std::env::temp_dir()
+            .join("sbdms-heap-tests")
+            .join(format!("space-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let engine = StorageEngine::open(&dir, 16, PolicyKind::Lru).unwrap();
+        let h = HeapFile::create(engine.buffer.clone()).unwrap();
+        assert_eq!(h.space(), Some(HeapSpace { data_pages: 0, free_bytes: 0 }));
+        let rids: Vec<Rid> = (0..300)
+            .map(|i| h.insert(format!("{i:04}-{}", "s".repeat(60)).as_bytes()).unwrap())
+            .collect();
+        for rid in rids.iter().step_by(3) {
+            h.delete(*rid).unwrap();
+        }
+        assert_eq!(h.space(), Some(h.walked_space()));
+        assert!(h.space().unwrap().data_pages > 1);
+
+        // A reopened heap has no map until its first insert builds one.
+        let h2 = HeapFile::open(engine.buffer.clone(), h.dir_page());
+        assert_eq!(h2.space(), None);
+        h2.insert(b"x").unwrap();
+        assert_eq!(h2.space(), Some(h2.walked_space()));
+    }
+
+    #[test]
+    fn stale_room_from_a_second_handle_costs_one_try() {
+        let h = heap("stale", 16);
+        let other = HeapFile::open(h.buffer().clone(), h.dir_page());
+        let first = h.insert(&[1u8; 100]).unwrap();
+        other.insert(&[2u8; 100]).unwrap(); // builds `other`'s map
+        // `h` fills the first page behind `other`'s back.
+        while h.insert(&[3u8; 100]).unwrap().page == first.page {}
+        // `other` still believes the first page has room: it tries it,
+        // corrects the bound and lands on a page that accepts.
+        let rid = other.insert(&[4u8; 100]).unwrap();
+        assert_ne!(rid.page, first.page);
+        assert_eq!(other.get(rid).unwrap(), vec![4u8; 100]);
+        let room = h.buffer().with_page(first.page, |p| p.insert_room()).unwrap();
+        assert!(room < 101, "the first page is really full");
+    }
+
+    #[test]
+    fn churn_of_a_fixed_row_count_keeps_the_page_count_bounded() {
+        let h = heap("churn", 32);
+        let record = |i: usize| format!("{i:06}-{}", "c".repeat(90)).into_bytes();
+        let mut live: Vec<Rid> = (0..600).map(|i| h.insert(&record(i)).unwrap()).collect();
+        let pages = h.data_pages().unwrap().len();
+        for round in 0..30 {
+            // Delete every other row, then insert as many back.
+            let mut kept = Vec::with_capacity(live.len());
+            for (i, rid) in live.into_iter().enumerate() {
+                if (i + round) % 2 == 0 {
+                    h.delete(rid).unwrap();
+                } else {
+                    kept.push(rid);
+                }
+            }
+            live = kept;
+            for i in live.len()..600 {
+                live.push(h.insert(&record(round * 1_000 + i)).unwrap());
+            }
+            assert_eq!(h.len().unwrap(), 600);
+        }
+        assert_eq!(h.data_pages().unwrap().len(), pages, "freed space was reused");
+    }
+
+    /// One step of the placement differential.
+    #[derive(Debug, Clone)]
+    enum Step {
+        Insert(usize),
+        Delete(prop::sample::Index),
+        Update(prop::sample::Index, usize),
+        Restore(prop::sample::Index),
+    }
+
+    fn step() -> impl Strategy<Value = Step> {
+        let len = prop_oneof![1usize..120, 120usize..1_500, Just(5_000usize)];
+        prop_oneof![
+            4 => len.clone().prop_map(Step::Insert),
+            2 => any::<prop::sample::Index>().prop_map(Step::Delete),
+            1 => (any::<prop::sample::Index>(), len).prop_map(|(i, n)| Step::Update(i, n)),
+            1 => any::<prop::sample::Index>().prop_map(Step::Restore),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+        /// A seeded insert/delete/update/restore workload places every
+        /// insert on the same rid through the free-space map as through
+        /// a walk that tries every page in directory order.
+        #[test]
+        fn prop_map_places_rids_like_the_walk(
+            steps in proptest::collection::vec(step(), 1..200),
+            seed in any::<u32>(),
+        ) {
+            let open = |side: &str| {
+                let dir = std::env::temp_dir().join("sbdms-heap-tests").join(format!(
+                    "fsm-{side}-{}-{seed:x}",
+                    std::process::id()
+                ));
+                let _ = std::fs::remove_dir_all(&dir);
+                let engine = StorageEngine::open(&dir, 8, PolicyKind::Lru).unwrap();
+                (HeapFile::create(engine.buffer).unwrap(), dir)
+            };
+            let ((mapped, dir_a), (walked, dir_b)) = (open("map"), open("walk"));
+            let mut live: Vec<(Rid, Vec<u8>)> = Vec::new();
+            let mut dead: Vec<(Rid, Vec<u8>)> = Vec::new();
+            for (n, step) in steps.iter().enumerate() {
+                let payload = |len: usize| vec![(n % 251) as u8; len];
+                match step {
+                    Step::Insert(len) => {
+                        let record = payload(*len);
+                        let rid = mapped.insert(&record).unwrap();
+                        prop_assert_eq!(rid, walked.insert_by_walk(&record).unwrap(), "step {}", n);
+                        // A reused dead slot can no longer be restored.
+                        dead.retain(|(r, _)| *r != rid);
+                        live.push((rid, record));
+                    }
+                    Step::Delete(i) if !live.is_empty() => {
+                        let (rid, record) = live.swap_remove(i.index(live.len()));
+                        mapped.delete(rid).unwrap();
+                        walked.delete(rid).unwrap();
+                        dead.push((rid, record));
+                    }
+                    Step::Update(i, len) if !live.is_empty() => {
+                        let at = i.index(live.len());
+                        let record = payload(*len);
+                        let rid = live[at].0;
+                        let (a, b) = (mapped.update(rid, &record), walked.update(rid, &record));
+                        prop_assert_eq!(a.is_ok(), b.is_ok());
+                        if a.is_ok() {
+                            live[at].1 = record;
+                        }
+                    }
+                    Step::Restore(i) if !dead.is_empty() => {
+                        let (rid, record) = dead.swap_remove(i.index(dead.len()));
+                        let (a, b) = (mapped.restore(rid, &record), walked.restore(rid, &record));
+                        prop_assert_eq!(a.is_ok(), b.is_ok());
+                        if a.is_ok() {
+                            live.push((rid, record));
+                        }
+                    }
+                    _ => {}
+                }
+            }
+            prop_assert_eq!(mapped.data_pages().unwrap(), walked.data_pages().unwrap());
+            for (rid, record) in &live {
+                prop_assert_eq!(&mapped.get(*rid).unwrap(), record);
+            }
+            prop_assert_eq!(mapped.len().unwrap(), live.len());
+            let _ = std::fs::remove_dir_all(dir_a);
+            let _ = std::fs::remove_dir_all(dir_b);
+        }
     }
 }

@@ -48,6 +48,7 @@ pub fn heap_interface() -> Interface {
             Operation::new(
                 "update",
                 vec![
+                    Param::required("heap", TypeTag::Int),
                     Param::required("page", TypeTag::Int),
                     Param::required("slot", TypeTag::Int),
                     Param::required("record", TypeTag::Bytes),
@@ -57,6 +58,7 @@ pub fn heap_interface() -> Interface {
             Operation::new(
                 "delete",
                 vec![
+                    Param::required("heap", TypeTag::Int),
                     Param::required("page", TypeTag::Int),
                     Param::required("slot", TypeTag::Int),
                 ],
@@ -210,14 +212,14 @@ impl Service for HeapService {
                 Ok(Value::Bytes(HeapFile::read_record(&self.buffer, rid)?))
             }
             "update" => {
-                let rid = rid_from(&input)?;
+                let heap = self.heap(input.require("heap")?.as_u64()?);
                 let record = input.require("record")?.as_bytes()?;
-                HeapFile::update_record(&self.buffer, rid, record)?;
+                heap.update(rid_from(&input)?, record)?;
                 Ok(Value::Null)
             }
             "delete" => {
-                let rid = rid_from(&input)?;
-                HeapFile::delete_record(&self.buffer, rid)?;
+                let heap = self.heap(input.require("heap")?.as_u64()?);
+                heap.delete(rid_from(&input)?)?;
                 Ok(Value::Null)
             }
             "scan" => {
@@ -415,6 +417,7 @@ mod tests {
             heap_id,
             "update",
             Value::map()
+                .with("heap", heap)
                 .with("page", page)
                 .with("slot", slot)
                 .with("record", b"row-2".to_vec()),
@@ -430,8 +433,12 @@ mod tests {
             .unwrap();
         assert_eq!(scan.as_list().unwrap().len(), 1);
 
-        bus.invoke(heap_id, "delete", Value::map().with("page", page).with("slot", slot))
-            .unwrap();
+        bus.invoke(
+            heap_id,
+            "delete",
+            Value::map().with("heap", heap).with("page", page).with("slot", slot),
+        )
+        .unwrap();
         let count = bus
             .invoke(heap_id, "count", Value::map().with("heap", heap))
             .unwrap();

@@ -7,8 +7,6 @@
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-pub mod workload;
-
 static DIR_COUNTER: AtomicU64 = AtomicU64::new(0);
 
 /// A unique temp directory for one experiment instance.
@@ -491,46 +489,75 @@ pub mod experiments {
 
     // --- E10: crash recovery and checksum cost --------------------------
 
-    use sbdms::data::txn::Durability;
+    use sbdms::data::txn::{Durability, KIND_COMMIT, KIND_DATA};
     use sbdms::storage::{SimBackend, SimConfig};
 
     /// E10: build a simulated database whose WAL holds `committed`
-    /// committed transactions plus one flushed-but-uncommitted tail
-    /// transaction, then crash it (handle drops, device power-cycles).
-    /// Returns the backend — ready for a timed recovery open — and the
-    /// durable WAL size in bytes.
-    pub fn e10_crashed_sim(committed: usize, ops_per_txn: usize) -> (Arc<SimBackend>, u64) {
-        let sim = SimBackend::new(SimConfig::seeded(0xE10));
-        {
-            let db = Database::open_at(&*sim, DbOptions::default()).unwrap();
-            db.set_durability(Durability::Full);
-            let s = db.session();
-            s.execute("CREATE TABLE kv (k INT NOT NULL, v INT NOT NULL)")
-                .unwrap();
-            db.checkpoint().unwrap();
-            let mut next = 0i64;
-            let mut txn = |rows: usize| {
-                for _ in 0..rows {
-                    s.execute(&format!("INSERT INTO kv VALUES ({next}, {next})"))
-                        .unwrap();
-                    next += 1;
-                }
-            };
-            for _ in 0..committed {
-                s.begin().unwrap();
-                txn(ops_per_txn);
-                s.commit().unwrap();
-            }
-            // The in-flight tail: flushed to the device (steal) but
-            // never committed, so recovery has undo work to do.
-            s.begin().unwrap();
-            txn(ops_per_txn);
-            db.storage().buffer.flush_all().unwrap();
-            db.storage().wal.sync().unwrap();
-        }
+    /// committed transactions of `ops_per_txn` rows plus a tail
+    /// transaction of as many rows that lost power inside its commit:
+    /// after the commit apply wrote its pages back and synced them, and
+    /// before its commit record reached the log. Recovery therefore has
+    /// the tail's rows to take back out of the heap. Returns the backend
+    /// (ready for a timed recovery open), the durable WAL size in bytes,
+    /// and the tail's undo records in the durable WAL.
+    pub fn e10_crashed_sim(committed: usize, ops_per_txn: usize) -> (Arc<SimBackend>, u64, usize) {
+        // A fault-free run counts the tail commit's durability events;
+        // the last two are the commit record's log write and sync.
+        let (_, span) = e10_run(committed, ops_per_txn, None);
+        let (sim, _) = e10_run(committed, ops_per_txn, Some(span - 2));
         sim.power_cycle();
-        let wal_bytes = sim.durable_bytes("wal.log").map_or(0, |b| b.len() as u64);
-        (sim, wal_bytes)
+        let wal = sim.durable_bytes("wal.log").unwrap_or_default();
+        let records = sbdms::storage::wal::scan_bytes(&wal);
+        let tail_start = records
+            .iter()
+            .rposition(|r| r.kind == KIND_COMMIT)
+            .map_or(0, |i| i + 1);
+        let undo = records[tail_start..]
+            .iter()
+            .filter(|r| r.kind == KIND_DATA)
+            .count();
+        (sim, wal.len() as u64, undo)
+    }
+
+    /// One deterministic E10 run on a fresh device: the committed
+    /// prefix, then the tail transaction's commit, with the power set to
+    /// fail after `crash_after` of the commit's durability events.
+    /// Returns the device and the commit's event count.
+    fn e10_run(
+        committed: usize,
+        ops_per_txn: usize,
+        crash_after: Option<u64>,
+    ) -> (Arc<SimBackend>, u64) {
+        let sim = SimBackend::new(SimConfig::seeded(0xE10));
+        let db = Database::open_at(&*sim, DbOptions::default()).unwrap();
+        db.set_durability(Durability::Full);
+        let s = db.session();
+        s.execute("CREATE TABLE kv (k INT NOT NULL, v INT NOT NULL)")
+            .unwrap();
+        db.checkpoint().unwrap();
+        let mut next = 0i64;
+        let mut txn = |rows: usize| {
+            s.begin().unwrap();
+            for _ in 0..rows {
+                s.execute(&format!("INSERT INTO kv VALUES ({next}, {next})"))
+                    .unwrap();
+                next += 1;
+            }
+        };
+        for _ in 0..committed {
+            txn(ops_per_txn);
+            s.commit().unwrap();
+        }
+        txn(ops_per_txn);
+        let base = sim.io_events();
+        if let Some(n) = crash_after {
+            sim.crash_after_events(base + n);
+        }
+        let outcome = s.commit();
+        assert_eq!(outcome.is_ok(), crash_after.is_none(), "E10 tail commit: {outcome:?}");
+        let span = sim.io_events() - base;
+        drop((s, db));
+        (sim, span)
     }
 
     /// E10: timed crash-recovery open on a backend prepared by
@@ -1432,6 +1459,89 @@ pub mod experiments {
         let _ = client.close();
         (inproc, wire_text, wire_prepared)
     }
+
+    // --- E17: linear-time load --------------------------------------------
+
+    /// What one E17 load measured.
+    #[derive(Debug, Clone)]
+    pub struct E17Load {
+        /// Rows loaded.
+        pub rows: usize,
+        /// Buffer-pool frames.
+        pub frames: usize,
+        /// Wall time of the 1 000-row INSERTs.
+        pub load: Duration,
+        /// Median wall time of one 1 000-row INSERT: flat in the table
+        /// size when loading is linear.
+        pub insert_median: Duration,
+        /// Wall time of `CREATE INDEX t_k ON t (k)` over the loaded rows.
+        pub create_index: Duration,
+        /// Buffer-pool fetches (hits + misses) per inserted row.
+        pub fetches_per_insert: f64,
+        /// Data pages of `t`'s heap.
+        pub heap_pages: usize,
+        /// Pages the index build allocated (nodes and meta page).
+        pub index_pages: u64,
+    }
+
+    /// E17: load `rows` rows of `t(k, v, pad TEXT(40))` in 1 000-row
+    /// INSERTs at the default (Relaxed) durability on real files and a
+    /// pool of `frames` frames, keys in a scrambled order, then build
+    /// `CREATE INDEX t_k` over them. The database is deleted afterwards.
+    pub fn e17_load(rows: usize, frames: usize) -> E17Load {
+        let dir = bench_dir("e17");
+        let out = {
+            let opts = DbOptions {
+                buffer_frames: frames,
+                ..DbOptions::default()
+            };
+            let db = Database::open_opts(&dir, opts).unwrap();
+            let s = db.session();
+            s.execute("CREATE TABLE t (k INT NOT NULL, v INT NOT NULL, pad TEXT NOT NULL)")
+                .unwrap();
+            let pad = "p".repeat(40);
+            let buffer = &db.storage().buffer;
+            let fetches = || {
+                let stats = buffer.stats();
+                stats.hits + stats.misses
+            };
+            let before = fetches();
+            let mut load = Duration::ZERO;
+            let mut inserts = Vec::with_capacity(rows / 1_000 + 1);
+            for chunk in (0..rows).collect::<Vec<_>>().chunks(1_000) {
+                // 7 919 is prime, so `i * 7919 % rows` permutes the keys.
+                let values: Vec<String> = chunk
+                    .iter()
+                    .map(|&i| format!("({}, {i}, '{pad}')", i * 7_919 % rows))
+                    .collect();
+                let sql = format!("INSERT INTO t VALUES {}", values.join(", "));
+                let start = Instant::now();
+                s.execute(&sql).unwrap();
+                inserts.push(start.elapsed());
+                load += inserts[inserts.len() - 1];
+            }
+            inserts.sort_unstable();
+            let fetches_per_insert = (fetches() - before) as f64 / rows as f64;
+            let pages_before = buffer.disk().page_count();
+            let start = Instant::now();
+            s.execute("CREATE INDEX t_k ON t (k)").unwrap();
+            let create_index = start.elapsed();
+            let t = db.table("t").unwrap();
+            assert_eq!(t.index_named("t_k").unwrap().1.len().unwrap(), rows);
+            E17Load {
+                rows,
+                frames,
+                load,
+                insert_median: inserts[inserts.len() / 2],
+                create_index,
+                fetches_per_insert,
+                heap_pages: t.heap().data_pages().unwrap().len(),
+                index_pages: buffer.disk().page_count() - pages_before,
+            }
+        };
+        let _ = std::fs::remove_dir_all(&dir);
+        out
+    }
 }
 
 #[cfg(test)]
@@ -1561,15 +1671,18 @@ mod tests {
 
     #[test]
     fn e10_harness_runs() {
-        let (sim, wal_bytes) = e10_crashed_sim(3, 2);
+        let (sim, wal_bytes, undo) = e10_crashed_sim(3, 2);
         assert!(wal_bytes > 0, "the crashed WAL must not be empty");
+        // The tail's rows reached the log and the synced heap pages:
+        // recovery has both of them to roll back.
+        assert_eq!(undo, 2, "undo records of the crashed tail");
         let (elapsed, rows) = e10_recover(&sim);
         assert!(elapsed.as_nanos() > 0);
-        // Only committed rows survive; the in-flight tail is undone.
+        // Only committed rows survive; the crashed tail is undone.
         assert_eq!(rows, 6);
 
         // A bigger committed prefix means a bigger durable WAL.
-        let (_, bigger) = e10_crashed_sim(12, 2);
+        let (_, bigger, _) = e10_crashed_sim(12, 2);
         assert!(bigger > wal_bytes);
     }
 
@@ -1741,6 +1854,15 @@ mod tests {
             windowed <= solo,
             "a 400µs window must not sync more often than none: {windowed} vs {solo}"
         );
+    }
+
+    #[test]
+    fn e17_harness_loads_and_indexes() {
+        let small = e17_load(2_000, 64);
+        assert_eq!(small.rows, 2_000);
+        assert!(small.heap_pages > 10 && small.index_pages > 2);
+        // One heap fetch per row, plus a fraction for the pages it fills.
+        assert!(small.fetches_per_insert < 2.0, "{small:?}");
     }
 
     #[test]

@@ -275,6 +275,7 @@ impl Sbdms {
                         self.bus.properties().clone(),
                         "main",
                     )
+                    .with_database(self.db.clone())
                     .into_ref(),
                 )
                 .with_reference(Reference::required("buffer", BUFFER_INTERFACE)),

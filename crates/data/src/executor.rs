@@ -13,7 +13,7 @@ use sbdms_access::exec::batch::{BatchStream, PageSource, BATCH_ROWS};
 use sbdms_access::exec::engine::VectorEngine;
 use sbdms_access::exec::join::JoinAlgorithm;
 use sbdms_access::exec;
-use sbdms_access::heap::{HeapFile, Rid};
+use sbdms_access::heap::{HeapFile, HeapSpace, Rid};
 use sbdms_access::record::{decode_tuple, decode_tuple_into, encode_tuple, Datum, Tuple};
 use sbdms_kernel::error::{Result, ServiceError};
 use sbdms_kernel::events::{Event, EventBus};
@@ -760,6 +760,21 @@ impl Database {
         let t = Arc::new(Table::open(&self.catalog, &name)?);
         self.tables.lock().insert(name, t.clone());
         Ok(t)
+    }
+
+    /// Free space of each open table's heap, by table name, read from
+    /// the heaps' free-space maps without touching a page. A table whose
+    /// handle is not open, or whose map no insert has built since it
+    /// opened, is left out (see [`HeapFile::space`]).
+    pub fn heap_space(&self) -> Vec<(String, HeapSpace)> {
+        let mut out: Vec<(String, HeapSpace)> = self
+            .tables
+            .lock()
+            .iter()
+            .filter_map(|(name, t)| Some((name.clone(), t.heap().space()?)))
+            .collect();
+        out.sort_by(|a, b| a.0.cmp(&b.0));
+        out
     }
 
     /// Run `f` against the session's open transaction — or, in

@@ -2,9 +2,9 @@
 
 use std::sync::Arc;
 
-use sbdms_access::btree::BTree;
+use sbdms_access::btree::{BTree, IndexEntry};
 use sbdms_access::heap::{HeapFile, Rid};
-use sbdms_access::record::{decode_tuple, encode_tuple, Datum, Tuple};
+use sbdms_access::record::{decode_tuple, encode_tuple, for_each_field, Datum, Tuple};
 use sbdms_kernel::error::{Result, ServiceError};
 use sbdms_storage::buffer::BufferPool;
 
@@ -205,11 +205,8 @@ impl Table {
                 columns.join(", ")
             )));
         }
-        let tree = BTree::create(self.buffer.clone())?;
-        for (rid, row) in self.scan()? {
-            let key: Vec<Datum> = cols.iter().map(|&i| row[i].clone()).collect();
-            tree.insert(&key, rid)?;
-        }
+        let entries = self.index_entries(&[cols])?.remove(0);
+        let tree = BTree::build(self.buffer.clone(), entries)?;
         let im = IndexMeta {
             name,
             columns,
@@ -219,6 +216,28 @@ impl Table {
         catalog.update_table(TableMeta::clone(&self.meta))?;
         self.indexes.push((im, tree));
         Ok(())
+    }
+
+    /// The `(key, rid)` entries of one index per column list in `keys`,
+    /// from one heap walk that decodes only the key columns of each
+    /// record straight off its page: the input [`BTree::build`] sorts.
+    fn index_entries(&self, keys: &[Vec<usize>]) -> Result<Vec<Vec<IndexEntry>>> {
+        let width = self.meta.schema.len();
+        let wanted: Vec<bool> = (0..width).map(|i| keys.iter().any(|k| k.contains(&i))).collect();
+        let mut fields = vec![Datum::Null; width];
+        let mut entries = vec![Vec::new(); keys.len()];
+        self.heap.walk(|rid, record| {
+            for_each_field(record, |i, d| {
+                if wanted.get(i) == Some(&true) {
+                    fields[i] = d.to_owned();
+                }
+            })?;
+            for (key, out) in keys.iter().zip(&mut entries) {
+                out.push((key.iter().map(|&i| fields[i].clone()).collect(), rid));
+            }
+            Ok(())
+        })?;
+        Ok(entries)
     }
 
     /// Drop a secondary index by name, persisting the new metadata. The
@@ -304,13 +323,15 @@ impl Table {
         if self.indexes.is_empty() {
             return Ok(());
         }
-        let rows = self.scan()?;
+        let keys = self
+            .indexes
+            .iter()
+            .map(|(im, _)| im.columns.iter().map(|c| self.column_index(c)).collect())
+            .collect::<Result<Vec<Vec<usize>>>>()?;
+        let entries = self.index_entries(&keys)?;
         let mut rebuilt = Vec::with_capacity(self.indexes.len());
-        for (im, _) in &self.indexes {
-            let tree = BTree::create(self.buffer.clone())?;
-            for (rid, row) in &rows {
-                tree.insert(&self.index_key(im, row)?, *rid)?;
-            }
+        for ((im, _), entries) in self.indexes.iter().zip(entries) {
+            let tree = BTree::build(self.buffer.clone(), entries)?;
             let mut im = im.clone();
             im.meta_page = tree.meta_page();
             rebuilt.push((im, tree));

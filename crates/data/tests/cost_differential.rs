@@ -440,6 +440,35 @@ fn point_dml_cost_is_flat_in_table_size() {
     }
 }
 
+/// Loading is linear: the buffer fetches a 1 000-row INSERT costs per
+/// row stay the same whether the table holds 1k or 64k rows. An insert
+/// asks the heap's free-space map for a page with room, so filling the
+/// last page costs one new page, not a try of every page of the heap.
+#[test]
+fn insert_cost_is_flat_in_table_size() {
+    let mut per_row = Vec::new();
+    for rows in [1_000i64, 64_000] {
+        let db = open_db(43);
+        let s = db.session();
+        s.execute("CREATE TABLE t (k INT NOT NULL, v INT NOT NULL, pad TEXT NOT NULL)").unwrap();
+        let batch = |from: i64| {
+            let vals: Vec<String> =
+                (from..from + 1_000).map(|i| format!("({i}, {i}, '{}')", "p".repeat(40))).collect();
+            format!("INSERT INTO t VALUES {}", vals.join(", "))
+        };
+        for from in (0..rows).step_by(1_000) {
+            s.execute(&batch(from)).unwrap();
+        }
+        let fetches = |s: sbdms_storage::buffer::BufferStats| s.hits + s.misses;
+        let before = fetches(db.storage().buffer.stats());
+        assert_eq!(s.execute(&batch(rows)).unwrap().affected, 1_000);
+        let fetched = fetches(db.storage().buffer.stats()) - before;
+        per_row.push(fetched.div_ceil(1_000));
+    }
+    let [small, big] = per_row[..] else { unreachable!() };
+    assert!(big <= small + 1, "fetches per inserted row: {small} at 1k rows, {big} at 64k");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 

@@ -1,10 +1,13 @@
 //! Property-based crash-recovery testing.
 //!
 //! Random DML workloads run against a database with full durability; a
-//! random prefix commits, a random suffix is left uncommitted when the
-//! process "crashes" (the handle drops without commit after flushing
-//! dirty pages — the steal-policy worst case). On reopen, recovery must
-//! restore exactly the committed state.
+//! random prefix commits, a random suffix is left in a transaction still
+//! open when the process "crashes" (the handle drops without commit
+//! after flushing dirty pages and the WAL). An open transaction's writes
+//! wait in its session's write set, so that tail must leave no trace:
+//! on reopen the database holds exactly the committed state. The
+//! simulated-device properties crash *inside* commits too, where
+//! recovery has real undo work.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -64,6 +67,9 @@ fn state(s: &Session) -> Vec<(i64, String)> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
+    /// Committed transactions survive a crash, and a transaction still
+    /// open at the crash leaves no trace (its writes never reached the
+    /// heap or the WAL), after which the database is fully usable.
     #[test]
     fn committed_state_survives_crash_with_uncommitted_tail(
         committed_ops in proptest::collection::vec(arb_op(), 0..12),
@@ -88,8 +94,8 @@ proptest! {
             }
             let snapshot = state(&s);
 
-            // Uncommitted tail in one open transaction; flush everything
-            // (steal) and crash.
+            // Uncommitted tail in one open transaction; flush every page
+            // and the WAL, then crash.
             s.begin().unwrap();
             for op in &uncommitted_ops {
                 apply(&s, op);
@@ -290,10 +296,11 @@ proptest! {
     }
 }
 
+/// Crash with a transaction open, reopen, crash again with another one
+/// open, reopen again: neither open transaction leaves a trace, and each
+/// reopen lands on the last committed state.
 #[test]
 fn double_crash_recovery_is_stable() {
-    // Crash during a transaction, recover, crash again mid-transaction,
-    // recover again: each recovery lands on the last committed state.
     let dir = std::env::temp_dir()
         .join("sbdms-recovery-prop")
         .join(format!("double-{}", std::process::id()));
@@ -414,4 +421,64 @@ fn checkpoint_beside_a_commit_keeps_it_all_or_nothing() {
         partial.is_empty(),
         "(round, rows) after a power loss beside checkpoints, of {ROWS}: {partial:?}"
     );
+}
+
+/// Space freed before a power cut is found again by inserts after
+/// recovery. Committed deletes free room on the first half of the heap;
+/// then a transaction inserting rows into that room loses power inside
+/// its commit, after its pages were written back and before its commit
+/// record, so recovery takes those rows out again and rebuilds the
+/// index. The free-space map lives in memory and is rebuilt from the
+/// pages, so after reopening, as many rows as were deleted fit without
+/// growing the heap, and heap and index agree.
+#[test]
+fn space_freed_before_a_power_cut_is_reused_after_recovery() {
+    const ROWS: i64 = 1_200;
+    let insert = |s: &Session, keys: std::ops::Range<i64>| {
+        for chunk in keys.collect::<Vec<_>>().chunks(300) {
+            let rows: Vec<String> = chunk.iter().map(|k| format!("({k}, {})", k * 7)).collect();
+            s.execute(&format!("INSERT INTO kv VALUES {}", rows.join(", "))).unwrap();
+        }
+    };
+    let heap_pages = |db: &Database| db.table("kv").unwrap().heap().data_pages().unwrap().len();
+    // The device up to the interrupted commit: the table loaded and half
+    // of it deleted, then the tail transaction's rows buffered.
+    let prepare = |seed: u64| {
+        let sim = SimBackend::new(SimConfig::seeded(seed));
+        let db = sim_open(&sim);
+        let s = db.session();
+        s.execute("CREATE TABLE kv (k INT NOT NULL, v INT NOT NULL)").unwrap();
+        s.execute("CREATE INDEX kv_k ON kv (k)").unwrap();
+        insert(&s, 0..ROWS);
+        db.checkpoint().unwrap();
+        s.execute(&format!("DELETE FROM kv WHERE k < {}", ROWS / 2)).unwrap();
+        s.begin().unwrap();
+        insert(&s, 10_000..10_000 + ROWS / 4);
+        (sim, db, s)
+    };
+    for seed in [3u64, 17, 0xF5] {
+        // Fault-free: the tail commit's durability events; the last two
+        // are the commit record's log write and its sync.
+        let span = {
+            let (sim, _db, s) = prepare(seed);
+            let base = sim.io_events();
+            s.commit().unwrap();
+            sim.io_events() - base
+        };
+        let (sim, db, s) = prepare(seed);
+        let pages = heap_pages(&db);
+        sim.crash_after_events(sim.io_events() + span - 2);
+        assert!(s.commit().is_err(), "seed {seed}: the commit must lose power");
+        drop((s, db));
+        sim.power_cycle();
+
+        let db = sim_open(&sim);
+        let s = db.session();
+        let want: BTreeMap<i64, i64> = (ROWS / 2..ROWS).map(|k| (k, k * 7)).collect();
+        assert_eq!(sim_state(&s), want, "seed {seed}: recovery undid the tail");
+        insert(&s, 20_000..20_000 + ROWS / 2);
+        assert_eq!(heap_pages(&db), pages, "seed {seed}: the freed room was reused");
+        db.table("kv").unwrap().validate().unwrap();
+        assert_eq!(sim_state(&s).len(), ROWS as usize);
+    }
 }

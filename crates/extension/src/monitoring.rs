@@ -8,7 +8,9 @@
 //!
 //! `StorageMonitorService` is exactly that customised service: it samples
 //! a buffer pool and publishes the four quantities the paper names, both
-//! as a response payload and into the architecture property store.
+//! as a response payload and into the architecture property store. Given
+//! a database, it adds each open table heap's free space and data pages,
+//! read from the heaps' free-space maps rather than by a page walk.
 
 use std::sync::Arc;
 
@@ -18,6 +20,7 @@ use sbdms_kernel::interface::{Interface, Operation};
 use sbdms_kernel::property::PropertyStore;
 use sbdms_kernel::service::{unknown_op, Descriptor, Service, ServiceRef};
 use sbdms_kernel::value::{TypeTag, Value};
+use sbdms_data::executor::Database;
 use sbdms_storage::buffer::BufferPool;
 use sbdms_storage::page::PAGE_SIZE;
 
@@ -41,6 +44,7 @@ pub struct StorageMonitorService {
     pool: Arc<BufferPool>,
     properties: PropertyStore,
     prefix: String,
+    db: Option<Arc<Database>>,
 }
 
 impl StorageMonitorService {
@@ -68,7 +72,14 @@ impl StorageMonitorService {
             pool,
             properties,
             prefix: prefix.to_string(),
+            db: None,
         }
+    }
+
+    /// Also report the free space of `db`'s table heaps.
+    pub fn with_database(mut self, db: Arc<Database>) -> StorageMonitorService {
+        self.db = Some(db);
+        self
     }
 
     /// Wrap into a shared handle.
@@ -77,7 +88,9 @@ impl StorageMonitorService {
     }
 
     /// Take one sample: returns the paper's four quantities and mirrors
-    /// them into the property store.
+    /// them into the property store. With a database, `heaps` lists
+    /// each open table heap's `free_bytes` and `data_pages` from its
+    /// free-space map (mirrored as `storage.<prefix>.heap.<table>.*`).
     pub fn sample(&self) -> Value {
         let stats = self.pool.stats();
         let workload = stats.hits + stats.misses;
@@ -90,6 +103,17 @@ impl StorageMonitorService {
             .set(&format!("storage.{p}.page_size"), PAGE_SIZE as i64);
         self.properties
             .set(&format!("storage.{p}.fragmentation"), stats.mean_fragmentation);
+        let heaps = self.db.iter().flat_map(|db| db.heap_space()).map(|(table, space)| {
+            let key = format!("storage.{p}.heap.{table}");
+            self.properties
+                .set(&format!("{key}.free_bytes"), space.free_bytes as i64);
+            self.properties
+                .set(&format!("{key}.data_pages"), space.data_pages as i64);
+            Value::map()
+                .with("table", table.as_str())
+                .with("free_bytes", space.free_bytes)
+                .with("data_pages", space.data_pages)
+        });
         Value::map()
             .with("workload", workload)
             .with("buffer_size", stats.capacity)
@@ -98,6 +122,7 @@ impl StorageMonitorService {
             .with("hit_ratio", stats.hit_ratio())
             .with("dirty", stats.dirty)
             .with("resident", stats.resident)
+            .with("heaps", Value::List(heaps.collect()))
     }
 }
 
@@ -260,6 +285,50 @@ mod tests {
             props.get_int("storage.main.page_size"),
             Some(PAGE_SIZE as i64)
         );
+    }
+
+    #[test]
+    fn sample_reports_heap_free_space_from_the_map() {
+        let dir = std::env::temp_dir()
+            .join("sbdms-monitor-tests")
+            .join(format!("heaps-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let db = Database::open(&dir).unwrap();
+        let s = db.session();
+        s.execute("CREATE TABLE t (k INT NOT NULL, pad TEXT NOT NULL)").unwrap();
+        let rows: Vec<String> = (0..400).map(|k| format!("({k}, '{}')", "p".repeat(40))).collect();
+        s.execute(&format!("INSERT INTO t VALUES {}", rows.join(", "))).unwrap();
+        s.execute("DELETE FROM t WHERE k < 100").unwrap();
+
+        let props = PropertyStore::new();
+        let pool = db.storage().buffer.clone();
+        let monitor = StorageMonitorService::new("mon", pool, props.clone(), "main")
+            .with_database(db.clone());
+        let stats = |pool: &BufferPool| {
+            let s = pool.stats();
+            s.hits + s.misses
+        };
+        let before = stats(&db.storage().buffer);
+        let sample = monitor.sample();
+        assert_eq!(stats(&db.storage().buffer), before, "sampling fetched no page");
+
+        let heaps = sample.get("heaps").unwrap().as_list().unwrap();
+        assert_eq!(heaps.len(), 1);
+        assert_eq!(heaps[0].get("table").unwrap().as_str().unwrap(), "t");
+        // The same quantities by a walk of the heap's pages.
+        let t = db.table("t").unwrap();
+        let pages = t.heap().data_pages().unwrap();
+        let free: usize = pages
+            .iter()
+            .map(|&page| db.storage().buffer.with_page(page, |p| p.insert_room()).unwrap())
+            .sum();
+        let data_pages = heaps[0].get("data_pages").unwrap().as_int().unwrap();
+        let free_bytes = heaps[0].get("free_bytes").unwrap().as_int().unwrap();
+        assert_eq!(data_pages, pages.len() as i64);
+        assert!(data_pages > 1);
+        assert_eq!(free_bytes, free as i64, "the deletes' freed room is in the map");
+        assert_eq!(props.get_int("storage.main.heap.t.free_bytes"), Some(free_bytes));
+        assert_eq!(props.get_int("storage.main.heap.t.data_pages"), Some(data_pages));
     }
 
     #[test]

@@ -149,6 +149,15 @@ impl Page {
         PAGE_SIZE - dir_end - self.live_payload_bytes()
     }
 
+    /// The longest record [`Page::insert`] accepts: the free bytes a
+    /// compaction would leave, less a new slot entry unless a dead slot
+    /// can be reused. Exactly `insert`'s acceptance rule.
+    pub fn insert_room(&self) -> usize {
+        let dead_slot = (0..self.slot_count()).any(|s| matches!(self.slot(s), Some((0, _))));
+        let need_dir = if dead_slot { 0 } else { SLOT_SIZE };
+        self.recoverable_free().saturating_sub(need_dir)
+    }
+
     /// Number of live records.
     pub fn live_records(&self) -> usize {
         (0..self.slot_count())
@@ -512,6 +521,10 @@ mod tests {
                 }
                 prop_assert_eq!(page.live_records(), model.len());
             }
+            // `insert_room` is exactly insert's acceptance rule.
+            let room = page.insert_room();
+            prop_assert!(page.clone().insert(&vec![0u8; room]).is_ok());
+            prop_assert!(page.clone().insert(&vec![0u8; room + 1]).is_err());
             // Survives a serialisation roundtrip at any point.
             let restored = Page::from_bytes(page.as_bytes()).unwrap();
             for (slot, rec) in &model {

@@ -113,7 +113,9 @@ fn transactional_workload_with_crash_recovery() {
         s.execute_sql("INSERT INTO ledger VALUES (1), (2)").unwrap();
         s.database().checkpoint().unwrap();
 
-        // An uncommitted transaction with flushed pages = crash victim.
+        // A transaction still open at the crash, with every page and
+        // the WAL flushed: its writes wait in the session's write set,
+        // so it must leave no trace after reopening.
         let session = s.database().session();
         session.begin().unwrap();
         session.execute("INSERT INTO ledger VALUES (999)").unwrap();
@@ -129,7 +131,7 @@ fn transactional_workload_with_crash_recovery() {
         .iter()
         .map(|r| r.as_list().unwrap()[0].as_int().unwrap())
         .collect();
-    assert_eq!(entries, vec![1, 2], "uncommitted txn fully undone");
+    assert_eq!(entries, vec![1, 2], "the open transaction left no trace");
 }
 
 #[test]
