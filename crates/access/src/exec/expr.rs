@@ -64,6 +64,10 @@ pub enum Expr {
     Col(usize),
     /// Literal value.
     Lit(Datum),
+    /// Statement parameter `i` (0-based): a generic plan's placeholder
+    /// for a value bound per execution ([`Expr::bind`]). Evaluating an
+    /// unbound parameter is an error.
+    Param(usize),
     /// Unary operation.
     Unary(UnaryOp, Box<Expr>),
     /// Binary operation.
@@ -111,6 +115,25 @@ impl Expr {
         Expr::bin(BinOp::And, self, other)
     }
 
+    /// A copy with every parameter `i` replaced by the literal
+    /// `params[i]`: how a generic plan's expressions receive one
+    /// execution's values. Parameters past the end of `params` stay
+    /// unbound.
+    pub fn bind(&self, params: &[Datum]) -> Expr {
+        match self {
+            Expr::Param(i) => match params.get(*i) {
+                Some(d) => Expr::Lit(d.clone()),
+                None => Expr::Param(*i),
+            },
+            Expr::Col(i) => Expr::Col(*i),
+            Expr::Lit(d) => Expr::Lit(d.clone()),
+            Expr::Unary(op, e) => Expr::Unary(*op, Box::new(e.bind(params))),
+            Expr::Binary(op, l, r) => {
+                Expr::Binary(*op, Box::new(l.bind(params)), Box::new(r.bind(params)))
+            }
+        }
+    }
+
     /// Evaluate against a tuple.
     pub fn eval(&self, tuple: &Tuple) -> Result<Datum> {
         match self {
@@ -119,6 +142,7 @@ impl Expr {
                 .cloned()
                 .ok_or_else(|| ServiceError::InvalidInput(format!("column {i} out of range"))),
             Expr::Lit(d) => Ok(d.clone()),
+            Expr::Param(i) => Err(unbound(*i)),
             Expr::Unary(op, e) => {
                 let v = e.eval(tuple)?;
                 eval_unary(*op, v)
@@ -153,6 +177,7 @@ impl Expr {
                 })
             }
             Expr::Lit(d) => Ok(vec![d.clone(); batch.rows()]),
+            Expr::Param(i) => Err(unbound(*i)),
             Expr::Unary(op, e) => {
                 let vals = e.eval_batch(batch)?;
                 vals.into_iter().map(|v| eval_unary(*op, v)).collect()
@@ -208,7 +233,7 @@ impl Expr {
             Expr::Col(i) => {
                 out.insert(*i);
             }
-            Expr::Lit(_) => {}
+            Expr::Lit(_) | Expr::Param(_) => {}
             Expr::Unary(_, e) => e.columns_into(out),
             Expr::Binary(_, l, r) => {
                 l.columns_into(out);
@@ -222,7 +247,7 @@ impl Expr {
     pub fn max_column(&self) -> Option<usize> {
         match self {
             Expr::Col(i) => Some(*i),
-            Expr::Lit(_) => None,
+            Expr::Lit(_) | Expr::Param(_) => None,
             Expr::Unary(_, e) => e.max_column(),
             Expr::Binary(_, l, r) => match (l.max_column(), r.max_column()) {
                 (Some(a), Some(b)) => Some(a.max(b)),
@@ -230,6 +255,14 @@ impl Expr {
             },
         }
     }
+}
+
+/// The error of evaluating an unbound parameter; kept out of line so
+/// the evaluation loops stay as small as before parameters existed.
+#[cold]
+#[inline(never)]
+fn unbound(i: usize) -> ServiceError {
+    ServiceError::InvalidInput(format!("parameter ${} is not bound", i + 1))
 }
 
 /// Comparison fast paths for batches: when one side is a column and the

@@ -17,6 +17,9 @@ pub enum AstExpr {
     Column(Option<String>, String),
     /// A literal.
     Literal(Datum),
+    /// A `?` placeholder: statement parameter `i` (0-based, text order),
+    /// bound per execution.
+    Param(usize),
     /// Unary operation.
     Unary(UnaryOp, Box<AstExpr>),
     /// Binary operation.
@@ -250,6 +253,7 @@ impl AstExpr {
             AstExpr::Column(None, name) => name.clone(),
             AstExpr::Column(Some(q), name) => format!("{q}.{name}"),
             AstExpr::Literal(d) => render_datum(d),
+            AstExpr::Param(_) => "?".into(),
             AstExpr::Unary(UnaryOp::Not, e) => format!("NOT ({})", e.to_sql()),
             AstExpr::Unary(UnaryOp::Neg, e) => format!("-({})", e.to_sql()),
             AstExpr::Unary(UnaryOp::IsNull, e) => format!("({}) IS NULL", e.to_sql()),

@@ -12,7 +12,7 @@
 //! of the old one keep a consistent, if stale, view.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -105,13 +105,17 @@ pub struct Catalog {
     /// last ANALYZE. In-memory only: after a restart counters start at
     /// zero, which merely delays the next automatic re-sample.
     writes: Mutex<HashMap<String, TableWrites>>,
+    /// Tables whose `stale_announced` is set, so [`Catalog::stats_stale`]
+    /// answers without a lock while none is.
+    stale_tables: AtomicUsize,
 }
 
 #[derive(Default)]
 struct TableWrites {
     since_analyze: u64,
     /// Whether crossing the staleness threshold already bumped
-    /// `stats_version` (so we bump once per stale period, not per row).
+    /// `stats_version` (so we bump once per stale period, not per row):
+    /// the table's statistics are stale.
     stale_announced: bool,
 }
 
@@ -149,6 +153,7 @@ impl Catalog {
             version: AtomicU64::new(0),
             stats_version: AtomicU64::new(0),
             writes: Mutex::new(HashMap::new()),
+            stale_tables: AtomicUsize::new(0),
         };
         catalog.reload()?;
         Ok(catalog)
@@ -186,7 +191,10 @@ impl Catalog {
     pub fn update_stats(&self, name: &str, stats: TableStats) -> Result<()> {
         let name = name.to_lowercase();
         self.replace_table(&name, |meta| meta.stats = Some(stats))?;
-        *self.writes.lock().entry(name).or_default() = TableWrites::default();
+        let was = std::mem::take(self.writes.lock().entry(name).or_default());
+        if was.stale_announced {
+            self.stale_tables.fetch_sub(1, Ordering::AcqRel);
+        }
         self.bump_stats_version();
         Ok(())
     }
@@ -210,34 +218,21 @@ impl Catalog {
             let threshold = STALE_MIN_WRITES.max((rows as f64 * STALE_FRACTION) as u64);
             if entry.since_analyze > threshold && !entry.stale_announced {
                 entry.stale_announced = true;
+                self.stale_tables.fetch_add(1, Ordering::AcqRel);
                 drop(writes);
                 self.bump_stats_version();
             }
         }
     }
 
-    /// Writes recorded against a table since its last ANALYZE.
-    pub fn writes_since_analyze(&self, name: &str) -> u64 {
-        self.writes
-            .lock()
-            .get(&name.to_lowercase())
-            .map(|w| w.since_analyze)
-            .unwrap_or(0)
-    }
-
     /// Whether a table's stats are stale: it has been analyzed, and
-    /// writes since then exceed the staleness threshold.
+    /// writes since then exceed the staleness threshold. `name` is
+    /// lower-case, as the parser and the catalog keep names. Cheap
+    /// enough for every plan-cache hit: no lock at all while no table
+    /// is stale, one otherwise.
     pub fn stats_stale(&self, name: &str) -> bool {
-        let name = name.to_lowercase();
-        let analyzed_rows = match self.tables.lock().get(&name) {
-            Some((_, meta)) => match &meta.stats {
-                Some(s) => s.row_count,
-                None => return false,
-            },
-            None => return false,
-        };
-        let threshold = STALE_MIN_WRITES.max((analyzed_rows as f64 * STALE_FRACTION) as u64);
-        self.writes_since_analyze(&name) > threshold
+        self.stale_tables.load(Ordering::Acquire) > 0
+            && self.writes.lock().get(name).is_some_and(|w| w.stale_announced)
     }
 
     /// Re-read all catalog records from disk into the cache.
@@ -326,7 +321,9 @@ impl Catalog {
             .remove(&name)
             .ok_or_else(|| ServiceError::InvalidInput(format!("no such table `{name}`")))?;
         self.heap.delete(rid)?;
-        self.writes.lock().remove(&name);
+        if self.writes.lock().remove(&name).is_some_and(|w| w.stale_announced) {
+            self.stale_tables.fetch_sub(1, Ordering::AcqRel);
+        }
         self.bump_version();
         Ok(meta)
     }

@@ -17,7 +17,7 @@ use sbdms_access::exec::join::{BuildSide, JoinAlgorithm};
 use sbdms_access::record::Datum;
 
 use crate::catalog::TableMeta;
-use crate::planner::{CatalogView, Plan};
+use crate::planner::{CatalogView, ParamRead, Plan};
 use crate::stats::{ColumnStats, TableStats};
 
 /// Assumed row count for tables that have never been ANALYZEd.
@@ -430,29 +430,46 @@ impl<'a> Estimator<'a> {
     /// selectivities multiply). A weak prefix — a low-NDV leading
     /// column — yields a high product and therefore a high cost, which
     /// is exactly the penalty that steers the planner off such indexes.
-    fn eq_prefix_selectivity(&self, table: &str, key_columns: &[String], eq: &[Datum]) -> f64 {
+    fn eq_prefix_selectivity(&self, table: &str, key_columns: &[String], eq: &[Expr]) -> f64 {
         let stats = self.stats_of(table);
         let rows = stats.as_ref().map(|s| s.row_count as f64).unwrap_or(0.0);
         eq.iter()
             .enumerate()
-            .map(|(k, d)| {
+            .map(|(k, e)| {
                 key_columns
                     .get(k)
                     .and_then(|c| stats.as_ref().and_then(|s| s.column(c)))
-                    .map(|cs| cs.selectivity_eq(rows, d))
+                    .and_then(|cs| {
+                        let d = self.value(e, ParamRead::Eq(cs))?;
+                        Some(cs.selectivity_eq(rows, &d))
+                    })
                     .unwrap_or(DEFAULT_EQ_SEL)
             })
             .product()
+    }
+
+    /// The value of a bound (a literal, or a statement parameter read
+    /// through the catalog as `read` says); `None` for an unbound
+    /// parameter or any other expression.
+    fn value(&self, e: &Expr, read: ParamRead<'_>) -> Option<Datum> {
+        match e {
+            Expr::Lit(d) => Some(d.clone()),
+            Expr::Param(i) => self.catalog.param(*i, read),
+            _ => None,
+        }
     }
 
     fn range_selectivity(
         &self,
         table: &str,
         column: &str,
-        lo: &Option<Datum>,
-        hi: &Option<Datum>,
+        lo: &Option<Expr>,
+        hi: &Option<Expr>,
         hi_inclusive: bool,
     ) -> f64 {
+        let lo = lo.as_ref().and_then(|e| self.value(e, ParamRead::Pin));
+        let hi = hi.as_ref().and_then(|e| self.value(e, ParamRead::Pin));
+        let (lo, hi) = (&lo, &hi);
         if let Some(stats) = self.stats_of(table) {
             if let Some(col) = stats.column(column) {
                 let rows = stats.row_count as f64;
@@ -522,6 +539,10 @@ impl<'a> Estimator<'a> {
             Expr::Lit(Datum::Bool(true)) => 1.0,
             Expr::Lit(Datum::Bool(false)) | Expr::Lit(Datum::Null) => 0.0,
             Expr::Lit(_) => DEFAULT_SEL,
+            Expr::Param(i) => match self.catalog.param(*i, ParamRead::Pin) {
+                Some(d) => self.predicate_selectivity(&Expr::Lit(d), cols),
+                None => DEFAULT_SEL,
+            },
             Expr::Col(_) => DEFAULT_SEL,
             Expr::Unary(UnaryOp::Not, inner) => {
                 1.0 - self.predicate_selectivity(inner, cols)
@@ -558,8 +579,8 @@ impl<'a> Estimator<'a> {
     fn comparison_selectivity(&self, op: BinOp, l: &Expr, r: &Expr, cols: &[ColRef]) -> f64 {
         // Normalise to column-vs-literal / column-vs-column.
         let (col, lit, op) = match (l, r) {
-            (Expr::Col(i), Expr::Lit(d)) => (Some(*i), Some(d), op),
-            (Expr::Lit(d), Expr::Col(i)) => (Some(*i), Some(d), flip_cmp(op)),
+            (Expr::Col(i), v @ (Expr::Lit(_) | Expr::Param(_))) => (Some(*i), Some(v), op),
+            (v @ (Expr::Lit(_) | Expr::Param(_)), Expr::Col(i)) => (Some(*i), Some(v), flip_cmp(op)),
             (Expr::Col(a), Expr::Col(b)) => {
                 if op == BinOp::Eq {
                     let ndv_a = self.col_stats(cols, *a, |_, c| c.distinct.max(1) as f64);
@@ -575,15 +596,23 @@ impl<'a> Estimator<'a> {
         let (Some(i), Some(lit)) = (col, lit) else {
             return default_cmp_sel(op);
         };
-        self.col_stats(cols, i, |rows, stats| match op {
-            BinOp::Eq => stats.selectivity_eq(rows, lit),
-            BinOp::Ne => (1.0 - stats.selectivity_eq(rows, lit)).clamp(0.0, 1.0),
-            BinOp::Lt => stats.selectivity_range(rows, None, Some((lit, false))),
-            BinOp::Le => stats.selectivity_range(rows, None, Some((lit, true))),
-            BinOp::Gt => stats.selectivity_range(rows, Some((lit, false)), None),
-            BinOp::Ge => stats.selectivity_range(rows, Some((lit, true)), None),
-            _ => default_cmp_sel(op),
+        self.col_stats(cols, i, |rows, stats| {
+            let read = match op {
+                BinOp::Eq | BinOp::Ne => ParamRead::Eq(stats),
+                BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => ParamRead::Pin,
+                _ => return None,
+            };
+            let lit = &self.value(lit, read)?;
+            Some(match op {
+                BinOp::Eq => stats.selectivity_eq(rows, lit),
+                BinOp::Ne => (1.0 - stats.selectivity_eq(rows, lit)).clamp(0.0, 1.0),
+                BinOp::Lt => stats.selectivity_range(rows, None, Some((lit, false))),
+                BinOp::Le => stats.selectivity_range(rows, None, Some((lit, true))),
+                BinOp::Gt => stats.selectivity_range(rows, Some((lit, false)), None),
+                _ => stats.selectivity_range(rows, Some((lit, true)), None),
+            })
         })
+        .flatten()
         .unwrap_or_else(|| default_cmp_sel(op))
     }
 }

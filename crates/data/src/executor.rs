@@ -24,11 +24,11 @@ use sbdms_storage::page::{PageId, SlotId};
 use sbdms_storage::replacement::PolicyKind;
 use sbdms_storage::services::StorageEngine;
 
-use crate::ast::{AstExpr, Select, Statement};
+use crate::ast::{AstExpr, Statement};
 use crate::catalog::{Catalog, TableMeta, ViewMeta};
 use crate::cost::Estimator;
-use crate::parser::parse;
-use crate::plan_cache::{PlanCache, PlanCacheStats};
+use crate::parser::{lift_literals, parse, parse_counted, Lifted};
+use crate::plan_cache::{describe_guards, Binding, PlanCache, PlanCacheStats};
 use crate::planner::{
     compile_expr, plan_dml_target, plan_select, BindEnv, CatalogView, Plan,
     PlannedQuery, PlannerKnobs,
@@ -38,7 +38,7 @@ use crate::session::{
     key_rid, rid_key, ConcurrencyControl, OwnWrite, OwnWrites, RowKey, Session, SessionCore,
     TxnState,
 };
-use crate::stats::TableStats;
+use crate::stats::{ColumnStats, TableStats};
 use crate::table::Table;
 use crate::txn::{Durability, TableResolver, TransactionManager, TxnId, UndoOp};
 
@@ -133,19 +133,47 @@ impl Default for DbOptions {
 
 /// How one admitted statement runs: its cancellation/memory context,
 /// whether the governor degraded it (clamping its sort budget), the
-/// session that issued it, and, under MVCC outside a transaction, the
-/// read snapshot its table scans share (pinned by the first one).
+/// session that issued it, the values of its parameters (which a
+/// generic plan's index bounds and expressions read), and, under MVCC
+/// outside a transaction, the read snapshot its table scans share
+/// (pinned by the first one).
 struct RunMode {
     ctx: ExecContext,
     degraded: bool,
     session: Arc<SessionCore>,
+    params: Vec<Datum>,
     read: OnceLock<Arc<ReadSnapshot>>,
 }
 
-/// A statement parsed for execution: a SELECT arrives planned.
-enum Parsed {
-    Select(Arc<PlannedQuery>),
-    Other(Statement),
+/// A statement the plan cache holds: generic over its parameters.
+enum Prepared {
+    /// A planned SELECT and the base tables it names, whose statistics
+    /// a cache hit checks for staleness.
+    Select {
+        planned: PlannedQuery,
+        tables: Vec<String>,
+    },
+    /// An UPDATE or DELETE with its target access path.
+    Write(PlannedWrite),
+}
+
+/// An UPDATE (`assignments` set) or DELETE compiled against its table:
+/// the new-value expressions by column position, the WHERE predicate
+/// (re-applied to every candidate as the residual) and the planner's
+/// target access path.
+struct PlannedWrite {
+    table: String,
+    assignments: Option<Vec<(usize, exec::Expr)>>,
+    predicate: Option<exec::Expr>,
+    leaf: Plan,
+    decisions: Vec<String>,
+}
+
+/// A statement made ready to run: served by the plan cache, or parsed
+/// for a one-off run; both with their parameter values.
+enum Ready {
+    Cached(Arc<Prepared>, Vec<Datum>),
+    Parsed(Statement, Vec<Datum>),
 }
 
 /// An embedded SBDMS database engine: the shared handle every
@@ -170,7 +198,7 @@ pub struct Database {
     single_owner: Mutex<Option<(u64, usize)>>,
     tables: Mutex<HashMap<String, Arc<Table>>>,
     knobs: Mutex<PlannerKnobs>,
-    plan_cache: PlanCache,
+    plan_cache: PlanCache<Prepared>,
     /// Rows per batch of the execution engine (fixed at open).
     batch_rows: usize,
     sort_budget: usize,
@@ -374,16 +402,30 @@ impl Database {
 
     /// Sample `table` and store optimizer statistics (row count and
     /// per-column min/max/NDV/null-count/histogram) in the catalog.
-    /// Bumps the statistics version so cached plans are re-costed.
+    /// Bumps the statistics version so cached plans are re-costed. One
+    /// heap walk per column decodes only that column, so ANALYZE holds
+    /// one column's values at a time, never the table's rows.
     pub fn analyze(&self, table: &str) -> Result<()> {
         let t = self.table(table)?;
-        let schema = t.schema().clone();
-        let mut rows = Vec::new();
-        t.heap().walk(|_, record| {
-            rows.push(decode_tuple(record)?);
-            Ok(())
-        })?;
-        let stats = TableStats::collect(&rows, &schema, self.histogram_buckets);
+        let width = t.schema().len();
+        let mut stats = TableStats {
+            row_count: 0,
+            columns: Default::default(),
+        };
+        for (i, col) in t.schema().columns.iter().enumerate() {
+            let keep: Vec<bool> = (0..width).map(|c| c == i).collect();
+            let mut row: Vec<Vec<Datum>> = vec![Vec::with_capacity(1); width];
+            let mut values = Vec::new();
+            t.heap().walk(|_, record| {
+                decode_tuple_into(record, &mut row, Some(&keep))?;
+                values.extend(row[i].pop());
+                row.iter_mut().for_each(Vec::clear);
+                Ok(())
+            })?;
+            stats.row_count = values.len() as u64;
+            let column = ColumnStats::collect(values, self.histogram_buckets);
+            stats.columns.insert(col.name.to_lowercase(), column);
+        }
         self.catalog.update_stats(&table.to_lowercase(), stats)
     }
 
@@ -492,6 +534,18 @@ impl Database {
         self.plan_cache.stats()
     }
 
+    /// The generic plan the cache holds for the SELECT `sql` (with its
+    /// literals lifted), if any; parameters stay [`exec::Expr::Param`]
+    /// in it. A diagnostic read: it counts no lookup.
+    pub fn cached_plan(&self, sql: &str) -> Option<Plan> {
+        let lifted = lift_literals(sql, &[]).ok()??;
+        let prepared = self.plan_cache.peek(&lifted.text, &lifted.params, self.plan_epoch())?;
+        match &*prepared {
+            Prepared::Select { planned, .. } => Some(planned.plan.clone()),
+            Prepared::Write(_) => None,
+        }
+    }
+
     /// The epoch cached plans are valid under: the catalog schema
     /// version and the statistics version (so both DDL and `ANALYZE`
     /// invalidate plans), salted with the planner knobs so flipping any
@@ -514,17 +568,18 @@ impl Database {
         (self.catalog.version() << 40) ^ (self.catalog.stats_version() << 10) ^ knob_bits
     }
 
-    /// Re-`ANALYZE` any base table referenced by `select` whose
-    /// statistics have gone stale (enough writes since the last sample).
+    /// Re-`ANALYZE` any of `tables` whose statistics have gone stale
+    /// (enough writes since the last sample), returning whether any did.
     /// Only previously analyzed tables refresh — statistics stay opt-in.
-    fn refresh_stale_stats(&self, select: &Select) -> Result<()> {
-        let names = select.from.iter().chain(select.joins.iter().map(|j| &j.table));
-        for name in names {
+    fn refresh_stale_stats<'t>(&self, tables: impl IntoIterator<Item = &'t String>) -> Result<bool> {
+        let mut refreshed = false;
+        for name in tables {
             if self.catalog.stats_stale(name) {
                 self.analyze(name)?;
+                refreshed = true;
             }
         }
-        Ok(())
+        Ok(refreshed)
     }
 
     /// Count a fresh planning decision and publish it on the event bus.
@@ -541,42 +596,137 @@ impl Database {
         }
     }
 
-    /// [`Session::execute`] past admission, under one run mode.
-    fn execute_with(&self, sql: &str, mode: &RunMode) -> Result<QueryResult> {
-        match self.parse_and_plan(sql)? {
-            Parsed::Select(planned) => {
-                self.note_degraded_run(sql, mode);
-                self.run_planned_with(&planned, mode)
+    /// [`Session::execute_params`] past admission, under one run mode.
+    fn execute_with(&self, sql: &str, given: &[Datum], mode: &mut RunMode) -> Result<QueryResult> {
+        match self.ready(sql, given)? {
+            Ready::Cached(prepared, params) => {
+                mode.params = params;
+                match &*prepared {
+                    Prepared::Select { planned, .. } => {
+                        self.note_degraded_run(sql, mode);
+                        self.run_planned_with(planned, mode)
+                    }
+                    Prepared::Write(write) => self.run_write(write, mode),
+                }
             }
-            Parsed::Other(stmt) => self.run_statement(stmt, mode),
+            Ready::Parsed(stmt, params) => {
+                mode.params = params;
+                self.run_statement(stmt, mode)
+            }
         }
     }
 
-    /// Parse `sql`; a SELECT comes back planned, through the plan
-    /// cache. Only SELECTs are cacheable: the keyword peek keeps DML and
-    /// DDL off the cache (and out of its hit/miss accounting) without
-    /// parsing first.
-    fn parse_and_plan(&self, sql: &str) -> Result<Parsed> {
-        let is_select = sql
+    /// Make `sql` (with the values `given` for its `?` placeholders)
+    /// ready to run. A SELECT, UPDATE or DELETE has its literals lifted
+    /// into parameters and is served by the plan cache; EXPLAIN is
+    /// lifted the same way so it shows the generic plan; anything else
+    /// is parsed as it stands. The keyword peek keeps other statements
+    /// off the cache (and out of its hit/miss accounting).
+    fn ready(&self, sql: &str, given: &[Datum]) -> Result<Ready> {
+        let verb = sql
             .trim_start()
-            .get(..6)
-            .is_some_and(|kw| kw.eq_ignore_ascii_case("select"));
-        if !is_select {
-            return Ok(Parsed::Other(parse(sql)?));
+            .split(|c: char| !c.is_ascii_alphabetic())
+            .next()
+            .unwrap_or("");
+        let is = |kw: &str| verb.eq_ignore_ascii_case(kw);
+        let cached = is("select") || is("update") || is("delete");
+        if cached || is("explain") {
+            if let Some(Lifted { text, params }) = lift_literals(sql, given)? {
+                if !cached {
+                    return Ok(Ready::Parsed(parse(&text)?, params));
+                }
+                let prepared = self.generic_plan(&text, &params)?;
+                return Ok(Ready::Cached(prepared, params));
+            }
         }
-        if let Some(planned) = self.plan_cache.get(sql, self.plan_epoch()) {
-            return Ok(Parsed::Select(planned));
+        Ok(Ready::Parsed(parse(sql)?, given.to_vec()))
+    }
+
+    /// The cached generic plan of `shape` for `params`, or a fresh one
+    /// planned with those values and cached with the guards its choices
+    /// recorded. A hit whose tables' statistics went stale re-samples
+    /// them and plans afresh.
+    fn generic_plan(&self, shape: &str, params: &[Datum]) -> Result<Arc<Prepared>> {
+        if let Some(prepared) = self.plan_cache.get(shape, params, self.plan_epoch()) {
+            let fresh = match &*prepared {
+                Prepared::Select { tables, .. } => !self.refresh_stale_stats(tables)?,
+                Prepared::Write(_) => true,
+            };
+            if fresh {
+                return Ok(prepared);
+            }
         }
-        let select = match parse(sql)? {
-            Statement::Select(select) => select,
-            other => return Ok(Parsed::Other(other)),
+        let binding = Binding::new(self, params);
+        let (prepared, epoch) = match parse(shape)? {
+            Statement::Select(select) => {
+                let tables: Vec<String> = select
+                    .from
+                    .iter()
+                    .chain(select.joins.iter().map(|j| &j.table))
+                    .cloned()
+                    .collect();
+                self.refresh_stale_stats(&tables)?;
+                // The epoch after the refresh: a refresh bumps it.
+                let epoch = self.plan_epoch();
+                let planned = plan_select(&select, &binding)?;
+                (Prepared::Select { planned, tables }, epoch)
+            }
+            Statement::Update { table, set, filter } => {
+                let epoch = self.plan_epoch();
+                let write = self.plan_write(&table, Some(&set), filter.as_ref(), &binding)?;
+                (Prepared::Write(write), epoch)
+            }
+            Statement::Delete { table, filter } => {
+                let epoch = self.plan_epoch();
+                (Prepared::Write(self.plan_write(&table, None, filter.as_ref(), &binding)?), epoch)
+            }
+            _ => return Err(err("only SELECT, UPDATE and DELETE plans are cached")),
         };
-        self.refresh_stale_stats(&select)?;
-        let planned = Arc::new(plan_select(&select, self)?);
-        // Re-read the epoch: a stale-stats refresh above bumps it.
-        self.plan_cache.insert(sql, self.plan_epoch(), planned.clone());
-        self.note_plan_selected(sql, &planned.decisions);
-        Ok(Parsed::Select(planned))
+        let decisions = match &prepared {
+            Prepared::Select { planned, .. } => &planned.decisions,
+            Prepared::Write(write) => &write.decisions,
+        };
+        self.note_plan_selected(shape, decisions);
+        let prepared = Arc::new(prepared);
+        self.plan_cache
+            .insert(shape, params, binding.guards(), epoch, prepared.clone());
+        Ok(prepared)
+    }
+
+    /// Compile an UPDATE (`set` given) or DELETE against `table` and
+    /// plan its target access path.
+    fn plan_write(
+        &self,
+        table: &str,
+        set: Option<&[(String, AstExpr)]>,
+        filter: Option<&AstExpr>,
+        catalog: &dyn CatalogView,
+    ) -> Result<PlannedWrite> {
+        let t = self.table(table)?;
+        let schema = t.schema();
+        let mut env = BindEnv::default();
+        env.push_table(table, schema);
+        let assignments = set
+            .map(|set| {
+                set.iter()
+                    .map(|(col, e)| {
+                        let pos = schema
+                            .index_of(col)
+                            .ok_or_else(|| err(format!("no column `{col}` in `{table}`")))?;
+                        Ok((pos, compile_expr(e, &env)?))
+                    })
+                    .collect::<Result<_>>()
+            })
+            .transpose()?;
+        let predicate = filter.map(|f| compile_expr(f, &env)).transpose()?;
+        let (leaf, decisions) = plan_dml_target(&t.meta().name, predicate.as_ref(), catalog)?;
+        Ok(PlannedWrite {
+            table: t.meta().name.clone(),
+            assignments,
+            predicate,
+            leaf,
+            decisions,
+        })
     }
 
     /// Publish the degradation decision for this run. Cached plans keep
@@ -669,10 +819,18 @@ impl Database {
                 self.run_insert(&table, columns, rows, mode)
             }
             Statement::Update { table, set, filter } => {
-                self.run_write(&table, Some(set), filter, mode)
+                let binding = Binding::new(self, &mode.params);
+                let write = self.plan_write(&table, Some(&set), filter.as_ref(), &binding)?;
+                self.run_write(&write, mode)
             }
-            Statement::Delete { table, filter } => self.run_write(&table, None, filter, mode),
-            Statement::Select(select) => self.run_planned_with(&plan_select(&select, self)?, mode),
+            Statement::Delete { table, filter } => {
+                let binding = Binding::new(self, &mode.params);
+                self.run_write(&self.plan_write(&table, None, filter.as_ref(), &binding)?, mode)
+            }
+            Statement::Select(select) => {
+                let planned = plan_select(&select, &Binding::new(self, &mode.params))?;
+                self.run_planned_with(&planned, mode)
+            }
             Statement::Analyze { table } => {
                 self.analyze(&table)?;
                 Ok(QueryResult::affected(0))
@@ -683,43 +841,37 @@ impl Database {
 
     /// Plan a SELECT, or the target rows of an UPDATE/DELETE, and return
     /// its annotated plan (one row per line) instead of executing it.
-    /// Each node line carries the estimated rows and cost; the planner's
-    /// selection decisions follow as `-- ...` comment lines. A DML plan
-    /// is its target access path under the residual WHERE.
+    /// Each node line carries the estimated rows and cost, with the
+    /// statement's parameter values in place; the planner's selection
+    /// decisions follow as `-- ...` comment lines, then, for a statement
+    /// with parameters, the `-- generic: ...` line naming the values
+    /// the cached plan serves. A DML plan is its target access path
+    /// under the residual WHERE.
     fn run_explain(&self, stmt: &Statement, mode: &RunMode) -> Result<QueryResult> {
         let estimator = Estimator::new(self);
+        let binding = Binding::new(self, &mode.params);
         let (mut lines, mut decisions) = match stmt {
             Statement::Select(select) => {
-                let mut planned = plan_select(select, self)?;
-                if mode.degraded {
-                    planned.decisions.push(self.degraded_decision());
-                }
-                (estimator.explain_annotated(&planned.plan), planned.decisions)
+                let planned = plan_select(select, &binding)?;
+                let plan = planned.plan.bind(&mode.params);
+                (estimator.explain_annotated(&plan), planned.decisions)
             }
-            Statement::Update { table, filter, .. } | Statement::Delete { table, filter } => {
-                let t = self.table(table)?;
-                let mut env = BindEnv::default();
-                env.push_table(table, t.schema());
-                let predicate = filter.as_ref().map(|f| compile_expr(f, &env)).transpose()?;
-                let (leaf, decisions) = plan_dml_target(&t.meta().name, predicate.as_ref(), self)?;
-                let target = match predicate {
-                    Some(predicate) => Plan::Filter {
-                        input: Box::new(leaf),
-                        predicate,
-                    },
-                    None => leaf,
-                };
-                let verb = match stmt {
-                    Statement::Update { .. } => "Update",
-                    _ => "Delete",
-                };
-                let mut lines = vec![format!("{verb} {}", t.meta().name)];
-                let nodes = estimator.explain_annotated(&target);
-                lines.extend(nodes.into_iter().map(|l| format!("| {l}")));
-                (lines, decisions)
+            Statement::Update { table, set, filter } => {
+                let write = self.plan_write(table, Some(set), filter.as_ref(), &binding)?;
+                (self.explain_write("Update", &write, &mode.params), write.decisions)
+            }
+            Statement::Delete { table, filter } => {
+                let write = self.plan_write(table, None, filter.as_ref(), &binding)?;
+                (self.explain_write("Delete", &write, &mode.params), write.decisions)
             }
             _ => return Err(err("EXPLAIN takes SELECT, UPDATE or DELETE")),
         };
+        if mode.degraded && matches!(stmt, Statement::Select(_)) {
+            decisions.push(self.degraded_decision());
+        }
+        if !mode.params.is_empty() {
+            decisions.push(describe_guards(&binding.guards(), mode.params.len()));
+        }
         decisions.push(format!("concurrency: {} (profile)", self.concurrency));
         lines.extend(decisions.iter().map(|d| format!("-- {d}")));
         Ok(QueryResult {
@@ -727,6 +879,22 @@ impl Database {
             rows: lines.into_iter().map(|l| vec![Datum::Str(l)]).collect(),
             affected: 0,
         })
+    }
+
+    /// The annotated node lines of a write's target: its access path
+    /// under the residual WHERE.
+    fn explain_write(&self, verb: &str, write: &PlannedWrite, params: &[Datum]) -> Vec<String> {
+        let target = match &write.predicate {
+            Some(predicate) => Plan::Filter {
+                input: Box::new(write.leaf.clone()),
+                predicate: predicate.clone(),
+            },
+            None => write.leaf.clone(),
+        };
+        let mut lines = vec![format!("{verb} {}", write.table)];
+        let nodes = Estimator::new(self).explain_annotated(&target.bind(params));
+        lines.extend(nodes.into_iter().map(|l| format!("| {l}")));
+        lines
     }
 
     /// Run a planned query on the engine at the profile's batch size. A
@@ -936,7 +1104,7 @@ impl Database {
             return read.rows(t.heap().data_pages()?, t.schema().len(), &mode.ctx);
         }
         let _latch = self.mvcc.as_ref().map(|m| m.read_latch());
-        let rids = index_rids(t, leaf)?;
+        let rids = index_rids(t, leaf, &mode.params)?;
         let mut out = Vec::with_capacity(rids.len());
         let table = t.meta().name.as_str();
         let own = state.and_then(|s| s.overlay.get(table));
@@ -950,7 +1118,7 @@ impl Database {
             }
             return Ok(out);
         }
-        let admits = key_bounds(t, leaf)?;
+        let admits = key_bounds(t, leaf, &mode.params)?;
         let mut reached: BTreeSet<RowKey> = BTreeSet::new();
         for (i, rid) in rids.into_iter().enumerate() {
             if i % exec::CANCEL_QUANTUM == 0 {
@@ -1030,21 +1198,22 @@ impl Database {
     }
 
     /// The rows an UPDATE or DELETE targets: the planner's access path
-    /// over the WHERE conjuncts, with the whole WHERE re-applied as the
-    /// residual. Every cancellation check happens here, before any
-    /// mutation: a cancelled autocommit statement touches zero rows, and
-    /// an explicit transaction unwinds through its rollback. Targets come
-    /// in row-key order whichever path found them.
+    /// `leaf` over the WHERE conjuncts, with the whole (bound) WHERE
+    /// re-applied as the residual. Every cancellation check happens
+    /// here, before any mutation: a cancelled autocommit statement
+    /// touches zero rows, and an explicit transaction unwinds through
+    /// its rollback. Targets come in row-key order whichever path found
+    /// them.
     fn dml_targets(
         &self,
         t: &Table,
+        leaf: &Plan,
         predicate: Option<&exec::Expr>,
         state: Option<&TxnState>,
         mode: &RunMode,
     ) -> Result<Vec<(RowKey, Tuple)>> {
-        let (leaf, _) = plan_dml_target(&t.meta().name, predicate, self)?;
         let mut out = Vec::new();
-        for (key, row) in self.access_rows(t, &leaf, state, mode)? {
+        for (key, row) in self.access_rows(t, leaf, state, mode)? {
             if predicate.map_or(Ok(true), |p| p.eval(&row).map(|d| d.is_true()))? {
                 out.push((key, row));
             }
@@ -1088,7 +1257,7 @@ impl Database {
             let mut tuple: Tuple = vec![Datum::Null; schema.len()];
             for (expr, &pos) in row.iter().zip(&positions) {
                 // Literal-only expressions (no columns in scope).
-                let compiled = compile_expr(expr, &empty_env)?;
+                let compiled = compile_expr(expr, &empty_env)?.bind(&mode.params);
                 tuple[pos] = compiled.eval(&vec![])?;
             }
             tuples.push(tuple);
@@ -1112,35 +1281,21 @@ impl Database {
         Ok(QueryResult::affected(n))
     }
 
-    /// UPDATE (`set = Some(..)`) or DELETE (`set = None`). Targets come
-    /// from [`Database::dml_targets`] and every new image is evaluated
-    /// before the first write, so an evaluation error leaves the
-    /// statement a no-op. The images are buffered in the transaction's
-    /// overlay; under MVCC only after every write lock is taken.
-    fn run_write(
-        &self,
-        table: &str,
-        set: Option<Vec<(String, AstExpr)>>,
-        filter: Option<AstExpr>,
-        mode: &RunMode,
-    ) -> Result<QueryResult> {
-        let t = self.table(table)?;
+    /// Run a planned UPDATE or DELETE with the statement's parameters.
+    /// Targets come from [`Database::dml_targets`] and every new image
+    /// is evaluated before the first write, so an evaluation error
+    /// leaves the statement a no-op. The images are buffered in the
+    /// transaction's overlay; under MVCC only after every write lock is
+    /// taken.
+    fn run_write(&self, write: &PlannedWrite, mode: &RunMode) -> Result<QueryResult> {
+        let t = self.table(&write.table)?;
         let schema = t.schema().clone();
-        let mut env = BindEnv::default();
-        env.push_table(table, &schema);
-        let assignments: Option<Vec<(usize, exec::Expr)>> = set
-            .map(|set| {
-                set.iter()
-                    .map(|(col, e)| {
-                        let pos = schema
-                            .index_of(col)
-                            .ok_or_else(|| err(format!("no column `{col}` in `{table}`")))?;
-                        Ok((pos, compile_expr(e, &env)?))
-                    })
-                    .collect::<Result<_>>()
-            })
-            .transpose()?;
-        let predicate = filter.map(|f| compile_expr(&f, &env)).transpose()?;
+        let params = &mode.params;
+        let assignments: Option<Vec<(usize, exec::Expr)>> = write
+            .assignments
+            .as_ref()
+            .map(|set| set.iter().map(|(pos, e)| (*pos, e.bind(params))).collect());
+        let predicate = write.predicate.as_ref().map(|p| p.bind(params));
         // The new image of one target (`None` deletes it). It is the
         // validated image, which may differ from the evaluated one (int
         // -> float column widening): that is what the heap stores.
@@ -1163,7 +1318,8 @@ impl Database {
 
         let name = &t.meta().name;
         self.with_txn(mode, |state| {
-            let staged = stage(self.dml_targets(&t, predicate.as_ref(), Some(state), mode)?)?;
+            let targets = self.dml_targets(&t, &write.leaf, predicate.as_ref(), Some(state), mode)?;
+            let staged = stage(targets)?;
             // Every lock before any overlay change: a conflict leaves the
             // statement a no-op and the transaction open.
             if let (Some(mvcc), Some(txn)) = (&self.mvcc, &state.mvcc) {
@@ -1190,6 +1346,7 @@ impl Database {
             ctx: ExecContext::default(),
             degraded: false,
             session: SessionCore::new(self.next_session.fetch_add(1, Ordering::Relaxed)),
+            params: Vec::new(),
             read: OnceLock::new(),
         };
         self.run_plan_budgeted(engine, plan, None, self.sort_budget, &mode)
@@ -1249,7 +1406,7 @@ impl Database {
                 if let Some(key_columns) = covering {
                     let mut columns: Vec<Vec<Datum>> = vec![Vec::new(); key_columns.len()];
                     let mut nrows = 0;
-                    scan_index(&t, plan, |key, _| {
+                    scan_index(&t, plan, &mode.params, |key, _| {
                         nrows += 1;
                         decode_tuple_into(key, &mut columns, None)
                     })?;
@@ -1284,7 +1441,7 @@ impl Database {
                 if let Some(cols) = &mut cols {
                     predicate.columns_into(cols);
                 }
-                Ok(engine.filter(input(child, cols.as_ref())?, predicate.clone()))
+                Ok(engine.filter(input(child, cols.as_ref())?, predicate.bind(&mode.params)))
             }
             Plan::EquiJoin {
                 left,
@@ -1308,7 +1465,11 @@ impl Database {
                 right,
                 predicate,
                 left_width: _,
-            } => engine.nested_loop_join(input(left, None)?, input(right, None)?, predicate.clone()),
+            } => engine.nested_loop_join(
+                input(left, None)?,
+                input(right, None)?,
+                predicate.bind(&mode.params),
+            ),
             Plan::Aggregate {
                 input: child,
                 group_by,
@@ -1318,7 +1479,13 @@ impl Database {
                 for e in group_by.iter().chain(aggs.iter().map(|a| &a.arg)) {
                     e.columns_into(&mut cols);
                 }
-                engine.hash_aggregate(input(child, Some(&cols))?, group_by.clone(), aggs.clone())
+                let bind = |e: &exec::Expr| e.bind(&mode.params);
+                let group_by = group_by.iter().map(bind).collect();
+                let aggs = aggs
+                    .iter()
+                    .map(|a| exec::aggregate::AggSpec::new(a.func, bind(&a.arg)))
+                    .collect();
+                engine.hash_aggregate(input(child, Some(&cols))?, group_by, aggs)
             }
             Plan::Project {
                 input: child,
@@ -1328,7 +1495,8 @@ impl Database {
                 for e in exprs {
                     e.columns_into(&mut cols);
                 }
-                Ok(engine.project(input(child, Some(&cols))?, exprs.clone()))
+                let exprs = exprs.iter().map(|e| e.bind(&mode.params)).collect();
+                Ok(engine.project(input(child, Some(&cols))?, exprs))
             }
             Plan::Distinct { input: child } => Ok(engine.distinct(input(child, None)?)),
             Plan::Sort { input: child, keys } => engine.sort(
@@ -1347,9 +1515,12 @@ impl Database {
 }
 
 impl Session {
-    /// Parse and execute one SQL statement. SELECT plans are cached by
-    /// SQL text: a repeat of the same statement skips parsing and
-    /// planning unless the catalog changed underneath it.
+    /// Parse and execute one SQL statement. A SELECT, UPDATE or DELETE
+    /// runs through the plan cache with its literals lifted into
+    /// parameters: a statement that differs from an earlier one only in
+    /// its literals skips parsing and planning unless the catalog
+    /// changed underneath it or a value leaves the region the cached
+    /// plan was built for.
     ///
     /// Every statement passes the resource governor first: over the
     /// high-watermark the governor queues, sheds (typed `Overloaded`
@@ -1358,18 +1529,26 @@ impl Session {
     /// mid-transaction (deadline or injected token) rolls the open
     /// transaction back, leaving the same invariants as a crash.
     pub fn execute(&self, sql: &str) -> Result<QueryResult> {
+        self.execute_params(sql, &[])
+    }
+
+    /// [`Session::execute`] with `params` bound, in order, to the
+    /// statement's `?` placeholders (a SELECT, INSERT, UPDATE or DELETE;
+    /// EXPLAIN too). The count must match.
+    pub fn execute_params(&self, sql: &str, params: &[Datum]) -> Result<QueryResult> {
         let (db, core) = (&self.db, &self.core);
         // The single-writer busy check comes before admission: a locked
         // database is a concurrency outcome, not governor load.
         db.check_single_writer_busy(core)?;
         let admission = db.governor.admit(core.allow_degraded.load(Ordering::Relaxed))?;
-        let mode = RunMode {
+        let mut mode = RunMode {
             ctx: db.exec_context(core),
             degraded: admission.is_degraded(),
             session: core.clone(),
+            params: Vec::new(),
             read: OnceLock::new(),
         };
-        let out = db.execute_with(sql, &mode);
+        let out = db.execute_with(sql, params, &mut mode);
         if matches!(out, Err(ServiceError::Cancelled { .. })) {
             db.governor.note_cancelled();
             if self.in_txn() {
@@ -1421,16 +1600,32 @@ impl Session {
             .ok_or_else(|| ServiceError::Transaction("no open transaction".into()))
     }
 
-    /// Parse and plan `sql` without executing it, warming the shared
-    /// per-database plan cache, and return the statement's result
-    /// columns (empty for non-SELECT statements, which are validated
-    /// only) — the server side of a wire-protocol `prepare`. The
-    /// subsequent `execute` from *any* session or connection is a cache
-    /// hit.
+    /// Parse and plan `sql` without executing it and return the
+    /// statement's result columns (empty for non-SELECT statements,
+    /// which are validated only) — the server side of a wire-protocol
+    /// `prepare`. A statement without `?` placeholders warms the shared
+    /// per-database plan cache, so the subsequent `execute` from *any*
+    /// session or connection is a cache hit. One with placeholders has
+    /// no values yet: it is parsed, and planned with its parameters
+    /// unbound only to name its columns (none when that planning needs
+    /// a value, such as an ORDER BY ordinal); its first `execute` plans
+    /// and caches the generic plan and reports any planning error.
     pub fn prepare(&self, sql: &str) -> Result<Vec<String>> {
-        Ok(match self.db.parse_and_plan(sql)? {
-            Parsed::Select(planned) => planned.columns.clone(),
-            Parsed::Other(_) => Vec::new(),
+        let (stmt, placeholders) = parse_counted(sql)?;
+        if placeholders == 0 {
+            return Ok(match self.db.ready(sql, &[])? {
+                Ready::Cached(prepared, _) => match &*prepared {
+                    Prepared::Select { planned, .. } => planned.columns.clone(),
+                    Prepared::Write(_) => Vec::new(),
+                },
+                Ready::Parsed(..) => Vec::new(),
+            });
+        }
+        Ok(match stmt {
+            Statement::Select(select) => plan_select(&select, self.db.as_ref())
+                .map(|planned| planned.columns)
+                .unwrap_or_default(),
+            _ => Vec::new(),
         })
     }
 }
@@ -1717,18 +1912,34 @@ fn apply_own_write(
     }
 }
 
+/// The value of an index bound: a literal, or the statement parameter
+/// it names.
+fn bound_value(e: &exec::Expr, params: &[Datum]) -> Result<Datum> {
+    match e {
+        exec::Expr::Lit(d) => Ok(d.clone()),
+        exec::Expr::Param(i) => params
+            .get(*i)
+            .cloned()
+            .ok_or_else(|| err(format!("parameter ${} is not bound", i + 1))),
+        other => Err(ServiceError::Internal(format!("index bound is not a value: {other:?}"))),
+    }
+}
+
+/// The values of a list of index bounds.
+fn bound_values(es: &[exec::Expr], params: &[Datum]) -> Result<Vec<Datum>> {
+    es.iter().map(|e| bound_value(e, params)).collect()
+}
+
 /// B-tree bound for an index scan: the equality prefix extended by the
 /// optional range endpoint; `None` when that side is unconstrained.
 /// The resulting bound may be a key *prefix* — `BTree::range` compares
 /// only the bound's own components.
-fn index_bound(eq: &[Datum], end: &Option<Datum>) -> Option<Vec<Datum>> {
+fn index_bound(eq: &[Datum], end: Option<Datum>) -> Option<Vec<Datum>> {
     if eq.is_empty() && end.is_none() {
         return None;
     }
     let mut key = eq.to_vec();
-    if let Some(d) = end {
-        key.push(d.clone());
-    }
+    key.extend(end);
     Some(key)
 }
 
@@ -1738,23 +1949,30 @@ fn index_bound(eq: &[Datum], end: &Option<Datum>) -> Option<Vec<Datum>> {
 /// explicit range keeps its own upper-bound flag.
 ///
 /// [`BTree::scan_range`]: sbdms_access::btree::BTree::scan_range
-fn scan_index(t: &Table, leaf: &Plan, visit: impl FnMut(&[u8], Rid) -> Result<()>) -> Result<()> {
+fn scan_index(
+    t: &Table,
+    leaf: &Plan,
+    params: &[Datum],
+    visit: impl FnMut(&[u8], Rid) -> Result<()>,
+) -> Result<()> {
     let Plan::IndexScan { index, eq, lo, hi, hi_inclusive, .. } = leaf else {
         return Err(ServiceError::Internal("not an index scan".into()));
     };
     let hi_flag = if hi.is_some() { *hi_inclusive } else { true };
-    let (lo_key, hi_key) = (index_bound(eq, lo), index_bound(eq, hi));
+    let eq = bound_values(eq, params)?;
+    let end = |e: &Option<exec::Expr>| e.as_ref().map(|e| bound_value(e, params)).transpose();
+    let (lo_key, hi_key) = (index_bound(&eq, end(lo)?), index_bound(&eq, end(hi)?));
     index_tree(t, index)?.scan_range(lo_key.as_deref(), hi_key.as_deref(), true, hi_flag, visit)
 }
 
 /// Candidate rids of an index leaf, in the leaf's output order: key
 /// order for a range scan; rid order, deduplicated, for a probe union
 /// or a sorted-rid intersection (each rid is fetched once).
-fn index_rids(t: &Table, leaf: &Plan) -> Result<Vec<Rid>> {
+fn index_rids(t: &Table, leaf: &Plan, params: &[Datum]) -> Result<Vec<Rid>> {
     match leaf {
         Plan::IndexScan { .. } => {
             let mut rids = Vec::new();
-            scan_index(t, leaf, |_, rid| {
+            scan_index(t, leaf, params, |_, rid| {
                 rids.push(rid);
                 Ok(())
             })?;
@@ -1764,14 +1982,14 @@ fn index_rids(t: &Table, leaf: &Plan) -> Result<Vec<Rid>> {
             let tree = index_tree(t, index)?;
             let mut rids: BTreeSet<Rid> = BTreeSet::new();
             for key in keys {
-                rids.extend(tree.search(key)?);
+                rids.extend(tree.search(&bound_values(key, params)?)?);
             }
             Ok(rids.into_iter().collect())
         }
         Plan::IndexAnd { probes, .. } => {
             let mut acc: Option<Vec<Rid>> = None;
             for p in probes {
-                let mut rids = index_tree(t, &p.index)?.search(&p.eq)?;
+                let mut rids = index_tree(t, &p.index)?.search(&bound_values(&p.eq, params)?)?;
                 rids.sort_unstable();
                 rids.dedup();
                 acc = Some(match acc {
@@ -1791,7 +2009,7 @@ type RowTest<'p> = Box<dyn Fn(&Tuple) -> bool + 'p>;
 /// A leaf's key bounds as a row test, with B-tree semantics
 /// (`Datum::order` comparisons, not SQL equality: a NULL key component
 /// matches a NULL constraint). A table scan admits every row.
-fn key_bounds<'p>(t: &Table, leaf: &'p Plan) -> Result<RowTest<'p>> {
+fn key_bounds(t: &Table, leaf: &Plan, params: &[Datum]) -> Result<RowTest<'static>> {
     fn eq_at(img: &Tuple, eq: &[Datum], positions: &[usize]) -> bool {
         eq.iter()
             .zip(positions)
@@ -1800,25 +2018,28 @@ fn key_bounds<'p>(t: &Table, leaf: &'p Plan) -> Result<RowTest<'p>> {
     Ok(match leaf {
         Plan::IndexScan { key_columns, eq, lo, hi, hi_inclusive, .. } => {
             let positions = key_positions(t, key_columns)?;
+            let eq = bound_values(eq, params)?;
+            let end = |e: &Option<exec::Expr>| e.as_ref().map(|e| bound_value(e, params)).transpose();
+            let (lo, hi, hi_inclusive) = (end(lo)?, end(hi)?, *hi_inclusive);
             Box::new(move |img| {
-                eq_at(img, eq, &positions)
+                eq_at(img, &eq, &positions)
                     && positions.get(eq.len()).is_none_or(|&p| {
-                        datum_in_range(&img[p], lo.as_ref(), hi.as_ref(), *hi_inclusive)
+                        datum_in_range(&img[p], lo.as_ref(), hi.as_ref(), hi_inclusive)
                     })
             })
         }
         Plan::IndexOr { key_columns, keys, .. } => {
             let positions = key_positions(t, key_columns)?;
+            let keys: Vec<Vec<Datum>> =
+                keys.iter().map(|k| bound_values(k, params)).collect::<Result<_>>()?;
             Box::new(move |img| keys.iter().any(|key| eq_at(img, key, &positions)))
         }
         Plan::IndexAnd { probes, .. } => {
-            let positions: Vec<Vec<usize>> = probes
+            let probes: Vec<(Vec<Datum>, Vec<usize>)> = probes
                 .iter()
-                .map(|p| key_positions(t, &p.key_columns))
+                .map(|p| Ok((bound_values(&p.eq, params)?, key_positions(t, &p.key_columns)?)))
                 .collect::<Result<_>>()?;
-            Box::new(move |img| {
-                probes.iter().zip(&positions).all(|(p, pos)| eq_at(img, &p.eq, pos))
-            })
+            Box::new(move |img| probes.iter().all(|(eq, pos)| eq_at(img, eq, pos)))
         }
         _ => Box::new(|_| true),
     })

@@ -10,6 +10,8 @@
 //! * [`stats`] / [`cost`]: ANALYZE statistics and the cost model,
 //! * [`planner`]: name resolution, cost-based access-path, join
 //!   algorithm and join-order selection,
+//! * [`plan_cache`]: generic plans per statement shape, each guarded by
+//!   the parameter values it serves,
 //! * [`executor`]: the [`executor::Database`] engine executing plans,
 //! * [`session`]: sessions and the profile's concurrency-control choice
 //!   (single-writer vs kernel MVCC snapshot isolation),
@@ -35,10 +37,10 @@ pub mod txn;
 pub use catalog::{Catalog, IndexMeta, TableMeta, ViewMeta};
 pub use executor::{Database, DbOptions, QueryResult};
 pub use session::{ConcurrencyControl, Session};
-pub use parser::parse;
-pub use plan_cache::{PlanCache, PlanCacheStats};
+pub use parser::{lift_literals, parse, Lifted};
+pub use plan_cache::{Binding, Guard, PlanCache, PlanCacheStats};
 pub use cost::{Estimate, Estimator};
-pub use planner::{plan_select, Plan, PlannedQuery, PlannerKnobs};
+pub use planner::{plan_select, ParamRead, Plan, PlannedQuery, PlannerKnobs};
 pub use stats::{ColumnStats, Histogram, TableStats};
 pub use schema::{Column, ColumnType, Schema};
 pub use services::QueryService;

@@ -54,6 +54,15 @@ impl<'a> Lexer<'a> {
         }
     }
 
+    /// The next token and the byte offset it starts at.
+    fn next_spanned(&mut self) -> Result<(Token, usize)> {
+        while self.peek_byte().is_some_and(|c| c.is_ascii_whitespace()) {
+            self.pos += 1;
+        }
+        let start = self.pos;
+        Ok((self.next_token()?, start))
+    }
+
     fn peek_byte(&self) -> Option<u8> {
         self.input.get(self.pos).copied()
     }
@@ -157,6 +166,7 @@ impl<'a> Lexer<'a> {
                     b'%' => "%",
                     b'.' => ".",
                     b';' => ";",
+                    b'?' => "?",
                     other => return Err(err(format!("unexpected character `{}`", other as char))),
                 };
                 self.pos += 1;
@@ -192,24 +202,110 @@ impl<'a> Lexer<'a> {
     }
 }
 
-/// Parse one SQL statement (a trailing `;` is allowed).
+/// Parse one SQL statement (a trailing `;` is allowed). Each `?`
+/// placeholder becomes [`AstExpr::Param`], numbered from 0 in text
+/// order.
 pub fn parse(sql: &str) -> Result<Statement> {
+    parse_counted(sql).map(|(stmt, _)| stmt)
+}
+
+/// [`parse`], also returning how many `?` placeholders the statement
+/// has.
+pub fn parse_counted(sql: &str) -> Result<(Statement, usize)> {
     let tokens = Lexer::tokenize(sql)?;
     let mut p = Parser {
         tokens,
         pos: 0,
         sql,
+        params: 0,
     };
     let stmt = p.statement()?;
     p.eat_symbol(";");
     p.expect_end()?;
-    Ok(stmt)
+    Ok((stmt, p.params))
+}
+
+/// A statement's text with its literals lifted out into parameters.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Lifted {
+    /// The statement's shape: its text with every lifted literal
+    /// replaced by `?`, otherwise byte for byte.
+    pub text: String,
+    /// The values of the shape's `?` placeholders, in text order.
+    pub params: Vec<Datum>,
+}
+
+/// Lift the integer, float and string literals of `sql` into typed
+/// parameters in one pass of the tokenizer, so `k = 7` and `k = 8` share
+/// the shape `k = ?`. A `?` already in the text takes the next value of
+/// `given` (the statement's bound parameters); it is an error if the
+/// counts differ. A count after LIMIT or OFFSET stays in the text: the
+/// planner folds it into the plan, so it is part of the shape.
+///
+/// Returns `Ok(None)` when the text does not tokenize; parsing the
+/// original text then reports the error.
+pub fn lift_literals(sql: &str, given: &[Datum]) -> Result<Option<Lifted>> {
+    let mut lexer = Lexer {
+        input: sql.as_bytes(),
+        pos: 0,
+    };
+    let mut text = String::with_capacity(sql.len());
+    let mut params = Vec::new();
+    let mut copied = 0;
+    let mut used = 0;
+    let mut after_count_keyword = false;
+    loop {
+        let Ok((token, start)) = lexer.next_spanned() else {
+            return Ok(None);
+        };
+        let value = match token {
+            Token::End => break,
+            Token::Int(i) if !after_count_keyword => Datum::Int(i),
+            Token::Float(x) => Datum::Float(x),
+            Token::Str(s) => Datum::Str(s),
+            Token::Symbol("?") => {
+                let value = given.get(used).cloned().ok_or_else(|| {
+                    err(format!(
+                        "statement has more `?` placeholders than the {} values given",
+                        given.len()
+                    ))
+                })?;
+                used += 1;
+                params.push(value);
+                continue;
+            }
+            Token::Ident(word) => {
+                after_count_keyword =
+                    word.eq_ignore_ascii_case("limit") || word.eq_ignore_ascii_case("offset");
+                continue;
+            }
+            _ => {
+                after_count_keyword = false;
+                continue;
+            }
+        };
+        after_count_keyword = false;
+        text.push_str(&sql[copied..start]);
+        text.push('?');
+        copied = lexer.pos;
+        params.push(value);
+    }
+    if used != given.len() {
+        return Err(err(format!(
+            "statement has {used} `?` placeholders but {} values were given",
+            given.len()
+        )));
+    }
+    text.push_str(&sql[copied..]);
+    Ok(Some(Lifted { text, params }))
 }
 
 struct Parser<'a> {
     tokens: Vec<Token>,
     pos: usize,
     sql: &'a str,
+    /// `?` placeholders seen so far.
+    params: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -374,6 +470,9 @@ impl<'a> Parser<'a> {
         let text_start = self.current_text_offset();
         let query = self.select()?;
         let query_text = self.sql[text_start..].trim().trim_end_matches(';').to_string();
+        if self.params > 0 {
+            return Err(err("a view cannot have `?` parameters"));
+        }
         Ok(Statement::CreateView {
             name,
             query_text,
@@ -726,6 +825,10 @@ impl<'a> Parser<'a> {
             Token::Int(i) => Ok(AstExpr::Literal(Datum::Int(i))),
             Token::Float(x) => Ok(AstExpr::Literal(Datum::Float(x))),
             Token::Str(s) => Ok(AstExpr::Literal(Datum::Str(s))),
+            Token::Symbol("?") => {
+                self.params += 1;
+                Ok(AstExpr::Param(self.params - 1))
+            }
             Token::Symbol("(") => {
                 let inner = self.expr()?;
                 self.expect_symbol(")")?;
@@ -774,6 +877,37 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn literals_lift_into_typed_parameters() {
+        let lifted = lift_literals(
+            "SELECT a FROM t WHERE k = 7 AND s = 'it''s' AND f > 1.5 LIMIT 3 OFFSET 2",
+            &[],
+        )
+        .unwrap()
+        .unwrap();
+        assert_eq!(
+            lifted.text,
+            "SELECT a FROM t WHERE k = ? AND s = ? AND f > ? LIMIT 3 OFFSET 2"
+        );
+        assert_eq!(
+            lifted.params,
+            vec![Datum::Int(7), Datum::Str("it's".into()), Datum::Float(1.5)]
+        );
+        // Given values fill the text's own placeholders, in order.
+        let lifted = lift_literals("SELECT ? + 1 FROM t WHERE k = ?", &[Datum::Int(4), Datum::Null])
+            .unwrap()
+            .unwrap();
+        assert_eq!(lifted.text, "SELECT ? + ? FROM t WHERE k = ?");
+        assert_eq!(lifted.params, vec![Datum::Int(4), Datum::Int(1), Datum::Null]);
+        assert!(lift_literals("SELECT ? FROM t", &[]).is_err());
+        assert!(lift_literals("SELECT 1 FROM t", &[Datum::Int(1)]).is_err());
+        assert_eq!(lift_literals("SELECT 'open", &[]).unwrap(), None);
+        let (stmt, n) = parse_counted("SELECT v FROM t WHERE k = ? AND v < ?").unwrap();
+        assert_eq!(n, 2);
+        let Statement::Select(select) = stmt else { panic!("not a SELECT") };
+        assert!(select.to_sql().contains("((k) = (?)) AND ((v) < (?))"), "{}", select.to_sql());
+    }
 
     #[test]
     fn create_table_parses() {

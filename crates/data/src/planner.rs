@@ -31,6 +31,7 @@ use crate::ast::{AstExpr, OrderKey, Select, SelectItem};
 use crate::catalog::{IndexMeta, TableMeta};
 use crate::cost::Estimator;
 use crate::schema::Schema;
+use crate::stats::ColumnStats;
 
 fn err(msg: impl Into<String>) -> ServiceError {
     ServiceError::InvalidInput(format!("plan: {}", msg.into()))
@@ -73,6 +74,19 @@ impl Default for PlannerKnobs {
     }
 }
 
+/// How a planning choice depends on a statement parameter's value,
+/// so a generic plan can record the region its choices hold for.
+#[derive(Debug, Clone, Copy)]
+pub enum ParamRead<'a> {
+    /// Only through [`ColumnStats::selectivity_eq`] on this column,
+    /// which is constant for every value inside its [min, max] and for
+    /// every value outside it.
+    Eq(&'a ColumnStats),
+    /// On the exact value: range selectivity, IN-list deduplication, an
+    /// ORDER BY ordinal, a structural match between expressions.
+    Pin,
+}
+
 /// What the planner needs to know about the database.
 pub trait CatalogView {
     /// A shared snapshot of a table's metadata: schema, secondary
@@ -103,6 +117,12 @@ pub trait CatalogView {
             ..PlannerKnobs::default()
         }
     }
+    /// The value bound to statement parameter `i` for a choice that
+    /// depends on it as `read` says (`None`: no value is bound, and the
+    /// choice falls back to its value-free default).
+    fn param(&self, _i: usize, _read: ParamRead<'_>) -> Option<Datum> {
+        None
+    }
 }
 
 /// A physical plan node.
@@ -114,7 +134,9 @@ pub enum Plan {
         table: String,
     },
     /// Index scan over a (possibly composite) B-tree: equality on a key
-    /// prefix, optional range on the next key column. The bounds are a
+    /// prefix, optional range on the next key column. Each bound is a
+    /// literal or a statement parameter ([`Expr::Lit`] or
+    /// [`Expr::Param`]), read at execution. The bounds are a
     /// superset of the true predicate — the caller re-applies it as a
     /// residual filter. Output is in index-key order. With `covering`
     /// the scan emits the index key columns only (positions follow
@@ -128,11 +150,11 @@ pub enum Plan {
         /// Index key columns, leading column first (lower-cased).
         key_columns: Vec<String>,
         /// Equality values for the leading `eq.len()` key columns.
-        eq: Vec<Datum>,
+        eq: Vec<Expr>,
         /// Inclusive lower bound on key column `eq.len()`.
-        lo: Option<Datum>,
+        lo: Option<Expr>,
         /// Upper bound on key column `eq.len()`.
-        hi: Option<Datum>,
+        hi: Option<Expr>,
         /// Whether the upper bound is inclusive.
         hi_inclusive: bool,
         /// Index-only scan: emit key columns, skip the heap.
@@ -147,8 +169,9 @@ pub enum Plan {
         index: String,
         /// Index key columns, leading column first.
         key_columns: Vec<String>,
-        /// Probe keys (full or prefix), deduplicated at plan time.
-        keys: Vec<Vec<Datum>>,
+        /// Probe keys (full or prefix), deduplicated at plan time, so
+        /// always literals.
+        keys: Vec<Vec<Expr>>,
     },
     /// Sorted-rowid intersection of two equality probes on different
     /// indexes; surviving rowids are fetched in heap (rid) order.
@@ -246,8 +269,9 @@ pub struct IndexProbe {
     pub index: String,
     /// Index key columns, leading column first.
     pub key_columns: Vec<String>,
-    /// Equality values for the leading `eq.len()` key columns.
-    pub eq: Vec<Datum>,
+    /// Equality values for the leading `eq.len()` key columns
+    /// (literals or parameters).
+    pub eq: Vec<Expr>,
 }
 
 impl Plan {
@@ -273,8 +297,11 @@ impl Plan {
                 hi_inclusive,
                 covering,
             } => format!(
-                "IndexScan {table}.{index}({}) eq={eq:?} lo={lo:?} hi={hi:?} hi_inc={hi_inclusive}{}",
+                "IndexScan {table}.{index}({}) eq=[{}] lo={} hi={} hi_inc={hi_inclusive}{}",
                 key_columns.join(","),
+                eq.iter().map(bound_label).collect::<Vec<_>>().join(", "),
+                lo.as_ref().map_or("None".into(), |e| format!("Some({})", bound_label(e))),
+                hi.as_ref().map_or("None".into(), |e| format!("Some({})", bound_label(e))),
                 if *covering { " covering" } else { "" }
             ),
             Plan::IndexOr { table, index, keys, .. } => {
@@ -320,6 +347,100 @@ impl Plan {
         }
     }
 
+    /// A copy with every statement parameter replaced by its value in
+    /// `params`: the plan a generic plan is for one execution. EXPLAIN
+    /// renders this.
+    pub fn bind(&self, params: &[Datum]) -> Plan {
+        let boxed = |p: &Plan| Box::new(p.bind(params));
+        let exprs = |es: &[Expr]| es.iter().map(|e| e.bind(params)).collect::<Vec<_>>();
+        match self {
+            Plan::IndexScan {
+                table,
+                index,
+                key_columns,
+                eq,
+                lo,
+                hi,
+                hi_inclusive,
+                covering,
+            } => Plan::IndexScan {
+                table: table.clone(),
+                index: index.clone(),
+                key_columns: key_columns.clone(),
+                eq: exprs(eq),
+                lo: lo.as_ref().map(|e| e.bind(params)),
+                hi: hi.as_ref().map(|e| e.bind(params)),
+                hi_inclusive: *hi_inclusive,
+                covering: *covering,
+            },
+            Plan::IndexAnd { table, probes } => Plan::IndexAnd {
+                table: table.clone(),
+                probes: probes
+                    .iter()
+                    .map(|p| IndexProbe {
+                        eq: exprs(&p.eq),
+                        ..p.clone()
+                    })
+                    .collect(),
+            },
+            Plan::TableScan { .. } | Plan::IndexOr { .. } | Plan::Values { .. } => self.clone(),
+            Plan::Filter { input, predicate } => Plan::Filter {
+                input: boxed(input),
+                predicate: predicate.bind(params),
+            },
+            Plan::EquiJoin {
+                left,
+                right,
+                algorithm,
+                left_col,
+                right_col,
+                left_width,
+                build,
+            } => Plan::EquiJoin {
+                left: boxed(left),
+                right: boxed(right),
+                algorithm: *algorithm,
+                left_col: *left_col,
+                right_col: *right_col,
+                left_width: *left_width,
+                build: *build,
+            },
+            Plan::NlJoin {
+                left,
+                right,
+                predicate,
+                left_width,
+            } => Plan::NlJoin {
+                left: boxed(left),
+                right: boxed(right),
+                predicate: predicate.bind(params),
+                left_width: *left_width,
+            },
+            Plan::Aggregate { input, group_by, aggs } => Plan::Aggregate {
+                input: boxed(input),
+                group_by: exprs(group_by),
+                aggs: aggs
+                    .iter()
+                    .map(|a| AggSpec::new(a.func, a.arg.bind(params)))
+                    .collect(),
+            },
+            Plan::Project { input, exprs: es } => Plan::Project {
+                input: boxed(input),
+                exprs: exprs(es),
+            },
+            Plan::Distinct { input } => Plan::Distinct { input: boxed(input) },
+            Plan::Sort { input, keys } => Plan::Sort {
+                input: boxed(input),
+                keys: keys.clone(),
+            },
+            Plan::Limit { input, n, offset } => Plan::Limit {
+                input: boxed(input),
+                n: *n,
+                offset: *offset,
+            },
+        }
+    }
+
     fn explain_into(&self, out: &mut String, depth: usize) {
         out.push_str(&"  ".repeat(depth));
         out.push_str(&self.node_label());
@@ -327,6 +448,16 @@ impl Plan {
         for child in self.children() {
             child.explain_into(out, depth + 1);
         }
+    }
+}
+
+/// An index bound as EXPLAIN shows it: a literal's value, or `$n` for
+/// statement parameter `n` (1-based).
+fn bound_label(e: &Expr) -> String {
+    match e {
+        Expr::Lit(d) => format!("{d:?}"),
+        Expr::Param(i) => format!("${}", i + 1),
+        other => format!("{other:?}"),
     }
 }
 
@@ -407,6 +538,7 @@ pub fn compile_expr(ast: &AstExpr, env: &BindEnv) -> Result<Expr> {
     match ast {
         AstExpr::Column(q, n) => Ok(Expr::Col(env.resolve(q.as_deref(), n)?)),
         AstExpr::Literal(d) => Ok(Expr::Lit(d.clone())),
+        AstExpr::Param(i) => Ok(Expr::Param(*i)),
         AstExpr::Unary(op, e) => Ok(Expr::Unary(*op, Box::new(compile_expr(e, env)?))),
         AstExpr::Binary(op, l, r) => Ok(Expr::Binary(
             *op,
@@ -432,10 +564,11 @@ fn compile_having(
     group_len: usize,
     item_positions: &[(Option<String>, usize)],
     columns: &[String],
+    catalog: &dyn CatalogView,
 ) -> Result<Expr> {
     match ast {
         AstExpr::Agg(func, arg) => {
-            if let Some(idx) = agg_asts.iter().position(|a| a == ast) {
+            if let Some(idx) = agg_asts.iter().position(|a| same_expr(a, ast, catalog)) {
                 return Ok(Expr::Col(group_len + idx));
             }
             let compiled_arg = match arg {
@@ -474,6 +607,7 @@ fn compile_having(
             Err(err(format!("HAVING: `{q}.{name}` is not a grouped column")))
         }
         AstExpr::Literal(d) => Ok(Expr::Lit(d.clone())),
+        AstExpr::Param(i) => Ok(Expr::Param(*i)),
         AstExpr::Unary(op, e) => Ok(Expr::Unary(
             *op,
             Box::new(compile_having(
@@ -485,17 +619,50 @@ fn compile_having(
                 group_len,
                 item_positions,
                 columns,
+                catalog,
             )?),
         )),
         AstExpr::Binary(op, l, r) => Ok(Expr::Binary(
             *op,
             Box::new(compile_having(
-                l, group_by, env, aggs, agg_asts, group_len, item_positions, columns,
+                l, group_by, env, aggs, agg_asts, group_len, item_positions, columns, catalog,
             )?),
             Box::new(compile_having(
-                r, group_by, env, aggs, agg_asts, group_len, item_positions, columns,
+                r, group_by, env, aggs, agg_asts, group_len, item_positions, columns, catalog,
             )?),
         )),
+    }
+}
+
+/// Structural equality of two expressions (GROUP BY items, reused
+/// aggregates), where a literal or parameter matches any other literal
+/// or parameter of the same value. Every parameter whose value it
+/// compares is pinned: the plan built on the answer holds only for
+/// those values.
+fn same_expr(a: &AstExpr, b: &AstExpr, catalog: &dyn CatalogView) -> bool {
+    let value = |e: &AstExpr| match e {
+        AstExpr::Literal(d) => Some(d.clone()),
+        AstExpr::Param(i) => catalog.param(*i, ParamRead::Pin),
+        _ => None,
+    };
+    match (a, b) {
+        (AstExpr::Literal(_) | AstExpr::Param(_), AstExpr::Literal(_) | AstExpr::Param(_)) => {
+            let (x, y) = (value(a), value(b));
+            x.is_some() && x == y
+        }
+        (AstExpr::Unary(o1, e1), AstExpr::Unary(o2, e2)) => o1 == o2 && same_expr(e1, e2, catalog),
+        (AstExpr::Binary(o1, l1, r1), AstExpr::Binary(o2, l2, r2)) => {
+            o1 == o2 && same_expr(l1, l2, catalog) && same_expr(r1, r2, catalog)
+        }
+        (AstExpr::Agg(f1, a1), AstExpr::Agg(f2, a2)) => {
+            f1 == f2
+                && match (a1, a2) {
+                    (Some(x), Some(y)) => same_expr(x, y, catalog),
+                    (None, None) => true,
+                    _ => false,
+                }
+        }
+        _ => a == b,
     }
 }
 
@@ -624,7 +791,7 @@ fn plan_select_depth(
                         let idx = select
                             .group_by
                             .iter()
-                            .position(|g| g == expr)
+                            .position(|g| same_expr(g, expr, catalog))
                             .ok_or_else(|| {
                                 err("non-aggregate SELECT item must appear in GROUP BY")
                             })?;
@@ -651,6 +818,7 @@ fn plan_select_depth(
                     select.group_by.len(),
                     &item_positions,
                     &columns,
+                    catalog,
                 )
             })
             .transpose()?;
@@ -695,7 +863,7 @@ fn plan_select_depth(
             let output_keys: Result<Vec<SortKey>> = select
                 .order_by
                 .iter()
-                .map(|k| order_key(k, &columns))
+                .map(|k| order_key(k, &columns, catalog))
                 .collect();
             match output_keys {
                 Ok(_) => {} // handled after projection, below
@@ -728,7 +896,7 @@ fn plan_select_depth(
         let keys: Result<Vec<SortKey>> = select
             .order_by
             .iter()
-            .map(|k| order_key(k, &columns))
+            .map(|k| order_key(k, &columns, catalog))
             .collect();
         match keys {
             Ok(keys) => {
@@ -1218,6 +1386,7 @@ fn map_columns(e: Expr, f: &dyn Fn(usize) -> usize) -> Expr {
     match e {
         Expr::Col(i) => Expr::Col(f(i)),
         Expr::Lit(d) => Expr::Lit(d),
+        Expr::Param(i) => Expr::Param(i),
         Expr::Unary(op, inner) => Expr::Unary(op, Box::new(map_columns(*inner, f))),
         Expr::Binary(op, l, r) => Expr::Binary(
             op,
@@ -1391,7 +1560,7 @@ fn expr_columns(e: &Expr) -> Vec<usize> {
     fn walk(e: &Expr, out: &mut Vec<usize>) {
         match e {
             Expr::Col(i) => out.push(*i),
-            Expr::Lit(_) => {}
+            Expr::Lit(_) | Expr::Param(_) => {}
             Expr::Unary(_, inner) => walk(inner, out),
             Expr::Binary(_, l, r) => {
                 walk(l, out);
@@ -1408,6 +1577,7 @@ fn shift_columns(e: Expr, delta: usize) -> Expr {
     match e {
         Expr::Col(i) => Expr::Col(i - delta),
         Expr::Lit(d) => Expr::Lit(d),
+        Expr::Param(i) => Expr::Param(i),
         Expr::Unary(op, inner) => Expr::Unary(op, Box::new(shift_columns(*inner, delta))),
         Expr::Binary(op, l, r) => Expr::Binary(
             op,
@@ -1479,16 +1649,22 @@ fn input_order_key(key: &OrderKey, env: &BindEnv) -> Result<SortKey> {
     })
 }
 
-fn order_key(key: &OrderKey, columns: &[String]) -> Result<SortKey> {
-    let column = match &key.expr {
-        AstExpr::Column(None, name) => columns
+fn order_key(key: &OrderKey, columns: &[String], catalog: &dyn CatalogView) -> Result<SortKey> {
+    let ordinal = match &key.expr {
+        AstExpr::Literal(Datum::Int(i)) => Some(*i),
+        AstExpr::Param(p) => match catalog.param(*p, ParamRead::Pin) {
+            Some(Datum::Int(i)) => Some(i),
+            _ => None,
+        },
+        _ => None,
+    };
+    let column = match (&key.expr, ordinal) {
+        (AstExpr::Column(None, name), _) => columns
             .iter()
             .position(|c| c.eq_ignore_ascii_case(name))
             .ok_or_else(|| err(format!("ORDER BY: unknown output column `{name}`")))?,
-        AstExpr::Literal(Datum::Int(i)) if *i >= 1 && (*i as usize) <= columns.len() => {
-            *i as usize - 1
-        }
-        other => return Err(err(format!("ORDER BY must name an output column: {other:?}"))),
+        (_, Some(i)) if i >= 1 && (i as usize) <= columns.len() => i as usize - 1,
+        (other, _) => return Err(err(format!("ORDER BY must name an output column: {other:?}"))),
     };
     Ok(if key.asc {
         SortKey::asc(column)
@@ -1503,11 +1679,12 @@ fn order_key(key: &OrderKey, columns: &[String]) -> Result<SortKey> {
 /// decision line) rather than costed.
 pub const MAX_INDEX_OR_FANOUT: usize = 32;
 
-/// Range bounds extracted for one column, merged across conjuncts.
+/// Range bounds extracted for one column, merged across conjuncts;
+/// each a literal or a parameter.
 #[derive(Default, Clone)]
 struct ColBounds {
-    lo: Option<Datum>,
-    hi: Option<Datum>,
+    lo: Option<Expr>,
+    hi: Option<Expr>,
     hi_inclusive: bool,
 }
 
@@ -1516,13 +1693,18 @@ struct ColBounds {
 /// or explicit `OR` chains). Column names are schema-cased.
 #[derive(Default)]
 struct PredConstraints {
-    eq: Vec<(String, Datum)>,
+    eq: Vec<(String, Expr)>,
     ranges: Vec<(String, ColBounds)>,
     or_eq: Vec<(String, Vec<Datum>)>,
 }
 
+/// Whether `e` is a value known at execution: a literal or a parameter.
+fn is_value(e: &Expr) -> bool {
+    matches!(e, Expr::Lit(_) | Expr::Param(_))
+}
+
 impl PredConstraints {
-    fn eq_of(&self, col: &str) -> Option<&Datum> {
+    fn eq_of(&self, col: &str) -> Option<&Expr> {
         self.eq
             .iter()
             .find(|(c, _)| c.eq_ignore_ascii_case(col))
@@ -1536,11 +1718,11 @@ impl PredConstraints {
             .map(|(_, b)| b)
     }
 
-    fn extract(preds: &[Expr], schema: &Schema) -> PredConstraints {
+    fn extract(preds: &[Expr], schema: &Schema, catalog: &dyn CatalogView) -> PredConstraints {
         let mut out = PredConstraints::default();
         for p in preds {
             // An OR chain whose every leaf is `col = lit` on one column.
-            if let Some((i, lits)) = as_or_equalities(p) {
+            if let Some((i, lits)) = as_or_equalities(p, catalog) {
                 if let Some(col) = schema.columns.get(i) {
                     out.or_eq.push((col.name.clone(), lits));
                 }
@@ -1548,8 +1730,8 @@ impl PredConstraints {
             }
             let Expr::Binary(op, l, r) = p else { continue };
             let (i, lit, op) = match (l.as_ref(), r.as_ref()) {
-                (Expr::Col(i), Expr::Lit(d)) => (*i, d, *op),
-                (Expr::Lit(d), Expr::Col(i)) => (*i, d, flip(*op)),
+                (Expr::Col(i), v) if is_value(v) => (*i, v, *op),
+                (v, Expr::Col(i)) if is_value(v) => (*i, v, flip(*op)),
                 _ => continue,
             };
             let Some(col) = schema.columns.get(i) else { continue };
@@ -1602,8 +1784,9 @@ fn flatten_or(e: &Expr, out: &mut Vec<Expr>) {
 
 /// Recognise `col = l1 OR col = l2 OR ...` (the shape `IN` desugars to):
 /// one column position and the deduplicated literal list, sorted by
-/// `Datum::order` for deterministic probing.
-fn as_or_equalities(e: &Expr) -> Option<(usize, Vec<Datum>)> {
+/// `Datum::order` for deterministic probing. Deduplication reads every
+/// value, so each parameter in the list is pinned.
+fn as_or_equalities(e: &Expr, catalog: &dyn CatalogView) -> Option<(usize, Vec<Datum>)> {
     if !matches!(e, Expr::Binary(BinOp::Or, _, _)) {
         return None;
     }
@@ -1613,14 +1796,18 @@ fn as_or_equalities(e: &Expr) -> Option<(usize, Vec<Datum>)> {
     let mut lits: Vec<Datum> = Vec::with_capacity(leaves.len());
     for leaf in &leaves {
         let Expr::Binary(BinOp::Eq, l, r) = leaf else { return None };
-        let (i, d) = match (l.as_ref(), r.as_ref()) {
-            (Expr::Col(i), Expr::Lit(d)) | (Expr::Lit(d), Expr::Col(i)) => (*i, d),
+        let (i, v) = match (l.as_ref(), r.as_ref()) {
+            (Expr::Col(i), v) | (v, Expr::Col(i)) if is_value(v) => (*i, v),
             _ => return None,
         };
         if *col.get_or_insert(i) != i {
             return None;
         }
-        lits.push(d.clone());
+        lits.push(match v {
+            Expr::Param(p) => catalog.param(*p, ParamRead::Pin)?,
+            Expr::Lit(d) => d.clone(),
+            _ => return None,
+        });
     }
     lits.sort_by(|a, b| a.order(b));
     lits.dedup_by(|a, b| a.order(b) == std::cmp::Ordering::Equal);
@@ -1669,13 +1856,13 @@ fn choose_access_path(
         _ => return Ok(seq),
     };
     let indexes = &meta.indexes;
-    let cons = PredConstraints::extract(preds, &meta.schema);
+    let cons = PredConstraints::extract(preds, &meta.schema, catalog);
 
     let mut cands: Vec<PathCand> = Vec::new();
     // Per-index scan candidates: longest equality prefix, then a range
     // on the next key column when one is bounded.
     for idx in indexes {
-        let mut eq: Vec<Datum> = Vec::new();
+        let mut eq: Vec<Expr> = Vec::new();
         for col in &idx.columns {
             match cons.eq_of(col) {
                 Some(d) => eq.push(d.clone()),
@@ -1740,7 +1927,7 @@ fn choose_access_path(
                 table: table_lc.clone(),
                 index: idx.name.clone(),
                 key_columns: idx.columns.clone(),
-                keys: lits.iter().map(|l| vec![l.clone()]).collect(),
+                keys: lits.iter().map(|l| vec![Expr::Lit(l.clone())]).collect(),
             },
         });
     }
@@ -1749,7 +1936,7 @@ fn choose_access_path(
     // leading columns. Only costed selection can justify the double
     // probe + intersection, so the candidates exist only with stats.
     if with_stats {
-        let probes: Vec<(&IndexMeta, Vec<Datum>)> = indexes
+        let probes: Vec<(&IndexMeta, Vec<Expr>)> = indexes
             .iter()
             .filter_map(|idx| {
                 let mut eq = Vec::new();
@@ -2552,11 +2739,7 @@ mod tests {
         };
         assert_eq!(
             keys,
-            &vec![
-                vec![Datum::Int(3)],
-                vec![Datum::Int(7)],
-                vec![Datum::Int(11)]
-            ]
+            &vec![vec![Expr::int(3)], vec![Expr::int(7)], vec![Expr::int(11)]]
         );
     }
 

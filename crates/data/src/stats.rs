@@ -152,6 +152,25 @@ pub struct ColumnStats {
 }
 
 impl ColumnStats {
+    /// Statistics of one column from all its values (NULLs included).
+    pub fn collect(mut values: Vec<Datum>, histogram_buckets: usize) -> ColumnStats {
+        let before = values.len();
+        values.retain(|d| !d.is_null());
+        values.sort_by(|a, b| a.order(b));
+        let distinct = values
+            .windows(2)
+            .filter(|w| w[0].order(&w[1]) != std::cmp::Ordering::Equal)
+            .count() as u64
+            + u64::from(!values.is_empty());
+        ColumnStats {
+            null_count: (before - values.len()) as u64,
+            distinct,
+            min: values.first().map(StatValue::from_datum),
+            max: values.last().map(StatValue::from_datum),
+            histogram: Histogram::build(&values, histogram_buckets),
+        }
+    }
+
     /// Estimated selectivity of `col = value` over all rows.
     pub fn selectivity_eq(&self, rows: f64, value: &Datum) -> f64 {
         if rows <= 0.0 {
@@ -230,27 +249,8 @@ impl TableStats {
     pub fn collect(rows: &[Tuple], schema: &Schema, histogram_buckets: usize) -> TableStats {
         let mut columns = BTreeMap::new();
         for (i, col) in schema.columns.iter().enumerate() {
-            let mut values: Vec<Datum> = Vec::with_capacity(rows.len());
-            let mut null_count = 0u64;
-            for row in rows {
-                match row.get(i) {
-                    None | Some(Datum::Null) => null_count += 1,
-                    Some(d) => values.push(d.clone()),
-                }
-            }
-            values.sort_by(|a, b| a.order(b));
-            let distinct = values
-                .windows(2)
-                .filter(|w| w[0].order(&w[1]) != std::cmp::Ordering::Equal)
-                .count() as u64
-                + u64::from(!values.is_empty());
-            let stats = ColumnStats {
-                null_count,
-                distinct,
-                min: values.first().map(StatValue::from_datum),
-                max: values.last().map(StatValue::from_datum),
-                histogram: Histogram::build(&values, histogram_buckets),
-            };
+            let values = rows.iter().map(|row| row.get(i).cloned().unwrap_or(Datum::Null));
+            let stats = ColumnStats::collect(values.collect(), histogram_buckets);
             columns.insert(col.name.to_lowercase(), stats);
         }
         TableStats {

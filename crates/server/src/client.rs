@@ -6,9 +6,10 @@
 //! gets, recoverability intact, so retry loops written against the
 //! in-process API work unchanged against the socket.
 
+use std::io::BufReader;
 use std::net::{TcpStream, ToSocketAddrs};
 
-use sbdms_access::record::Tuple;
+use sbdms_access::record::{Datum, Tuple};
 use sbdms_kernel::error::{Result, ServiceError};
 use sbdms_kernel::value::Value;
 use sbdms_kernel::wire::{read_frame, write_frame};
@@ -50,9 +51,11 @@ pub struct Prepared {
     pub columns: Vec<String>,
 }
 
-/// A connected wire-protocol client.
+/// A connected wire-protocol client. Replies are read through one
+/// buffer (a frame's header and payload usually arrive in one read);
+/// requests go straight to the socket, one write per frame.
 pub struct Client {
-    stream: TcpStream,
+    stream: BufReader<TcpStream>,
     /// Connection id the server assigned during the handshake.
     pub connection_id: u64,
 }
@@ -64,7 +67,7 @@ impl Client {
             .map_err(|e| ServiceError::Storage(format!("connect: {e}")))?;
         let _ = stream.set_nodelay(true);
         let mut client = Client {
-            stream,
+            stream: BufReader::new(stream),
             connection_id: 0,
         };
         let reply = client.round_trip(&protocol::hello_request())?;
@@ -102,7 +105,13 @@ impl Client {
 
     /// Execute a previously prepared statement.
     pub fn execute(&mut self, prepared: &Prepared) -> Result<QueryOutcome> {
-        let reply = self.round_trip(&protocol::execute_request(prepared.stmt))?;
+        self.execute_params(prepared, &[])
+    }
+
+    /// Execute a prepared statement with `params` bound, in order, to
+    /// its `?` placeholders.
+    pub fn execute_params(&mut self, prepared: &Prepared, params: &[Datum]) -> Result<QueryOutcome> {
+        let reply = self.round_trip(&protocol::execute_request(prepared.stmt, params))?;
         Self::decode_outcome(&reply)
     }
 
@@ -143,7 +152,7 @@ impl Client {
     }
 
     fn round_trip(&mut self, request: &Value) -> Result<Value> {
-        write_frame(&mut self.stream, request)?;
+        write_frame(self.stream.get_mut(), request)?;
         read_frame(&mut self.stream)
     }
 

@@ -13,11 +13,17 @@
 //!   |<- {ok, kind:rows, columns, rows} -|
 //!   |-- {op:prepare, sql:"..."} ------->|
 //!   |<- {ok, kind:prepared, stmt:0} ----|
-//!   |-- {op:execute, stmt:0} ---------->|
+//!   |-- {op:execute, stmt:0, params} -->|
 //!   |<- {ok, kind:rows, ...} -----------|
 //!   |-- {op:quit} --------------------->|
 //!   |<- {ok, kind:bye} -----------------|
 //! ```
+//!
+//! A prepared statement may hold `?` placeholders; `execute` then
+//! carries their values, in order, as the `params` list (typed like row
+//! cells). Text sent with `query` has its literals lifted into
+//! parameters server-side, so both forms share the plan cache's generic
+//! plans.
 //!
 //! Rows travel typed: each datum maps onto the kernel's self-describing
 //! [`Value`] (NULL/bool/int/float/string survive the round trip
@@ -47,9 +53,22 @@ pub fn prepare_request(sql: &str) -> Value {
     Value::map().with("op", "prepare").with("sql", sql)
 }
 
-/// Build an execute-prepared request.
-pub fn execute_request(stmt: i64) -> Value {
-    Value::map().with("op", "execute").with("stmt", stmt)
+/// Build an execute-prepared request binding `params` to the
+/// statement's `?` placeholders, in order.
+pub fn execute_request(stmt: i64, params: &[Datum]) -> Value {
+    let params: Vec<Value> = params.iter().map(datum_to_value).collect();
+    Value::map()
+        .with("op", "execute")
+        .with("stmt", stmt)
+        .with("params", Value::List(params))
+}
+
+/// The `params` of an execute request (none when absent).
+pub fn request_params(request: &Value) -> Result<Vec<Datum>> {
+    match request.get("params") {
+        None | Some(Value::Null) => Ok(Vec::new()),
+        Some(list) => list.as_list()?.iter().map(value_to_datum).collect(),
+    }
 }
 
 /// Build a close-prepared request.

@@ -15,20 +15,24 @@
 //!   plan cache.** `prepare` plans through [`Session::prepare`], which
 //!   warms the same per-database cache `execute` reads, so statement
 //!   handles on different connections reuse each other's plans — the
-//!   differential test pins cache hits across connections.
+//!   differential test pins cache hits across connections. A statement
+//!   with `?` placeholders gets its values with each `execute`; its
+//!   one generic plan serves every connection and every value inside
+//!   the plan's guards (DESIGN §4o).
 //! * **Teardown rolls back.** A client that disappears mid-transaction
 //!   (crash, kill -9, cable pull) must not wedge a single-writer
 //!   database or leak an MVCC overlay; the handler drops its session
 //!   before the thread exits, and a dropped session rolls back its open
 //!   transaction. The server counts those rollbacks in [`ServerStats`].
 
-use std::io::Write as _;
+use std::io::{BufReader, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use sbdms_access::record::Datum;
 use sbdms_data::executor::Database;
 use sbdms_data::session::Session;
 use sbdms_kernel::error::ServiceError;
@@ -212,18 +216,20 @@ fn refuse(mut stream: TcpStream, in_flight: usize) {
     let _ = stream.flush();
 }
 
-/// Serve one connection until quit, error, or disconnect.
-fn serve_connection(mut stream: TcpStream, shared: &Shared) {
+/// Serve one connection until quit, error, or disconnect. Requests are
+/// read through one buffer; each reply is one write.
+fn serve_connection(stream: TcpStream, shared: &Shared) {
     let _ = stream.set_nodelay(true);
     if shared.cfg.read_timeout.is_some() {
         let _ = stream.set_read_timeout(shared.cfg.read_timeout);
     }
+    let mut conn = BufReader::new(stream);
     let connection_id = shared.next_connection.fetch_add(1, Ordering::Relaxed);
     let session = shared.db.session();
 
     // Handshake first: anything else on a fresh connection is a
     // protocol error.
-    match read_frame(&mut stream) {
+    match read_frame(&mut conn) {
         Ok(hello) => {
             let version = hello.get("version").and_then(|v| v.as_int().ok());
             let is_hello = hello.get("op").and_then(|o| o.as_str().ok()) == Some("hello");
@@ -240,7 +246,7 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) {
                 protocol::hello_response(connection_id)
             };
             let ok = matches!(reply.get("ok").and_then(|o| o.as_bool().ok()), Some(true));
-            if write_frame(&mut stream, &reply).is_err() || !ok {
+            if write_frame(conn.get_mut(), &reply).is_err() || !ok {
                 return;
             }
         }
@@ -250,7 +256,7 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) {
     let mut prepared: Vec<Option<(String, Vec<String>)>> = Vec::new();
     // A read error is a disconnect or corrupt stream: fall through to
     // teardown, whose rollback is the server's half of crash semantics.
-    while let Ok(request) = read_frame(&mut stream) {
+    while let Ok(request) = read_frame(&mut conn) {
         let op = request
             .get("op")
             .and_then(|o| o.as_str().ok())
@@ -263,14 +269,14 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) {
             "close_stmt" => handle_close_stmt(&request, &mut prepared),
             "set" => handle_set(&session, &request),
             "quit" => {
-                let _ = write_frame(&mut stream, &protocol::bye_response());
+                let _ = write_frame(conn.get_mut(), &protocol::bye_response());
                 break;
             }
             other => protocol::error_response(&ServiceError::InvalidInput(format!(
                 "unknown wire op `{other}`"
             ))),
         };
-        if write_frame(&mut stream, &reply).is_err() {
+        if write_frame(conn.get_mut(), &reply).is_err() {
             break;
         }
     }
@@ -281,22 +287,30 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) {
     drop(session); // rolls back the open transaction, if any
 }
 
-/// Run one SQL text, intercepting transaction verbs like the embedded
-/// runners do.
-fn run_sql(session: &Session, sql: &str) -> Result<Value, ServiceError> {
-    let upper = sql.trim().to_ascii_uppercase();
-    let result = match upper.as_str() {
-        "BEGIN" => session.begin().map(|_| Default::default()),
-        "COMMIT" => session.commit().map(|_| Default::default()),
-        "ROLLBACK" => session.rollback().map(|_| Default::default()),
-        _ => session.execute(sql),
+/// The transaction verb `sql` is, if it is one (`BEGIN`, `COMMIT` or
+/// `ROLLBACK`, any case, surrounding blanks ignored).
+fn txn_verb(sql: &str) -> Option<&'static str> {
+    let sql = sql.trim();
+    ["BEGIN", "COMMIT", "ROLLBACK"]
+        .into_iter()
+        .find(|verb| sql.eq_ignore_ascii_case(verb))
+}
+
+/// Run one SQL text with `params` bound to its `?` placeholders,
+/// intercepting transaction verbs like the embedded runners do.
+fn run_sql(session: &Session, sql: &str, params: &[Datum]) -> Result<Value, ServiceError> {
+    let result = match txn_verb(sql) {
+        Some("BEGIN") => session.begin().map(|_| Default::default()),
+        Some("COMMIT") => session.commit().map(|_| Default::default()),
+        Some(_) => session.rollback().map(|_| Default::default()),
+        None => session.execute_params(sql, params),
     };
     result.map(|r| protocol::rows_response(&r, session.in_txn()))
 }
 
 fn handle_query(session: &Session, request: &Value) -> Value {
     match request.get("sql").and_then(|s| s.as_str().ok()) {
-        Some(sql) => run_sql(session, sql).unwrap_or_else(|e| protocol::error_response(&e)),
+        Some(sql) => run_sql(session, sql, &[]).unwrap_or_else(|e| protocol::error_response(&e)),
         None => protocol::error_response(&ServiceError::InvalidInput(
             "query frame without sql".into(),
         )),
@@ -315,8 +329,7 @@ fn handle_prepare(
     };
     // Transaction verbs are valid prepared statements too (they just
     // skip planning), so the REPL can prepare whole scripts.
-    let upper = sql.trim().to_ascii_uppercase();
-    let columns = if matches!(upper.as_str(), "BEGIN" | "COMMIT" | "ROLLBACK") {
+    let columns = if txn_verb(sql).is_some() {
         Ok(Vec::new())
     } else {
         session.prepare(sql)
@@ -341,8 +354,14 @@ fn handle_execute(
         .and_then(|id| usize::try_from(id).ok())
         .and_then(|id| prepared.get(id))
         .and_then(Option::as_ref);
+    let params = match protocol::request_params(request) {
+        Ok(params) => params,
+        Err(e) => return protocol::error_response(&e),
+    };
     match entry {
-        Some((sql, _)) => run_sql(session, sql).unwrap_or_else(|e| protocol::error_response(&e)),
+        Some((sql, _)) => {
+            run_sql(session, sql, &params).unwrap_or_else(|e| protocol::error_response(&e))
+        }
         None => protocol::error_response(&ServiceError::InvalidInput(format!(
             "unknown prepared statement {stmt:?}"
         ))),

@@ -8,6 +8,11 @@
 //! shared plan cache) computes exactly what direct execution computes,
 //! and typed errors render identically on both sides of the socket.
 //!
+//! A second replay prepares each SELECT, INSERT, UPDATE, DELETE and
+//! EXPLAIN with its literals turned into `?` placeholders and sends the
+//! values as the `execute` frame's typed `params`, so parameters cross
+//! the wire and bind server-side exactly as the text's literals would.
+//!
 //! Scripts stop at a `crash` directive (a live server cannot replay a
 //! simulated power loss mid-connection); the crash semantics themselves
 //! are owned by the data crate's slt runner and the torture suite.
@@ -17,6 +22,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use sbdms_data::executor::{Database, DbOptions, QueryResult};
+use sbdms_data::lift_literals;
 use sbdms_data::session::Session;
 use sbdms_data::txn::Durability;
 use sbdms_server::{Client, QueryOutcome, Server, ServerConfig};
@@ -63,10 +69,24 @@ fn run_local(session: &Session, sql: &str) -> Result<QueryResult, String> {
     result.map_err(|e| e.to_string())
 }
 
-/// Wire statement result through prepare-then-execute.
-fn run_wire(client: &mut Client, sql: &str) -> Result<QueryOutcome, String> {
-    let prepared = client.prepare(sql).map_err(|e| e.to_string())?;
-    let out = client.execute(&prepared).map_err(|e| e.to_string());
+/// Wire statement result through prepare-then-execute. With `params`,
+/// a statement that takes them is prepared with its literals as `?`
+/// placeholders and executed with their values.
+fn run_wire(
+    client: &mut Client,
+    sql: &str,
+    params: bool,
+    sent: &mut usize,
+) -> Result<QueryOutcome, String> {
+    let verb = sql.split_whitespace().next().unwrap_or("").to_ascii_lowercase();
+    let takes_params = ["select", "insert", "update", "delete", "explain"].contains(&verb.as_str());
+    let (text, values) = match lift_literals(sql, &[]) {
+        Ok(Some(lifted)) if params && takes_params => (lifted.text, lifted.params),
+        _ => (sql.to_string(), Vec::new()),
+    };
+    *sent += values.len();
+    let prepared = client.prepare(&text).map_err(|e| e.to_string())?;
+    let out = client.execute_params(&prepared, &values).map_err(|e| e.to_string());
     let _ = client.close_statement(prepared);
     out
 }
@@ -78,11 +98,18 @@ fn format_result(r: &QueryResult) -> Vec<String> {
 #[test]
 fn every_slt_golden_replays_identically_over_the_wire() {
     for path in scripts() {
-        replay(&path);
+        replay(&path, false);
     }
 }
 
-fn replay(path: &Path) {
+#[test]
+fn every_slt_golden_replays_identically_with_wire_parameters() {
+    let sent: usize = scripts().iter().map(|path| replay(path, true)).sum();
+    assert!(sent > 500, "only {sent} parameters crossed the wire");
+}
+
+/// Replay one script; returns how many parameter values were sent.
+fn replay(path: &Path, params: bool) -> usize {
     let text = std::fs::read_to_string(path).unwrap();
     let directives = parse_script(&text, path);
 
@@ -93,6 +120,7 @@ fn replay(path: &Path) {
     let mut local_sessions: BTreeMap<String, Session> = BTreeMap::new();
     let mut wire_sessions: BTreeMap<String, Client> = BTreeMap::new();
     let mut current = String::new();
+    let mut sent = 0;
 
     for directive in &directives {
         // Resolve the current session pair lazily so `session`
@@ -129,7 +157,7 @@ fn replay(path: &Path) {
                 let ctx = format!("{}:{line}", path.display());
                 let (local, wire) = pair!();
                 let local_out = run_local(local, sql);
-                let wire_out = run_wire(wire, sql);
+                let wire_out = run_wire(wire, sql, params, &mut sent);
                 match (local_out, wire_out) {
                     (Ok(l), Ok(w)) => {
                         assert_eq!(
@@ -154,4 +182,5 @@ fn replay(path: &Path) {
             }
         }
     }
+    sent
 }
