@@ -15,9 +15,6 @@
 //! microseconds (the CI perf gates). E12–E17 also write their
 //! measured tables to `BENCH_e12.json` … `BENCH_e17.json` at the
 //! workspace root (full runs only, never under `--smoke`).
-//!
-//! Criterion gives careful statistics per data point (`cargo bench`);
-//! this binary gives the complete paper-vs-measured picture in one run.
 
 use std::time::{Duration, Instant};
 
@@ -110,8 +107,8 @@ fn main() {
     }
     let run = |name: &str| only.as_deref().is_none_or(|o| o == name);
 
-    println!("SBDMS experiment report (one-shot timings; see `cargo bench` for full statistics)");
-    println!("================================================================================");
+    println!("SBDMS experiment report");
+    println!("=======================");
 
     if run("e1") {
         e1();
@@ -206,7 +203,7 @@ fn main() {
         e17(smoke);
     }
     if run("a1") {
-        a1();
+        a1(smoke);
     }
 
     println!("\ndone.");
@@ -513,41 +510,47 @@ fn e11(smoke: bool) {
 
     println!("\nE11 — cost-based plan selection (statistics, join order, access paths)");
     let (big, items, iters) = if smoke { (300usize, 1_000usize, 2u32) } else { (1_500, 20_000, 20) };
-    let db = e11_db(big, items);
-
-    let configs = [
-        E11Config::CostBased,
-        E11Config::NoReorder,
-        E11Config::StatsOff,
-        E11Config::Forced(JoinAlgorithm::NestedLoop),
-        E11Config::Forced(JoinAlgorithm::Merge),
-        E11Config::NoIndex,
-    ];
+    let db = e11_db(big, items, true);
+    // The same data never analyzed: the cost model plans it with its
+    // default statistics.
+    let twin = e11_db(big, items, false);
+    let (session, twin_session) = (db.session(), twin.session());
+    // (row name, session, knobs on the analyzed database)
+    let row = |config: E11Config| (config.name(), &session, Some(config));
+    let unanalyzed = ("un-analyzed".to_string(), &twin_session, None);
 
     println!(
         "  skewed-join-order: {} ({big}-row big tables)",
         E11_JOIN_Q.replace("SELECT COUNT(*) FROM ", "")
     );
-    let session = db.session();
     let mut cost_based = Duration::ZERO;
     let mut reference = None;
-    for config in configs {
-        e11_apply(&db, config);
+    for (name, s, config) in [
+        row(E11Config::CostBased),
+        row(E11Config::NoReorder),
+        unanalyzed.clone(),
+        row(E11Config::Forced(JoinAlgorithm::NestedLoop)),
+        row(E11Config::Forced(JoinAlgorithm::Merge)),
+        row(E11Config::NoIndex),
+    ] {
+        if let Some(config) = config {
+            e11_apply(&db, config);
+        }
         let mut n = 0;
         let d = time(iters, || {
-            n = e11_count(&session, E11_JOIN_Q);
+            n = e11_count(s, E11_JOIN_Q);
         });
         // Every configuration must agree on the answer.
         match reference {
             None => reference = Some(n),
-            Some(want) => assert_eq!(n, want, "{config:?} changed the join answer"),
+            Some(want) => assert_eq!(n, want, "{name} changed the join answer"),
         }
-        if config == E11Config::CostBased {
+        if config == Some(E11Config::CostBased) {
             cost_based = d;
         }
         println!(
             "    {:<18} {:>10.2}ms {:>8.1}x",
-            config.name(),
+            name,
             d.as_nanos() as f64 / 1e6,
             d.as_nanos() as f64 / cost_based.as_nanos().max(1) as f64
         );
@@ -558,17 +561,19 @@ fn e11(smoke: bool) {
         "    {:<18} {:>14} {:>14}",
         "config", "selective 0.1%", "full-range"
     );
-    for config in [E11Config::CostBased, E11Config::NoIndex, E11Config::StatsOff] {
-        e11_apply(&db, config);
+    for (name, s, config) in [row(E11Config::CostBased), row(E11Config::NoIndex), unanalyzed] {
+        if let Some(config) = config {
+            e11_apply(&db, config);
+        }
         let sel = time(iters * 4, || {
-            e11_count(&session, E11_IDX_SEL_Q);
+            e11_count(s, E11_IDX_SEL_Q);
         });
         let nonsel = time(iters, || {
-            e11_count(&session, E11_IDX_NONSEL_Q);
+            e11_count(s, E11_IDX_NONSEL_Q);
         });
         println!(
             "    {:<18} {:>12.1}µs {:>12.2}ms",
-            config.name(),
+            name,
             sel.as_nanos() as f64 / 1e3,
             nonsel.as_nanos() as f64 / 1e6
         );
@@ -1132,8 +1137,8 @@ fn e15(smoke: bool) -> f64 {
     // composite (tenant, ts) key. Per shape, the baseline knob pins the
     // plan the old planner would actually have produced: IN-lists were
     // seq scans (no IndexOr existed), and two-column conjunctions took
-    // one index (no IndexAnd), which the syntactic stats-off rule
-    // reproduces.
+    // one index (no IndexAnd), which `previous` reproduces by having no
+    // index on the second column.
     let previous = e15_db(rows, false);
     let current = e15_db(rows, true);
 
@@ -1141,7 +1146,7 @@ fn e15(smoke: bool) -> f64 {
         ("composite point probe", E15_POINT_Q, E11Config::CostBased, true),
         ("prefix + range", E15_PREFIX_Q, E11Config::CostBased, false),
         ("IN-list (IndexOr)", E15_INLIST_Q, E11Config::NoIndex, true),
-        ("intersection (IndexAnd)", E15_AND_Q, E11Config::StatsOff, false),
+        ("intersection (IndexAnd)", E15_AND_Q, E11Config::CostBased, false),
         ("covering index-only", E15_COVER_Q, E11Config::CostBased, true),
     ];
     println!(
@@ -1507,15 +1512,16 @@ fn e17(smoke: bool) {
     }
 }
 
-fn a1() {
+fn a1(smoke: bool) {
     use sbdms::access::exec::join::JoinAlgorithm;
     use sbdms::data::txn::Durability;
-    use sbdms::data::Database;
+    use sbdms::data::{Database, DbOptions, Table};
     use sbdms::kernel::bus::ServiceBus;
     use sbdms::kernel::contract::{Assertion, Contract};
     use sbdms::kernel::interface::{Interface, Operation, Param};
     use sbdms::kernel::service::FnService;
     use sbdms::kernel::value::TypeTag;
+    use sbdms::storage::replacement::PolicyKind;
     use sbdms_bench::bench_dir;
 
     println!("\nA1 — ablations");
@@ -1586,11 +1592,59 @@ fn a1() {
         ("merge", JoinAlgorithm::Merge),
         ("nested-loop", JoinAlgorithm::NestedLoop),
     ] {
-        db.set_join_algorithm(algo);
-        let d = time(20, || {
+        db.force_join_algorithm(Some(algo));
+        let d = time(if smoke { 2 } else { 20 }, || {
             s.execute(sql).unwrap();
         });
         print!("{name}={:.2}ms  ", d.as_nanos() as f64 / 1e6);
+    }
+    println!();
+
+    // Buffer replacement policy on a miss-heavy loop: uniformly random
+    // indexed point reads over a table 2.5x the pool, so most reads
+    // evict a page.
+    let (frames, reads) = if smoke { (32usize, 2_000u32) } else { (128, 50_000) };
+    print!("  replacement ({frames}-frame pool): ");
+    for (name, replacement) in [("lru", PolicyKind::Lru), ("clock", PolicyKind::Clock)] {
+        let opts = DbOptions {
+            buffer_frames: frames,
+            replacement,
+            ..DbOptions::default()
+        };
+        let db = Database::open_opts(bench_dir("rep-a1-repl"), opts).unwrap();
+        let s = db.session();
+        s.execute("CREATE TABLE t (k INT NOT NULL, v INT NOT NULL, pad TEXT NOT NULL)")
+            .unwrap();
+        s.execute("CREATE INDEX t_k ON t (k)").unwrap();
+        let mut rows = 0i64;
+        let pages = loop {
+            let batch: Vec<String> = (rows..rows + 250)
+                .map(|k| format!("({k}, {}, '{}')", k * 3, "x".repeat(100)))
+                .collect();
+            s.execute(&format!("INSERT INTO t VALUES {}", batch.join(","))).unwrap();
+            rows += 250;
+            let pages = Table::open(db.catalog(), "t").unwrap().heap().data_pages().unwrap().len();
+            if pages * 2 >= frames * 5 {
+                break pages;
+            }
+        };
+        let before = db.storage().buffer.stats();
+        // xorshift64: the same key sequence for both policies.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let d = time(reads, || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let k = (x % rows as u64) as i64;
+            s.execute(&format!("SELECT v FROM t WHERE k = {k}")).unwrap();
+        });
+        let after = db.storage().buffer.stats();
+        let (hits, misses) = (after.hits - before.hits, after.misses - before.misses);
+        print!(
+            "{name}={:.1}µs/read (hit ratio {:.3}, {pages} pages)  ",
+            d.as_nanos() as f64 / 1e3,
+            hits as f64 / (hits + misses).max(1) as f64
+        );
     }
     println!();
 }

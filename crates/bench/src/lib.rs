@@ -623,16 +623,16 @@ pub mod experiments {
         "SELECT COUNT(*) FROM items WHERE val >= 500 AND val <= 519";
 
     /// E11 non-selective range: matches every row — the access path a
-    /// cost model should *refuse* (the syntactic planner always takes
-    /// the index here).
+    /// cost model with statistics should *refuse* (without them it
+    /// cannot tell this range from a selective one, and takes the index).
     pub const E11_IDX_NONSEL_Q: &str = "SELECT COUNT(*) FROM items WHERE val >= 0";
 
-    /// E11: the statistics-bearing database. `big_rows` sizes the two
-    /// fact-like tables (x fans out ~30-way between them, y points into
-    /// the 100-row `tiny`); `item_rows` sizes the indexed lookup table.
-    /// Every table is ANALYZEd, so planning is fully cost-based until a
-    /// knob says otherwise.
-    pub fn e11_db(big_rows: usize, item_rows: usize) -> Arc<Database> {
+    /// E11: the database. `big_rows` sizes the two fact-like tables (x
+    /// fans out ~30-way between them, y points into the 100-row `tiny`);
+    /// `item_rows` sizes the indexed lookup table. With `analyze` every
+    /// table is ANALYZEd; without it the cost model plans them all with
+    /// its default statistics (the un-analyzed twin).
+    pub fn e11_db(big_rows: usize, item_rows: usize, analyze: bool) -> Arc<Database> {
         let db = Database::open_opts(bench_dir("e11"), DbOptions::default()).unwrap();
         let s = db.session();
         for ddl in [
@@ -668,8 +668,10 @@ pub mod experiments {
             s.execute(&format!("INSERT INTO items VALUES {}", vals.join(", ")))
                 .unwrap();
         }
-        for table in ["big1", "big2", "tiny", "items"] {
-            s.execute(&format!("ANALYZE {table}")).unwrap();
+        if analyze {
+            for table in ["big1", "big2", "tiny", "items"] {
+                s.execute(&format!("ANALYZE {table}")).unwrap();
+            }
         }
         db
     }
@@ -686,8 +688,6 @@ pub mod experiments {
         Forced(JoinAlgorithm),
         /// Sequential scans only.
         NoIndex,
-        /// Statistics ignored: the seed's syntactic planner.
-        StatsOff,
     }
 
     impl E11Config {
@@ -698,7 +698,6 @@ pub mod experiments {
                 E11Config::NoReorder => "textual-order".into(),
                 E11Config::Forced(a) => format!("forced-{a:?}").to_lowercase(),
                 E11Config::NoIndex => "seq-only".into(),
-                E11Config::StatsOff => "stats-off".into(),
             }
         }
     }
@@ -709,13 +708,11 @@ pub mod experiments {
         db.force_join_algorithm(None);
         db.set_join_reordering(true);
         db.set_index_selection(true);
-        db.set_use_stats(true);
         match config {
             E11Config::CostBased => {}
             E11Config::NoReorder => db.set_join_reordering(false),
             E11Config::Forced(a) => db.force_join_algorithm(Some(a)),
             E11Config::NoIndex => db.set_index_selection(false),
-            E11Config::StatsOff => db.set_use_stats(false),
         }
     }
 
@@ -1230,7 +1227,9 @@ pub mod experiments {
     /// gives seq scans a realistic per-row decode cost. When
     /// `composite` is false only the single-column indexes a pre-PR
     /// planner could use exist — that database's plans are the "best
-    /// previously available" baseline.
+    /// previously available" baseline. It has no `cat` index either, so
+    /// its plan for a two-column conjunction is the one index a planner
+    /// without IndexAnd took.
     pub fn e15_db(rows: usize, composite: bool) -> Arc<Database> {
         let db = Database::open_opts(bench_dir("e15"), DbOptions::default()).unwrap();
         let s = db.session();
@@ -1264,7 +1263,9 @@ pub mod experiments {
             s.execute("CREATE INDEX ev_tenant ON ev (tenant)").unwrap();
         }
         s.execute("CREATE INDEX ev_kind ON ev (kind)").unwrap();
-        s.execute("CREATE INDEX ev_cat ON ev (cat)").unwrap();
+        if composite {
+            s.execute("CREATE INDEX ev_cat ON ev (cat)").unwrap();
+        }
         s.execute("ANALYZE ev").unwrap();
         db
     }
@@ -1689,7 +1690,7 @@ mod tests {
     #[test]
     fn e11_harness_runs() {
         use sbdms::access::exec::join::JoinAlgorithm;
-        let db = e11_db(120, 600);
+        let db = e11_db(120, 600, true);
         let s = db.session();
         e11_apply(&db, E11Config::CostBased);
         let join_ref = e11_count(&s, E11_JOIN_Q);
@@ -1700,7 +1701,6 @@ mod tests {
         // Every forced baseline must return the same answers.
         for config in [
             E11Config::NoReorder,
-            E11Config::StatsOff,
             E11Config::NoIndex,
             E11Config::Forced(JoinAlgorithm::NestedLoop),
             E11Config::Forced(JoinAlgorithm::Merge),
@@ -1710,6 +1710,12 @@ mod tests {
             assert_eq!(e11_count(&s, E11_IDX_SEL_Q), sel_ref, "{config:?}");
             assert_eq!(e11_count(&s, E11_IDX_NONSEL_Q), nonsel_ref, "{config:?}");
         }
+        // So must the un-analyzed twin.
+        let twin = e11_db(120, 600, false);
+        let t = twin.session();
+        assert_eq!(e11_count(&t, E11_JOIN_Q), join_ref);
+        assert_eq!(e11_count(&t, E11_IDX_SEL_Q), sel_ref);
+        assert_eq!(e11_count(&t, E11_IDX_NONSEL_Q), nonsel_ref);
     }
 
     #[test]
@@ -1729,12 +1735,16 @@ mod tests {
             let path = e15_path(&on_current, sql);
             assert!(path.contains(marker), "{sql}: got `{path}`");
         }
+        // Without a `cat` index the baseline's intersection takes the
+        // one tenant index.
+        let and_path = e15_path(&on_previous, E15_AND_Q);
+        assert!(and_path.starts_with("IndexScan ev.ev_tenant(tenant)"), "{and_path}");
         // The per-shape baseline knobs must reproduce the same answers.
         for (sql, prev_knob) in [
             (E15_POINT_Q, E11Config::CostBased),
             (E15_PREFIX_Q, E11Config::CostBased),
             (E15_INLIST_Q, E11Config::NoIndex),
-            (E15_AND_Q, E11Config::StatsOff),
+            (E15_AND_Q, E11Config::CostBased),
             (E15_COVER_Q, E11Config::CostBased),
         ] {
             e11_apply(&previous, prev_knob);

@@ -3,12 +3,14 @@
 //! The [`Estimator`] walks a [`Plan`] bottom-up, tracking per-position
 //! *provenance* — which base-table column (if any) each output position
 //! carries — so predicate selectivities can probe the ANALYZE statistics
-//! ([`crate::stats`]). Costs are abstract row-work units: sequential row
-//! touches cost [`COST_SEQ_ROW`], index fetches pay the random-access
-//! penalty [`COST_IDX_ROW`], sorts pay `n·log2 n`. The planner compares
-//! candidate joins and access paths with the same estimator that
-//! annotates `EXPLAIN` output, so the numbers shown are the numbers the
-//! choice was made from.
+//! ([`crate::stats`]); a table without them is estimated from fixed
+//! defaults ([`DEFAULT_TABLE_ROWS`] rows and default selectivities) that
+//! read no statement parameter. Costs are abstract row-work units:
+//! sequential row touches cost [`COST_SEQ_ROW`], index fetches pay the
+//! random-access penalty [`COST_IDX_ROW`], sorts pay `n·log2 n`. The
+//! planner compares candidate joins and access paths with the same
+//! estimator that annotates `EXPLAIN` output, so the numbers shown are
+//! the numbers the choice was made from.
 
 use std::sync::Arc;
 
@@ -46,9 +48,16 @@ pub const COST_PRED_EVAL: f64 = 0.2;
 pub const COST_OUT_ROW: f64 = 0.5;
 
 /// Default selectivity of an equality predicate when stats are absent.
-const DEFAULT_EQ_SEL: f64 = 0.1;
-/// Default selectivity of a range predicate when stats are absent.
-const DEFAULT_RANGE_SEL: f64 = 1.0 / 3.0;
+/// At 1% an `IN` list of up to 19 keys still costs less through its
+/// index than a sequential scan of [`DEFAULT_TABLE_ROWS`].
+const DEFAULT_EQ_SEL: f64 = 0.01;
+/// Default selectivity of a range predicate when stats are absent. It
+/// sits below the break-even at which a one-sided index range costs as
+/// much as a sequential scan of [`DEFAULT_TABLE_ROWS`] (0.2475), so a
+/// bounded range on an un-analyzed table takes its index: a selective
+/// range through a sequential scan costs far more than a full range
+/// through the index.
+const DEFAULT_RANGE_SEL: f64 = 0.2;
 /// Default selectivity of an arbitrary predicate.
 const DEFAULT_SEL: f64 = 0.5;
 
@@ -74,6 +83,9 @@ struct NodeEst {
     /// merge joins produce ordered output; hash joins preserve the
     /// probe side's order).
     sorted_on: Option<usize>,
+    /// The row estimate rests on default statistics: some input table
+    /// was never ANALYZEd.
+    guessed: bool,
 }
 
 /// An analyzed table's statistics, borrowed from the catalog's shared
@@ -165,6 +177,7 @@ impl<'a> Estimator<'a> {
                     cost: rows * COST_SEQ_ROW * mvcc,
                     cols: self.table_cols(table),
                     sorted_on: None,
+                    guessed: self.stats_of(table).is_none(),
                 }
             }
             Plan::IndexScan {
@@ -206,6 +219,7 @@ impl<'a> Estimator<'a> {
                     cost: COST_IDX_PROBE + rows * per_row,
                     cols,
                     sorted_on,
+                    guessed: self.stats_of(table).is_none(),
                 }
             }
             Plan::IndexOr {
@@ -228,6 +242,7 @@ impl<'a> Estimator<'a> {
                     cols: self.table_cols(table),
                     // Rowids are deduplicated and fetched in rid order.
                     sorted_on: None,
+                    guessed: self.stats_of(table).is_none(),
                 }
             }
             Plan::IndexAnd { table, probes } => {
@@ -236,7 +251,17 @@ impl<'a> Estimator<'a> {
                     .iter()
                     .map(|p| self.eq_prefix_selectivity(table, &p.key_columns, &p.eq))
                     .collect();
-                let rows = (n * sels.iter().product::<f64>()).max(0.0);
+                // Independent probes narrow each other only as far as
+                // statistics can vouch: without them nothing says the
+                // second probe removes a row the first kept, so the
+                // intersection keeps the most selective probe's rows.
+                let guessed = self.stats_of(table).is_none();
+                let sel = if guessed {
+                    sels.iter().copied().fold(1.0, f64::min)
+                } else {
+                    sels.iter().product()
+                };
+                let rows = (n * sel).max(0.0);
                 // Each probe streams its rid list through the sorted
                 // intersection; only survivors touch the heap.
                 let probed: f64 = sels.iter().map(|s| n * s).sum();
@@ -247,6 +272,7 @@ impl<'a> Estimator<'a> {
                         + rows * COST_IDX_ROW,
                     cols: self.table_cols(table),
                     sorted_on: None,
+                    guessed,
                 }
             }
             Plan::Values { rows } => NodeEst {
@@ -254,6 +280,7 @@ impl<'a> Estimator<'a> {
                 cost: rows.len() as f64 * 0.01,
                 cols: vec![None; rows.first().map(|r| r.len()).unwrap_or(0)],
                 sorted_on: None,
+                guessed: false,
             },
             Plan::Filter { input, predicate } => {
                 let inp = self.node(input);
@@ -263,6 +290,7 @@ impl<'a> Estimator<'a> {
                     cost: inp.cost + inp.rows * COST_PRED_EVAL,
                     cols: inp.cols,
                     sorted_on: inp.sorted_on,
+                    guessed: inp.guessed,
                 }
             }
             Plan::EquiJoin {
@@ -308,7 +336,9 @@ impl<'a> Estimator<'a> {
                             Some(*left_col),
                         )
                     }
-                    JoinAlgorithm::NestedLoop => (l.rows * r.rows * COST_PRED_EVAL, None),
+                    JoinAlgorithm::NestedLoop => {
+                        (loop_rows(&l) * loop_rows(&r) * COST_PRED_EVAL, None)
+                    }
                 };
                 let mut cols = l.cols;
                 cols.extend(r.cols);
@@ -317,6 +347,7 @@ impl<'a> Estimator<'a> {
                     cost: input_cost + op_cost + rows * COST_OUT_ROW,
                     cols,
                     sorted_on,
+                    guessed: l.guessed || r.guessed,
                 }
             }
             Plan::NlJoin {
@@ -336,6 +367,7 @@ impl<'a> Estimator<'a> {
                     cost: l.cost + r.cost + l.rows * r.rows * COST_PRED_EVAL + rows * COST_OUT_ROW,
                     cols,
                     sorted_on: None,
+                    guessed: l.guessed || r.guessed,
                 }
             }
             Plan::Aggregate {
@@ -358,6 +390,7 @@ impl<'a> Estimator<'a> {
                     cost: inp.cost + inp.rows * (1.0 + aggs.len() as f64 * COST_PRED_EVAL),
                     cols: vec![None; group_by.len() + aggs.len()],
                     sorted_on: None,
+                    guessed: inp.guessed,
                 }
             }
             Plan::Project { input, exprs } => {
@@ -377,6 +410,7 @@ impl<'a> Estimator<'a> {
                     cost: inp.cost + inp.rows * COST_PRED_EVAL * exprs.len() as f64,
                     cols,
                     sorted_on,
+                    guessed: inp.guessed,
                 }
             }
             Plan::Distinct { input } => {
@@ -386,6 +420,7 @@ impl<'a> Estimator<'a> {
                     cost: inp.cost + inp.rows,
                     cols: inp.cols,
                     sorted_on: inp.sorted_on,
+                    guessed: inp.guessed,
                 }
             }
             Plan::Sort { input, keys } => {
@@ -399,6 +434,7 @@ impl<'a> Estimator<'a> {
                     cost: inp.cost + sort_cost(inp.rows),
                     cols: inp.cols,
                     sorted_on,
+                    guessed: inp.guessed,
                 }
             }
             Plan::Limit { input, n, .. } => {
@@ -408,6 +444,7 @@ impl<'a> Estimator<'a> {
                     cost: inp.cost,
                     cols: inp.cols,
                     sorted_on: inp.sorted_on,
+                    guessed: inp.guessed,
                 }
             }
         }
@@ -467,32 +504,30 @@ impl<'a> Estimator<'a> {
         hi: &Option<Expr>,
         hi_inclusive: bool,
     ) -> f64 {
+        // Without column statistics the estimate depends only on which
+        // bounds exist, so the bound values are not read (a statement
+        // parameter stays unpinned and its generic plan serves every
+        // value).
+        let Some(stats) = self.stats_of(table) else {
+            return default_range_sel(lo, hi);
+        };
+        let Some(col) = stats.column(column) else {
+            return default_range_sel(lo, hi);
+        };
         let lo = lo.as_ref().and_then(|e| self.value(e, ParamRead::Pin));
         let hi = hi.as_ref().and_then(|e| self.value(e, ParamRead::Pin));
-        let (lo, hi) = (&lo, &hi);
-        if let Some(stats) = self.stats_of(table) {
-            if let Some(col) = stats.column(column) {
-                let rows = stats.row_count as f64;
-                // A point probe (lo == hi, inclusive) is an equality.
-                if let (Some(l), Some(h)) = (lo, hi) {
-                    if hi_inclusive && l.order(h) == std::cmp::Ordering::Equal {
-                        return col.selectivity_eq(rows, l);
-                    }
-                }
-                return col.selectivity_range(
-                    rows,
-                    lo.as_ref().map(|d| (d, true)),
-                    hi.as_ref().map(|d| (d, hi_inclusive)),
-                );
+        let rows = stats.row_count as f64;
+        // A point probe (lo == hi, inclusive) is an equality.
+        if let (Some(l), Some(h)) = (&lo, &hi) {
+            if hi_inclusive && l.order(h) == std::cmp::Ordering::Equal {
+                return col.selectivity_eq(rows, l);
             }
         }
-        match (lo, hi) {
-            (Some(l), Some(h)) if hi_inclusive && l.order(h) == std::cmp::Ordering::Equal => {
-                DEFAULT_EQ_SEL
-            }
-            (Some(_), Some(_)) => DEFAULT_RANGE_SEL * DEFAULT_RANGE_SEL,
-            _ => DEFAULT_RANGE_SEL,
-        }
+        col.selectivity_range(
+            rows,
+            lo.as_ref().map(|d| (d, true)),
+            hi.as_ref().map(|d| (d, hi_inclusive)),
+        )
     }
 
     /// NDV of an expression over an input, when it is a column with
@@ -624,6 +659,29 @@ fn flip_cmp(op: BinOp) -> BinOp {
         BinOp::Gt => BinOp::Lt,
         BinOp::Ge => BinOp::Le,
         other => other,
+    }
+}
+
+/// Rows a nested loop is priced to iterate over one input. Its cost is
+/// the product of its inputs, so an estimate too low by a factor k
+/// makes it k times dearer where a hash or merge join grows by k rows.
+/// An estimate from default statistics vouches for no fewer rows than
+/// an un-analyzed table is assumed to hold: a filter's default
+/// selectivity (or a sub-row estimate) must not buy a nested loop.
+fn loop_rows(input: &NodeEst) -> f64 {
+    if input.guessed {
+        input.rows.max(DEFAULT_TABLE_ROWS)
+    } else {
+        input.rows
+    }
+}
+
+/// Selectivity of an index range on a column without statistics: one
+/// default range factor per bound.
+fn default_range_sel(lo: &Option<Expr>, hi: &Option<Expr>) -> f64 {
+    match (lo, hi) {
+        (Some(_), Some(_)) => DEFAULT_RANGE_SEL * DEFAULT_RANGE_SEL,
+        _ => DEFAULT_RANGE_SEL,
     }
 }
 

@@ -327,15 +327,6 @@ impl Database {
         self.txns.set_durability(d);
     }
 
-    /// Choose the equi-join algorithm the planner falls back to when no
-    /// statistics cover the joined tables (hash by default). Once the
-    /// tables are `ANALYZE`d the cost model decides instead; use
-    /// [`Database::force_join_algorithm`] to override it. The override
-    /// order is: forced hint > cost model > this knob.
-    pub fn set_join_algorithm(&self, algorithm: JoinAlgorithm) {
-        self.knobs.lock().fallback_join = algorithm;
-    }
-
     /// Force every equi-join onto one algorithm regardless of cost
     /// estimates (`None` hands control back to the cost model). The
     /// strongest override tier — used by experiments to build forced
@@ -344,8 +335,7 @@ impl Database {
         self.knobs.lock().forced_join = algorithm;
     }
 
-    /// Enable or disable cost-based join reordering (on by default;
-    /// only takes effect once every joined table has statistics).
+    /// Enable or disable cost-based join reordering (on by default).
     pub fn set_join_reordering(&self, on: bool) {
         self.knobs.lock().join_reordering = on;
     }
@@ -355,13 +345,6 @@ impl Database {
     /// the access-path experiments.
     pub fn set_index_selection(&self, on: bool) {
         self.knobs.lock().index_selection = on;
-    }
-
-    /// Enable or disable use of stored statistics. Off reverts the
-    /// planner to the purely syntactic seed behaviour even on analyzed
-    /// tables.
-    pub fn set_use_stats(&self, on: bool) {
-        self.knobs.lock().use_stats = on;
     }
 
     /// Attach a kernel event bus: each freshly planned query that made a
@@ -551,20 +534,15 @@ impl Database {
     /// invalidate plans), salted with the planner knobs so flipping any
     /// of them re-plans too.
     fn plan_epoch(&self) -> u64 {
-        fn join_code(j: JoinAlgorithm) -> u64 {
-            match j {
-                JoinAlgorithm::NestedLoop => 0,
-                JoinAlgorithm::Hash => 1,
-                JoinAlgorithm::Merge => 2,
-            }
-        }
         let k = self.knobs.lock();
-        let forced = k.forced_join.map_or(0, |j| join_code(j) + 1);
-        let knob_bits = (forced << 5)
-            | (join_code(k.fallback_join) << 3)
-            | ((k.join_reordering as u64) << 2)
-            | ((k.index_selection as u64) << 1)
-            | (k.use_stats as u64);
+        let forced: u64 = match k.forced_join {
+            None => 0,
+            Some(JoinAlgorithm::NestedLoop) => 1,
+            Some(JoinAlgorithm::Hash) => 2,
+            Some(JoinAlgorithm::Merge) => 3,
+        };
+        let knob_bits =
+            (forced << 2) | ((k.join_reordering as u64) << 1) | (k.index_selection as u64);
         (self.catalog.version() << 40) ^ (self.catalog.stats_version() << 10) ^ knob_bits
     }
 
@@ -2127,10 +2105,6 @@ impl CatalogView for Database {
         // through the overlay; cap the penalty so a pathological chain
         // cannot make sequential scans look infinitely bad.
         (1.0 + versions / rows).min(10.0)
-    }
-
-    fn preferred_equi_join(&self) -> JoinAlgorithm {
-        self.knobs.lock().fallback_join
     }
 
     fn knobs(&self) -> PlannerKnobs {

@@ -237,10 +237,15 @@ pub struct Lifted {
 
 /// Lift the integer, float and string literals of `sql` into typed
 /// parameters in one pass of the tokenizer, so `k = 7` and `k = 8` share
-/// the shape `k = ?`. A `?` already in the text takes the next value of
-/// `given` (the statement's bound parameters); it is an error if the
-/// counts differ. A count after LIMIT or OFFSET stays in the text: the
-/// planner folds it into the plan, so it is part of the shape.
+/// the shape `k = ?`. A prefix `-` and the number after it lift as one
+/// negative value (`k = -5` is `k = ?` with `-5`), the same literal the
+/// parser folds them into; a `-` is a prefix at the start, after an
+/// operator symbol, `(` or `,`, and after a keyword that an expression
+/// follows (`PREFIX_KEYWORDS`). A `?` already in the text takes the
+/// next value of `given` (the statement's bound parameters); it is an
+/// error if the counts differ. A count after LIMIT or OFFSET stays in
+/// the text: the planner folds it into the plan, so it is part of the
+/// shape.
 ///
 /// Returns `Ok(None)` when the text does not tokenize; parsing the
 /// original text then reports the error.
@@ -254,15 +259,31 @@ pub fn lift_literals(sql: &str, given: &[Datum]) -> Result<Option<Lifted>> {
     let mut copied = 0;
     let mut used = 0;
     let mut after_count_keyword = false;
+    // Whether a `-` here would be a prefix (no operand precedes it).
+    let mut operand_expected = true;
+    // Where a prefix `-` starts, while the token after it is unseen.
+    let mut minus: Option<usize> = None;
     loop {
         let Ok((token, start)) = lexer.next_spanned() else {
             return Ok(None);
         };
+        let negative = minus.take();
+        let prefix_minus_here = operand_expected && token == Token::Symbol("-");
+        operand_expected = match &token {
+            Token::Symbol(s) => !matches!(*s, ")" | "?"),
+            Token::Ident(word) => PREFIX_KEYWORDS.iter().any(|k| word.eq_ignore_ascii_case(k)),
+            _ => false,
+        };
+        let sign = if negative.is_some() { -1 } else { 1 };
         let value = match token {
             Token::End => break,
-            Token::Int(i) if !after_count_keyword => Datum::Int(i),
-            Token::Float(x) => Datum::Float(x),
+            Token::Int(i) if !after_count_keyword => Datum::Int(sign * i),
+            Token::Float(x) => Datum::Float(sign as f64 * x),
             Token::Str(s) => Datum::Str(s),
+            Token::Symbol("-") if prefix_minus_here && !after_count_keyword => {
+                minus = Some(start);
+                continue;
+            }
             Token::Symbol("?") => {
                 let value = given.get(used).cloned().ok_or_else(|| {
                     err(format!(
@@ -285,6 +306,7 @@ pub fn lift_literals(sql: &str, given: &[Datum]) -> Result<Option<Lifted>> {
             }
         };
         after_count_keyword = false;
+        let start = if matches!(value, Datum::Str(_)) { start } else { negative.unwrap_or(start) };
         text.push_str(&sql[copied..start]);
         text.push('?');
         copied = lexer.pos;
@@ -299,6 +321,12 @@ pub fn lift_literals(sql: &str, given: &[Datum]) -> Result<Option<Lifted>> {
     text.push_str(&sql[copied..]);
     Ok(Some(Lifted { text, params }))
 }
+
+/// Keywords an expression follows: a `-` after one of them is a
+/// prefix minus, not a subtraction.
+const PREFIX_KEYWORDS: [&str; 11] = [
+    "select", "distinct", "where", "and", "or", "not", "between", "like", "on", "by", "having",
+];
 
 struct Parser<'a> {
     tokens: Vec<Token>,
@@ -814,6 +842,18 @@ impl<'a> Parser<'a> {
 
     fn unary(&mut self) -> Result<AstExpr> {
         if self.eat_symbol("-") {
+            // A minus before a number is part of the literal.
+            match *self.peek() {
+                Token::Int(i) => {
+                    self.pos += 1;
+                    return Ok(AstExpr::Literal(Datum::Int(-i)));
+                }
+                Token::Float(x) => {
+                    self.pos += 1;
+                    return Ok(AstExpr::Literal(Datum::Float(-x)));
+                }
+                _ => {}
+            }
             let inner = self.unary()?;
             return Ok(AstExpr::Unary(UnaryOp::Neg, Box::new(inner)));
         }
@@ -1140,11 +1180,54 @@ mod tests {
             panic!()
         };
         assert_eq!(*expr, AstExpr::Column(Some("u".into()), "name".into()));
-        // -2.5 parses as Neg(2.5)
+        // A minus before a number folds into the literal: -2.5 parses
+        // as the value -2.5, not as Neg(2.5).
         let AstExpr::Binary(BinOp::Lt, _, r) = s.filter.unwrap() else {
             panic!()
         };
-        assert!(matches!(*r, AstExpr::Unary(UnaryOp::Neg, _)));
+        assert_eq!(*r, AstExpr::Literal(Datum::Float(-2.5)));
+        // A minus before anything else stays a negation.
+        let Statement::Select(s) = parse("SELECT -(2), -x, - -3 FROM t").unwrap() else {
+            panic!()
+        };
+        let exprs: Vec<&AstExpr> = s
+            .items
+            .iter()
+            .map(|item| match item {
+                SelectItem::Expr { expr, .. } => expr,
+                _ => panic!(),
+            })
+            .collect();
+        assert_eq!(*exprs[0], AstExpr::Unary(UnaryOp::Neg, Box::new(AstExpr::int(2))));
+        assert!(matches!(exprs[1], AstExpr::Unary(UnaryOp::Neg, _)));
+        assert_eq!(
+            *exprs[2],
+            AstExpr::Unary(UnaryOp::Neg, Box::new(AstExpr::Literal(Datum::Int(-3))))
+        );
+    }
+
+    #[test]
+    fn prefix_minus_lifts_with_its_number() {
+        let lift = |sql: &str| {
+            let l = lift_literals(sql, &[]).unwrap().unwrap();
+            (l.text, l.params)
+        };
+        let int = Datum::Int;
+        assert_eq!(lift("SELECT v FROM t WHERE k = -5"), ("SELECT v FROM t WHERE k = ?".into(), vec![int(-5)]));
+        assert_eq!(lift("SELECT v FROM t WHERE k IN (-1, -2)").1, vec![int(-1), int(-2)]);
+        assert_eq!(
+            lift("SELECT v FROM t WHERE k BETWEEN -5 AND -3"),
+            ("SELECT v FROM t WHERE k BETWEEN ? AND ?".into(), vec![int(-5), int(-3)])
+        );
+        assert_eq!(lift("SELECT -2.5").1, vec![Datum::Float(-2.5)]);
+        // Subtraction keeps its operator and lifts the positive operand.
+        assert_eq!(lift("SELECT v - 5 FROM t"), ("SELECT v - ? FROM t".into(), vec![int(5)]));
+        assert_eq!(lift("SELECT v -5 FROM t"), ("SELECT v -? FROM t".into(), vec![int(5)]));
+        assert_eq!(lift("SELECT (v) - 5 FROM t").1, vec![int(5)]);
+        assert_eq!(lift("SELECT 5 - -3"), ("SELECT ? - ?".into(), vec![int(5), int(-3)]));
+        assert_eq!(lift("SELECT - -5"), ("SELECT - ?".into(), vec![int(-5)]));
+        // A LIMIT count stays in the text, sign and all.
+        assert_eq!(lift("SELECT v FROM t LIMIT 3").0, "SELECT v FROM t LIMIT 3");
     }
 
     #[test]

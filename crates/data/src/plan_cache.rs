@@ -187,10 +187,6 @@ impl CatalogView for Binding<'_> {
         self.catalog.mvcc_scan_multiplier(table)
     }
 
-    fn preferred_equi_join(&self) -> sbdms_access::exec::join::JoinAlgorithm {
-        self.catalog.preferred_equi_join()
-    }
-
     fn knobs(&self) -> PlannerKnobs {
         self.catalog.knobs()
     }

@@ -2,20 +2,17 @@
 //! access-path, join-algorithm and join-order selection.
 //!
 //! The planner turns a parsed [`Select`] into a [`Plan`] tree of physical
-//! operators over *positional* expressions. When ANALYZE statistics are
-//! available it selects among alternatives by estimated cost (paper
-//! Fig. 6, flexibility by selection): sequential scan vs. B-tree point
-//! probe vs. range scan, hash vs. merge vs. nested-loop join with the
-//! hash build always on the smaller estimated input, and greedy
-//! cardinality-ordered join reordering. Without statistics it falls back
-//! to the pre-stats syntactic rules (first indexed conjunct wins, the
-//! session's fallback join algorithm, textual join order), so plans are
-//! reproducible on un-analyzed databases.
+//! operators over *positional* expressions, selecting among alternatives
+//! by estimated cost (paper Fig. 6, flexibility by selection):
+//! sequential scan vs. B-tree point probe vs. range scan vs. probe union
+//! or intersection, hash vs. merge vs. nested-loop join with the hash
+//! build always on the smaller estimated input, and greedy
+//! cardinality-ordered join reordering. There is one cost model: a table
+//! without ANALYZE statistics is costed with the estimator's defaults
+//! (a fixed row count and fixed selectivities).
 //!
-//! Override order for the join algorithm: **forced hint** (a
-//! [`PlannerKnobs::forced_join`]) beats the **cost model**, which beats
-//! the **session knob** ([`PlannerKnobs::fallback_join`], the demoted
-//! [`CatalogView::preferred_equi_join`]).
+//! Override order for the join algorithm: a **forced hint**
+//! ([`PlannerKnobs::forced_join`]) beats the **cost model**.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -37,39 +34,26 @@ fn err(msg: impl Into<String>) -> ServiceError {
     ServiceError::InvalidInput(format!("plan: {}", msg.into()))
 }
 
-/// Whether `table` exists and has ANALYZE statistics.
-fn analyzed(catalog: &dyn CatalogView, table: &str) -> bool {
-    catalog.table(table).is_ok_and(|m| m.stats.is_some())
-}
-
 /// Session-level planner configuration. The override order is
-/// `forced_join` > cost model > `fallback_join`.
+/// `forced_join` > cost model.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlannerKnobs {
     /// Force every equi-join to this algorithm, bypassing the cost
     /// model entirely (experiment baselines, plan pinning).
     pub forced_join: Option<JoinAlgorithm>,
-    /// Algorithm used when statistics are absent and nothing is forced
-    /// (the demoted `preferred_equi_join` session knob).
-    pub fallback_join: JoinAlgorithm,
-    /// Enable greedy cardinality-ordered join reordering (requires
-    /// stats on every base relation; otherwise textual order is kept).
+    /// Enable greedy cardinality-ordered join reordering (off keeps the
+    /// textual join order).
     pub join_reordering: bool,
     /// Enable index selection. Off forces sequential scans.
     pub index_selection: bool,
-    /// Consult ANALYZE statistics at all. Off reproduces the pre-stats
-    /// syntactic planner.
-    pub use_stats: bool,
 }
 
 impl Default for PlannerKnobs {
     fn default() -> PlannerKnobs {
         PlannerKnobs {
             forced_join: None,
-            fallback_join: JoinAlgorithm::Hash,
             join_reordering: true,
             index_selection: true,
-            use_stats: true,
         }
     }
 }
@@ -104,18 +88,9 @@ pub trait CatalogView {
     fn mvcc_scan_multiplier(&self, _table: &str) -> f64 {
         1.0
     }
-    /// The equi-join algorithm used when statistics are absent and no
-    /// hint forces one. Demoted from "the" join choice to the
-    /// stats-absent fallback; see [`PlannerKnobs::fallback_join`].
-    fn preferred_equi_join(&self) -> JoinAlgorithm {
-        JoinAlgorithm::Hash
-    }
     /// Planner configuration for this session.
     fn knobs(&self) -> PlannerKnobs {
-        PlannerKnobs {
-            fallback_join: self.preferred_equi_join(),
-            ..PlannerKnobs::default()
-        }
+        PlannerKnobs::default()
     }
     /// The value bound to statement parameter `i` for a choice that
     /// depends on it as `read` says (`None`: no value is bound, and the
@@ -1006,8 +981,8 @@ fn as_equi_edge(e: &Expr, rels: &[Rel]) -> Option<(usize, usize)> {
 
 /// Build the join tree over the relations: leaves get their local
 /// predicates and access paths, then relations are joined — greedily by
-/// estimated cardinality when stats allow, in textual order otherwise —
-/// with per-join algorithm selection. The output column order is
+/// estimated cardinality unless reordering is switched off — with
+/// per-join algorithm selection. The output column order is
 /// restored to textual order with a projection when reordering changed
 /// it, so everything compiled against the global env stays valid.
 fn plan_join_tree(
@@ -1053,15 +1028,7 @@ fn plan_join_tree(
         return Ok(leaves.into_iter().next().unwrap());
     }
 
-    // Greedy cardinality-ordered reordering needs stats on every base
-    // relation; otherwise keep textual order (the safe default).
-    let reorder = knobs.join_reordering
-        && knobs.use_stats
-        && rels.iter().all(|r| {
-            r.table
-                .as_deref()
-                .is_some_and(|t| analyzed(catalog, t))
-        });
+    let reorder = knobs.join_reordering;
 
     let mut remaining: BTreeSet<usize> = (0..rels.len()).collect();
     let start = if reorder {
@@ -1124,7 +1091,6 @@ fn plan_join_tree(
             &rels,
             &joined,
             &mut pending,
-            catalog,
             knobs,
             &est,
             decisions,
@@ -1198,7 +1164,7 @@ fn rel_contains(rel: &Rel, pos: usize) -> bool {
 }
 
 /// Join the current plan with relation `next`: pick the edge, choose
-/// the algorithm (forced > cost model > fallback), apply newly covered
+/// the algorithm (forced > cost model), apply newly covered
 /// residual conjuncts, and extend the layout.
 #[allow(clippy::too_many_arguments)]
 fn join_step(
@@ -1209,7 +1175,6 @@ fn join_step(
     rels: &[Rel],
     joined: &BTreeSet<usize>,
     pending: &mut Vec<(BTreeSet<usize>, Expr)>,
-    catalog: &dyn CatalogView,
     knobs: &PlannerKnobs,
     est: &Estimator,
     decisions: &mut Vec<String>,
@@ -1258,8 +1223,7 @@ fn join_step(
             let left_col = layout.iter().position(|&x| x == cur_g).unwrap();
             let right_col = new_g - rel.offset;
             let (algorithm, build) = choose_join_algorithm(
-                &plan, leaf, left_col, right_col, left_width, rel, joined, rels, catalog,
-                knobs, est, decisions,
+                &plan, leaf, left_col, right_col, left_width, rel, knobs, est, decisions,
             );
             let join = Plan::EquiJoin {
                 left: Box::new(plan),
@@ -1293,8 +1257,7 @@ fn join_step(
 }
 
 /// Choose the equi-join algorithm and hash build side. Override order:
-/// forced hint > cost model (stats on all base relations) > fallback
-/// knob.
+/// forced hint > cost model.
 #[allow(clippy::too_many_arguments)]
 fn choose_join_algorithm(
     left: &Plan,
@@ -1303,9 +1266,6 @@ fn choose_join_algorithm(
     right_col: usize,
     left_width: usize,
     rel: &Rel,
-    joined: &BTreeSet<usize>,
-    rels: &[Rel],
-    catalog: &dyn CatalogView,
     knobs: &PlannerKnobs,
     est: &Estimator,
     decisions: &mut Vec<String>,
@@ -1324,24 +1284,6 @@ fn choose_join_algorithm(
             rel.qualifier
         ));
         return (forced, directed_build);
-    }
-
-    let all_analyzed = knobs.use_stats
-        && joined
-            .iter()
-            .chain(std::iter::once(&rels.iter().position(|r| std::ptr::eq(r, rel)).unwrap_or(0)))
-            .all(|&i| {
-                rels[i]
-                    .table
-                    .as_deref()
-                    .is_some_and(|t| analyzed(catalog, t))
-            });
-    if !all_analyzed {
-        decisions.push(format!(
-            "join ⋈{}: {:?} (fallback knob; stats absent)",
-            rel.qualifier, knobs.fallback_join
-        ));
-        return (knobs.fallback_join, BuildSide::Auto);
     }
 
     // Cost each candidate with the same estimator EXPLAIN uses.
@@ -1819,8 +1761,6 @@ struct PathCand {
     plan: Plan,
     /// Compact label for the decision line.
     label: String,
-    /// Equality-prefix length (index scans; used by the no-stats rule).
-    eq_len: usize,
 }
 
 /// Choose the access path for a base-table relation from its local
@@ -1828,14 +1768,13 @@ struct PathCand {
 /// prefix), prefix-range scan (equality on a key prefix + range on the
 /// next key column), plain range scan; plus [`Plan::IndexOr`] for
 /// OR/`IN` equality lists on a leading column and [`Plan::IndexAnd`]
-/// for pairs of selective equality probes on different indexes. With
-/// stats every candidate is costed (heap rows fetched through an index
-/// pay the random-access penalty) against the sequential scan; without
-/// stats the syntactic rule picks the longest equality prefix. Bounds
-/// are a superset of the true predicate — the caller re-applies the
-/// full predicate as a residual filter. Covering (index-only) scans are
-/// rewritten in afterwards by [`apply_covering`], once the needed
-/// columns are known.
+/// for pairs of equality probes on different indexes. Every candidate
+/// is costed (heap rows fetched through an index pay the random-access
+/// penalty) against the sequential scan; a table without statistics is
+/// costed with the estimator's defaults. Bounds are a superset of the
+/// true predicate — the caller re-applies the full predicate as a
+/// residual filter. Covering (index-only) scans are rewritten in
+/// afterwards by [`apply_covering`], once the needed columns are known.
 fn choose_access_path(
     table: &str,
     preds: &[Expr],
@@ -1859,6 +1798,8 @@ fn choose_access_path(
     let cons = PredConstraints::extract(preds, &meta.schema, catalog);
 
     let mut cands: Vec<PathCand> = Vec::new();
+    // Indexes with an equality prefix, for the IndexAnd pairs below.
+    let mut probes: Vec<(&IndexMeta, Vec<Expr>)> = Vec::new();
     // Per-index scan candidates: longest equality prefix, then a range
     // on the next key column when one is bounded.
     for idx in indexes {
@@ -1868,6 +1809,9 @@ fn choose_access_path(
                 Some(d) => eq.push(d.clone()),
                 None => break,
             }
+        }
+        if !eq.is_empty() {
+            probes.push((idx, eq.clone()));
         }
         let bounds = idx
             .columns
@@ -1887,7 +1831,6 @@ fn choose_access_path(
                 eq.len(),
                 if has_range { "+range" } else { "" }
             ),
-            eq_len: eq.len(),
             plan: Plan::IndexScan {
                 table: table_lc.clone(),
                 index: idx.name.clone(),
@@ -1922,7 +1865,6 @@ fn choose_access_path(
         }
         cands.push(PathCand {
             label: format!("{}(or×{})", idx.name, lits.len()),
-            eq_len: 0,
             plan: Plan::IndexOr {
                 table: table_lc.clone(),
                 index: idx.name.clone(),
@@ -1931,68 +1873,37 @@ fn choose_access_path(
             },
         });
     }
-    let with_stats = knobs.use_stats && meta.stats.is_some();
     // IndexAnd: pairs of equality probes on indexes with different
-    // leading columns. Only costed selection can justify the double
-    // probe + intersection, so the candidates exist only with stats.
-    if with_stats {
-        let probes: Vec<(&IndexMeta, Vec<Expr>)> = indexes
-            .iter()
-            .filter_map(|idx| {
-                let mut eq = Vec::new();
-                for col in &idx.columns {
-                    match cons.eq_of(col) {
-                        Some(d) => eq.push(d.clone()),
-                        None => break,
-                    }
-                }
-                (!eq.is_empty()).then_some((idx, eq))
-            })
-            .collect();
-        for a in 0..probes.len() {
-            for b in a + 1..probes.len() {
-                let (ia, ea) = &probes[a];
-                let (ib, eb) = &probes[b];
-                if ia.columns[0].eq_ignore_ascii_case(&ib.columns[0]) {
-                    continue;
-                }
-                cands.push(PathCand {
-                    label: format!("{}∩{}", ia.name, ib.name),
-                    eq_len: 0,
-                    plan: Plan::IndexAnd {
-                        table: table_lc.clone(),
-                        probes: vec![
-                            IndexProbe {
-                                index: ia.name.clone(),
-                                key_columns: ia.columns.clone(),
-                                eq: ea.clone(),
-                            },
-                            IndexProbe {
-                                index: ib.name.clone(),
-                                key_columns: ib.columns.clone(),
-                                eq: eb.clone(),
-                            },
-                        ],
-                    },
-                });
+    // leading columns.
+    for a in 0..probes.len() {
+        for b in a + 1..probes.len() {
+            let (ia, ea) = &probes[a];
+            let (ib, eb) = &probes[b];
+            if ia.columns[0].eq_ignore_ascii_case(&ib.columns[0]) {
+                continue;
             }
+            cands.push(PathCand {
+                label: format!("{}∩{}", ia.name, ib.name),
+                plan: Plan::IndexAnd {
+                    table: table_lc.clone(),
+                    probes: vec![
+                        IndexProbe {
+                            index: ia.name.clone(),
+                            key_columns: ia.columns.clone(),
+                            eq: ea.clone(),
+                        },
+                        IndexProbe {
+                            index: ib.name.clone(),
+                            key_columns: ib.columns.clone(),
+                            eq: eb.clone(),
+                        },
+                    ],
+                },
+            });
         }
     }
     if cands.is_empty() {
         return Ok(seq);
-    }
-
-    if !with_stats {
-        // Syntactic rule (no statistics): the longest equality prefix
-        // wins; ties keep index creation order. An OR probe union only
-        // applies when no single-index candidate does.
-        let best = cands
-            .iter()
-            .filter(|c| matches!(c.plan, Plan::IndexScan { .. }))
-            .max_by_key(|c| c.eq_len)
-            .or_else(|| cands.first())
-            .unwrap();
-        return Ok(best.plan.clone());
     }
 
     let seq_cost = est.estimate(&seq).cost;
@@ -2005,8 +1916,12 @@ fn choose_access_path(
         .iter()
         .map(|(i, cost)| format!("{}={cost:.0}", cands[*i].label))
         .collect();
+    // Equal costs go to the later candidate: without statistics every
+    // single-column equality probe costs the same, and the most
+    // recently created index among them wins.
     let &(best, best_cost) = costed
         .iter()
+        .rev()
         .min_by(|(_, a), (_, b)| a.total_cmp(b))
         .unwrap();
     if best_cost < seq_cost {
@@ -2457,15 +2372,45 @@ mod tests {
 
     #[test]
     fn pushdown_preserves_results_semantics() {
-        // All conjuncts one-sided: no residual filter remains above.
+        // All conjuncts one-sided: no residual filter remains above the
+        // join. Without statistics both tables default to 1000 rows, so
+        // the filtered orders side (200 estimated rows) leads, and a
+        // projection restores the textual column order.
         let p = plan(
             "SELECT name FROM users u JOIN orders o ON u.id = o.user_id WHERE amount > 10",
         );
         let explain = p.plan.explain();
-        let lines: Vec<&str> = explain.lines().collect();
-        assert!(lines[1].trim().starts_with("EquiJoin"), "{explain}");
-        assert_eq!(lines[2].trim(), "TableScan users", "{explain}");
-        assert_eq!(lines[3].trim(), "Filter", "right side filtered: {explain}");
+        let lines: Vec<&str> = explain.lines().map(str::trim).collect();
+        assert_eq!(lines[1], "Project (6 cols)", "{explain}");
+        assert!(lines[2].starts_with("EquiJoin"), "{explain}");
+        assert_eq!(lines[3], "Filter", "left side filtered: {explain}");
+        assert_eq!(lines[4], "TableScan orders", "{explain}");
+        assert_eq!(lines[5], "TableScan users", "{explain}");
+        assert!(
+            p.decisions.contains(&"join order: o ⋈ u (reordered from textual)".to_string()),
+            "{:?}",
+            p.decisions
+        );
+    }
+
+    #[test]
+    fn unanalyzed_filtered_joins_do_not_nest_loops() {
+        // Default statistics put an equality-filtered side at 10 rows
+        // and a two-conjunct one at 0.1; a nested loop priced on those
+        // guesses would beat the hash join, and turns quadratic when a
+        // filter keeps more rows than the default says.
+        for sql in [
+            "SELECT name FROM users u JOIN orders o ON u.id = o.user_id \
+             WHERE u.name = 'a' AND o.amount = 5",
+            "SELECT name FROM users u JOIN orders o ON u.id = o.user_id \
+             WHERE o.amount = 5 AND o.oid = 7",
+        ] {
+            let p = plan(sql);
+            let explain = p.plan.explain();
+            assert!(explain.contains("EquiJoin[Hash]"), "{sql}\n{explain}");
+            let join = p.decisions.iter().find(|d| d.starts_with("join ⋈")).unwrap();
+            assert!(join.contains("(cost model: Hash="), "{join}");
+        }
     }
 
     #[test]
@@ -2711,15 +2656,25 @@ mod tests {
     }
 
     #[test]
-    fn syntactic_rule_prefers_longest_equality_prefix() {
-        // Without stats: ev_tenant_ts matches a 2-column prefix,
-        // ev_kind only 1 — the longer prefix wins.
+    fn unanalyzed_longest_equality_prefix_wins_on_cost() {
+        // Without stats every equality has the default selectivity:
+        // ev_tenant_ts matches a 2-column prefix and costs least,
+        // ev_kind only 1. Intersecting the two keeps the more selective
+        // probe's rows (no independence without statistics) and pays a
+        // second probe, so it loses too. The decision line shows why.
         let p = plan_events(
             "SELECT * FROM events WHERE kind = 7 AND tenant = 3 AND ts = 5",
             false,
         );
         let explain = p.plan.explain();
         assert!(explain.contains("IndexScan events.ev_tenant_ts"), "{explain}");
+        assert_eq!(
+            p.decisions,
+            vec![
+                "access events: ev_tenant_ts(eq=2) (cost model: ev_tenant_ts(eq=2)=10 \
+                 ev_kind(eq=1)=50 ev_tenant_ts∩ev_kind=21 seq=1000)"
+            ],
+        );
     }
 
     #[test]

@@ -1,18 +1,29 @@
 //! Differential tests for cost-based plan selection: whatever plan the
 //! cost model picks, the answer must be byte-identical to every forced
 //! baseline (forced join algorithms, textual join order, sequential
-//! scans only, statistics disabled). A proptest closes the loop on the
-//! ANALYZE lifecycle: fresh statistics must change the chosen plan for
-//! a non-selective indexed predicate and invalidate cached plans.
+//! scans only) and to the plans of an un-analyzed twin of the same data,
+//! which the cost model plans with its default statistics. A proptest
+//! closes the loop on the ANALYZE lifecycle: fresh statistics must
+//! change the chosen plan for a non-selective indexed predicate and
+//! invalidate cached plans. Another holds the default statistics to
+//! their own estimates: on random indexes and conjuncts, no chosen
+//! access path costs more than the sequential scan.
+
+use std::sync::Arc;
 
 use proptest::prelude::*;
 use sbdms_access::exec::join::JoinAlgorithm;
 use sbdms_access::record::Datum;
+use sbdms_data::ast::Statement;
 use sbdms_data::executor::{Database, DbOptions};
-use sbdms_data::{ConcurrencyControl, Session};
+use sbdms_data::planner::CatalogView;
+use sbdms_data::{
+    parse, plan_select, Column, ColumnType, ConcurrencyControl, Estimator, IndexMeta, Plan, Schema,
+    Session, TableMeta,
+};
 use sbdms_storage::{SimBackend, SimConfig};
 
-fn open_db(seed: u64) -> std::sync::Arc<Database> {
+fn open_db(seed: u64) -> Arc<Database> {
     let sim = SimBackend::new(SimConfig::seeded(seed));
     Database::open_at(&*sim, DbOptions::default()).unwrap()
 }
@@ -114,11 +125,14 @@ fn cost_based_plans_match_every_forced_baseline() {
     }
     db.set_index_selection(true);
 
-    // Statistics ignored entirely (the seed's syntactic planner).
-    db.set_use_stats(false);
+    // The same data never analyzed: every table planned with the
+    // default statistics.
+    let twin = open_db(11);
+    let t = twin.session();
+    load_workload(&t);
     for (q, want) in QUERIES.iter().zip(&reference) {
-        let got = sorted_rows(&s, q);
-        assert_eq!(&got, want, "stats-off planning diverged on `{q}`");
+        let got = sorted_rows(&t, q);
+        assert_eq!(&got, want, "un-analyzed planning diverged on `{q}`");
     }
 }
 
@@ -473,10 +487,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// After a bulk load, ANALYZE (a) changes the chosen plan for a
-    /// non-selective predicate on an indexed column — the syntactic
-    /// planner always takes the index, the cost model rejects it once
-    /// row counts say a sequential scan is cheaper — and (b) bumps the
-    /// plan-cache epoch so the stale cached plan stops serving.
+    /// non-selective predicate on an indexed column — under default
+    /// statistics a one-sided range takes the index, the cost model
+    /// rejects it once row counts say a sequential scan is cheaper —
+    /// and (b) bumps the plan-cache epoch so the stale cached plan
+    /// stops serving.
     #[test]
     fn analyze_changes_plan_and_invalidates_cache(
         rows in 100i64..400,
@@ -497,7 +512,7 @@ proptest! {
         // only statistics can prove it.
         let sql = "SELECT v FROM t WHERE k >= 0";
         let before = explain_text(&s, sql);
-        prop_assert!(before.contains("IndexScan"), "syntactic planner should take the index:\n{before}");
+        prop_assert!(before.contains("IndexScan"), "default statistics should take the index:\n{before}");
 
         s.execute(sql).unwrap();
         let hits0 = db.plan_cache_stats().hits;
@@ -515,5 +530,95 @@ proptest! {
         // And the refreshed plan caches normally again.
         s.execute(sql).unwrap();
         prop_assert_eq!(db.plan_cache_stats().hits, hits0 + 2);
+    }
+}
+
+/// An un-analyzed table `r(a, b, c, d)` with arbitrary indexes.
+struct RandomIndexCatalog {
+    indexes: Vec<IndexMeta>,
+}
+
+impl CatalogView for RandomIndexCatalog {
+    fn table(&self, name: &str) -> sbdms_kernel::error::Result<Arc<TableMeta>> {
+        let columns = ["a", "b", "c", "d"].map(|c| Column::not_null(c, ColumnType::Int));
+        Ok(Arc::new(TableMeta {
+            name: name.to_string(),
+            schema: Schema::new(columns.to_vec())?,
+            heap_dir_page: 0,
+            indexes: self.indexes.clone(),
+            stats: None,
+        }))
+    }
+
+    fn view_query(&self, _name: &str) -> Option<String> {
+        None
+    }
+}
+
+/// The access-path leaf of a single-table plan.
+fn access_leaf(plan: &Plan) -> &Plan {
+    match plan {
+        Plan::TableScan { .. } | Plan::IndexScan { .. } | Plan::IndexOr { .. } | Plan::IndexAnd { .. } => plan,
+        other => access_leaf(other.children()[0]),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Without statistics the planner never picks an access path its
+    /// own estimates price above the sequential scan, and it says why
+    /// in a decision line naming both costs.
+    #[test]
+    fn unanalyzed_access_path_never_costs_more_than_seq_scan(
+        index_cols in proptest::collection::vec((0usize..4, proptest::option::of(0usize..4)), 1..4),
+        conjuncts in proptest::collection::vec((0usize..4, 0usize..7, -5i64..50, 0i64..20), 1..4),
+    ) {
+        const COLS: [&str; 4] = ["a", "b", "c", "d"];
+        let indexes = index_cols
+            .iter()
+            .enumerate()
+            .map(|(i, (lead, next))| {
+                let mut columns = vec![COLS[*lead].to_string()];
+                columns.extend(next.filter(|n| n != lead).map(|n| COLS[n].to_string()));
+                IndexMeta { name: format!("ix{i}"), columns, meta_page: 0 }
+            })
+            .collect();
+        let catalog = RandomIndexCatalog { indexes };
+        let terms: Vec<String> = conjuncts
+            .iter()
+            .map(|&(col, op, lit, width)| {
+                let c = COLS[col];
+                match op {
+                    0 => format!("{c} = {lit}"),
+                    1 => format!("{c} < {lit}"),
+                    2 => format!("{c} >= {lit}"),
+                    3 => format!("{c} BETWEEN {lit} AND {}", lit + width),
+                    4 => format!("{c} IN ({lit}, {}, {})", lit + 1, lit + width),
+                    5 => format!("{c} <= {lit}"),
+                    _ => format!("{c} > {lit}"),
+                }
+            })
+            .collect();
+        let sql = format!("SELECT * FROM r WHERE {}", terms.join(" AND "));
+        let Statement::Select(select) = parse(&sql).unwrap() else { unreachable!() };
+        let p = plan_select(&select, &catalog).unwrap();
+        let est = Estimator::new(&catalog);
+        let leaf = access_leaf(&p.plan);
+        let leaf_cost = est.estimate(leaf).cost;
+        let seq_cost = est.estimate(&Plan::TableScan { table: "r".into() }).cost;
+        prop_assert!(
+            leaf_cost <= seq_cost,
+            "`{sql}`: {} costs {leaf_cost} > seq {seq_cost}",
+            leaf.node_label()
+        );
+        if !matches!(leaf, Plan::TableScan { .. }) {
+            let named = p.decisions.iter().any(|d| {
+                d.starts_with("access r: ")
+                    && d.contains(&format!("={leaf_cost:.0}"))
+                    && d.contains(&format!("seq={seq_cost:.0}"))
+            });
+            prop_assert!(named, "`{sql}`: {:?}", p.decisions);
+        }
     }
 }

@@ -317,3 +317,79 @@ fn cached_write_targets_match_uncached_ones() {
     assert!(hits > 40, "the caching twin should hit, hit {hits}");
     assert_eq!(twins[1].plan_cache_stats().hits, 0);
 }
+
+/// The lines of `EXPLAIN sql`.
+fn explain(s: &Session, sql: &str) -> Vec<String> {
+    s.execute(&format!("EXPLAIN {sql}"))
+        .unwrap()
+        .rows
+        .iter()
+        .map(|r| r[0].to_string())
+        .collect()
+}
+
+/// Without statistics a range is costed with the default range
+/// selectivity, which reads no bound: one generic plan, unpinned,
+/// serves every literal of a one-sided range.
+#[test]
+fn unanalyzed_range_selects_share_one_generic_plan() {
+    let db = open_db(43, 64);
+    let s = db.session();
+    s.execute("CREATE TABLE u (k INT NOT NULL, v INT NOT NULL)").unwrap();
+    s.execute("CREATE INDEX u_k ON u (k)").unwrap();
+    insert_rows(&s, "u", (0..1000i64).map(|k| format!("({k}, {})", k * 2)));
+    let planned = db.plans_selected();
+    for i in 0..200i64 {
+        let lo = i * 5;
+        let out = s.execute(&format!("SELECT COUNT(*) FROM u WHERE k >= {lo}")).unwrap();
+        assert_eq!(out.rows, vec![vec![Datum::Int(1000 - lo)]], "k >= {lo}");
+    }
+    assert_eq!(db.plans_selected(), planned + 1);
+    let lines = explain(&s, "SELECT COUNT(*) FROM u WHERE k >= 480");
+    assert!(lines.iter().any(|l| l == "-- generic: $1 any"), "{lines:?}");
+    assert!(lines.iter().any(|l| l.contains("IndexScan u.u_k(k)")), "{lines:?}");
+    // The index was chosen by cost, against the scan.
+    let decision = "-- access u: u_k(eq=0+range) (cost model: u_k(eq=0+range)=810 seq=1000)";
+    assert!(lines.iter().any(|l| l == decision), "{lines:?}");
+}
+
+/// A negative literal is one value, in lifted text and parsed text
+/// alike, so it reaches the index; a minus between operands stays a
+/// subtraction.
+#[test]
+fn negative_literals_reach_the_index() {
+    let db = open_db(44, 64);
+    let s = db.session();
+    s.execute("CREATE TABLE n (k INT NOT NULL, v INT NOT NULL)").unwrap();
+    s.execute("CREATE INDEX n_k ON n (k)").unwrap();
+    insert_rows(&s, "n", (-500..500i64).map(|k| format!("({k}, {})", k * 2)));
+    s.execute("ANALYZE n").unwrap();
+    for (sql, path) in [
+        ("SELECT v FROM n WHERE k = -5", "IndexScan n.n_k(k) eq=[Int(-5)]"),
+        ("SELECT v FROM n WHERE k IN (-1, -2)", "IndexOr n.n_k (2 keys)"),
+        (
+            "SELECT v FROM n WHERE k BETWEEN -5 AND -3",
+            "IndexScan n.n_k(k) eq=[] lo=Some(Int(-5)) hi=Some(Int(-3))",
+        ),
+    ] {
+        let lines = explain(&s, sql);
+        assert!(lines.iter().any(|l| l.contains(path)), "{sql}: {lines:?}");
+    }
+    let ints = |sql: &str| -> Vec<Vec<Datum>> { s.execute(sql).unwrap().rows };
+    assert_eq!(ints("SELECT v FROM n WHERE k = -5"), vec![vec![Datum::Int(-10)]]);
+    assert_eq!(ints("SELECT COUNT(*) FROM n WHERE k BETWEEN -5 AND -3"), vec![vec![Datum::Int(3)]]);
+    assert_eq!(
+        ints("SELECT v - 5, v -5, 5 - -3, - -5, -(5) FROM n WHERE k = 1"),
+        vec![vec![Datum::Int(-3), Datum::Int(-3), Datum::Int(8), Datum::Int(5), Datum::Int(-5)]]
+    );
+    // Negative and positive keys share one cached shape.
+    let planned = db.plans_selected();
+    assert_eq!(ints("SELECT k, v FROM n WHERE k = -7"), vec![vec![Datum::Int(-7), Datum::Int(-14)]]);
+    assert_eq!(ints("SELECT k, v FROM n WHERE k = 7"), vec![vec![Datum::Int(7), Datum::Int(14)]]);
+    assert_eq!(db.plans_selected(), planned + 1);
+    // A view's stored text is parsed, not lifted: the folded literal
+    // reaches the index there too.
+    s.execute("CREATE VIEW neg AS SELECT v FROM n WHERE k = -5").unwrap();
+    let lines = explain(&s, "SELECT v FROM neg");
+    assert!(lines.iter().any(|l| l.contains("IndexScan n.n_k(k) eq=[Int(-5)]")), "{lines:?}");
+}

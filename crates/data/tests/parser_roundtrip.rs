@@ -30,7 +30,7 @@ fn literal() -> impl Strategy<Value = Datum> {
     prop_oneof![
         Just(Datum::Null),
         any::<bool>().prop_map(Datum::Bool),
-        (0i64..1_000_000).prop_map(Datum::Int),
+        (-1_000_000i64..1_000_000).prop_map(Datum::Int),
         (0.0f64..1e6).prop_map(|x| Datum::Float((x * 100.0).round() / 100.0)),
         "[a-zA-Z0-9 ']{0,12}".prop_map(Datum::Str),
     ]

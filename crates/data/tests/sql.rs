@@ -709,8 +709,10 @@ fn join_algorithms_agree_through_sql() {
     let reference = s.execute(sql).unwrap().rows;
     assert_eq!(reference.len(), 5);
     for algo in [JoinAlgorithm::Merge, JoinAlgorithm::NestedLoop, JoinAlgorithm::Hash] {
-        db.set_join_algorithm(algo);
+        db.force_join_algorithm(Some(algo));
         assert_eq!(s.execute(sql).unwrap().rows, reference, "{algo:?}");
+        let plan = db.cached_plan(sql).expect("the statement left a cached plan").explain();
+        assert!(plan.contains(&format!("EquiJoin[{algo:?}]")), "{algo:?}: {plan}");
     }
 }
 
@@ -765,7 +767,7 @@ fn plan_cache_invalidated_by_join_algorithm_change() {
                ORDER BY amount, name";
     let reference = s.execute(sql).unwrap().rows;
     let hits_before = db.plan_cache_stats().hits;
-    db.set_join_algorithm(JoinAlgorithm::Merge);
+    db.force_join_algorithm(Some(JoinAlgorithm::Merge));
     assert_eq!(s.execute(sql).unwrap().rows, reference);
     assert_eq!(
         db.plan_cache_stats().hits,
