@@ -10,12 +10,12 @@
 //! do not depend on the batch size — which the differential suite in
 //! the data layer enforces byte-for-byte at batch 1, 64 and 1024.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
 use sbdms_kernel::error::{Result, ServiceError};
 
-use super::aggregate::{AggFunc, AggSpec, AggState};
+use super::aggregate::{AggSpec, Grouper};
 use super::expr::Expr;
 use super::join::{merge_join_rows, BuildSide};
 use super::vhash;
@@ -898,28 +898,13 @@ pub fn merge_join_batches(
     Ok(values_batches(out, batch_rows))
 }
 
-/// Memory charge for one new group: its key bytes (stored twice, in the
-/// map and the order list), the group tuple (24 bytes of header + 16
-/// per datum + string payload), and 48 bytes per aggregate state.
-fn group_bytes<'a>(key_len: usize, group: impl Iterator<Item = &'a Datum>, aggs: usize) -> u64 {
-    let tuple: u64 = 24
-        + group
-            .map(|d| {
-                16 + match d {
-                    Datum::Str(s) => s.len() as u64,
-                    _ => 0,
-                }
-            })
-            .sum::<u64>();
-    2 * key_len as u64 + tuple + 48 * aggs as u64
-}
-
 /// Hash-aggregate batches grouped by `group_by` expressions; output rows
-/// are `group values ++ aggregate values` in first-seen group order. The
-/// global (ungrouped) case folds whole columns into each [`AggState`]
-/// with one tight loop per batch. Every input batch is a cancellation
-/// point and each new group — the global one included, once input
-/// arrives — is charged with [`group_bytes`].
+/// are `group values ++ aggregate values` in first-seen group order,
+/// emitted columnar. The [`Grouper`] kernel maps each batch's rows to
+/// group ids in one pass and folds each aggregate through them in
+/// another, allocating per new group and per batch, never per row.
+/// Every input batch is a cancellation point and each new group (the
+/// global one included, once input arrives) is charged once.
 pub fn aggregate_batches(
     input: BatchStream,
     group_by: Vec<Expr>,
@@ -927,87 +912,19 @@ pub fn aggregate_batches(
     batch_rows: usize,
     ctx: ExecContext,
 ) -> Result<BatchStream> {
-    if group_by.is_empty() {
-        let mut states: Vec<AggState> = aggs.iter().map(|a| AggState::new(a.func)).collect();
-        let mut charged = false;
-        for batch in input {
-            ctx.check()?;
-            let batch = batch?;
-            if !charged && !batch.is_empty() {
-                ctx.charge(group_bytes(0, std::iter::empty(), aggs.len()))?;
-                charged = true;
-            }
-            for (state, spec) in states.iter_mut().zip(&aggs) {
-                if spec.func == AggFunc::CountAll {
-                    state.add_count(batch.rows() as i64);
-                } else {
-                    let vals = spec.arg.eval_batch(&batch)?;
-                    state.update_slice(&vals)?;
-                }
-            }
-        }
-        let row: Tuple = states.into_iter().map(AggState::finish).collect();
-        return Ok(values_batches(vec![row], batch_rows));
-    }
-
-    let mut order: Vec<Vec<u8>> = Vec::new();
-    let mut groups: HashMap<Vec<u8>, (Tuple, Vec<AggState>)> = HashMap::new();
+    let mut grouper = Grouper::new(group_by, aggs);
     for batch in input {
         ctx.check()?;
-        let batch = batch?;
-        let group_cols: Vec<Vec<Datum>> = group_by
-            .iter()
-            .map(|e| e.eval_batch(&batch))
-            .collect::<Result<_>>()?;
-        let agg_cols: Vec<Option<Vec<Datum>>> = aggs
-            .iter()
-            .map(|a| {
-                if a.func == AggFunc::CountAll {
-                    Ok(None)
-                } else {
-                    a.arg.eval_batch(&batch).map(Some)
-                }
-            })
-            .collect::<Result<_>>()?;
-        for r in 0..batch.rows() {
-            let mut key = Vec::new();
-            for col in &group_cols {
-                col[r].encode_into(&mut key);
-            }
-            if !groups.contains_key(&key) {
-                let group = group_cols.iter().map(|col| &col[r]);
-                ctx.charge(group_bytes(key.len(), group, aggs.len()))?;
-            }
-            let entry = groups.entry(key.clone()).or_insert_with(|| {
-                order.push(key);
-                (
-                    group_cols.iter().map(|col| col[r].clone()).collect(),
-                    aggs.iter().map(|a| AggState::new(a.func)).collect(),
-                )
-            });
-            for (state, (spec, col)) in entry.1.iter_mut().zip(aggs.iter().zip(&agg_cols)) {
-                let v = match col {
-                    None => Datum::Null,
-                    Some(col) => col[r].clone(),
-                };
-                state.update(spec.func, v)?;
-            }
-        }
+        grouper.push(&batch?, &ctx)?;
     }
-
-    let mut out = Vec::with_capacity(order.len());
-    for key in order {
-        let (group_vals, states) = groups.remove(&key).expect("group vanished");
-        let mut row = group_vals;
-        row.extend(states.into_iter().map(AggState::finish));
-        out.push(row);
-    }
-    Ok(values_batches(out, batch_rows))
+    let (columns, rows) = grouper.finish()?;
+    Ok(columnar_batches(columns, rows, batch_rows))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::aggregate::AggFunc;
     use crate::exec::expr::BinOp;
     use crate::exec::join::JoinAlgorithm;
 

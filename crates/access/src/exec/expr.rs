@@ -436,7 +436,7 @@ fn eval_unary(op: UnaryOp, v: Datum) -> Result<Datum> {
         }),
         UnaryOp::Neg => Ok(match v {
             Datum::Null => Datum::Null,
-            Datum::Int(i) => Datum::Int(-i),
+            Datum::Int(i) => Datum::Int(i.checked_neg().ok_or_else(|| overflow("-"))?),
             Datum::Float(x) => Datum::Float(-x),
             other => {
                 return Err(ServiceError::InvalidInput(format!(
@@ -484,7 +484,7 @@ fn eval_binary(op: BinOp, l: Datum, r: Datum) -> Result<Datum> {
             (Datum::Int(_), Datum::Int(0)) => {
                 Err(ServiceError::InvalidInput("modulo by zero".into()))
             }
-            (Datum::Int(a), Datum::Int(b)) => Ok(Datum::Int(a % b)),
+            (Datum::Int(a), Datum::Int(b)) => a.checked_rem(b).map(Datum::Int).ok_or_else(|| overflow("%")),
             (l, r) => Err(ServiceError::InvalidInput(format!(
                 "% requires integers, got {l} and {r}"
             ))),
@@ -497,15 +497,23 @@ fn numeric_op(l: Datum, r: Datum, sym: &str) -> Result<Datum> {
     numeric(l, r, sym)
 }
 
+/// The error of INT arithmetic whose result does not fit an INT
+/// (`i64::MAX + 1`, `i64::MIN / -1`): typed, never a wrap or a panic.
+#[cold]
+fn overflow(sym: &str) -> ServiceError {
+    ServiceError::InvalidInput(format!("integer overflow in {sym}"))
+}
+
 fn numeric(l: Datum, r: Datum, sym: &str) -> Result<Datum> {
+    let checked = |v: Option<i64>| v.map(Datum::Int).ok_or_else(|| overflow(sym));
     match (l, r, sym) {
-        (Datum::Int(a), Datum::Int(b), "+") => Ok(Datum::Int(a.wrapping_add(b))),
-        (Datum::Int(a), Datum::Int(b), "-") => Ok(Datum::Int(a.wrapping_sub(b))),
-        (Datum::Int(a), Datum::Int(b), "*") => Ok(Datum::Int(a.wrapping_mul(b))),
+        (Datum::Int(a), Datum::Int(b), "+") => checked(a.checked_add(b)),
+        (Datum::Int(a), Datum::Int(b), "-") => checked(a.checked_sub(b)),
+        (Datum::Int(a), Datum::Int(b), "*") => checked(a.checked_mul(b)),
         (Datum::Int(_), Datum::Int(0), "/") => {
             Err(ServiceError::InvalidInput("division by zero".into()))
         }
-        (Datum::Int(a), Datum::Int(b), "/") => Ok(Datum::Int(a / b)),
+        (Datum::Int(a), Datum::Int(b), "/") => checked(a.checked_div(b)),
         (l, r, sym) => {
             let a = as_f64(&l)?;
             let b = as_f64(&r)?;
@@ -634,6 +642,33 @@ mod tests {
         assert!(Expr::bin(BinOp::Mod, Expr::int(1), Expr::int(0)).eval(&row()).is_err());
         let float_zero = Expr::Lit(Datum::Float(0.0));
         assert!(Expr::bin(BinOp::Div, Expr::int(1), float_zero).eval(&row()).is_err());
+    }
+
+    #[test]
+    fn integer_overflow_is_a_typed_error() {
+        let (max, min) = (Expr::int(i64::MAX), Expr::int(i64::MIN));
+        let minus_one = || Expr::int(-1);
+        for e in [
+            Expr::bin(BinOp::Add, max.clone(), Expr::int(1)),
+            Expr::bin(BinOp::Sub, min.clone(), Expr::int(1)),
+            Expr::bin(BinOp::Mul, max.clone(), Expr::int(2)),
+            Expr::bin(BinOp::Div, min.clone(), minus_one()),
+            Expr::bin(BinOp::Mod, min.clone(), minus_one()),
+            Expr::Unary(UnaryOp::Neg, Box::new(min.clone())),
+        ] {
+            let err = e.eval(&row()).unwrap_err();
+            assert_eq!(err.code(), "invalid_input", "{e:?}");
+            assert!(err.to_string().contains("integer overflow"), "{e:?}: {err}");
+            let batch = Batch::from_rows(vec![row()]);
+            assert!(e.eval_batch(&batch).is_err(), "{e:?}");
+        }
+        // The edges themselves still compute.
+        let e = Expr::bin(BinOp::Add, Expr::int(i64::MAX - 1), Expr::int(1));
+        assert_eq!(e.eval(&row()).unwrap(), Datum::Int(i64::MAX));
+        let e = Expr::bin(BinOp::Mod, min.clone(), Expr::int(1));
+        assert_eq!(e.eval(&row()).unwrap(), Datum::Int(0));
+        let e = Expr::bin(BinOp::Div, min, Expr::int(1));
+        assert_eq!(e.eval(&row()).unwrap(), Datum::Int(i64::MIN));
     }
 
     #[test]

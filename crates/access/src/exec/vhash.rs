@@ -1,4 +1,5 @@
-//! Columnar open-addressing hash table for the vectorized hash join.
+//! Columnar open-addressing hash table for the vectorized hash join,
+//! and the key hash the grouping table uses.
 //!
 //! A row hash map (`HashMap<Key, Vec<Tuple>>`) pays SipHash, a
 //! heap-allocated key, and a `Vec` per distinct key. This table is the
@@ -37,6 +38,42 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// Fold one datum into a running group-key hash: its type tag, then its
+/// value (bits for a FLOAT, the bytes for a string). Values with equal
+/// encodings hash equal; the best-mixed bits are the top ones, where the
+/// grouping table takes its slot from.
+#[inline]
+pub(super) fn hash_datum(h: u64, d: &Datum) -> u64 {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    let (tag, value) = match d {
+        Datum::Null => (0, 0),
+        Datum::Bool(b) => (1, *b as u64),
+        Datum::Int(i) => (2, *i as u64),
+        Datum::Float(x) => (3, x.to_bits()),
+        Datum::Str(s) => (4, hash_bytes(s.as_bytes())),
+    };
+    ((h.rotate_left(23) ^ tag).wrapping_mul(K) ^ value).wrapping_mul(K)
+}
+
+/// Word-at-a-time multiplicative hash of a string key: eight bytes per
+/// multiply instead of FNV's one.
+fn hash_bytes(bytes: &[u8]) -> u64 {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    let step = |h: u64, word: u64| (h.rotate_left(23) ^ word).wrapping_mul(K);
+    let mut h = (bytes.len() as u64).wrapping_mul(K);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        h = step(h, u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+    }
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut last = [0u8; 8];
+        last[..tail.len()].copy_from_slice(tail);
+        h = step(h, u64::from_le_bytes(last));
     }
     h
 }

@@ -12,8 +12,8 @@
 //! headline access-path shapes reach a `min`-fold speedup over the
 //! best previously available plan, and `--gate-wire <max_us>` if
 //! E16's median TCP per-statement latency exceeds `max_us`
-//! microseconds (the CI perf gates). E12–E17 also write their
-//! measured tables to `BENCH_e12.json` … `BENCH_e17.json` at the
+//! microseconds (the CI perf gates). E11–E17 also write their
+//! measured tables to `BENCH_e11.json` … `BENCH_e17.json` at the
 //! workspace root (full runs only, never under `--smoke`).
 
 use std::time::{Duration, Instant};
@@ -518,6 +518,8 @@ fn e11(smoke: bool) {
     // (row name, session, knobs on the analyzed database)
     let row = |config: E11Config| (config.name(), &session, Some(config));
     let unanalyzed = ("un-analyzed".to_string(), &twin_session, None);
+    // JSON keys are the row names in snake case.
+    let key = |name: &str| name.replace('-', "_");
 
     println!(
         "  skewed-join-order: {} ({big}-row big tables)",
@@ -525,6 +527,8 @@ fn e11(smoke: bool) {
     );
     let mut cost_based = Duration::ZERO;
     let mut reference = None;
+    // (name, ms, time over the cost-based plan's)
+    let mut join_rows: Vec<(String, f64, f64)> = Vec::new();
     for (name, s, config) in [
         row(E11Config::CostBased),
         row(E11Config::NoReorder),
@@ -548,12 +552,12 @@ fn e11(smoke: bool) {
         if config == Some(E11Config::CostBased) {
             cost_based = d;
         }
-        println!(
-            "    {:<18} {:>10.2}ms {:>8.1}x",
-            name,
+        let (ms, ratio) = (
             d.as_nanos() as f64 / 1e6,
-            d.as_nanos() as f64 / cost_based.as_nanos().max(1) as f64
+            d.as_nanos() as f64 / cost_based.as_nanos().max(1) as f64,
         );
+        println!("    {:<18} {:>10.2}ms {:>8.1}x", name, ms, ratio);
+        join_rows.push((name, ms, ratio));
     }
 
     println!("\n  access paths over {items}-row indexed table:");
@@ -561,6 +565,8 @@ fn e11(smoke: bool) {
         "    {:<18} {:>14} {:>14}",
         "config", "selective 0.1%", "full-range"
     );
+    // (name, selective µs, full-range ms)
+    let mut access_rows: Vec<(String, f64, f64)> = Vec::new();
     for (name, s, config) in [row(E11Config::CostBased), row(E11Config::NoIndex), unanalyzed] {
         if let Some(config) = config {
             e11_apply(&db, config);
@@ -571,18 +577,92 @@ fn e11(smoke: bool) {
         let nonsel = time(iters, || {
             e11_count(s, E11_IDX_NONSEL_Q);
         });
-        println!(
-            "    {:<18} {:>12.1}µs {:>12.2}ms",
-            name,
-            sel.as_nanos() as f64 / 1e3,
-            nonsel.as_nanos() as f64 / 1e6
-        );
+        let (sel_us, nonsel_ms) = (sel.as_nanos() as f64 / 1e3, nonsel.as_nanos() as f64 / 1e6);
+        println!("    {:<18} {:>12.1}µs {:>12.2}ms", name, sel_us, nonsel_ms);
+        access_rows.push((name, sel_us, nonsel_ms));
     }
     e11_apply(&db, E11Config::CostBased);
-    println!(
-        "  plans selected: {} (each knob flip re-plans via the epoch)",
-        db.plans_selected()
+    let plans_selected = db.plans_selected();
+    println!("  plans selected: {plans_selected} (each knob flip re-plans via the epoch)");
+
+    if smoke {
+        return;
+    }
+    let fields = |rows: Vec<String>| rows.join(",\n      ");
+    let join_ms = fields(join_rows.iter().map(|(n, ms, _)| format!("\"{}\": {ms:.2}", key(n))).collect());
+    let join_x = fields(
+        join_rows[1..].iter().map(|(n, _, x)| format!("\"{}\": {x:.1}", key(n))).collect(),
     );
+    let sel_us =
+        fields(access_rows.iter().map(|(n, us, _)| format!("\"{}\": {us:.1}", key(n))).collect());
+    let full_ms =
+        fields(access_rows.iter().map(|(n, _, ms)| format!("\"{}\": {ms:.2}", key(n))).collect());
+    // Baselines the cost-based plan beats at least threefold.
+    let beaten = |rows: Vec<(String, f64)>| {
+        rows.iter()
+            .filter(|(_, x)| *x >= 3.0)
+            .map(|(n, x)| format!("\"{} ({x:.1}x)\"", key(n)))
+            .collect::<Vec<_>>()
+            .join(", ")
+    };
+    let join_beaten = beaten(join_rows[1..].iter().map(|(n, _, x)| (n.clone(), *x)).collect());
+    let sel_base = access_rows[0].1.max(f64::MIN_POSITIVE);
+    let sel_beaten =
+        beaten(access_rows[1..].iter().map(|(n, us, _)| (n.clone(), us / sel_base)).collect());
+    let json = format!(
+        r#"{{
+  "experiment": "E11",
+  "title": "Cost-based plan selection: join ordering, algorithm choice, access paths",
+  "date": "{date}",
+  "build": "cargo run --release -p sbdms-bench --bin report -- --only e11",
+  "note": "The un_analyzed rows run a twin database built without ANALYZE, planned by the one cost model with default statistics.",
+  "workload": {{
+    "skewed_join_order": {{
+      "query": "{join_q}",
+      "big_rows": {big},
+      "tiny_rows": 100,
+      "note": "textual order builds the skewed big1<<>>big2 intermediate first; cost-based starts from the filtered tiny relation"
+    }},
+    "access_paths": {{
+      "selective_query": "{sel_q}",
+      "full_range_query": "{nonsel_q}",
+      "item_rows": {items},
+      "index": "items_val ON items(val)"
+    }},
+    "timing": "mean of {iters} runs after one warmup ({sel_iters} for the selective probe)"
+  }},
+  "results": {{
+    "skewed_join_order_ms": {{
+      {join_ms}
+    }},
+    "skewed_join_order_speedup_vs_cost_based": {{
+      {join_x}
+    }},
+    "access_path_selective_us": {{
+      {sel_us}
+    }},
+    "access_path_full_range_ms": {{
+      {full_ms}
+    }},
+    "plans_selected": {plans_selected}
+  }},
+  "acceptance": {{
+    "join_order_baselines_beaten_3x": [{join_beaten}],
+    "selective_index_baselines_beaten_3x": [{sel_beaten}]
+  }}
+}}
+"#,
+        date = today_utc(),
+        join_q = E11_JOIN_Q,
+        sel_q = E11_IDX_SEL_Q,
+        nonsel_q = E11_IDX_NONSEL_Q,
+        sel_iters = iters * 4,
+    );
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_e11.json");
+    match std::fs::write(path, json) {
+        Ok(()) => println!("  wrote BENCH_e11.json"),
+        Err(e) => eprintln!("  could not write BENCH_e11.json: {e}"),
+    }
 }
 
 /// Today's UTC date as `YYYY-MM-DD` (Howard Hinnant's civil-from-days).
@@ -603,19 +683,37 @@ fn today_utc() -> String {
     format!("{y:04}-{m:02}-{d:02}")
 }
 
-/// Min-of-N timing: one warmup pass, then the fastest of `n` runs.
-/// Used for E12, where the engines are compared head-to-head and
-/// scheduler noise on a shared box would otherwise dominate the ratio.
-fn best<F: FnMut()>(n: u32, mut f: F) -> Duration {
-    f();
+/// Min-of-N timing for E12, where the batch sizes are compared
+/// head-to-head and scheduler noise on a shared box would otherwise
+/// dominate the ratio: one warmup pass, then the fastest of `n` runs.
+/// `run` consumes its input, so each pass gets a fresh one from `make`,
+/// built before the timer starts.
+fn best_on<I>(n: u32, mut make: impl FnMut() -> I, mut run: impl FnMut(I)) -> Duration {
+    run(make());
     (0..n)
+        .map(|_| {
+            let input = make();
+            let start = Instant::now();
+            run(input);
+            start.elapsed()
+        })
+        .min()
+        .unwrap_or_default()
+}
+
+/// Median-of-N timing after one warmup pass, for E12's SQL rows: a
+/// statement's p50 is what the end-to-end benchmark reports.
+fn median<F: FnMut()>(n: u32, mut f: F) -> Duration {
+    f();
+    let mut runs: Vec<Duration> = (0..n.max(1))
         .map(|_| {
             let start = Instant::now();
             f();
             start.elapsed()
         })
-        .min()
-        .unwrap_or_default()
+        .collect();
+    runs.sort();
+    runs[runs.len() / 2]
 }
 
 /// Returns the base-join speedup (one row per batch / full batch) for
@@ -626,7 +724,8 @@ fn e12(smoke: bool) -> f64 {
     use sbdms::access::exec::hash_join_phases;
     use sbdms_bench::experiments::{
         e12_dim, e12_dim_dup, e12_dim_highndv, e12_fact, e12_join, e12_join_highndv,
-        e12_join_rows, e12_scan_filter_aggregate,
+        e12_join_rows, e12_scan_filter_aggregate, e12_sql_db, e12_sql_shapes,
+        E12_SQL_DIM, E12_SQL_ROWS,
     };
 
     println!("\nE12 — vectorized execution: full batches vs one row per batch");
@@ -646,83 +745,40 @@ fn e12(smoke: bool) -> f64 {
     };
     let full = VectorEngine::default();
 
-    // Each timed closure clones its input (the engine consumes rows);
-    // measure that scaffolding once and subtract it, so the reported
-    // numbers are execution alone — the clone is identical either way.
-    let clone_one = best(iters, || {
-        std::hint::black_box(fact.clone());
+    // The engine consumes its input rows, so every run gets a fresh
+    // clone, built outside the timer: what is timed is execution alone.
+    let one = || fact.clone();
+    let two = |d: &Vec<_>| (fact.clone(), d.clone());
+    let sfa_row = best_on(iters, one, |f| {
+        std::hint::black_box(e12_scan_filter_aggregate(&row, f, threshold));
     });
-    let clone_two = best(iters, || {
-        std::hint::black_box((fact.clone(), dim.clone()));
+    let sfa_full = best_on(iters, one, |f| {
+        std::hint::black_box(e12_scan_filter_aggregate(&full, f, threshold));
     });
-    let clone_dup = best(iters, || {
-        std::hint::black_box((fact.clone(), dup.clone()));
+    let join_row = best_on(iters, || two(&dim), |(f, d)| {
+        std::hint::black_box(e12_join(&row, f, d));
     });
-    let clone_hi = best(iters, || {
-        std::hint::black_box((fact.clone(), hi.clone()));
+    let join_full = best_on(iters, || two(&dim), |(f, d)| {
+        std::hint::black_box(e12_join(&full, f, d));
     });
-    let net = |d: Duration, scaffold: Duration| d.saturating_sub(scaffold);
-
-    let sfa_row = net(
-        best(iters, || {
-            std::hint::black_box(e12_scan_filter_aggregate(&row, fact.clone(), threshold));
-        }),
-        clone_one,
-    );
-    let sfa_full = net(
-        best(iters, || {
-            std::hint::black_box(e12_scan_filter_aggregate(&full, fact.clone(), threshold));
-        }),
-        clone_one,
-    );
-    let join_row = net(
-        best(iters, || {
-            std::hint::black_box(e12_join(&row, fact.clone(), dim.clone()));
-        }),
-        clone_two,
-    );
-    let join_full = net(
-        best(iters, || {
-            std::hint::black_box(e12_join(&full, fact.clone(), dim.clone()));
-        }),
-        clone_two,
-    );
-    let dup_row = net(
-        best(iters, || {
-            std::hint::black_box(e12_join(&row, fact.clone(), dup.clone()));
-        }),
-        clone_dup,
-    );
-    let dup_full = net(
-        best(iters, || {
-            std::hint::black_box(e12_join(&full, fact.clone(), dup.clone()));
-        }),
-        clone_dup,
-    );
-    let hi_row = net(
-        best(iters, || {
-            std::hint::black_box(e12_join_highndv(&row, fact.clone(), hi.clone()));
-        }),
-        clone_hi,
-    );
-    let hi_full = net(
-        best(iters, || {
-            std::hint::black_box(e12_join_highndv(&full, fact.clone(), hi.clone()));
-        }),
-        clone_hi,
-    );
-    let rows_row = net(
-        best(iters, || {
-            std::hint::black_box(e12_join_rows(&row, fact.clone(), dim.clone()));
-        }),
-        clone_two,
-    );
-    let rows_full = net(
-        best(iters, || {
-            std::hint::black_box(e12_join_rows(&full, fact.clone(), dim.clone()));
-        }),
-        clone_two,
-    );
+    let dup_row = best_on(iters, || two(&dup), |(f, d)| {
+        std::hint::black_box(e12_join(&row, f, d));
+    });
+    let dup_full = best_on(iters, || two(&dup), |(f, d)| {
+        std::hint::black_box(e12_join(&full, f, d));
+    });
+    let hi_row = best_on(iters, || two(&hi), |(f, d)| {
+        std::hint::black_box(e12_join_highndv(&row, f, d));
+    });
+    let hi_full = best_on(iters, || two(&hi), |(f, d)| {
+        std::hint::black_box(e12_join_highndv(&full, f, d));
+    });
+    let rows_row = best_on(iters, || two(&dim), |(f, d)| {
+        std::hint::black_box(e12_join_rows(&row, f, d));
+    });
+    let rows_full = best_on(iters, || two(&dim), |(f, d)| {
+        std::hint::black_box(e12_join_rows(&full, f, d));
+    });
 
     let ms = |d: Duration| d.as_nanos() as f64 / 1e6;
     let speedup = |t: Duration, v: Duration| t.as_nanos() as f64 / v.as_nanos().max(1) as f64;
@@ -774,6 +830,25 @@ fn e12(smoke: bool) -> f64 {
         ms(g2)
     );
 
+    // The `scan_mix` SQL shapes, in process through `Session::execute`:
+    // page decoding, MVCC visibility, filter, aggregate and join over a
+    // heap 2.7x the buffer pool.
+    let (sql_rows, sql_iters) = if smoke { (4_000, 3) } else { (E12_SQL_ROWS, 31) };
+    let db = e12_sql_db(sql_rows);
+    let session = db.session();
+    println!("  scan_mix SQL shapes ({sql_rows}-row t, 256 frames, median of {sql_iters}):");
+    let mut sql_ms = Vec::new();
+    let shapes = e12_sql_shapes();
+    for (name, sql) in &shapes {
+        let d = median(sql_iters, || {
+            std::hint::black_box(session.execute(sql).unwrap());
+        });
+        println!("    {name:<10} {:>8.2}ms  {sql}", ms(d));
+        sql_ms.push(format!("\"{name}\": {:.2}", ms(d)));
+    }
+    drop(session);
+    drop(db);
+
     let join_x = speedup(join_row, join_full);
     // Machine-parsable for the CI gate (see --gate-join).
     println!("  E12-GATE join_speedup={join_x:.2}");
@@ -783,6 +858,23 @@ fn e12(smoke: bool) -> f64 {
         // recorded full-workload artifact with shrunken numbers.
         return join_x;
     }
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_e12.json");
+    // The SQL rows compare this build with the last recorded run: the
+    // numbers the file holds move to `sql_shapes_ms_previous`.
+    let sql_now = format!(
+        "{{\"date\": \"{}\", {}}}",
+        today_utc(),
+        sql_ms.join(", ")
+    );
+    let sql_previous = std::fs::read_to_string(path)
+        .ok()
+        .and_then(|old| {
+            old.lines().find_map(|l| {
+                let v = l.trim().strip_prefix("\"sql_shapes_ms\": ")?;
+                Some(v.trim_end_matches(',').to_string())
+            })
+        })
+        .unwrap_or_else(|| "null".to_string());
     let json = format!(
         r#"{{
   "experiment": "E12",
@@ -806,8 +898,15 @@ fn e12(smoke: bool) -> f64 {
         "materialise_rows": "same join, all joined rows transposed back to tuples (no aggregate)"
       }}
     }},
+    "sql_shapes": {{
+      "statements": ["{sql_sum}", "{sql_group}", "{sql_join}"],
+      "t_rows": {E12_SQL_ROWS},
+      "d_rows": {E12_SQL_DIM},
+      "buffer_frames": 256,
+      "timing": "Session::execute in process under MVCC, median of {sql_iters} after one warmup; sql_shapes_ms_previous is the run this file held before"
+    }},
     "baseline": "the same engine at batch_rows = 1; until 2026-10 the baseline was the deleted tuple-at-a-time engine",
-    "note": "pre-materialised rows; min-of-{iters} timing; per-iteration input clone measured separately and subtracted (identical for both batch sizes)"
+    "note": "pre-materialised rows; min-of-{iters} timing; each run consumes a fresh input clone built outside the timer"
   }},
   "results": {{
     "scan_filter_aggregate_ms": {{
@@ -838,7 +937,9 @@ fn e12(smoke: bool) -> f64 {
     "join_phases_ms": {{
       "base": {{"build": {b1:.3}, "probe": {p1:.3}, "gather": {g1:.3}}},
       "high_ndv": {{"build": {b2:.3}, "probe": {p2:.3}, "gather": {g2:.3}}}
-    }}
+    }},
+    "sql_shapes_ms_previous": {sql_previous},
+    "sql_shapes_ms": {sql_now}
   }},
   "acceptance": {{
     "full_batch_2x_on_scan_filter_aggregate": {accept_sfa},
@@ -869,8 +970,10 @@ fn e12(smoke: bool) -> f64 {
         g2 = ms(g2),
         accept_sfa = speedup(sfa_row, sfa_full) >= 2.0,
         accept_join = join_x >= 3.0,
+        sql_sum = shapes[0].1,
+        sql_group = shapes[1].1,
+        sql_join = shapes[2].1,
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_e12.json");
     match std::fs::write(path, json) {
         Ok(()) => println!("  wrote BENCH_e12.json"),
         Err(e) => eprintln!("  could not write BENCH_e12.json: {e}"),

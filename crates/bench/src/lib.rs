@@ -873,6 +873,60 @@ pub mod experiments {
         engine.collect(joined).unwrap().len()
     }
 
+    /// Rows of the E12 SQL-shape table `t (k, v, pad)`: with a
+    /// 40-character pad they fill about 690 heap pages, 2.7× the
+    /// 256-frame pool, as `perfbench`'s `scan_mix` table does.
+    pub const E12_SQL_ROWS: usize = 40_000;
+
+    /// Rows of the E12 SQL-shape dimension `d (dv, w)`; `t.v` ranges over
+    /// `0..E12_SQL_DIM`.
+    pub const E12_SQL_DIM: usize = 1_000;
+
+    /// The E12 SQL-shape database: `t` and `d` loaded and analyzed under
+    /// the full-fledged profile's MVCC with a 256-frame pool, so every
+    /// scan of `t` misses the pool.
+    pub fn e12_sql_db(rows: usize) -> Arc<Database> {
+        let db = Database::open_opts(
+            bench_dir(&format!("e12-sql-{rows}")),
+            DbOptions {
+                buffer_frames: 256,
+                concurrency: sbdms::data::ConcurrencyControl::Mvcc,
+                ..DbOptions::default()
+            },
+        )
+        .unwrap();
+        let s = db.session();
+        s.execute("CREATE TABLE t (k INT NOT NULL, v INT NOT NULL, pad TEXT NOT NULL)").unwrap();
+        s.execute("CREATE TABLE d (dv INT NOT NULL, w INT NOT NULL)").unwrap();
+        let pad = "p".repeat(40);
+        let keys: Vec<usize> = (0..rows).collect();
+        for chunk in keys.chunks(1_000) {
+            let values: Vec<String> = chunk
+                .iter()
+                .map(|&k| format!("({k}, {}, '{pad}')", (k * 7_919 + 13) % E12_SQL_DIM))
+                .collect();
+            s.execute(&format!("INSERT INTO t VALUES {}", values.join(", "))).unwrap();
+        }
+        let dims: Vec<String> =
+            (0..E12_SQL_DIM).map(|dv| format!("({dv}, {})", dv * 37 % 1_000)).collect();
+        s.execute(&format!("INSERT INTO d VALUES {}", dims.join(", "))).unwrap();
+        s.execute("CREATE INDEX t_k ON t (k)").unwrap();
+        s.execute("ANALYZE t").unwrap();
+        s.execute("ANALYZE d").unwrap();
+        db
+    }
+
+    /// The three `scan_mix` SQL shapes as `(name, statement)`, each with
+    /// its filter constant in the middle of the domain.
+    pub fn e12_sql_shapes() -> [(&'static str, String); 3] {
+        let c = E12_SQL_DIM / 2;
+        [
+            ("sum", format!("SELECT SUM(v), COUNT(*) FROM t WHERE v < {c}")),
+            ("group_by", format!("SELECT v, COUNT(*), SUM(k) FROM t WHERE v >= {c} GROUP BY v")),
+            ("join", format!("SELECT SUM(d.w), COUNT(*) FROM t JOIN d ON t.v = d.dv WHERE d.w < {c}")),
+        ]
+    }
+
     // --- E13: overload protection under concurrent sessions -------------
 
     use sbdms::kernel::governor::GovernorConfig;
@@ -1055,13 +1109,16 @@ pub mod experiments {
         /// Times a reader was turned away with the typed recoverable
         /// conflict (single-writer lockouts; always 0 under MVCC).
         pub reader_retries: u64,
-        /// Update transactions the writer committed while readers ran.
+        /// Update transactions the writer committed during the drive: at
+        /// least one, unless its first commit takes more than 10 s.
         pub writer_commits: u64,
     }
 
     /// Drive `readers` sessions, each timing `per_reader` aggregate
     /// scans start-to-success, optionally against one concurrent writer
-    /// session committing small update transactions in a loop. A reader
+    /// session committing small update transactions in a loop; the drive
+    /// ends once the readers are done and the writer has committed at
+    /// least once (waiting at most 10 s for that). A reader
     /// bounced with the recoverable conflict retries the same query, and
     /// the retry spin is charged to that read's latency — the
     /// client-visible cost of being locked out.
@@ -1127,6 +1184,15 @@ pub mod experiments {
                 .collect();
             let collected: Vec<(Vec<f64>, u64)> =
                 handles.into_iter().map(|h| h.join().unwrap()).collect();
+            // A short drive can end before the writer's first commit (an
+            // fsync) does: give it a bounded wait to commit once.
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while writer.is_some()
+                && commits.load(Ordering::Relaxed) == 0
+                && Instant::now() < deadline
+            {
+                std::thread::sleep(Duration::from_millis(1));
+            }
             stop.store(true, Ordering::Relaxed);
             if let Some(w) = writer {
                 w.join().unwrap();
@@ -1753,6 +1819,37 @@ mod tests {
             assert!(want > 0, "{sql}: baseline found no rows");
             assert_eq!(e11_count(&on_current, sql), want, "{sql}");
         }
+    }
+
+    #[test]
+    fn e12_sql_shapes_answer_from_the_generated_data() {
+        use sbdms::access::record::Datum;
+        let rows = 3_000;
+        let db = e12_sql_db(rows);
+        let s = db.session();
+        let v = |k: usize| ((k * 7_919 + 13) % E12_SQL_DIM) as i64;
+        let w = |dv: i64| dv * 37 % 1_000;
+        let c = (E12_SQL_DIM / 2) as i64;
+        let [(_, sum), (_, group), (_, join)] = e12_sql_shapes();
+        let below: Vec<i64> = (0..rows).map(v).filter(|&x| x < c).collect();
+        let got = s.execute(&sum).unwrap().rows;
+        let want = vec![Datum::Int(below.iter().sum()), Datum::Int(below.len() as i64)];
+        assert_eq!(got, vec![want]);
+        let got = s.execute(&group).unwrap().rows;
+        let groups: std::collections::BTreeSet<i64> = (0..rows).map(v).filter(|&x| x >= c).collect();
+        assert_eq!(got.len(), groups.len());
+        let counted: i64 = got
+            .iter()
+            .map(|r| match r[1] {
+                Datum::Int(n) => n,
+                ref other => panic!("COUNT(*) returned {other}"),
+            })
+            .sum();
+        assert_eq!(counted, (rows - below.len()) as i64);
+        let matched: Vec<i64> = (0..rows).map(|k| w(v(k))).filter(|&x| x < c).collect();
+        let got = s.execute(&join).unwrap().rows;
+        let want = vec![Datum::Int(matched.iter().sum()), Datum::Int(matched.len() as i64)];
+        assert_eq!(got, vec![want]);
     }
 
     #[test]

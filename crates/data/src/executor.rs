@@ -1331,12 +1331,26 @@ impl Database {
     }
 
     /// [`Database::run_plan_with`] with an explicit sort budget — the
-    /// hook a degraded admission uses to shrink operator memory. `reads`
-    /// names the output columns of `plan` its consumers read (`None`:
-    /// all of them); a table scan decodes only those and leaves the
-    /// others NULL. Filters, projections, aggregates and limits narrow
-    /// it; sorts, DISTINCT and joins read every column of their inputs,
-    /// so the memory they account never depends on it.
+    /// hook a degraded admission uses to shrink operator memory.
+    ///
+    /// `reads` names the output columns of `plan` its consumers read
+    /// (`None`: all of them); a table scan decodes only those and leaves
+    /// the others NULL. Each operator passes its input the columns it
+    /// needs for `reads`:
+    /// - a filter adds its predicate's columns, and a limit passes
+    ///   `reads` on;
+    /// - an aggregate asks for its keys' and arguments' columns;
+    /// - a projection asks for the columns of the outputs that are read,
+    ///   and of every output that is not a bare column, so an expression
+    ///   that can fail still sees its input. An unread bare-column output
+    ///   is left to come out NULL;
+    /// - a join splits `reads` between its inputs and adds its keys (or
+    ///   its predicate's columns) to each side.
+    ///
+    /// Sorts and DISTINCT read every column of their inputs, so the
+    /// memory they account never depends on `reads`. A join's does: a
+    /// column left NULL stores no string payload in a hash table or
+    /// sort run.
     fn run_plan_budgeted(
         &self,
         engine: &VectorEngine,
@@ -1429,25 +1443,34 @@ impl Database {
                 right_col,
                 left_width,
                 build,
-            } => engine.equi_join(
-                *algorithm,
-                input(left, None)?,
-                input(right, None)?,
-                *left_col,
-                *right_col,
-                *left_width,
-                *build,
-            ),
+            } => {
+                let keys = BTreeSet::from([*left_col, *left_width + *right_col]);
+                let (l, r) = join_reads(reads, &keys, *left_width);
+                engine.equi_join(
+                    *algorithm,
+                    input(left, l.as_ref())?,
+                    input(right, r.as_ref())?,
+                    *left_col,
+                    *right_col,
+                    *left_width,
+                    *build,
+                )
+            }
             Plan::NlJoin {
                 left,
                 right,
                 predicate,
-                left_width: _,
-            } => engine.nested_loop_join(
-                input(left, None)?,
-                input(right, None)?,
-                predicate.bind(&mode.params),
-            ),
+                left_width,
+            } => {
+                let mut own = BTreeSet::new();
+                predicate.columns_into(&mut own);
+                let (l, r) = join_reads(reads, &own, *left_width);
+                engine.nested_loop_join(
+                    input(left, l.as_ref())?,
+                    input(right, r.as_ref())?,
+                    predicate.bind(&mode.params),
+                )
+            }
             Plan::Aggregate {
                 input: child,
                 group_by,
@@ -1470,8 +1493,11 @@ impl Database {
                 exprs,
             } => {
                 let mut cols = BTreeSet::new();
-                for e in exprs {
-                    e.columns_into(&mut cols);
+                for (i, e) in exprs.iter().enumerate() {
+                    let unread = reads.is_some_and(|r| !r.contains(&i));
+                    if !(unread && matches!(e, exec::Expr::Col(_))) {
+                        e.columns_into(&mut cols);
+                    }
                 }
                 let exprs = exprs.iter().map(|e| e.bind(&mode.params)).collect();
                 Ok(engine.project(input(child, Some(&cols))?, exprs))
@@ -1888,6 +1914,29 @@ fn apply_own_write(
             }
         }
     }
+}
+
+/// Split the columns a join's consumers read (`reads`, numbered over
+/// `left ++ right`) into each input's own numbering, adding the columns
+/// the join itself reads (`own`, same numbering). `None` (every column)
+/// stays `None` on both sides.
+fn join_reads(
+    reads: Option<&BTreeSet<usize>>,
+    own: &BTreeSet<usize>,
+    left_width: usize,
+) -> (Option<BTreeSet<usize>>, Option<BTreeSet<usize>>) {
+    let Some(reads) = reads else {
+        return (None, None);
+    };
+    let (mut left, mut right) = (BTreeSet::new(), BTreeSet::new());
+    for &c in reads.iter().chain(own) {
+        if c < left_width {
+            left.insert(c);
+        } else {
+            right.insert(c - left_width);
+        }
+    }
+    (Some(left), Some(right))
 }
 
 /// The value of an index bound: a literal, or the statement parameter

@@ -9,6 +9,11 @@
 //!   statistics instead of cloning them into the planner.
 //! * Recovery over a multi-MiB log keeps its heap high-water mark under a
 //!   quarter of the log size: the log streams through one chunk.
+//! * GROUP BY allocates per batch and per new group, not per row: 64k
+//!   rows into 100 groups allocate no more than 4k rows do, plus a
+//!   constant per extra batch.
+//! * A buffer-pool miss that evicts a clean page allocates nothing: the
+//!   page is read straight into the frame it replaces.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -16,8 +21,9 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use sbdms_access::btree::BTree;
+use sbdms_access::exec::{AggFunc, AggSpec, Expr, VectorEngine, BATCH_ROWS};
 use sbdms_access::heap::Rid;
-use sbdms_access::record::Datum;
+use sbdms_access::record::{Datum, Tuple};
 use sbdms_data::ast::Statement;
 use sbdms_data::table::Table;
 use sbdms_data::txn::{TableResolver, TransactionManager, UndoOp};
@@ -216,4 +222,61 @@ fn recovery_streams_the_log() {
         (peak as u64) < log_len / 4,
         "recovery peaked at {peak} heap bytes over a {log_len}-byte log"
     );
+}
+
+/// Allocations made grouping `rows` rows into 100 groups, with every
+/// aggregate over INT arguments, in full batches.
+fn group_by_allocations(rows: i64) -> u64 {
+    let engine = VectorEngine::default();
+    let input: Vec<Tuple> = (0..rows)
+        .map(|i| vec![Datum::Int(i % 100), Datum::Int(i), Datum::Int(i * 3)])
+        .collect();
+    let aggs = vec![
+        AggSpec::new(AggFunc::CountAll, Expr::int(0)),
+        AggSpec::new(AggFunc::Count, Expr::col(1)),
+        AggSpec::new(AggFunc::Sum, Expr::col(1)),
+        AggSpec::new(AggFunc::Avg, Expr::col(2)),
+        AggSpec::new(AggFunc::Min, Expr::col(1)),
+        AggSpec::new(AggFunc::Max, Expr::col(2)),
+    ];
+    allocations(|| {
+        let out = engine.hash_aggregate(engine.values(input), vec![Expr::col(0)], aggs).unwrap();
+        assert_eq!(engine.collect(out).unwrap().len(), 100);
+    })
+    .0
+}
+
+#[test]
+fn group_by_allocates_per_batch_not_per_row() {
+    let (small, large) = (4 << 10, 64 << 10);
+    let extra_batches = ((large - small) / BATCH_ROWS as i64) as u64;
+    let (a_small, a_large) = (group_by_allocations(small), group_by_allocations(large));
+    assert!(
+        a_large <= a_small + 16 * extra_batches,
+        "GROUP BY allocated {a_small} times over {small} rows and {a_large} over {large}: \
+         more than 16 per extra batch, so it allocates per row"
+    );
+}
+
+#[test]
+fn a_buffer_miss_allocates_nothing() {
+    let engine = StorageEngine::open(scratch_dir("miss"), 4, PolicyKind::Lru).unwrap();
+    let pool = &engine.buffer;
+    let pages: Vec<u64> = (0..16).map(|_| pool.new_page().unwrap()).collect();
+    for &p in &pages {
+        pool.with_page_mut(p, |page| page.insert(b"row").unwrap()).unwrap();
+    }
+    pool.flush_all().unwrap();
+    // Every page has been through a frame once, so the pool's own maps
+    // are at their working size; the first half is no longer resident.
+    for &p in &pages {
+        pool.with_page(p, |_| ()).unwrap();
+    }
+    let misses = pool.stats().misses;
+    for &p in &pages[..8] {
+        let (n, slots) = allocations(|| pool.with_page(p, |page| page.slot_count()).unwrap());
+        assert_eq!(slots, 1);
+        assert_eq!(n, 0, "a miss on page {p} made {n} allocations");
+    }
+    assert_eq!(pool.stats().misses, misses + 8, "every read must have missed");
 }

@@ -100,16 +100,20 @@ impl RealFile {
 
 #[cfg(unix)]
 impl BackendFile for RealFile {
+    /// One `pread` in the common case: no `fstat` first. A short read
+    /// means end of file, and the rest of `buf` reads as zero.
     fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
         use std::os::unix::fs::FileExt;
-        let len = self.file.metadata()?.len();
-        if offset >= len {
-            buf.fill(0);
-            return Ok(());
+        let mut filled = 0;
+        while filled < buf.len() {
+            match self.file.read_at(&mut buf[filled..], offset + filled as u64) {
+                Ok(0) => break,
+                Ok(n) => filled += n,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
+            }
         }
-        let available = ((len - offset) as usize).min(buf.len());
-        self.file.read_exact_at(&mut buf[..available], offset)?;
-        buf[available..].fill(0);
+        buf[filled..].fill(0);
         Ok(())
     }
 

@@ -636,16 +636,15 @@ impl BufferPool {
                 if data.page_id != Some(id) {
                     // First load, or a previous loader failed: any latch
                     // holder may (re)load. The in-flight eviction snapshot,
-                    // when present, is newer than the disk image.
-                    let bytes;
-                    let image = match &snapshot {
-                        Some(snap) => snap.as_slice(),
-                        None => {
-                            bytes = self.disk.read_page(id)?;
-                            &bytes
-                        }
-                    };
-                    data.page = decode_page(image)?;
+                    // when present, is newer than the disk image. Either
+                    // lands in the frame's own page buffer.
+                    match &snapshot {
+                        Some(snap) => data.page.load(|buf| {
+                            buf.copy_from_slice(snap);
+                            Ok(())
+                        })?,
+                        None => data.page.load(|buf| self.disk.read_page_into(id, buf))?,
+                    }
                     data.page_id = Some(id);
                     data.dirty = false;
                 }
@@ -708,16 +707,6 @@ impl BufferPool {
                 None => return Ok(()),
             }
         }
-    }
-}
-
-fn decode_page(bytes: &[u8]) -> Result<Page> {
-    if bytes.iter().all(|&b| b == 0) {
-        // Never-written page: a fresh empty page (all-zero images have
-        // free_end == 0, which from_bytes rightly rejects).
-        Ok(Page::new())
-    } else {
-        Page::from_bytes(bytes)
     }
 }
 

@@ -158,16 +158,30 @@ impl DiskManager {
         out
     }
 
-    /// Read a page image. Reading a never-written page yields zeroes.
+    /// Read a page image into a fresh buffer. Reading a never-written
+    /// page yields zeroes.
     pub fn read_page(&self, id: PageId) -> Result<Vec<u8>> {
+        let mut buf = vec![0u8; PAGE_SIZE];
+        self.read_page_into(id, &mut buf)?;
+        Ok(buf)
+    }
+
+    /// Read a page image into `buf` (one [`PAGE_SIZE`] page), with no
+    /// allocation: the buffer pool's miss path reads straight into the
+    /// claimed frame.
+    pub fn read_page_into(&self, id: PageId, buf: &mut [u8]) -> Result<()> {
         if id == 0 {
             return Err(ServiceError::Storage("page 0 is reserved".into()));
         }
+        if buf.len() != PAGE_SIZE {
+            return Err(ServiceError::Storage(format!(
+                "page buffer must be {PAGE_SIZE} bytes, got {}",
+                buf.len()
+            )));
+        }
         self.reads.fetch_add(1, Ordering::Relaxed);
         self.observe(IoKind::Read, id);
-        let mut buf = vec![0u8; PAGE_SIZE];
-        self.file.read_at(id * PAGE_SIZE as u64, &mut buf)?;
-        Ok(buf)
+        self.file.read_at(id * PAGE_SIZE as u64, buf)
     }
 
     /// Write a page image.

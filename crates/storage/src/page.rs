@@ -69,12 +69,34 @@ impl Page {
         let mut data = Box::new([0u8; PAGE_SIZE]);
         data.copy_from_slice(bytes);
         let page = Page { data };
-        let slots = page.slot_count() as usize;
-        let free_end = page.free_end() as usize;
-        if HEADER_SIZE + slots * SLOT_SIZE > free_end || free_end > PAGE_SIZE {
+        if !page.header_ok() {
             return Err(ServiceError::Storage("corrupt page header".into()));
         }
         Ok(page)
+    }
+
+    /// Replace the image in place: `fill` writes raw bytes (a disk read)
+    /// into the page's own buffer, then the header is checked where it
+    /// lies, with no second copy. An all-zero image (a never-written
+    /// page) becomes an empty page, as [`Page::new`]. On an error the
+    /// contents are unspecified.
+    pub fn load(&mut self, fill: impl FnOnce(&mut [u8]) -> Result<()>) -> Result<()> {
+        fill(&mut self.data[..])?;
+        if self.header_ok() {
+            return Ok(());
+        }
+        if self.data.iter().all(|&b| b == 0) {
+            self.set_free_end(PAGE_SIZE as u16);
+            return Ok(());
+        }
+        Err(ServiceError::Storage("corrupt page header".into()))
+    }
+
+    /// Whether the slot directory fits below the payload heap.
+    fn header_ok(&self) -> bool {
+        let slots = self.slot_count() as usize;
+        let free_end = self.free_end() as usize;
+        HEADER_SIZE + slots * SLOT_SIZE <= free_end && free_end <= PAGE_SIZE
     }
 
     /// The raw page image.
