@@ -865,7 +865,6 @@ fn write_fresh(buffer: &BufferPool, page: PageId, bytes: &[u8]) -> Result<()> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use sbdms_storage::replacement::PolicyKind;
     use sbdms_storage::services::StorageEngine;
 
     fn btree(name: &str) -> BTree {
@@ -873,7 +872,7 @@ mod tests {
             .join("sbdms-btree-tests")
             .join(format!("{name}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let engine = StorageEngine::open(&dir, 64, PolicyKind::Lru).unwrap();
+        let engine = StorageEngine::open(&dir, 64).unwrap();
         BTree::create(engine.buffer).unwrap()
     }
 
@@ -1129,7 +1128,7 @@ mod tests {
             .join("sbdms-btree-tests")
             .join(format!("validate-bad-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let engine = StorageEngine::open(&dir, 64, PolicyKind::Lru).unwrap();
+        let engine = StorageEngine::open(&dir, 64).unwrap();
         let t = BTree::create(engine.buffer.clone()).unwrap();
         for i in 0..100i64 {
             t.insert(&k1(i), rid(i as u64)).unwrap();
@@ -1157,7 +1156,7 @@ mod tests {
             .join("sbdms-btree-tests")
             .join(format!("reopen-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let engine = StorageEngine::open(&dir, 64, PolicyKind::Lru).unwrap();
+        let engine = StorageEngine::open(&dir, 64).unwrap();
         let buffer = engine.buffer.clone();
 
         let meta = {
@@ -1231,7 +1230,7 @@ mod tests {
             .join("sbdms-btree-tests")
             .join(format!("damaged-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let engine = StorageEngine::open(&dir, 256, PolicyKind::Lru).unwrap();
+        let engine = StorageEngine::open(&dir, 256).unwrap();
         let t = BTree::create(engine.buffer.clone()).unwrap();
         let key = |i: i64| vec![Datum::Int(i), Datum::Str(format!("name-{i:05}-{}", "x".repeat(40)))];
         for i in 0..6000i64 {
@@ -1339,7 +1338,7 @@ mod tests {
                     .as_nanos()
             ));
             let _ = std::fs::remove_dir_all(&dir);
-            let engine = StorageEngine::open(&dir, 32, PolicyKind::Clock).unwrap();
+            let engine = StorageEngine::open(&dir, 32).unwrap();
             let t = BTree::create(engine.buffer).unwrap();
 
             let mut model: std::collections::BTreeSet<(i64, u64)> = Default::default();
@@ -1408,7 +1407,7 @@ mod tests {
                     .as_nanos()
             ));
             let _ = std::fs::remove_dir_all(&dir);
-            let engine = StorageEngine::open(&dir, 32, PolicyKind::Clock).unwrap();
+            let engine = StorageEngine::open(&dir, 32).unwrap();
             let t = BTree::create(engine.buffer).unwrap();
             let mut model: std::collections::BTreeSet<(i64, i64, u64)> = Default::default();
             for (i, &(a, b)) in pairs.iter().enumerate() {
@@ -1438,7 +1437,7 @@ mod tests {
             .join("sbdms-btree-tests")
             .join(format!("build-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let engine = StorageEngine::open(&dir, 64, PolicyKind::Lru).unwrap();
+        let engine = StorageEngine::open(&dir, 64).unwrap();
         let key = |i: i64| {
             let name = format!("{i:05}-{}", "p".repeat(30));
             vec![Datum::Int(i % 700), Datum::Str(name)]
@@ -1518,7 +1517,7 @@ mod tests {
                     .as_nanos()
             ));
             let _ = std::fs::remove_dir_all(&dir);
-            let engine = StorageEngine::open(&dir, 64, PolicyKind::Clock).unwrap();
+            let engine = StorageEngine::open(&dir, 64).unwrap();
             let key = |a: i64, b: i64| {
                 let mut key = vec![Datum::Int(a)];
                 if composite {

@@ -382,11 +382,24 @@ impl States {
     }
 }
 
+/// What a new group is charged to the query's memory account.
+#[derive(Clone, Copy)]
+enum Charge {
+    /// [`group_bytes`]: a GROUP BY group.
+    Group,
+    /// A DISTINCT row: its encoded row length (`encode_tuple`'s two
+    /// header bytes plus every field) and 48 bytes of set entry.
+    Row,
+}
+
 /// The grouped-aggregation kernel: fed batch by batch, it keeps the
 /// group values and aggregate states of every group seen so far.
+/// DISTINCT is the same kernel grouping by every column with no
+/// aggregates ([`Grouper::distinct`]).
 pub(super) struct Grouper {
     group_by: Vec<Expr>,
     aggs: Vec<AggSpec>,
+    charge: Charge,
     table: GroupTable,
     /// One column per GROUP BY expression, indexed by group id.
     keys: Vec<Vec<Datum>>,
@@ -404,11 +417,45 @@ impl Grouper {
             states: aggs.iter().map(|a| States::new(a.func)).collect(),
             group_by,
             aggs,
+            charge: Charge::Group,
             table: GroupTable::new(),
             groups: 0,
             hashes: Vec::new(),
             gids: Vec::new(),
         }
+    }
+
+    /// The DISTINCT kernel over rows of `width` columns: every column is
+    /// a key, and each new row is charged as [`Charge::Row`].
+    pub(super) fn distinct(width: usize) -> Grouper {
+        Grouper {
+            charge: Charge::Row,
+            ..Grouper::new((0..width).map(Expr::col).collect(), Vec::new())
+        }
+    }
+
+    /// Which of the batch's logical rows are the first of their key,
+    /// after every row seen before (DISTINCT's filter). Each new key is
+    /// charged to `ctx` as it is met.
+    pub(super) fn first_seen(&mut self, batch: &Batch, ctx: &ExecContext) -> Result<Vec<bool>> {
+        let cols = self
+            .group_by
+            .iter()
+            .map(|e| Column::of(e, batch))
+            .collect::<Result<Vec<_>>>()?;
+        let mut next = self.groups as u32;
+        self.map_rows(&cols, batch.rows(), ctx)?;
+        // Group ids are handed out in row order: a row is new iff it
+        // takes the next id.
+        Ok(self
+            .gids
+            .iter()
+            .map(|&g| {
+                let new = g == next;
+                next += u32::from(new);
+                new
+            })
+            .collect())
     }
 
     /// Fold one batch in. Each new group is charged to `ctx` with
@@ -457,7 +504,7 @@ impl Grouper {
         self.gids.clear();
         if group_cols.is_empty() {
             if rows > 0 && self.groups == 0 {
-                ctx.charge(group_bytes(0, std::iter::empty(), self.aggs.len()))?;
+                ctx.charge(self.new_group_bytes(0, std::iter::empty()))?;
                 self.add_group(std::iter::empty());
             }
             self.gids.resize(rows, 0);
@@ -484,7 +531,7 @@ impl Grouper {
                 Err(slot) => {
                     let values = group_cols.iter().map(|c| c.get(r));
                     let key_len = values.clone().map(encoded_len).sum();
-                    ctx.charge(group_bytes(key_len, values.clone(), self.aggs.len()))?;
+                    ctx.charge(self.new_group_bytes(key_len, values.clone()))?;
                     self.add_group(values);
                     self.table.insert(slot, self.hashes[r])
                 }
@@ -492,6 +539,14 @@ impl Grouper {
             self.gids.push(g);
         }
         Ok(())
+    }
+
+    /// The charge for a new group whose key encodes to `key_len` bytes.
+    fn new_group_bytes<'a>(&self, key_len: usize, values: impl Iterator<Item = &'a Datum>) -> u64 {
+        match self.charge {
+            Charge::Group => group_bytes(key_len, values, self.aggs.len()),
+            Charge::Row => 2 + key_len as u64 + 48,
+        }
     }
 
     fn add_group<'a>(&mut self, values: impl Iterator<Item = &'a Datum>) {

@@ -10,7 +10,6 @@
 //! do not depend on the batch size — which the differential suite in
 //! the data layer enforces byte-for-byte at batch 1, 64 and 1024.
 
-use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
 use sbdms_kernel::error::{Result, ServiceError};
@@ -359,10 +358,14 @@ pub trait PageSource: Send + 'static {
 /// Sequential scan of `pages` into batches of `width` columns. Records
 /// decode from the page frame straight into column vectors (no tuple per
 /// row, no transpose); every batch but the last holds exactly
-/// `batch_rows` rows. Memory is bounded by one batch plus one page, and
-/// every page boundary is one cooperative cancellation point. The
-/// source is dropped as soon as it has no more rows (or fails), which
-/// releases whatever it holds before the last batches drain.
+/// `batch_rows` rows. A batch takes the pending column vectors whole:
+/// no decoded datum is copied again, only the rest of the page behind
+/// the batch moves into fresh vectors (a page much longer than the batch
+/// is cut into copied windows instead). Memory is bounded by one batch
+/// plus one page, and every page boundary is one cooperative
+/// cancellation point. The source is dropped as soon as it has no more
+/// rows (or fails), which releases whatever it holds before the last
+/// batches drain.
 pub fn scan_batches(
     pages: Vec<PageId>,
     width: usize,
@@ -381,7 +384,9 @@ pub fn scan_batches(
     })
 }
 
-/// The state of one [`scan_batches`] stream.
+/// The state of one [`scan_batches`] stream. Pages decode into
+/// `pending`; a batch takes the pending vectors whole (see
+/// [`HeapScan::cut`]).
 struct HeapScan<S> {
     pages: std::vec::IntoIter<PageId>,
     /// `None` once the last page and the tail are read.
@@ -435,12 +440,26 @@ impl<S: PageSource> HeapScan<S> {
         }
     }
 
-    /// Move the next `n` pending rows out into a batch.
+    /// Move the next `n` pending rows out into a batch. When no more
+    /// than a batch of rows would stay behind (in a steady scan, the
+    /// rest of one page), the batch takes the pending vectors whole and
+    /// only the rows behind it move into fresh ones. Otherwise (a page
+    /// much longer than the batch) the `n` rows are moved out of a
+    /// window and `head` steps past them.
     fn cut(&mut self, n: usize) -> Batch {
-        let columns = if self.head == 0 && n == self.rows {
-            // Everything pending: hand the vectors over whole.
-            self.rows = 0;
-            self.pending.iter_mut().map(std::mem::take).collect()
+        let rest = self.rows - self.head - n;
+        let columns = if self.head == 0 && rest <= self.batch_rows {
+            self.rows = rest;
+            let more = self.source.is_some();
+            self.pending
+                .iter_mut()
+                .map(|col| {
+                    // Room for the next page, unless no page follows.
+                    let mut behind = Vec::with_capacity(if more { col.capacity() } else { rest });
+                    behind.extend(col.drain(n..));
+                    std::mem::replace(col, behind)
+                })
+                .collect()
         } else {
             let window = self.head..self.head + n;
             self.head += n;
@@ -572,11 +591,15 @@ pub fn limit_batches(input: BatchStream, n: usize, offset: usize) -> BatchStream
     }))
 }
 
-/// Remove duplicate rows, streaming in first-occurrence order, keyed on
-/// the canonical row encoding. Every batch is a cancellation point and
-/// each retained key is charged against the query's memory account.
+/// Remove duplicate rows, streaming in first-occurrence order. Rows are
+/// told apart by their canonical encoding (as `encode_row` writes it),
+/// decided by the GROUP BY kernel's group table without encoding: a row
+/// is hashed a column at a time and compared in place, and only a new
+/// row's values are kept. Every batch is a cancellation point and each
+/// new row is charged against the query's memory account (its encoded
+/// length plus 48 bytes of set entry).
 pub fn distinct_batches(input: BatchStream, ctx: ExecContext) -> BatchStream {
-    let mut seen: HashSet<Vec<u8>> = HashSet::new();
+    let mut seen: Option<Grouper> = None;
     Box::new(input.filter_map(move |batch| {
         let batch = match batch {
             Ok(b) => b,
@@ -585,21 +608,11 @@ pub fn distinct_batches(input: BatchStream, ctx: ExecContext) -> BatchStream {
         if let Err(e) = ctx.check() {
             return Some(Err(e));
         }
-        let mut mask = Vec::with_capacity(batch.rows());
-        for r in 0..batch.rows() {
-            let enc = batch.encode_row(r);
-            if seen.contains(&enc) {
-                mask.push(false);
-                continue;
-            }
-            // Key bytes plus fixed hash-set entry overhead.
-            if let Err(e) = ctx.charge(enc.len() as u64 + 48) {
-                return Some(Err(e));
-            }
-            seen.insert(enc);
-            mask.push(true);
-        }
-        let out = batch.retain(&mask);
+        let seen = seen.get_or_insert_with(|| Grouper::distinct(batch.width()));
+        let out = match seen.first_seen(&batch, &ctx) {
+            Ok(mask) => batch.retain(&mask),
+            Err(e) => return Some(Err(e)),
+        };
         if out.is_empty() {
             None
         } else {
@@ -983,7 +996,6 @@ mod tests {
         use crate::heap::HeapFile;
         use crate::record::{decode_tuple, decode_tuple_into, encode_tuple};
         use sbdms_storage::buffer::BufferPool;
-        use sbdms_storage::replacement::PolicyKind;
         use sbdms_storage::services::StorageEngine;
         use std::sync::Arc;
 
@@ -1004,7 +1016,7 @@ mod tests {
             .join("sbdms-batch-tests")
             .join(format!("scan-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let engine = StorageEngine::open(&dir, 8, PolicyKind::Lru).unwrap();
+        let engine = StorageEngine::open(&dir, 8).unwrap();
         let heap = HeapFile::create(engine.buffer.clone()).unwrap();
         let mut rids = Vec::new();
         for i in 0..300i64 {

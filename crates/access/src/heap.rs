@@ -568,7 +568,6 @@ fn next_dir(p: &Page) -> u64 {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use sbdms_storage::replacement::PolicyKind;
     use sbdms_storage::services::StorageEngine;
 
     impl HeapFile {
@@ -605,7 +604,7 @@ mod tests {
             .join("sbdms-heap-tests")
             .join(format!("{name}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let engine = StorageEngine::open(&dir, frames, PolicyKind::Lru).unwrap();
+        let engine = StorageEngine::open(&dir, frames).unwrap();
         HeapFile::create(engine.buffer).unwrap()
     }
 
@@ -685,7 +684,7 @@ mod tests {
             .join("sbdms-heap-tests")
             .join(format!("reopen-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let engine = StorageEngine::open(&dir, 16, PolicyKind::Lru).unwrap();
+        let engine = StorageEngine::open(&dir, 16).unwrap();
         let buffer = engine.buffer.clone();
 
         let h = HeapFile::create(buffer.clone()).unwrap();
@@ -836,7 +835,7 @@ mod tests {
             .join("sbdms-heap-tests")
             .join(format!("space-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let engine = StorageEngine::open(&dir, 16, PolicyKind::Lru).unwrap();
+        let engine = StorageEngine::open(&dir, 16).unwrap();
         let h = HeapFile::create(engine.buffer.clone()).unwrap();
         assert_eq!(h.space(), Some(HeapSpace { data_pages: 0, free_bytes: 0 }));
         let rids: Vec<Rid> = (0..300)
@@ -932,7 +931,7 @@ mod tests {
                     std::process::id()
                 ));
                 let _ = std::fs::remove_dir_all(&dir);
-                let engine = StorageEngine::open(&dir, 8, PolicyKind::Lru).unwrap();
+                let engine = StorageEngine::open(&dir, 8).unwrap();
                 (HeapFile::create(engine.buffer).unwrap(), dir)
             };
             let ((mapped, dir_a), (walked, dir_b)) = (open("map"), open("walk"));

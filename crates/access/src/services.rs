@@ -371,7 +371,6 @@ impl Service for IndexService {
 mod tests {
     use super::*;
     use sbdms_kernel::bus::ServiceBus;
-    use sbdms_storage::replacement::PolicyKind;
     use sbdms_storage::services::StorageEngine;
 
     fn setup(name: &str) -> (ServiceBus, sbdms_kernel::service::ServiceId, sbdms_kernel::service::ServiceId) {
@@ -379,7 +378,7 @@ mod tests {
             .join("sbdms-access-svc-tests")
             .join(format!("{name}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let engine = StorageEngine::open(&dir, 64, PolicyKind::Lru).unwrap();
+        let engine = StorageEngine::open(&dir, 64).unwrap();
         let bus = ServiceBus::new();
         let heap_id = bus
             .deploy(HeapService::new("heap", engine.buffer.clone()).into_ref())

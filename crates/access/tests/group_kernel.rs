@@ -7,11 +7,16 @@
 //! of the cases SUMs leave INT and must fail. At batch sizes 1, 64 and
 //! 1024 the output rows, their first-seen order and the memory charged
 //! must all be the reference's.
+//!
+//! DISTINCT runs on the same kernel; it is checked against the set of
+//! encoded rows it used to keep (`encode_tuple` bytes in a `HashSet`,
+//! first-seen order, each new row charged its encoded length plus 48),
+//! over the same keys, with and without a selection vector.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 
 use proptest::prelude::*;
-use sbdms_access::exec::{AggFunc, AggSpec, Expr, UnaryOp, VectorEngine};
+use sbdms_access::exec::{AggFunc, AggSpec, BinOp, Expr, UnaryOp, VectorEngine};
 use sbdms_access::record::{encode_tuple, Datum, Tuple};
 use sbdms_kernel::governor::{CancelToken, ExecContext, QueryMemory};
 
@@ -230,6 +235,59 @@ proptest! {
                     prop_assert!(err.to_string().contains("integer overflow"));
                 }
             }
+        }
+    }
+}
+
+/// DISTINCT as it was before it ran on the grouping kernel: the rows
+/// whose `encode_tuple` bytes are new, in order, and the bytes charged.
+fn distinct_reference(rows: &[Tuple]) -> (Vec<Tuple>, u64) {
+    let mut seen = HashSet::new();
+    let mut charged = 0;
+    let mut out = Vec::new();
+    for row in rows {
+        let enc = encode_tuple(row);
+        if !seen.contains(&enc) {
+            charged += enc.len() as u64 + 48;
+            seen.insert(enc);
+            out.push(row.clone());
+        }
+    }
+    (out, charged)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+    #[test]
+    fn distinct_matches_encoded_row_set(
+        picks in proptest::collection::vec((0usize..9, 0usize..6, 0usize..10), 0..400),
+        filtered in any::<bool>(),
+    ) {
+        let rows: Vec<Tuple> = picks
+            .iter()
+            .map(|&(a, b, v)| vec![key_a(a), key_b(b), value(v)])
+            .collect();
+        // Filtering hands DISTINCT batches with a selection vector.
+        let keep = Expr::Binary(BinOp::Ne, Box::new(Expr::col(2)), Box::new(Expr::int(0)));
+        let input: Vec<Tuple> = if filtered {
+            rows.iter().filter(|r| keep.eval(r).unwrap().is_true()).cloned().collect()
+        } else {
+            rows.clone()
+        };
+        let (want, want_charge) = distinct_reference(&input);
+        for batch_rows in [1, 64, 1024] {
+            let memory = QueryMemory::new(u64::MAX, None);
+            let engine = VectorEngine {
+                batch_rows,
+                ctx: ExecContext::new(CancelToken::new(), memory.clone()),
+            };
+            let mut stream = engine.values(rows.clone());
+            if filtered {
+                stream = engine.filter(stream, keep.clone());
+            }
+            let got = engine.collect(engine.distinct(stream)).unwrap();
+            prop_assert_eq!(encoded(&got), encoded(&want), "batch {}", batch_rows);
+            prop_assert_eq!(memory.used(), want_charge, "batch {}", batch_rows);
         }
     }
 }

@@ -724,8 +724,8 @@ fn e12(smoke: bool) -> f64 {
     use sbdms::access::exec::hash_join_phases;
     use sbdms_bench::experiments::{
         e12_dim, e12_dim_dup, e12_dim_highndv, e12_fact, e12_join, e12_join_highndv,
-        e12_join_rows, e12_scan_filter_aggregate, e12_sql_db, e12_sql_shapes,
-        E12_SQL_DIM, E12_SQL_ROWS,
+        e12_join_rows, e12_scan_filter_aggregate, e12_scan_layer, e12_sql_db, e12_sql_shapes,
+        E12_SCAN_LAYERS, E12_SQL_DIM, E12_SQL_ROWS,
     };
 
     println!("\nE12 — vectorized execution: full batches vs one row per batch");
@@ -846,6 +846,16 @@ fn e12(smoke: bool) -> f64 {
         println!("    {name:<10} {:>8.2}ms  {sql}", ms(d));
         sql_ms.push(format!("\"{name}\": {:.2}", ms(d)));
     }
+    // The same scan of `t`, one layer at a time (see E12_SCAN_LAYERS).
+    println!("  scan of t by layer (cumulative, median of {sql_iters}):");
+    let mut layer_ms = Vec::new();
+    for (layer, name) in E12_SCAN_LAYERS.iter().enumerate() {
+        let d = median(sql_iters, || {
+            std::hint::black_box(e12_scan_layer(&db, layer));
+        });
+        println!("    {name:<10} {:>8.2}ms", ms(d));
+        layer_ms.push(format!("\"{name}\": {:.2}", ms(d)));
+    }
     drop(session);
     drop(db);
 
@@ -859,22 +869,21 @@ fn e12(smoke: bool) -> f64 {
         return join_x;
     }
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_e12.json");
-    // The SQL rows compare this build with the last recorded run: the
-    // numbers the file holds move to `sql_shapes_ms_previous`.
-    let sql_now = format!(
-        "{{\"date\": \"{}\", {}}}",
-        today_utc(),
-        sql_ms.join(", ")
-    );
-    let sql_previous = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|old| {
-            old.lines().find_map(|l| {
-                let v = l.trim().strip_prefix("\"sql_shapes_ms\": ")?;
-                Some(v.trim_end_matches(',').to_string())
-            })
-        })
-        .unwrap_or_else(|| "null".to_string());
+    // The SQL rows and scan layers compare this build with the last
+    // recorded run: the numbers the file holds move to the `_previous`
+    // fields.
+    let now = |entries: &[String]| {
+        format!("{{\"date\": \"{}\", {}}}", today_utc(), entries.join(", "))
+    };
+    let (sql_now, layers_now) = (now(&sql_ms), now(&layer_ms));
+    let old = std::fs::read_to_string(path).unwrap_or_default();
+    let previous = |key: &str| {
+        let prefix = format!("\"{key}\": ");
+        old.lines()
+            .find_map(|l| Some(l.trim().strip_prefix(&prefix)?.trim_end_matches(',').to_string()))
+            .unwrap_or_else(|| "null".to_string())
+    };
+    let (sql_previous, layers_previous) = (previous("sql_shapes_ms"), previous("scan_layers_ms"));
     let json = format!(
         r#"{{
   "experiment": "E12",
@@ -904,6 +913,10 @@ fn e12(smoke: bool) -> f64 {
       "d_rows": {E12_SQL_DIM},
       "buffer_frames": 256,
       "timing": "Session::execute in process under MVCC, median of {sql_iters} after one warmup; sql_shapes_ms_previous is the run this file held before"
+    }},
+    "scan_layers": {{
+      "layers": ["io: pread every data page of t, no pool", "miss: + fetch each through the 256-frame pool (every fetch misses)", "walk: + visit each live record", "decode: + decode k and v into column vectors (pad skipped, as scan_mix reads t)", "batches: + cut into {BATCH_ROWS}-row batches (scan_batches)", "table_read: the TableScan leaf under an MVCC read snapshot, projected to k and v"],
+      "timing": "cumulative: each layer includes the ones before it; median of {sql_iters} sweeps after one warmup; scan_layers_ms_previous is the run this file held before"
     }},
     "baseline": "the same engine at batch_rows = 1; until 2026-10 the baseline was the deleted tuple-at-a-time engine",
     "note": "pre-materialised rows; min-of-{iters} timing; each run consumes a fresh input clone built outside the timer"
@@ -939,7 +952,9 @@ fn e12(smoke: bool) -> f64 {
       "high_ndv": {{"build": {b2:.3}, "probe": {p2:.3}, "gather": {g2:.3}}}
     }},
     "sql_shapes_ms_previous": {sql_previous},
-    "sql_shapes_ms": {sql_now}
+    "sql_shapes_ms": {sql_now},
+    "scan_layers_ms_previous": {layers_previous},
+    "scan_layers_ms": {layers_now}
   }},
   "acceptance": {{
     "full_batch_2x_on_scan_filter_aggregate": {accept_sfa},
@@ -1618,13 +1633,12 @@ fn e17(smoke: bool) {
 fn a1(smoke: bool) {
     use sbdms::access::exec::join::JoinAlgorithm;
     use sbdms::data::txn::Durability;
-    use sbdms::data::{Database, DbOptions, Table};
+    use sbdms::data::Database;
     use sbdms::kernel::bus::ServiceBus;
     use sbdms::kernel::contract::{Assertion, Contract};
     use sbdms::kernel::interface::{Interface, Operation, Param};
     use sbdms::kernel::service::FnService;
     use sbdms::kernel::value::TypeTag;
-    use sbdms::storage::replacement::PolicyKind;
     use sbdms_bench::bench_dir;
 
     println!("\nA1 — ablations");
@@ -1700,54 +1714,6 @@ fn a1(smoke: bool) {
             s.execute(sql).unwrap();
         });
         print!("{name}={:.2}ms  ", d.as_nanos() as f64 / 1e6);
-    }
-    println!();
-
-    // Buffer replacement policy on a miss-heavy loop: uniformly random
-    // indexed point reads over a table 2.5x the pool, so most reads
-    // evict a page.
-    let (frames, reads) = if smoke { (32usize, 2_000u32) } else { (128, 50_000) };
-    print!("  replacement ({frames}-frame pool): ");
-    for (name, replacement) in [("lru", PolicyKind::Lru), ("clock", PolicyKind::Clock)] {
-        let opts = DbOptions {
-            buffer_frames: frames,
-            replacement,
-            ..DbOptions::default()
-        };
-        let db = Database::open_opts(bench_dir("rep-a1-repl"), opts).unwrap();
-        let s = db.session();
-        s.execute("CREATE TABLE t (k INT NOT NULL, v INT NOT NULL, pad TEXT NOT NULL)")
-            .unwrap();
-        s.execute("CREATE INDEX t_k ON t (k)").unwrap();
-        let mut rows = 0i64;
-        let pages = loop {
-            let batch: Vec<String> = (rows..rows + 250)
-                .map(|k| format!("({k}, {}, '{}')", k * 3, "x".repeat(100)))
-                .collect();
-            s.execute(&format!("INSERT INTO t VALUES {}", batch.join(","))).unwrap();
-            rows += 250;
-            let pages = Table::open(db.catalog(), "t").unwrap().heap().data_pages().unwrap().len();
-            if pages * 2 >= frames * 5 {
-                break pages;
-            }
-        };
-        let before = db.storage().buffer.stats();
-        // xorshift64: the same key sequence for both policies.
-        let mut x = 0x9E37_79B9_7F4A_7C15u64;
-        let d = time(reads, || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            let k = (x % rows as u64) as i64;
-            s.execute(&format!("SELECT v FROM t WHERE k = {k}")).unwrap();
-        });
-        let after = db.storage().buffer.stats();
-        let (hits, misses) = (after.hits - before.hits, after.misses - before.misses);
-        print!(
-            "{name}={:.1}µs/read (hit ratio {:.3}, {pages} pages)  ",
-            d.as_nanos() as f64 / 1e3,
-            hits as f64 / (hits + misses).max(1) as f64
-        );
     }
     println!();
 }

@@ -371,7 +371,6 @@ pub mod experiments {
 
     use sbdms::data::executor::{Database, DbOptions};
     use sbdms::data::Session;
-    use sbdms::storage::replacement::PolicyKind;
     use sbdms::storage::{BufferPool, DiskManager};
 
     /// E9: a warmed buffer pool with `shards` lock stripes and one frame
@@ -382,7 +381,7 @@ pub mod experiments {
         let dir = bench_dir(&format!("e9-pool-{shards}"));
         std::fs::create_dir_all(&dir).unwrap();
         let disk = Arc::new(DiskManager::open(dir.join("data.db")).unwrap());
-        let pool = Arc::new(BufferPool::new_sharded(disk, pages, PolicyKind::Lru, shards));
+        let pool = Arc::new(BufferPool::new_sharded(disk, pages, shards));
         let ids: Vec<u64> = (0..pages)
             .map(|i| {
                 let id = pool.new_page().unwrap();
@@ -925,6 +924,107 @@ pub mod experiments {
             ("group_by", format!("SELECT v, COUNT(*), SUM(k) FROM t WHERE v >= {c} GROUP BY v")),
             ("join", format!("SELECT SUM(d.w), COUNT(*) FROM t JOIN d ON t.v = d.dv WHERE d.w < {c}")),
         ]
+    }
+
+    /// The layers of one full scan of the E12 table `t`, cheapest first:
+    /// each sweeps every data page in storage order and adds one layer
+    /// to the one before, so the difference between neighbours is what
+    /// that layer costs.
+    /// - `io`: read each page from the data file, no pool;
+    /// - `miss`: fetch each page through the pool (the table is 2.7x the
+    ///   pool, so in a sweep every fetch misses and evicts);
+    /// - `walk`: visit each live record on the frame;
+    /// - `decode`: decode the records into column vectors, `k` and `v`
+    ///   only, as the `scan_mix` shapes read them (`pad` stays NULL);
+    /// - `batches`: cut the columns into `BATCH_ROWS`-row batches
+    ///   (`scan_batches`);
+    /// - `table_read`: the `TableScan` leaf under an MVCC read snapshot,
+    ///   the read every `scan_mix` statement makes, below a projection
+    ///   of `k` and `v` that prunes `pad` as those statements do.
+    pub const E12_SCAN_LAYERS: [&str; 6] =
+        ["io", "miss", "walk", "decode", "batches", "table_read"];
+
+    /// One sweep of layer `E12_SCAN_LAYERS[layer]` over `t`; returns the
+    /// rows (or, for `io` and `miss`, the pages) it saw.
+    pub fn e12_scan_layer(db: &Database, layer: usize) -> usize {
+        use sbdms::access::exec::batch::{scan_batches, PageSource};
+        use sbdms::access::exec::BATCH_ROWS;
+        use sbdms::access::heap::HeapFile;
+        use sbdms::access::record::decode_tuple_into;
+        use sbdms::data::Plan;
+        use sbdms::kernel::governor::ExecContext;
+        use sbdms::storage::{PageId, PAGE_SIZE};
+
+        /// Every live record of a page, `k` and `v` decoded.
+        struct Decode(Arc<BufferPool>);
+        impl PageSource for Decode {
+            fn page(
+                &mut self,
+                page: PageId,
+                columns: &mut [Vec<Datum>],
+            ) -> sbdms::kernel::error::Result<usize> {
+                let mut rows = 0;
+                HeapFile::walk_page(&self.0, page, |_, record| {
+                    rows += 1;
+                    decode_tuple_into(record, columns, Some(&[true, true, false]))
+                })?;
+                Ok(rows)
+            }
+        }
+
+        let t = db.table("t").unwrap();
+        let pages = t.heap().data_pages().unwrap();
+        let width = t.schema().len();
+        let buffer = db.storage().buffer.clone();
+        match E12_SCAN_LAYERS[layer] {
+            "io" => {
+                let mut buf = vec![0u8; PAGE_SIZE];
+                for &p in &pages {
+                    db.storage().disk.read_page_into(p, &mut buf).unwrap();
+                }
+                pages.len()
+            }
+            "miss" => {
+                for &p in &pages {
+                    buffer.with_page(p, |_| ()).unwrap();
+                }
+                pages.len()
+            }
+            "walk" => {
+                let mut rows = 0;
+                for &p in &pages {
+                    HeapFile::walk_page(&buffer, p, |_, _| {
+                        rows += 1;
+                        Ok(())
+                    })
+                    .unwrap();
+                }
+                rows
+            }
+            "decode" => {
+                let (mut decode, mut rows) = (Decode(buffer), 0);
+                let mut columns = vec![Vec::new(); width];
+                for &p in &pages {
+                    columns.iter_mut().for_each(Vec::clear);
+                    rows += decode.page(p, &mut columns).unwrap();
+                }
+                rows
+            }
+            "batches" => {
+                let ctx = ExecContext::default();
+                let scan = scan_batches(pages, width, Decode(buffer), BATCH_ROWS, ctx);
+                scan.map(|b| b.unwrap().rows()).sum()
+            }
+            _ => {
+                let engine = VectorEngine::default();
+                let plan = Plan::Project {
+                    input: Box::new(Plan::TableScan { table: "t".into() }),
+                    exprs: vec![Expr::col(0), Expr::col(1)],
+                };
+                let scan = db.run_plan_with(&engine, &plan).unwrap();
+                scan.map(|b| b.unwrap().rows()).sum()
+            }
+        }
     }
 
     // --- E13: overload protection under concurrent sessions -------------
@@ -1850,6 +1950,16 @@ mod tests {
         let got = s.execute(&join).unwrap().rows;
         let want = vec![Datum::Int(matched.iter().sum()), Datum::Int(matched.len() as i64)];
         assert_eq!(got, vec![want]);
+    }
+
+    #[test]
+    fn e12_scan_layers_see_every_page_and_row() {
+        let rows = 3_000;
+        let db = e12_sql_db(rows);
+        let pages = db.table("t").unwrap().heap().data_pages().unwrap().len();
+        let seen: Vec<usize> =
+            (0..E12_SCAN_LAYERS.len()).map(|layer| e12_scan_layer(&db, layer)).collect();
+        assert_eq!(seen, [pages, pages, rows, rows, rows, rows]);
     }
 
     #[test]

@@ -24,7 +24,6 @@ use sbdms_kernel::error::{Result, ServiceError};
 use sbdms_kernel::interface::{Interface, Operation, Param};
 use sbdms_kernel::service::{FnService, ServiceId, ServiceRef};
 use sbdms_kernel::value::{TypeTag, Value};
-use sbdms_storage::replacement::PolicyKind;
 use sbdms_storage::services::StorageEngine;
 
 /// The four architectural styles of paper Fig. 1.
@@ -161,7 +160,7 @@ pub struct StyleUnderTest {
 impl StyleUnderTest {
     /// Build a style instance over a fresh engine in `dir`.
     pub fn new(style: ArchitectureStyle, dir: impl AsRef<std::path::Path>) -> Result<StyleUnderTest> {
-        let storage = StorageEngine::open(dir, 128, PolicyKind::Lru)?;
+        let storage = StorageEngine::open(dir, 128)?;
         let heap = HeapFile::create(storage.buffer.clone())?;
         let index = BTree::create(storage.buffer.clone())?;
         let engine = Arc::new(Engine { heap, index });

@@ -15,7 +15,6 @@ use sbdms_data::ConcurrencyControl;
 use sbdms_kernel::binding::BindingKind;
 use sbdms_kernel::governor::GovernorConfig;
 use sbdms_kernel::resilience::{BreakerConfig, InvokePolicy};
-use sbdms_storage::replacement::PolicyKind;
 
 /// Which functional services a deployment installs (paper Fig. 2 layers
 /// plus individual extensions). Downsizing = turning entries off
@@ -172,8 +171,11 @@ pub struct ArchitectureConfig {
     pub binding: BindingKind,
     /// Buffer pool frames.
     pub buffer_frames: usize,
-    /// Replacement policy.
-    pub replacement: PolicyKind,
+    /// Retired: the buffer pool's only replacement policy is Clock, so
+    /// this field holds nothing. It stays only because the benchmark's
+    /// option literal (`perfbench/src/setup.rs`) names it; it goes with
+    /// the next change to the benchmark (ROADMAP item 10).
+    pub replacement: (),
     /// Buffer pool lock stripes; `None` derives a count from the
     /// capacity.
     pub buffer_shards: Option<usize>,
@@ -230,7 +232,7 @@ impl ArchitectureConfig {
                 services: ServiceSelection::all(),
                 binding: BindingKind::InProcess,
                 buffer_frames: 256,
-                replacement: PolicyKind::Lru,
+                replacement: (),
                 // A server-class deployment expects concurrent sessions:
                 // stripe the pool, scan and sort on worker threads, and
                 // cache plans for repeated statements.
@@ -281,7 +283,7 @@ impl ArchitectureConfig {
                 services: ServiceSelection::minimal(),
                 binding: BindingKind::InProcess,
                 buffer_frames: 16,
-                replacement: PolicyKind::Clock,
+                replacement: (),
                 // One core, little RAM: a single stripe, serial
                 // execution, a small sort budget, and no plan cache.
                 buffer_shards: Some(1),

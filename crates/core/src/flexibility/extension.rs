@@ -101,7 +101,6 @@ pub fn page_coordinator(name: &str, pool: Arc<BufferPool>) -> ServiceRef {
 mod tests {
     use super::*;
     use sbdms_kernel::events::Event;
-    use sbdms_storage::replacement::PolicyKind;
     use sbdms_storage::services::StorageEngine;
 
     fn pool(name: &str) -> Arc<BufferPool> {
@@ -109,7 +108,7 @@ mod tests {
             .join("sbdms-flex-ext-tests")
             .join(format!("{name}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        StorageEngine::open(&dir, 8, PolicyKind::Lru).unwrap().buffer
+        StorageEngine::open(&dir, 8).unwrap().buffer
     }
 
     #[test]

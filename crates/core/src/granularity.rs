@@ -26,7 +26,6 @@ use sbdms_kernel::error::{Result, ServiceError};
 use sbdms_kernel::interface::{Interface, Operation, Param};
 use sbdms_kernel::service::{FnService, ServiceId, ServiceRef};
 use sbdms_kernel::value::{TypeTag, Value};
-use sbdms_storage::replacement::PolicyKind;
 use sbdms_storage::services::StorageEngine;
 
 /// Decomposition depth.
@@ -101,7 +100,7 @@ impl GranularDeployment {
         binding: BindingKind,
         dir: impl AsRef<std::path::Path>,
     ) -> Result<GranularDeployment> {
-        let storage = StorageEngine::open(dir, 128, PolicyKind::Lru)?;
+        let storage = StorageEngine::open(dir, 128)?;
         let heap = Arc::new(HeapFile::create(storage.buffer.clone())?);
         let bus = ServiceBus::new();
 

@@ -105,7 +105,7 @@ impl Sbdms {
     pub fn deploy(config: ArchitectureConfig) -> Result<Sbdms> {
         let opts = DbOptions {
             buffer_frames: config.buffer_frames,
-            replacement: config.replacement,
+            replacement: (),
             buffer_shards: config.buffer_shards,
             sort_budget: config.sort_budget,
             parallelism: config.parallelism,
@@ -187,14 +187,7 @@ impl Sbdms {
                     BufferService::new("buffer", storage.buffer.clone()).into_ref(),
                 )
                 .with_reference(Reference::optional("disk", DISK_INTERFACE))
-                .with_property("frames", self.config.buffer_frames as i64)
-                .with_property(
-                    "policy",
-                    match self.config.replacement {
-                        sbdms_storage::replacement::PolicyKind::Lru => "lru",
-                        sbdms_storage::replacement::PolicyKind::Clock => "clock",
-                    },
-                ),
+                .with_property("frames", self.config.buffer_frames as i64),
             );
         }
         if selection.log {
@@ -699,10 +692,6 @@ mod tests {
         assert_eq!(
             system.bus().properties().get_int("component.buffer.frames"),
             Some(256)
-        );
-        assert_eq!(
-            system.bus().properties().get("component.buffer.policy").unwrap(),
-            Value::Str("lru".into())
         );
     }
 

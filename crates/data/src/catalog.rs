@@ -378,7 +378,6 @@ impl Catalog {
 mod tests {
     use super::*;
     use crate::schema::{Column, ColumnType};
-    use sbdms_storage::replacement::PolicyKind;
     use sbdms_storage::services::StorageEngine;
 
     fn fresh(name: &str) -> (Arc<BufferPool>, std::path::PathBuf) {
@@ -386,7 +385,7 @@ mod tests {
             .join("sbdms-catalog-tests")
             .join(format!("{name}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let engine = StorageEngine::open(&dir, 32, PolicyKind::Lru).unwrap();
+        let engine = StorageEngine::open(&dir, 32).unwrap();
         (engine.buffer, dir)
     }
 
@@ -431,7 +430,7 @@ mod tests {
             .join(format!("reopen-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         {
-            let engine = StorageEngine::open(&dir, 32, PolicyKind::Lru).unwrap();
+            let engine = StorageEngine::open(&dir, 32).unwrap();
             let catalog = Catalog::open(engine.buffer.clone()).unwrap();
             catalog.create_table(users_meta(7)).unwrap();
             catalog
@@ -442,7 +441,7 @@ mod tests {
                 .unwrap();
             engine.buffer.flush_all().unwrap();
         }
-        let engine = StorageEngine::open(&dir, 32, PolicyKind::Lru).unwrap();
+        let engine = StorageEngine::open(&dir, 32).unwrap();
         let catalog = Catalog::open(engine.buffer).unwrap();
         assert_eq!(catalog.table("users").unwrap().heap_dir_page, 7);
         assert_eq!(catalog.view("adults").unwrap().query, "SELECT * FROM users");

@@ -21,7 +21,6 @@ use sbdms_kernel::governor::{CancelToken, ExecContext, Governor, GovernorConfig}
 use sbdms_kernel::mvcc::{Mvcc, ReadSnapshot, Ts, Visibility};
 use sbdms_storage::buffer::BufferPool;
 use sbdms_storage::page::{PageId, SlotId};
-use sbdms_storage::replacement::PolicyKind;
 use sbdms_storage::services::StorageEngine;
 
 use crate::ast::{AstExpr, Statement};
@@ -75,14 +74,17 @@ impl QueryResult {
 }
 
 /// Tunables for opening a [`Database`]. The defaults match the seed
-/// engine: 256-frame LRU pool, 8 MiB sort budget, serial execution,
-/// and a modest plan cache.
+/// engine: 256-frame pool, 8 MiB sort budget, serial execution, and a
+/// modest plan cache.
 #[derive(Debug, Clone)]
 pub struct DbOptions {
     /// Buffer pool capacity in frames.
     pub buffer_frames: usize,
-    /// Buffer replacement policy.
-    pub replacement: PolicyKind,
+    /// Retired: the buffer pool's only replacement policy is Clock, so
+    /// this field holds nothing. It stays only because the benchmark's
+    /// option literal (`perfbench/src/setup.rs`) names it; it goes with
+    /// the next change to the benchmark (ROADMAP item 10).
+    pub replacement: (),
     /// Buffer pool shard count; `None` derives one from the capacity.
     pub buffer_shards: Option<usize>,
     /// Sort memory budget in bytes before spilling to disk.
@@ -117,7 +119,7 @@ impl Default for DbOptions {
     fn default() -> DbOptions {
         DbOptions {
             buffer_frames: 256,
-            replacement: PolicyKind::Lru,
+            replacement: (),
             buffer_shards: None,
             sort_budget: 8 << 20,
             parallelism: 1,
@@ -211,7 +213,7 @@ pub struct Database {
 
 impl Database {
     /// Open (or create) a database in `dir` with default settings
-    /// (256-frame LRU buffer pool). Runs crash recovery.
+    /// (256-frame buffer pool). Runs crash recovery.
     ///
     /// All open paths return `Arc<Database>`: sessions own a clone of
     /// the handle ([`Database::session`]), so a server can hand
@@ -220,29 +222,11 @@ impl Database {
         Database::open_opts(dir, DbOptions::default())
     }
 
-    /// Open with explicit buffer configuration. Runs crash recovery.
-    pub fn open_with(
-        dir: impl AsRef<Path>,
-        buffer_frames: usize,
-        policy: PolicyKind,
-    ) -> Result<Arc<Database>> {
-        Database::open_opts(
-            dir,
-            DbOptions {
-                buffer_frames,
-                replacement: policy,
-                ..DbOptions::default()
-            },
-        )
-    }
-
     /// Open with the full option set. Runs crash recovery.
     pub fn open_opts(dir: impl AsRef<Path>, opts: DbOptions) -> Result<Arc<Database>> {
         let engine = match opts.buffer_shards {
-            Some(shards) => {
-                StorageEngine::open_sharded(dir, opts.buffer_frames, opts.replacement, shards)?
-            }
-            None => StorageEngine::open(dir, opts.buffer_frames, opts.replacement)?,
+            Some(shards) => StorageEngine::open_sharded(dir, opts.buffer_frames, shards)?,
+            None => StorageEngine::open(dir, opts.buffer_frames)?,
         };
         Database::from_engine(engine, opts)
     }
@@ -254,12 +238,8 @@ impl Database {
         backend: &dyn sbdms_storage::backend::StorageBackend,
         opts: DbOptions,
     ) -> Result<Arc<Database>> {
-        let engine = StorageEngine::open_with_backend(
-            backend,
-            opts.buffer_frames,
-            opts.replacement,
-            opts.buffer_shards,
-        )?;
+        let engine =
+            StorageEngine::open_with_backend(backend, opts.buffer_frames, opts.buffer_shards)?;
         Database::from_engine(engine, opts)
     }
 
@@ -1165,13 +1145,13 @@ impl Database {
             versions,
             table: table.clone(),
             own: own.cloned().unwrap_or_default(),
-            walked: HashMap::new(),
+            walked: Vec::new(),
         });
         TableRead {
             buffer: t.heap().buffer().clone(),
             snapshot,
             keep,
-            keys: Vec::new(),
+            keys: None,
         }
     }
 
@@ -1743,14 +1723,17 @@ fn unreached<'o>(
 /// resolve against the own writes and (MVCC) the snapshot together,
 /// under one hold of the apply read latch, so a commit waits for at
 /// most one page; the rows only the version chains hold and the
-/// transaction's own inserts follow the last page.
+/// transaction's own inserts follow the last page. A streamed read
+/// carries no row keys: it counts the rows it appends, and only a DML
+/// target list ([`TableRead::rows`]) collects their keys.
 struct TableRead {
     buffer: Arc<BufferPool>,
     snapshot: Option<SnapshotRead>,
     /// The columns to decode (`None`: all); the rest are left NULL.
     keep: Option<Vec<bool>>,
-    /// Row keys of the rows the last `page` or `tail` call appended.
-    keys: Vec<RowKey>,
+    /// Row keys of the rows the last `page` or `tail` call appended,
+    /// kept only for a DML target list (`None` when streamed).
+    keys: Option<Vec<RowKey>>,
 }
 
 /// What one table read resolves against besides the heap.
@@ -1763,9 +1746,10 @@ struct SnapshotRead {
     table: String,
     /// The transaction's own writes to the table (none in autocommit).
     own: OwnWrites,
-    /// The live slots of every page walked so far: what the read sees
-    /// at those keys was resolved in place.
-    walked: HashMap<PageId, Vec<SlotId>>,
+    /// The live slots of every page walked so far, in walk order: what
+    /// the read sees at those keys was resolved in place. Looked up only
+    /// at the tail, and only when chain rows or own writes remain.
+    walked: Vec<(PageId, Vec<SlotId>)>,
 }
 
 impl TableRead {
@@ -1776,6 +1760,7 @@ impl TableRead {
         width: usize,
         ctx: &ExecContext,
     ) -> Result<Vec<(RowKey, Tuple)>> {
+        self.keys = Some(Vec::new());
         let mut out = Vec::new();
         let mut columns = vec![Vec::new(); width];
         for page in pages {
@@ -1791,7 +1776,7 @@ impl TableRead {
     /// Move the rows of the last call out of `columns`, keyed.
     fn drain_rows(&mut self, columns: &mut [Vec<Datum>], out: &mut Vec<(RowKey, Tuple)>) {
         let mut cols: Vec<_> = columns.iter_mut().map(|c| c.drain(..)).collect();
-        for key in self.keys.drain(..) {
+        for key in self.keys.iter_mut().flat_map(|keys| keys.drain(..)) {
             out.push((key, cols.iter_mut().map(|c| c.next().expect("one datum per key")).collect()));
         }
     }
@@ -1801,13 +1786,19 @@ impl PageSource for TableRead {
     fn page(&mut self, page: PageId, columns: &mut [Vec<Datum>]) -> Result<usize> {
         let TableRead { buffer, snapshot, keep, keys } = self;
         let keep = keep.as_deref();
-        keys.clear();
+        if let Some(keys) = keys.as_mut() {
+            keys.clear();
+        }
         let Some(snap) = snapshot else {
+            let mut n = 0;
             HeapFile::walk_page(buffer, page, |rid, record| {
-                keys.push(RowKey::Heap(rid));
+                n += 1;
+                if let Some(keys) = keys.as_mut() {
+                    keys.push(RowKey::Heap(rid));
+                }
                 decode_tuple_into(record, columns, keep)
             })?;
-            return Ok(keys.len());
+            return Ok(n);
         };
         let _latch = snap.versions.as_ref().map(|(mvcc, _, _)| mvcc.read_latch());
         let base = columns.first().map_or(0, Vec::len);
@@ -1823,8 +1814,11 @@ impl PageSource for TableRead {
             None => Vec::new(),
         };
         let own_here = snap.own.range(RowKey::Heap(first)..RowKey::Heap(next)).next();
-        if replaced.is_empty() && own_here.is_none() {
-            keys.extend(slots.iter().map(|&slot| RowKey::Heap(Rid::new(page, slot))));
+        let n = if replaced.is_empty() && own_here.is_none() {
+            if let Some(keys) = keys {
+                keys.extend(slots.iter().map(|&slot| RowKey::Heap(Rid::new(page, slot))));
+            }
+            slots.len()
         } else {
             // Re-emit the page row by row: the occupant where the
             // snapshot sees it, another image or nothing elsewhere.
@@ -1832,6 +1826,7 @@ impl PageSource for TableRead {
                 .iter_mut()
                 .map(|c| c.split_off(base).into_iter())
                 .collect();
+            let mut n = 0;
             for &slot in &slots {
                 let rid = Rid::new(page, slot);
                 let key = RowKey::Heap(rid);
@@ -1852,17 +1847,23 @@ impl PageSource for TableRead {
                         continue;
                     }
                 }
-                keys.push(key);
+                n += 1;
+                if let Some(keys) = keys.as_mut() {
+                    keys.push(key);
+                }
             }
-        }
-        snap.walked.insert(page, slots);
-        Ok(keys.len())
+            n
+        };
+        snap.walked.push((page, slots));
+        Ok(n)
     }
 
     fn tail(&mut self, columns: &mut [Vec<Datum>]) -> Result<usize> {
-        self.keys.clear();
+        if let Some(keys) = self.keys.as_mut() {
+            keys.clear();
+        }
         // Taken: the snapshot (and any pin) is released with this call.
-        let Some(snap) = self.snapshot.take() else {
+        let Some(mut snap) = self.snapshot.take() else {
             return Ok(0);
         };
         let chain = match &snap.versions {
@@ -1872,18 +1873,26 @@ impl PageSource for TableRead {
             }
             None => Vec::new(),
         };
+        if chain.is_empty() && snap.own.is_empty() {
+            return Ok(0);
+        }
+        snap.walked.sort_unstable_by_key(|(page, _)| *page);
         let walked = |key: RowKey| match key {
             RowKey::Heap(rid) => snap
                 .walked
-                .get(&rid.page)
-                .is_some_and(|slots| slots.binary_search(&rid.slot).is_ok()),
+                .binary_search_by_key(&rid.page, |(page, _)| *page)
+                .is_ok_and(|i| snap.walked[i].1.binary_search(&rid.slot).is_ok()),
             RowKey::Local(_) => false,
         };
+        let mut n = 0;
         for (key, img) in unreached(chain, Some(&snap.own), walked) {
             img.push_into(columns, self.keep.as_deref())?;
-            self.keys.push(key);
+            n += 1;
+            if let Some(keys) = self.keys.as_mut() {
+                keys.push(key);
+            }
         }
-        Ok(self.keys.len())
+        Ok(n)
     }
 }
 

@@ -370,7 +370,6 @@ mod tests {
     use super::*;
     use crate::schema::{Column, ColumnType};
     use sbdms_access::record::Datum;
-    use sbdms_storage::replacement::PolicyKind;
     use sbdms_storage::services::StorageEngine;
 
     fn setup(name: &str) -> Catalog {
@@ -378,7 +377,7 @@ mod tests {
             .join("sbdms-table-tests")
             .join(format!("{name}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let engine = StorageEngine::open(&dir, 64, PolicyKind::Lru).unwrap();
+        let engine = StorageEngine::open(&dir, 64).unwrap();
         Catalog::open(engine.buffer).unwrap()
     }
 
@@ -515,7 +514,7 @@ mod tests {
             .join(format!("reopen-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         {
-            let engine = StorageEngine::open(&dir, 64, PolicyKind::Lru).unwrap();
+            let engine = StorageEngine::open(&dir, 64).unwrap();
             let catalog = Catalog::open(engine.buffer.clone()).unwrap();
             let mut table = Table::create(&catalog, "users", users_schema()).unwrap();
             for i in 0..20 {
@@ -524,7 +523,7 @@ mod tests {
             table.create_index(&catalog, "users_id", &cols(&["id"])).unwrap();
             engine.buffer.flush_all().unwrap();
         }
-        let engine = StorageEngine::open(&dir, 64, PolicyKind::Lru).unwrap();
+        let engine = StorageEngine::open(&dir, 64).unwrap();
         let catalog = Catalog::open(engine.buffer).unwrap();
         let table = Table::open(&catalog, "users").unwrap();
         assert_eq!(table.len().unwrap(), 20);

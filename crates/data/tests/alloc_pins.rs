@@ -12,6 +12,9 @@
 //! * GROUP BY allocates per batch and per new group, not per row: 64k
 //!   rows into 100 groups allocate no more than 4k rows do, plus a
 //!   constant per extra batch.
+//! * DISTINCT allocates per batch and per new row, not per row: it runs
+//!   on the GROUP BY kernel, so 64k rows into 100 values allocate no
+//!   more than 4k rows do, plus a constant per extra batch.
 //! * A buffer-pool miss that evicts a clean page allocates nothing: the
 //!   page is read straight into the frame it replaces.
 
@@ -29,7 +32,6 @@ use sbdms_data::table::Table;
 use sbdms_data::txn::{TableResolver, TransactionManager, UndoOp};
 use sbdms_data::{parse, plan_select, Database, DbOptions};
 use sbdms_kernel::error::{Result, ServiceError};
-use sbdms_storage::replacement::PolicyKind;
 use sbdms_storage::services::StorageEngine;
 use sbdms_storage::wal::Wal;
 
@@ -107,7 +109,7 @@ fn scratch_dir(name: &str) -> PathBuf {
 
 #[test]
 fn point_search_allocates_only_its_result() {
-    let engine = StorageEngine::open(scratch_dir("search"), 512, PolicyKind::Lru).unwrap();
+    let engine = StorageEngine::open(scratch_dir("search"), 512).unwrap();
     let tree = BTree::create(engine.buffer.clone()).unwrap();
     let key = |i: i64| vec![Datum::Int(i), Datum::Str(format!("{i:06}-{}", "k".repeat(40)))];
     for i in 0..6000 {
@@ -190,7 +192,7 @@ fn recovery_streams_the_log() {
     let dir = scratch_dir("recovery");
     let row = vec![Datum::Int(7), Datum::Str("r".repeat(200))];
     {
-        let engine = StorageEngine::open(&dir, 64, PolicyKind::Lru).unwrap();
+        let engine = StorageEngine::open(&dir, 64).unwrap();
         let txns = TransactionManager::new(engine.wal.clone(), engine.buffer.clone());
         // Transactions overlap two at a time, so some undo is pending at
         // every point of the scan.
@@ -211,7 +213,7 @@ fn recovery_streams_the_log() {
     let log_len = std::fs::metadata(&wal_path).unwrap().len();
     assert!(log_len >= LOG_BYTES, "log is only {log_len} bytes");
 
-    let engine = StorageEngine::open(dir.join("pages"), 64, PolicyKind::Lru).unwrap();
+    let engine = StorageEngine::open(dir.join("pages"), 64).unwrap();
     let (peak, rolled_back) = heap_high_water(|| {
         let wal = Arc::new(Wal::open(&wal_path).unwrap());
         let txns = TransactionManager::new(wal, engine.buffer.clone());
@@ -258,9 +260,33 @@ fn group_by_allocates_per_batch_not_per_row() {
     );
 }
 
+/// Allocations made by DISTINCT over `rows` rows of 100 values, in
+/// full batches.
+fn distinct_allocations(rows: i64) -> u64 {
+    let engine = VectorEngine::default();
+    let input: Vec<Tuple> = (0..rows).map(|i| vec![Datum::Int(i % 100)]).collect();
+    allocations(|| {
+        let out = engine.distinct(engine.values(input));
+        assert_eq!(engine.collect(out).unwrap().len(), 100);
+    })
+    .0
+}
+
+#[test]
+fn distinct_allocates_per_batch_not_per_row() {
+    let (small, large) = (4 << 10, 64 << 10);
+    let extra_batches = ((large - small) / BATCH_ROWS as i64) as u64;
+    let (a_small, a_large) = (distinct_allocations(small), distinct_allocations(large));
+    assert!(
+        a_large <= a_small + 16 * extra_batches,
+        "DISTINCT allocated {a_small} times over {small} rows and {a_large} over {large}: \
+         more than 16 per extra batch, so it allocates per row"
+    );
+}
+
 #[test]
 fn a_buffer_miss_allocates_nothing() {
-    let engine = StorageEngine::open(scratch_dir("miss"), 4, PolicyKind::Lru).unwrap();
+    let engine = StorageEngine::open(scratch_dir("miss"), 4).unwrap();
     let pool = &engine.buffer;
     let pages: Vec<u64> = (0..16).map(|_| pool.new_page().unwrap()).collect();
     for &p in &pages {

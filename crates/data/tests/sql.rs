@@ -1,10 +1,9 @@
 //! End-to-end SQL tests against the `Database` engine.
 
 use sbdms_access::record::Datum;
-use sbdms_data::executor::Database;
+use sbdms_data::executor::{Database, DbOptions};
 use sbdms_data::Session;
 use sbdms_data::txn::Durability;
-use sbdms_storage::replacement::PolicyKind;
 
 fn db(name: &str) -> std::sync::Arc<Database> {
     let dir = std::env::temp_dir()
@@ -478,7 +477,11 @@ fn reopen_preserves_committed_data() {
         s.execute("CREATE INDEX users_id ON users (id)").unwrap();
         db.checkpoint().unwrap();
     }
-    let db = Database::open_with(&dir, 32, PolicyKind::Clock).unwrap();
+    let opts = DbOptions {
+        buffer_frames: 32,
+        ..DbOptions::default()
+    };
+    let db = Database::open_opts(&dir, opts).unwrap();
     let s = db.session();
     assert_eq!(ints(&s, "SELECT COUNT(*) FROM users"), vec![4]);
     assert_eq!(strs(&s, "SELECT name FROM users WHERE id = 2"), vec!["bob"]);

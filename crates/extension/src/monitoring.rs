@@ -242,7 +242,6 @@ impl Service for GovernorMonitorService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sbdms_storage::replacement::PolicyKind;
     use sbdms_storage::services::StorageEngine;
 
     fn pool(name: &str) -> Arc<BufferPool> {
@@ -250,7 +249,7 @@ mod tests {
             .join("sbdms-monitor-tests")
             .join(format!("{name}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        StorageEngine::open(&dir, 8, PolicyKind::Lru).unwrap().buffer
+        StorageEngine::open(&dir, 8).unwrap().buffer
     }
 
     #[test]

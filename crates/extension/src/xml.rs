@@ -489,7 +489,6 @@ impl Service for XmlService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sbdms_storage::replacement::PolicyKind;
     use sbdms_storage::services::StorageEngine;
 
     const CATALOG_DOC: &str = r#"<?xml version="1.0"?>
@@ -563,7 +562,7 @@ mod tests {
             .join("sbdms-xml-tests")
             .join(format!("{name}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let engine = StorageEngine::open(&dir, 32, PolicyKind::Lru).unwrap();
+        let engine = StorageEngine::open(&dir, 32).unwrap();
         XmlStore::create(engine.buffer).unwrap()
     }
 
@@ -598,7 +597,7 @@ mod tests {
             .join("sbdms-xml-tests")
             .join(format!("reopen-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let engine = StorageEngine::open(&dir, 32, PolicyKind::Lru).unwrap();
+        let engine = StorageEngine::open(&dir, 32).unwrap();
         let root = {
             let s = XmlStore::create(engine.buffer.clone()).unwrap();
             s.put("doc", "<d><x>1</x></d>").unwrap();

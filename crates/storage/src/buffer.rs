@@ -9,8 +9,8 @@
 //! Access is closure-scoped (`with_page` / `with_page_mut`): no guard
 //! lifetimes leak across the service boundary. Internally the pool is
 //! split into lock-striped *shards* (page-id hash → shard), each with its
-//! own frame table, free list, and replacement-policy instance, so N
-//! threads touching different pages proceed in parallel. Each frame
+//! own frame table, free list, and Clock, so N threads touching
+//! different pages proceed in parallel. Each frame
 //! carries its own latch, and the shard lock is never held across disk
 //! I/O: a cold read on one shard cannot stall a hot hit on another, and
 //! even within a shard a miss only blocks accesses to the same frame.
@@ -32,7 +32,7 @@ use sbdms_kernel::error::{Result, ServiceError};
 
 use crate::disk::DiskManager;
 use crate::page::{Page, PageId};
-use crate::replacement::{FrameId, PolicyKind, ReplacementPolicy};
+use crate::replacement::{Clock, FrameId};
 
 /// Frame contents, protected by the per-frame latch.
 struct FrameData {
@@ -74,12 +74,12 @@ struct ShardInner {
     /// Dirty pages evicted but not yet written back: page id → snapshot
     /// of the bytes in flight. An entry exists iff a writer is draining it.
     flushing: HashMap<PageId, Arc<Vec<u8>>>,
-    policy: Box<dyn ReplacementPolicy>,
+    clock: Clock,
     free_frames: Vec<FrameId>,
 }
 
 impl ShardInner {
-    fn new(capacity: usize, policy: PolicyKind) -> ShardInner {
+    fn new(capacity: usize) -> ShardInner {
         ShardInner {
             frames: (0..capacity).map(|_| Frame::empty()).collect(),
             metas: (0..capacity)
@@ -90,35 +90,32 @@ impl ShardInner {
                 .collect(),
             page_table: HashMap::with_capacity(capacity),
             flushing: HashMap::new(),
-            policy: policy.build(capacity),
+            clock: Clock::new(capacity),
             free_frames: (0..capacity).rev().collect(),
         }
     }
 
     fn pin(&mut self, frame: FrameId) {
         self.metas[frame].pins += 1;
-        if self.metas[frame].pins == 1 {
-            self.policy.on_pinned(frame);
-        }
     }
 
     fn unpin(&mut self, frame: FrameId) {
         debug_assert!(self.metas[frame].pins > 0, "unpin without pin");
         self.metas[frame].pins -= 1;
-        if self.metas[frame].pins == 0 {
-            self.policy.on_unpinned(frame);
-        }
     }
 
     /// Take a frame for a new occupant: the free list first, then a
-    /// policy victim. Returns the frame and the page it displaced, with
-    /// the old mapping already removed. `None` when every frame is pinned.
+    /// Clock victim among the frames that hold a page and no pin.
+    /// Returns the frame and the page it displaced, with the old mapping
+    /// already removed. `None` when every frame is pinned.
     fn claim(&mut self) -> Option<(FrameId, Option<PageId>)> {
         if let Some(frame) = self.free_frames.pop() {
             return Some((frame, None));
         }
-        let victim = self.policy.evict()?;
-        debug_assert_eq!(self.metas[victim].pins, 0, "policy evicted a pinned frame");
+        let metas = &self.metas;
+        let victim = self
+            .clock
+            .evict(|f| metas[f].pins == 0 && metas[f].page_id.is_some())?;
         let old = self.metas[victim].page_id.take();
         if let Some(old_id) = old {
             self.page_table.remove(&old_id);
@@ -135,9 +132,9 @@ struct Shard {
 }
 
 impl Shard {
-    fn new(capacity: usize, policy: PolicyKind) -> Shard {
+    fn new(capacity: usize) -> Shard {
         Shard {
-            inner: Mutex::new(ShardInner::new(capacity, policy)),
+            inner: Mutex::new(ShardInner::new(capacity)),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
@@ -202,12 +199,11 @@ pub struct ShardStats {
 /// do — it runs on every write-back.
 pub type WriteHook = Arc<dyn Fn() -> Result<()> + Send + Sync>;
 
-/// A fixed-capacity page cache with pluggable replacement, striped into
+/// A fixed-capacity page cache with Clock replacement, striped into
 /// independently locked shards.
 pub struct BufferPool {
     disk: Arc<DiskManager>,
     shards: Vec<Shard>,
-    policy: PolicyKind,
     write_hook: Mutex<Option<WriteHook>>,
 }
 
@@ -225,25 +221,19 @@ impl BufferPool {
     /// shard count scaled (conservatively) to the capacity. Deployments
     /// that know their concurrency pick the stripe count explicitly via
     /// [`BufferPool::new_sharded`].
-    pub fn new(disk: Arc<DiskManager>, capacity: usize, policy: PolicyKind) -> BufferPool {
+    pub fn new(disk: Arc<DiskManager>, capacity: usize) -> BufferPool {
         let shards = (capacity / 8).clamp(1, 4);
-        BufferPool::new_sharded(disk, capacity, policy, shards)
+        BufferPool::new_sharded(disk, capacity, shards)
     }
 
     /// Create a pool with an explicit shard count (`shards = 1` degrades
     /// to the classic single-mutex pool, which E9 uses as its baseline).
-    pub fn new_sharded(
-        disk: Arc<DiskManager>,
-        capacity: usize,
-        policy: PolicyKind,
-        shards: usize,
-    ) -> BufferPool {
+    pub fn new_sharded(disk: Arc<DiskManager>, capacity: usize, shards: usize) -> BufferPool {
         let shards = shards.clamp(1, capacity.max(1));
         let caps = split_capacity(capacity, shards);
         BufferPool {
             disk,
-            shards: caps.into_iter().map(|c| Shard::new(c, policy)).collect(),
-            policy,
+            shards: caps.into_iter().map(Shard::new).collect(),
             write_hook: Mutex::new(None),
         }
     }
@@ -304,7 +294,7 @@ impl BufferPool {
             data.dirty = true;
             inner.page_table.insert(id, frame_id);
             inner.metas[frame_id].page_id = Some(id);
-            inner.policy.on_access(frame_id);
+            inner.clock.touch(frame_id);
             // Pin while the latch is held, like any access: an unpinned
             // frame must never be latched, or an evictor's try_lock fails.
             inner.pin(frame_id);
@@ -349,7 +339,6 @@ impl BufferPool {
                 data.dirty = false;
                 inner.page_table.remove(&id);
                 inner.metas[frame_id].page_id = None;
-                inner.policy.on_freed(frame_id);
                 inner.free_frames.push(frame_id);
             }
             break;
@@ -551,9 +540,9 @@ impl BufferPool {
                         data.dirty = false;
                     }
                 }
-                let mut policy = self.policy.build(new_cap);
+                let mut clock = Clock::new(new_cap);
                 for idx in 0..frames.len() {
-                    policy.on_access(idx);
+                    clock.touch(idx);
                 }
                 let free_frames: Vec<FrameId> = (frames.len()..new_cap).rev().collect();
                 while frames.len() < new_cap {
@@ -568,7 +557,7 @@ impl BufferPool {
                     metas,
                     page_table,
                     flushing: HashMap::new(),
-                    policy,
+                    clock,
                     free_frames,
                 };
                 break;
@@ -593,7 +582,7 @@ impl BufferPool {
                 let mut inner = shard.inner.lock();
                 if let Some(&hit) = inner.page_table.get(&id) {
                     shard.hits.fetch_add(1, Ordering::Relaxed);
-                    inner.policy.on_access(hit);
+                    inner.clock.touch(hit);
                     inner.pin(hit);
                     frame_id = hit;
                     frame = inner.frames[hit].clone();
@@ -617,7 +606,7 @@ impl BufferPool {
                     data.page_id = None;
                     inner.page_table.insert(id, claimed);
                     inner.metas[claimed].page_id = Some(id);
-                    inner.policy.on_access(claimed);
+                    inner.clock.touch(claimed);
                     inner.pin(claimed);
                     latch = Some(data);
                 }
@@ -729,17 +718,17 @@ fn backoff(attempts: &mut usize) -> Result<()> {
 mod tests {
     use super::*;
 
-    fn pool(name: &str, capacity: usize, policy: PolicyKind) -> BufferPool {
+    fn pool(name: &str, capacity: usize) -> BufferPool {
         let dir = std::env::temp_dir().join("sbdms-buffer-tests");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(format!("{name}-{}.db", std::process::id()));
         let _ = std::fs::remove_file(&path);
-        BufferPool::new(Arc::new(DiskManager::open(path).unwrap()), capacity, policy)
+        BufferPool::new(Arc::new(DiskManager::open(path).unwrap()), capacity)
     }
 
     #[test]
     fn new_page_insert_read() {
-        let pool = pool("basic", 4, PolicyKind::Lru);
+        let pool = pool("basic", 4);
         let id = pool.new_page().unwrap();
         let slot = pool
             .with_page_mut(id, |p| p.insert(b"cached").unwrap())
@@ -750,7 +739,7 @@ mod tests {
 
     #[test]
     fn eviction_writes_back_dirty_pages() {
-        let pool = pool("evict", 2, PolicyKind::Lru);
+        let pool = pool("evict", 2);
         let ids: Vec<PageId> = (0..5)
             .map(|i| {
                 let id = pool.new_page().unwrap();
@@ -771,7 +760,7 @@ mod tests {
 
     #[test]
     fn hit_ratio_reflects_locality() {
-        let pool = pool("hits", 4, PolicyKind::Clock);
+        let pool = pool("hits", 4);
         let id = pool.new_page().unwrap();
         for _ in 0..99 {
             pool.with_page(id, |_| ()).unwrap();
@@ -790,28 +779,20 @@ mod tests {
         let _ = std::fs::remove_file(&path);
 
         let id = {
-            let pool = BufferPool::new(
-                Arc::new(DiskManager::open(&path).unwrap()),
-                4,
-                PolicyKind::Lru,
-            );
+            let pool = BufferPool::new(Arc::new(DiskManager::open(&path).unwrap()), 4);
             let id = pool.new_page().unwrap();
             pool.with_page_mut(id, |p| p.insert(b"durable").unwrap()).unwrap();
             pool.flush_all().unwrap();
             id
         };
-        let pool2 = BufferPool::new(
-            Arc::new(DiskManager::open(&path).unwrap()),
-            4,
-            PolicyKind::Lru,
-        );
+        let pool2 = BufferPool::new(Arc::new(DiskManager::open(&path).unwrap()), 4);
         let data = pool2.with_page(id, |p| p.get(0).unwrap().to_vec()).unwrap();
         assert_eq!(data, b"durable");
     }
 
     #[test]
     fn free_page_recycles() {
-        let pool = pool("free", 4, PolicyKind::Lru);
+        let pool = pool("free", 4);
         let id = pool.new_page().unwrap();
         pool.free_page(id).unwrap();
         let id2 = pool.new_page().unwrap();
@@ -823,7 +804,7 @@ mod tests {
 
     #[test]
     fn stats_track_dirty_and_fragmentation() {
-        let pool = pool("stats", 4, PolicyKind::Lru);
+        let pool = pool("stats", 4);
         let id = pool.new_page().unwrap();
         let slot = pool
             .with_page_mut(id, |p| {
@@ -841,7 +822,7 @@ mod tests {
 
     #[test]
     fn resize_shrinks_and_grows() {
-        let pool = pool("resize", 8, PolicyKind::Lru);
+        let pool = pool("resize", 8);
         let ids: Vec<PageId> = (0..6).map(|_| pool.new_page().unwrap()).collect();
         for id in &ids {
             pool.with_page_mut(*id, |p| p.insert(b"x").unwrap()).unwrap();
@@ -861,7 +842,7 @@ mod tests {
     fn pool_exhaustion_impossible_with_closure_api() {
         // With closure-scoped access every fetch releases the frame, so a
         // capacity-1 pool still serves many pages.
-        let pool = pool("tiny", 1, PolicyKind::Clock);
+        let pool = pool("tiny", 1);
         let ids: Vec<PageId> = (0..10).map(|_| pool.new_page().unwrap()).collect();
         for id in ids {
             pool.with_page(id, |_| ()).unwrap();
@@ -870,7 +851,7 @@ mod tests {
 
     #[test]
     fn try_with_page_mut_only_dirties_on_success() {
-        let pool = pool("trymut", 2, PolicyKind::Lru);
+        let pool = pool("trymut", 2);
         let id = pool.new_page().unwrap();
         pool.flush_all().unwrap();
         let r = pool.try_with_page_mut(id, |p| p.get(42).map(|_| ()));
@@ -886,12 +867,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(format!("sharded-{}.db", std::process::id()));
         let _ = std::fs::remove_file(&path);
-        let pool = BufferPool::new_sharded(
-            Arc::new(DiskManager::open(path).unwrap()),
-            32,
-            PolicyKind::Lru,
-            4,
-        );
+        let pool = BufferPool::new_sharded(Arc::new(DiskManager::open(path).unwrap()), 32, 4);
         assert_eq!(pool.shard_count(), 4);
         assert_eq!(pool.stats().capacity, 32);
         let ids: Vec<PageId> = (0..64)
@@ -913,7 +889,7 @@ mod tests {
 
     #[test]
     fn write_hook_runs_before_every_write_back() {
-        let pool = Arc::new(pool("hook", 2, PolicyKind::Lru));
+        let pool = Arc::new(pool("hook", 2));
         let hook_calls = Arc::new(AtomicU64::new(0));
         let calls = hook_calls.clone();
         pool.set_write_hook(Some(Arc::new(move || {
@@ -944,7 +920,7 @@ mod tests {
 
     #[test]
     fn write_hook_failure_aborts_write_back() {
-        let pool = pool("hookfail", 4, PolicyKind::Lru);
+        let pool = pool("hookfail", 4);
         let id = pool.new_page().unwrap();
         pool.with_page_mut(id, |p| p.insert(b"x").unwrap()).unwrap();
         pool.set_write_hook(Some(Arc::new(|| {
@@ -961,12 +937,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(format!("oneshard-{}.db", std::process::id()));
         let _ = std::fs::remove_file(&path);
-        let pool = BufferPool::new_sharded(
-            Arc::new(DiskManager::open(path).unwrap()),
-            2,
-            PolicyKind::Lru,
-            1,
-        );
+        let pool = BufferPool::new_sharded(Arc::new(DiskManager::open(path).unwrap()), 2, 1);
         assert_eq!(pool.shard_count(), 1);
         let ids: Vec<PageId> = (0..6).map(|_| pool.new_page().unwrap()).collect();
         for (i, id) in ids.iter().enumerate() {

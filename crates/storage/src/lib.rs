@@ -14,8 +14,8 @@
 //!   injection (power loss, torn writes, bit flips, I/O errors) for the
 //!   crash torture suite,
 //! * [`disk`]: a file-backed disk manager with a persisted free list,
-//! * [`buffer`]: a buffer pool with pluggable [`replacement`] policies
-//!   (LRU, Clock) and the §4 monitoring statistics,
+//! * [`buffer`]: a buffer pool with [`replacement`] by Clock and the §4
+//!   monitoring statistics,
 //! * [`wal`]: a checksummed write-ahead log with crash-tail recovery,
 //! * [`services`]: the kernel `Service` facades publishing all of the
 //!   above on the bus, plus [`services::StorageEngine`] bundling the raw
@@ -36,7 +36,6 @@ pub use backend::{BackendFile, FileBackend, RealFile, StorageBackend};
 pub use buffer::{BufferPool, BufferStats, ShardStats, WriteHook};
 pub use disk::{DiskManager, IoHook, IoKind};
 pub use page::{Page, PageId, SlotId, PAGE_SIZE};
-pub use replacement::PolicyKind;
 pub use services::{BufferService, DiskService, LogService, StorageEngine};
 pub use sim::{SimBackend, SimConfig, SimStats};
 pub use wal::{Lsn, Wal, WalRecord};

@@ -1,189 +1,57 @@
-//! Buffer replacement policies.
+//! Buffer replacement: Clock (second chance).
 //!
-//! The buffer pool delegates victim selection to a policy object. Two
-//! classical policies are provided — LRU and Clock (second chance) — and
-//! the policy is a component *property* of the buffer service (paper
-//! Fig. 3: properties customise component behaviour at instantiation).
-
-use std::collections::HashMap;
+//! Each buffer-pool shard holds one [`Clock`] over its frames. The pool
+//! owns which frames may be evicted (a frame holding a page with no
+//! pins); the clock owns only the reference bits and the hand. Clock is
+//! the only policy: LRU missed as often and cost more per miss when
+//! scans flood the pool (EXPERIMENTS §A1).
 
 /// Index of a frame within the buffer pool.
 pub type FrameId = usize;
 
-/// A victim-selection policy over buffer frames.
-///
-/// The pool calls `on_access` for every hit/fill, `on_unpinned`/`on_pinned`
-/// as pin counts change, and `evict` to pick an unpinned victim.
-pub trait ReplacementPolicy: Send {
-    /// A frame was accessed (hit or fill).
-    fn on_access(&mut self, frame: FrameId);
-    /// A frame's pin count rose above zero: not evictable.
-    fn on_pinned(&mut self, frame: FrameId);
-    /// A frame's pin count dropped to zero: evictable again.
-    fn on_unpinned(&mut self, frame: FrameId);
-    /// Choose an unpinned victim, or `None` when everything is pinned.
-    fn evict(&mut self) -> Option<FrameId>;
-    /// A frame was emptied outside eviction (its page was dropped) and
-    /// returned to the free list: forget it, so it is not picked as a
-    /// victim while also being handed out from the free list.
-    fn on_freed(&mut self, _frame: FrameId) {}
-    /// Policy name for reports.
-    fn name(&self) -> &'static str;
-}
-
-/// Strict least-recently-used via logical access timestamps.
-#[derive(Default)]
-pub struct LruPolicy {
-    clock: u64,
-    last_access: HashMap<FrameId, u64>,
-    pinned: HashMap<FrameId, bool>,
-}
-
-impl LruPolicy {
-    /// New empty policy.
-    pub fn new() -> LruPolicy {
-        LruPolicy::default()
-    }
-}
-
-impl ReplacementPolicy for LruPolicy {
-    fn on_access(&mut self, frame: FrameId) {
-        self.clock += 1;
-        self.last_access.insert(frame, self.clock);
-    }
-
-    fn on_pinned(&mut self, frame: FrameId) {
-        self.pinned.insert(frame, true);
-    }
-
-    fn on_unpinned(&mut self, frame: FrameId) {
-        self.pinned.insert(frame, false);
-    }
-
-    fn evict(&mut self) -> Option<FrameId> {
-        let victim = self
-            .last_access
-            .iter()
-            .filter(|(f, _)| !self.pinned.get(*f).copied().unwrap_or(false))
-            .min_by_key(|(_, t)| **t)
-            .map(|(f, _)| *f)?;
-        self.last_access.remove(&victim);
-        self.pinned.remove(&victim);
-        Some(victim)
-    }
-
-    fn on_freed(&mut self, frame: FrameId) {
-        self.last_access.remove(&frame);
-        self.pinned.remove(&frame);
-    }
-
-    fn name(&self) -> &'static str {
-        "lru"
-    }
-}
-
-/// Clock (second chance): cheap approximation of LRU.
-pub struct ClockPolicy {
+/// Clock (second chance): one reference bit per frame and a hand that
+/// sweeps them, a cheap approximation of LRU.
+pub struct Clock {
     reference: Vec<bool>,
-    present: Vec<bool>,
-    pinned: Vec<bool>,
     hand: usize,
 }
 
-impl ClockPolicy {
-    /// Policy sized for `capacity` frames.
-    pub fn new(capacity: usize) -> ClockPolicy {
-        ClockPolicy {
+impl Clock {
+    /// A clock over `capacity` frames, none referenced.
+    pub fn new(capacity: usize) -> Clock {
+        Clock {
             reference: vec![false; capacity],
-            present: vec![false; capacity],
-            pinned: vec![false; capacity],
             hand: 0,
         }
     }
-}
 
-impl ReplacementPolicy for ClockPolicy {
-    fn on_access(&mut self, frame: FrameId) {
-        if frame < self.reference.len() {
-            self.reference[frame] = true;
-            self.present[frame] = true;
-        }
+    /// A frame was accessed (hit or fill).
+    #[inline]
+    pub fn touch(&mut self, frame: FrameId) {
+        self.reference[frame] = true;
     }
 
-    fn on_pinned(&mut self, frame: FrameId) {
-        if frame < self.pinned.len() {
-            self.pinned[frame] = true;
-        }
-    }
-
-    fn on_unpinned(&mut self, frame: FrameId) {
-        if frame < self.pinned.len() {
-            self.pinned[frame] = false;
-        }
-    }
-
-    fn evict(&mut self) -> Option<FrameId> {
+    /// Choose a victim among the frames `evictable` accepts, or `None`
+    /// when it accepts none. A referenced frame loses its bit and is
+    /// passed over once.
+    pub fn evict(&mut self, evictable: impl Fn(FrameId) -> bool) -> Option<FrameId> {
         let n = self.reference.len();
-        if n == 0 {
-            return None;
-        }
         // Two full sweeps guarantee termination: the first clears
-        // reference bits, the second must find a victim unless all frames
-        // are pinned or absent.
+        // reference bits, the second must find a victim unless no frame
+        // is evictable.
         for _ in 0..2 * n {
             let f = self.hand;
             self.hand = (self.hand + 1) % n;
-            if !self.present[f] || self.pinned[f] {
+            if !evictable(f) {
                 continue;
             }
             if self.reference[f] {
                 self.reference[f] = false;
             } else {
-                self.present[f] = false;
                 return Some(f);
             }
         }
         None
-    }
-
-    fn on_freed(&mut self, frame: FrameId) {
-        if frame < self.present.len() {
-            self.present[frame] = false;
-            self.reference[frame] = false;
-            self.pinned[frame] = false;
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "clock"
-    }
-}
-
-/// Which policy a buffer pool is configured with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PolicyKind {
-    /// Strict LRU.
-    Lru,
-    /// Clock / second chance.
-    Clock,
-}
-
-impl PolicyKind {
-    /// Instantiate the policy for a pool of `capacity` frames.
-    pub fn build(self, capacity: usize) -> Box<dyn ReplacementPolicy> {
-        match self {
-            PolicyKind::Lru => Box::new(LruPolicy::new()),
-            PolicyKind::Clock => Box::new(ClockPolicy::new(capacity)),
-        }
-    }
-
-    /// Parse from a component property string.
-    pub fn parse(s: &str) -> Option<PolicyKind> {
-        match s {
-            "lru" => Some(PolicyKind::Lru),
-            "clock" => Some(PolicyKind::Clock),
-            _ => None,
-        }
     }
 }
 
@@ -191,88 +59,54 @@ impl PolicyKind {
 mod tests {
     use super::*;
 
-    #[test]
-    fn lru_evicts_least_recent() {
-        let mut p = LruPolicy::new();
-        p.on_access(0);
-        p.on_access(1);
-        p.on_access(2);
-        p.on_access(0); // 1 is now least recent
-        assert_eq!(p.evict(), Some(1));
-        assert_eq!(p.evict(), Some(2));
-        assert_eq!(p.evict(), Some(0));
-        assert_eq!(p.evict(), None);
-    }
-
-    #[test]
-    fn lru_skips_pinned() {
-        let mut p = LruPolicy::new();
-        p.on_access(0);
-        p.on_access(1);
-        p.on_pinned(0);
-        assert_eq!(p.evict(), Some(1));
-        assert_eq!(p.evict(), None);
-        p.on_unpinned(0);
-        assert_eq!(p.evict(), Some(0));
+    /// Evict from the frames marked in `resident`, unmarking the victim.
+    fn evict(clock: &mut Clock, resident: &mut [bool]) -> Option<FrameId> {
+        let victim = clock.evict(|f| resident[f])?;
+        resident[victim] = false;
+        Some(victim)
     }
 
     #[test]
     fn clock_gives_second_chance() {
-        let mut p = ClockPolicy::new(3);
-        p.on_access(0);
-        p.on_access(1);
-        p.on_access(2);
+        let mut p = Clock::new(3);
+        let mut resident = [true; 3];
+        (0..3).for_each(|f| p.touch(f));
         // First sweep clears all reference bits; frame 0 is the first to
         // lose its second chance.
-        assert_eq!(p.evict(), Some(0));
+        assert_eq!(evict(&mut p, &mut resident), Some(0));
         // Re-reference 1: 2 falls first.
-        p.on_access(1);
-        assert_eq!(p.evict(), Some(2));
-        assert_eq!(p.evict(), Some(1));
-        assert_eq!(p.evict(), None);
+        p.touch(1);
+        assert_eq!(evict(&mut p, &mut resident), Some(2));
+        assert_eq!(evict(&mut p, &mut resident), Some(1));
+        assert_eq!(evict(&mut p, &mut resident), None);
     }
 
     #[test]
     fn clock_respects_pins() {
-        let mut p = ClockPolicy::new(2);
-        p.on_access(0);
-        p.on_access(1);
-        p.on_pinned(0);
-        p.on_pinned(1);
-        assert_eq!(p.evict(), None);
-        p.on_unpinned(1);
-        assert_eq!(p.evict(), Some(1));
+        let mut p = Clock::new(2);
+        p.touch(0);
+        p.touch(1);
+        // Both frames pinned: nothing is evictable.
+        assert_eq!(p.evict(|_| false), None);
+        // Frame 1 unpinned.
+        assert_eq!(p.evict(|f| f == 1), Some(1));
     }
 
     #[test]
     fn clock_empty_pool() {
-        let mut p = ClockPolicy::new(0);
-        assert_eq!(p.evict(), None);
+        let mut p = Clock::new(0);
+        assert_eq!(p.evict(|_| true), None);
     }
 
     #[test]
     fn freed_frames_are_forgotten() {
-        let mut p = LruPolicy::new();
-        p.on_access(0);
-        p.on_access(1);
-        p.on_freed(0);
-        assert_eq!(p.evict(), Some(1));
-        assert_eq!(p.evict(), None);
-
-        let mut c = ClockPolicy::new(2);
-        c.on_access(0);
-        c.on_access(1);
-        c.on_freed(1);
-        assert_eq!(c.evict(), Some(0));
-        assert_eq!(c.evict(), None);
-    }
-
-    #[test]
-    fn kind_parsing_and_naming() {
-        assert_eq!(PolicyKind::parse("lru"), Some(PolicyKind::Lru));
-        assert_eq!(PolicyKind::parse("clock"), Some(PolicyKind::Clock));
-        assert_eq!(PolicyKind::parse("arc"), None);
-        assert_eq!(PolicyKind::Lru.build(4).name(), "lru");
-        assert_eq!(PolicyKind::Clock.build(4).name(), "clock");
+        let mut c = Clock::new(2);
+        let mut resident = [true; 2];
+        c.touch(0);
+        c.touch(1);
+        // Frame 1 is freed: it returns to the free list, not the sweep.
+        resident[1] = false;
+        assert_eq!(evict(&mut c, &mut resident), Some(0));
+        assert_eq!(evict(&mut c, &mut resident), None);
     }
 }

@@ -387,14 +387,9 @@ pub struct StorageEngine {
 }
 
 impl StorageEngine {
-    /// Open a storage engine in `dir` with the given buffer capacity and
-    /// replacement policy.
-    pub fn open(
-        dir: impl AsRef<std::path::Path>,
-        buffer_frames: usize,
-        policy: crate::replacement::PolicyKind,
-    ) -> Result<StorageEngine> {
-        StorageEngine::open_inner(dir.as_ref(), buffer_frames, policy, None)
+    /// Open a storage engine in `dir` with the given buffer capacity.
+    pub fn open(dir: impl AsRef<std::path::Path>, buffer_frames: usize) -> Result<StorageEngine> {
+        StorageEngine::open_inner(dir.as_ref(), buffer_frames, None)
     }
 
     /// Like [`open`](StorageEngine::open) but with an explicit buffer
@@ -402,23 +397,21 @@ impl StorageEngine {
     pub fn open_sharded(
         dir: impl AsRef<std::path::Path>,
         buffer_frames: usize,
-        policy: crate::replacement::PolicyKind,
         shards: usize,
     ) -> Result<StorageEngine> {
-        StorageEngine::open_inner(dir.as_ref(), buffer_frames, policy, Some(shards))
+        StorageEngine::open_inner(dir.as_ref(), buffer_frames, Some(shards))
     }
 
     fn open_inner(
         dir: &std::path::Path,
         buffer_frames: usize,
-        policy: crate::replacement::PolicyKind,
         shards: Option<usize>,
     ) -> Result<StorageEngine> {
         std::fs::create_dir_all(dir)?;
         let disk = Arc::new(DiskManager::open(dir.join("data.db"))?);
         let buffer = Arc::new(match shards {
-            Some(n) => BufferPool::new_sharded(disk.clone(), buffer_frames, policy, n),
-            None => BufferPool::new(disk.clone(), buffer_frames, policy),
+            Some(n) => BufferPool::new_sharded(disk.clone(), buffer_frames, n),
+            None => BufferPool::new(disk.clone(), buffer_frames),
         });
         let wal = Arc::new(Wal::open(dir.join("wal.log"))?);
         Ok(StorageEngine { disk, buffer, wal })
@@ -432,13 +425,12 @@ impl StorageEngine {
     pub fn open_with_backend(
         backend: &dyn crate::backend::StorageBackend,
         buffer_frames: usize,
-        policy: crate::replacement::PolicyKind,
         shards: Option<usize>,
     ) -> Result<StorageEngine> {
         let disk = Arc::new(DiskManager::open_backend(backend.open("data.db")?)?);
         let buffer = Arc::new(match shards {
-            Some(n) => BufferPool::new_sharded(disk.clone(), buffer_frames, policy, n),
-            None => BufferPool::new(disk.clone(), buffer_frames, policy),
+            Some(n) => BufferPool::new_sharded(disk.clone(), buffer_frames, n),
+            None => BufferPool::new(disk.clone(), buffer_frames),
         });
         let wal = Arc::new(Wal::open_backend(backend.open("wal.log")?)?);
         Ok(StorageEngine { disk, buffer, wal })
@@ -458,7 +450,6 @@ impl StorageEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::replacement::PolicyKind;
     use sbdms_kernel::bus::ServiceBus;
 
     fn engine(name: &str) -> StorageEngine {
@@ -466,7 +457,7 @@ mod tests {
             .join("sbdms-services-tests")
             .join(format!("{name}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        StorageEngine::open(&dir, 16, PolicyKind::Lru).unwrap()
+        StorageEngine::open(&dir, 16).unwrap()
     }
 
     #[test]

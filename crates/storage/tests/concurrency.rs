@@ -6,7 +6,6 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 use sbdms_storage::disk::{DiskManager, IoKind};
-use sbdms_storage::replacement::PolicyKind;
 use sbdms_storage::services::StorageEngine;
 use sbdms_storage::BufferPool;
 
@@ -15,7 +14,7 @@ fn engine(name: &str, frames: usize) -> StorageEngine {
         .join("sbdms-storage-concurrency")
         .join(format!("{name}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    StorageEngine::open(&dir, frames, PolicyKind::Clock).unwrap()
+    StorageEngine::open(&dir, frames).unwrap()
 }
 
 #[test]
@@ -157,12 +156,7 @@ fn sharded_pool(name: &str, capacity: usize, shards: usize) -> BufferPool {
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join(format!("{name}-{}.db", std::process::id()));
     let _ = std::fs::remove_file(&path);
-    BufferPool::new_sharded(
-        Arc::new(DiskManager::open(path).unwrap()),
-        capacity,
-        PolicyKind::Lru,
-        shards,
-    )
+    BufferPool::new_sharded(Arc::new(DiskManager::open(path).unwrap()), capacity, shards)
 }
 
 /// A blocked disk read of one page must not stall a cached read of

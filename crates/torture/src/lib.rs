@@ -30,7 +30,6 @@ use sbdms_data::session::{ConcurrencyControl, Session};
 use sbdms_data::table::Table;
 use sbdms_data::txn::{Durability, TxnId, KIND_COMMIT};
 use sbdms_kernel::governor::{CancelToken, GovernorConfig};
-use sbdms_storage::replacement::PolicyKind;
 use sbdms_storage::{SimBackend, SimConfig, SimStats};
 
 /// Key-space the workload draws from (small, so updates and deletes
@@ -282,7 +281,7 @@ pub struct TortureReport {
 fn opts(config: &TortureConfig) -> DbOptions {
     DbOptions {
         buffer_frames: config.buffer_frames,
-        replacement: PolicyKind::Lru,
+        replacement: (),
         buffer_shards: Some(1),
         sort_budget: 64 << 10,
         parallelism: 1,
