@@ -129,16 +129,6 @@ fn same_key(a: &Datum, b: &Datum) -> bool {
     }
 }
 
-/// Bytes `Datum::encode_into` writes for `d`.
-fn encoded_len(d: &Datum) -> usize {
-    match d {
-        Datum::Null => 1,
-        Datum::Bool(_) => 2,
-        Datum::Int(_) | Datum::Float(_) => 9,
-        Datum::Str(s) => 5 + s.len(),
-    }
-}
-
 /// Group keys to dense group ids, in first-seen order: a power-of-two
 /// directory of group ids probed linearly, at most half full. Each
 /// group's hash is kept, so a probe compares key values only on a full
@@ -530,7 +520,7 @@ impl Grouper {
                 Ok(g) => g,
                 Err(slot) => {
                     let values = group_cols.iter().map(|c| c.get(r));
-                    let key_len = values.clone().map(encoded_len).sum();
+                    let key_len = values.clone().map(Datum::encoded_len).sum();
                     ctx.charge(self.new_group_bytes(key_len, values.clone()))?;
                     self.add_group(values);
                     self.table.insert(slot, self.hashes[r])

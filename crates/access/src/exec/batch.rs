@@ -16,7 +16,7 @@ use sbdms_kernel::error::{Result, ServiceError};
 
 use super::aggregate::{AggSpec, Grouper};
 use super::expr::Expr;
-use super::join::{merge_join_rows, BuildSide};
+use super::join::BuildSide;
 use super::vhash;
 use super::ExecContext;
 use crate::record::{Datum, Tuple};
@@ -538,22 +538,18 @@ pub fn project_batches(input: BatchStream, exprs: Vec<Expr>) -> BatchStream {
 }
 
 /// Sort the input (materialising) with the [`ExternalSorter`], which
-/// checks for cancellation and accounts (or spills) buffered runs.
+/// checks for cancellation, accounts (or spills) buffered runs, and
+/// picks its workers from the input's size.
 pub fn sort_batches(
     input: BatchStream,
     keys: Vec<SortKey>,
     memory_budget: usize,
-    workers: usize,
     batch_rows: usize,
     ctx: ExecContext,
 ) -> Result<BatchStream> {
     let rows = collect_rows(input)?;
     let sorter = ExternalSorter::new(memory_budget).with_context(ctx);
-    let out = if workers > 1 {
-        sorter.sort_parallel(rows, &keys, workers)?
-    } else {
-        sorter.sort(rows, &keys)?
-    };
+    let out = sorter.sort_auto(rows, &keys)?;
     Ok(values_batches(out.tuples, batch_rows))
 }
 
@@ -888,27 +884,6 @@ pub fn hash_join_phases(
         start = end;
     }
     (build_time, probe_time, gather_time, out_rows)
-}
-
-/// Sort-merge equi-join over batches. The [`merge_join_rows`] core
-/// sorts with accounting/spilling and checks for cancellation during
-/// the merge.
-pub fn merge_join_batches(
-    left: BatchStream,
-    right: BatchStream,
-    left_col: usize,
-    right_col: usize,
-    batch_rows: usize,
-    ctx: ExecContext,
-) -> Result<BatchStream> {
-    let out = merge_join_rows(
-        collect_rows(left)?,
-        collect_rows(right)?,
-        left_col,
-        right_col,
-        ctx,
-    )?;
-    Ok(values_batches(out, batch_rows))
 }
 
 /// Hash-aggregate batches grouped by `group_by` expressions; output rows
@@ -1288,11 +1263,7 @@ mod tests {
         expected.sort_by(|a, b| crate::sort::compare_tuples(a, b, &[SortKey::asc(2)]));
         assert_eq!(expected.len(), 3);
         let engine = super::super::VectorEngine::default();
-        for algo in [
-            JoinAlgorithm::Hash,
-            JoinAlgorithm::Merge,
-            JoinAlgorithm::NestedLoop,
-        ] {
+        for algo in [JoinAlgorithm::Hash, JoinAlgorithm::NestedLoop] {
             let mut out = collect(
                 engine
                     .equi_join(

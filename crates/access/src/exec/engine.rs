@@ -85,23 +85,15 @@ impl VectorEngine {
         batch::project_batches(input, exprs)
     }
 
-    /// Sort (materialising; spills past `memory_budget`; `workers > 1`
-    /// sorts chunks in parallel with identical output).
+    /// Sort (materialising; spills past `memory_budget`; inputs of
+    /// several budgets sort on worker threads with identical output).
     pub fn sort(
         &self,
         input: BatchStream,
         keys: Vec<SortKey>,
         memory_budget: usize,
-        workers: usize,
     ) -> Result<BatchStream> {
-        batch::sort_batches(
-            input,
-            keys,
-            memory_budget,
-            workers,
-            self.rows(),
-            self.ctx.clone(),
-        )
+        batch::sort_batches(input, keys, memory_budget, self.rows(), self.ctx.clone())
     }
 
     /// Pass at most `n` rows after skipping `offset`.
@@ -132,9 +124,6 @@ impl VectorEngine {
         match algorithm {
             JoinAlgorithm::Hash => {
                 batch::hash_join_batches(left, right, left_col, right_col, build, rows, ctx)
-            }
-            JoinAlgorithm::Merge => {
-                batch::merge_join_batches(left, right, left_col, right_col, rows, ctx)
             }
             JoinAlgorithm::NestedLoop => {
                 let predicate = Expr::col(left_col).eq(Expr::col(right_offset_for_nl + right_col));
@@ -222,7 +211,6 @@ mod tests {
                 distinct,
                 vec![SortKey::asc(0), SortKey::asc(1), SortKey::asc(3)],
                 1 << 20,
-                1,
             )
             .unwrap();
         let limited = engine.limit(sorted, 5, 2);
@@ -295,7 +283,7 @@ mod tests {
         ctx.cancel.cancel_after_checks(1);
         let e = VectorEngine::with_context(ctx);
         let err = e
-            .sort(e.values(sample()), vec![SortKey::asc(1)], 1 << 20, 1)
+            .sort(e.values(sample()), vec![SortKey::asc(1)], 1 << 20)
             .and_then(|s| e.collect(s))
             .unwrap_err();
         assert_eq!(err.code(), "cancelled");
@@ -320,7 +308,7 @@ mod tests {
             // and still produces the full sorted output.
             let e = tight(batch_rows);
             let sorted = e
-                .sort(e.values(sample()), vec![SortKey::asc(1)], 1 << 20, 1)
+                .sort(e.values(sample()), vec![SortKey::asc(1)], 1 << 20)
                 .and_then(|s| e.collect(s))
                 .unwrap();
             let keys: Vec<Datum> = sorted.iter().map(|t| t[1].clone()).collect();
@@ -352,18 +340,12 @@ mod tests {
             ("project", e.project(src(), vec![Expr::col(1)]), 20),
             (
                 "sort",
-                e.sort(src(), vec![SortKey::desc(1)], 1 << 20, 1).unwrap(),
-                20,
-            ),
-            (
-                "sort parallel",
-                e.sort(src(), vec![SortKey::desc(1)], 1 << 20, 2).unwrap(),
+                e.sort(src(), vec![SortKey::desc(1)], 1 << 20).unwrap(),
                 20,
             ),
             ("limit", e.limit(src(), 10, 5), 10),
             ("distinct", e.distinct(src()), 20),
             ("hash join", join(JoinAlgorithm::Hash), 200),
-            ("merge join", join(JoinAlgorithm::Merge), 200),
             ("nested-loop join", join(JoinAlgorithm::NestedLoop), 200),
             (
                 "theta join",
@@ -450,7 +432,7 @@ mod tests {
             (
                 "ORDER BY label",
                 Box::new(|e: &VectorEngine| {
-                    e.sort(e.values(t.clone()), vec![SortKey::asc(2)], 8 << 20, 1)
+                    e.sort(e.values(t.clone()), vec![SortKey::asc(2)], 8 << 20)
                         .unwrap()
                 }),
                 ORDER_BY_PEAK,
@@ -539,7 +521,7 @@ mod tests {
     fn sort_and_limit_compose() {
         let e = engine(2);
         let input = e.values(rows(&[(3, "c"), (1, "a"), (2, "b"), (5, "e"), (4, "d")]));
-        let sorted = e.sort(input, vec![SortKey::desc(0)], 1 << 20, 1).unwrap();
+        let sorted = e.sort(input, vec![SortKey::desc(0)], 1 << 20).unwrap();
         let out = e.collect(e.limit(sorted, 2, 1)).unwrap();
         assert_eq!(out, rows(&[(4, "d"), (3, "c")]));
     }

@@ -1,23 +1,13 @@
 //! Join building blocks shared by the batch join kernels: the build-side
-//! choice, the algorithm selector, and the sort-merge core.
+//! choice and the algorithm selector.
 //!
 //! Paper §3.1: the access layer "is also responsible for higher level
-//! operations, such as joins". All three classical algorithms are
-//! provided so the data layer's planner (and the E1/E3 workloads) can
-//! choose per-query; the kernels themselves live in `exec::batch`.
-
-use sbdms_kernel::error::Result;
-
-use super::{ExecContext, CANCEL_QUANTUM};
-use crate::record::Tuple;
-use crate::sort::{ExternalSorter, SortKey};
-
-fn concat(left: &Tuple, right: &Tuple) -> Tuple {
-    let mut out = Vec::with_capacity(left.len() + right.len());
-    out.extend_from_slice(left);
-    out.extend_from_slice(right);
-    out
-}
+//! operations, such as joins". Two algorithms remain for the data
+//! layer's planner to choose between per query: a hash join for
+//! equi-joins and a nested loop for any predicate. A sort-merge join
+//! was deleted: it re-sorted both inputs even when they arrived sorted,
+//! and ran 2.6–3.3× slower than hash in the one regime where the cost
+//! model picked it (EXPERIMENTS §A1). The kernels live in `exec::batch`.
 
 /// Which input a hash join builds its table from. The build side should
 /// be the smaller input: the hash table is the memory footprint, and
@@ -34,53 +24,6 @@ pub enum BuildSide {
     Auto,
 }
 
-/// Sort-merge core over materialised rows (tie order included, the
-/// output is deterministic). The context reaches the two input sorts
-/// (cancellation + spill-on-charge) and the merge loop.
-pub(super) fn merge_join_rows(
-    left: Vec<Tuple>,
-    right: Vec<Tuple>,
-    left_col: usize,
-    right_col: usize,
-    ctx: ExecContext,
-) -> Result<Vec<Tuple>> {
-    let sorter = ExternalSorter::new(1 << 22).with_context(ctx.clone());
-    let l = sorter.sort(left, &[SortKey::asc(left_col)])?.tuples;
-    let r = sorter.sort(right, &[SortKey::asc(right_col)])?.tuples;
-
-    let mut out = Vec::new();
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < l.len() && j < r.len() {
-        if (i + j) % CANCEL_QUANTUM == 0 {
-            ctx.check()?;
-        }
-        let lk = &l[i][left_col];
-        let rk = &r[j][right_col];
-        if lk.is_null() {
-            i += 1;
-            continue;
-        }
-        if rk.is_null() {
-            j += 1;
-            continue;
-        }
-        match lk.order(rk) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                // Emit the cross product of the equal groups.
-                let mut j2 = j;
-                while j2 < r.len() && lk.sql_eq(&r[j2][right_col]) {
-                    out.push(concat(&l[i], &r[j2]));
-                    j2 += 1;
-                }
-                i += 1;
-            }
-        }
-    }
-    Ok(out)
-}
-
 /// Which join algorithm to run; used by planners and experiment sweeps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JoinAlgorithm {
@@ -88,8 +31,6 @@ pub enum JoinAlgorithm {
     NestedLoop,
     /// Hash join (equi only).
     Hash,
-    /// Sort-merge join (equi only).
-    Merge,
 }
 
 #[cfg(test)]
@@ -97,8 +38,8 @@ mod tests {
     use super::*;
     use crate::exec::expr::Expr;
     use crate::exec::VectorEngine;
-    use crate::record::Datum;
-    use crate::sort::compare_tuples;
+    use crate::record::{Datum, Tuple};
+    use crate::sort::{compare_tuples, SortKey};
 
     fn users() -> Vec<Tuple> {
         vec![
@@ -167,19 +108,13 @@ mod tests {
     fn all_algorithms_agree() {
         let nl = run(JoinAlgorithm::NestedLoop);
         let hash = run(JoinAlgorithm::Hash);
-        let merge = run(JoinAlgorithm::Merge);
         assert_eq!(nl.len(), 3, "alice×2 + carol×1");
         assert_eq!(nl, hash);
-        assert_eq!(nl, merge);
     }
 
     #[test]
     fn null_keys_never_match() {
-        for algo in [
-            JoinAlgorithm::NestedLoop,
-            JoinAlgorithm::Hash,
-            JoinAlgorithm::Merge,
-        ] {
+        for algo in [JoinAlgorithm::NestedLoop, JoinAlgorithm::Hash] {
             let rows = run(algo);
             assert!(rows.iter().all(|r| !r[0].is_null() && !r[3].is_null()));
         }
@@ -201,11 +136,7 @@ mod tests {
             vec![Datum::Null, Datum::Float(2.0)],
             vec![Datum::Null, Datum::Float(2.5)],
         ];
-        for algo in [
-            JoinAlgorithm::NestedLoop,
-            JoinAlgorithm::Hash,
-            JoinAlgorithm::Merge,
-        ] {
+        for algo in [JoinAlgorithm::NestedLoop, JoinAlgorithm::Hash] {
             assert_eq!(
                 join(left.clone(), right.clone(), algo, BuildSide::Auto).len(),
                 1,
@@ -251,11 +182,7 @@ mod tests {
 
     #[test]
     fn empty_inputs() {
-        for algo in [
-            JoinAlgorithm::NestedLoop,
-            JoinAlgorithm::Hash,
-            JoinAlgorithm::Merge,
-        ] {
+        for algo in [JoinAlgorithm::NestedLoop, JoinAlgorithm::Hash] {
             assert!(
                 join(vec![], orders(), algo, BuildSide::Auto).is_empty(),
                 "{algo:?}"
@@ -271,11 +198,7 @@ mod tests {
         let right: Vec<Tuple> = (0..30)
             .map(|_| vec![Datum::Int(7), Datum::Int(7)])
             .collect();
-        for algo in [
-            JoinAlgorithm::Hash,
-            JoinAlgorithm::Merge,
-            JoinAlgorithm::NestedLoop,
-        ] {
+        for algo in [JoinAlgorithm::Hash, JoinAlgorithm::NestedLoop] {
             let out = join(left.clone(), right.clone(), algo, BuildSide::Auto);
             assert_eq!(out.len(), 600, "{algo:?} cross product of equals");
         }

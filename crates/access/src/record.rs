@@ -89,6 +89,16 @@ impl Datum {
         }
     }
 
+    /// Bytes [`Datum::encode_into`] writes.
+    pub fn encoded_len(&self) -> usize {
+        match self {
+            Datum::Null => 1,
+            Datum::Bool(_) => 2,
+            Datum::Int(_) | Datum::Float(_) => 9,
+            Datum::Str(s) => 5 + s.len(),
+        }
+    }
+
     /// Encode to a fresh buffer.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();

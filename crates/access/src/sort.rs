@@ -23,6 +23,21 @@ const CANCEL_EVERY: usize = 256;
 /// workers spill concurrently within one process).
 static RUN_SEQ: AtomicU64 = AtomicU64::new(0);
 
+/// Encoded bytes of `tuples`, extrapolated from at most 64 evenly
+/// spaced rows so that choosing workers costs no pass over the input.
+fn estimated_bytes(tuples: &[Tuple]) -> usize {
+    let sample = tuples.iter().step_by(tuples.len().div_ceil(64).max(1));
+    let sampled = sample.len();
+    if sampled == 0 {
+        return 0;
+    }
+    // A tuple encodes a 2-byte field count, then its fields.
+    let bytes: usize = sample
+        .map(|t| 2 + t.iter().map(Datum::encoded_len).sum::<usize>())
+        .sum();
+    bytes * tuples.len() / sampled
+}
+
 /// Sort direction per key column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SortOrder {
@@ -199,22 +214,44 @@ impl ExternalSorter {
         })
     }
 
+    /// Workers [`ExternalSorter::sort_auto`] uses for `tuples`: one while
+    /// their encoded size fits the memory budget, else one per budget
+    /// they fill (rounded up), capped by the cores this process may use.
+    /// An input that fits sorts in memory, where splitting it costs
+    /// chunk copies and a second merge for little gain; past the budget
+    /// the serial sort spills, and sorting and spilling the chunks side
+    /// by side wins. The A1 `ORDER BY` row measures the crossover
+    /// (EXPERIMENTS §A1).
+    pub fn workers_for(&self, tuples: &[Tuple]) -> usize {
+        let bytes = estimated_bytes(tuples);
+        if bytes <= self.memory_budget {
+            return 1;
+        }
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        bytes.div_ceil(self.memory_budget).min(cores)
+    }
+
+    /// Sort with as many workers as the input's size earns
+    /// ([`ExternalSorter::workers_for`]). The output is exactly
+    /// [`ExternalSorter::sort`]'s.
+    pub fn sort_auto(&self, tuples: Vec<Tuple>, keys: &[SortKey]) -> Result<SortOutput> {
+        let workers = self.workers_for(&tuples);
+        self.sort_parallel(tuples, keys, workers)
+    }
+
     /// Sort with a small worker pool: the input splits into contiguous
     /// chunks, one sorter (with a proportional share of the memory
     /// budget) per chunk, and the sorted chunks merge at the root.
     /// Equal keys preserve input order, exactly like [`ExternalSorter::sort`]:
     /// the merge takes strictly smaller heads only, so the earlier chunk
-    /// wins ties. `workers <= 1` and small inputs fall back to the serial
-    /// sort.
+    /// wins ties. One worker is the serial sort.
     pub fn sort_parallel(
         &self,
         tuples: Vec<Tuple>,
         keys: &[SortKey],
         workers: usize,
     ) -> Result<SortOutput> {
-        /// Below this many tuples per worker, thread startup dominates.
-        const MIN_CHUNK: usize = 256;
-        let workers = workers.min(tuples.len() / MIN_CHUNK).max(1);
+        let workers = workers.min(tuples.len()).max(1);
         if workers == 1 {
             return self.sort(tuples, keys);
         }
@@ -449,6 +486,22 @@ mod tests {
         let input = vec![t(&[3]), t(&[1]), t(&[2])];
         let out = sorter.sort_parallel(input, &[SortKey::asc(0)], 8).unwrap();
         assert_eq!(out.tuples, vec![t(&[1]), t(&[2]), t(&[3])]);
+    }
+
+    #[test]
+    fn auto_sort_matches_serial_across_the_crossover() {
+        // Each row encodes to 2 + 9 + 9 = 20 bytes, so 200 rows fill the
+        // 4 000-byte budget exactly; the sizes straddle that crossover.
+        // Keys repeat every 13 rows, so ties must keep input order.
+        let sorter = ExternalSorter::new(4_000);
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        for (n, workers) in [(150i64, 1), (200, 1), (201, 2), (2_000, 10)] {
+            let input: Vec<Tuple> = (0..n).map(|i| t(&[i * 7 % 13, i])).collect();
+            assert_eq!(sorter.workers_for(&input), workers.min(cores), "{n} rows");
+            let serial = sorter.sort(input.clone(), &[SortKey::asc(0)]).unwrap();
+            let auto = sorter.sort_auto(input, &[SortKey::asc(0)]).unwrap();
+            assert_eq!(auto.tuples, serial.tuples, "{n} rows");
+        }
     }
 
     proptest! {

@@ -534,7 +534,6 @@ fn e11(smoke: bool) {
         row(E11Config::NoReorder),
         unanalyzed.clone(),
         row(E11Config::Forced(JoinAlgorithm::NestedLoop)),
-        row(E11Config::Forced(JoinAlgorithm::Merge)),
         row(E11Config::NoIndex),
     ] {
         if let Some(config) = config {
@@ -1706,7 +1705,6 @@ fn a1(smoke: bool) {
     print!("  200x1000 equi-join:           ");
     for (name, algo) in [
         ("hash", JoinAlgorithm::Hash),
-        ("merge", JoinAlgorithm::Merge),
         ("nested-loop", JoinAlgorithm::NestedLoop),
     ] {
         db.force_join_algorithm(Some(algo));
@@ -1716,6 +1714,137 @@ fn a1(smoke: bool) {
         print!("{name}={:.2}ms  ", d.as_nanos() as f64 / 1e6);
     }
     println!();
+
+    a1_index_ordered_join(smoke);
+    a1_order_by(smoke);
+}
+
+/// Two analyzed tables with an index on `k`, joined over `k < x` on
+/// both sides: each join input is a covering index-only range scan, so
+/// it arrives sorted on the join key, the regime in which the deleted
+/// merge join was priced cheapest. The chosen plan is timed against
+/// forced hash and forced nested loop (median of runs; the nested loop
+/// compares x² pairs, so it runs at the smaller bound only).
+fn a1_index_ordered_join(smoke: bool) {
+    use sbdms::access::exec::join::JoinAlgorithm;
+    use sbdms::data::Database;
+    use sbdms_bench::bench_dir;
+
+    let (rows, bounds, runs) = if smoke {
+        (10_000i64, [200i64, 2_000], 3)
+    } else {
+        (100_000, [2_000, 20_000], 9)
+    };
+    let db = Database::open(bench_dir("rep-a1-ordered")).unwrap();
+    let s = db.session();
+    for t in ["a", "b"] {
+        s.execute(&format!(
+            "CREATE TABLE {t} (k INT NOT NULL, v INT NOT NULL)"
+        ))
+        .unwrap();
+        s.execute(&format!("CREATE INDEX {t}_k ON {t} (k)"))
+            .unwrap();
+        for chunk in (0..rows).collect::<Vec<_>>().chunks(1_000) {
+            let vals: Vec<String> = chunk.iter().map(|i| format!("({i}, {})", i % 97)).collect();
+            s.execute(&format!("INSERT INTO {t} VALUES {}", vals.join(",")))
+                .unwrap();
+        }
+        s.execute(&format!("ANALYZE {t}")).unwrap();
+    }
+    for x in bounds {
+        let sql =
+            format!("SELECT COUNT(*) FROM a JOIN b ON a.k = b.k WHERE a.k < {x} AND b.k < {x}");
+        db.force_join_algorithm(None);
+        let explain = s.execute(&format!("EXPLAIN {sql}")).unwrap().rows;
+        let chosen = explain
+            .iter()
+            .map(|r| r[0].to_string())
+            .find_map(|line| {
+                let at = line.find("EquiJoin[")? + "EquiJoin[".len();
+                Some(line[at..].split(']').next()?.to_lowercase())
+            })
+            .unwrap_or_else(|| "no equi-join".into());
+        print!("  index-ordered join, {rows}-row tables, k < {x}: ");
+        let mut answer = None;
+        let mut configs = vec![
+            (format!("chosen ({chosen})"), None),
+            ("hash".into(), Some(JoinAlgorithm::Hash)),
+        ];
+        if x == bounds[0] {
+            configs.push(("nested-loop".into(), Some(JoinAlgorithm::NestedLoop)));
+        }
+        for (name, forced) in configs {
+            db.force_join_algorithm(forced);
+            let mut got = None;
+            let d = median(runs, || {
+                got = Some(s.execute(&sql).unwrap().rows);
+            });
+            match &answer {
+                None => answer = got,
+                Some(want) => assert_eq!(got.as_ref(), Some(want), "{name} changed the answer"),
+            }
+            print!("{name}={:.2}ms  ", d.as_nanos() as f64 / 1e6);
+        }
+        println!();
+    }
+    db.force_join_algorithm(None);
+}
+
+/// `ORDER BY n` over `(n INT, label TEXT)` rows under the default 8 MiB
+/// sort budget: the serial sort against the path the sort operator
+/// selects from the input's size (median of alternating runs).
+fn a1_order_by(smoke: bool) {
+    use sbdms::access::record::{Datum, Tuple};
+    use sbdms::access::sort::{ExternalSorter, SortKey};
+
+    let sizes: &[usize] = if smoke {
+        &[20_000]
+    } else {
+        &[20_000, 300_000, 1_000_000]
+    };
+    let keys = [SortKey::asc(0)];
+    let sorter = ExternalSorter::new(8 << 20);
+    for &n in sizes {
+        let input: Vec<Tuple> = (0..n)
+            .map(|i| {
+                vec![
+                    Datum::Int(((i * 7_919) % n) as i64),
+                    Datum::Str(format!("row{i}")),
+                ]
+            })
+            .collect();
+        // Alternate the two sorts so that drift in the host's speed
+        // reaches both alike; one warm-up round first.
+        let runs = if n >= 1_000_000 { 5 } else { 15 };
+        let (mut serial, mut selected) = (Vec::new(), Vec::new());
+        for round in 0..=runs {
+            for pick_serial in [round % 2 == 0, round % 2 == 1] {
+                let start = Instant::now();
+                let out = if pick_serial {
+                    sorter.sort(input.clone(), &keys)
+                } else {
+                    sorter.sort_auto(input.clone(), &keys)
+                };
+                std::hint::black_box(out.unwrap());
+                let times = if pick_serial { &mut serial } else { &mut selected };
+                if round > 0 {
+                    times.push(start.elapsed());
+                }
+            }
+        }
+        let median = |mut runs: Vec<Duration>| {
+            runs.sort();
+            runs[runs.len() / 2]
+        };
+        let (serial, selected) = (median(serial), median(selected));
+        println!(
+            "  ORDER BY, {n} rows: serial={:.1}ms  selected={:.1}ms ({} workers, {:.2}x)",
+            serial.as_nanos() as f64 / 1e6,
+            selected.as_nanos() as f64 / 1e6,
+            sorter.workers_for(&input),
+            serial.as_secs_f64() / selected.as_secs_f64()
+        );
+    }
 }
 
 fn e8() {

@@ -1869,7 +1869,6 @@ mod tests {
             E11Config::NoReorder,
             E11Config::NoIndex,
             E11Config::Forced(JoinAlgorithm::NestedLoop),
-            E11Config::Forced(JoinAlgorithm::Merge),
         ] {
             e11_apply(&db, config);
             assert_eq!(e11_count(&s, E11_JOIN_Q), join_ref, "{config:?}");

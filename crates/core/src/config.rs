@@ -181,8 +181,11 @@ pub struct ArchitectureConfig {
     pub buffer_shards: Option<usize>,
     /// Sort memory budget in bytes before spilling to disk.
     pub sort_budget: usize,
-    /// Worker threads for parallel sorts (1 = serial).
-    pub parallelism: usize,
+    /// Retired: a sort picks its workers from its input's size, so this
+    /// field holds nothing. It stays only because the benchmark's option
+    /// literal (`perfbench/src/setup.rs`) names it; it goes with the
+    /// next change to the benchmark (ROADMAP item 10).
+    pub parallelism: (),
     /// Plan cache entries (0 disables plan caching).
     pub plan_cache: usize,
     /// Equi-depth histogram buckets collected per column by `ANALYZE`
@@ -234,11 +237,11 @@ impl ArchitectureConfig {
                 buffer_frames: 256,
                 replacement: (),
                 // A server-class deployment expects concurrent sessions:
-                // stripe the pool, scan and sort on worker threads, and
-                // cache plans for repeated statements.
+                // stripe the pool and cache plans for repeated
+                // statements.
                 buffer_shards: Some(8),
                 sort_budget: 8 << 20,
-                parallelism: 4,
+                parallelism: (),
                 plan_cache: 64,
                 histogram_buckets: 32,
                 // Throughput-oriented: full batches amortise the
@@ -284,11 +287,11 @@ impl ArchitectureConfig {
                 binding: BindingKind::InProcess,
                 buffer_frames: 16,
                 replacement: (),
-                // One core, little RAM: a single stripe, serial
-                // execution, a small sort budget, and no plan cache.
+                // One core, little RAM: a single stripe, a small sort
+                // budget, and no plan cache.
                 buffer_shards: Some(1),
                 sort_budget: 256 << 10,
-                parallelism: 1,
+                parallelism: (),
                 plan_cache: 0,
                 // Row counts and min/max/NDV still collect (they are a
                 // few words per column); histograms are the part whose
@@ -347,12 +350,6 @@ impl ArchitectureConfig {
     /// Builder: override the buffer shard count.
     pub fn with_buffer_shards(mut self, shards: usize) -> ArchitectureConfig {
         self.buffer_shards = Some(shards);
-        self
-    }
-
-    /// Builder: override the scan/sort worker count.
-    pub fn with_parallelism(mut self, workers: usize) -> ArchitectureConfig {
-        self.parallelism = workers.max(1);
         self
     }
 
@@ -418,10 +415,9 @@ mod tests {
         assert!(full.services.count() > embedded.services.count());
         assert!(full.buffer_frames > embedded.buffer_frames);
         assert!(full.memory_budget > embedded.memory_budget);
-        // The data plane scales out on the server profile and stays
-        // strictly serial in the embedded one.
+        // The server profile stripes the buffer pool; the embedded one
+        // keeps a single stripe.
         assert!(full.buffer_shards.unwrap() > embedded.buffer_shards.unwrap());
-        assert!(full.parallelism > 1 && embedded.parallelism == 1);
         assert!(full.sort_budget > embedded.sort_budget);
         assert!(full.plan_cache > 0 && embedded.plan_cache == 0);
         // Full deployments afford histograms; embedded keeps only the
@@ -487,7 +483,6 @@ mod tests {
             .with_binding(BindingKind::Channel)
             .with_buffer_frames(8)
             .with_buffer_shards(2)
-            .with_parallelism(0)
             .with_sort_budget(0)
             .with_plan_cache(7)
             .with_execution_engine(0);
@@ -495,8 +490,7 @@ mod tests {
         assert_eq!(c.execution_engine, 1);
         assert_eq!(c.buffer_frames, 8);
         assert_eq!(c.buffer_shards, Some(2));
-        // Degenerate values clamp to the serial minimum.
-        assert_eq!(c.parallelism, 1);
+        // Degenerate values clamp to the minimum.
         assert_eq!(c.sort_budget, 1);
         assert_eq!(c.plan_cache, 7);
     }

@@ -108,7 +108,7 @@ impl Sbdms {
             replacement: (),
             buffer_shards: config.buffer_shards,
             sort_budget: config.sort_budget,
-            parallelism: config.parallelism,
+            parallelism: (),
             plan_cache_capacity: config.plan_cache,
             histogram_buckets: config.histogram_buckets,
             execution_engine: Some(config.execution_engine),

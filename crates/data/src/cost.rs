@@ -40,8 +40,6 @@ pub const COST_RID_MERGE: f64 = 0.1;
 pub const COST_HASH_BUILD: f64 = 2.0;
 /// Cost of probing the hash table with one row.
 pub const COST_HASH_PROBE: f64 = 1.0;
-/// Cost of advancing one row through a merge join.
-pub const COST_MERGE_ROW: f64 = 1.0;
 /// Cost of evaluating a predicate against one row.
 pub const COST_PRED_EVAL: f64 = 0.2;
 /// Cost of materialising one output row of a join.
@@ -79,10 +77,6 @@ struct NodeEst {
     rows: f64,
     cost: f64,
     cols: Vec<ColRef>,
-    /// Output position the stream is sorted on, if any (index scans and
-    /// merge joins produce ordered output; hash joins preserve the
-    /// probe side's order).
-    sorted_on: Option<usize>,
     /// The row estimate rests on default statistics: some input table
     /// was never ANALYZEd.
     guessed: bool,
@@ -118,11 +112,6 @@ impl<'a> Estimator<'a> {
             rows: node.rows,
             cost: node.cost,
         }
-    }
-
-    /// The output position `plan` is sorted on, if statically known.
-    pub fn sorted_on(&self, plan: &Plan) -> Option<usize> {
-        self.node(plan).sorted_on
     }
 
     /// Estimated selectivity of `predicate` over `plan`'s output.
@@ -176,7 +165,6 @@ impl<'a> Estimator<'a> {
                     rows,
                     cost: rows * COST_SEQ_ROW * mvcc,
                     cols: self.table_cols(table),
-                    sorted_on: None,
                     guessed: self.stats_of(table).is_none(),
                 }
             }
@@ -198,27 +186,20 @@ impl<'a> Estimator<'a> {
                     }
                 }
                 let rows = (n * sel).max(0.0);
-                let (cols, sorted_on, per_row) = if *covering {
-                    // Output carries the key columns only, in key order.
+                let (cols, per_row) = if *covering {
+                    // Output carries the key columns only.
                     let cols: Vec<ColRef> = key_columns
                         .iter()
                         .map(|c| Some((table.to_lowercase(), c.to_lowercase())))
                         .collect();
-                    (cols, Some(0), COST_IDX_KEY_ROW)
+                    (cols, COST_IDX_KEY_ROW)
                 } else {
-                    let cols = self.table_cols(table);
-                    let sorted_on = key_columns.first().and_then(|lead| {
-                        cols.iter().position(
-                            |c| matches!(c, Some((_, col)) if col == &lead.to_lowercase()),
-                        )
-                    });
-                    (cols, sorted_on, COST_IDX_ROW)
+                    (self.table_cols(table), COST_IDX_ROW)
                 };
                 NodeEst {
                     rows,
                     cost: COST_IDX_PROBE + rows * per_row,
                     cols,
-                    sorted_on,
                     guessed: self.stats_of(table).is_none(),
                 }
             }
@@ -240,8 +221,6 @@ impl<'a> Estimator<'a> {
                     cost: keys.len() as f64 * COST_IDX_PROBE
                         + rows * (COST_RID_MERGE + COST_IDX_ROW),
                     cols: self.table_cols(table),
-                    // Rowids are deduplicated and fetched in rid order.
-                    sorted_on: None,
                     guessed: self.stats_of(table).is_none(),
                 }
             }
@@ -271,7 +250,6 @@ impl<'a> Estimator<'a> {
                         + probed * COST_RID_MERGE
                         + rows * COST_IDX_ROW,
                     cols: self.table_cols(table),
-                    sorted_on: None,
                     guessed,
                 }
             }
@@ -279,7 +257,6 @@ impl<'a> Estimator<'a> {
                 rows: rows.len() as f64,
                 cost: rows.len() as f64 * 0.01,
                 cols: vec![None; rows.first().map(|r| r.len()).unwrap_or(0)],
-                sorted_on: None,
                 guessed: false,
             },
             Plan::Filter { input, predicate } => {
@@ -289,7 +266,6 @@ impl<'a> Estimator<'a> {
                     rows: inp.rows * sel,
                     cost: inp.cost + inp.rows * COST_PRED_EVAL,
                     cols: inp.cols,
-                    sorted_on: inp.sorted_on,
                     guessed: inp.guessed,
                 }
             }
@@ -299,46 +275,23 @@ impl<'a> Estimator<'a> {
                 algorithm,
                 left_col,
                 right_col,
-                left_width,
                 build,
+                ..
             } => {
                 let l = self.node(left);
                 let r = self.node(right);
                 let rows = self.equi_join_rows(&l, &r, *left_col, *right_col);
                 let input_cost = l.cost + r.cost;
-                let (op_cost, sorted_on) = match algorithm {
+                let op_cost = match algorithm {
                     JoinAlgorithm::Hash => {
-                        let (build_rows, probe_rows, sorted) = match build {
-                            BuildSide::Left => {
-                                (l.rows, r.rows, r.sorted_on.map(|i| i + left_width))
-                            }
-                            BuildSide::Right => (r.rows, l.rows, l.sorted_on),
-                            BuildSide::Auto => (l.rows.min(r.rows), l.rows.max(r.rows), None),
+                        let (build_rows, probe_rows) = match build {
+                            BuildSide::Left => (l.rows, r.rows),
+                            BuildSide::Right => (r.rows, l.rows),
+                            BuildSide::Auto => (l.rows.min(r.rows), l.rows.max(r.rows)),
                         };
-                        (
-                            build_rows * COST_HASH_BUILD + probe_rows * COST_HASH_PROBE,
-                            sorted,
-                        )
+                        build_rows * COST_HASH_BUILD + probe_rows * COST_HASH_PROBE
                     }
-                    JoinAlgorithm::Merge => {
-                        let sort_l = if l.sorted_on == Some(*left_col) {
-                            0.0
-                        } else {
-                            sort_cost(l.rows)
-                        };
-                        let sort_r = if r.sorted_on == Some(*right_col) {
-                            0.0
-                        } else {
-                            sort_cost(r.rows)
-                        };
-                        (
-                            sort_l + sort_r + (l.rows + r.rows) * COST_MERGE_ROW,
-                            Some(*left_col),
-                        )
-                    }
-                    JoinAlgorithm::NestedLoop => {
-                        (loop_rows(&l) * loop_rows(&r) * COST_PRED_EVAL, None)
-                    }
+                    JoinAlgorithm::NestedLoop => loop_rows(&l) * loop_rows(&r) * COST_PRED_EVAL,
                 };
                 let mut cols = l.cols;
                 cols.extend(r.cols);
@@ -346,7 +299,6 @@ impl<'a> Estimator<'a> {
                     rows,
                     cost: input_cost + op_cost + rows * COST_OUT_ROW,
                     cols,
-                    sorted_on,
                     guessed: l.guessed || r.guessed,
                 }
             }
@@ -366,7 +318,6 @@ impl<'a> Estimator<'a> {
                     rows,
                     cost: l.cost + r.cost + l.rows * r.rows * COST_PRED_EVAL + rows * COST_OUT_ROW,
                     cols,
-                    sorted_on: None,
                     guessed: l.guessed || r.guessed,
                 }
             }
@@ -389,7 +340,6 @@ impl<'a> Estimator<'a> {
                     rows,
                     cost: inp.cost + inp.rows * (1.0 + aggs.len() as f64 * COST_PRED_EVAL),
                     cols: vec![None; group_by.len() + aggs.len()],
-                    sorted_on: None,
                     guessed: inp.guessed,
                 }
             }
@@ -402,14 +352,10 @@ impl<'a> Estimator<'a> {
                         _ => None,
                     })
                     .collect();
-                let sorted_on = inp.sorted_on.and_then(|s| {
-                    exprs.iter().position(|e| matches!(e, Expr::Col(i) if *i == s))
-                });
                 NodeEst {
                     rows: inp.rows,
                     cost: inp.cost + inp.rows * COST_PRED_EVAL * exprs.len() as f64,
                     cols,
-                    sorted_on,
                     guessed: inp.guessed,
                 }
             }
@@ -419,21 +365,15 @@ impl<'a> Estimator<'a> {
                     rows: inp.rows, // upper bound; duplicates unknown
                     cost: inp.cost + inp.rows,
                     cols: inp.cols,
-                    sorted_on: inp.sorted_on,
                     guessed: inp.guessed,
                 }
             }
-            Plan::Sort { input, keys } => {
+            Plan::Sort { input, .. } => {
                 let inp = self.node(input);
-                let sorted_on = keys
-                    .first()
-                    .filter(|k| k.order == sbdms_access::sort::SortOrder::Asc)
-                    .map(|k| k.column);
                 NodeEst {
                     rows: inp.rows,
                     cost: inp.cost + sort_cost(inp.rows),
                     cols: inp.cols,
-                    sorted_on,
                     guessed: inp.guessed,
                 }
             }
@@ -443,7 +383,6 @@ impl<'a> Estimator<'a> {
                     rows: inp.rows.min(*n as f64),
                     cost: inp.cost,
                     cols: inp.cols,
-                    sorted_on: inp.sorted_on,
                     guessed: inp.guessed,
                 }
             }
@@ -664,7 +603,7 @@ fn flip_cmp(op: BinOp) -> BinOp {
 
 /// Rows a nested loop is priced to iterate over one input. Its cost is
 /// the product of its inputs, so an estimate too low by a factor k
-/// makes it k times dearer where a hash or merge join grows by k rows.
+/// makes it k times dearer where a hash join grows by k rows.
 /// An estimate from default statistics vouches for no fewer rows than
 /// an un-analyzed table is assumed to hold: a filter's default
 /// selectivity (or a sub-row estimate) must not buy a nested loop.

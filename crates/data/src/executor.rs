@@ -74,8 +74,7 @@ impl QueryResult {
 }
 
 /// Tunables for opening a [`Database`]. The defaults match the seed
-/// engine: 256-frame pool, 8 MiB sort budget, serial execution, and a
-/// modest plan cache.
+/// engine: 256-frame pool, 8 MiB sort budget, and a modest plan cache.
 #[derive(Debug, Clone)]
 pub struct DbOptions {
     /// Buffer pool capacity in frames.
@@ -89,8 +88,11 @@ pub struct DbOptions {
     pub buffer_shards: Option<usize>,
     /// Sort memory budget in bytes before spilling to disk.
     pub sort_budget: usize,
-    /// Worker threads for parallel sorts (1 = serial).
-    pub parallelism: usize,
+    /// Retired: a sort picks its workers from its input's size, so this
+    /// field holds nothing. It stays only because the benchmark's option
+    /// literal (`perfbench/src/setup.rs`) names it; it goes with the
+    /// next change to the benchmark (ROADMAP item 10).
+    pub parallelism: (),
     /// Plan cache entries (0 disables plan caching).
     pub plan_cache_capacity: usize,
     /// Equi-depth histogram buckets per column collected by `ANALYZE`
@@ -122,7 +124,7 @@ impl Default for DbOptions {
             replacement: (),
             buffer_shards: None,
             sort_budget: 8 << 20,
-            parallelism: 1,
+            parallelism: (),
             plan_cache_capacity: 64,
             histogram_buckets: crate::stats::HISTOGRAM_BUCKETS,
             execution_engine: None,
@@ -204,7 +206,6 @@ pub struct Database {
     /// Rows per batch of the execution engine (fixed at open).
     batch_rows: usize,
     sort_budget: usize,
-    parallelism: usize,
     histogram_buckets: usize,
     event_bus: Mutex<Option<EventBus>>,
     plans_selected: AtomicU64,
@@ -271,7 +272,6 @@ impl Database {
             plan_cache: PlanCache::new(opts.plan_cache_capacity),
             batch_rows: opts.execution_engine.unwrap_or(BATCH_ROWS),
             sort_budget: opts.sort_budget.max(1),
-            parallelism: opts.parallelism.max(1),
             histogram_buckets: opts.histogram_buckets,
             event_bus: Mutex::new(None),
             plans_selected: AtomicU64::new(0),
@@ -519,7 +519,6 @@ impl Database {
             None => 0,
             Some(JoinAlgorithm::NestedLoop) => 1,
             Some(JoinAlgorithm::Hash) => 2,
-            Some(JoinAlgorithm::Merge) => 3,
         };
         let knob_bits =
             (forced << 2) | ((k.join_reordering as u64) << 1) | (k.index_selection as u64);
@@ -1483,12 +1482,9 @@ impl Database {
                 Ok(engine.project(input(child, Some(&cols))?, exprs))
             }
             Plan::Distinct { input: child } => Ok(engine.distinct(input(child, None)?)),
-            Plan::Sort { input: child, keys } => engine.sort(
-                input(child, None)?,
-                keys.clone(),
-                sort_budget,
-                self.parallelism,
-            ),
+            Plan::Sort { input: child, keys } => {
+                engine.sort(input(child, None)?, keys.clone(), sort_budget)
+            }
             Plan::Limit {
                 input: child,
                 n,

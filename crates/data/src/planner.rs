@@ -5,8 +5,8 @@
 //! operators over *positional* expressions, selecting among alternatives
 //! by estimated cost (paper Fig. 6, flexibility by selection):
 //! sequential scan vs. B-tree point probe vs. range scan vs. probe union
-//! or intersection, hash vs. merge vs. nested-loop join with the hash
-//! build always on the smaller estimated input, and greedy
+//! or intersection, hash vs. nested-loop join with the hash build
+//! always on the smaller estimated input, and greedy
 //! cardinality-ordered join reordering. There is one cost model: a table
 //! without ANALYZE statistics is costed with the estimator's defaults
 //! (a fixed row count and fixed selectivities).
@@ -168,7 +168,7 @@ pub enum Plan {
         /// Predicate over input columns.
         predicate: Expr,
     },
-    /// Equi-join (hash or merge).
+    /// Equi-join (hash or nested loop).
     EquiJoin {
         /// Left input.
         left: Box<Plan>,
@@ -183,8 +183,8 @@ pub enum Plan {
         /// Width of the left input (for residual predicates).
         left_width: usize,
         /// Hash-table side for hash joins (planner-directed when stats
-        /// exist, size-sniffing `Auto` otherwise). Ignored by merge and
-        /// nested-loop execution.
+        /// exist, size-sniffing `Auto` otherwise). Ignored by the nested
+        /// loop.
         build: BuildSide,
     },
     /// Nested-loop join with arbitrary predicate over `left ++ right`.
@@ -1289,11 +1289,7 @@ fn choose_join_algorithm(
     // Cost each candidate with the same estimator EXPLAIN uses.
     let mut best: Option<(JoinAlgorithm, BuildSide, f64)> = None;
     let mut parts: Vec<String> = Vec::new();
-    for algorithm in [
-        JoinAlgorithm::Hash,
-        JoinAlgorithm::Merge,
-        JoinAlgorithm::NestedLoop,
-    ] {
+    for algorithm in [JoinAlgorithm::Hash, JoinAlgorithm::NestedLoop] {
         let build = if algorithm == JoinAlgorithm::Hash {
             directed_build
         } else {
@@ -2570,7 +2566,7 @@ mod tests {
     fn forced_hint_overrides_cost_model() {
         let catalog = StatsCatalog {
             knobs: PlannerKnobs {
-                forced_join: Some(JoinAlgorithm::Merge),
+                forced_join: Some(JoinAlgorithm::NestedLoop),
                 ..PlannerKnobs::default()
             },
         };
@@ -2578,7 +2574,7 @@ mod tests {
             "SELECT name, amount FROM users u JOIN orders o ON u.id = o.user_id",
             &catalog,
         );
-        assert!(p.plan.explain().contains("EquiJoin[Merge]"), "{}", p.plan.explain());
+        assert!(p.plan.explain().contains("EquiJoin[NestedLoop]"), "{}", p.plan.explain());
         assert!(
             p.decisions.iter().any(|d| d.contains("forced")),
             "{:?}",

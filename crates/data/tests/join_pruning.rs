@@ -206,7 +206,6 @@ fn check_all(db: &Database, s: &Session, who: &str) -> Vec<BuildSide> {
         for algorithm in [
             None,
             Some(JoinAlgorithm::Hash),
-            Some(JoinAlgorithm::Merge),
             Some(JoinAlgorithm::NestedLoop),
         ] {
             db.force_join_algorithm(algorithm);

@@ -711,7 +711,7 @@ fn join_algorithms_agree_through_sql() {
                ORDER BY amount, name";
     let reference = s.execute(sql).unwrap().rows;
     assert_eq!(reference.len(), 5);
-    for algo in [JoinAlgorithm::Merge, JoinAlgorithm::NestedLoop, JoinAlgorithm::Hash] {
+    for algo in [JoinAlgorithm::NestedLoop, JoinAlgorithm::Hash] {
         db.force_join_algorithm(Some(algo));
         assert_eq!(s.execute(sql).unwrap().rows, reference, "{algo:?}");
         let plan = db.cached_plan(sql).expect("the statement left a cached plan").explain();
@@ -770,7 +770,7 @@ fn plan_cache_invalidated_by_join_algorithm_change() {
                ORDER BY amount, name";
     let reference = s.execute(sql).unwrap().rows;
     let hits_before = db.plan_cache_stats().hits;
-    db.force_join_algorithm(Some(JoinAlgorithm::Merge));
+    db.force_join_algorithm(Some(JoinAlgorithm::NestedLoop));
     assert_eq!(s.execute(sql).unwrap().rows, reference);
     assert_eq!(
         db.plan_cache_stats().hits,
@@ -782,29 +782,36 @@ fn plan_cache_invalidated_by_join_algorithm_change() {
     assert_eq!(db.plan_cache_stats().hits, hits_before + 1);
 }
 
+/// A buffer pool striped into shards answers exactly like a single
+/// stripe. (The name predates the retired `parallelism` option; sort
+/// workers are now chosen from the input's size and are checked in
+/// `sort::tests::auto_sort_matches_serial_across_the_crossover`.)
 #[test]
 fn parallel_execution_matches_serial() {
     use sbdms_data::executor::DbOptions;
 
-    let serial = db("parallel-serial");
-    let dir = std::env::temp_dir()
-        .join("sbdms-sql-tests")
-        .join(format!("parallel-par-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let parallel = Database::open_opts(
-        &dir,
-        DbOptions {
-            parallelism: 4,
-            buffer_shards: Some(4),
-            ..DbOptions::default()
-        },
-    )
-    .unwrap();
-    let (serial, parallel) = (serial.session(), parallel.session());
+    let open = |shards: usize| {
+        let dir = std::env::temp_dir()
+            .join("sbdms-sql-tests")
+            .join(format!("shards-{shards}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        Database::open_opts(
+            &dir,
+            DbOptions {
+                buffer_frames: 16,
+                buffer_shards: Some(shards),
+                ..DbOptions::default()
+            },
+        )
+        .unwrap()
+    };
+    let (single, sharded) = (open(1), open(4));
+    let (single, sharded) = (single.session(), sharded.session());
 
-    for s in [&serial, &parallel] {
+    for s in [&single, &sharded] {
         s.execute("CREATE TABLE nums (n INT NOT NULL, label TEXT NOT NULL)")
             .unwrap();
+        s.execute("CREATE INDEX nums_n ON nums (n)").unwrap();
         for chunk in (0..2000).collect::<Vec<i64>>().chunks(100) {
             let values: Vec<String> = chunk
                 .iter()
@@ -813,14 +820,17 @@ fn parallel_execution_matches_serial() {
             s.execute(&format!("INSERT INTO nums VALUES {}", values.join(", ")))
                 .unwrap();
         }
+        s.execute("UPDATE nums SET label = 'moved' WHERE n < 50").unwrap();
+        s.execute("DELETE FROM nums WHERE n >= 950").unwrap();
     }
     for sql in [
         "SELECT n, label FROM nums ORDER BY n, label",
         "SELECT n FROM nums WHERE n < 100 ORDER BY n DESC",
+        "SELECT label FROM nums WHERE n = 37",
         "SELECT COUNT(*) FROM nums",
     ] {
-        let a = serial.execute(sql).unwrap();
-        let b = parallel.execute(sql).unwrap();
+        let a = single.execute(sql).unwrap();
+        let b = sharded.execute(sql).unwrap();
         assert_eq!(a.rows, b.rows, "{sql}");
         assert_eq!(a.columns, b.columns);
     }

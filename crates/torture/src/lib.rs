@@ -284,7 +284,7 @@ fn opts(config: &TortureConfig) -> DbOptions {
         replacement: (),
         buffer_shards: Some(1),
         sort_budget: 64 << 10,
-        parallelism: 1,
+        parallelism: (),
         plan_cache_capacity: 0,
         histogram_buckets: 0,
         execution_engine: None,
