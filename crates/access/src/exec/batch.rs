@@ -276,11 +276,6 @@ pub fn collect_rows(input: BatchStream) -> Result<Vec<Tuple>> {
     Ok(out)
 }
 
-/// Drain a batch stream into materialised batches, staying columnar.
-fn collect_batches(input: BatchStream) -> Result<Vec<Batch>> {
-    input.collect()
-}
-
 /// Chunk pre-materialised tuples into batches of `batch_rows`. Column
 /// capacities are exact (the source length is known), so the transpose
 /// is one move per datum with no reallocation.
@@ -671,10 +666,10 @@ pub fn nested_loop_join_batches(
 }
 
 /// Hash equi-join over batches: NULL keys never match, output columns
-/// are always left-then-right, output order follows the probe input,
-/// and `Auto` builds from the smaller materialised side. The build side
-/// is charged against the query's memory account and every build/probe
-/// batch is a cancellation point.
+/// are always left-then-right, and output order follows the probe
+/// input (the side `build` does not name). The build side is charged
+/// against the query's memory account and every build/probe batch is a
+/// cancellation point.
 pub fn hash_join_batches(
     left: BatchStream,
     right: BatchStream,
@@ -684,35 +679,12 @@ pub fn hash_join_batches(
     batch_rows: usize,
     ctx: ExecContext,
 ) -> Result<BatchStream> {
-    let directed = |build, build_col, probe, probe_col, build_is_left| {
-        hash_join_directed(
-            build,
-            build_col,
-            probe,
-            probe_col,
-            build_is_left,
-            batch_rows,
-            ctx,
-        )
-    };
     match build {
-        BuildSide::Left => directed(left, left_col, right, right_col, true),
-        BuildSide::Right => directed(right, right_col, left, left_col, false),
-        BuildSide::Auto => {
-            // Materialise both sides as batches (no row transposition)
-            // just to count rows; the smaller side builds.
-            let l = collect_batches(left)?;
-            let r = collect_batches(right)?;
-            let l_rows: usize = l.iter().map(Batch::rows).sum();
-            let r_rows: usize = r.iter().map(Batch::rows).sum();
-            let build_left = l_rows <= r_rows;
-            let l: BatchStream = Box::new(l.into_iter().map(Ok));
-            let r: BatchStream = Box::new(r.into_iter().map(Ok));
-            if build_left {
-                directed(l, left_col, r, right_col, true)
-            } else {
-                directed(r, right_col, l, left_col, false)
-            }
+        BuildSide::Left => {
+            hash_join_directed(left, left_col, right, right_col, true, batch_rows, ctx)
+        }
+        BuildSide::Right => {
+            hash_join_directed(right, right_col, left, left_col, false, batch_rows, ctx)
         }
     }
 }
@@ -914,7 +886,6 @@ mod tests {
     use super::*;
     use crate::exec::aggregate::AggFunc;
     use crate::exec::expr::BinOp;
-    use crate::exec::join::JoinAlgorithm;
 
     fn rows(vals: &[(i64, &str)]) -> Vec<Tuple> {
         vals.iter()
@@ -1263,25 +1234,21 @@ mod tests {
         expected.sort_by(|a, b| crate::sort::compare_tuples(a, b, &[SortKey::asc(2)]));
         assert_eq!(expected.len(), 3);
         let engine = super::super::VectorEngine::default();
-        for algo in [JoinAlgorithm::Hash, JoinAlgorithm::NestedLoop] {
-            let mut out = collect(
-                engine
-                    .equi_join(
-                        algo,
-                        values_batches(users.clone(), 2),
-                        values_batches(orders.clone(), 3),
-                        0,
-                        1,
-                        2,
-                        BuildSide::Auto,
-                    )
-                    .unwrap(),
-            );
+        let runs = [
+            ("hash build=Left", Some(BuildSide::Left)),
+            ("hash build=Right", Some(BuildSide::Right)),
+            ("nested loop", None),
+        ];
+        for (name, build) in runs {
+            let left = values_batches(users.clone(), 2);
+            let right = values_batches(orders.clone(), 3);
+            let joined = match build {
+                Some(build) => engine.equi_join(left, right, 0, 1, build),
+                None => engine.nested_loop_join(left, right, Expr::col(0).eq(Expr::col(3))),
+            };
+            let mut out = collect(joined.unwrap());
             out.sort_by(|a, b| crate::sort::compare_tuples(a, b, &[SortKey::asc(2)]));
-            assert_eq!(
-                out, expected,
-                "{algo:?} must match the nested-loop reference"
-            );
+            assert_eq!(out, expected, "{name} must match the naive reference");
         }
     }
 

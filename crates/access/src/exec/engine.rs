@@ -15,7 +15,7 @@ use sbdms_kernel::error::Result;
 use super::aggregate::AggSpec;
 use super::batch::{self, BatchStream, PageSource, BATCH_ROWS};
 use super::expr::Expr;
-use super::join::{BuildSide, JoinAlgorithm};
+use super::join::BuildSide;
 use super::ExecContext;
 use crate::record::{Datum, Tuple};
 use crate::sort::SortKey;
@@ -106,30 +106,18 @@ impl VectorEngine {
         batch::distinct_batches(input, self.ctx.clone())
     }
 
-    /// Equi-join with the chosen algorithm; `build` applies to hash
-    /// joins, `right_offset_for_nl` is the left width for the
-    /// nested-loop fallback predicate.
-    #[allow(clippy::too_many_arguments)]
+    /// Hash equi-join on `left[left_col] = right[right_col]`, building
+    /// its table from the `build` input.
     pub fn equi_join(
         &self,
-        algorithm: JoinAlgorithm,
         left: BatchStream,
         right: BatchStream,
         left_col: usize,
         right_col: usize,
-        right_offset_for_nl: usize,
         build: BuildSide,
     ) -> Result<BatchStream> {
         let (rows, ctx) = (self.rows(), self.ctx.clone());
-        match algorithm {
-            JoinAlgorithm::Hash => {
-                batch::hash_join_batches(left, right, left_col, right_col, build, rows, ctx)
-            }
-            JoinAlgorithm::NestedLoop => {
-                let predicate = Expr::col(left_col).eq(Expr::col(right_offset_for_nl + right_col));
-                batch::nested_loop_join_batches(left, right, predicate, rows, ctx)
-            }
-        }
+        batch::hash_join_batches(left, right, left_col, right_col, build, rows, ctx)
     }
 
     /// Nested-loop join with an arbitrary predicate over `left ++ right`.
@@ -195,15 +183,7 @@ mod tests {
         let scan = engine.values(sample());
         let filtered = engine.filter(scan, Expr::col(1).ge(Expr::int(2)));
         let joined = engine
-            .equi_join(
-                JoinAlgorithm::Hash,
-                filtered,
-                engine.values(sample()),
-                0,
-                0,
-                2,
-                BuildSide::Auto,
-            )
+            .equi_join(filtered, engine.values(sample()), 0, 0, BuildSide::Left)
             .unwrap();
         let distinct = engine.distinct(joined);
         let sorted = engine
@@ -329,10 +309,7 @@ mod tests {
         let src = || e.values(input.clone());
         let cols = vec![(0..20).map(Datum::Int).collect::<Vec<_>>()];
         let count = || vec![AggSpec::new(AggFunc::CountAll, Expr::int(0))];
-        let join = |algorithm| {
-            e.equi_join(algorithm, src(), src(), 0, 0, 2, BuildSide::Auto)
-                .unwrap()
-        };
+        let join = |build| e.equi_join(src(), src(), 0, 0, build).unwrap();
         let streams: Vec<(&str, BatchStream, usize)> = vec![
             ("values", src(), 20),
             ("values_columnar", e.values_columnar(cols, 20), 20),
@@ -345,8 +322,14 @@ mod tests {
             ),
             ("limit", e.limit(src(), 10, 5), 10),
             ("distinct", e.distinct(src()), 20),
-            ("hash join", join(JoinAlgorithm::Hash), 200),
-            ("nested-loop join", join(JoinAlgorithm::NestedLoop), 200),
+            ("hash join build=Left", join(BuildSide::Left), 200),
+            ("hash join build=Right", join(BuildSide::Right), 200),
+            (
+                "nested-loop join",
+                e.nested_loop_join(src(), src(), Expr::col(0).eq(Expr::col(2)))
+                    .unwrap(),
+                200,
+            ),
             (
                 "theta join",
                 e.nested_loop_join(src(), src(), Expr::col(1).lt(Expr::col(3)))
@@ -440,16 +423,8 @@ mod tests {
             (
                 "t JOIN g ON grp (hash)",
                 Box::new(|e: &VectorEngine| {
-                    e.equi_join(
-                        JoinAlgorithm::Hash,
-                        e.values(t.clone()),
-                        e.values(g.clone()),
-                        1,
-                        0,
-                        3,
-                        BuildSide::Auto,
-                    )
-                    .unwrap()
+                    e.equi_join(e.values(t.clone()), e.values(g.clone()), 1, 0, BuildSide::Right)
+                        .unwrap()
                 }),
                 HASH_JOIN_PEAK,
             ),

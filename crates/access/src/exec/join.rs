@@ -1,36 +1,22 @@
-//! Join building blocks shared by the batch join kernels: the build-side
-//! choice and the algorithm selector.
+//! The hash join's build-side choice.
 //!
 //! Paper §3.1: the access layer "is also responsible for higher level
-//! operations, such as joins". Two algorithms remain for the data
-//! layer's planner to choose between per query: a hash join for
-//! equi-joins and a nested loop for any predicate. A sort-merge join
-//! was deleted: it re-sorted both inputs even when they arrived sorted,
-//! and ran 2.6–3.3× slower than hash in the one regime where the cost
-//! model picked it (EXPERIMENTS §A1). The kernels live in `exec::batch`.
+//! operations, such as joins". Every equi-join runs as a hash join
+//! whose build side the data layer's planner directs from its row
+//! estimates; a nested loop (`VectorEngine::nested_loop_join`) runs any
+//! other predicate. A sort-merge join and the nested loop as an
+//! equi-join were deleted: each ran slower than hash wherever the cost
+//! model chose it (EXPERIMENTS §A1). The kernels live in `exec::batch`.
 
 /// Which input a hash join builds its table from. The build side should
 /// be the smaller input: the hash table is the memory footprint, and
 /// probing is O(1) per row either way.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BuildSide {
     /// Build the hash table from the left input, probe with the right.
     Left,
     /// Build the hash table from the right input, probe with the left.
     Right,
-    /// Size-sniff: materialise both inputs and build from the smaller.
-    /// Used when no planner estimate is available.
-    #[default]
-    Auto,
-}
-
-/// Which join algorithm to run; used by planners and experiment sweeps.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JoinAlgorithm {
-    /// Nested loop (general predicate).
-    NestedLoop,
-    /// Hash join (equi only).
-    Hash,
 }
 
 #[cfg(test)]
@@ -68,24 +54,22 @@ mod tests {
         }
     }
 
-    fn join(
-        left: Vec<Tuple>,
-        right: Vec<Tuple>,
-        algo: JoinAlgorithm,
-        build: BuildSide,
-    ) -> Vec<Tuple> {
+    /// Hash join on `left[0] = right[1]`.
+    fn join(left: Vec<Tuple>, right: Vec<Tuple>, build: BuildSide) -> Vec<Tuple> {
+        let e = engine();
+        let out = e
+            .equi_join(e.values(left), e.values(right), 0, 1, build)
+            .unwrap();
+        e.collect(out).unwrap()
+    }
+
+    /// The reference: a nested loop over the same `left[0] = right[1]`.
+    fn nested_loop(left: Vec<Tuple>, right: Vec<Tuple>) -> Vec<Tuple> {
         let e = engine();
         let right_offset = left.first().map_or(0, Vec::len);
+        let predicate = Expr::col(0).eq(Expr::col(right_offset + 1));
         let out = e
-            .equi_join(
-                algo,
-                e.values(left),
-                e.values(right),
-                0,
-                1,
-                right_offset,
-                build,
-            )
+            .nested_loop_join(e.values(left), e.values(right), predicate)
             .unwrap();
         e.collect(out).unwrap()
     }
@@ -99,30 +83,38 @@ mod tests {
         rows
     }
 
-    fn run(algo: JoinAlgorithm) -> Vec<Tuple> {
-        // users.id = orders.user_id
-        sorted(join(users(), orders(), algo, BuildSide::Auto))
+    /// Every way to run `left[0] = right[1]`: the hash join building on
+    /// either side, then the nested-loop reference.
+    fn all_ways(left: Vec<Tuple>, right: Vec<Tuple>) -> Vec<(&'static str, Vec<Tuple>)> {
+        vec![
+            ("hash build=Left", join(left.clone(), right.clone(), BuildSide::Left)),
+            ("hash build=Right", join(left.clone(), right.clone(), BuildSide::Right)),
+            ("nested loop", nested_loop(left, right)),
+        ]
     }
 
     #[test]
     fn all_algorithms_agree() {
-        let nl = run(JoinAlgorithm::NestedLoop);
-        let hash = run(JoinAlgorithm::Hash);
-        assert_eq!(nl.len(), 3, "alice×2 + carol×1");
-        assert_eq!(nl, hash);
+        let reference = sorted(nested_loop(users(), orders()));
+        assert_eq!(reference.len(), 3, "alice×2 + carol×1");
+        for (name, rows) in all_ways(users(), orders()) {
+            assert_eq!(sorted(rows), reference, "{name}");
+        }
     }
 
     #[test]
     fn null_keys_never_match() {
-        for algo in [JoinAlgorithm::NestedLoop, JoinAlgorithm::Hash] {
-            let rows = run(algo);
-            assert!(rows.iter().all(|r| !r[0].is_null() && !r[3].is_null()));
+        for (name, rows) in all_ways(users(), orders()) {
+            assert!(
+                rows.iter().all(|r| !r[0].is_null() && !r[3].is_null()),
+                "{name}"
+            );
         }
     }
 
     #[test]
     fn joined_tuple_is_left_then_right() {
-        let rows = run(JoinAlgorithm::Hash);
+        let rows = sorted(join(users(), orders(), BuildSide::Right));
         // [user.id, user.name, order.id, order.user_id]
         assert_eq!(rows[0].len(), 4);
         assert_eq!(rows[0][1], Datum::Str("alice".into()));
@@ -136,29 +128,23 @@ mod tests {
             vec![Datum::Null, Datum::Float(2.0)],
             vec![Datum::Null, Datum::Float(2.5)],
         ];
-        for algo in [JoinAlgorithm::NestedLoop, JoinAlgorithm::Hash] {
-            assert_eq!(
-                join(left.clone(), right.clone(), algo, BuildSide::Auto).len(),
-                1,
-                "{algo:?}"
-            );
+        for (name, rows) in all_ways(left, right) {
+            assert_eq!(rows.len(), 1, "{name}");
         }
     }
 
     #[test]
     fn build_side_never_changes_results() {
-        let reference = run(JoinAlgorithm::Hash);
-        for build in [BuildSide::Left, BuildSide::Right, BuildSide::Auto] {
-            let out = join(users(), orders(), JoinAlgorithm::Hash, build);
-            assert_eq!(sorted(out), reference, "{build:?}");
-        }
+        let reference = sorted(join(users(), orders(), BuildSide::Left));
+        let out = join(users(), orders(), BuildSide::Right);
+        assert_eq!(sorted(out), reference);
     }
 
     #[test]
     fn probe_order_preserved_for_directed_build() {
         // Build on the smaller left; output order follows the right
         // (probe) stream, but columns stay left-then-right.
-        let rows = join(users(), orders(), JoinAlgorithm::Hash, BuildSide::Left);
+        let rows = join(users(), orders(), BuildSide::Left);
         let order_ids: Vec<&Datum> = rows.iter().map(|r| &r[2]).collect();
         assert_eq!(
             order_ids,
@@ -182,11 +168,11 @@ mod tests {
 
     #[test]
     fn empty_inputs() {
-        for algo in [JoinAlgorithm::NestedLoop, JoinAlgorithm::Hash] {
-            assert!(
-                join(vec![], orders(), algo, BuildSide::Auto).is_empty(),
-                "{algo:?}"
-            );
+        for (name, rows) in all_ways(vec![], orders()) {
+            assert!(rows.is_empty(), "{name}: empty left");
+        }
+        for (name, rows) in all_ways(users(), vec![]) {
+            assert!(rows.is_empty(), "{name}: empty right");
         }
     }
 
@@ -198,9 +184,8 @@ mod tests {
         let right: Vec<Tuple> = (0..30)
             .map(|_| vec![Datum::Int(7), Datum::Int(7)])
             .collect();
-        for algo in [JoinAlgorithm::Hash, JoinAlgorithm::NestedLoop] {
-            let out = join(left.clone(), right.clone(), algo, BuildSide::Auto);
-            assert_eq!(out.len(), 600, "{algo:?} cross product of equals");
+        for (name, rows) in all_ways(left, right) {
+            assert_eq!(rows.len(), 600, "{name}: cross product of equals");
         }
     }
 }

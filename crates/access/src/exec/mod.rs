@@ -24,5 +24,5 @@ pub use engine::VectorEngine;
 /// file is the only reason this alias exists.
 pub use engine::VectorEngine as Engine;
 pub use expr::{BinOp, Expr, UnaryOp};
-pub use join::{BuildSide, JoinAlgorithm};
+pub use join::BuildSide;
 pub use sbdms_kernel::governor::ExecContext;

@@ -283,6 +283,12 @@ pub fn encode_tuple(tuple: &[Datum]) -> Vec<u8> {
     out
 }
 
+/// Bytes [`encode_tuple`] writes for `tuple`: a 2-byte field count,
+/// then its fields.
+pub fn encoded_tuple_len(tuple: &[Datum]) -> usize {
+    2 + tuple.iter().map(Datum::encoded_len).sum::<usize>()
+}
+
 /// [`encode_tuple`] into a caller-owned buffer (appending), so per-row
 /// encoders can reuse one allocation across rows.
 pub fn encode_tuple_into(tuple: &[Datum], out: &mut Vec<u8>) {

@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use sbdms_kernel::error::{Result, ServiceError};
 use sbdms_kernel::governor::ExecContext;
 
-use crate::record::{decode_tuple, encode_tuple, Datum, Tuple};
+use crate::record::{decode_tuple, encode_tuple_into, encoded_tuple_len, Datum, Tuple};
 
 /// Tuples between cooperative cancellation checks in the accumulate and
 /// merge loops (mirrors `exec::CANCEL_QUANTUM`; kept local because this
@@ -31,10 +31,7 @@ fn estimated_bytes(tuples: &[Tuple]) -> usize {
     if sampled == 0 {
         return 0;
     }
-    // A tuple encodes a 2-byte field count, then its fields.
-    let bytes: usize = sample
-        .map(|t| 2 + t.iter().map(Datum::encoded_len).sum::<usize>())
-        .sum();
+    let bytes: usize = sample.map(|t| encoded_tuple_len(t)).sum();
     bytes * tuples.len() / sampled
 }
 
@@ -124,8 +121,9 @@ impl ExternalSorter {
     /// Sort tuples by `keys`, stable within equal keys. Statistics about
     /// spilled runs are returned alongside the data.
     pub fn sort(&self, tuples: Vec<Tuple>, keys: &[SortKey]) -> Result<SortOutput> {
-        // Estimate memory as encoded size (stable, deterministic).
-        let mut run: Vec<(Vec<u8>, Tuple)> = Vec::new();
+        // Count memory as encoded size (stable, deterministic); tuples
+        // are encoded only when their run spills.
+        let mut run: Vec<Tuple> = Vec::new();
         let mut run_bytes = 0usize;
         // Bytes of the current run actually reserved with the governor;
         // returned to the account whenever the run spills.
@@ -137,13 +135,13 @@ impl ExternalSorter {
             if i % CANCEL_EVERY == 0 {
                 self.ctx.check()?;
             }
-            let enc = encode_tuple(&tuple);
-            run_bytes += enc.len();
-            let over_account = !self.ctx.try_charge(enc.len() as u64);
+            let bytes = encoded_tuple_len(&tuple);
+            run_bytes += bytes;
+            let over_account = !self.ctx.try_charge(bytes as u64);
             if !over_account {
-                charged += enc.len() as u64;
+                charged += bytes as u64;
             }
-            run.push((enc, tuple));
+            run.push(tuple);
             if run_bytes > self.memory_budget || over_account {
                 run_files.push(self.spill_run(&mut run, keys)?);
                 run_bytes = 0;
@@ -154,10 +152,9 @@ impl ExternalSorter {
 
         if run_files.is_empty() {
             // Pure in-memory sort.
-            let mut tuples: Vec<Tuple> = run.into_iter().map(|(_, t)| t).collect();
-            tuples.sort_by(|a, b| compare_tuples(a, b, keys));
+            run.sort_by(|a, b| compare_tuples(a, b, keys));
             return Ok(SortOutput {
-                tuples,
+                tuples: run,
                 spilled_runs: 0,
             });
         }
@@ -323,9 +320,9 @@ impl ExternalSorter {
         })
     }
 
-    fn spill_run(&self, run: &mut Vec<(Vec<u8>, Tuple)>, keys: &[SortKey]) -> Result<PathBuf> {
+    fn spill_run(&self, run: &mut Vec<Tuple>, keys: &[SortKey]) -> Result<PathBuf> {
         self.ctx.check()?;
-        run.sort_by(|(_, a), (_, b)| compare_tuples(a, b, keys));
+        run.sort_by(|a, b| compare_tuples(a, b, keys));
         let path = self.spill_dir.join(format!(
             "run-{}-{:x}-{}",
             std::process::id(),
@@ -336,7 +333,10 @@ impl ExternalSorter {
             RUN_SEQ.fetch_add(1, Ordering::Relaxed)
         ));
         let mut w = BufWriter::new(File::create(&path)?);
-        for (enc, _) in run.drain(..) {
+        let mut enc = Vec::new();
+        for tuple in run.drain(..) {
+            enc.clear();
+            encode_tuple_into(&tuple, &mut enc);
             w.write_all(&(enc.len() as u32).to_le_bytes())?;
             w.write_all(&enc)?;
         }
@@ -486,6 +486,64 @@ mod tests {
         let input = vec![t(&[3]), t(&[1]), t(&[2])];
         let out = sorter.sort_parallel(input, &[SortKey::asc(0)], 8).unwrap();
         assert_eq!(out.tuples, vec![t(&[1]), t(&[2]), t(&[3])]);
+    }
+
+    /// The governor is charged each tuple's encoded size: a sort that
+    /// fits holds the whole input's bytes, a spilling one holds each run
+    /// until it passes the budget and returns it on spilling, as does a
+    /// run whose charge the account refuses.
+    #[test]
+    fn charges_are_encoded_tuple_bytes() {
+        use crate::record::encode_tuple;
+        use sbdms_kernel::governor::{CancelToken, QueryMemory};
+
+        let input: Vec<Tuple> = (0..300i64)
+            .map(|i| vec![Datum::Int(i * 7 % 31), Datum::Str("x".repeat(i as usize % 7))])
+            .collect();
+        let sizes: Vec<u64> = input.iter().map(|t| encode_tuple(t).len() as u64).collect();
+        let sort = |budget: usize, memory: &QueryMemory| {
+            let ctx = ExecContext::new(CancelToken::new(), memory.clone());
+            let out = ExternalSorter::new(budget)
+                .with_context(ctx)
+                .sort(input.clone(), &[SortKey::asc(0)])
+                .unwrap();
+            assert_eq!(out.tuples.len(), input.len());
+            out.spilled_runs
+        };
+        let memory = QueryMemory::unlimited();
+        assert_eq!(sort(1 << 20, &memory), 0);
+        assert_eq!(memory.peak(), sizes.iter().sum::<u64>());
+        assert_eq!(memory.used(), sizes.iter().sum::<u64>());
+
+        // A 100-byte budget: the peak is the largest run.
+        let (mut run, mut peak, mut runs) = (0u64, 0u64, 0usize);
+        for size in &sizes {
+            run += size;
+            peak = peak.max(run);
+            if run > 100 {
+                (run, runs) = (0, runs + 1);
+            }
+        }
+        runs += usize::from(run > 0);
+        let memory = QueryMemory::unlimited();
+        assert_eq!(sort(100, &memory), runs);
+        assert_eq!((memory.peak(), memory.used()), (peak, 0));
+
+        // An account of 60 bytes: a run spills at the first charge it
+        // refuses, and the refused tuple goes uncharged.
+        let (mut held, mut peak, mut runs) = (0u64, 0u64, 0usize);
+        for size in &sizes {
+            if held + size <= 60 {
+                held += size;
+                peak = peak.max(held);
+            } else {
+                (held, runs) = (0, runs + 1);
+            }
+        }
+        runs += usize::from(held > 0);
+        let memory = QueryMemory::new(60, None);
+        assert_eq!(sort(1 << 20, &memory), runs);
+        assert_eq!((memory.peak(), memory.used()), (peak, 0));
     }
 
     #[test]

@@ -503,7 +503,6 @@ fn e10() {
 }
 
 fn e11(smoke: bool) {
-    use sbdms::access::exec::join::JoinAlgorithm;
     use sbdms_bench::experiments::{
         e11_apply, e11_count, e11_db, E11Config, E11_IDX_NONSEL_Q, E11_IDX_SEL_Q, E11_JOIN_Q,
     };
@@ -533,7 +532,6 @@ fn e11(smoke: bool) {
         row(E11Config::CostBased),
         row(E11Config::NoReorder),
         unanalyzed.clone(),
-        row(E11Config::Forced(JoinAlgorithm::NestedLoop)),
         row(E11Config::NoIndex),
     ] {
         if let Some(config) = config {
@@ -611,7 +609,7 @@ fn e11(smoke: bool) {
     let json = format!(
         r#"{{
   "experiment": "E11",
-  "title": "Cost-based plan selection: join ordering, algorithm choice, access paths",
+  "title": "Cost-based plan selection: join ordering, hash build side, access paths",
   "date": "{date}",
   "build": "cargo run --release -p sbdms-bench --bin report -- --only e11",
   "note": "The un_analyzed rows run a twin database built without ANALYZE, planned by the one cost model with default statistics.",
@@ -1630,7 +1628,6 @@ fn e17(smoke: bool) {
 }
 
 fn a1(smoke: bool) {
-    use sbdms::access::exec::join::JoinAlgorithm;
     use sbdms::data::txn::Durability;
     use sbdms::data::Database;
     use sbdms::kernel::bus::ServiceBus;
@@ -1689,105 +1686,7 @@ fn a1(smoke: bool) {
     }
     println!();
 
-    // Join algorithms on a 200x1000 equi-join.
-    let db = Database::open(bench_dir("rep-a1-join")).unwrap();
-    let s = db.session();
-    s.execute("CREATE TABLE dim (id INT NOT NULL, label TEXT NOT NULL)").unwrap();
-    s.execute("CREATE TABLE fact (fid INT NOT NULL, dim_id INT NOT NULL)").unwrap();
-    let dims: Vec<String> = (0..200).map(|i| format!("({i}, 'd{i}')")).collect();
-    s.execute(&format!("INSERT INTO dim VALUES {}", dims.join(","))).unwrap();
-    for chunk in (0..1000i64).collect::<Vec<_>>().chunks(250) {
-        let rows: Vec<String> = chunk.iter().map(|i| format!("({i}, {})", i % 200)).collect();
-        s.execute(&format!("INSERT INTO fact VALUES {}", rows.join(","))).unwrap();
-    }
-    let sql =
-        "SELECT label, COUNT(*) AS n FROM dim d JOIN fact f ON d.id = f.dim_id GROUP BY label";
-    print!("  200x1000 equi-join:           ");
-    for (name, algo) in [
-        ("hash", JoinAlgorithm::Hash),
-        ("nested-loop", JoinAlgorithm::NestedLoop),
-    ] {
-        db.force_join_algorithm(Some(algo));
-        let d = time(if smoke { 2 } else { 20 }, || {
-            s.execute(sql).unwrap();
-        });
-        print!("{name}={:.2}ms  ", d.as_nanos() as f64 / 1e6);
-    }
-    println!();
-
-    a1_index_ordered_join(smoke);
     a1_order_by(smoke);
-}
-
-/// Two analyzed tables with an index on `k`, joined over `k < x` on
-/// both sides: each join input is a covering index-only range scan, so
-/// it arrives sorted on the join key, the regime in which the deleted
-/// merge join was priced cheapest. The chosen plan is timed against
-/// forced hash and forced nested loop (median of runs; the nested loop
-/// compares x² pairs, so it runs at the smaller bound only).
-fn a1_index_ordered_join(smoke: bool) {
-    use sbdms::access::exec::join::JoinAlgorithm;
-    use sbdms::data::Database;
-    use sbdms_bench::bench_dir;
-
-    let (rows, bounds, runs) = if smoke {
-        (10_000i64, [200i64, 2_000], 3)
-    } else {
-        (100_000, [2_000, 20_000], 9)
-    };
-    let db = Database::open(bench_dir("rep-a1-ordered")).unwrap();
-    let s = db.session();
-    for t in ["a", "b"] {
-        s.execute(&format!(
-            "CREATE TABLE {t} (k INT NOT NULL, v INT NOT NULL)"
-        ))
-        .unwrap();
-        s.execute(&format!("CREATE INDEX {t}_k ON {t} (k)"))
-            .unwrap();
-        for chunk in (0..rows).collect::<Vec<_>>().chunks(1_000) {
-            let vals: Vec<String> = chunk.iter().map(|i| format!("({i}, {})", i % 97)).collect();
-            s.execute(&format!("INSERT INTO {t} VALUES {}", vals.join(",")))
-                .unwrap();
-        }
-        s.execute(&format!("ANALYZE {t}")).unwrap();
-    }
-    for x in bounds {
-        let sql =
-            format!("SELECT COUNT(*) FROM a JOIN b ON a.k = b.k WHERE a.k < {x} AND b.k < {x}");
-        db.force_join_algorithm(None);
-        let explain = s.execute(&format!("EXPLAIN {sql}")).unwrap().rows;
-        let chosen = explain
-            .iter()
-            .map(|r| r[0].to_string())
-            .find_map(|line| {
-                let at = line.find("EquiJoin[")? + "EquiJoin[".len();
-                Some(line[at..].split(']').next()?.to_lowercase())
-            })
-            .unwrap_or_else(|| "no equi-join".into());
-        print!("  index-ordered join, {rows}-row tables, k < {x}: ");
-        let mut answer = None;
-        let mut configs = vec![
-            (format!("chosen ({chosen})"), None),
-            ("hash".into(), Some(JoinAlgorithm::Hash)),
-        ];
-        if x == bounds[0] {
-            configs.push(("nested-loop".into(), Some(JoinAlgorithm::NestedLoop)));
-        }
-        for (name, forced) in configs {
-            db.force_join_algorithm(forced);
-            let mut got = None;
-            let d = median(runs, || {
-                got = Some(s.execute(&sql).unwrap().rows);
-            });
-            match &answer {
-                None => answer = got,
-                Some(want) => assert_eq!(got.as_ref(), Some(want), "{name} changed the answer"),
-            }
-            print!("{name}={:.2}ms  ", d.as_nanos() as f64 / 1e6);
-        }
-        println!();
-    }
-    db.force_join_algorithm(None);
 }
 
 /// `ORDER BY n` over `(n INT, label TEXT)` rows under the default 8 MiB

@@ -606,8 +606,6 @@ pub mod experiments {
 
     // --- E11: cost-based plan selection ---------------------------------
 
-    use sbdms::access::exec::join::JoinAlgorithm;
-
     /// E11 join-order query: textually the two big relations join first
     /// (an exploding intermediate); the cost model starts from the
     /// filtered tiny relation instead.
@@ -676,15 +674,13 @@ pub mod experiments {
     }
 
     /// E11 planner configurations: full cost-based selection plus the
-    /// forced baselines the experiment compares it against.
+    /// baselines the experiment compares it against.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub enum E11Config {
-        /// Statistics, reordering, access-path and algorithm selection on.
+        /// Statistics, reordering and access-path selection on.
         CostBased,
         /// Joins stay in textual order; everything else cost-based.
         NoReorder,
-        /// Every equi-join forced to one algorithm.
-        Forced(JoinAlgorithm),
         /// Sequential scans only.
         NoIndex,
     }
@@ -695,7 +691,6 @@ pub mod experiments {
             match self {
                 E11Config::CostBased => "cost-based".into(),
                 E11Config::NoReorder => "textual-order".into(),
-                E11Config::Forced(a) => format!("forced-{a:?}").to_lowercase(),
                 E11Config::NoIndex => "seq-only".into(),
             }
         }
@@ -704,13 +699,11 @@ pub mod experiments {
     /// E11: put the database's planner knobs into `config`.
     pub fn e11_apply(db: &Database, config: E11Config) {
         // Reset to the cost-based defaults first.
-        db.force_join_algorithm(None);
         db.set_join_reordering(true);
         db.set_index_selection(true);
         match config {
             E11Config::CostBased => {}
             E11Config::NoReorder => db.set_join_reordering(false),
-            E11Config::Forced(a) => db.force_join_algorithm(Some(a)),
             E11Config::NoIndex => db.set_index_selection(false),
         }
     }
@@ -800,7 +793,7 @@ pub mod experiments {
     }
 
     /// Shared E12 join pipeline: fact ⋈ dim on `fact_col` = dim col 0
-    /// (hash join, auto build side), then a global
+    /// (hash join building on the dimension), then a global
     /// `COUNT(*), SUM(weight)` — the standard star-join shape, where
     /// the join's output feeds an aggregate instead of being shipped
     /// back to the client row by row. Returns the joined row count
@@ -812,15 +805,7 @@ pub mod experiments {
         fact_col: usize,
     ) -> usize {
         let joined = engine
-            .equi_join(
-                JoinAlgorithm::Hash,
-                engine.values(fact),
-                engine.values(dim),
-                fact_col,
-                0,
-                3,
-                BuildSide::Auto,
-            )
+            .equi_join(engine.values(fact), engine.values(dim), fact_col, 0, BuildSide::Right)
             .unwrap();
         // Joined rows are fact(id, grp, val) ++ dim(key, weight):
         // weight is column 4.
@@ -859,15 +844,7 @@ pub mod experiments {
     /// isolates the transpose-out cost the aggregate pipeline avoids.
     pub fn e12_join_rows(engine: &VectorEngine, fact: Vec<Tuple>, dim: Vec<Tuple>) -> usize {
         let joined = engine
-            .equi_join(
-                JoinAlgorithm::Hash,
-                engine.values(fact),
-                engine.values(dim),
-                1,
-                0,
-                3,
-                BuildSide::Auto,
-            )
+            .equi_join(engine.values(fact), engine.values(dim), 1, 0, BuildSide::Right)
             .unwrap();
         engine.collect(joined).unwrap().len()
     }
@@ -1855,7 +1832,6 @@ mod tests {
 
     #[test]
     fn e11_harness_runs() {
-        use sbdms::access::exec::join::JoinAlgorithm;
         let db = e11_db(120, 600, true);
         let s = db.session();
         e11_apply(&db, E11Config::CostBased);
@@ -1864,17 +1840,34 @@ mod tests {
         let nonsel_ref = e11_count(&s, E11_IDX_NONSEL_Q);
         assert!(join_ref > 0, "the skewed join must produce rows");
         assert_eq!(nonsel_ref, 600, "full range covers the table");
-        // Every forced baseline must return the same answers.
-        for config in [
-            E11Config::NoReorder,
-            E11Config::NoIndex,
-            E11Config::Forced(JoinAlgorithm::NestedLoop),
-        ] {
+        // Every baseline must return the same answers.
+        for config in [E11Config::NoReorder, E11Config::NoIndex] {
             e11_apply(&db, config);
             assert_eq!(e11_count(&s, E11_JOIN_Q), join_ref, "{config:?}");
             assert_eq!(e11_count(&s, E11_IDX_SEL_Q), sel_ref, "{config:?}");
             assert_eq!(e11_count(&s, E11_IDX_NONSEL_Q), nonsel_ref, "{config:?}");
         }
+        e11_apply(&db, E11Config::CostBased);
+        // So must the join with its ON equalities hidden from the
+        // planner (`x + 0 = y`): a nested loop per join.
+        let nested = E11_JOIN_Q
+            .split(" ON ")
+            .map(|part| part.replacen(" = ", " + 0 = ", 1))
+            .collect::<Vec<_>>()
+            .join(" ON ");
+        let explain: Vec<String> = s
+            .execute(&format!("EXPLAIN {nested}"))
+            .unwrap()
+            .rows
+            .iter()
+            .map(|r| r[0].to_string())
+            .collect();
+        let nl_joins = explain.iter().filter(|l| l.contains("NlJoin")).count();
+        assert!(
+            nl_joins == 2 && !explain.iter().any(|l| l.contains("EquiJoin")),
+            "{explain:#?}"
+        );
+        assert_eq!(e11_count(&s, &nested), join_ref);
         // So must the un-analyzed twin.
         let twin = e11_db(120, 600, false);
         let t = twin.session();

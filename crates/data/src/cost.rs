@@ -12,10 +12,11 @@
 //! estimator that annotates `EXPLAIN` output, so the numbers shown are
 //! the numbers the choice was made from.
 
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 use sbdms_access::exec::expr::{BinOp, Expr, UnaryOp};
-use sbdms_access::exec::join::{BuildSide, JoinAlgorithm};
+use sbdms_access::exec::join::BuildSide;
 use sbdms_access::record::Datum;
 
 use crate::catalog::TableMeta;
@@ -77,9 +78,6 @@ struct NodeEst {
     rows: f64,
     cost: f64,
     cols: Vec<ColRef>,
-    /// The row estimate rests on default statistics: some input table
-    /// was never ANALYZEd.
-    guessed: bool,
 }
 
 /// An analyzed table's statistics, borrowed from the catalog's shared
@@ -165,7 +163,6 @@ impl<'a> Estimator<'a> {
                     rows,
                     cost: rows * COST_SEQ_ROW * mvcc,
                     cols: self.table_cols(table),
-                    guessed: self.stats_of(table).is_none(),
                 }
             }
             Plan::IndexScan {
@@ -200,7 +197,6 @@ impl<'a> Estimator<'a> {
                     rows,
                     cost: COST_IDX_PROBE + rows * per_row,
                     cols,
-                    guessed: self.stats_of(table).is_none(),
                 }
             }
             Plan::IndexOr {
@@ -221,7 +217,6 @@ impl<'a> Estimator<'a> {
                     cost: keys.len() as f64 * COST_IDX_PROBE
                         + rows * (COST_RID_MERGE + COST_IDX_ROW),
                     cols: self.table_cols(table),
-                    guessed: self.stats_of(table).is_none(),
                 }
             }
             Plan::IndexAnd { table, probes } => {
@@ -234,8 +229,7 @@ impl<'a> Estimator<'a> {
                 // statistics can vouch: without them nothing says the
                 // second probe removes a row the first kept, so the
                 // intersection keeps the most selective probe's rows.
-                let guessed = self.stats_of(table).is_none();
-                let sel = if guessed {
+                let sel = if self.stats_of(table).is_none() {
                     sels.iter().copied().fold(1.0, f64::min)
                 } else {
                     sels.iter().product()
@@ -250,29 +244,30 @@ impl<'a> Estimator<'a> {
                         + probed * COST_RID_MERGE
                         + rows * COST_IDX_ROW,
                     cols: self.table_cols(table),
-                    guessed,
                 }
             }
             Plan::Values { rows } => NodeEst {
                 rows: rows.len() as f64,
                 cost: rows.len() as f64 * 0.01,
                 cols: vec![None; rows.first().map(|r| r.len()).unwrap_or(0)],
-                guessed: false,
             },
             Plan::Filter { input, predicate } => {
                 let inp = self.node(input);
-                let sel = self.predicate_selectivity(predicate, &inp.cols);
+                // A residual filter over an index access re-applies the
+                // conjuncts the index bounds already priced into the
+                // input's rows: they pass every row that reaches it.
+                let access = index_access(input);
+                let applied = |c: &Expr| access.is_some_and(|a| bounds_apply(a, c, &inp.cols));
+                let sel = self.residual_selectivity(predicate, &inp.cols, &applied);
                 NodeEst {
                     rows: inp.rows * sel,
                     cost: inp.cost + inp.rows * COST_PRED_EVAL,
                     cols: inp.cols,
-                    guessed: inp.guessed,
                 }
             }
             Plan::EquiJoin {
                 left,
                 right,
-                algorithm,
                 left_col,
                 right_col,
                 build,
@@ -282,24 +277,17 @@ impl<'a> Estimator<'a> {
                 let r = self.node(right);
                 let rows = self.equi_join_rows(&l, &r, *left_col, *right_col);
                 let input_cost = l.cost + r.cost;
-                let op_cost = match algorithm {
-                    JoinAlgorithm::Hash => {
-                        let (build_rows, probe_rows) = match build {
-                            BuildSide::Left => (l.rows, r.rows),
-                            BuildSide::Right => (r.rows, l.rows),
-                            BuildSide::Auto => (l.rows.min(r.rows), l.rows.max(r.rows)),
-                        };
-                        build_rows * COST_HASH_BUILD + probe_rows * COST_HASH_PROBE
-                    }
-                    JoinAlgorithm::NestedLoop => loop_rows(&l) * loop_rows(&r) * COST_PRED_EVAL,
+                let (build_rows, probe_rows) = match build {
+                    BuildSide::Left => (l.rows, r.rows),
+                    BuildSide::Right => (r.rows, l.rows),
                 };
+                let op_cost = build_rows * COST_HASH_BUILD + probe_rows * COST_HASH_PROBE;
                 let mut cols = l.cols;
                 cols.extend(r.cols);
                 NodeEst {
                     rows,
                     cost: input_cost + op_cost + rows * COST_OUT_ROW,
                     cols,
-                    guessed: l.guessed || r.guessed,
                 }
             }
             Plan::NlJoin {
@@ -318,7 +306,6 @@ impl<'a> Estimator<'a> {
                     rows,
                     cost: l.cost + r.cost + l.rows * r.rows * COST_PRED_EVAL + rows * COST_OUT_ROW,
                     cols,
-                    guessed: l.guessed || r.guessed,
                 }
             }
             Plan::Aggregate {
@@ -340,7 +327,6 @@ impl<'a> Estimator<'a> {
                     rows,
                     cost: inp.cost + inp.rows * (1.0 + aggs.len() as f64 * COST_PRED_EVAL),
                     cols: vec![None; group_by.len() + aggs.len()],
-                    guessed: inp.guessed,
                 }
             }
             Plan::Project { input, exprs } => {
@@ -356,7 +342,6 @@ impl<'a> Estimator<'a> {
                     rows: inp.rows,
                     cost: inp.cost + inp.rows * COST_PRED_EVAL * exprs.len() as f64,
                     cols,
-                    guessed: inp.guessed,
                 }
             }
             Plan::Distinct { input } => {
@@ -365,7 +350,6 @@ impl<'a> Estimator<'a> {
                     rows: inp.rows, // upper bound; duplicates unknown
                     cost: inp.cost + inp.rows,
                     cols: inp.cols,
-                    guessed: inp.guessed,
                 }
             }
             Plan::Sort { input, .. } => {
@@ -374,7 +358,6 @@ impl<'a> Estimator<'a> {
                     rows: inp.rows,
                     cost: inp.cost + sort_cost(inp.rows),
                     cols: inp.cols,
-                    guessed: inp.guessed,
                 }
             }
             Plan::Limit { input, n, .. } => {
@@ -383,7 +366,6 @@ impl<'a> Estimator<'a> {
                     rows: inp.rows.min(*n as f64),
                     cost: inp.cost,
                     cols: inp.cols,
-                    guessed: inp.guessed,
                 }
             }
         }
@@ -505,6 +487,24 @@ impl<'a> Estimator<'a> {
         l.rows * r.rows / ndv_l.max(ndv_r).max(1.0)
     }
 
+    /// [`Estimator::predicate_selectivity`] of the conjunction, with every
+    /// conjunct `applied` says already holds counted as 1.
+    fn residual_selectivity(
+        &self,
+        e: &Expr,
+        cols: &[ColRef],
+        applied: &dyn Fn(&Expr) -> bool,
+    ) -> f64 {
+        match e {
+            Expr::Binary(BinOp::And, l, r) => {
+                self.residual_selectivity(l, cols, applied)
+                    * self.residual_selectivity(r, cols, applied)
+            }
+            _ if applied(e) => 1.0,
+            _ => self.predicate_selectivity(e, cols),
+        }
+    }
+
     /// Selectivity of a predicate over an input with column provenance.
     /// Conjuncts multiply (independence), disjuncts add inclusion-
     /// exclusion; leaf comparisons probe histograms/NDV where possible.
@@ -601,17 +601,57 @@ fn flip_cmp(op: BinOp) -> BinOp {
     }
 }
 
-/// Rows a nested loop is priced to iterate over one input. Its cost is
-/// the product of its inputs, so an estimate too low by a factor k
-/// makes it k times dearer where a hash join grows by k rows.
-/// An estimate from default statistics vouches for no fewer rows than
-/// an un-analyzed table is assumed to hold: a filter's default
-/// selectivity (or a sub-row estimate) must not buy a nested loop.
-fn loop_rows(input: &NodeEst) -> f64 {
-    if input.guessed {
-        input.rows.max(DEFAULT_TABLE_ROWS)
-    } else {
-        input.rows
+/// The index access at the bottom of `plan`, seen through projections
+/// (a covering scan's width-restoring one).
+fn index_access(plan: &Plan) -> Option<&Plan> {
+    match plan {
+        Plan::IndexScan { .. } | Plan::IndexAnd { .. } => Some(plan),
+        Plan::Project { input, .. } => index_access(input),
+        _ => None,
+    }
+}
+
+/// Whether index access `access` applies conjunct `e` through its
+/// bounds: `e` compares a key column of the access with the very value
+/// expression (literal or parameter) that bounds it. Only expressions
+/// are compared, so no parameter is read.
+fn bounds_apply(access: &Plan, e: &Expr, cols: &[ColRef]) -> bool {
+    let Expr::Binary(op, l, r) = e else { return false };
+    let (i, value, op) = match (l.as_ref(), r.as_ref()) {
+        (Expr::Col(i), v) => (*i, v, *op),
+        (v, Expr::Col(i)) => (*i, v, flip_cmp(*op)),
+        _ => return false,
+    };
+    let Some(Some((table, column))) = cols.get(i) else { return false };
+    let key_of = |key_columns: &[String]| {
+        key_columns.iter().position(|k| k.eq_ignore_ascii_case(column))
+    };
+    match access {
+        Plan::IndexScan {
+            table: t,
+            key_columns,
+            eq,
+            lo,
+            hi,
+            hi_inclusive,
+            ..
+        } if t == table => {
+            let Some(k) = key_of(key_columns) else { return false };
+            // The lower bound is inclusive for `>` too; the boundary
+            // value's rows are all the estimate keeps extra.
+            match (k.cmp(&eq.len()), op) {
+                (Ordering::Less, BinOp::Eq) => eq[k] == *value,
+                (Ordering::Equal, BinOp::Lt | BinOp::Le) => {
+                    hi.as_ref() == Some(value) && *hi_inclusive == (op == BinOp::Le)
+                }
+                (Ordering::Equal, BinOp::Gt | BinOp::Ge) => lo.as_ref() == Some(value),
+                _ => false,
+            }
+        }
+        Plan::IndexAnd { table: t, probes } if t == table && op == BinOp::Eq => probes
+            .iter()
+            .any(|p| key_of(&p.key_columns).and_then(|k| p.eq.get(k)) == Some(value)),
+        _ => false,
     }
 }
 

@@ -11,7 +11,6 @@ use parking_lot::Mutex;
 
 use sbdms_access::exec::batch::{BatchStream, PageSource, BATCH_ROWS};
 use sbdms_access::exec::engine::VectorEngine;
-use sbdms_access::exec::join::JoinAlgorithm;
 use sbdms_access::exec;
 use sbdms_access::heap::{HeapFile, HeapSpace, Rid};
 use sbdms_access::record::{decode_tuple, decode_tuple_into, encode_tuple, Datum, Tuple};
@@ -307,14 +306,6 @@ impl Database {
         self.txns.set_durability(d);
     }
 
-    /// Force every equi-join onto one algorithm regardless of cost
-    /// estimates (`None` hands control back to the cost model). The
-    /// strongest override tier — used by experiments to build forced
-    /// baselines against the cost-based plans.
-    pub fn force_join_algorithm(&self, algorithm: Option<JoinAlgorithm>) {
-        self.knobs.lock().forced_join = algorithm;
-    }
-
     /// Enable or disable cost-based join reordering (on by default).
     pub fn set_join_reordering(&self, on: bool) {
         self.knobs.lock().join_reordering = on;
@@ -515,13 +506,7 @@ impl Database {
     /// of them re-plans too.
     fn plan_epoch(&self) -> u64 {
         let k = self.knobs.lock();
-        let forced: u64 = match k.forced_join {
-            None => 0,
-            Some(JoinAlgorithm::NestedLoop) => 1,
-            Some(JoinAlgorithm::Hash) => 2,
-        };
-        let knob_bits =
-            (forced << 2) | ((k.join_reordering as u64) << 1) | (k.index_selection as u64);
+        let knob_bits = ((k.join_reordering as u64) << 1) | (k.index_selection as u64);
         (self.catalog.version() << 40) ^ (self.catalog.stats_version() << 10) ^ knob_bits
     }
 
@@ -1417,7 +1402,6 @@ impl Database {
             Plan::EquiJoin {
                 left,
                 right,
-                algorithm,
                 left_col,
                 right_col,
                 left_width,
@@ -1426,12 +1410,10 @@ impl Database {
                 let keys = BTreeSet::from([*left_col, *left_width + *right_col]);
                 let (l, r) = join_reads(reads, &keys, *left_width);
                 engine.equi_join(
-                    *algorithm,
                     input(left, l.as_ref())?,
                     input(right, r.as_ref())?,
                     *left_col,
                     *right_col,
-                    *left_width,
                     *build,
                 )
             }

@@ -8,8 +8,8 @@
 //! * [`table`]: schema-checked row storage with index maintenance,
 //! * [`ast`] / [`parser`]: a compact SQL dialect,
 //! * [`stats`] / [`cost`]: ANALYZE statistics and the cost model,
-//! * [`planner`]: name resolution, cost-based access-path, join
-//!   algorithm and join-order selection,
+//! * [`planner`]: name resolution, cost-based access-path, hash build
+//!   side and join-order selection,
 //! * [`plan_cache`]: generic plans per statement shape, each guarded by
 //!   the parameter values it serves,
 //! * [`executor`]: the [`executor::Database`] engine executing plans,

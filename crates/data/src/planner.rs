@@ -1,25 +1,23 @@
 //! Query planning: name resolution, plan construction, cost-based
-//! access-path, join-algorithm and join-order selection.
+//! access-path, hash-build-side and join-order selection.
 //!
 //! The planner turns a parsed [`Select`] into a [`Plan`] tree of physical
 //! operators over *positional* expressions, selecting among alternatives
 //! by estimated cost (paper Fig. 6, flexibility by selection):
 //! sequential scan vs. B-tree point probe vs. range scan vs. probe union
-//! or intersection, hash vs. nested-loop join with the hash build
-//! always on the smaller estimated input, and greedy
-//! cardinality-ordered join reordering. There is one cost model: a table
-//! without ANALYZE statistics is costed with the estimator's defaults
-//! (a fixed row count and fixed selectivities).
-//!
-//! Override order for the join algorithm: a **forced hint**
-//! ([`PlannerKnobs::forced_join`]) beats the **cost model**.
+//! or intersection, and greedy cardinality-ordered join reordering.
+//! Every equi-join is a hash join that builds on its smaller estimated
+//! input; a join without an equality edge is a nested loop. There is
+//! one cost model: a table without ANALYZE statistics is costed with
+//! the estimator's defaults (a fixed row count and fixed
+//! selectivities).
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use sbdms_access::exec::aggregate::AggSpec;
 use sbdms_access::exec::expr::{BinOp, Expr};
-use sbdms_access::exec::join::{BuildSide, JoinAlgorithm};
+use sbdms_access::exec::join::BuildSide;
 use sbdms_access::record::{Datum, Tuple};
 use sbdms_access::sort::SortKey;
 use sbdms_kernel::error::{Result, ServiceError};
@@ -34,13 +32,9 @@ fn err(msg: impl Into<String>) -> ServiceError {
     ServiceError::InvalidInput(format!("plan: {}", msg.into()))
 }
 
-/// Session-level planner configuration. The override order is
-/// `forced_join` > cost model.
+/// Session-level planner configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlannerKnobs {
-    /// Force every equi-join to this algorithm, bypassing the cost
-    /// model entirely (experiment baselines, plan pinning).
-    pub forced_join: Option<JoinAlgorithm>,
     /// Enable greedy cardinality-ordered join reordering (off keeps the
     /// textual join order).
     pub join_reordering: bool,
@@ -51,7 +45,6 @@ pub struct PlannerKnobs {
 impl Default for PlannerKnobs {
     fn default() -> PlannerKnobs {
         PlannerKnobs {
-            forced_join: None,
             join_reordering: true,
             index_selection: true,
         }
@@ -168,23 +161,20 @@ pub enum Plan {
         /// Predicate over input columns.
         predicate: Expr,
     },
-    /// Equi-join (hash or nested loop).
+    /// Hash equi-join.
     EquiJoin {
         /// Left input.
         left: Box<Plan>,
         /// Right input.
         right: Box<Plan>,
-        /// Algorithm.
-        algorithm: JoinAlgorithm,
         /// Join column on the left input.
         left_col: usize,
         /// Join column on the right input.
         right_col: usize,
         /// Width of the left input (for residual predicates).
         left_width: usize,
-        /// Hash-table side for hash joins (planner-directed when stats
-        /// exist, size-sniffing `Auto` otherwise). Ignored by the nested
-        /// loop.
+        /// The input the hash table is built from: the smaller one by
+        /// the estimator's rows.
         build: BuildSide,
     },
     /// Nested-loop join with arbitrary predicate over `left ++ right`.
@@ -292,8 +282,8 @@ impl Plan {
             ),
             Plan::Values { rows } => format!("Values ({} rows)", rows.len()),
             Plan::Filter { .. } => "Filter".to_string(),
-            Plan::EquiJoin { algorithm, left_col, right_col, .. } => {
-                format!("EquiJoin[{algorithm:?}] l{left_col}=r{right_col}")
+            Plan::EquiJoin { left_col, right_col, .. } => {
+                format!("EquiJoin[Hash] l{left_col}=r{right_col}")
             }
             Plan::NlJoin { .. } => "NlJoin".to_string(),
             Plan::Aggregate { group_by, aggs, .. } => {
@@ -366,7 +356,6 @@ impl Plan {
             Plan::EquiJoin {
                 left,
                 right,
-                algorithm,
                 left_col,
                 right_col,
                 left_width,
@@ -374,7 +363,6 @@ impl Plan {
             } => Plan::EquiJoin {
                 left: boxed(left),
                 right: boxed(right),
-                algorithm: *algorithm,
                 left_col: *left_col,
                 right_col: *right_col,
                 left_width: *left_width,
@@ -1091,7 +1079,6 @@ fn plan_join_tree(
             &rels,
             &joined,
             &mut pending,
-            knobs,
             &est,
             decisions,
         )?;
@@ -1146,11 +1133,10 @@ fn self_join_rows(
             let candidate = Plan::EquiJoin {
                 left: Box::new(plan.clone()),
                 right: Box::new(leaf.clone()),
-                algorithm: JoinAlgorithm::Hash,
                 left_col: layout.iter().position(|&x| x == in_cur).unwrap(),
                 right_col: in_new - rel.offset,
                 left_width: layout.len(),
-                build: BuildSide::Auto,
+                build: BuildSide::Left,
             };
             return est.estimate(&candidate).rows;
         }
@@ -1163,9 +1149,9 @@ fn rel_contains(rel: &Rel, pos: usize) -> bool {
     pos >= rel.offset && pos < rel.offset + rel.width
 }
 
-/// Join the current plan with relation `next`: pick the edge, choose
-/// the algorithm (forced > cost model), apply newly covered
-/// residual conjuncts, and extend the layout.
+/// Join the current plan with relation `next`: pick the edge, direct
+/// the hash build to the smaller input, apply newly covered residual
+/// conjuncts, and extend the layout.
 #[allow(clippy::too_many_arguments)]
 fn join_step(
     plan: Plan,
@@ -1175,7 +1161,6 @@ fn join_step(
     rels: &[Rel],
     joined: &BTreeSet<usize>,
     pending: &mut Vec<(BTreeSet<usize>, Expr)>,
-    knobs: &PlannerKnobs,
     est: &Estimator,
     decisions: &mut Vec<String>,
 ) -> Result<Plan> {
@@ -1222,18 +1207,20 @@ fn join_step(
             let (cur_g, new_g) = if rel_contains(rel, b) { (a, b) } else { (b, a) };
             let left_col = layout.iter().position(|&x| x == cur_g).unwrap();
             let right_col = new_g - rel.offset;
-            let (algorithm, build) = choose_join_algorithm(
-                &plan, leaf, left_col, right_col, left_width, rel, knobs, est, decisions,
-            );
+            let build = build_side(&plan, leaf, est);
             let join = Plan::EquiJoin {
                 left: Box::new(plan),
                 right: Box::new(leaf.clone()),
-                algorithm,
                 left_col,
                 right_col,
                 left_width,
                 build,
             };
+            decisions.push(format!(
+                "join ⋈{}: Hash build={build:?} (cost model: Hash={:.0})",
+                rel.qualifier,
+                est.estimate(&join).cost
+            ));
             // Extra edges and mixed conjuncts become a residual filter.
             let residual = combine_and(applicable.iter().map(remap).collect());
             wrap_filter(join, residual)
@@ -1256,67 +1243,14 @@ fn join_step(
     Ok(joined_plan)
 }
 
-/// Choose the equi-join algorithm and hash build side. Override order:
-/// forced hint > cost model.
-#[allow(clippy::too_many_arguments)]
-fn choose_join_algorithm(
-    left: &Plan,
-    right: &Plan,
-    left_col: usize,
-    right_col: usize,
-    left_width: usize,
-    rel: &Rel,
-    knobs: &PlannerKnobs,
-    est: &Estimator,
-    decisions: &mut Vec<String>,
-) -> (JoinAlgorithm, BuildSide) {
-    let l_rows = est.estimate(left).rows;
-    let r_rows = est.estimate(right).rows;
-    let directed_build = if l_rows <= r_rows {
+/// The hash build side of a join of `left` with `right`: the input
+/// with fewer estimated rows (left on a tie).
+fn build_side(left: &Plan, right: &Plan, est: &Estimator) -> BuildSide {
+    if est.estimate(left).rows <= est.estimate(right).rows {
         BuildSide::Left
     } else {
         BuildSide::Right
-    };
-
-    if let Some(forced) = knobs.forced_join {
-        decisions.push(format!(
-            "join ⋈{}: {forced:?} (forced hint)",
-            rel.qualifier
-        ));
-        return (forced, directed_build);
     }
-
-    // Cost each candidate with the same estimator EXPLAIN uses.
-    let mut best: Option<(JoinAlgorithm, BuildSide, f64)> = None;
-    let mut parts: Vec<String> = Vec::new();
-    for algorithm in [JoinAlgorithm::Hash, JoinAlgorithm::NestedLoop] {
-        let build = if algorithm == JoinAlgorithm::Hash {
-            directed_build
-        } else {
-            BuildSide::Auto
-        };
-        let candidate = Plan::EquiJoin {
-            left: Box::new(left.clone()),
-            right: Box::new(right.clone()),
-            algorithm,
-            left_col,
-            right_col,
-            left_width,
-            build,
-        };
-        let cost = est.estimate(&candidate).cost;
-        parts.push(format!("{algorithm:?}={cost:.0}"));
-        if best.map(|(_, _, c)| cost < c).unwrap_or(true) {
-            best = Some((algorithm, build, cost));
-        }
-    }
-    let (algorithm, build, _) = best.unwrap();
-    decisions.push(format!(
-        "join ⋈{}: {algorithm:?} build={build:?} (cost model: {})",
-        rel.qualifier,
-        parts.join(" ")
-    ));
-    (algorithm, build)
 }
 
 /// Rewrite every column reference through `f`.
@@ -1345,7 +1279,6 @@ pub fn push_down_filters(plan: Plan) -> Plan {
                 Plan::EquiJoin {
                     left,
                     right,
-                    algorithm,
                     left_col,
                     right_col,
                     left_width,
@@ -1356,7 +1289,6 @@ pub fn push_down_filters(plan: Plan) -> Plan {
                     let join = Plan::EquiJoin {
                         left: Box::new(new_left),
                         right: Box::new(new_right),
-                        algorithm,
                         left_col,
                         right_col,
                         left_width,
@@ -1389,7 +1321,6 @@ pub fn push_down_filters(plan: Plan) -> Plan {
         Plan::EquiJoin {
             left,
             right,
-            algorithm,
             left_col,
             right_col,
             left_width,
@@ -1397,7 +1328,6 @@ pub fn push_down_filters(plan: Plan) -> Plan {
         } => Plan::EquiJoin {
             left: Box::new(push_down_filters(*left)),
             right: Box::new(push_down_filters(*right)),
-            algorithm,
             left_col,
             right_col,
             left_width,
@@ -2027,7 +1957,6 @@ fn cover(
         Plan::EquiJoin {
             left,
             right,
-            algorithm,
             left_col,
             right_col,
             left_width,
@@ -2037,7 +1966,6 @@ fn cover(
             Plan::EquiJoin {
                 left: Box::new(cover(*left, ln, catalog, decisions)),
                 right: Box::new(cover(*right, rn, catalog, decisions)),
-                algorithm,
                 left_col,
                 right_col,
                 left_width,
@@ -2392,9 +2320,9 @@ mod tests {
     #[test]
     fn unanalyzed_filtered_joins_do_not_nest_loops() {
         // Default statistics put an equality-filtered side at 10 rows
-        // and a two-conjunct one at 0.1; a nested loop priced on those
-        // guesses would beat the hash join, and turns quadratic when a
-        // filter keeps more rows than the default says.
+        // and a two-conjunct one at 0.1; the equi-join nested loop, when
+        // it existed, was priced cheapest on those guesses and turned
+        // quadratic when a filter kept more rows than the default said.
         for sql in [
             "SELECT name FROM users u JOIN orders o ON u.id = o.user_id \
              WHERE u.name = 'a' AND o.amount = 5",
@@ -2420,17 +2348,7 @@ mod tests {
     /// The fake schemas with statistics attached: `users` is tiny
     /// (5 rows), `orders` is large (1000 rows, `amount` uniform in
     /// 0..100), so the cost model has real asymmetry to exploit.
-    struct StatsCatalog {
-        knobs: PlannerKnobs,
-    }
-
-    impl StatsCatalog {
-        fn new() -> StatsCatalog {
-            StatsCatalog {
-                knobs: PlannerKnobs::default(),
-            }
-        }
-    }
+    struct StatsCatalog;
 
     impl CatalogView for StatsCatalog {
         fn table(&self, name: &str) -> Result<Arc<TableMeta>> {
@@ -2462,10 +2380,6 @@ mod tests {
         fn view_query(&self, _name: &str) -> Option<String> {
             None
         }
-
-        fn knobs(&self) -> PlannerKnobs {
-            self.knobs.clone()
-        }
     }
 
     fn plan_with(sql: &str, catalog: &dyn CatalogView) -> PlannedQuery {
@@ -2490,7 +2404,7 @@ mod tests {
         // keeps the output layout textual.
         let p = plan_with(
             "SELECT name, amount FROM orders o JOIN users u ON o.user_id = u.id",
-            &StatsCatalog::new(),
+            &StatsCatalog,
         );
         let explain = p.plan.explain();
         let users_pos = explain.find("TableScan users").unwrap();
@@ -2506,17 +2420,9 @@ mod tests {
 
     #[test]
     fn hash_build_side_directed_to_smaller_input() {
-        let catalog = StatsCatalog {
-            knobs: PlannerKnobs {
-                // Pin the algorithm so the assertion targets the build
-                // side, not whichever algorithm costs best here.
-                forced_join: Some(JoinAlgorithm::Hash),
-                ..PlannerKnobs::default()
-            },
-        };
         let p = plan_with(
             "SELECT name, amount FROM users u JOIN orders o ON u.id = o.user_id",
-            &catalog,
+            &StatsCatalog,
         );
         let Some(Plan::EquiJoin { build, .. }) = find_equi_join(&p.plan) else {
             panic!("{}", p.plan.explain())
@@ -2531,7 +2437,7 @@ mod tests {
         // to one sequential scan, and the decision log says so.
         let p = plan_with(
             "SELECT oid FROM orders WHERE amount >= 0",
-            &StatsCatalog::new(),
+            &StatsCatalog,
         );
         let explain = p.plan.explain();
         assert!(explain.contains("TableScan orders"), "{explain}");
@@ -2544,7 +2450,7 @@ mod tests {
         // A selective point probe flips the choice.
         let p = plan_with(
             "SELECT oid FROM orders WHERE amount = 7",
-            &StatsCatalog::new(),
+            &StatsCatalog,
         );
         assert!(p.plan.explain().contains("IndexScan"), "{}", p.plan.explain());
     }
@@ -2553,32 +2459,12 @@ mod tests {
     fn between_bounds_merge_into_one_index_range() {
         let p = plan_with(
             "SELECT oid FROM orders WHERE amount >= 10 AND amount <= 12",
-            &StatsCatalog::new(),
+            &StatsCatalog,
         );
         let explain = p.plan.explain();
         assert!(
             explain.contains("lo=Some(Int(10)) hi=Some(Int(12)) hi_inc=true"),
             "both bounds should close the range: {explain}"
-        );
-    }
-
-    #[test]
-    fn forced_hint_overrides_cost_model() {
-        let catalog = StatsCatalog {
-            knobs: PlannerKnobs {
-                forced_join: Some(JoinAlgorithm::NestedLoop),
-                ..PlannerKnobs::default()
-            },
-        };
-        let p = plan_with(
-            "SELECT name, amount FROM users u JOIN orders o ON u.id = o.user_id",
-            &catalog,
-        );
-        assert!(p.plan.explain().contains("EquiJoin[NestedLoop]"), "{}", p.plan.explain());
-        assert!(
-            p.decisions.iter().any(|d| d.contains("forced")),
-            "{:?}",
-            p.decisions
         );
     }
 
@@ -2792,7 +2678,7 @@ mod tests {
     #[test]
     fn mvcc_chain_density_penalizes_seq_scans() {
         let dense = DenseMvccCatalog {
-            inner: StatsCatalog::new(),
+            inner: StatsCatalog,
             multiplier: 5.0,
         };
         let est = Estimator::new(&dense);

@@ -101,13 +101,14 @@ impl Histogram {
 
     /// Estimated fraction of non-null rows with value `<= v` (or `< v`
     /// when `inclusive` is false). Linear interpolation within the
-    /// containing bucket for numeric boundaries.
-    pub fn fraction_below(&self, v: &Datum, inclusive: bool) -> f64 {
+    /// containing bucket for numeric boundaries; `min`, the column
+    /// minimum, is the lower end of the first bucket.
+    pub fn fraction_below(&self, v: &Datum, inclusive: bool, min: Option<&Datum>) -> f64 {
         let n = self.bounds.len();
         if n == 0 {
             return 0.5;
         }
-        let mut lo_bound: Option<Datum> = None;
+        let mut lo_bound: Option<Datum> = min.cloned();
         for (i, b) in self.bounds.iter().enumerate() {
             let b = b.to_datum();
             let below = match v.order(&b) {
@@ -117,7 +118,8 @@ impl Histogram {
             };
             if below {
                 // v falls in bucket i: interpolate between the previous
-                // bound (or bucket min) and this bound when numeric.
+                // bound (or the column minimum) and this bound when
+                // numeric.
                 let frac_before = i as f64 / n as f64;
                 let within = match (
                     lo_bound.as_ref().and_then(as_f64),
@@ -206,14 +208,15 @@ impl ColumnStats {
             return 0.0;
         }
         let non_null_frac = ((rows - self.null_count as f64) / rows).clamp(0.0, 1.0);
+        let min = self.min.as_ref().map(StatValue::to_datum);
         let frac_below = |v: &Datum, inclusive: bool| -> f64 {
             if let Some(h) = &self.histogram {
-                return h.fraction_below(v, inclusive);
+                return h.fraction_below(v, inclusive, min.as_ref());
             }
             // No histogram: interpolate min..max for numerics, else a
             // fixed third (System-R style default).
             match (
-                self.min.as_ref().map(|m| m.to_datum()).as_ref().and_then(as_f64),
+                min.as_ref().and_then(as_f64),
                 self.max.as_ref().map(|m| m.to_datum()).as_ref().and_then(as_f64),
                 as_f64(v),
             ) {
@@ -332,6 +335,30 @@ mod tests {
         // Unbounded both sides: all non-null rows.
         let sel = id.selectivity_range(1000.0, None, None);
         assert!((sel - 1.0).abs() < 1e-9);
+    }
+
+    /// The first bucket interpolates from the column minimum: over
+    /// 100k keys in 32 buckets of 3 125, a range inside bucket 0 is no
+    /// longer half a bucket whatever its bounds.
+    #[test]
+    fn first_bucket_interpolates_from_the_minimum() {
+        let rows: Vec<Tuple> = (0..100_000).map(|i| vec![Datum::Int(i), Datum::Null]).collect();
+        let stats = TableStats::collect(&rows, &schema(), 32);
+        let id = stats.column("id").unwrap();
+        let n = 100_000.0;
+        let below = |x: i64| id.selectivity_range(n, None, Some((&Datum::Int(x), false))) * n;
+        let within_2x = |est: f64, truth: f64| est >= truth / 2.0 && est <= truth * 2.0;
+        for (x, truth) in [(200, 200.0), (2_000, 2_000.0)] {
+            assert!(within_2x(below(x), truth), "k < {x}: {} rows", below(x));
+        }
+        let between = id.selectivity_range(
+            n,
+            Some((&Datum::Int(10), true)),
+            Some((&Datum::Int(2_000), false)),
+        ) * n;
+        assert!(within_2x(between, 1_990.0), "10 <= k < 2000: {between} rows");
+        // Below the minimum nothing remains.
+        assert_eq!(below(0), 0.0);
     }
 
     #[test]

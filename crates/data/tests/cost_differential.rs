@@ -1,7 +1,7 @@
 //! Differential tests for cost-based plan selection: whatever plan the
-//! cost model picks, the answer must be byte-identical to every forced
-//! baseline (forced join algorithms, textual join order, sequential
-//! scans only) and to the plans of an un-analyzed twin of the same data,
+//! cost model picks, the answer must be byte-identical to every
+//! baseline (nested-loop joins, textual join order, sequential scans
+//! only) and to the plans of an un-analyzed twin of the same data,
 //! which the cost model plans with its default statistics. A proptest
 //! closes the loop on the ANALYZE lifecycle: fresh statistics must
 //! change the chosen plan for a non-selective indexed predicate and
@@ -9,10 +9,12 @@
 //! their own estimates: on random indexes and conjuncts, no chosen
 //! access path costs more than the sequential scan.
 
+mod nested_loop_oracle;
+
 use std::sync::Arc;
 
+use nested_loop_oracle::nested_loop_oracle;
 use proptest::prelude::*;
-use sbdms_access::exec::join::JoinAlgorithm;
 use sbdms_access::record::Datum;
 use sbdms_data::ast::Statement;
 use sbdms_data::executor::{Database, DbOptions};
@@ -72,6 +74,19 @@ const QUERIES: &[&str] = &[
     "SELECT fact.id FROM fact JOIN dim_big ON fact.d2 = dim_big.id WHERE fact.val = 7",
 ];
 
+/// The rows of `sql` with every join run as a nested loop
+/// ([`nested_loop_oracle`]), checked through `EXPLAIN`.
+fn nested_loop_rows(s: &Session, sql: &str) -> (Vec<String>, Vec<String>) {
+    let nested = nested_loop_oracle(sql);
+    let explain = explain_text(s, &nested);
+    let joins = sql.matches(" ON ").count();
+    assert!(
+        !explain.contains("EquiJoin") && explain.matches("NlJoin").count() == joins,
+        "`{nested}` should plan a nested loop per join:\n{explain}"
+    );
+    sorted_rows(s, &nested)
+}
+
 fn sorted_rows(s: &Session, sql: &str) -> (Vec<String>, Vec<String>) {
     let result = s.execute(sql).unwrap();
     let mut rows: Vec<String> = result
@@ -95,14 +110,10 @@ fn cost_based_plans_match_every_forced_baseline() {
     // Reference answers under full cost-based selection.
     let reference: Vec<_> = QUERIES.iter().map(|q| sorted_rows(&s, q)).collect();
 
-    // Forced-join baselines: every equi-join runs the named algorithm.
-    for forced in [JoinAlgorithm::Hash, JoinAlgorithm::NestedLoop] {
-        db.force_join_algorithm(Some(forced));
-        for (q, want) in QUERIES.iter().zip(&reference) {
-            let got = sorted_rows(&s, q);
-            assert_eq!(&got, want, "forced {forced:?} diverged on `{q}`");
-        }
-        db.force_join_algorithm(None);
+    // Nested-loop baseline: every equi-join as a nested loop.
+    for (q, want) in QUERIES.iter().zip(&reference) {
+        let got = nested_loop_rows(&s, q);
+        assert_eq!(&got, want, "the nested loop diverged on `{q}`");
     }
 
     // Textual join order.
@@ -143,7 +154,7 @@ fn knob_flips_invalidate_cached_plans() {
     s.execute(sql).unwrap();
     assert_eq!(db.plan_cache_stats().hits, hits_before + 1, "repeat should hit");
     // Any knob change moves the epoch: the cached plan no longer serves.
-    db.force_join_algorithm(Some(JoinAlgorithm::NestedLoop));
+    db.set_join_reordering(false);
     s.execute(sql).unwrap();
     assert_eq!(db.plan_cache_stats().hits, hits_before + 1, "knob flip must miss");
 }
@@ -162,7 +173,7 @@ fn explain_text(s: &Session, sql: &str) -> String {
 /// both sides: each join input is a covering index-only range scan that
 /// arrives sorted on the join key. The cost model once priced a merge
 /// join cheapest here, and it ran 2.6–3.3× slower than hash; the plan
-/// is a hash join, and it answers like a forced nested loop.
+/// is a hash join, and it answers like a nested loop.
 #[test]
 fn index_ordered_join_plans_hash_and_matches_nested_loop() {
     let db = open_db(13);
@@ -194,13 +205,8 @@ fn index_ordered_join_plans_hash_and_matches_nested_loop() {
             "`{sql}` should hash-join two covering index scans:\n{explain}"
         );
         let chosen = sorted_rows(&s, sql);
-        db.force_join_algorithm(Some(JoinAlgorithm::NestedLoop));
-        let nested_loop = sorted_rows(&s, sql);
-        db.force_join_algorithm(None);
-        assert_eq!(
-            chosen, nested_loop,
-            "`{sql}` diverged from forced nested loop"
-        );
+        let nested_loop = nested_loop_rows(&s, sql);
+        assert_eq!(chosen, nested_loop, "`{sql}` diverged from the nested loop");
     }
     assert_eq!(
         sorted_rows(
@@ -211,6 +217,110 @@ fn index_ordered_join_plans_hash_and_matches_nested_loop() {
         vec!["600".to_string()]
     );
 }
+/// Analyzed equi-joins of a few rows against many plan a hash join.
+/// The nested loop was once an equi-join algorithm the cost model chose
+/// for them, and it ran 4–8× slower than hash on every one (EXPERIMENTS
+/// §A1, §E11): `a ⋈ b` at 1 × 1 000 and 3 × 10 000 rows, and E11's
+/// join, whose filtered `tiny` (one row) meets 1 500-row `big2`.
+#[test]
+fn analyzed_small_outer_equi_joins_plan_hash() {
+    let db = open_db(14);
+    let s = db.session();
+    let load = |table: &str, rows: Vec<String>| {
+        for chunk in rows.chunks(1_000) {
+            s.execute(&format!("INSERT INTO {table} VALUES {}", chunk.join(", ")))
+                .unwrap();
+        }
+        s.execute(&format!("ANALYZE {table}")).unwrap();
+    };
+    let hash_only = |sql: &str, joins: usize| {
+        let explain = explain_text(&s, sql);
+        let nodes: Vec<&str> = explain.lines().filter(|l| l.contains("EquiJoin")).collect();
+        assert!(
+            nodes.len() == joins && nodes.iter().all(|l| l.contains("EquiJoin[Hash]")),
+            "`{sql}` should hash every join:\n{explain}"
+        );
+    };
+    for (outer, inner) in [(1i64, 1_000i64), (3, 10_000)] {
+        let (a, b) = (format!("a{outer}"), format!("b{inner}"));
+        for t in [&a, &b] {
+            s.execute(&format!("CREATE TABLE {t} (k INT NOT NULL, v INT NOT NULL)"))
+                .unwrap();
+        }
+        load(&a, (0..outer).map(|i| format!("({}, {i})", i * 5)).collect());
+        load(&b, (0..inner).map(|i| format!("({i}, {i})")).collect());
+        let sql = format!("SELECT COUNT(*) FROM {a} JOIN {b} ON {a}.k = {b}.k");
+        hash_only(&sql, 1);
+        let want = vec![outer.to_string()];
+        assert_eq!(sorted_rows(&s, &sql).1, want, "{outer} × {inner}");
+        assert_eq!(nested_loop_rows(&s, &sql).1, want, "{outer} × {inner}");
+    }
+
+    // E11's tables: `big1` and `big2` of 1 500 rows (x in 0..50, y in
+    // 0..100), `tiny` of 100 tagged ids.
+    for big in ["big1", "big2"] {
+        s.execute(&format!("CREATE TABLE {big} (id INT NOT NULL, x INT NOT NULL, y INT NOT NULL)"))
+            .unwrap();
+        load(big, (0..1_500i64).map(|i| format!("({i}, {}, {})", i % 50, i % 100)).collect());
+    }
+    s.execute("CREATE TABLE tiny (id INT NOT NULL, tag TEXT NOT NULL)").unwrap();
+    load("tiny", (0..100i64).map(|i| format!("({i}, 't{i}')")).collect());
+    let sql = "SELECT COUNT(*) FROM big1 JOIN big2 ON big1.x = big2.x \
+               JOIN tiny ON big2.y = tiny.id WHERE tiny.tag = 't7'";
+    hash_only(sql, 2);
+    // 15 `big2` rows have y = 7, and each x meets 30 `big1` rows.
+    assert_eq!(sorted_rows(&s, sql).1, vec!["450".to_string()]);
+}
+
+/// `rows=` of the first `EXPLAIN` line of `sql` whose node is `node`.
+fn estimated_rows(s: &Session, sql: &str, node: &str) -> f64 {
+    let explain = explain_text(s, sql);
+    let line = explain
+        .lines()
+        .find(|l| l.trim_start_matches("| ").starts_with(node))
+        .unwrap_or_else(|| panic!("`{sql}` has no {node}:\n{explain}"));
+    let rows = line.split("[rows=").nth(1).and_then(|r| r.split(' ').next());
+    rows.and_then(|r| r.parse().ok())
+        .unwrap_or_else(|| panic!("no estimate in `{line}`"))
+}
+
+/// Row estimates over an analyzed 100k-row table indexed on `k` stay
+/// within 2× of the truth, both the index range's and the residual
+/// filter's above it. The first histogram bucket interpolates from the
+/// column minimum (a range inside it once estimated half a bucket, or
+/// 0 rows between two bounds in it), and the residual filter does not
+/// apply the conjuncts the index bounds already applied a second time
+/// (`k = 5` once estimated 0.0 rows).
+#[test]
+fn index_range_estimates_hold_within_2x() {
+    let db = open_db(15);
+    let s = db.session();
+    s.execute("CREATE TABLE t (k INT NOT NULL, v INT NOT NULL)").unwrap();
+    for chunk in (0..100_000i64).collect::<Vec<_>>().chunks(2_000) {
+        let vals: Vec<String> = chunk.iter().map(|i| format!("({i}, {})", i % 97)).collect();
+        s.execute(&format!("INSERT INTO t VALUES {}", vals.join(", ")))
+            .unwrap();
+    }
+    s.execute("CREATE INDEX t_k ON t (k)").unwrap();
+    s.execute("ANALYZE t").unwrap();
+    for (filter, truth) in [
+        ("k >= 10 AND k < 2000", 1_990.0),
+        ("k < 200", 200.0),
+        ("k < 2000", 2_000.0),
+        ("k = 5", 1.0),
+    ] {
+        let sql = format!("SELECT v FROM t WHERE {filter}");
+        assert_eq!(sorted_rows(&s, &sql).1.len() as f64, truth, "`{sql}`");
+        for node in ["IndexScan", "Filter"] {
+            let est = estimated_rows(&s, &sql, node);
+            assert!(
+                est >= truth / 2.0 && est <= truth * 2.0,
+                "`{sql}`: {node} estimates {est} rows, the truth is {truth}"
+            );
+        }
+    }
+}
+
 /// The richer access paths — composite-equality probes, prefix-range
 /// scans, IndexOr probe unions, IndexAnd intersections, covering
 /// index-only scans — must each be provably *chosen* by the cost model
@@ -292,6 +402,16 @@ fn new_access_paths_chosen_and_differentially_correct() {
         assert_eq!(chosen, baseline, "`{sql}` diverged from seq-scan baseline");
         assert!(!chosen.1.is_empty(), "`{sql}` should return rows");
     }
+
+    // The residual filter over the intersection re-applies only what
+    // its probes did not: here nothing, so it keeps their rows.
+    let sql = "SELECT payload FROM ev WHERE tenant = 7 AND kind = 7";
+    assert_eq!(
+        estimated_rows(&s, sql, "Filter"),
+        estimated_rows(&s, sql, "IndexAnd"),
+        "{}",
+        explain_text(&s, sql)
+    );
 
     // NULL keys sit in ev_kind's B-tree, but SQL `=` never matches NULL:
     // the probes above must not leak the 10 NULL-kind rows, and IS NULL

@@ -3,16 +3,19 @@
 //! columns it leaves NULL must never change an answer. Each pruned query
 //! over a wide table with unread TEXT columns is checked against its
 //! unpruned reference, the same join selecting every column of both
-//! tables and reduced in the test. Every forced join algorithm runs,
-//! hash joins build on both sides, and the reads happen under MVCC
+//! tables and reduced in the test. Each equi-join also runs as a nested
+//! loop, hash joins build on both sides, and the reads happen under MVCC
 //! inside a transaction with its own uncommitted writes as well as from
 //! a second session that sees only committed rows. A statement memory
 //! limit shows the pruning itself: the pruned hash build fits it, the
 //! unpruned one does not.
 
+mod nested_loop_oracle;
+
 use std::sync::Arc;
 
-use sbdms_access::exec::join::{BuildSide, JoinAlgorithm};
+use nested_loop_oracle::nested_loop_oracle;
+use sbdms_access::exec::join::BuildSide;
 use sbdms_access::record::{encode_tuple, Datum, Tuple};
 use sbdms_data::ast::Statement;
 use sbdms_data::executor::{Database, DbOptions};
@@ -175,12 +178,7 @@ fn explain(s: &Session, sql: &str) -> String {
 /// The build sides of the hash joins the planner picks for `sql`.
 fn hash_builds(db: &Database, sql: &str) -> Vec<BuildSide> {
     fn walk(plan: &Plan, out: &mut Vec<BuildSide>) {
-        if let Plan::EquiJoin {
-            algorithm: JoinAlgorithm::Hash,
-            build,
-            ..
-        } = plan
-        {
+        if let Plan::EquiJoin { build, .. } = plan {
             out.push(*build);
         }
         for child in plan.children() {
@@ -195,7 +193,7 @@ fn hash_builds(db: &Database, sql: &str) -> Vec<BuildSide> {
     out
 }
 
-/// Check every case on `s` under every forced algorithm, with join
+/// Check every case on `s`, as planned and as a nested loop, with join
 /// reordering on and off (off keeps the textual order, so a large left
 /// input makes a hash join build on the right). Returns the build sides
 /// the hash joins used.
@@ -203,36 +201,34 @@ fn check_all(db: &Database, s: &Session, who: &str) -> Vec<BuildSide> {
     let mut builds = Vec::new();
     for reorder in [true, false] {
         db.set_join_reordering(reorder);
-        for algorithm in [
-            None,
-            Some(JoinAlgorithm::Hash),
-            Some(JoinAlgorithm::NestedLoop),
-        ] {
-            db.force_join_algorithm(algorithm);
-            for case in cases() {
-                let reference = s
-                    .execute(&format!("SELECT {ALL} {}", case.from_where))
-                    .unwrap()
-                    .rows;
+        for case in cases() {
+            let reference = s
+                .execute(&format!("SELECT {ALL} {}", case.from_where))
+                .unwrap()
+                .rows;
+            assert!(
+                !reference.is_empty(),
+                "{who}: `{}` joins nothing",
+                case.from_where
+            );
+            let want = (case.reduce)(&reference);
+            let oracle = nested_loop_oracle(case.pruned);
+            for pruned in [case.pruned, oracle.as_str()] {
+                let plan = explain(s, pruned);
                 assert!(
-                    !reference.is_empty(),
-                    "{who}: `{}` joins nothing",
-                    case.from_where
+                    pruned != oracle || (plan.contains("NlJoin") && !plan.contains("EquiJoin")),
+                    "{who}: the oracle must plan a nested loop:\n{plan}"
                 );
-                let want = (case.reduce)(&reference);
-                let got = s.execute(case.pruned).unwrap().rows;
+                let got = s.execute(pruned).unwrap().rows;
                 assert_eq!(
                     multiset(&got),
                     multiset(&want),
-                    "{who}, {algorithm:?}, reordering {reorder}: `{}`\n{}",
-                    case.pruned,
-                    explain(s, case.pruned)
+                    "{who}, reordering {reorder}: `{pruned}`\n{plan}"
                 );
-                builds.extend(hash_builds(db, case.pruned));
+                builds.extend(hash_builds(db, pruned));
             }
         }
     }
-    db.force_join_algorithm(None);
     db.set_join_reordering(true);
     builds
 }
@@ -267,7 +263,6 @@ fn pruning_shrinks_the_hash_build_under_a_memory_limit() {
     load(&s);
     s.begin().unwrap();
     own_writes(&s);
-    db.force_join_algorithm(Some(JoinAlgorithm::Hash));
     let case = &cases()[0];
     let plan = explain(&s, case.pruned);
     assert!(plan.contains("TableScan d"), "{plan}");

@@ -701,21 +701,26 @@ fn like_in_between_end_to_end() {
     );
 }
 
+/// The hash join answers like a nested loop over the same join: its ON
+/// equality written `u.id + 0 = o.user_id` is no equi edge to the
+/// planner.
 #[test]
 fn join_algorithms_agree_through_sql() {
-    use sbdms_access::exec::join::JoinAlgorithm;
     let db = db("join-algos");
     let s = db.session();
     seed(&s);
-    let sql = "SELECT name, amount FROM users u JOIN orders o ON u.id = o.user_id \
-               ORDER BY amount, name";
-    let reference = s.execute(sql).unwrap().rows;
+    let (hash, nested_loop) = (
+        "SELECT name, amount FROM users u JOIN orders o ON u.id = o.user_id \
+         ORDER BY amount, name",
+        "SELECT name, amount FROM users u JOIN orders o ON u.id + 0 = o.user_id \
+         ORDER BY amount, name",
+    );
+    let reference = s.execute(hash).unwrap().rows;
     assert_eq!(reference.len(), 5);
-    for algo in [JoinAlgorithm::NestedLoop, JoinAlgorithm::Hash] {
-        db.force_join_algorithm(Some(algo));
-        assert_eq!(s.execute(sql).unwrap().rows, reference, "{algo:?}");
+    assert_eq!(s.execute(nested_loop).unwrap().rows, reference);
+    for (sql, node) in [(hash, "EquiJoin[Hash]"), (nested_loop, "NlJoin")] {
         let plan = db.cached_plan(sql).expect("the statement left a cached plan").explain();
-        assert!(plan.contains(&format!("EquiJoin[{algo:?}]")), "{algo:?}: {plan}");
+        assert!(plan.contains(node), "{node}: {plan}");
     }
 }
 
@@ -760,9 +765,10 @@ fn plan_cache_invalidated_by_ddl() {
     assert!(s.execute(scan_extra).is_err(), "dropped table must error");
 }
 
+/// Flipping a join planner knob (join reordering) invalidates cached
+/// join plans.
 #[test]
 fn plan_cache_invalidated_by_join_algorithm_change() {
-    use sbdms_access::exec::join::JoinAlgorithm;
     let db = db("plan-cache-join");
     let s = db.session();
     seed(&s);
@@ -770,14 +776,14 @@ fn plan_cache_invalidated_by_join_algorithm_change() {
                ORDER BY amount, name";
     let reference = s.execute(sql).unwrap().rows;
     let hits_before = db.plan_cache_stats().hits;
-    db.force_join_algorithm(Some(JoinAlgorithm::NestedLoop));
+    db.set_join_reordering(false);
     assert_eq!(s.execute(sql).unwrap().rows, reference);
     assert_eq!(
         db.plan_cache_stats().hits,
         hits_before,
-        "join-algorithm change must invalidate cached plans"
+        "a join knob change must invalidate cached plans"
     );
-    // Same algorithm again: now it can hit.
+    // Same knobs again: now it can hit.
     assert_eq!(s.execute(sql).unwrap().rows, reference);
     assert_eq!(db.plan_cache_stats().hits, hits_before + 1);
 }
