@@ -26,10 +26,11 @@
 use sbdms_kernel::error::{Result, ServiceError};
 
 use super::batch::Batch;
+use super::column::Column;
 use super::expr::Expr;
 use super::vhash;
 use super::ExecContext;
-use crate::record::Datum;
+use crate::record::{Datum, DatumRef};
 
 /// Aggregate functions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,12 +70,12 @@ impl AggSpec {
 /// payload), and 48 bytes per aggregate state. The formula is older than
 /// this table and kept as it was, so a query's accounting, and every
 /// limit tuned to it, does not move.
-fn group_bytes<'a>(key_len: usize, group: impl Iterator<Item = &'a Datum>, aggs: usize) -> u64 {
+fn group_bytes<'a>(key_len: usize, group: impl Iterator<Item = DatumRef<'a>>, aggs: usize) -> u64 {
     let tuple: u64 = 24
         + group
             .map(|d| {
                 16 + match d {
-                    Datum::Str(s) => s.len() as u64,
+                    DatumRef::Str(s) => s.len() as u64,
                     _ => 0,
                 }
             })
@@ -82,49 +83,58 @@ fn group_bytes<'a>(key_len: usize, group: impl Iterator<Item = &'a Datum>, aggs:
     2 * key_len as u64 + tuple + 48 * aggs as u64
 }
 
-/// One key or argument column of a batch in logical row order. A bare
-/// column reference reads the batch in place; any other expression is
-/// evaluated once for the whole batch.
-enum Column<'b> {
-    Ref(&'b [Datum], Option<&'b [u32]>),
-    Owned(Vec<Datum>),
+/// One key or argument column of a batch, read at logical rows. A bare
+/// column reference reads the batch's typed column in place through its
+/// selection; any other expression is evaluated once for the whole
+/// batch into a dense column.
+struct Arg<'b> {
+    col: std::borrow::Cow<'b, Column>,
+    sel: Option<&'b [u32]>,
 }
 
-impl<'b> Column<'b> {
+impl<'b> Arg<'b> {
     /// `e` over `batch`, with the errors `Expr::eval_batch` raises.
-    fn of(e: &Expr, batch: &'b Batch) -> Result<Column<'b>> {
-        match e {
-            Expr::Col(i) => Ok(Column::Ref(batch.try_column(*i)?, batch.sel())),
-            _ => e.eval_batch(batch).map(Column::Owned),
-        }
+    fn of(e: &Expr, batch: &'b Batch) -> Result<Arg<'b>> {
+        Ok(match e {
+            Expr::Col(i) => Arg {
+                col: std::borrow::Cow::Borrowed(batch.try_column(*i)?),
+                sel: batch.sel(),
+            },
+            _ => Arg {
+                col: std::borrow::Cow::Owned(e.eval_column(batch)?),
+                sel: None,
+            },
+        })
+    }
+
+    /// Physical row of logical row `r`.
+    #[inline]
+    fn phys(&self, r: usize) -> usize {
+        self.sel.map_or(r, |sel| sel[r] as usize)
     }
 
     /// Logical row `r`.
     #[inline]
-    fn get(&self, r: usize) -> &Datum {
-        match self {
-            Column::Ref(col, None) => &col[r],
-            Column::Ref(col, Some(sel)) => &col[sel[r] as usize],
-            Column::Owned(vals) => &vals[r],
-        }
+    fn get(&self, r: usize) -> DatumRef<'_> {
+        self.col.get(self.phys(r))
     }
 }
 
 /// Empty directory slot.
 const EMPTY: u32 = u32::MAX;
 
-/// Whether two datums encode to the same bytes under
+/// Whether two values encode to the same bytes under
 /// `Datum::encode_into`: the identity of a group key column. NULL
 /// equals NULL, a FLOAT compares by its bits, and no value of one type
 /// equals a value of another.
 #[inline]
-fn same_key(a: &Datum, b: &Datum) -> bool {
+fn same_key(a: DatumRef, b: DatumRef) -> bool {
     match (a, b) {
-        (Datum::Null, Datum::Null) => true,
-        (Datum::Bool(x), Datum::Bool(y)) => x == y,
-        (Datum::Int(x), Datum::Int(y)) => x == y,
-        (Datum::Float(x), Datum::Float(y)) => x.to_bits() == y.to_bits(),
-        (Datum::Str(x), Datum::Str(y)) => x == y,
+        (DatumRef::Null, DatumRef::Null) => true,
+        (DatumRef::Bool(x), DatumRef::Bool(y)) => x == y,
+        (DatumRef::Int(x), DatumRef::Int(y)) => x == y,
+        (DatumRef::Float(x), DatumRef::Float(y)) => x.to_bits() == y.to_bits(),
+        (DatumRef::Str(x), DatumRef::Str(y)) => x == y,
         _ => false,
     }
 }
@@ -231,8 +241,8 @@ enum States {
 /// A fold error and the logical row it happened at.
 type RowError = (usize, ServiceError);
 
-fn not_a_number(func: &str, value: &Datum) -> ServiceError {
-    ServiceError::InvalidInput(format!("{func} requires numbers, got {value}"))
+fn not_a_number(func: &str, value: DatumRef) -> ServiceError {
+    ServiceError::InvalidInput(format!("{func} requires numbers, got {}", value.to_owned()))
 }
 
 impl States {
@@ -281,26 +291,49 @@ impl States {
         }
     }
 
-    /// Fold logical rows `0..gids.len()` of `col` into their groups.
-    /// Stops at the first value the aggregate cannot take.
-    fn fold(&mut self, col: &Column, gids: &[u32]) -> std::result::Result<(), RowError> {
-        match self {
-            States::Count(n) => {
-                for (r, &g) in gids.iter().enumerate() {
-                    n[g as usize] += !col.get(r).is_null() as i64;
+    /// Fold logical rows `0..gids.len()` of `arg` into their groups.
+    /// Stops at the first value the aggregate cannot take. COUNT and SUM
+    /// over an INT or FLOAT column loop over the raw values.
+    fn fold(&mut self, arg: &Arg, gids: &[u32]) -> std::result::Result<(), RowError> {
+        // Every logical row's (row, group, physical row), in row order.
+        let rows = || {
+            gids.iter()
+                .enumerate()
+                .map(|(r, &g)| (r, g as usize, arg.phys(r)))
+        };
+        match (self, &*arg.col) {
+            (States::Count(n), col) => {
+                for (_, g, p) in rows() {
+                    n[g] += !col.is_null(p) as i64;
                 }
             }
-            States::Sum { ints, floats, seen } => {
-                for (r, &g) in gids.iter().enumerate() {
-                    let g = g as usize;
-                    match col.get(r) {
-                        Datum::Null => {}
-                        Datum::Int(i) => {
-                            ints[g] += *i as i128;
-                            floats[g] += *i as f64;
+            (States::Sum { ints, floats, seen }, Column::Int(vals, valid)) => {
+                for (_, g, p) in rows() {
+                    if valid.get(p) {
+                        ints[g] += vals[p] as i128;
+                        floats[g] += vals[p] as f64;
+                        seen[g] = seen[g].max(Seen::Ints);
+                    }
+                }
+            }
+            (States::Sum { floats, seen, .. }, Column::Float(vals, valid)) => {
+                for (_, g, p) in rows() {
+                    if valid.get(p) {
+                        floats[g] += vals[p];
+                        seen[g] = Seen::Float;
+                    }
+                }
+            }
+            (States::Sum { ints, floats, seen }, col) => {
+                for (r, g, p) in rows() {
+                    match col.get(p) {
+                        DatumRef::Null => {}
+                        DatumRef::Int(i) => {
+                            ints[g] += i as i128;
+                            floats[g] += i as f64;
                             seen[g] = seen[g].max(Seen::Ints);
                         }
-                        Datum::Float(x) => {
+                        DatumRef::Float(x) => {
                             floats[g] += x;
                             seen[g] = Seen::Float;
                         }
@@ -308,29 +341,41 @@ impl States {
                     }
                 }
             }
-            States::Avg { totals, counts } => {
-                for (r, &g) in gids.iter().enumerate() {
-                    let g = g as usize;
-                    match col.get(r) {
-                        Datum::Null => continue,
-                        Datum::Int(i) => totals[g] += *i as f64,
-                        Datum::Float(x) => totals[g] += x,
+            (States::Avg { totals, counts }, col) => {
+                for (r, g, p) in rows() {
+                    match col.get(p) {
+                        DatumRef::Null => continue,
+                        DatumRef::Int(i) => totals[g] += i as f64,
+                        DatumRef::Float(x) => totals[g] += x,
                         other => return Err((r, not_a_number("AVG", other))),
                     }
                     counts[g] += 1;
                 }
             }
-            States::MinMax { best, is_min } => {
-                let want = if *is_min {
-                    std::cmp::Ordering::Less
-                } else {
-                    std::cmp::Ordering::Greater
-                };
-                for (r, &g) in gids.iter().enumerate() {
-                    let value = col.get(r);
-                    let b = &mut best[g as usize];
-                    if !value.is_null() && (b.is_null() || value.order(b) == want) {
-                        *b = value.clone();
+            (States::MinMax { best, is_min }, Column::Int(vals, valid)) => {
+                for (_, g, p) in rows() {
+                    if !valid.get(p) {
+                        continue;
+                    }
+                    let v = vals[p];
+                    let b = &mut best[g];
+                    let better = match &*b {
+                        Datum::Int(x) => (v < *x) == *is_min && v != *x,
+                        Datum::Null => true,
+                        b => DatumRef::Int(v).order(&b.as_ref()) == min_max_want(*is_min),
+                    };
+                    if better {
+                        *b = Datum::Int(v);
+                    }
+                }
+            }
+            (States::MinMax { best, is_min }, col) => {
+                let want = min_max_want(*is_min);
+                for (_, g, p) in rows() {
+                    let value = col.get(p);
+                    let b = &mut best[g];
+                    if !value.is_null() && (b.is_null() || value.order(&b.as_ref()) == want) {
+                        *b = value.to_owned();
                     }
                 }
             }
@@ -339,36 +384,49 @@ impl States {
     }
 
     /// The aggregate's value for every group, in group order.
-    fn finish(self) -> Result<Vec<Datum>> {
+    fn finish(self) -> Result<Column> {
         Ok(match self {
-            States::Count(n) => n.into_iter().map(Datum::Int).collect(),
-            States::Sum { ints, floats, seen } => ints
-                .into_iter()
-                .zip(floats)
-                .zip(seen)
-                .map(|((int, float), seen)| match seen {
-                    Seen::Nothing => Ok(Datum::Null),
-                    Seen::Ints => i64::try_from(int).map(Datum::Int).map_err(|_| {
-                        ServiceError::InvalidInput(format!(
-                            "integer overflow: SUM {int} is out of INT range"
-                        ))
-                    }),
-                    Seen::Float => Ok(Datum::Float(float)),
-                })
-                .collect::<Result<_>>()?,
-            States::Avg { totals, counts } => totals
-                .into_iter()
-                .zip(counts)
-                .map(|(t, n)| {
-                    if n == 0 {
-                        Datum::Null
-                    } else {
-                        Datum::Float(t / n as f64)
-                    }
-                })
-                .collect(),
-            States::MinMax { best, .. } => best,
+            States::Count(n) => Column::Int(n, Default::default()),
+            States::Sum { ints, floats, seen } => Column::from_datums(
+                ints.into_iter()
+                    .zip(floats)
+                    .zip(seen)
+                    .map(|((int, float), seen)| match seen {
+                        Seen::Nothing => Ok(Datum::Null),
+                        Seen::Ints => i64::try_from(int).map(Datum::Int).map_err(|_| {
+                            ServiceError::InvalidInput(format!(
+                                "integer overflow: SUM {int} is out of INT range"
+                            ))
+                        }),
+                        Seen::Float => Ok(Datum::Float(float)),
+                    })
+                    .collect::<Result<_>>()?,
+            ),
+            States::Avg { totals, counts } => Column::from_datums(
+                totals
+                    .into_iter()
+                    .zip(counts)
+                    .map(|(t, n)| {
+                        if n == 0 {
+                            Datum::Null
+                        } else {
+                            Datum::Float(t / n as f64)
+                        }
+                    })
+                    .collect(),
+            ),
+            States::MinMax { best, .. } => Column::from_datums(best),
         })
+    }
+}
+
+/// The ordering of a new value against the best so far that makes it
+/// the new MIN (`Less`) or MAX (`Greater`).
+fn min_max_want(is_min: bool) -> std::cmp::Ordering {
+    if is_min {
+        std::cmp::Ordering::Less
+    } else {
+        std::cmp::Ordering::Greater
     }
 }
 
@@ -392,7 +450,7 @@ pub(super) struct Grouper {
     charge: Charge,
     table: GroupTable,
     /// One column per GROUP BY expression, indexed by group id.
-    keys: Vec<Vec<Datum>>,
+    keys: Vec<Column>,
     states: Vec<States>,
     groups: usize,
     /// Per-batch scratch: every row's key hash and group id.
@@ -403,7 +461,7 @@ pub(super) struct Grouper {
 impl Grouper {
     pub(super) fn new(group_by: Vec<Expr>, aggs: Vec<AggSpec>) -> Grouper {
         Grouper {
-            keys: vec![Vec::new(); group_by.len()],
+            keys: vec![Column::default(); group_by.len()],
             states: aggs.iter().map(|a| States::new(a.func)).collect(),
             group_by,
             aggs,
@@ -431,7 +489,7 @@ impl Grouper {
         let cols = self
             .group_by
             .iter()
-            .map(|e| Column::of(e, batch))
+            .map(|e| Arg::of(e, batch))
             .collect::<Result<Vec<_>>>()?;
         let mut next = self.groups as u32;
         self.map_rows(&cols, batch.rows(), ctx)?;
@@ -454,14 +512,14 @@ impl Grouper {
         let group_cols = self
             .group_by
             .iter()
-            .map(|e| Column::of(e, batch))
+            .map(|e| Arg::of(e, batch))
             .collect::<Result<Vec<_>>>()?;
         let arg_cols = self
             .aggs
             .iter()
             .map(|a| match a.func {
                 AggFunc::CountAll => Ok(None),
-                _ => Column::of(&a.arg, batch).map(Some),
+                _ => Arg::of(&a.arg, batch).map(Some),
             })
             .collect::<Result<Vec<_>>>()?;
         // Pass 1: rows to group ids, stopping at a failed charge.
@@ -470,14 +528,14 @@ impl Grouper {
         // so far, so the error that wins is the one a row-at-a-time loop
         // meets first.
         let mut limit = self.gids.len();
-        for (state, col) in self.states.iter_mut().zip(&arg_cols) {
+        for (state, arg) in self.states.iter_mut().zip(&arg_cols) {
             let gids = &self.gids[..limit];
-            let folded = match col {
+            let folded = match arg {
                 None => {
                     state.count_rows(gids);
                     Ok(())
                 }
-                Some(col) => state.fold(col, gids),
+                Some(arg) => state.fold(arg, gids),
             };
             if let Err((r, e)) = folded {
                 limit = r;
@@ -490,7 +548,7 @@ impl Grouper {
     /// Fill `gids` with the group of each of the batch's `rows` logical
     /// rows, creating (and charging) groups on first sight. Keys are
     /// hashed a column at a time, then probed a row at a time.
-    fn map_rows(&mut self, group_cols: &[Column], rows: usize, ctx: &ExecContext) -> Result<()> {
+    fn map_rows(&mut self, group_cols: &[Arg], rows: usize, ctx: &ExecContext) -> Result<()> {
         self.gids.clear();
         if group_cols.is_empty() {
             if rows > 0 && self.groups == 0 {
@@ -502,9 +560,12 @@ impl Grouper {
         }
         self.hashes.clear();
         self.hashes.resize(rows, 0);
-        for col in group_cols {
-            for (r, h) in self.hashes.iter_mut().enumerate() {
-                *h = vhash::hash_datum(*h, col.get(r));
+        for arg in group_cols {
+            match arg.sel {
+                None => vhash::hash_column(&mut self.hashes, &arg.col, 0..rows),
+                Some(sel) => {
+                    vhash::hash_column(&mut self.hashes, &arg.col, sel.iter().map(|&p| p as usize))
+                }
             }
         }
         self.gids.reserve(rows);
@@ -514,13 +575,18 @@ impl Grouper {
                 group_cols
                     .iter()
                     .zip(keys)
-                    .all(|(c, k)| same_key(c.get(r), &k[g]))
+                    .all(|(c, k)| match (&*c.col, k) {
+                        (Column::Int(a, va), Column::Int(b, vb)) if va.all_valid() && vb.all_valid() => {
+                            a[c.phys(r)] == b[g]
+                        }
+                        _ => same_key(c.get(r), k.get(g)),
+                    })
             };
             let g = match self.table.find(self.hashes[r], is_key) {
                 Ok(g) => g,
                 Err(slot) => {
                     let values = group_cols.iter().map(|c| c.get(r));
-                    let key_len = values.clone().map(Datum::encoded_len).sum();
+                    let key_len = values.clone().map(|d| d.encoded_len()).sum();
                     ctx.charge(self.new_group_bytes(key_len, values.clone()))?;
                     self.add_group(values);
                     self.table.insert(slot, self.hashes[r])
@@ -532,16 +598,16 @@ impl Grouper {
     }
 
     /// The charge for a new group whose key encodes to `key_len` bytes.
-    fn new_group_bytes<'a>(&self, key_len: usize, values: impl Iterator<Item = &'a Datum>) -> u64 {
+    fn new_group_bytes<'a>(&self, key_len: usize, values: impl Iterator<Item = DatumRef<'a>>) -> u64 {
         match self.charge {
             Charge::Group => group_bytes(key_len, values, self.aggs.len()),
             Charge::Row => 2 + key_len as u64 + 48,
         }
     }
 
-    fn add_group<'a>(&mut self, values: impl Iterator<Item = &'a Datum>) {
+    fn add_group<'a>(&mut self, values: impl Iterator<Item = DatumRef<'a>>) {
         for (dst, v) in self.keys.iter_mut().zip(values) {
-            dst.push(v.clone());
+            dst.push_ref(v);
         }
         for state in &mut self.states {
             state.push_group();
@@ -551,7 +617,7 @@ impl Grouper {
 
     /// The output columns (`group values ++ aggregate values`, one row
     /// per group in first-seen order) and their row count.
-    pub(super) fn finish(mut self) -> Result<(Vec<Vec<Datum>>, usize)> {
+    pub(super) fn finish(mut self) -> Result<(Vec<Column>, usize)> {
         if self.group_by.is_empty() && self.groups == 0 {
             self.add_group(std::iter::empty());
         }

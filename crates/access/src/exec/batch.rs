@@ -15,11 +15,12 @@ use std::time::{Duration, Instant};
 use sbdms_kernel::error::{Result, ServiceError};
 
 use super::aggregate::{AggSpec, Grouper};
+use super::column::{Column, ColumnKind};
 use super::expr::Expr;
 use super::join::BuildSide;
 use super::vhash;
 use super::ExecContext;
-use crate::record::{Datum, Tuple};
+use crate::record::Tuple;
 use crate::sort::{ExternalSorter, SortKey};
 use sbdms_storage::page::PageId;
 
@@ -30,17 +31,17 @@ pub const BATCH_ROWS: usize = 1024;
 /// A fixed-capacity chunk of rows stored column-major, with an optional
 /// *selection vector*: a sorted list of live physical row indices.
 ///
-/// Filters and probes emit selections instead of compacting copies —
-/// the payload columns stay untouched and are only gathered when a
-/// consumer genuinely needs dense data (late materialisation). All
-/// row-oriented accessors (`rows`, `row`, `encode_row`, `into_rows`,
-/// `slice`) speak *logical* rows, i.e. they see only selected rows;
-/// `column` stays physical so kernels can pair it with [`Batch::sel`]
-/// and index directly.
+/// Each column is a typed [`Column`] vector. Filters and probes emit
+/// selections instead of compacting copies — the payload columns stay
+/// untouched and are only gathered when a consumer genuinely needs
+/// dense data (late materialisation). All row-oriented accessors
+/// (`rows`, `row`, `encode_row`, `into_rows`, `slice`) speak *logical*
+/// rows, i.e. they see only selected rows; `column` stays physical so
+/// kernels can pair it with [`Batch::sel`] and index directly.
 #[derive(Debug, Clone, Default)]
 pub struct Batch {
-    /// One `Vec<Datum>` per column, all the same (physical) length.
-    columns: Vec<Vec<Datum>>,
+    /// One column per field, all the same (physical) length.
+    columns: Vec<Column>,
     /// Physical row count, tracked explicitly so zero-column batches
     /// still know their cardinality.
     rows: usize,
@@ -53,30 +54,25 @@ impl Batch {
     /// Empty batch with `width` columns.
     pub fn new(width: usize) -> Batch {
         Batch {
-            columns: vec![Vec::new(); width],
+            columns: vec![Column::default(); width],
             rows: 0,
             sel: None,
         }
     }
 
-    /// Build from row-major tuples (all the same width).
+    /// Build from row-major tuples (all the same width); each column
+    /// takes the kind of its first non-NULL value.
     pub fn from_rows(rows: Vec<Tuple>) -> Batch {
         let width = rows.first().map(|r| r.len()).unwrap_or(0);
-        let mut batch = Batch {
-            columns: (0..width)
-                .map(|_| Vec::with_capacity(rows.len()))
-                .collect(),
-            rows: 0,
-            sel: None,
-        };
+        let mut batch = Batch::new(width);
         for row in rows {
             batch.push(row);
         }
         batch
     }
 
-    /// Build from pre-transposed columns of `rows` length each.
-    pub fn from_columns(columns: Vec<Vec<Datum>>, rows: usize) -> Batch {
+    /// Build from columns of `rows` length each.
+    pub fn from_columns(columns: Vec<Column>, rows: usize) -> Batch {
         debug_assert!(columns.iter().all(|c| c.len() == rows));
         Batch {
             columns,
@@ -103,21 +99,27 @@ impl Batch {
         self.columns.len()
     }
 
+    /// The representation of every column, in order: which columns run
+    /// typed kernels and which fell back to `Datum`s.
+    pub fn kinds(&self) -> Vec<ColumnKind> {
+        self.columns.iter().map(Column::kind).collect()
+    }
+
     /// The selection vector, if any. Pairs with [`Batch::column`]:
     /// kernels iterate the selection and index the physical column.
     pub fn sel(&self) -> Option<&[u32]> {
         self.sel.as_deref()
     }
 
-    /// One *physical* column as a slice, if in range. Consult
-    /// [`Batch::sel`] for which entries are live.
-    pub fn column(&self, i: usize) -> Option<&[Datum]> {
-        self.columns.get(i).map(|c| c.as_slice())
+    /// One *physical* column, if in range. Consult [`Batch::sel`] for
+    /// which entries are live.
+    pub fn column(&self, i: usize) -> Option<&Column> {
+        self.columns.get(i)
     }
 
-    /// One physical column as a slice, with the same error a
-    /// row-expression column reference raises.
-    pub fn try_column(&self, i: usize) -> Result<&[Datum]> {
+    /// One physical column, with the same error a row-expression column
+    /// reference raises.
+    pub fn try_column(&self, i: usize) -> Result<&Column> {
         self.column(i)
             .ok_or_else(|| ServiceError::InvalidInput(format!("column {i} out of range")))
     }
@@ -144,36 +146,17 @@ impl Batch {
     /// Materialise one logical row (cloning).
     pub fn row(&self, r: usize) -> Tuple {
         let p = self.phys(r);
-        self.columns.iter().map(|c| c[p].clone()).collect()
+        self.columns.iter().map(|c| c.datum(p)).collect()
     }
 
     /// Transpose back to row-major tuples (logical rows only).
     pub fn into_rows(self) -> Vec<Tuple> {
-        let width = self.columns.len();
-        if let Some(sel) = &self.sel {
-            return sel
-                .iter()
-                .map(|&p| {
-                    let mut row = Vec::with_capacity(width);
-                    for col in &self.columns {
-                        row.push(col[p as usize].clone());
-                    }
-                    row
-                })
-                .collect();
-        }
-        let mut rows: Vec<Tuple> = (0..self.rows).map(|_| Vec::with_capacity(width)).collect();
-        for col in self.columns {
-            for (row, v) in rows.iter_mut().zip(col) {
-                row.push(v);
-            }
-        }
-        rows
+        (0..self.rows()).map(|r| self.row(r)).collect()
     }
 
     /// Decompose into dense columns plus the row count (gathers through
     /// the selection vector if one is present; free when dense).
-    pub fn into_dense_columns(self) -> (Vec<Vec<Datum>>, usize) {
+    pub fn into_dense_columns(self) -> (Vec<Column>, usize) {
         let flat = self.flatten();
         (flat.columns, flat.rows)
     }
@@ -215,7 +198,7 @@ impl Batch {
         let columns = self
             .columns
             .iter()
-            .map(|col| sel.iter().map(|&p| col[p as usize].clone()).collect())
+            .map(|col| col.gather(sel.iter().map(|&p| p as usize)))
             .collect();
         Batch {
             columns,
@@ -226,28 +209,20 @@ impl Batch {
 
     /// Copy out `len` logical rows starting at `start`.
     pub fn slice(&self, start: usize, len: usize) -> Batch {
-        match &self.sel {
-            None => Batch {
-                columns: self
-                    .columns
-                    .iter()
-                    .map(|c| c[start..start + len].to_vec())
-                    .collect(),
-                rows: len,
-                sel: None,
-            },
+        let columns = match &self.sel {
+            None => self.columns.iter().map(|c| c.gather(start..start + len)).collect(),
             Some(sel) => {
                 let window = &sel[start..start + len];
-                Batch {
-                    columns: self
-                        .columns
-                        .iter()
-                        .map(|c| window.iter().map(|&p| c[p as usize].clone()).collect())
-                        .collect(),
-                    rows: len,
-                    sel: None,
-                }
+                self.columns
+                    .iter()
+                    .map(|c| c.gather(window.iter().map(|&p| p as usize)))
+                    .collect()
             }
+        };
+        Batch {
+            columns,
+            rows: len,
+            sel: None,
         }
     }
 
@@ -258,7 +233,7 @@ impl Batch {
         let mut out = Vec::with_capacity(2 + self.columns.len() * 9);
         out.extend_from_slice(&(self.columns.len() as u16).to_le_bytes());
         for col in &self.columns {
-            col[p].encode_into(&mut out);
+            col.get(p).encode_into(&mut out);
         }
         out
     }
@@ -277,59 +252,51 @@ pub fn collect_rows(input: BatchStream) -> Result<Vec<Tuple>> {
 }
 
 /// Chunk pre-materialised tuples into batches of `batch_rows`. Column
-/// capacities are exact (the source length is known), so the transpose
-/// is one move per datum with no reallocation.
+/// capacities are exact (the source length is known), and each column
+/// takes the kind of its first non-NULL value.
 pub fn values_batches(rows: Vec<Tuple>, batch_rows: usize) -> BatchStream {
     let mut rows = rows.into_iter();
     Box::new(std::iter::from_fn(move || {
         let first = rows.next()?;
-        let width = first.len();
         let chunk = batch_rows.min(rows.len() + 1);
-        let mut columns: Vec<Vec<Datum>> =
-            (0..width).map(|_| Vec::with_capacity(chunk)).collect();
+        let mut columns: Vec<Column> = first
+            .iter()
+            .map(|d| Column::with_capacity(ColumnKind::of(d.as_ref()), chunk, 0))
+            .collect();
         for (col, v) in columns.iter_mut().zip(first) {
             col.push(v);
         }
         for _ in 1..chunk {
             let row = rows.next().expect("chunk bounded by remaining rows");
-            debug_assert_eq!(row.len(), width);
+            debug_assert_eq!(row.len(), columns.len());
             for (col, v) in columns.iter_mut().zip(row) {
                 col.push(v);
             }
         }
-        Some(Ok(Batch {
-            columns,
-            rows: chunk,
-            sel: None,
-        }))
+        Some(Ok(Batch::from_columns(columns, chunk)))
     }))
 }
 
-/// Chunk pre-transposed columns into batches of `batch_rows` without
-/// ever materialising row tuples — the covering index-only scan's entry
-/// point into the vectorized engine. All columns must be `rows` long.
-pub fn columnar_batches(columns: Vec<Vec<Datum>>, rows: usize, batch_rows: usize) -> BatchStream {
+/// Chunk whole columns into batches of `batch_rows` without ever
+/// materialising row tuples — the covering index-only scan's and the
+/// aggregate's way into the engine. All columns must be `rows` long; a
+/// single chunk takes the columns as they are.
+pub fn columnar_batches(columns: Vec<Column>, rows: usize, batch_rows: usize) -> BatchStream {
     debug_assert!(columns.iter().all(|c| c.len() == rows));
-    let width = columns.len();
-    let mut columns: Vec<std::vec::IntoIter<Datum>> =
-        columns.into_iter().map(|c| c.into_iter()).collect();
-    let mut remaining = rows;
+    let batch_rows = batch_rows.max(1);
+    if rows <= batch_rows {
+        let batch = (rows > 0).then(|| Ok(Batch::from_columns(columns, rows)));
+        return Box::new(batch.into_iter());
+    }
+    let mut start = 0;
     Box::new(std::iter::from_fn(move || {
-        if remaining == 0 {
+        if start == rows {
             return None;
         }
-        let chunk = batch_rows.max(1).min(remaining);
-        remaining -= chunk;
-        let cols: Vec<Vec<Datum>> = columns
-            .iter_mut()
-            .map(|c| c.by_ref().take(chunk).collect())
-            .collect();
-        debug_assert_eq!(cols.len(), width);
-        Some(Ok(Batch {
-            columns: cols,
-            rows: chunk,
-            sel: None,
-        }))
+        let chunk = batch_rows.min(rows - start);
+        let cols = columns.iter().map(|c| c.gather(start..start + chunk)).collect();
+        start += chunk;
+        Some(Ok(Batch::from_columns(cols, chunk)))
     }))
 }
 
@@ -342,28 +309,28 @@ pub fn columnar_batches(columns: Vec<Vec<Datum>>, rows: usize, batch_rows: usize
 pub trait PageSource: Send + 'static {
     /// Append the rows `page` contributes, field `i` to `columns[i]`,
     /// and return how many.
-    fn page(&mut self, page: PageId, columns: &mut [Vec<Datum>]) -> Result<usize>;
+    fn page(&mut self, page: PageId, columns: &mut [Column]) -> Result<usize>;
 
     /// Append the rows that follow the last page and return how many.
-    fn tail(&mut self, _columns: &mut [Vec<Datum>]) -> Result<usize> {
+    fn tail(&mut self, _columns: &mut [Column]) -> Result<usize> {
         Ok(0)
     }
 }
 
-/// Sequential scan of `pages` into batches of `width` columns. Records
-/// decode from the page frame straight into column vectors (no tuple per
-/// row, no transpose); every batch but the last holds exactly
-/// `batch_rows` rows. A batch takes the pending column vectors whole:
-/// no decoded datum is copied again, only the rest of the page behind
-/// the batch moves into fresh vectors (a page much longer than the batch
-/// is cut into copied windows instead). Memory is bounded by one batch
-/// plus one page, and every page boundary is one cooperative
-/// cancellation point. The source is dropped as soon as it has no more
-/// rows (or fails), which releases whatever it holds before the last
-/// batches drain.
+/// Sequential scan of `pages` into batches with one column of each of
+/// `kinds`. Records decode from the page frame straight into typed
+/// column vectors (no tuple or datum per row, no transpose); every batch
+/// but the last holds exactly `batch_rows` rows. A batch takes the
+/// pending column vectors whole: no decoded value is copied again, only
+/// the rest of the page behind the batch moves into fresh vectors (a
+/// page much longer than the batch is cut into copied windows instead).
+/// Memory is bounded by one batch plus one page, and every page boundary
+/// is one cooperative cancellation point. The source is dropped as soon
+/// as it has no more rows (or fails), which releases whatever it holds
+/// before the last batches drain.
 pub fn scan_batches(
     pages: Vec<PageId>,
-    width: usize,
+    kinds: &[ColumnKind],
     source: impl PageSource,
     batch_rows: usize,
     ctx: ExecContext,
@@ -371,7 +338,7 @@ pub fn scan_batches(
     Box::new(HeapScan {
         pages: pages.into_iter(),
         source: Some(source),
-        pending: vec![Vec::new(); width],
+        pending: kinds.iter().map(|&k| Column::new(k)).collect(),
         rows: 0,
         head: 0,
         batch_rows: batch_rows.max(1),
@@ -388,7 +355,7 @@ struct HeapScan<S> {
     source: Option<S>,
     /// Decoded rows not yet emitted start at `head`; `rows` is the
     /// physical length of every pending column.
-    pending: Vec<Vec<Datum>>,
+    pending: Vec<Column>,
     rows: usize,
     head: usize,
     batch_rows: usize,
@@ -405,7 +372,7 @@ impl<S: PageSource> HeapScan<S> {
         };
         if self.head > 0 {
             for col in &mut self.pending {
-                col.drain(..self.head);
+                *col = col.split_off(self.head, true);
             }
             self.rows -= self.head;
             self.head = 0;
@@ -428,7 +395,7 @@ impl<S: PageSource> HeapScan<S> {
             }
             Err(e) => {
                 self.source = None;
-                self.pending.iter_mut().for_each(Vec::clear);
+                self.pending.iter_mut().for_each(|c| c.truncate(0));
                 (self.rows, self.head) = (0, 0);
                 Err(e)
             }
@@ -439,34 +406,25 @@ impl<S: PageSource> HeapScan<S> {
     /// than a batch of rows would stay behind (in a steady scan, the
     /// rest of one page), the batch takes the pending vectors whole and
     /// only the rows behind it move into fresh ones. Otherwise (a page
-    /// much longer than the batch) the `n` rows are moved out of a
+    /// much longer than the batch) the `n` rows are copied out of a
     /// window and `head` steps past them.
     fn cut(&mut self, n: usize) -> Batch {
         let rest = self.rows - self.head - n;
         let columns = if self.head == 0 && rest <= self.batch_rows {
             self.rows = rest;
+            // Room for the next page, unless no page follows.
             let more = self.source.is_some();
             self.pending
                 .iter_mut()
                 .map(|col| {
-                    // Room for the next page, unless no page follows.
-                    let mut behind = Vec::with_capacity(if more { col.capacity() } else { rest });
-                    behind.extend(col.drain(n..));
+                    let behind = col.split_off(n, more);
                     std::mem::replace(col, behind)
                 })
                 .collect()
         } else {
             let window = self.head..self.head + n;
             self.head += n;
-            self.pending
-                .iter_mut()
-                .map(|col| {
-                    col[window.clone()]
-                        .iter_mut()
-                        .map(|d| std::mem::replace(d, Datum::Null))
-                        .collect()
-                })
-                .collect()
+            self.pending.iter().map(|col| col.gather(window.clone())).collect()
         };
         Batch::from_columns(columns, n)
     }
@@ -526,7 +484,7 @@ pub fn project_batches(input: BatchStream, exprs: Vec<Expr>) -> BatchStream {
         let rows = batch.rows();
         let columns = exprs
             .iter()
-            .map(|e| e.eval_batch(&batch))
+            .map(|e| e.eval_column(&batch))
             .collect::<Result<Vec<_>>>()?;
         Ok(Batch::from_columns(columns, rows))
     }))
@@ -691,25 +649,28 @@ pub fn hash_join_batches(
 
 /// Memory charge for one build batch: only rows the table will actually
 /// store (non-NULL key), each at 24 bytes of row header + 16 per datum +
-/// string payload, plus a 32-byte table entry. An out-of-range key
-/// column stores nothing and charges nothing.
+/// string payload, plus a 32-byte table entry. The charge counts values
+/// as the row engine held them, whatever a column's representation, so
+/// limits tuned to it do not move. An out-of-range key column stores
+/// nothing and charges nothing.
 fn batch_build_bytes(batch: &Batch, key_col: usize) -> u64 {
     let Some(keys) = batch.column(key_col) else {
         return 0;
     };
     let width = batch.width() as u64;
+    let text: Vec<&Column> = batch
+        .columns
+        .iter()
+        .filter(|c| matches!(c.kind(), ColumnKind::Text | ColumnKind::Datum))
+        .collect();
     let mut valid = 0u64;
     let mut str_bytes = 0u64;
     let mut add_row = |p: usize| {
-        if matches!(keys[p], Datum::Null) {
+        if keys.is_null(p) {
             return;
         }
         valid += 1;
-        for col in &batch.columns {
-            if let Datum::Str(s) = &col[p] {
-                str_bytes += s.len() as u64;
-            }
-        }
+        str_bytes += text.iter().map(|c| c.str_len(p) as u64).sum::<u64>();
     };
     match &batch.sel {
         None => (0..batch.rows).for_each(&mut add_row),
@@ -727,7 +688,7 @@ fn batch_build_bytes(batch: &Batch, key_col: usize) -> u64 {
 /// Late materialisation: the probe pass produces only
 /// `(probe_row, build_row)` index pairs — it touches nothing but the
 /// key columns — and every payload column is gathered afterwards in one
-/// tight loop per column. Selection vectors on probe batches feed the
+/// typed loop per column. Selection vectors on probe batches feed the
 /// probe kernel directly; no compaction happens anywhere.
 fn hash_join_directed(
     build: BatchStream,
@@ -740,7 +701,7 @@ fn hash_join_directed(
 ) -> Result<BatchStream> {
     // Materialise the build side columnar: batches concatenate
     // column-wise, no row round trip.
-    let mut build_cols: Vec<Vec<Datum>> = Vec::new();
+    let mut build_cols: Vec<Column> = Vec::new();
     for batch in build {
         ctx.check()?;
         let batch = batch?;
@@ -750,13 +711,13 @@ fn hash_join_directed(
             build_cols = cols;
         } else {
             for (dst, src) in build_cols.iter_mut().zip(cols) {
-                dst.extend(src);
+                dst.append(src);
             }
         }
     }
     let build_width = build_cols.len();
     // Out-of-range build column: nothing is stored; no table, no matches.
-    let table = build_cols.get(build_col).map(|keys| vhash::JoinTable::build(keys));
+    let table = build_cols.get(build_col).map(vhash::JoinTable::build);
     let mut scratch = vhash::ProbeScratch::default();
     let mut pairs: Vec<(u32, u32)> = Vec::new();
     // Matches of the current probe batch not yet emitted: the batch and
@@ -768,16 +729,17 @@ fn hash_join_directed(
             let end = (start + batch_rows).min(pairs.len());
             let chunk = &pairs[start..end];
             // Late materialisation: gather payload columns only now, one
-            // tight loop per output column.
-            let mut columns: Vec<Vec<Datum>> = Vec::with_capacity(build_width + batch.width());
-            let probe_cols =
-                (0..batch.width()).map(|c| vhash::gather_probe(batch.column(c).unwrap(), chunk));
+            // typed loop per output column.
+            let mut columns: Vec<Column> = Vec::with_capacity(build_width + batch.width());
+            let probe_rows = || chunk.iter().map(|&(p, _)| p as usize);
+            let build_rows = || chunk.iter().map(|&(_, b)| b as usize);
+            let probe_cols = batch.columns.iter().map(|c| c.gather(probe_rows()));
             if build_is_left {
-                columns.extend(build_cols.iter().map(|c| vhash::gather_build(c, chunk)));
+                columns.extend(build_cols.iter().map(|c| c.gather(build_rows())));
                 columns.extend(probe_cols);
             } else {
                 columns.extend(probe_cols);
-                columns.extend(build_cols.iter().map(|c| vhash::gather_build(c, chunk)));
+                columns.extend(build_cols.iter().map(|c| c.gather(build_rows())));
             }
             if end < pairs.len() {
                 pending = Some((batch, end));
@@ -832,23 +794,28 @@ pub fn hash_join_phases(
     let mut start = 0;
     while start < probe_len {
         let end = (start + batch_rows.max(1)).min(probe_len);
+        let window: Vec<u32> = (start as u32..end as u32).collect();
         pairs.clear();
         let t = Instant::now();
         table.probe_pairs(
             &build_cols[build_col],
-            &probe_cols[probe_col][start..end],
-            None,
+            &probe_cols[probe_col],
+            Some(&window),
             &mut scratch,
             &mut pairs,
         );
         probe_time += t.elapsed();
         let t = Instant::now();
-        let mut columns: Vec<Vec<Datum>> = Vec::with_capacity(build_cols.len() + probe_cols.len());
-        columns.extend(build_cols.iter().map(|c| vhash::gather_build(c, &pairs)));
+        let mut columns: Vec<Column> = Vec::with_capacity(build_cols.len() + probe_cols.len());
+        columns.extend(
+            build_cols
+                .iter()
+                .map(|c| c.gather(pairs.iter().map(|&(_, b)| b as usize))),
+        );
         columns.extend(
             probe_cols
                 .iter()
-                .map(|c| vhash::gather_probe(&c[start..end], &pairs)),
+                .map(|c| c.gather(pairs.iter().map(|&(p, _)| p as usize))),
         );
         gather_time += t.elapsed();
         out_rows += pairs.len();
@@ -884,6 +851,7 @@ pub fn aggregate_batches(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::Datum;
     use crate::exec::aggregate::AggFunc;
     use crate::exec::expr::BinOp;
 
@@ -905,7 +873,7 @@ mod tests {
             next: i64,
         }
         impl PageSource for Counted {
-            fn page(&mut self, page: PageId, columns: &mut [Vec<Datum>]) -> Result<usize> {
+            fn page(&mut self, page: PageId, columns: &mut [Column]) -> Result<usize> {
                 let n = self.sizes[page as usize];
                 for _ in 0..n {
                     columns[0].push(Datum::Int(self.next));
@@ -913,7 +881,7 @@ mod tests {
                 }
                 Ok(n)
             }
-            fn tail(&mut self, columns: &mut [Vec<Datum>]) -> Result<usize> {
+            fn tail(&mut self, columns: &mut [Column]) -> Result<usize> {
                 columns[0].push(Datum::Int(-1));
                 Ok(1)
             }
@@ -926,7 +894,7 @@ mod tests {
             let source = Counted { sizes: sizes.clone(), next: 0 };
             let pages = (0..sizes.len() as PageId).collect();
             let batches: Vec<Batch> =
-                scan_batches(pages, 1, source, batch_rows, ExecContext::default())
+                scan_batches(pages, &[ColumnKind::Int], source, batch_rows, ExecContext::default())
                     .collect::<Result<_>>()
                     .unwrap();
             let (last, full) = batches.split_last().unwrap();
@@ -948,7 +916,7 @@ mod tests {
         /// Every live record of each page, as the heap holds it.
         struct HeapPages(Arc<BufferPool>);
         impl PageSource for HeapPages {
-            fn page(&mut self, page: PageId, columns: &mut [Vec<Datum>]) -> Result<usize> {
+            fn page(&mut self, page: PageId, columns: &mut [Column]) -> Result<usize> {
                 let mut rows = 0;
                 HeapFile::walk_page(&self.0, page, |_, record| {
                     rows += 1;
@@ -986,7 +954,7 @@ mod tests {
             let mut scan = HeapScan {
                 pages: pages.clone().into_iter(),
                 source: Some(HeapPages(engine.buffer.clone())),
-                pending: vec![Vec::new(); 2],
+                pending: vec![Column::new(ColumnKind::Int), Column::new(ColumnKind::Text)],
                 rows: 0,
                 head: 0,
                 batch_rows,
@@ -1012,7 +980,8 @@ mod tests {
         let batch = Batch::from_rows(input.clone());
         assert_eq!(batch.rows(), 3);
         assert_eq!(batch.width(), 2);
-        assert_eq!(batch.column(0).unwrap()[1], Datum::Int(2));
+        assert_eq!(batch.column(0).unwrap().datum(1), Datum::Int(2));
+        assert_eq!(batch.kinds(), vec![ColumnKind::Int, ColumnKind::Text]);
         assert_eq!(batch.row(2), input[2]);
         assert_eq!(batch.into_rows(), input);
     }
@@ -1081,7 +1050,7 @@ mod tests {
         assert!(flat.sel().is_none());
         let (cols, n) = flat.into_dense_columns();
         assert_eq!(n, 2);
-        assert_eq!(cols[0], vec![Datum::Int(2), Datum::Int(4)]);
+        assert_eq!(cols[0].clone().into_datums(), vec![Datum::Int(2), Datum::Int(4)]);
     }
 
     #[test]

@@ -14,10 +14,11 @@ use sbdms_kernel::error::Result;
 
 use super::aggregate::AggSpec;
 use super::batch::{self, BatchStream, PageSource, BATCH_ROWS};
+use super::column::{Column, ColumnKind};
 use super::expr::Expr;
 use super::join::BuildSide;
 use super::ExecContext;
-use crate::record::{Datum, Tuple};
+use crate::record::Tuple;
 use crate::sort::SortKey;
 use sbdms_storage::page::PageId;
 
@@ -56,11 +57,16 @@ impl VectorEngine {
         self.batch_rows.max(1)
     }
 
-    /// Sequential scan of heap `pages` decoded straight into `width`
-    /// columns (page-at-a-time, memory bounded); `source` decides which
-    /// rows each page contributes.
-    pub fn scan(&self, pages: Vec<PageId>, width: usize, source: impl PageSource) -> BatchStream {
-        batch::scan_batches(pages, width, source, self.rows(), self.ctx.clone())
+    /// Sequential scan of heap `pages` decoded straight into one typed
+    /// column of each of `kinds` (page-at-a-time, memory bounded);
+    /// `source` decides which rows each page contributes.
+    pub fn scan(
+        &self,
+        pages: Vec<PageId>,
+        kinds: &[ColumnKind],
+        source: impl PageSource,
+    ) -> BatchStream {
+        batch::scan_batches(pages, kinds, source, self.rows(), self.ctx.clone())
     }
 
     /// Stream of pre-materialised tuples (index scans, VALUES, tests).
@@ -71,7 +77,7 @@ impl VectorEngine {
     /// Stream of pre-materialised *columns*, all `rows` long — the
     /// covering index-only scan's currency, batched without a row
     /// transpose. Results match `values` on the transposed input.
-    pub fn values_columnar(&self, columns: Vec<Vec<Datum>>, rows: usize) -> BatchStream {
+    pub fn values_columnar(&self, columns: Vec<Column>, rows: usize) -> BatchStream {
         batch::columnar_batches(columns, rows, self.rows())
     }
 
@@ -227,8 +233,8 @@ mod tests {
     #[test]
     fn values_columnar_matches_values_on_both_engines() {
         let cols = vec![
-            (0..10).map(Datum::Int).collect::<Vec<_>>(),
-            (0..10).map(|i| Datum::Str(format!("s{i}"))).collect(),
+            Column::from_datums((0..10).map(Datum::Int).collect()),
+            Column::from_datums((0..10).map(|i| Datum::Str(format!("s{i}"))).collect()),
         ];
         let rows: Vec<Tuple> = (0..10)
             .map(|i| vec![Datum::Int(i), Datum::Str(format!("s{i}"))])
@@ -307,7 +313,7 @@ mod tests {
             .map(|i| vec![Datum::Int(i % 2), Datum::Int(i)])
             .collect();
         let src = || e.values(input.clone());
-        let cols = vec![(0..20).map(Datum::Int).collect::<Vec<_>>()];
+        let cols = vec![Column::from_datums((0..20).map(Datum::Int).collect())];
         let count = || vec![AggSpec::new(AggFunc::CountAll, Expr::int(0))];
         let join = |build| e.equi_join(src(), src(), 0, 0, build).unwrap();
         let streams: Vec<(&str, BatchStream, usize)> = vec![

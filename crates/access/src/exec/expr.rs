@@ -8,8 +8,11 @@
 
 use sbdms_kernel::error::{Result, ServiceError};
 
+use std::cmp::Ordering;
+
 use super::batch::Batch;
-use crate::record::{Datum, Tuple};
+use super::column::Column;
+use crate::record::{Datum, DatumRef, Tuple};
 
 /// Binary operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -160,8 +163,8 @@ impl Expr {
     /// semantics as [`Expr::eval`] row by row — both paths share the
     /// scalar kernels — but the expression tree is walked once per
     /// batch, not once per row, and the common comparison shapes
-    /// (column vs literal, column vs column) run as tight loops over the
-    /// column slices without cloning their operands.
+    /// (column vs literal, column vs column) read their operands in
+    /// place without cloning them.
     pub fn eval_batch(&self, batch: &Batch) -> Result<Vec<Datum>> {
         if let Expr::Binary(op, l, r) = self {
             if let Some(out) = eval_cmp_batch(*op, l, r, batch)? {
@@ -172,8 +175,8 @@ impl Expr {
             Expr::Col(i) => {
                 let col = batch.try_column(*i)?;
                 Ok(match batch.sel() {
-                    None => col.to_vec(),
-                    Some(sel) => sel.iter().map(|&p| col[p as usize].clone()).collect(),
+                    None => (0..batch.rows()).map(|p| col.datum(p)).collect(),
+                    Some(sel) => sel.iter().map(|&p| col.datum(p as usize)).collect(),
                 })
             }
             Expr::Lit(d) => Ok(vec![d.clone(); batch.rows()]),
@@ -190,6 +193,22 @@ impl Expr {
                     .map(|(a, b)| eval_binary(*op, a, b))
                     .collect()
             }
+        }
+    }
+
+    /// [`Expr::eval_batch`] as a typed [`Column`]: a bare column
+    /// reference is a typed gather of the batch's column (no datum per
+    /// row); any other expression builds its column from the values.
+    pub fn eval_column(&self, batch: &Batch) -> Result<Column> {
+        match self {
+            Expr::Col(i) => {
+                let col = batch.try_column(*i)?;
+                Ok(match batch.sel() {
+                    None => col.gather(0..batch.rows()),
+                    Some(sel) => col.gather(sel.iter().map(|&p| p as usize)),
+                })
+            }
+            _ => self.eval_batch(batch).map(Column::from_datums),
         }
     }
 
@@ -266,78 +285,104 @@ fn unbound(i: usize) -> ServiceError {
 }
 
 /// Comparison fast paths for batches: when one side is a column and the
-/// other a column or literal, compare the slices directly — no operand
+/// other a column or literal, compare the values in place — no operand
 /// clones, no per-row tree dispatch. Returns `None` for shapes the
 /// general path must handle.
 fn eval_cmp_batch(op: BinOp, l: &Expr, r: &Expr, batch: &Batch) -> Result<Option<Vec<Datum>>> {
-    let Some(test) = cmp_test(op) else {
+    let Some(mask) = cmp_mask(op) else {
         return Ok(None);
     };
-    let cmp = move |a: &Datum, b: &Datum| {
+    let cmp = |a: DatumRef, b: DatumRef| {
         if a.is_null() || b.is_null() {
             Datum::Null
         } else {
-            Datum::Bool(test(a.order(b)))
+            Datum::Bool(accepts(mask, a.order(&b)))
         }
     };
-    let sel = batch.sel();
-    // Each shape runs as one tight loop, dense or gathered through the
-    // selection vector.
-    macro_rules! map_rows {
-        (|$p:ident| $body:expr) => {
-            match sel {
-                None => (0..batch.rows())
-                    .map(|$p| $body)
-                    .collect::<Vec<Datum>>(),
-                Some(sel) => sel
-                    .iter()
-                    .map(|&p| {
-                        let $p = p as usize;
-                        $body
-                    })
-                    .collect::<Vec<Datum>>(),
-            }
-        };
-    }
-    match (l, r) {
-        (Expr::Col(i), Expr::Lit(d)) => {
-            let col = batch.try_column(*i)?;
-            Ok(Some(map_rows!(|p| cmp(&col[p], d))))
+    let (a, b) = match (l, r) {
+        (Expr::Col(i), Expr::Lit(d)) => (Operand::Col(batch.try_column(*i)?), Operand::Lit(d)),
+        (Expr::Lit(d), Expr::Col(i)) => (Operand::Lit(d), Operand::Col(batch.try_column(*i)?)),
+        (Expr::Col(i), Expr::Col(j)) => (
+            Operand::Col(batch.try_column(*i)?),
+            Operand::Col(batch.try_column(*j)?),
+        ),
+        _ => return Ok(None),
+    };
+    let row = |p: usize| cmp(a.get(p), b.get(p));
+    Ok(Some(match batch.sel() {
+        None => (0..batch.rows()).map(row).collect(),
+        Some(sel) => sel.iter().map(|&p| row(p as usize)).collect(),
+    }))
+}
+
+/// One side of a comparison kernel: a batch column or a literal.
+enum Operand<'a> {
+    Col(&'a Column),
+    Lit(&'a Datum),
+}
+
+impl Operand<'_> {
+    /// The operand at physical row `p`.
+    #[inline]
+    fn get(&self, p: usize) -> DatumRef<'_> {
+        match self {
+            Operand::Col(c) => c.get(p),
+            Operand::Lit(d) => d.as_ref(),
         }
-        (Expr::Lit(d), Expr::Col(i)) => {
-            let col = batch.try_column(*i)?;
-            Ok(Some(map_rows!(|p| cmp(d, &col[p]))))
-        }
-        (Expr::Col(i), Expr::Col(j)) => {
-            let a = batch.try_column(*i)?;
-            let b = batch.try_column(*j)?;
-            Ok(Some(map_rows!(|p| cmp(&a[p], &b[p]))))
-        }
-        _ => Ok(None),
     }
 }
 
-/// The ordering predicate for a comparison operator, if `op` is one.
-fn cmp_test(op: BinOp) -> Option<fn(std::cmp::Ordering) -> bool> {
-    use std::cmp::Ordering;
+/// The orderings a comparison operator accepts, as a bit per
+/// `Ordering` (bit 0 Less, bit 1 Equal, bit 2 Greater), if `op` is one.
+fn cmp_mask(op: BinOp) -> Option<u8> {
     Some(match op {
-        BinOp::Eq => |o| o == Ordering::Equal,
-        BinOp::Ne => |o| o != Ordering::Equal,
-        BinOp::Lt => |o| o == Ordering::Less,
-        BinOp::Le => |o| o != Ordering::Greater,
-        BinOp::Gt => |o| o == Ordering::Greater,
-        BinOp::Ge => |o| o != Ordering::Less,
+        BinOp::Eq => 0b010,
+        BinOp::Ne => 0b101,
+        BinOp::Lt => 0b001,
+        BinOp::Le => 0b011,
+        BinOp::Gt => 0b100,
+        BinOp::Ge => 0b110,
         _ => return None,
     })
 }
 
+/// Whether `mask` accepts `o`: a shift and a test, no branch.
+#[inline(always)]
+fn accepts(mask: u8, o: Ordering) -> bool {
+    (mask >> (o as i8 + 1)) & 1 == 1
+}
+
+/// The mask of the mirrored comparison: `lit op col` as `col op' lit`.
+fn mirror(mask: u8) -> u8 {
+    (mask & 0b010) | (mask & 0b001) << 2 | (mask & 0b100) >> 2
+}
+
+/// Push every row `pass` accepts: the candidate list's logical rows, or
+/// every logical row, each tested at its physical index.
+#[inline(always)]
+fn select_rows(
+    rows: usize,
+    sel: Option<&[u32]>,
+    candidates: Option<&[u32]>,
+    pass: impl Fn(usize) -> bool,
+) -> Vec<u32> {
+    let phys = |li: u32| sel.map_or(li as usize, |sel| sel[li as usize] as usize);
+    let mut out = Vec::with_capacity(candidates.map_or(rows, <[u32]>::len));
+    match (candidates, sel) {
+        (Some(cands), _) => out.extend(cands.iter().copied().filter(|&li| pass(phys(li)))),
+        (None, None) => out.extend((0..rows as u32).filter(|&p| pass(p as usize))),
+        (None, Some(_)) => out.extend((0..rows as u32).filter(|&li| pass(phys(li)))),
+    }
+    out
+}
+
 /// Selection kernel for one comparison: append passing logical row
 /// indices directly, no boolean column. `candidates` restricts the scan
-/// to previously surviving logical rows (conjunction chaining). The
-/// all-Int column/literal shape — the hot analytic filter — runs a
-/// specialised loop whose compare is a branch-free `i64` test, so only
-/// the enum unwrap branches (perfectly predicted on homogeneous
-/// columns); mixed rows fall back to the scalar comparator per row.
+/// to previously surviving logical rows (conjunction chaining). A typed
+/// column against a literal of its own type — the hot analytic filter —
+/// runs a loop over the raw values (`i64`, `f64`, string slices) whose
+/// compare is a branch-free mask test; every other shape compares
+/// borrowed values with the scalar comparator.
 fn select_cmp_indices(
     op: BinOp,
     l: &Expr,
@@ -345,80 +390,60 @@ fn select_cmp_indices(
     batch: &Batch,
     candidates: Option<Vec<u32>>,
 ) -> Result<Option<Vec<u32>>> {
-    let Some(test) = cmp_test(op) else {
+    let Some(mask) = cmp_mask(op) else {
         return Ok(None);
     };
-    let sel = batch.sel();
-    let phys = |li: u32| -> usize {
-        match sel {
-            Some(sel) => sel[li as usize] as usize,
-            None => li as usize,
-        }
-    };
-    // One pass over either the candidate list or all logical rows,
-    // pushing survivors.
-    let run = |pass: &dyn Fn(usize) -> bool| -> Vec<u32> {
-        match &candidates {
-            Some(cands) => {
-                let mut out = Vec::with_capacity(cands.len());
-                for &li in cands {
-                    if pass(phys(li)) {
-                        out.push(li);
-                    }
-                }
-                out
-            }
-            None => {
-                let rows = batch.rows() as u32;
-                let mut out = Vec::with_capacity(rows as usize);
-                for li in 0..rows {
-                    if pass(phys(li)) {
-                        out.push(li);
-                    }
-                }
-                out
-            }
-        }
-    };
-    let out = match (l, r) {
-        (Expr::Col(i), Expr::Lit(d)) => {
-            let col = batch.try_column(*i)?;
-            if let Datum::Int(k) = d {
-                let k = *k;
-                run(&|p| match &col[p] {
-                    Datum::Int(v) => test(v.cmp(&k)),
-                    Datum::Null => false,
-                    v => test(v.order(d)),
-                })
-            } else if d.is_null() {
-                Vec::new()
-            } else {
-                run(&|p| {
-                    let v = &col[p];
-                    !v.is_null() && test(v.order(d))
-                })
-            }
-        }
-        (Expr::Lit(d), Expr::Col(i)) => {
-            let col = batch.try_column(*i)?;
-            if d.is_null() {
-                Vec::new()
-            } else {
-                run(&|p| {
-                    let v = &col[p];
-                    !v.is_null() && test(d.order(v))
-                })
-            }
-        }
+    let (rows, sel, cands) = (batch.rows(), batch.sel(), candidates.as_deref());
+    let run = |pass: &dyn Fn(usize) -> bool| select_rows(rows, sel, cands, pass);
+    let (col, d, mask) = match (l, r) {
+        (Expr::Col(i), Expr::Lit(d)) => (batch.try_column(*i)?, d, mask),
+        (Expr::Lit(d), Expr::Col(i)) => (batch.try_column(*i)?, d, mirror(mask)),
         (Expr::Col(i), Expr::Col(j)) => {
-            let a = batch.try_column(*i)?;
-            let b = batch.try_column(*j)?;
-            run(&|p| {
-                let (x, y) = (&a[p], &b[p]);
-                !x.is_null() && !y.is_null() && test(x.order(y))
-            })
+            let (a, b) = (batch.try_column(*i)?, batch.try_column(*j)?);
+            return Ok(Some(run(&|p| {
+                let (x, y) = (a.get(p), b.get(p));
+                !x.is_null() && !y.is_null() && accepts(mask, x.order(&y))
+            })));
         }
         _ => return Ok(None),
+    };
+    macro_rules! typed {
+        ($vals:expr, $valid:expr, |$v:ident| $ord:expr) => {{
+            let (vals, valid) = ($vals, $valid);
+            if valid.all_valid() {
+                select_rows(rows, sel, cands, |p| {
+                    let $v = &vals[p];
+                    accepts(mask, $ord)
+                })
+            } else {
+                select_rows(rows, sel, cands, |p| {
+                    let $v = &vals[p];
+                    valid.get(p) && accepts(mask, $ord)
+                })
+            }
+        }};
+    }
+    let out = match (col, d) {
+        (_, Datum::Null) | (Column::Null(_), _) => Vec::new(),
+        (Column::Int(vals, valid), Datum::Int(k)) => typed!(vals, valid, |v| v.cmp(k)),
+        (Column::Float(vals, valid), Datum::Float(k)) => typed!(vals, valid, |v| v.total_cmp(k)),
+        (Column::Text(vals, valid), Datum::Str(k)) => {
+            let k = k.as_str();
+            if valid.all_valid() {
+                select_rows(rows, sel, cands, |p| accepts(mask, vals.get(p).cmp(k)))
+            } else {
+                select_rows(rows, sel, cands, |p| {
+                    valid.get(p) && accepts(mask, vals.get(p).cmp(k))
+                })
+            }
+        }
+        (col, d) => {
+            let d = d.as_ref();
+            run(&|p| {
+                let v = col.get(p);
+                !v.is_null() && accepts(mask, v.order(&d))
+            })
+        }
     };
     Ok(Some(out))
 }

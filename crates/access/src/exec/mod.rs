@@ -4,10 +4,11 @@
 //! operations, such as joins, selections, and sorting of record sets".
 //! One engine, [`VectorEngine`], builds every operator as a pull-based
 //! iterator over [`BatchStream`]; its rows-per-batch parameter is what
-//! the profiles select.
+//! the profiles select. A batch holds one typed [`Column`] per field.
 
 pub mod aggregate;
 pub mod batch;
+pub mod column;
 pub mod engine;
 pub mod expr;
 pub mod join;
@@ -19,6 +20,7 @@ pub const CANCEL_QUANTUM: usize = 256;
 
 pub use aggregate::{AggFunc, AggSpec};
 pub use batch::{hash_join_phases, Batch, BatchStream, BATCH_ROWS};
+pub use column::{Column, ColumnKind};
 pub use engine::VectorEngine;
 /// The name `perfbench/src/replay.rs` imports the engine under; that
 /// file is the only reason this alias exists.

@@ -11,7 +11,7 @@
 //! array indexed by build row. Probing walks a power-of-two slot
 //! directory with linear probing and compares raw `u64`s; only the
 //! final verification (needed because normalisation collapses e.g.
-//! large `i64`s onto shared `f64` bit patterns) touches a `Datum`.
+//! large `i64`s onto shared `f64` bit patterns) reads the key values.
 //!
 //! Equivalence classes are SQL equality's: NULL never enters the table,
 //! `Int` and `Float` normalise through `f64` bits so `2 = 2.0` matches,
@@ -19,7 +19,8 @@
 //! (rows are inserted in reverse, each at its chain head), so probe
 //! output lists a key's matches in build order.
 
-use crate::record::Datum;
+use super::column::Column;
+use crate::record::DatumRef;
 
 /// Key tag for NULL: never matches, never inserted.
 pub(super) const TAG_NULL: u8 = 0;
@@ -42,21 +43,41 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Fold one datum into a running group-key hash: its type tag, then its
+/// Fold one value into a running group-key hash: its type tag, then its
 /// value (bits for a FLOAT, the bytes for a string). Values with equal
 /// encodings hash equal; the best-mixed bits are the top ones, where the
 /// grouping table takes its slot from.
 #[inline]
-pub(super) fn hash_datum(h: u64, d: &Datum) -> u64 {
+fn hash_ref(h: u64, d: DatumRef) -> u64 {
+    match d {
+        DatumRef::Null => mix(h, 0, 0),
+        DatumRef::Bool(b) => mix(h, 1, b as u64),
+        DatumRef::Int(i) => mix(h, 2, i as u64),
+        DatumRef::Float(x) => mix(h, 3, x.to_bits()),
+        DatumRef::Str(s) => mix(h, 4, hash_bytes(s.as_bytes())),
+    }
+}
+
+#[inline(always)]
+fn mix(h: u64, tag: u64, value: u64) -> u64 {
     const K: u64 = 0x9e37_79b9_7f4a_7c15;
-    let (tag, value) = match d {
-        Datum::Null => (0, 0),
-        Datum::Bool(b) => (1, *b as u64),
-        Datum::Int(i) => (2, *i as u64),
-        Datum::Float(x) => (3, x.to_bits()),
-        Datum::Str(s) => (4, hash_bytes(s.as_bytes())),
-    };
     ((h.rotate_left(23) ^ tag).wrapping_mul(K) ^ value).wrapping_mul(K)
+}
+
+/// Fold row `p` of `col` into `hashes[r]` for the `r`-th of `rows`, as
+/// [`hash_ref`] would: an INT or TEXT column without NULLs hashes its
+/// `i64`s or string slices directly.
+pub(super) fn hash_column(hashes: &mut [u64], col: &Column, rows: impl Iterator<Item = usize>) {
+    let pairs = hashes.iter_mut().zip(rows);
+    match col {
+        Column::Int(vals, valid) if valid.all_valid() => {
+            pairs.for_each(|(h, p)| *h = mix(*h, 2, vals[p] as u64));
+        }
+        Column::Text(text, valid) if valid.all_valid() => {
+            pairs.for_each(|(h, p)| *h = mix(*h, 4, hash_bytes(text.get(p).as_bytes())));
+        }
+        col => pairs.for_each(|(h, p)| *h = hash_ref(*h, col.get(p))),
+    }
 }
 
 /// Word-at-a-time multiplicative hash of a string key: eight bytes per
@@ -78,16 +99,17 @@ fn hash_bytes(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Normalise one datum to `(tag, raw fixed-width key)`: equal keys
-/// under `sql_eq` share a normal form.
+/// Normalise one value to `(tag, raw fixed-width key)`: equal keys
+/// under `sql_eq` share a normal form (INT 2 and FLOAT 2.0 both become
+/// the bits of `2.0f64`).
 #[inline]
-fn norm_datum(d: &Datum) -> (u8, u64) {
+fn norm(d: DatumRef) -> (u8, u64) {
     match d {
-        Datum::Null => (TAG_NULL, 0),
-        Datum::Bool(b) => (TAG_BOOL, *b as u64),
-        Datum::Int(i) => (TAG_NUM, (*i as f64).to_bits()),
-        Datum::Float(x) => (TAG_NUM, x.to_bits()),
-        Datum::Str(s) => (TAG_STR, fnv1a(s.as_bytes())),
+        DatumRef::Null => (TAG_NULL, 0),
+        DatumRef::Bool(b) => (TAG_BOOL, b as u64),
+        DatumRef::Int(i) => (TAG_NUM, (i as f64).to_bits()),
+        DatumRef::Float(x) => (TAG_NUM, x.to_bits()),
+        DatumRef::Str(s) => (TAG_STR, fnv1a(s.as_bytes())),
     }
 }
 
@@ -101,45 +123,49 @@ fn int_exact(i: i64) -> bool {
 }
 
 /// Batched key normalisation, dense or through a selection vector.
-/// Appends one `(tag, key)` per logical row into the scratch columns.
-/// Returns whether every `Int` key round-tripped through f64 exactly —
-/// when both sides of a join report true, numeric chains can skip the
-/// per-candidate `sql_eq` verification (bit equality is then exact for
-/// every non-string type).
+/// Appends one `(tag, key)` per logical row into the scratch columns; a
+/// non-NULL INT column runs a loop over its `i64`s. Returns whether
+/// every `Int` key round-tripped through f64 exactly — when both sides
+/// of a join report true, numeric chains can skip the per-candidate
+/// `sql_eq` verification (bit equality is then exact for every
+/// non-string type).
 pub(super) fn norm_keys(
-    col: &[Datum],
+    col: &Column,
     sel: Option<&[u32]>,
     tags: &mut Vec<u8>,
     keys: &mut Vec<u64>,
 ) -> bool {
     tags.clear();
     keys.clear();
-    let mut ints_exact = true;
-    let mut push = |d: &Datum, tags: &mut Vec<u8>, keys: &mut Vec<u64>| {
-        let (t, k) = norm_datum(d);
-        if let Datum::Int(i) = d {
-            ints_exact &= int_exact(*i);
-        }
-        tags.push(t);
-        keys.push(k);
-    };
-    match sel {
-        None => {
-            tags.reserve(col.len());
-            keys.reserve(col.len());
-            for d in col {
-                push(d, tags, keys);
+    let n = sel.map_or(col.len(), <[u32]>::len);
+    tags.reserve(n);
+    keys.reserve(n);
+    let rows = (0..n).map(|r| sel.map_or(r, |sel| sel[r] as usize));
+    match col {
+        Column::Int(vals, valid) if valid.all_valid() => {
+            let mut ints_exact = true;
+            for p in rows {
+                let i = vals[p];
+                ints_exact &= int_exact(i);
+                keys.push((i as f64).to_bits());
             }
+            tags.resize(n, TAG_NUM);
+            ints_exact
         }
-        Some(sel) => {
-            tags.reserve(sel.len());
-            keys.reserve(sel.len());
-            for &i in sel {
-                push(&col[i as usize], tags, keys);
+        col => {
+            let mut ints_exact = true;
+            for p in rows {
+                let d = col.get(p);
+                if let DatumRef::Int(i) = d {
+                    ints_exact &= int_exact(i);
+                }
+                let (t, k) = norm(d);
+                tags.push(t);
+                keys.push(k);
             }
+            ints_exact
         }
     }
-    ints_exact
 }
 
 /// Batched multiply-shift slot kernel: mixes the tag into the raw key
@@ -168,7 +194,7 @@ pub(super) struct ProbeScratch {
 
 /// The columnar join table: a linear-probing directory of chain heads
 /// over a `next` array indexed by build row. All storage is flat
-/// fixed-width columns; the build key `Datum`s stay in the caller's
+/// fixed-width columns; the build key values stay in the caller's
 /// build columns and are only consulted for final match verification.
 pub(super) struct JoinTable {
     /// Build row id of the chain head per slot; [`NONE`] = empty.
@@ -189,7 +215,7 @@ pub(super) struct JoinTable {
 impl JoinTable {
     /// Build the table over one key column. Rows whose key is NULL are
     /// skipped entirely (SQL semantics: NULL never matches).
-    pub(super) fn build(key_col: &[Datum]) -> JoinTable {
+    pub(super) fn build(key_col: &Column) -> JoinTable {
         let n = key_col.len();
         let slots = (n * 2).next_power_of_two().max(16);
         let shift = 64 - slots.trailing_zeros();
@@ -242,8 +268,8 @@ impl JoinTable {
     /// normalisation collisions.
     pub(super) fn probe_pairs(
         &self,
-        build_keys: &[Datum],
-        probe_col: &[Datum],
+        build_keys: &Column,
+        probe_col: &Column,
         sel: Option<&[u32]>,
         scratch: &mut ProbeScratch,
         pairs: &mut Vec<(u32, u32)>,
@@ -289,9 +315,9 @@ impl JoinTable {
                             b = self.next[b as usize];
                         }
                     } else {
-                        let probe_d = &probe_col[phys as usize];
+                        let probe_d = probe_col.get(phys as usize);
                         while b != NONE {
-                            if probe_d.sql_eq(&build_keys[b as usize]) {
+                            if probe_d.sql_eq(&build_keys.get(b as usize)) {
                                 pairs.push((phys, b));
                             }
                             b = self.next[b as usize];
@@ -305,44 +331,34 @@ impl JoinTable {
     }
 }
 
-/// Gather one build-side output column: tight clone loop over the match
-/// pairs' build row ids.
-pub(super) fn gather_build(col: &[Datum], pairs: &[(u32, u32)]) -> Vec<Datum> {
-    let mut out = Vec::with_capacity(pairs.len());
-    for &(_, b) in pairs {
-        out.push(col[b as usize].clone());
-    }
-    out
-}
-
-/// Gather one probe-side output column: tight clone loop over the match
-/// pairs' probe (physical) row ids.
-pub(super) fn gather_probe(col: &[Datum], pairs: &[(u32, u32)]) -> Vec<Datum> {
-    let mut out = Vec::with_capacity(pairs.len());
-    for &(p, _) in pairs {
-        out.push(col[p as usize].clone());
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::Datum;
 
     fn ints(vals: &[i64]) -> Vec<Datum> {
         vals.iter().map(|&v| Datum::Int(v)).collect()
     }
 
+    fn col(vals: &[Datum]) -> Column {
+        Column::from_datums(vals.to_vec())
+    }
+
+    fn table(vals: &[Datum]) -> JoinTable {
+        JoinTable::build(&col(vals))
+    }
+
     fn probe_all(table: &JoinTable, build: &[Datum], probe: &[Datum]) -> Vec<(u32, u32)> {
         let mut pairs = Vec::new();
-        table.probe_pairs(build, probe, None, &mut ProbeScratch::default(), &mut pairs);
+        let (build, probe) = (col(build), col(probe));
+        table.probe_pairs(&build, &probe, None, &mut ProbeScratch::default(), &mut pairs);
         pairs
     }
 
     #[test]
     fn unique_keys_match_once() {
         let build = ints(&[10, 20, 30]);
-        let table = JoinTable::build(&build);
+        let table = table(&build);
         let pairs = probe_all(&table, &build, &ints(&[20, 99, 10]));
         assert_eq!(pairs, vec![(0, 1), (2, 0)]);
     }
@@ -350,7 +366,7 @@ mod tests {
     #[test]
     fn duplicate_build_keys_emit_in_insertion_order() {
         let build = ints(&[7, 3, 7, 7, 3]);
-        let table = JoinTable::build(&build);
+        let table = table(&build);
         let pairs = probe_all(&table, &build, &ints(&[7, 3]));
         assert_eq!(pairs, vec![(0, 0), (0, 2), (0, 3), (1, 1), (1, 4)]);
     }
@@ -358,7 +374,7 @@ mod tests {
     #[test]
     fn null_keys_never_enter_or_match() {
         let build = vec![Datum::Int(1), Datum::Null, Datum::Int(2)];
-        let table = JoinTable::build(&build);
+        let table = table(&build);
         let probe = vec![Datum::Null, Datum::Int(2)];
         let pairs = probe_all(&table, &build, &probe);
         assert_eq!(pairs, vec![(1, 2)]);
@@ -367,7 +383,7 @@ mod tests {
     #[test]
     fn cross_type_numeric_equality_matches() {
         let build = vec![Datum::Int(2), Datum::Float(2.5)];
-        let table = JoinTable::build(&build);
+        let table = table(&build);
         let probe = vec![Datum::Float(2.0), Datum::Int(2), Datum::Float(2.5)];
         let pairs = probe_all(&table, &build, &probe);
         assert_eq!(pairs, vec![(0, 0), (1, 0), (2, 1)]);
@@ -380,7 +396,7 @@ mod tests {
         // verification must keep them apart.
         let a = 1i64 << 53;
         let build = ints(&[a, a + 1]);
-        let table = JoinTable::build(&build);
+        let table = table(&build);
         let pairs = probe_all(&table, &build, &ints(&[a + 1, a]));
         assert_eq!(pairs, vec![(0, 1), (1, 0)]);
     }
@@ -392,7 +408,7 @@ mod tests {
             Datum::Str("bob".into()),
             Datum::Str("alice".into()),
         ];
-        let table = JoinTable::build(&build);
+        let table = table(&build);
         let probe = vec![Datum::Str("alice".into()), Datum::Str("carol".into())];
         let pairs = probe_all(&table, &build, &probe);
         assert_eq!(pairs, vec![(0, 0), (0, 2)]);
@@ -401,10 +417,11 @@ mod tests {
     #[test]
     fn probe_through_selection_vector_uses_physical_ids() {
         let build = ints(&[5, 6]);
-        let table = JoinTable::build(&build);
+        let table = table(&build);
         let probe = ints(&[5, 6, 5, 6]);
         let sel = vec![1u32, 3];
         let mut pairs = Vec::new();
+        let (build, probe) = (col(&build), col(&probe));
         table.probe_pairs(&build, &probe, Some(&sel), &mut ProbeScratch::default(), &mut pairs);
         assert_eq!(pairs, vec![(1, 1), (3, 1)]);
     }
@@ -412,7 +429,7 @@ mod tests {
     #[test]
     fn empty_build_matches_nothing() {
         let build: Vec<Datum> = vec![];
-        let table = JoinTable::build(&build);
+        let table = table(&build);
         assert!(probe_all(&table, &build, &ints(&[1, 2, 3])).is_empty());
     }
 
@@ -423,7 +440,7 @@ mod tests {
             Datum::Int(1),
             Datum::Str("1".into()),
         ];
-        let table = JoinTable::build(&build);
+        let table = table(&build);
         let pairs = probe_all(&table, &build, &build.clone());
         assert_eq!(pairs, vec![(0, 0), (1, 1), (2, 2)]);
     }

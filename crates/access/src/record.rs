@@ -10,6 +10,8 @@ use std::fmt;
 use sbdms_kernel::error::{Result, ServiceError};
 use sbdms_kernel::value::Value;
 
+use crate::exec::column::Column;
+
 /// One typed field of a record.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Datum {
@@ -50,9 +52,7 @@ impl Datum {
     /// Whether this datum equals another under SQL-ish semantics
     /// (NULL != NULL).
     pub fn sql_eq(&self, other: &Datum) -> bool {
-        !matches!(self, Datum::Null)
-            && !matches!(other, Datum::Null)
-            && self.order(other) == Ordering::Equal
+        self.as_ref().sql_eq(&other.as_ref())
     }
 
     /// Is this SQL NULL?
@@ -67,36 +67,12 @@ impl Datum {
 
     /// Encode into `out`.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        match self {
-            Datum::Null => out.push(0),
-            Datum::Bool(b) => {
-                out.push(1);
-                out.push(*b as u8);
-            }
-            Datum::Int(i) => {
-                out.push(2);
-                out.extend_from_slice(&i.to_le_bytes());
-            }
-            Datum::Float(x) => {
-                out.push(3);
-                out.extend_from_slice(&x.to_le_bytes());
-            }
-            Datum::Str(s) => {
-                out.push(4);
-                out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-                out.extend_from_slice(s.as_bytes());
-            }
-        }
+        self.as_ref().encode_into(out)
     }
 
     /// Bytes [`Datum::encode_into`] writes.
     pub fn encoded_len(&self) -> usize {
-        match self {
-            Datum::Null => 1,
-            Datum::Bool(_) => 2,
-            Datum::Int(_) | Datum::Float(_) => 9,
-            Datum::Str(s) => 5 + s.len(),
-        }
+        self.as_ref().encoded_len()
     }
 
     /// Encode to a fresh buffer.
@@ -112,25 +88,25 @@ impl Datum {
     }
 
     /// Step over one encoded datum at `data[*pos..]` without building
-    /// it (no allocation, no UTF-8 check), advancing `pos`.
-    fn skip_from(data: &[u8], pos: &mut usize) -> Result<()> {
-        let corrupt = || ServiceError::Storage("corrupt record encoding".into());
-        let len = match *data.get(*pos).ok_or_else(corrupt)? {
+    /// it (no allocation, no UTF-8 check), advancing `pos`; `None` if it
+    /// is corrupt.
+    fn skip_from(data: &[u8], pos: &mut usize) -> Option<()> {
+        let len = match *data.get(*pos)? {
             0 => 0,
             1 => 1,
             2 | 3 => 8,
             4 => {
-                let len_bytes = data.get(*pos + 1..*pos + 5).ok_or_else(corrupt)?;
+                let len_bytes = data.get(*pos + 1..*pos + 5)?;
                 4 + u32::from_le_bytes(len_bytes.try_into().unwrap()) as usize
             }
-            _ => return Err(corrupt()),
+            _ => return None,
         };
         let end = *pos + 1 + len;
         if end > data.len() {
-            return Err(corrupt());
+            return None;
         }
         *pos = end;
-        Ok(())
+        Some(())
     }
 
     /// Decode a single datum occupying the whole buffer.
@@ -204,6 +180,50 @@ impl<'a> DatumRef<'a> {
             (Float(a), Int(b)) => a.total_cmp(&(b as f64)),
             (Str(a), Str(b)) => a.cmp(b),
             (a, b) => a.type_rank().cmp(&b.type_rank()),
+        }
+    }
+
+    /// SQL equality ([`Datum::sql_eq`]): NULL equals nothing.
+    pub fn sql_eq(&self, other: &DatumRef<'_>) -> bool {
+        !self.is_null() && !other.is_null() && self.order(other) == Ordering::Equal
+    }
+
+    /// Is this SQL NULL?
+    pub fn is_null(&self) -> bool {
+        matches!(self, DatumRef::Null)
+    }
+
+    /// Encode into `out` (the codec [`Datum::encode_into`] writes).
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        match *self {
+            DatumRef::Null => out.push(0),
+            DatumRef::Bool(b) => {
+                out.push(1);
+                out.push(b as u8);
+            }
+            DatumRef::Int(i) => {
+                out.push(2);
+                out.extend_from_slice(&i.to_le_bytes());
+            }
+            DatumRef::Float(x) => {
+                out.push(3);
+                out.extend_from_slice(&x.to_le_bytes());
+            }
+            DatumRef::Str(s) => {
+                out.push(4);
+                out.extend_from_slice(&(s.len() as u32).to_le_bytes());
+                out.extend_from_slice(s.as_bytes());
+            }
+        }
+    }
+
+    /// Bytes [`DatumRef::encode_into`] writes.
+    pub fn encoded_len(&self) -> usize {
+        match self {
+            DatumRef::Null => 1,
+            DatumRef::Bool(_) => 2,
+            DatumRef::Int(_) | DatumRef::Float(_) => 9,
+            DatumRef::Str(s) => 5 + s.len(),
         }
     }
 
@@ -333,38 +353,80 @@ pub fn for_each_field<'a>(
     Ok(n)
 }
 
-/// Decode a tuple produced by [`encode_tuple`] straight into column
-/// vectors: field `i` is appended to `columns[i]`, with no intermediate
-/// [`Tuple`]. A field `keep` marks false is stepped over without being
-/// built and appended as NULL, for callers that never read it. The
-/// tuple must have exactly `columns.len()` fields; on an error the
-/// columns may hold a partial row.
+/// Decode a tuple produced by [`encode_tuple`] straight into typed
+/// column builders: field `i` is appended to `columns[i]`, with no
+/// intermediate [`Tuple`] or [`Datum`]. A field `keep` marks false is
+/// stepped over without being built and appended as NULL, for callers
+/// that never read it. The checks are [`decode_tuple`]'s (field count,
+/// tags, lengths, UTF-8 of every kept string, no trailing bytes), plus
+/// one: a value whose type differs from its column's fixed kind (an INT
+/// in a TEXT column) is corrupt. A column of kind
+/// [`ColumnKind::Null`](crate::exec::column::ColumnKind::Null) takes the
+/// type of its first value. On an error the columns may hold a partial
+/// row.
 pub fn decode_tuple_into(
     data: &[u8],
-    columns: &mut [Vec<Datum>],
+    columns: &mut [Column],
     keep: Option<&[bool]>,
 ) -> Result<()> {
-    if data.len() < 2 {
-        return Err(ServiceError::Storage("corrupt tuple encoding".into()));
-    }
-    let n = u16::from_le_bytes(data[0..2].try_into().unwrap()) as usize;
+    let n = field_count(data)?;
     if n != columns.len() {
         return Err(ServiceError::Storage(format!(
             "tuple has {n} fields, expected {}",
             columns.len()
         )));
     }
+    decode_fields(data, columns, keep).map_err(|fault| fault.error(columns))
+}
+
+/// Why a record failed to decode, turned into an error off the loop.
+enum Fault {
+    /// A tag, length or string that is not the codec's, or bytes after
+    /// the last field.
+    Corrupt(&'static str),
+    /// Field `i` holds a value of tag `tag`, which its column's kind
+    /// does not take.
+    Mismatch(usize, u8),
+}
+
+impl Fault {
+    #[cold]
+    fn error(self, columns: &[Column]) -> ServiceError {
+        ServiceError::Storage(match self {
+            Fault::Corrupt(what) => what.to_string(),
+            Fault::Mismatch(i, tag) => format!(
+                "corrupt record: field {i} has tag {tag}, its column is {:?}",
+                columns[i].kind()
+            ),
+        })
+    }
+}
+
+/// The fields of [`decode_tuple_into`] after its field-count check.
+fn decode_fields(
+    data: &[u8],
+    columns: &mut [Column],
+    keep: Option<&[bool]>,
+) -> std::result::Result<(), Fault> {
+    const CORRUPT: Fault = Fault::Corrupt("corrupt record encoding");
     let mut pos = 2;
+    let kept = |i: usize| keep.is_none_or(|keep| keep[i]);
     for (i, column) in columns.iter_mut().enumerate() {
-        if keep.is_none_or(|keep| keep[i]) {
-            column.push(Datum::decode_from(data, &mut pos)?);
+        if kept(i) {
+            let at = pos;
+            if !column.decode_push(data, &mut pos).ok_or(CORRUPT)? {
+                return Err(Fault::Mismatch(i, data[at]));
+            }
         } else {
-            Datum::skip_from(data, &mut pos)?;
-            column.push(Datum::Null);
+            Datum::skip_from(data, &mut pos).ok_or(CORRUPT)?;
+            match column {
+                Column::Null(n) => *n += 1,
+                column => column.push_null(),
+            }
         }
     }
     if pos != data.len() {
-        return Err(ServiceError::Storage("trailing bytes after tuple".into()));
+        return Err(Fault::Corrupt("trailing bytes after tuple"));
     }
     Ok(())
 }
@@ -403,33 +465,105 @@ mod tests {
         assert_eq!(decode_tuple(&encode_tuple(&[])).unwrap(), Vec::<Datum>::new());
     }
 
+    use crate::exec::column::ColumnKind;
+
+    /// Typed builders for `kinds`, with a `Null` column wherever `keep`
+    /// marks a field unread (as a table scan builds them).
+    fn builders(kinds: &[ColumnKind], keep: Option<&[bool]>) -> Vec<Column> {
+        kinds
+            .iter()
+            .enumerate()
+            .map(|(i, &k)| match keep {
+                Some(keep) if !keep[i] => Column::new(ColumnKind::Null),
+                _ => Column::new(k),
+            })
+            .collect()
+    }
+
+    fn assert_storage_error(r: Result<()>, what: &str) {
+        match r {
+            Err(ServiceError::Storage(_)) => {}
+            other => panic!("{what}: expected a storage error, got {other:?}"),
+        }
+    }
+
     #[test]
     fn decode_into_columns_matches_decode_tuple() {
         let rows = [
             vec![Datum::Int(1), Datum::Str("a".into()), Datum::Null],
             vec![Datum::Int(2), Datum::Str(String::new()), Datum::Float(0.5)],
         ];
-        let mut columns = vec![Vec::new(); 3];
+        let kinds = [ColumnKind::Int, ColumnKind::Text, ColumnKind::Float];
+        let mut columns = builders(&kinds, None);
         for row in &rows {
             decode_tuple_into(&encode_tuple(row), &mut columns, None).unwrap();
         }
         for (i, row) in rows.iter().enumerate() {
-            let got: Tuple = columns.iter().map(|c| c[i].clone()).collect();
+            let got: Tuple = columns.iter().map(|c| c.datum(i)).collect();
             assert_eq!(&got, row);
         }
-        // Skipped fields come back NULL; the kept ones still decode.
-        let mut pruned = vec![Vec::new(); 3];
+        // Skipped fields come back NULL and hold only their length; the
+        // kept ones still decode.
+        let keep = [false, true, false];
+        let mut pruned = builders(&kinds, Some(&keep));
         for row in &rows {
-            decode_tuple_into(&encode_tuple(row), &mut pruned, Some(&[false, true, false]))
-                .unwrap();
+            decode_tuple_into(&encode_tuple(row), &mut pruned, Some(&keep)).unwrap();
         }
-        assert_eq!(pruned[0], vec![Datum::Null, Datum::Null]);
-        assert_eq!(pruned[1], columns[1]);
-        assert_eq!(pruned[2], vec![Datum::Null, Datum::Null]);
+        assert_eq!(pruned[0].kind(), ColumnKind::Null);
+        assert_eq!(pruned[0].clone().into_datums(), vec![Datum::Null, Datum::Null]);
+        assert_eq!(pruned[1].clone().into_datums(), columns[1].clone().into_datums());
+        assert_eq!(pruned[1].kind(), ColumnKind::Text);
         // A field-count mismatch is corruption, not a short row.
-        assert!(decode_tuple_into(&encode_tuple(&rows[0][..2]), &mut columns, None).is_err());
-        let truncated = &encode_tuple(&rows[0])[..8];
-        assert!(decode_tuple_into(truncated, &mut pruned, Some(&[false, false, false])).is_err());
+        let short = decode_tuple_into(&encode_tuple(&rows[0][..2]), &mut columns, None);
+        assert_storage_error(short, "field count");
+    }
+
+    #[test]
+    fn typed_decode_rejects_a_wrong_tag() {
+        // An INT where the column is TEXT, and a tag no codec writes.
+        let mut text = builders(&[ColumnKind::Text], None);
+        let int = encode_tuple(&[Datum::Int(7)]);
+        assert_storage_error(decode_tuple_into(&int, &mut text, None), "INT in TEXT");
+        let mut floats = builders(&[ColumnKind::Float], None);
+        assert_storage_error(decode_tuple_into(&int, &mut floats, None), "INT in FLOAT");
+        assert_storage_error(decode_tuple_into(&[1, 0, 9], &mut text, None), "tag 9");
+        // A skipped field's tag is still checked.
+        let mut skipped = builders(&[ColumnKind::Int], Some(&[false]));
+        assert_storage_error(decode_tuple_into(&[1, 0, 9], &mut skipped, Some(&[false])), "skip");
+    }
+
+    #[test]
+    fn typed_decode_rejects_a_truncated_field() {
+        let row = encode_tuple(&[Datum::Int(1), Datum::Str("abc".into())]);
+        let kinds = [ColumnKind::Int, ColumnKind::Text];
+        for cut in [row.len() - 1, 6, 1] {
+            let mut columns = builders(&kinds, None);
+            assert_storage_error(decode_tuple_into(&row[..cut], &mut columns, None), "kept");
+            let keep = [true, false];
+            let mut columns = builders(&kinds, Some(&keep));
+            let r = decode_tuple_into(&row[..cut], &mut columns, Some(&keep));
+            assert_storage_error(r, "skipped");
+        }
+    }
+
+    #[test]
+    fn typed_decode_rejects_bad_utf8() {
+        // One TEXT field of two bytes that are not UTF-8.
+        let bad = [1, 0, 4, 2, 0, 0, 0, 0xff, 0xfe];
+        let mut columns = builders(&[ColumnKind::Text], None);
+        assert_storage_error(decode_tuple_into(&bad, &mut columns, None), "bad UTF-8");
+    }
+
+    #[test]
+    fn typed_decode_rejects_trailing_bytes() {
+        let mut row = encode_tuple(&[Datum::Bool(true), Datum::Null]);
+        row.push(0);
+        let kinds = [ColumnKind::Bool, ColumnKind::Int];
+        let mut columns = builders(&kinds, None);
+        assert_storage_error(decode_tuple_into(&row, &mut columns, None), "kept");
+        let keep = [false, false];
+        let mut columns = builders(&kinds, Some(&keep));
+        assert_storage_error(decode_tuple_into(&row, &mut columns, Some(&keep)), "skipped");
     }
 
     #[test]
@@ -487,7 +621,60 @@ mod tests {
         ]
     }
 
+    /// The kind of column `code` (0..4) names.
+    fn kind_of(code: u8) -> ColumnKind {
+        [ColumnKind::Int, ColumnKind::Float, ColumnKind::Bool, ColumnKind::Text][code as usize]
+    }
+
+    /// A stored value of `kind` from one raw cell: NULL a quarter of the
+    /// time, FLOAT values half the time a widened INT (as the schema
+    /// stores an INT written to a FLOAT column), strings empty or
+    /// multi-byte.
+    fn value_of(kind: ColumnKind, (roll, int, b, s): &(u8, i64, bool, String)) -> Datum {
+        match (roll, kind) {
+            (0, _) => Datum::Null,
+            (_, ColumnKind::Int) => Datum::Int(*int),
+            (1, ColumnKind::Float) => Datum::Float(*int as i32 as f64),
+            (_, ColumnKind::Float) => Datum::Float((*int % 1_000_000_007) as f64 / 7.0),
+            (_, ColumnKind::Bool) => Datum::Bool(*b),
+            _ => Datum::Str(s.clone()),
+        }
+    }
+
     proptest! {
+        #[test]
+        fn prop_typed_decode_matches_decode_tuple(
+            width in 0usize..7,
+            codes in proptest::collection::vec(0u8..4, 7..8),
+            mask in proptest::collection::vec(any::<bool>(), 7..8),
+            cells in proptest::collection::vec(
+                proptest::collection::vec((0u8..4, any::<i64>(), any::<bool>(), "[a-zé漢 ]{0,6}"), 7..8),
+                0..12,
+            )
+        ) {
+            let kinds: Vec<ColumnKind> = codes[..width].iter().map(|&c| kind_of(c)).collect();
+            let rows: Vec<Tuple> = cells
+                .iter()
+                .map(|row| kinds.iter().zip(row).map(|(&k, cell)| value_of(k, cell)).collect())
+                .collect();
+            for keep in [None, Some(&mask[..width])] {
+                let mut columns = builders(&kinds, keep);
+                for row in &rows {
+                    decode_tuple_into(&encode_tuple(row), &mut columns, keep).unwrap();
+                }
+                for (i, col) in columns.iter().enumerate() {
+                    let kept = keep.is_none_or(|k| k[i]);
+                    prop_assert_eq!(col.kind(), if kept { kinds[i] } else { ColumnKind::Null });
+                    prop_assert_eq!(col.len(), rows.len());
+                    for (r, row) in rows.iter().enumerate() {
+                        let want = decode_tuple(&encode_tuple(row)).unwrap();
+                        let want = if kept { want[i].clone() } else { Datum::Null };
+                        prop_assert_eq!(col.datum(r), want);
+                    }
+                }
+            }
+        }
+
         #[test]
         fn prop_tuple_roundtrip(t in proptest::collection::vec(arb_datum(), 0..12)) {
             prop_assert_eq!(decode_tuple(&encode_tuple(&t)).unwrap(), t);

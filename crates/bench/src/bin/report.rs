@@ -508,7 +508,7 @@ fn e11(smoke: bool) {
     };
 
     println!("\nE11 — cost-based plan selection (statistics, join order, access paths)");
-    let (big, items, iters) = if smoke { (300usize, 1_000usize, 2u32) } else { (1_500, 20_000, 20) };
+    let (big, items, rounds) = if smoke { (300usize, 1_000usize, 3u32) } else { (1_500, 20_000, 41) };
     let db = e11_db(big, items, true);
     // The same data never analyzed: the cost model plans it with its
     // default statistics.
@@ -524,37 +524,57 @@ fn e11(smoke: bool) {
         "  skewed-join-order: {} ({big}-row big tables)",
         E11_JOIN_Q.replace("SELECT COUNT(*) FROM ", "")
     );
-    let mut cost_based = Duration::ZERO;
-    let mut reference = None;
-    // (name, ms, time over the cost-based plan's)
-    let mut join_rows: Vec<(String, f64, f64)> = Vec::new();
-    for (name, s, config) in [
+    let join_configs = [
         row(E11Config::CostBased),
         row(E11Config::NoReorder),
         unanalyzed.clone(),
         row(E11Config::NoIndex),
-    ] {
-        if let Some(config) = config {
-            e11_apply(&db, config);
+    ];
+    let access_configs = [row(E11Config::CostBased), row(E11Config::NoIndex), unanalyzed];
+    // Every configuration must agree on each answer.
+    for (sql, configs) in [(E11_JOIN_Q, &join_configs[..]), (E11_IDX_SEL_Q, &access_configs[..])] {
+        let answers: Vec<i64> = configs
+            .iter()
+            .map(|(_, s, config)| {
+                config.iter().for_each(|&c| e11_apply(&db, c));
+                e11_count(s, sql)
+            })
+            .collect();
+        assert!(answers.windows(2).all(|w| w[0] == w[1]), "{sql}: answers {answers:?}");
+    }
+    // One alternation over every row: each round re-applies a row's
+    // knobs and runs it once untimed before its timed run, so a knob
+    // flip's re-planning is never timed.
+    fn timed<'a>(
+        db: &'a sbdms::data::Database,
+        (_, s, config): &(String, &'a sbdms::data::Session, Option<E11Config>),
+        sql: &'static str,
+    ) -> Row<'a> {
+        let (s, config) = (*s, *config);
+        Row {
+            switch: Box::new(move || config.iter().for_each(|&c| e11_apply(db, c))),
+            run: Box::new(move || {
+                std::hint::black_box(e11_count(s, sql));
+            }),
         }
-        let mut n = 0;
-        let d = time(iters, || {
-            n = e11_count(s, E11_JOIN_Q);
-        });
-        // Every configuration must agree on the answer.
-        match reference {
-            None => reference = Some(n),
-            Some(want) => assert_eq!(n, want, "{name} changed the join answer"),
-        }
-        if config == Some(E11Config::CostBased) {
-            cost_based = d;
-        }
+    }
+    let mut rows: Vec<Row> = join_configs.iter().map(|c| timed(&db, c, E11_JOIN_Q)).collect();
+    rows.extend(access_configs.iter().map(|c| timed(&db, c, E11_IDX_SEL_Q)));
+    rows.extend(access_configs.iter().map(|c| timed(&db, c, E11_IDX_NONSEL_Q)));
+    let times = alternating(rounds, true, &mut rows);
+    drop(rows);
+    let (join_t, access_t) = times.split_at(join_configs.len());
+    let (sel_t, full_t) = access_t.split_at(access_configs.len());
+    let cost_based = join_t[0];
+    // (name, ms, time over the cost-based plan's)
+    let mut join_rows: Vec<(String, f64, f64)> = Vec::new();
+    for ((name, _, _), d) in join_configs.iter().zip(join_t) {
         let (ms, ratio) = (
             d.as_nanos() as f64 / 1e6,
             d.as_nanos() as f64 / cost_based.as_nanos().max(1) as f64,
         );
         println!("    {:<18} {:>10.2}ms {:>8.1}x", name, ms, ratio);
-        join_rows.push((name, ms, ratio));
+        join_rows.push((name.clone(), ms, ratio));
     }
 
     println!("\n  access paths over {items}-row indexed table:");
@@ -564,19 +584,10 @@ fn e11(smoke: bool) {
     );
     // (name, selective µs, full-range ms)
     let mut access_rows: Vec<(String, f64, f64)> = Vec::new();
-    for (name, s, config) in [row(E11Config::CostBased), row(E11Config::NoIndex), unanalyzed] {
-        if let Some(config) = config {
-            e11_apply(&db, config);
-        }
-        let sel = time(iters * 4, || {
-            e11_count(s, E11_IDX_SEL_Q);
-        });
-        let nonsel = time(iters, || {
-            e11_count(s, E11_IDX_NONSEL_Q);
-        });
+    for (((name, _, _), sel), nonsel) in access_configs.iter().zip(sel_t).zip(full_t) {
         let (sel_us, nonsel_ms) = (sel.as_nanos() as f64 / 1e3, nonsel.as_nanos() as f64 / 1e6);
         println!("    {:<18} {:>12.1}µs {:>12.2}ms", name, sel_us, nonsel_ms);
-        access_rows.push((name, sel_us, nonsel_ms));
+        access_rows.push((name.clone(), sel_us, nonsel_ms));
     }
     e11_apply(&db, E11Config::CostBased);
     let plans_selected = db.plans_selected();
@@ -604,6 +615,9 @@ fn e11(smoke: bool) {
     };
     let join_beaten = beaten(join_rows[1..].iter().map(|(n, _, x)| (n.clone(), *x)).collect());
     let sel_base = access_rows[0].1.max(f64::MIN_POSITIVE);
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_e11.json");
+    // The numbers the file holds move to the `_previous` fields.
+    let old = std::fs::read_to_string(path).unwrap_or_default();
     let sel_beaten =
         beaten(access_rows[1..].iter().map(|(n, us, _)| (n.clone(), us / sel_base)).collect());
     let json = format!(
@@ -626,18 +640,21 @@ fn e11(smoke: bool) {
       "item_rows": {items},
       "index": "items_val ON items(val)"
     }},
-    "timing": "mean of {iters} runs after one warmup ({sel_iters} for the selective probe)"
+    "timing": "median of {rounds} alternating rounds; each round runs every row once: re-apply its knobs, one untimed run, one timed run; the _previous fields hold the run this file held before"
   }},
   "results": {{
+    "skewed_join_order_ms_previous": {join_ms_previous},
     "skewed_join_order_ms": {{
       {join_ms}
     }},
     "skewed_join_order_speedup_vs_cost_based": {{
       {join_x}
     }},
+    "access_path_selective_us_previous": {sel_us_previous},
     "access_path_selective_us": {{
       {sel_us}
     }},
+    "access_path_full_range_ms_previous": {full_ms_previous},
     "access_path_full_range_ms": {{
       {full_ms}
     }},
@@ -653,13 +670,84 @@ fn e11(smoke: bool) {
         join_q = E11_JOIN_Q,
         sel_q = E11_IDX_SEL_Q,
         nonsel_q = E11_IDX_NONSEL_Q,
-        sel_iters = iters * 4,
+        join_ms_previous = previous_entry(&old, "skewed_join_order_ms"),
+        sel_us_previous = previous_entry(&old, "access_path_selective_us"),
+        full_ms_previous = previous_entry(&old, "access_path_full_range_ms"),
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_e11.json");
     match std::fs::write(path, json) {
         Ok(()) => println!("  wrote BENCH_e11.json"),
         Err(e) => eprintln!("  could not write BENCH_e11.json: {e}"),
     }
+}
+
+/// The value `key` has in a report's JSON text `old` (an object is
+/// brace-matched and put on one line), or `null`: how a rewritten
+/// `BENCH_*.json` keeps the run it replaces as `<key>_previous`.
+fn previous_entry(old: &str, key: &str) -> String {
+    let needle = format!("\"{key}\": ");
+    let Some(at) = old.find(&needle) else {
+        return "null".to_string();
+    };
+    let rest = &old[at + needle.len()..];
+    let value = if rest.starts_with('{') {
+        let mut depth = 0;
+        let end = rest.char_indices().find_map(|(i, c)| {
+            depth += (c == '{') as i32 - (c == '}') as i32;
+            (depth == 0).then_some(i + 1)
+        });
+        &rest[..end.unwrap_or(rest.len())]
+    } else {
+        rest.lines().next().unwrap_or("").trim_end_matches(',')
+    };
+    value.split_whitespace().collect::<Vec<_>>().join(" ")
+}
+
+/// One row of an [`alternating`] timing: `switch` puts the system into
+/// the row's configuration (untimed) and `run` is what is timed.
+struct Row<'a> {
+    switch: Box<dyn FnMut() + 'a>,
+    run: Box<dyn FnMut() + 'a>,
+}
+
+impl<'a> Row<'a> {
+    /// A row with nothing to switch.
+    fn run(run: impl FnMut() + 'a) -> Row<'a> {
+        Row {
+            switch: Box::new(|| ()),
+            run: Box::new(run),
+        }
+    }
+}
+
+/// Alternating-rounds timing of rows against each other: each round
+/// runs every row once, in order, and a row's time is its median over
+/// `rounds` (one untimed round comes first). Rows timed side by side
+/// meet the same moments of a shared host, so noise that drifts over a
+/// run moves them together instead of apart, and their differences can
+/// be read. With `warm`, every row's `switch` is followed by one untimed
+/// run (a knob flip re-plans: its first run pays the planning).
+fn alternating(rounds: u32, warm: bool, rows: &mut [Row]) -> Vec<Duration> {
+    let mut times = vec![Vec::with_capacity(rounds as usize); rows.len()];
+    for round in 0..=rounds.max(1) {
+        for (row, times) in rows.iter_mut().zip(&mut times) {
+            (row.switch)();
+            if warm {
+                (row.run)();
+            }
+            let start = Instant::now();
+            (row.run)();
+            if round > 0 {
+                times.push(start.elapsed());
+            }
+        }
+    }
+    times
+        .into_iter()
+        .map(|mut runs| {
+            runs.sort();
+            runs[runs.len() / 2]
+        })
+        .collect()
 }
 
 /// Today's UTC date as `YYYY-MM-DD` (Howard Hinnant's civil-from-days).
@@ -696,21 +784,6 @@ fn best_on<I>(n: u32, mut make: impl FnMut() -> I, mut run: impl FnMut(I)) -> Du
         })
         .min()
         .unwrap_or_default()
-}
-
-/// Median-of-N timing after one warmup pass, for E12's SQL rows: a
-/// statement's p50 is what the end-to-end benchmark reports.
-fn median<F: FnMut()>(n: u32, mut f: F) -> Duration {
-    f();
-    let mut runs: Vec<Duration> = (0..n.max(1))
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed()
-        })
-        .collect();
-    runs.sort();
-    runs[runs.len() / 2]
 }
 
 /// Returns the base-join speedup (one row per batch / full batch) for
@@ -830,26 +903,44 @@ fn e12(smoke: bool) -> f64 {
     // The `scan_mix` SQL shapes, in process through `Session::execute`:
     // page decoding, MVCC visibility, filter, aggregate and join over a
     // heap 2.7x the buffer pool.
-    let (sql_rows, sql_iters) = if smoke { (4_000, 3) } else { (E12_SQL_ROWS, 31) };
+    let (sql_rows, sql_rounds) = if smoke { (4_000, 3) } else { (E12_SQL_ROWS, 31) };
     let db = e12_sql_db(sql_rows);
     let session = db.session();
-    println!("  scan_mix SQL shapes ({sql_rows}-row t, 256 frames, median of {sql_iters}):");
-    let mut sql_ms = Vec::new();
+    println!(
+        "  scan_mix SQL shapes ({sql_rows}-row t, 256 frames, median of {sql_rounds} alternating rounds):"
+    );
     let shapes = e12_sql_shapes();
-    for (name, sql) in &shapes {
-        let d = median(sql_iters, || {
-            std::hint::black_box(session.execute(sql).unwrap());
-        });
+    let mut timed: Vec<Row> = shapes
+        .iter()
+        .map(|(_, sql)| {
+            let session = &session;
+            Row::run(move || {
+                std::hint::black_box(session.execute(sql).unwrap());
+            })
+        })
+        .collect();
+    let shape_times = alternating(sql_rounds, false, &mut timed);
+    drop(timed);
+    let mut sql_ms = Vec::new();
+    for ((name, sql), d) in shapes.iter().zip(shape_times) {
         println!("    {name:<10} {:>8.2}ms  {sql}", ms(d));
         sql_ms.push(format!("\"{name}\": {:.2}", ms(d)));
     }
-    // The same scan of `t`, one layer at a time (see E12_SCAN_LAYERS).
-    println!("  scan of t by layer (cumulative, median of {sql_iters}):");
+    // The same scan of `t`, one layer at a time (see E12_SCAN_LAYERS),
+    // the layers alternating so that neighbours can be subtracted.
+    println!("  scan of t by layer (cumulative, median of {sql_rounds} alternating rounds):");
+    let db_ref = &db;
+    let mut timed: Vec<Row> = (0..E12_SCAN_LAYERS.len())
+        .map(|layer| {
+            Row::run(move || {
+                std::hint::black_box(e12_scan_layer(db_ref, layer));
+            })
+        })
+        .collect();
+    let layer_times = alternating(sql_rounds, false, &mut timed);
+    drop(timed);
     let mut layer_ms = Vec::new();
-    for (layer, name) in E12_SCAN_LAYERS.iter().enumerate() {
-        let d = median(sql_iters, || {
-            std::hint::black_box(e12_scan_layer(&db, layer));
-        });
+    for (name, d) in E12_SCAN_LAYERS.iter().zip(layer_times) {
         println!("    {name:<10} {:>8.2}ms", ms(d));
         layer_ms.push(format!("\"{name}\": {:.2}", ms(d)));
     }
@@ -874,13 +965,8 @@ fn e12(smoke: bool) -> f64 {
     };
     let (sql_now, layers_now) = (now(&sql_ms), now(&layer_ms));
     let old = std::fs::read_to_string(path).unwrap_or_default();
-    let previous = |key: &str| {
-        let prefix = format!("\"{key}\": ");
-        old.lines()
-            .find_map(|l| Some(l.trim().strip_prefix(&prefix)?.trim_end_matches(',').to_string()))
-            .unwrap_or_else(|| "null".to_string())
-    };
-    let (sql_previous, layers_previous) = (previous("sql_shapes_ms"), previous("scan_layers_ms"));
+    let (sql_previous, layers_previous) =
+        (previous_entry(&old, "sql_shapes_ms"), previous_entry(&old, "scan_layers_ms"));
     let json = format!(
         r#"{{
   "experiment": "E12",
@@ -909,11 +995,11 @@ fn e12(smoke: bool) -> f64 {
       "t_rows": {E12_SQL_ROWS},
       "d_rows": {E12_SQL_DIM},
       "buffer_frames": 256,
-      "timing": "Session::execute in process under MVCC, median of {sql_iters} after one warmup; sql_shapes_ms_previous is the run this file held before"
+      "timing": "Session::execute in process under MVCC, median of {sql_rounds} alternating rounds (each round runs every shape once, after one untimed round); sql_shapes_ms_previous is the run this file held before"
     }},
     "scan_layers": {{
-      "layers": ["io: pread every data page of t, no pool", "miss: + fetch each through the 256-frame pool (every fetch misses)", "walk: + visit each live record", "decode: + decode k and v into column vectors (pad skipped, as scan_mix reads t)", "batches: + cut into {BATCH_ROWS}-row batches (scan_batches)", "table_read: the TableScan leaf under an MVCC read snapshot, projected to k and v"],
-      "timing": "cumulative: each layer includes the ones before it; median of {sql_iters} sweeps after one warmup; scan_layers_ms_previous is the run this file held before"
+      "layers": ["io: pread every data page of t, no pool", "miss: + fetch each through the 256-frame pool (every fetch misses)", "walk: + visit each live record", "decode: + decode k and v into typed column vectors (pad skipped, as scan_mix reads t)", "batches: + cut into {BATCH_ROWS}-row batches (scan_batches)", "table_read: the TableScan leaf under an MVCC read snapshot, projected to k and v"],
+      "timing": "cumulative: each layer includes the ones before it; median of {sql_rounds} alternating rounds (each round sweeps every layer once, after one untimed round); scan_layers_ms_previous is the run this file held before"
     }},
     "baseline": "the same engine at batch_rows = 1; until 2026-10 the baseline was the deleted tuple-at-a-time engine",
     "note": "pre-materialised rows; min-of-{iters} timing; each run consumes a fresh input clone built outside the timer"
@@ -1713,29 +1799,21 @@ fn a1_order_by(smoke: bool) {
             })
             .collect();
         // Alternate the two sorts so that drift in the host's speed
-        // reaches both alike; one warm-up round first.
+        // reaches both alike; each run sorts a fresh clone.
         let runs = if n >= 1_000_000 { 5 } else { 15 };
-        let (mut serial, mut selected) = (Vec::new(), Vec::new());
-        for round in 0..=runs {
-            for pick_serial in [round % 2 == 0, round % 2 == 1] {
-                let start = Instant::now();
-                let out = if pick_serial {
-                    sorter.sort(input.clone(), &keys)
+        let sort = |serial: bool| {
+            let (input, sorter, keys) = (&input, &sorter, &keys);
+            Row::run(move || {
+                let out = if serial {
+                    sorter.sort(input.clone(), keys)
                 } else {
-                    sorter.sort_auto(input.clone(), &keys)
+                    sorter.sort_auto(input.clone(), keys)
                 };
                 std::hint::black_box(out.unwrap());
-                let times = if pick_serial { &mut serial } else { &mut selected };
-                if round > 0 {
-                    times.push(start.elapsed());
-                }
-            }
-        }
-        let median = |mut runs: Vec<Duration>| {
-            runs.sort();
-            runs[runs.len() / 2]
+            })
         };
-        let (serial, selected) = (median(serial), median(selected));
+        let times = alternating(runs, false, &mut [sort(true), sort(false)]);
+        let (serial, selected) = (times[0], times[1]);
         println!(
             "  ORDER BY, {n} rows: serial={:.1}ms  selected={:.1}ms ({} workers, {:.2}x)",
             serial.as_nanos() as f64 / 1e6,

@@ -911,8 +911,9 @@ pub mod experiments {
     /// - `miss`: fetch each page through the pool (the table is 2.7x the
     ///   pool, so in a sweep every fetch misses and evicts);
     /// - `walk`: visit each live record on the frame;
-    /// - `decode`: decode the records into column vectors, `k` and `v`
-    ///   only, as the `scan_mix` shapes read them (`pad` stays NULL);
+    /// - `decode`: decode the records into typed column vectors, `k` and
+    ///   `v` only, as the `scan_mix` shapes read them (`pad` is counted,
+    ///   not built);
     /// - `batches`: cut the columns into `BATCH_ROWS`-row batches
     ///   (`scan_batches`);
     /// - `table_read`: the `TableScan` leaf under an MVCC read snapshot,
@@ -925,7 +926,7 @@ pub mod experiments {
     /// rows (or, for `io` and `miss`, the pages) it saw.
     pub fn e12_scan_layer(db: &Database, layer: usize) -> usize {
         use sbdms::access::exec::batch::{scan_batches, PageSource};
-        use sbdms::access::exec::BATCH_ROWS;
+        use sbdms::access::exec::{Column, BATCH_ROWS};
         use sbdms::access::heap::HeapFile;
         use sbdms::access::record::decode_tuple_into;
         use sbdms::data::Plan;
@@ -938,7 +939,7 @@ pub mod experiments {
             fn page(
                 &mut self,
                 page: PageId,
-                columns: &mut [Vec<Datum>],
+                columns: &mut [Column],
             ) -> sbdms::kernel::error::Result<usize> {
                 let mut rows = 0;
                 HeapFile::walk_page(&self.0, page, |_, record| {
@@ -951,7 +952,8 @@ pub mod experiments {
 
         let t = db.table("t").unwrap();
         let pages = t.heap().data_pages().unwrap();
-        let width = t.schema().len();
+        // `k` and `v` typed, `pad` its length alone, as `scan_mix` reads t.
+        let kinds = t.schema().column_kinds(Some(&[true, true, false]));
         let buffer = db.storage().buffer.clone();
         match E12_SCAN_LAYERS[layer] {
             "io" => {
@@ -980,16 +982,16 @@ pub mod experiments {
             }
             "decode" => {
                 let (mut decode, mut rows) = (Decode(buffer), 0);
-                let mut columns = vec![Vec::new(); width];
+                let mut columns: Vec<Column> = kinds.iter().map(|&k| Column::new(k)).collect();
                 for &p in &pages {
-                    columns.iter_mut().for_each(Vec::clear);
+                    columns.iter_mut().for_each(|c| c.truncate(0));
                     rows += decode.page(p, &mut columns).unwrap();
                 }
                 rows
             }
             "batches" => {
                 let ctx = ExecContext::default();
-                let scan = scan_batches(pages, width, Decode(buffer), BATCH_ROWS, ctx);
+                let scan = scan_batches(pages, &kinds, Decode(buffer), BATCH_ROWS, ctx);
                 scan.map(|b| b.unwrap().rows()).sum()
             }
             _ => {
@@ -1988,6 +1990,70 @@ mod tests {
         let full_hi = e12_join_highndv(&full, fact, hi);
         assert_eq!(row_hi, full_hi);
         assert_eq!(row_hi, 2_000, "unique ids join one-to-one");
+    }
+
+    /// Drain `stream`, failing on any batch with a `Datum`-fallback
+    /// column; returns the rows seen.
+    fn typed_rows(what: &str, stream: sbdms::access::exec::BatchStream) -> usize {
+        use sbdms::access::exec::ColumnKind;
+        let mut rows = 0;
+        for batch in stream {
+            let batch = batch.unwrap();
+            let kinds = batch.kinds();
+            assert!(!kinds.contains(&ColumnKind::Datum), "{what}: column kinds {kinds:?}");
+            rows += batch.rows();
+        }
+        rows
+    }
+
+    #[test]
+    fn scan_mix_shapes_and_e12_pipelines_build_typed_columns() {
+        use sbdms::access::exec::engine::VectorEngine;
+        use sbdms::access::exec::{AggFunc, AggSpec, BuildSide, Expr};
+        use sbdms::data::ast::Statement;
+        use sbdms::data::{parse, plan_select, Plan};
+        // Every node of each `scan_mix` statement's plan (scan, filter,
+        // aggregate, join, projection), run on its own and whole.
+        let db = e12_sql_db(3_000);
+        let engine = VectorEngine::default();
+        for (name, sql) in e12_sql_shapes() {
+            let Statement::Select(select) = parse(&sql).unwrap() else {
+                panic!("{name} is not a SELECT");
+            };
+            let plan = plan_select(&select, db.as_ref()).unwrap().plan;
+            let mut nodes: Vec<&Plan> = vec![&plan];
+            while let Some(node) = nodes.pop() {
+                let what = format!("{name}: {}", node.node_label());
+                typed_rows(&what, db.run_plan_with(&engine, node).unwrap());
+                nodes.extend(node.children());
+            }
+        }
+        // E12's pipelines, stage by stage, over its pre-built rows.
+        let fact = || engine.values(e12_fact(2_000));
+        let filtered = || engine.filter(fact(), Expr::col(2).lt(Expr::int(1_000)));
+        assert_eq!(typed_rows("values", fact()), 2_000);
+        assert_eq!(typed_rows("filter", filtered()), 1_000);
+        let aggs = vec![
+            AggSpec::new(AggFunc::CountAll, Expr::int(0)),
+            AggSpec::new(AggFunc::Sum, Expr::col(2)),
+            AggSpec::new(AggFunc::Min, Expr::col(2)),
+        ];
+        let grouped = engine.hash_aggregate(filtered(), vec![Expr::col(1)], aggs).unwrap();
+        assert_eq!(typed_rows("aggregate", grouped), 64);
+        for (dim, key) in [(e12_dim(64), 1), (e12_dim_dup(64, 4), 1), (e12_dim_highndv(2_000), 0)] {
+            let join = || {
+                let dim = engine.values(dim.clone());
+                engine.equi_join(fact(), dim, key, 0, BuildSide::Right).unwrap()
+            };
+            let joined = typed_rows("join", join());
+            let sums = vec![
+                AggSpec::new(AggFunc::CountAll, Expr::int(0)),
+                AggSpec::new(AggFunc::Sum, Expr::col(4)),
+            ];
+            let total = engine.hash_aggregate(join(), vec![], sums).unwrap();
+            assert_eq!(typed_rows("join aggregate", total), 1);
+            assert!(joined >= 2_000, "{joined} joined rows");
+        }
     }
 
     #[test]

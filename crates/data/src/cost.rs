@@ -257,7 +257,11 @@ impl<'a> Estimator<'a> {
                 // conjuncts the index bounds already priced into the
                 // input's rows: they pass every row that reaches it.
                 let access = index_access(input);
-                let applied = |c: &Expr| access.is_some_and(|a| bounds_apply(a, c, &inp.cols));
+                let applied = |c: &Expr| {
+                    access.is_some_and(|a| {
+                        bounds_apply(a, c, &inp.cols) || self.or_list_applied(a, c, &inp.cols)
+                    })
+                };
                 let sel = self.residual_selectivity(predicate, &inp.cols, &applied);
                 NodeEst {
                     rows: inp.rows * sel,
@@ -415,6 +419,48 @@ impl<'a> Estimator<'a> {
             Expr::Param(i) => self.catalog.param(*i, read),
             _ => None,
         }
+    }
+
+    /// Whether conjunct `e` is an OR list that an `IndexOr` access
+    /// already applied: every arm compares the index's leading key
+    /// column with a value, and every probe key is one of those values,
+    /// so each row the probes return passes. The planner built the
+    /// probe keys from these very values and pinned them, so reading
+    /// them here adds no guard.
+    fn or_list_applied(&self, access: &Plan, e: &Expr, cols: &[ColRef]) -> bool {
+        let Plan::IndexOr {
+            table,
+            key_columns,
+            keys,
+            ..
+        } = access
+        else {
+            return false;
+        };
+        let Some(leading) = key_columns.first() else { return false };
+        let mut values = Vec::new();
+        let mut arms = vec![e];
+        while let Some(arm) = arms.pop() {
+            let Expr::Binary(op, l, r) = arm else { return false };
+            let (i, value) = match (*op, l.as_ref(), r.as_ref()) {
+                (BinOp::Or, _, _) => {
+                    arms.extend([l.as_ref(), r.as_ref()]);
+                    continue;
+                }
+                (BinOp::Eq, Expr::Col(i), v) | (BinOp::Eq, v, Expr::Col(i)) => (*i, v),
+                _ => return false,
+            };
+            let on_key = matches!(cols.get(i), Some(Some((t, c)))
+                if t == table && c.eq_ignore_ascii_case(leading));
+            match self.value(value, ParamRead::Pin) {
+                Some(d) if on_key => values.push(d),
+                _ => return false,
+            }
+        }
+        keys.iter().all(|key| match key.as_slice() {
+            [Expr::Lit(d)] => values.contains(d),
+            _ => false,
+        })
     }
 
     fn range_selectivity(
@@ -605,7 +651,7 @@ fn flip_cmp(op: BinOp) -> BinOp {
 /// (a covering scan's width-restoring one).
 fn index_access(plan: &Plan) -> Option<&Plan> {
     match plan {
-        Plan::IndexScan { .. } | Plan::IndexAnd { .. } => Some(plan),
+        Plan::IndexScan { .. } | Plan::IndexOr { .. } | Plan::IndexAnd { .. } => Some(plan),
         Plan::Project { input, .. } => index_access(input),
         _ => None,
     }

@@ -12,6 +12,7 @@ use parking_lot::Mutex;
 use sbdms_access::exec::batch::{BatchStream, PageSource, BATCH_ROWS};
 use sbdms_access::exec::engine::VectorEngine;
 use sbdms_access::exec;
+use sbdms_access::exec::{Column, ColumnKind};
 use sbdms_access::heap::{HeapFile, HeapSpace, Rid};
 use sbdms_access::record::{decode_tuple, decode_tuple_into, encode_tuple, Datum, Tuple};
 use sbdms_kernel::error::{Result, ServiceError};
@@ -368,14 +369,10 @@ impl Database {
         };
         for (i, col) in t.schema().columns.iter().enumerate() {
             let keep: Vec<bool> = (0..width).map(|c| c == i).collect();
-            let mut row: Vec<Vec<Datum>> = vec![Vec::with_capacity(1); width];
-            let mut values = Vec::new();
-            t.heap().walk(|_, record| {
-                decode_tuple_into(record, &mut row, Some(&keep))?;
-                values.extend(row[i].pop());
-                row.iter_mut().for_each(Vec::clear);
-                Ok(())
-            })?;
+            let kinds = t.schema().column_kinds(Some(&keep));
+            let mut columns: Vec<Column> = kinds.into_iter().map(Column::new).collect();
+            t.heap().walk(|_, record| decode_tuple_into(record, &mut columns, Some(&keep)))?;
+            let values = std::mem::take(&mut columns[i]).into_datums();
             stats.row_count = values.len() as u64;
             let column = ColumnStats::collect(values, self.histogram_buckets);
             stats.columns.insert(col.name.to_lowercase(), column);
@@ -1043,7 +1040,7 @@ impl Database {
     ) -> Result<Vec<(RowKey, Tuple)>> {
         if let Plan::TableScan { .. } = leaf {
             let read = self.table_read(t, state, mode, None);
-            return read.rows(t.heap().data_pages()?, t.schema().len(), &mode.ctx);
+            return read.rows(t.heap().data_pages()?, &t.schema().column_kinds(None), &mode.ctx);
         }
         let _latch = self.mvcc.as_ref().map(|m| m.read_latch());
         let rids = index_rids(t, leaf, &mode.params)?;
@@ -1298,8 +1295,9 @@ impl Database {
     /// hook a degraded admission uses to shrink operator memory.
     ///
     /// `reads` names the output columns of `plan` its consumers read
-    /// (`None`: all of them); a table scan decodes only those and leaves
-    /// the others NULL. Each operator passes its input the columns it
+    /// (`None`: all of them); a table scan decodes only those, an index
+    /// leaf copies only those into its batches, and both leave the others
+    /// NULL. Each operator passes its input the columns it
     /// needs for `reads`:
     /// - a filter adds its predicate's columns, and a limit passes
     ///   `reads` on;
@@ -1333,11 +1331,12 @@ impl Database {
                 let keep = reads
                     .map(|cols| (0..width).map(|c| cols.contains(&c)).collect::<Vec<bool>>())
                     .filter(|keep| keep.contains(&false));
+                let kinds = t.schema().column_kinds(keep.as_deref());
                 let read = {
                     let guard = mode.session.txn.lock();
                     self.table_read(&t, guard.as_ref(), mode, keep)
                 };
-                Ok(engine.scan(t.heap().data_pages()?, width, read))
+                Ok(engine.scan(t.heap().data_pages()?, &kinds, read))
             }
             Plan::IndexScan { table, .. }
             | Plan::IndexOr { table, .. }
@@ -1360,7 +1359,11 @@ impl Database {
                     _ => None,
                 };
                 if let Some(key_columns) = covering {
-                    let mut columns: Vec<Vec<Datum>> = vec![Vec::new(); key_columns.len()];
+                    let schema = t.schema();
+                    let mut columns: Vec<Column> = key_positions(&t, key_columns)?
+                        .into_iter()
+                        .map(|p| Column::new(schema.columns[p].ty.kind()))
+                        .collect();
                     let mut nrows = 0;
                     scan_index(&t, plan, &mode.params, |key, _| {
                         nrows += 1;
@@ -1384,7 +1387,18 @@ impl Database {
                         rows.map(|r| positions.iter().map(|&p| r[p].clone()).collect())
                             .collect()
                     }
-                    _ => rows.collect(),
+                    // A column no consumer reads is left NULL, as a table
+                    // scan leaves it: it is never copied into a batch.
+                    _ => rows
+                        .map(|mut row| {
+                            for (c, d) in row.iter_mut().enumerate() {
+                                if reads.is_some_and(|r| !r.contains(&c)) {
+                                    *d = Datum::Null;
+                                }
+                            }
+                            row
+                        })
+                        .collect(),
                 };
                 Ok(engine.values(rows))
             }
@@ -1637,11 +1651,15 @@ impl Img<'_> {
 
     /// Append the image as one row of `columns`, NULL where `keep` is
     /// false.
-    fn push_into(self, columns: &mut [Vec<Datum>], keep: Option<&[bool]>) -> Result<()> {
+    fn push_into(self, columns: &mut [Column], keep: Option<&[bool]>) -> Result<()> {
         match self {
             Img::Own(row) => {
                 for (i, (col, d)) in columns.iter_mut().zip(row).enumerate() {
-                    col.push(if keep.is_none_or(|keep| keep[i]) { d.clone() } else { Datum::Null });
+                    if keep.is_none_or(|keep| keep[i]) {
+                        col.push_ref(d.as_ref());
+                    } else {
+                        col.push_null();
+                    }
                 }
                 Ok(())
             }
@@ -1735,12 +1753,12 @@ impl TableRead {
     fn rows(
         mut self,
         pages: Vec<PageId>,
-        width: usize,
+        kinds: &[ColumnKind],
         ctx: &ExecContext,
     ) -> Result<Vec<(RowKey, Tuple)>> {
         self.keys = Some(Vec::new());
         let mut out = Vec::new();
-        let mut columns = vec![Vec::new(); width];
+        let mut columns: Vec<Column> = kinds.iter().map(|&k| Column::new(k)).collect();
         for page in pages {
             ctx.check()?;
             self.page(page, &mut columns)?;
@@ -1752,8 +1770,11 @@ impl TableRead {
     }
 
     /// Move the rows of the last call out of `columns`, keyed.
-    fn drain_rows(&mut self, columns: &mut [Vec<Datum>], out: &mut Vec<(RowKey, Tuple)>) {
-        let mut cols: Vec<_> = columns.iter_mut().map(|c| c.drain(..)).collect();
+    fn drain_rows(&mut self, columns: &mut [Column], out: &mut Vec<(RowKey, Tuple)>) {
+        let mut cols: Vec<_> = columns
+            .iter_mut()
+            .map(|c| std::mem::replace(c, Column::new(c.kind())).into_datums().into_iter())
+            .collect();
         for key in self.keys.iter_mut().flat_map(|keys| keys.drain(..)) {
             out.push((key, cols.iter_mut().map(|c| c.next().expect("one datum per key")).collect()));
         }
@@ -1761,7 +1782,7 @@ impl TableRead {
 }
 
 impl PageSource for TableRead {
-    fn page(&mut self, page: PageId, columns: &mut [Vec<Datum>]) -> Result<usize> {
+    fn page(&mut self, page: PageId, columns: &mut [Column]) -> Result<usize> {
         let TableRead { buffer, snapshot, keep, keys } = self;
         let keep = keep.as_deref();
         if let Some(keys) = keys.as_mut() {
@@ -1779,7 +1800,7 @@ impl PageSource for TableRead {
             return Ok(n);
         };
         let _latch = snap.versions.as_ref().map(|(mvcc, _, _)| mvcc.read_latch());
-        let base = columns.first().map_or(0, Vec::len);
+        let base = columns.first().map_or(0, Column::len);
         let mut slots = Vec::new();
         HeapFile::walk_page(buffer, page, |rid, record| {
             slots.push(rid.slot);
@@ -1800,12 +1821,9 @@ impl PageSource for TableRead {
         } else {
             // Re-emit the page row by row: the occupant where the
             // snapshot sees it, another image or nothing elsewhere.
-            let mut heap: Vec<_> = columns
-                .iter_mut()
-                .map(|c| c.split_off(base).into_iter())
-                .collect();
+            let heap: Vec<Column> = columns.iter_mut().map(|c| c.split_off(base, false)).collect();
             let mut n = 0;
-            for &slot in &slots {
+            for (row, &slot) in slots.iter().enumerate() {
                 let rid = Rid::new(page, slot);
                 let key = RowKey::Heap(rid);
                 let visibility = || {
@@ -1813,17 +1831,14 @@ impl PageSource for TableRead {
                         .binary_search_by_key(&rid_key(rid), |(k, _)| *k)
                         .map_or(Visibility::Current, |i| replaced[i].1.clone())
                 };
-                let occupant = heap.iter_mut().map(|c| c.next().expect("one datum per slot"));
                 match resolve(Some(&snap.own), key, visibility) {
-                    Seen::Heap => columns.iter_mut().zip(occupant).for_each(|(c, d)| c.push(d)),
-                    Seen::Image(img) => {
-                        occupant.for_each(drop);
-                        img.push_into(columns, keep)?;
+                    Seen::Heap => {
+                        for (c, h) in columns.iter_mut().zip(&heap) {
+                            c.extend_from(h, row..row + 1);
+                        }
                     }
-                    Seen::Nothing => {
-                        occupant.for_each(drop);
-                        continue;
-                    }
+                    Seen::Image(img) => img.push_into(columns, keep)?,
+                    Seen::Nothing => continue,
                 }
                 n += 1;
                 if let Some(keys) = keys.as_mut() {
@@ -1836,7 +1851,7 @@ impl PageSource for TableRead {
         Ok(n)
     }
 
-    fn tail(&mut self, columns: &mut [Vec<Datum>]) -> Result<usize> {
+    fn tail(&mut self, columns: &mut [Column]) -> Result<usize> {
         if let Some(keys) = self.keys.as_mut() {
             keys.clear();
         }

@@ -6,6 +6,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use sbdms_access::exec::ColumnKind;
 use sbdms_access::record::{Datum, Tuple};
 use sbdms_kernel::error::{Result, ServiceError};
 
@@ -44,6 +45,16 @@ impl ColumnType {
             "FLOAT" | "DOUBLE" | "REAL" => Some(ColumnType::Float),
             "TEXT" | "VARCHAR" | "STRING" => Some(ColumnType::Text),
             _ => None,
+        }
+    }
+
+    /// The typed column vector a stored value of this type decodes into.
+    pub fn kind(&self) -> ColumnKind {
+        match self {
+            ColumnType::Bool => ColumnKind::Bool,
+            ColumnType::Int => ColumnKind::Int,
+            ColumnType::Float => ColumnKind::Float,
+            ColumnType::Text => ColumnKind::Text,
         }
     }
 
@@ -117,6 +128,20 @@ impl Schema {
     /// True when the schema has no columns.
     pub fn is_empty(&self) -> bool {
         self.columns.is_empty()
+    }
+
+    /// The column kind each field of a stored row decodes into, with
+    /// [`ColumnKind::Null`] (the length alone) wherever `keep` marks a
+    /// field no consumer reads.
+    pub fn column_kinds(&self, keep: Option<&[bool]>) -> Vec<ColumnKind> {
+        self.columns
+            .iter()
+            .enumerate()
+            .map(|(i, c)| match keep {
+                Some(keep) if !keep[i] => ColumnKind::Null,
+                _ => c.ty.kind(),
+            })
+            .collect()
     }
 
     /// Index of a column by (case-insensitive) name.

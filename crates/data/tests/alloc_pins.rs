@@ -15,6 +15,10 @@
 //! * DISTINCT allocates per batch and per new row, not per row: it runs
 //!   on the GROUP BY kernel, so 64k rows into 100 values allocate no
 //!   more than 4k rows do, plus a constant per extra batch.
+//! * A table scan allocates per batch, not per row: it decodes INT and
+//!   TEXT fields into typed column vectors (a TEXT column is one byte
+//!   arena), so `SUM` and `COUNT` over 64k rows allocate no more than
+//!   over 4k rows, plus a constant per extra batch.
 //! * A buffer-pool miss that evicts a clean page allocates nothing: the
 //!   page is read straight into the frame it replaces.
 
@@ -280,6 +284,40 @@ fn distinct_allocates_per_batch_not_per_row() {
     assert!(
         a_large <= a_small + 16 * extra_batches,
         "DISTINCT allocated {a_small} times over {small} rows and {a_large} over {large}: \
+         more than 16 per extra batch, so it allocates per row"
+    );
+}
+
+/// Allocations made by `SELECT SUM(k), COUNT(pad) FROM t` over a
+/// `rows`-row table `t (k INT, pad TEXT)`: a table scan that decodes an
+/// INT and a TEXT column into typed column vectors, under a global
+/// aggregate. The statement runs once first, so it is planned and
+/// cached before the count starts.
+fn typed_scan_allocations(rows: i64) -> u64 {
+    let db = Database::open(scratch_dir(&format!("scan-{rows}"))).unwrap();
+    let session = db.session();
+    session.execute("CREATE TABLE t (k INT NOT NULL, pad TEXT NOT NULL)").unwrap();
+    let keys: Vec<i64> = (0..rows).collect();
+    for chunk in keys.chunks(1_000) {
+        let values: Vec<String> = chunk.iter().map(|k| format!("({k}, 'pad-{k}')")).collect();
+        session.execute(&format!("INSERT INTO t VALUES {}", values.join(", "))).unwrap();
+    }
+    let sql = "SELECT SUM(k), COUNT(pad) FROM t";
+    let want = vec![vec![Datum::Int(rows * (rows - 1) / 2), Datum::Int(rows)]];
+    assert_eq!(session.execute(sql).unwrap().rows, want);
+    let (n, result) = allocations(|| session.execute(sql).unwrap());
+    assert_eq!(result.rows, want);
+    n
+}
+
+#[test]
+fn typed_scan_allocates_per_batch_not_per_row() {
+    let (small, large) = (4 << 10, 64 << 10);
+    let extra_batches = ((large - small) / BATCH_ROWS as i64) as u64;
+    let (a_small, a_large) = (typed_scan_allocations(small), typed_scan_allocations(large));
+    assert!(
+        a_large <= a_small + 16 * extra_batches,
+        "the scan allocated {a_small} times over {small} rows and {a_large} over {large}: \
          more than 16 per extra batch, so it allocates per row"
     );
 }

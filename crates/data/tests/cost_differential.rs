@@ -435,6 +435,33 @@ fn new_access_paths_chosen_and_differentially_correct() {
     );
 }
 
+/// A residual filter over an `IndexOr` does not apply the IN list a
+/// second time: the probes already returned only rows with those keys,
+/// so the filter keeps every row the probe union estimates (it once
+/// multiplied in the list's selectivity again: `Filter [rows=0.9]` over
+/// `IndexOr [rows=7.6]` in `indexes.slt`). A conjunct the probes did not
+/// apply still narrows it.
+#[test]
+fn index_or_residual_keeps_the_probe_rows() {
+    let db = open_db(22);
+    let s = db.session();
+    load_ev(&s);
+    for sql in [
+        "SELECT payload FROM ev WHERE kind IN (3, 3, 7)",
+        "SELECT payload FROM ev WHERE kind IN (7, 3)",
+        "SELECT payload FROM ev WHERE kind = 3 OR 7 = kind",
+    ] {
+        let explain = explain_text(&s, sql);
+        assert!(explain.contains("IndexOr ev.ev_kind (2 keys)"), "`{sql}`:\n{explain}");
+        let (filter, probes) = (estimated_rows(&s, sql, "Filter"), estimated_rows(&s, sql, "IndexOr"));
+        assert_eq!(filter, probes, "`{sql}`:\n{explain}");
+    }
+    let sql = "SELECT payload FROM ev WHERE kind IN (3, 7) AND tenant = 3";
+    let explain = explain_text(&s, sql);
+    let (filter, probes) = (estimated_rows(&s, sql, "Filter"), estimated_rows(&s, sql, "IndexOr"));
+    assert!(filter < probes, "`{sql}`: tenant = 3 still filters:\n{explain}");
+}
+
 /// DML picks its targets through the same access paths as SELECT. Each
 /// shape runs as an UPDATE and as a DELETE on twin databases, one with
 /// index selection on and one forced to sequential targets, in both CC
