@@ -322,6 +322,48 @@ fn typed_scan_allocates_per_batch_not_per_row() {
     );
 }
 
+/// Allocations made by a `TableScan` of a `rows`-row table `t (k INT,
+/// pad TEXT)` under an MVCC read snapshot, drained in full batches.
+fn snapshot_scan_allocations(rows: i64) -> u64 {
+    let db = Database::open_opts(
+        scratch_dir(&format!("snapshot-scan-{rows}")),
+        DbOptions {
+            concurrency: sbdms_data::ConcurrencyControl::Mvcc,
+            ..DbOptions::default()
+        },
+    )
+    .unwrap();
+    let session = db.session();
+    session.execute("CREATE TABLE t (k INT NOT NULL, pad TEXT NOT NULL)").unwrap();
+    let keys: Vec<i64> = (0..rows).collect();
+    for chunk in keys.chunks(1_000) {
+        let values: Vec<String> = chunk.iter().map(|k| format!("({k}, 'pad-{k}')")).collect();
+        session.execute(&format!("INSERT INTO t VALUES {}", values.join(", "))).unwrap();
+    }
+    let engine = VectorEngine::default();
+    let plan = sbdms_data::Plan::TableScan { table: "t".into() };
+    let count = |db: &Database| {
+        let scan = db.run_plan_with(&engine, &plan).unwrap();
+        scan.map(|b| b.unwrap().rows()).sum::<usize>()
+    };
+    assert_eq!(count(&db), rows as usize);
+    let (n, seen) = allocations(|| count(&db));
+    assert_eq!(seen, rows as usize);
+    n
+}
+
+#[test]
+fn snapshot_scan_allocates_per_batch_not_per_page() {
+    let (small, large) = (4 << 10, 64 << 10);
+    let extra_batches = ((large - small) / BATCH_ROWS as i64) as u64;
+    let (a_small, a_large) = (snapshot_scan_allocations(small), snapshot_scan_allocations(large));
+    assert!(
+        a_large <= a_small + 16 * extra_batches,
+        "the snapshot scan allocated {a_small} times over {small} rows and {a_large} over \
+         {large}: more than 16 per extra batch, so it allocates per page"
+    );
+}
+
 #[test]
 fn a_buffer_miss_allocates_nothing() {
     let engine = StorageEngine::open(scratch_dir("miss"), 4).unwrap();

@@ -361,6 +361,16 @@ impl Mvcc {
         self.apply.read()
     }
 
+    /// The last commit timestamp assigned. [`Mvcc::commit_begin`] moves
+    /// it only while it holds the apply latch exclusively, so under a
+    /// [`Mvcc::read_latch`] it stays put, and while it still equals a
+    /// snapshot's timestamp the heap holds no version newer than that
+    /// snapshot: every key is [`Visibility::Current`] to it and no chain
+    /// holds a row it sees.
+    pub fn clock(&self) -> Ts {
+        self.clock.load(Ordering::SeqCst)
+    }
+
     /// Start committing `txn`: takes the apply latch exclusively and
     /// assigns the commit timestamp. The caller applies its buffered
     /// writes to the heap and records each one on the guard, then calls
