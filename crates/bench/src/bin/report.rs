@@ -717,6 +717,18 @@ impl<'a> Row<'a> {
             run: Box::new(run),
         }
     }
+
+    /// A row whose run consumes its input: `make` builds a fresh one
+    /// before every run, untimed (as the row's switch; time it with
+    /// `warm` off).
+    fn consuming<I: 'a>(mut make: impl FnMut() -> I + 'a, mut run: impl FnMut(I) + 'a) -> Row<'a> {
+        let input = std::rc::Rc::new(std::cell::Cell::new(None));
+        let slot = input.clone();
+        Row {
+            switch: Box::new(move || slot.set(Some(make()))),
+            run: Box::new(move || run(input.take().expect("the switch builds the input"))),
+        }
+    }
 }
 
 /// Alternating-rounds timing of rows against each other: each round
@@ -768,24 +780,6 @@ fn today_utc() -> String {
     format!("{y:04}-{m:02}-{d:02}")
 }
 
-/// Min-of-N timing for E12, where the batch sizes are compared
-/// head-to-head and scheduler noise on a shared box would otherwise
-/// dominate the ratio: one warmup pass, then the fastest of `n` runs.
-/// `run` consumes its input, so each pass gets a fresh one from `make`,
-/// built before the timer starts.
-fn best_on<I>(n: u32, mut make: impl FnMut() -> I, mut run: impl FnMut(I)) -> Duration {
-    run(make());
-    (0..n)
-        .map(|_| {
-            let input = make();
-            let start = Instant::now();
-            run(input);
-            start.elapsed()
-        })
-        .min()
-        .unwrap_or_default()
-}
-
 /// Returns the base-join speedup (one row per batch / full batch) for
 /// `--gate-join`.
 fn e12(smoke: bool) -> f64 {
@@ -795,11 +789,12 @@ fn e12(smoke: bool) -> f64 {
     use sbdms_bench::experiments::{
         e12_dim, e12_dim_dup, e12_dim_highndv, e12_fact, e12_join, e12_join_highndv,
         e12_join_rows, e12_scan_filter_aggregate, e12_scan_layer, e12_sql_db, e12_sql_shapes,
-        E12_SCAN_LAYERS, E12_SQL_DIM, E12_SQL_ROWS,
+        e12_decode_db, e12_decode_sweep, E12_DECODE_WORKLOADS, E12_SCAN_LAYERS, E12_SQL_DIM,
+        E12_SQL_ROWS,
     };
 
     println!("\nE12 — vectorized execution: full batches vs one row per batch");
-    let (rows, iters) = if smoke { (20_000usize, 5u32) } else { (200_000, 10) };
+    let (rows, iters) = if smoke { (20_000usize, 5u32) } else { (200_000, 11) };
     const GROUPS: usize = 64;
     const DUPS: usize = 8;
     let fact = e12_fact(rows);
@@ -817,44 +812,41 @@ fn e12(smoke: bool) -> f64 {
 
     // The engine consumes its input rows, so every run gets a fresh
     // clone, built outside the timer: what is timed is execution alone.
+    // The ten pipelines alternate, so their ratios meet the same moments
+    // of a shared host.
     let one = || fact.clone();
     let two = |d: &Vec<_>| (fact.clone(), d.clone());
-    let sfa_row = best_on(iters, one, |f| {
-        std::hint::black_box(e12_scan_filter_aggregate(&row, f, threshold));
-    });
-    let sfa_full = best_on(iters, one, |f| {
-        std::hint::black_box(e12_scan_filter_aggregate(&full, f, threshold));
-    });
-    let join_row = best_on(iters, || two(&dim), |(f, d)| {
-        std::hint::black_box(e12_join(&row, f, d));
-    });
-    let join_full = best_on(iters, || two(&dim), |(f, d)| {
-        std::hint::black_box(e12_join(&full, f, d));
-    });
-    let dup_row = best_on(iters, || two(&dup), |(f, d)| {
-        std::hint::black_box(e12_join(&row, f, d));
-    });
-    let dup_full = best_on(iters, || two(&dup), |(f, d)| {
-        std::hint::black_box(e12_join(&full, f, d));
-    });
-    let hi_row = best_on(iters, || two(&hi), |(f, d)| {
-        std::hint::black_box(e12_join_highndv(&row, f, d));
-    });
-    let hi_full = best_on(iters, || two(&hi), |(f, d)| {
-        std::hint::black_box(e12_join_highndv(&full, f, d));
-    });
-    let rows_row = best_on(iters, || two(&dim), |(f, d)| {
-        std::hint::black_box(e12_join_rows(&row, f, d));
-    });
-    let rows_full = best_on(iters, || two(&dim), |(f, d)| {
-        std::hint::black_box(e12_join_rows(&full, f, d));
-    });
+    let mut timed = Vec::new();
+    for engine in [&row, &full] {
+        timed.push(Row::consuming(one, move |f| {
+            std::hint::black_box(e12_scan_filter_aggregate(engine, f, threshold));
+        }));
+    }
+    for (d, join) in [(&dim, e12_join as fn(&VectorEngine, _, _) -> usize), (&dup, e12_join), (&hi, e12_join_highndv)] {
+        for engine in [&row, &full] {
+            timed.push(Row::consuming(move || two(d), move |(f, d)| {
+                std::hint::black_box(join(engine, f, d));
+            }));
+        }
+    }
+    for engine in [&row, &full] {
+        timed.push(Row::consuming(|| two(&dim), move |(f, d)| {
+            std::hint::black_box(e12_join_rows(engine, f, d));
+        }));
+    }
+    let pipeline_times = alternating(iters, false, &mut timed);
+    drop(timed);
+    let [sfa_row, sfa_full, join_row, join_full, dup_row, dup_full, hi_row, hi_full, rows_row, rows_full] =
+        pipeline_times[..]
+    else {
+        unreachable!("ten pipeline rows")
+    };
 
     let ms = |d: Duration| d.as_nanos() as f64 / 1e6;
     let speedup = |t: Duration, v: Duration| t.as_nanos() as f64 / v.as_nanos().max(1) as f64;
     println!(
         "  {:<30} {:>12} {:>12} {:>9}",
-        format!("pipeline ({rows} rows, min of {iters})"),
+        format!("pipeline ({rows} rows, median of {iters})"),
         "batch 1",
         format!("batch {BATCH_ROWS}"),
         "speedup"
@@ -946,6 +938,34 @@ fn e12(smoke: bool) -> f64 {
     }
     drop(session);
     drop(db);
+    // The two decoders on the same pages, with and without NULLs and a
+    // read TEXT field: each workload's walk, then its decode step record
+    // by record and a page at a time.
+    let ddb = e12_decode_db(sql_rows);
+    println!("  decode step by workload (ms past the walk, median of {sql_rounds} alternating rounds):");
+    let ddb_ref = &ddb;
+    let mut timed: Vec<Row> = E12_DECODE_WORKLOADS
+        .iter()
+        .flat_map(|&(_, table, keep)| {
+            [None, Some(false), Some(true)].map(|by_page| {
+                Row::run(move || {
+                    std::hint::black_box(e12_decode_sweep(ddb_ref, table, &keep, by_page));
+                })
+            })
+        })
+        .collect();
+    let decode_times = alternating(sql_rounds, false, &mut timed);
+    drop(timed);
+    drop(ddb);
+    let mut decode_ms = Vec::new();
+    for ((name, _, _), d) in E12_DECODE_WORKLOADS.iter().zip(decode_times.chunks(3)) {
+        let (record, page) = (ms(d[1]) - ms(d[0]), ms(d[2]) - ms(d[0]));
+        println!(
+            "    {name:<14} walk {:>6.2}ms  record by record {record:>6.2}ms  page at a time {page:>6.2}ms",
+            ms(d[0])
+        );
+        decode_ms.push(format!("\"{name}\": {{\"record\": {record:.2}, \"page\": {page:.2}}}"));
+    }
 
     let join_x = speedup(join_row, join_full);
     // Machine-parsable for the CI gate (see --gate-join).
@@ -963,7 +983,7 @@ fn e12(smoke: bool) -> f64 {
     let now = |entries: &[String]| {
         format!("{{\"date\": \"{}\", {}}}", today_utc(), entries.join(", "))
     };
-    let (sql_now, layers_now) = (now(&sql_ms), now(&layer_ms));
+    let (sql_now, layers_now, decode_now) = (now(&sql_ms), now(&layer_ms), now(&decode_ms));
     let old = std::fs::read_to_string(path).unwrap_or_default();
     let (sql_previous, layers_previous) =
         (previous_entry(&old, "sql_shapes_ms"), previous_entry(&old, "scan_layers_ms"));
@@ -1001,8 +1021,12 @@ fn e12(smoke: bool) -> f64 {
       "layers": ["io: pread every data page of t, no pool", "miss: + fetch each through the 256-frame pool (every fetch misses)", "walk: + visit each live record", "decode: + decode k and v into typed column vectors (pad skipped, as scan_mix reads t)", "batches: + cut into {BATCH_ROWS}-row batches (scan_batches)", "table_read: the TableScan leaf under an MVCC read snapshot, projected to k and v"],
       "timing": "cumulative: each layer includes the ones before it; median of {sql_rounds} alternating rounds (each round sweeps every layer once, after one untimed round); scan_layers_ms_previous is the run this file held before"
     }},
+    "decode_steps": {{
+      "workloads": ["k_v: t, k and v read (pad skipped)", "k_v_pad: t, every field read", "nulls_k_v: tn (v NULL in one row of ten), k and v read", "nulls_k_v_pad: tn, every field read"],
+      "timing": "ms past a walk that lists each page's records, record by record (decode_tuple_into) and a page at a time (PageDecoder), {sql_rows}-row tables under a 256-frame pool; median of {sql_rounds} alternating rounds"
+    }},
     "baseline": "the same engine at batch_rows = 1; until 2026-10 the baseline was the deleted tuple-at-a-time engine",
-    "note": "pre-materialised rows; min-of-{iters} timing; each run consumes a fresh input clone built outside the timer"
+    "note": "pre-materialised rows; median of {iters} alternating rounds (each round runs all ten pipelines once, after one untimed round); each run consumes a fresh input clone built outside the timer"
   }},
   "results": {{
     "scan_filter_aggregate_ms": {{
@@ -1037,7 +1061,8 @@ fn e12(smoke: bool) -> f64 {
     "sql_shapes_ms_previous": {sql_previous},
     "sql_shapes_ms": {sql_now},
     "scan_layers_ms_previous": {layers_previous},
-    "scan_layers_ms": {layers_now}
+    "scan_layers_ms": {layers_now},
+    "decode_steps_ms": {decode_now}
   }},
   "acceptance": {{
     "full_batch_2x_on_scan_filter_aggregate": {accept_sfa},

@@ -487,8 +487,8 @@ fn load_scan_table(db: &Arc<Database>) {
         .into_iter()
         .filter(|&page| {
             let mut live = 0;
-            HeapFile::walk_page(&buffer, page, |_, _| {
-                live += 1;
+            HeapFile::walk_page(&buffer, page, &mut Vec::new(), |_, records| {
+                live += records.len();
                 Ok(())
             })
             .unwrap();

@@ -18,6 +18,8 @@
 //! impossible for live records). Deleting leaves a dead slot so record ids
 //! remain stable; `compact` rewrites payloads to defragment free space.
 
+use std::ops::Range;
+
 use sbdms_kernel::error::{Result, ServiceError};
 
 /// Size of every page in bytes.
@@ -322,9 +324,15 @@ impl Page {
 
     /// Iterate over `(slot, record)` pairs of live records.
     pub fn iter(&self) -> impl Iterator<Item = (SlotId, &[u8])> {
+        self.records().map(|(s, range)| (s, &self.data[range]))
+    }
+
+    /// Iterate over the slot and byte range (in [`Page::as_bytes`]) of
+    /// each live record, in slot order.
+    pub fn records(&self) -> impl Iterator<Item = (SlotId, Range<usize>)> + '_ {
         (0..self.slot_count()).filter_map(move |s| match self.slot(s) {
             Some((offset, len)) if offset != 0 => {
-                Some((s, &self.data[offset as usize..(offset + len) as usize]))
+                Some((s, offset as usize..(offset + len) as usize))
             }
             _ => None,
         })
